@@ -1,0 +1,104 @@
+"""Exact verification laboratory for distance geometry over prime fields.
+
+The package computes sphere sizes and distance-graph spectra over F_p^d
+with exact or tightly-bounded arithmetic, then checks expander-type
+inequalities (variance, mixing, hinge) and the resulting bounds on the
+pair-count statistic f(E) and on the number of realized distances.  Every
+random choice is seeded and every emitted record is byte-deterministic.
+"""
+
+from .bounds import (
+    BoundReport,
+    DegreeProfile,
+    check_main_theorem,
+    degree_profile,
+    distance_set,
+    f_count,
+    lower_bound_f,
+    upper_bound_f,
+)
+from .errors import (
+    BadSpec,
+    DimensionMismatch,
+    EvenModulus,
+    FqlabError,
+    ImagResidualTooLarge,
+    InfeasibleSize,
+    MissingSpectrum,
+    NotPrime,
+    TooLarge,
+    VerificationFailed,
+    VertexOutOfRange,
+)
+from .euclid import (
+    EuclidGraphSpec,
+    SpectralSummary,
+    SpectrumDiagnostics,
+    adjacent,
+    eigenvalue_at,
+    eigenvalues,
+    euclid_graph,
+    ramanujan_bound,
+    regular_view,
+    spectrum,
+    verify_spectrum,
+)
+from .field import PrimeField, is_prime, make_field
+from .geometry import (
+    PointSet,
+    SphereTable,
+    distance,
+    format_point_text,
+    generate_point_set,
+    load_point_set,
+    norm,
+    parse_generator,
+    parse_point_text,
+    point_rank,
+    rank_point,
+    size_threshold,
+    sphere_points,
+    sphere_size,
+    sphere_table,
+)
+from .spectral import (
+    DegreeSumResult,
+    MixingResult,
+    RegularGraphView,
+    VarianceResult,
+    degree_sum_check,
+    hinge_bound,
+    hinge_count,
+    hinge_count_oracle,
+    make_view,
+    mixing_check,
+    variance_check,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "__version__",
+    # field
+    "PrimeField", "is_prime", "make_field",
+    # geometry
+    "PointSet", "SphereTable", "distance", "format_point_text",
+    "generate_point_set", "load_point_set", "norm", "parse_generator",
+    "parse_point_text", "point_rank", "rank_point", "size_threshold",
+    "sphere_points", "sphere_size", "sphere_table",
+    # spectral
+    "DegreeSumResult", "MixingResult", "RegularGraphView", "VarianceResult",
+    "degree_sum_check", "hinge_bound", "hinge_count", "hinge_count_oracle",
+    "make_view", "mixing_check", "variance_check",
+    # euclid
+    "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics", "adjacent",
+    "eigenvalue_at", "eigenvalues", "euclid_graph", "ramanujan_bound",
+    "regular_view", "spectrum", "verify_spectrum",
+    # bounds
+    "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
+    "distance_set", "f_count", "lower_bound_f", "upper_bound_f",
+    # errors
+    "FqlabError", "NotPrime", "EvenModulus", "DimensionMismatch", "TooLarge",
+    "InfeasibleSize", "BadSpec", "ImagResidualTooLarge", "VerificationFailed",
+    "VertexOutOfRange", "MissingSpectrum",
+]

@@ -1,0 +1,249 @@
+"""Distance-multiplicity statistics of a point set and the inequalities
+that sandwich them.
+
+For a point set E, write deg(x, r) for the number of points of E at
+quadratic distance r from x.  The central statistic is
+
+    f(E) = sum over r != 0, x in E of deg(x, r)**2,
+
+the number of ordered hinges (u, x, w) whose two legs share one nonzero
+distance.  The module computes f exactly from a degree profile, derives
+the realized distance set, builds a Cauchy-Schwarz lower bound and two
+spectral upper bounds (per-radius exact, and the uniform ceiling form),
+and assembles a report that classifies the set-size regime and carries
+one verdict per inequality.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+import numpy as np
+
+from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
+from .euclid import SpectralSummary, ramanujan_bound
+from .field import PrimeField
+from .geometry import PointSet, size_threshold
+from .spectral import BOUND_TOL, hinge_bound
+
+# Profiles need |E|**2 distance evaluations; refuse above this unless forced.
+PROFILE_MAX_PAIRS = 10**8
+
+
+@dataclass(frozen=True, eq=False)
+class DegreeProfile:
+    """Per-point distance multiplicities of one point set.
+
+    counts[i][r] is the number of other points of E at distance r from
+    the i-th point, rows following the point set's order.  The r = 0
+    column excludes the point itself, so it counts null pairs only.
+    Row sums are |E| - 1.
+    """
+
+    p: int
+    dim: int
+    size: int
+    counts: np.ndarray
+    null_pair_count: int
+
+    def f_value(self) -> int:
+        if self.size == 0:
+            return 0
+        cols = self.counts[:, 1:]
+        return int((cols * cols).sum())
+
+    def nonzero_pair_count(self) -> int:
+        """Ordered pairs of distinct points at nonzero distance."""
+        if self.size == 0:
+            return 0
+        return int(self.counts[:, 1:].sum())
+
+    def distance_values(self) -> frozenset[int]:
+        """Distances realized by distinct ordered pairs; may contain 0."""
+        if self.size == 0:
+            return frozenset()
+        present = np.flatnonzero(self.counts.sum(axis=0))
+        return frozenset(int(r) for r in present)
+
+
+def degree_profile(
+    F: PrimeField, dim: int, E: PointSet, force: bool = False
+) -> DegreeProfile:
+    """Tabulate deg(x, r) for every x in E by a chunked all-pairs pass."""
+    if E.dim != dim:
+        raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
+    m = len(E)
+    if m * m > PROFILE_MAX_PAIRS and not force:
+        raise TooLarge(
+            f"|E|**2 = {m * m} exceeds the profile guardrail {PROFILE_MAX_PAIRS}; "
+            "pass force to override"
+        )
+    p = F.p
+    counts = np.zeros((m, p), dtype=np.int64)
+    if m:
+        coords = np.array(E.points, dtype=np.int64)
+        if coords.max() >= p:
+            raise BadSpec(f"point coordinates exceed the field range [0, {p})")
+        chunk = max(1, (1 << 22) // m)
+        for start in range(0, m, chunk):
+            stop = min(m, start + chunk)
+            diff = (coords[start:stop, None, :] - coords[None, :, :]) % p
+            dists = (diff * diff).sum(axis=2) % p
+            rows = stop - start
+            flat = (np.arange(rows, dtype=np.int64)[:, None] * p + dists).ravel()
+            counts[start:stop] = np.bincount(flat, minlength=rows * p).reshape(rows, p)
+        # Each row includes the point's own zero distance; drop it.
+        counts[:, 0] -= 1
+    null = int(counts[:, 0].sum()) if m else 0
+    return DegreeProfile(p=p, dim=dim, size=m, counts=counts, null_pair_count=null)
+
+
+def f_count(F: PrimeField, dim: int, E: PointSet, force: bool = False) -> int:
+    """The exact hinge statistic f(E) over nonzero distances."""
+    return degree_profile(F, dim, E, force=force).f_value()
+
+
+def distance_set(
+    F: PrimeField, dim: int, E: PointSet, force: bool = False
+) -> frozenset[int]:
+    """Distances realized by distinct ordered pairs of E.
+
+    Contains 0 exactly when null pairs exist; callers wanting the nonzero
+    part drop 0.
+    """
+    return degree_profile(F, dim, E, force=force).distance_values()
+
+
+def lower_bound_f(profile: DegreeProfile, q: int) -> Fraction:
+    """Cauchy-Schwarz floor N**2 / ((q-1)|E|), exact.
+
+    N counts ordered pairs at nonzero distance, so the bound stays valid
+    when null pairs exist.  Defined as 0 for the empty set.
+    """
+    m = profile.size
+    if m == 0:
+        return Fraction(0)
+    N = profile.nonzero_pair_count()
+    return Fraction(N * N, (q - 1) * m)
+
+
+def upper_bound_f(
+    E: PointSet, spectra: Mapping[int, SpectralSummary]
+) -> tuple[float, float]:
+    """Spectral ceilings on f(E): (per-radius exact, uniform asymptotic form).
+
+    The first sums the hinge bound over radii with each radius' exact
+    valency and exact second eigenvalue.  The second replaces them with
+    the max valency and the 2*p**((dim-1)/2) ceiling, which is the shape
+    the asymptotic statement uses; it dominates the first whenever the
+    ceiling really does bound every second eigenvalue.
+    """
+    if not spectra:
+        raise MissingSpectrum("no spectra supplied")
+    sample = next(iter(spectra.values()))
+    p, dim = sample.p, sample.dim
+    missing = [a for a in range(1, p) if a not in spectra]
+    if missing:
+        raise MissingSpectrum(f"missing spectra for radii {missing}")
+    for s in spectra.values():
+        if s.p != p or s.dim != dim:
+            raise MissingSpectrum("supplied spectra mix fields or dimensions")
+    m = len(E)
+    if m == 0:
+        return 0.0, 0.0
+    qd = p**dim
+    exact = 0.0
+    for a in range(1, p):
+        s = spectra[a]
+        exact += hinge_bound(qd, s.valency, s.second_eigenvalue, m)
+    kmax = max(spectra[a].valency for a in range(1, p))
+    ceiling = ramanujan_bound(p, dim)
+    asym = (p - 1) * m * (kmax * m / qd + ceiling) ** 2
+    return exact, float(asym)
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Every statistic and verdict for one point set.
+
+    regime is "a" when |E| >= q**((dim+1)/2) (ties inclusive) and "b"
+    below; ratio_cubic = f*q/|E|**3 is the regime-a diagnostic and
+    ratio_linear = f/(|E|*q**dim) the regime-b one.  The four verdicts
+    cover the sandwich lower <= f <= upper_exact <= upper_asymptotic and
+    the implied floor on the number of realized nonzero distances.
+    """
+
+    q: int
+    dim: int
+    set_size: int
+    f_value: int
+    distance_set: tuple[int, ...]
+    null_pair_count: int
+    lower_bound: Fraction
+    upper_exact: float
+    upper_asymptotic: float
+    delta_implied: Fraction
+    regime: str
+    ratio_cubic: float
+    ratio_linear: float
+    lower_ok: bool
+    upper_ok: bool
+    asym_ok: bool
+    delta_ok: bool
+
+    @property
+    def distance_count(self) -> int:
+        return len(self.distance_set)
+
+    @property
+    def holds(self) -> bool:
+        return self.lower_ok and self.upper_ok and self.asym_ok and self.delta_ok
+
+
+def check_main_theorem(
+    F: PrimeField,
+    dim: int,
+    E: PointSet,
+    spectra: Mapping[int, SpectralSummary],
+    force: bool = False,
+) -> BoundReport:
+    """Assemble the full report for one point set.
+
+    The verdicts are hard inequalities; the regime label and the two
+    dimensionless ratios are reported, not asserted, since the asymptotic
+    statement fixes no constants.  delta_implied = N**2/(|E| f) lower
+    bounds the number of realized nonzero distances (0 when f = 0).
+    """
+    prof = degree_profile(F, dim, E, force=force)
+    m = prof.size
+    f = prof.f_value()
+    N = prof.nonzero_pair_count()
+    nz = tuple(sorted(r for r in prof.distance_values() if r != 0))
+    lower = lower_bound_f(prof, F.p)
+    if m == 0:
+        upper_exact, upper_asym = 0.0, 0.0
+    else:
+        upper_exact, upper_asym = upper_bound_f(E, spectra)
+    delta_implied = Fraction(N * N, m * f) if f else Fraction(0)
+    regime = "a" if m >= size_threshold(F.p, dim) else "b"
+    return BoundReport(
+        q=F.p,
+        dim=dim,
+        set_size=m,
+        f_value=f,
+        distance_set=nz,
+        null_pair_count=prof.null_pair_count,
+        lower_bound=lower,
+        upper_exact=upper_exact,
+        upper_asymptotic=upper_asym,
+        delta_implied=delta_implied,
+        regime=regime,
+        ratio_cubic=float(f * F.p / m**3) if m else 0.0,
+        ratio_linear=float(f / (m * F.p**dim)) if m else 0.0,
+        lower_ok=bool(lower <= f),
+        upper_ok=bool(f <= upper_exact + BOUND_TOL),
+        asym_ok=bool(upper_exact <= upper_asym + BOUND_TOL),
+        delta_ok=bool(delta_implied <= len(nz)),
+    )

@@ -1,0 +1,923 @@
+"""Command-line front end: single-instance queries, inequality-check
+batteries, and reproducible parameter sweeps with JSONL/CSV records.
+
+Subcommands: sphere, spectrum, fcount, verify, sweep.  Exit codes: 0 when
+every requested verdict holds, 1 when at least one verdict fails, 2 on
+invalid arguments or refused guardrails.  Records are byte-deterministic
+for a given config: fixed key order, integers bare, reals at 12
+significant digits, rationals as reduced "num/den" strings; record seeds
+derive from a hash of the config digest and the cell key, so reruns and
+replays never depend on scheduling.
+"""
+
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import csv
+import dataclasses
+import hashlib
+import io
+import json
+import math
+import os
+import random
+import sys
+import time
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+from .bounds import check_main_theorem
+from .errors import BadSpec, FqlabError, TooLarge, VerificationFailed
+from .euclid import (
+    SPECTRUM_MAX,
+    euclid_graph,
+    ramanujan_bound,
+    regular_view,
+    spectrum,
+    verify_spectrum,
+)
+from .field import PrimeField, make_field
+from .geometry import (
+    PointSet,
+    generate_point_set,
+    load_point_set,
+    parse_generator,
+    rank_point,
+    sphere_points,
+    sphere_table,
+)
+from .spectral import (
+    BOUND_TOL,
+    degree_sum_check,
+    hinge_bound,
+    hinge_count,
+    mixing_check,
+    variance_check,
+)
+
+TOOL_VERSION = "0.1.0"
+
+CHECK_NAMES = ("spectrum", "variance", "mixing", "hinge", "main", "remark")
+
+DEFAULT_SWEEP_CONFIG = {
+    "grid": [
+        {"primes": [3, 7, 11, 19], "dims": [2]},
+        {"primes": [3, 7], "dims": [3]},
+    ],
+    "generators": ["all", "sphere:1", "box:1t", "random:0.5t", "random:1t", "random:2t"],
+    "seeds": [1, 2, 3, 4, 5],
+    "checks": ["main", "remark"],
+    "allow_1mod4": False,
+}
+
+SWEEP_FIELDS = (
+    "status", "p", "dim", "generator", "seed", "cell_seed", "set_size",
+    "f_value", "null_pair_count", "distance_count", "distance_set",
+    "lower_bound", "upper_exact", "upper_asymptotic", "delta_implied",
+    "regime", "ratio_cubic", "ratio_linear",
+    "lower_ok", "upper_ok", "asym_ok", "delta_ok",
+    "spectrum_ok", "variance_ok", "mixing_ok", "hinge_ok", "eq2_ok",
+    "holds", "error", "config_digest", "tool_version",
+)
+
+VERIFY_FIELDS = (
+    "status", "check", "p", "dim", "a", "lam_kind", "trial",
+    "set_size", "c_size", "lhs", "rhs", "holds", "detail", "seed",
+    "tool_version",
+)
+
+SPECTRUM_FIELDS = (
+    "p", "dim", "a", "n", "valency", "second_eigenvalue", "ramanujan_bound",
+    "bound_ok", "max_imag_residual", "trace_sum_residual",
+    "trace_square_residual", "classes", "tool_version",
+)
+
+
+# ---------------------------------------------------------------------------
+# record serialization
+
+
+def format_real(x: float) -> str:
+    """Reals are emitted with 12 significant digits."""
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"cannot serialize {x!r}")
+    s = f"{x:.12g}"
+    return "0" if s == "-0" else s
+
+
+def _json_value(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return format_real(v)
+    if isinstance(v, Fraction):
+        return json.dumps(f"{v.numerator}/{v.denominator}")
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"unsupported record value {v!r}")
+
+
+def _csv_value(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return format_real(v)
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return str(v)
+
+
+def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
+    """Serialize records with a fixed field order.
+
+    jsonl writes one flat object per line; csv writes a header row (even
+    for an empty record list) followed by one row per record.
+    """
+    if fmt == "jsonl":
+        lines = []
+        for rec in records:
+            body = ",".join(f"{json.dumps(k)}:{_json_value(rec.get(k))}" for k in fields)
+            lines.append("{" + body + "}")
+        return "".join(line + "\n" for line in lines)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        for rec in records:
+            writer.writerow([_csv_value(rec.get(k)) for k in fields])
+        return buf.getvalue()
+    raise BadSpec(f"unknown output format {fmt!r}")
+
+
+def _record(fields: tuple[str, ...], **values) -> dict:
+    rec = {name: None for name in fields}
+    for key, val in values.items():
+        if key not in rec:
+            raise KeyError(f"unknown record field {key!r}")
+        rec[key] = val
+    return rec
+
+
+def _write_output(path: str, payload: str) -> None:
+    Path(path).write_bytes(payload.encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# shared helpers
+
+
+def derive_seed(*parts) -> int:
+    """A 64-bit seed from a hash of the joined parts; stable across runs."""
+    key = "|".join(str(p) for p in parts).encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+
+
+def config_digest(config: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+def _field_for_cli(q: int, allow_1mod4: bool) -> PrimeField:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        F = make_field(q)
+    if F.minus_one_is_square:
+        if not allow_1mod4:
+            raise BadSpec(
+                f"q = {q} is 1 mod 4, so -1 is a square and the standing "
+                "hypothesis fails; pass --allow-1mod4 to proceed anyway"
+            )
+        for w in caught:
+            print(f"note: {w.message}", file=sys.stderr)
+    return F
+
+
+def _guard_spectrum(F: PrimeField, dim: int, force: bool) -> None:
+    if F.p**dim > SPECTRUM_MAX and not force:
+        raise TooLarge(
+            f"p**dim = {F.p ** dim} exceeds the spectrum guardrail "
+            f"{SPECTRUM_MAX}; pass --force to override"
+        )
+
+
+def _parse_checks(text: str) -> tuple[str, ...]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    bad = [n for n in names if n not in CHECK_NAMES]
+    if bad:
+        raise BadSpec(f"unknown checks {bad}; valid: {', '.join(CHECK_NAMES)}")
+    if not names:
+        raise BadSpec("no checks requested")
+    # Canonical order, duplicates dropped.
+    return tuple(n for n in CHECK_NAMES if n in names)
+
+
+def _spanning_sizes(n: int, trials: int) -> list[int]:
+    """Deterministic sizes sweeping 1..n on a geometric ladder."""
+    if trials == 1:
+        return [n]
+    return [max(1, min(n, round(n ** (i / (trials - 1))))) for i in range(trials)]
+
+
+def _spectra_for(F: PrimeField, dim: int, radii, force: bool) -> dict:
+    return {a: spectrum(euclid_graph(F, dim, a), force=force) for a in radii}
+
+
+def _status(ok: bool) -> str:
+    return "ok" if ok else "FAIL"
+
+
+# ---------------------------------------------------------------------------
+# verify batteries
+
+
+def _battery_spectrum(F, dim, a_values, seed, force, spectra):
+    records, ok_all = [], True
+    for a in a_values:
+        s = spectra[a]
+        bound_ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
+        detail = (
+            f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
+        )
+        ok = bound_ok
+        try:
+            diag = verify_spectrum(
+                euclid_graph(F, dim, a),
+                sample_count=8,
+                seed=derive_seed(seed, "spectrum", a),
+                force=force,
+            )
+            detail += f";eigvec={diag.max_eigvec_residual:.3g}"
+        except VerificationFailed as exc:
+            ok = False
+            detail += f";{exc}"
+        ok_all &= ok
+        records.append(
+            _record(
+                VERIFY_FIELDS,
+                status="ok" if ok else "fail",
+                check="spectrum", p=F.p, dim=dim, a=a,
+                lhs=s.second_eigenvalue, rhs=s.ramanujan_bound,
+                holds=ok, detail=detail, seed=seed, tool_version=TOOL_VERSION,
+            )
+        )
+        print(
+            f"spectrum  p={F.p} dim={dim} a={a}: "
+            f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
+            f"{_status(ok)}"
+        )
+    return records, ok_all
+
+
+def _battery_subsets(check, F, dim, a_values, trials, seed, force, spectra):
+    records, ok_all = [], True
+    p = F.p
+    for a in a_values:
+        G = euclid_graph(F, dim, a)
+        exact = spectra[a].second_eigenvalue
+        ceiling = ramanujan_bound(p, dim)
+        base_view = regular_view(G, lam=exact, force=force)
+        rng = random.Random(derive_seed(seed, check, p, dim, a))
+        sizes = _spanning_sizes(G.n, trials)
+        a_ok = True
+        for trial, size in enumerate(sizes):
+            B = rng.sample(range(G.n), size)
+            C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
+            for lam_kind, lam in (("exact", exact), ("ceiling", ceiling)):
+                view = dataclasses.replace(base_view, lam=lam)
+                rows = []
+                if check == "variance":
+                    res = variance_check(view, B)
+                    rows.append((res.lhs, res.rhs, res.holds, f"|B|={size}"))
+                elif check == "mixing":
+                    res = mixing_check(view, B, C)
+                    rows.append(
+                        (res.deviation, res.bound, res.holds, f"e={res.e}")
+                    )
+                else:  # hinge battery: the squared bound plus its linear step
+                    p2 = hinge_count(view, B)
+                    bnd = hinge_bound(G.n, G.valency, lam, size)
+                    rows.append((p2, bnd, p2 <= bnd + BOUND_TOL, "hinges"))
+                    ds = degree_sum_check(view, B)
+                    rows.append((ds.lhs, ds.rhs, ds.holds, "degree-sum"))
+                for lhs, rhs, holds, detail in rows:
+                    a_ok &= holds
+                    records.append(
+                        _record(
+                            VERIFY_FIELDS,
+                            status="ok" if holds else "fail",
+                            check=check, p=p, dim=dim, a=a,
+                            lam_kind=lam_kind, trial=trial,
+                            set_size=size,
+                            c_size=len(C) if C is not None else None,
+                            lhs=float(lhs), rhs=float(rhs), holds=holds,
+                            detail=detail, seed=seed, tool_version=TOOL_VERSION,
+                        )
+                    )
+        ok_all &= a_ok
+        print(
+            f"{check:<8}  p={p} dim={dim} a={a}: {trials} subsets, "
+            f"exact and ceiling  {_status(a_ok)}"
+        )
+    return records, ok_all
+
+
+def _battery_main(F, dim, trials, seed, force, spectra, wanted):
+    records, ok_all = [], True
+    p = F.p
+    n = p**dim
+    rng = random.Random(derive_seed(seed, "main", p, dim))
+    sets = []
+    if n <= 10**7 or force:
+        sets.append(generate_point_set(F, dim, "all", seed=0, force=force))
+    for size in _spanning_sizes(n, trials):
+        ranks = sorted(rng.sample(range(n), size))
+        pts = tuple(rank_point(p, dim, r) for r in ranks)
+        sets.append(PointSet(points=pts, dim=dim, origin_label=f"random-subset:{size}"))
+    for trial, E in enumerate(sets):
+        report = check_main_theorem(F, dim, E, spectra, force=force)
+        if "main" in wanted:
+            ok = report.lower_ok and report.upper_ok and report.asym_ok
+            ok_all &= ok
+            records.append(
+                _record(
+                    VERIFY_FIELDS,
+                    status="ok" if ok else "fail",
+                    check="main", p=p, dim=dim, trial=trial,
+                    set_size=report.set_size,
+                    lhs=float(report.f_value), rhs=report.upper_exact,
+                    holds=ok,
+                    detail=(
+                        f"lower={report.lower_bound.numerator}/"
+                        f"{report.lower_bound.denominator},"
+                        f"asym={report.upper_asymptotic:.6g},"
+                        f"regime={report.regime}"
+                    ),
+                    seed=seed, tool_version=TOOL_VERSION,
+                )
+            )
+        if "remark" in wanted:
+            ok = report.delta_ok
+            ok_all &= ok
+            records.append(
+                _record(
+                    VERIFY_FIELDS,
+                    status="ok" if ok else "fail",
+                    check="remark", p=p, dim=dim, trial=trial,
+                    set_size=report.set_size,
+                    lhs=float(report.delta_implied), rhs=float(report.distance_count),
+                    holds=ok,
+                    detail=f"distances={report.distance_count}",
+                    seed=seed, tool_version=TOOL_VERSION,
+                )
+            )
+    label = "+".join(w for w in ("main", "remark") if w in wanted)
+    print(f"{label:<8}  p={p} dim={dim}: {len(sets)} point sets  {_status(ok_all)}")
+    return records, ok_all
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_sphere(args) -> int:
+    F = _field_for_cli(args.q, args.allow_1mod4)
+    table = sphere_table(F, args.dim)
+    radii = range(F.p) if args.a is None else [args.a % F.p]
+    for a in radii:
+        print(f"a={a} size={table.sizes[a]}")
+        if args.list:
+            for pt in sphere_points(F, args.dim, a, force=args.force):
+                print("  " + ",".join(str(c) for c in pt))
+    if args.a is None:
+        print(f"total={sum(table.sizes)} (p**dim = {F.p ** args.dim})")
+    return 0
+
+
+def cmd_spectrum(args) -> int:
+    F = _field_for_cli(args.q, args.allow_1mod4)
+    _guard_spectrum(F, args.dim, args.force)
+    radii = list(range(1, F.p)) if args.a is None else [args.a]
+    records, all_ok = [], True
+    for a in radii:
+        G = euclid_graph(F, args.dim, a)
+        s = spectrum(G, force=args.force)
+        bound_ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
+        try:
+            verify_spectrum(G, sample_count=4, seed=args.seed, force=args.force)
+        except VerificationFailed as exc:
+            print(f"a={a}: verification failed: {exc}")
+            bound_ok = False
+        all_ok &= bound_ok
+        classes_txt = "; ".join(f"{v:.10g} x{mult}" for v, mult in s.classes)
+        print(f"a={a} valency={s.valency} n={s.n}")
+        print(f"  eigenvalues: {classes_txt}")
+        print(
+            f"  second={s.second_eigenvalue:.10g} "
+            f"bound={s.ramanujan_bound:.10g}  {_status(bound_ok)}"
+        )
+        records.append(
+            _record(
+                SPECTRUM_FIELDS,
+                p=F.p, dim=args.dim, a=a, n=s.n, valency=s.valency,
+                second_eigenvalue=s.second_eigenvalue,
+                ramanujan_bound=s.ramanujan_bound, bound_ok=bound_ok,
+                max_imag_residual=s.max_imag_residual,
+                trace_sum_residual=s.trace_sum_residual,
+                trace_square_residual=s.trace_square_residual,
+                classes=";".join(f"{format_real(v)}x{mult}" for v, mult in s.classes),
+                tool_version=TOOL_VERSION,
+            )
+        )
+    if args.out:
+        _write_output(args.out, emit(records, args.format, SPECTRUM_FIELDS))
+    return 0 if all_ok else 1
+
+
+def cmd_fcount(args) -> int:
+    F = _field_for_cli(args.q, args.allow_1mod4)
+    if args.points and args.gen:
+        raise BadSpec("--points and --gen are mutually exclusive; pick one input source")
+    if args.points:
+        text = Path(args.points).read_text(encoding="utf-8")
+        E = load_point_set(text, F, dim=args.dim, label=f"points:{Path(args.points).name}")
+        dim = E.dim
+        generator = E.origin_label
+    else:
+        if args.gen is None:
+            raise BadSpec("fcount needs --points FILE or --gen SPEC")
+        if args.dim is None:
+            raise BadSpec("--gen requires --dim")
+        dim = args.dim
+        E = generate_point_set(F, dim, args.gen, seed=args.seed, force=args.force)
+        generator = args.gen
+    if dim < 2:
+        raise BadSpec(f"dimension must be >= 2, got {dim}")
+    _guard_spectrum(F, dim, args.force)
+    spectra = _spectra_for(F, dim, range(1, F.p), args.force)
+    report = check_main_theorem(F, dim, E, spectra, force=args.force)
+    print(f"p={F.p} dim={dim} |E|={report.set_size} generator={generator}")
+    print(f"f={report.f_value} null_pairs={report.null_pair_count}")
+    print(
+        f"distances({report.distance_count}): "
+        + ",".join(str(r) for r in report.distance_set)
+    )
+    print(
+        f"lower={report.lower_bound.numerator}/{report.lower_bound.denominator}"
+        f" <= f <= exact={report.upper_exact:.10g}"
+        f" <= asym={report.upper_asymptotic:.10g}"
+    )
+    print(
+        f"delta_implied={float(report.delta_implied):.10g}"
+        f" <= {report.distance_count}"
+    )
+    print(
+        f"regime={report.regime} ratio_cubic={report.ratio_cubic:.10g}"
+        f" ratio_linear={report.ratio_linear:.10g}"
+    )
+    print(f"verdict: {_status(report.holds)}")
+    if args.out:
+        rec = _sweep_record_from_report(
+            report, generator, args.seed, derive_seed(args.seed), ""
+        )
+        _write_output(args.out, emit([rec], args.format, SWEEP_FIELDS))
+    return 0 if report.holds else 1
+
+
+def cmd_verify(args) -> int:
+    F = _field_for_cli(args.q, args.allow_1mod4)
+    dim = args.dim
+    if dim < 2:
+        raise BadSpec(f"dimension must be >= 2, got {dim}")
+    checks = _parse_checks(args.checks)
+    if args.trials < 1:
+        raise BadSpec("--trials must be at least 1")
+    _guard_spectrum(F, dim, args.force)
+    if args.a is not None and not 0 < args.a < F.p:
+        raise BadSpec(f"radius must be a nonzero residue mod {F.p}, got {args.a}")
+    a_values = [args.a] if args.a is not None else list(range(1, F.p))
+    need_all = {"main", "remark"} & set(checks)
+    radii = range(1, F.p) if need_all else a_values
+    spectra = _spectra_for(F, dim, radii, args.force)
+    records, all_ok = [], True
+    for check in checks:
+        if check == "spectrum":
+            recs, ok = _battery_spectrum(F, dim, a_values, args.seed, args.force, spectra)
+        elif check in ("variance", "mixing", "hinge"):
+            recs, ok = _battery_subsets(
+                check, F, dim, a_values, args.trials, args.seed, args.force, spectra
+            )
+        elif check == "main":
+            recs, ok = _battery_main(
+                F, dim, args.trials, args.seed, args.force, spectra, {"main"}
+            )
+        else:  # remark
+            recs, ok = _battery_main(
+                F, dim, args.trials, args.seed, args.force, spectra, {"remark"}
+            )
+        records.extend(recs)
+        all_ok &= ok
+    passed = sum(1 for r in records if r["holds"])
+    print(f"verify: {passed}/{len(records)} checks passed  {_status(all_ok)}")
+    if not all_ok:
+        first = next(r for r in records if not r["holds"])
+        print(
+            "replay: fqlab verify"
+            f" --q {first['p']} --dim {first['dim']}"
+            + (f" --a {first['a']}" if first["a"] is not None else "")
+            + f" --checks {first['check']} --trials {args.trials} --seed {args.seed}",
+            file=sys.stderr,
+        )
+    if args.out:
+        _write_output(args.out, emit(records, args.format, VERIFY_FIELDS))
+    return 0 if all_ok else 1
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+
+def normalize_config(config: dict) -> dict:
+    """Validate a sweep config and fill defaults; raises BadSpec."""
+    if not isinstance(config, dict):
+        raise BadSpec("sweep config must be a JSON object")
+    known = {"grid", "generators", "seeds", "checks", "allow_1mod4"}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise BadSpec(f"unknown config keys {unknown}")
+    grid = config.get("grid")
+    if not isinstance(grid, list) or not grid:
+        raise BadSpec("config needs a non-empty 'grid' list")
+    norm_grid = []
+    for block in grid:
+        if not isinstance(block, dict) or set(block) - {"primes", "dims"}:
+            raise BadSpec("grid blocks must be {'primes': [...], 'dims': [...]}")
+        primes = block.get("primes")
+        dims = block.get("dims")
+        if not primes or not dims:
+            raise BadSpec("grid blocks need non-empty primes and dims")
+        if any(not isinstance(p, int) for p in primes):
+            raise BadSpec("primes must be integers")
+        if any(not isinstance(d, int) or d < 2 for d in dims):
+            raise BadSpec("dims must be integers >= 2")
+        norm_grid.append({"primes": list(primes), "dims": list(dims)})
+    generators = config.get("generators")
+    if not isinstance(generators, list) or not generators:
+        raise BadSpec("config needs a non-empty 'generators' list")
+    for gen in generators:
+        parse_generator(str(gen))
+    seeds = config.get("seeds")
+    if not isinstance(seeds, list) or not seeds:
+        raise BadSpec("config needs a non-empty 'seeds' list")
+    if any(not isinstance(s, int) for s in seeds):
+        raise BadSpec("seeds must be integers")
+    checks = config.get("checks", ["main", "remark"])
+    if not isinstance(checks, list) or not checks:
+        raise BadSpec("config needs a non-empty 'checks' list")
+    bad = [c for c in checks if c not in CHECK_NAMES]
+    if bad:
+        raise BadSpec(f"unknown checks {bad}")
+    allow = bool(config.get("allow_1mod4", False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for block in norm_grid:
+            for p in block["primes"]:
+                F = make_field(p)
+                if F.minus_one_is_square and not allow:
+                    raise BadSpec(
+                        f"prime {p} is 1 mod 4; set allow_1mod4 in the config"
+                    )
+    return {
+        "grid": norm_grid,
+        "generators": [str(g) for g in generators],
+        "seeds": list(seeds),
+        "checks": [c for c in CHECK_NAMES if c in checks],
+        "allow_1mod4": allow,
+    }
+
+
+def _sweep_record_from_report(report, generator, seed, cell_seed, digest):
+    rec = _record(
+        SWEEP_FIELDS,
+        status="ok" if report.holds else "fail",
+        p=report.q, dim=report.dim, generator=generator, seed=seed,
+        cell_seed=cell_seed, set_size=report.set_size,
+        f_value=report.f_value, null_pair_count=report.null_pair_count,
+        distance_count=report.distance_count,
+        distance_set=",".join(str(r) for r in report.distance_set),
+        lower_bound=report.lower_bound, upper_exact=report.upper_exact,
+        upper_asymptotic=report.upper_asymptotic,
+        delta_implied=report.delta_implied, regime=report.regime,
+        ratio_cubic=report.ratio_cubic, ratio_linear=report.ratio_linear,
+        lower_ok=report.lower_ok, upper_ok=report.upper_ok,
+        asym_ok=report.asym_ok, delta_ok=report.delta_ok,
+        holds=report.holds, error="", config_digest=digest,
+        tool_version=TOOL_VERSION,
+    )
+    return rec
+
+
+def _cell_record(F, dim, gen, seed_label, checks, digest, spectra, spectrum_ok, views, force):
+    p = F.p
+    cseed = derive_seed(digest, p, dim, gen, seed_label)
+    rec = _record(
+        SWEEP_FIELDS,
+        status="ok", p=p, dim=dim, generator=gen, seed=seed_label,
+        cell_seed=cseed, error="", config_digest=digest,
+        tool_version=TOOL_VERSION,
+    )
+    try:
+        E = generate_point_set(F, dim, gen, seed=cseed, force=force)
+        rec["set_size"] = len(E)
+        verdicts = []
+        if "main" in checks or "remark" in checks:
+            report = check_main_theorem(F, dim, E, spectra, force=force)
+            rec.update(
+                f_value=report.f_value,
+                null_pair_count=report.null_pair_count,
+                distance_count=report.distance_count,
+                distance_set=",".join(str(r) for r in report.distance_set),
+                lower_bound=report.lower_bound,
+                upper_exact=report.upper_exact,
+                upper_asymptotic=report.upper_asymptotic,
+                delta_implied=report.delta_implied,
+                regime=report.regime,
+                ratio_cubic=report.ratio_cubic,
+                ratio_linear=report.ratio_linear,
+                lower_ok=report.lower_ok, upper_ok=report.upper_ok,
+                asym_ok=report.asym_ok, delta_ok=report.delta_ok,
+            )
+            if "main" in checks:
+                verdicts += [report.lower_ok, report.upper_ok, report.asym_ok]
+            if "remark" in checks:
+                verdicts.append(report.delta_ok)
+        if "spectrum" in checks:
+            rec["spectrum_ok"] = spectrum_ok
+            verdicts.append(spectrum_ok)
+        subset_checks = {"variance", "mixing", "hinge"} & set(checks)
+        if subset_checks:
+            ranks = E.ranks(p)
+            var_ok = mix_ok = hin_ok = eq_ok = True
+            for a in range(1, p):
+                for lam in (spectra[a].second_eigenvalue, ramanujan_bound(p, dim)):
+                    view = dataclasses.replace(views[a], lam=lam)
+                    if "variance" in subset_checks:
+                        var_ok &= variance_check(view, ranks).holds
+                    if "mixing" in subset_checks:
+                        mix_ok &= mixing_check(view, ranks, ranks).holds
+                    if "hinge" in subset_checks:
+                        p2 = hinge_count(view, ranks)
+                        hin_ok &= p2 <= hinge_bound(view.n, view.k, lam, len(ranks)) + BOUND_TOL
+                        eq_ok &= degree_sum_check(view, ranks).holds
+            if "variance" in subset_checks:
+                rec["variance_ok"] = var_ok
+                verdicts.append(var_ok)
+            if "mixing" in subset_checks:
+                rec["mixing_ok"] = mix_ok
+                verdicts.append(mix_ok)
+            if "hinge" in subset_checks:
+                rec["hinge_ok"] = hin_ok
+                rec["eq2_ok"] = eq_ok
+                verdicts += [hin_ok, eq_ok]
+        holds = all(verdicts)
+        rec["holds"] = holds
+        if not holds:
+            rec["status"] = "fail"
+    except FqlabError as exc:
+        rec["status"] = "error"
+        rec["error"] = str(exc)
+        rec["holds"] = False
+    return rec
+
+
+def _run_sweep_group(task) -> list[dict]:
+    p, dim, gens, seeds, checks, digest, force, allow = task
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    spectra = _spectra_for(F, dim, range(1, p), force)
+    spectrum_ok = None
+    if "spectrum" in checks:
+        spectrum_ok = True
+        for a in range(1, p):
+            s = spectra[a]
+            ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
+            try:
+                verify_spectrum(
+                    euclid_graph(F, dim, a),
+                    sample_count=4,
+                    seed=derive_seed(digest, p, dim, a),
+                    force=force,
+                )
+            except VerificationFailed:
+                ok = False
+            spectrum_ok &= ok
+    views = {}
+    if {"variance", "mixing", "hinge"} & set(checks):
+        views = {
+            a: regular_view(
+                euclid_graph(F, dim, a),
+                lam=spectra[a].second_eigenvalue,
+                force=force,
+            )
+            for a in range(1, p)
+        }
+    return [
+        _cell_record(F, dim, gen, seed, checks, digest, spectra, spectrum_ok, views, force)
+        for gen in gens
+        for seed in seeds
+    ]
+
+
+def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[dict], str]:
+    """Run every cell of a sweep config; returns (sorted records, digest)."""
+    config = normalize_config(config)
+    digest = config_digest(config)
+    pairs = []
+    for block in config["grid"]:
+        for p in block["primes"]:
+            for dim in block["dims"]:
+                if (p, dim) not in pairs:
+                    pairs.append((p, dim))
+    for p, dim in pairs:
+        if p**dim > SPECTRUM_MAX and not force:
+            raise TooLarge(
+                f"cell p={p} dim={dim} has p**dim = {p ** dim} above the "
+                f"guardrail {SPECTRUM_MAX}; pass --force to override"
+            )
+    tasks = [
+        (
+            p, dim,
+            tuple(config["generators"]), tuple(config["seeds"]),
+            tuple(config["checks"]), digest, force, config["allow_1mod4"],
+        )
+        for p, dim in pairs
+    ]
+    if jobs > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_run_sweep_group, tasks))
+    else:
+        chunks = [_run_sweep_group(t) for t in tasks]
+    records = [rec for chunk in chunks for rec in chunk]
+    records.sort(key=lambda r: (r["p"], r["dim"], r["generator"], r["seed"]))
+    return records, digest
+
+
+def _print_sweep_summary(records: list[dict], elapsed: float) -> None:
+    ok = sum(1 for r in records if r["status"] == "ok")
+    fail = sum(1 for r in records if r["status"] == "fail")
+    err = sum(1 for r in records if r["status"] == "error")
+    print(f"sweep: {len(records)} cells, {ok} ok, {fail} failed, {err} errors "
+          f"({elapsed:.1f}s)")
+    header = f"{'regime':<8}{'cells':>6}  {'ratio_cubic':<24}  {'ratio_linear':<24}"
+    print(header)
+    for reg in ("a", "b"):
+        rows = [
+            r for r in records
+            if r["regime"] == reg and r["ratio_cubic"] is not None
+        ]
+        if not rows:
+            print(f"{reg:<8}{0:>6}")
+            continue
+        rc = [r["ratio_cubic"] for r in rows]
+        rl = [r["ratio_linear"] for r in rows]
+        print(
+            f"{reg:<8}{len(rows):>6}  "
+            f"{min(rc):.6g} .. {max(rc):.6g}".ljust(34)
+            + f"  {min(rl):.6g} .. {max(rl):.6g}"
+        )
+
+
+def cmd_sweep(args) -> int:
+    if args.config:
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise BadSpec(f"cannot parse config: {exc}") from None
+    else:
+        config = DEFAULT_SWEEP_CONFIG
+    config = normalize_config(config)
+    if args.show_config:
+        print(json.dumps(config, indent=2, sort_keys=True))
+        return 0
+    if not args.out:
+        raise BadSpec("sweep needs --out FILE")
+    start = time.monotonic()
+    records, _ = run_sweep(config, jobs=args.jobs, force=args.force)
+    payload = emit(records, args.format, SWEEP_FIELDS)
+    _write_output(args.out, payload)
+    _print_sweep_summary(records, time.monotonic() - start)
+    print(f"wrote {args.out} ({len(records)} records, {args.format})")
+    bad = [r for r in records if r["status"] != "ok"]
+    for r in bad[:5]:
+        print(
+            f"replay: fqlab fcount --q {r['p']} --dim {r['dim']}"
+            f" --gen '{r['generator']}' --seed {r['cell_seed']}"
+            + (f"  # {r['error']}" if r["error"] else ""),
+            file=sys.stderr,
+        )
+    return 0 if not bad else 1
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _default_jobs() -> int:
+    env = os.environ.get("FQLAB_JOBS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return os.cpu_count() or 1
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fqlab",
+        description=(
+            "Exact distance-geometry laboratory over prime fields: sphere "
+            "counts, distance-graph spectra, and inequality verification."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(sp, dim_required=True):
+        sp.add_argument("--q", type=int, required=True, help="odd prime modulus")
+        sp.add_argument("--dim", type=int, required=dim_required,
+                        help="ambient dimension")
+        sp.add_argument("--allow-1mod4", action="store_true",
+                        help="permit primes with -1 a square")
+        sp.add_argument("--force", action="store_true",
+                        help="override size guardrails")
+
+    sp = sub.add_parser("sphere", help="sphere sizes, optionally the points")
+    add_common(sp)
+    sp.add_argument("--a", type=int, default=None, help="one radius only")
+    sp.add_argument("--list", action="store_true", help="print the points")
+    sp.set_defaults(func=cmd_sphere)
+
+    sp = sub.add_parser("spectrum", help="eigenvalues of one or all radii")
+    add_common(sp)
+    sp.add_argument("--a", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default=None, help="write records to this path")
+    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    sp.set_defaults(func=cmd_spectrum)
+
+    sp = sub.add_parser("fcount", help="distance statistics of one point set")
+    add_common(sp, dim_required=False)
+    sp.add_argument("--points", default=None, help="point file (one per line)")
+    sp.add_argument("--gen", default=None, help="generator expression")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    sp.set_defaults(func=cmd_fcount)
+
+    sp = sub.add_parser("verify", help="run check batteries on one instance")
+    add_common(sp)
+    sp.add_argument("--a", type=int, default=None,
+                    help="restrict graph-local checks to one radius")
+    sp.add_argument("--checks", default=",".join(CHECK_NAMES))
+    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    sp.set_defaults(func=cmd_verify)
+
+    sp = sub.add_parser("sweep", help="run a config grid and emit records")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--config", default=None, help="JSON config file")
+    group.add_argument("--default", action="store_true",
+                       help="use the built-in default grid")
+    sp.add_argument("--out", default=None, help="output records path")
+    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    sp.add_argument("--jobs", type=int, default=_default_jobs(),
+                    help="parallel workers (FQLAB_JOBS overrides the default)")
+    sp.add_argument("--show-config", action="store_true",
+                    help="print the normalized config and exit")
+    sp.add_argument("--force", action="store_true")
+    sp.set_defaults(func=cmd_sweep)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except FqlabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

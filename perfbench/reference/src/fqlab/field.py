@@ -1,0 +1,97 @@
+"""Exact arithmetic in F_p for odd primes, with quadratic-residue tables.
+
+Residues are plain ints in [0, p).  A PrimeField is immutable after
+construction and safe to share across threads and worker processes.  The
+square-count table drives every sphere-size computation downstream, so it
+is built once, by full enumeration, at field construction.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+from .errors import EvenModulus, NotPrime
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic trial division, adequate for desk-scale moduli."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    for d in range(3, math.isqrt(n) + 1, 2):
+        if n % d == 0:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class PrimeField:
+    """An odd prime modulus p together with its square-count table.
+
+    square_counts[t] is the number of x in F_p with x*x == t.  The table
+    satisfies square_counts[0] == 1, every other entry is 0 or 2, and the
+    entries sum to p.  minus_one_is_square records whether p == 1 (mod 4),
+    in which case null distances between distinct points exist already in
+    dimension 2 and default command-line runs refuse the modulus.
+    """
+
+    p: int
+    square_counts: tuple[int, ...]
+    minus_one_is_square: bool
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return (a * b) % self.p
+
+    def neg(self, a: int) -> int:
+        return (-a) % self.p
+
+    def square(self, a: int) -> int:
+        return (a * a) % self.p
+
+    def is_square(self, t: int) -> bool:
+        """True iff t has a square root in F_p; 0 counts as a square."""
+        return self.square_counts[t % self.p] > 0
+
+    def elements(self) -> range:
+        return range(self.p)
+
+
+def make_field(p: int) -> PrimeField:
+    """Validate p and build a PrimeField with its square-count table.
+
+    Raises EvenModulus for even p (the even check runs first, so 4 is
+    reported as even rather than composite) and NotPrime for everything
+    else that is not prime.  A modulus with p == 1 (mod 4) is returned
+    but triggers a warning rather than an error, since -1 being a square
+    changes the distance geometry qualitatively.
+    """
+    if p < 2:
+        raise NotPrime(f"modulus must be an odd prime, got {p}")
+    if p % 2 == 0:
+        raise EvenModulus(f"modulus must be odd, got {p}")
+    if not is_prime(p):
+        raise NotPrime(f"modulus must be prime, got {p}")
+    counts = [0] * p
+    for x in range(p):
+        counts[x * x % p] += 1
+    minus_one = counts[p - 1] > 0
+    # Euler's criterion, cross-checked against the enumerated table.
+    assert minus_one == (p % 4 == 1)
+    if minus_one:
+        warnings.warn(
+            f"p={p} is 1 mod 4, so -1 is a square and distinct points at "
+            "distance 0 exist in every dimension >= 2",
+            stacklevel=2,
+        )
+    return PrimeField(p=p, square_counts=tuple(counts), minus_one_is_square=minus_one)

@@ -1,0 +1,435 @@
+"""Vectors in F_p^dim: the quadratic distance form, sphere counts and
+enumeration, point-set generators, and the point-set text format.
+
+Points are plain tuples of ints.  The canonical integer encoding of a
+point is its rank sum(x_i * p**i), least significant coordinate first;
+ranks order point sets, key random sampling, and name graph vertices in
+the spectral modules.  Sphere sizes are computed by iterated cyclic
+convolution of the field's square-count table, so counting never requires
+enumerating the space; enumeration is a separate, guardrailed operation.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+import random
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import BadSpec, DimensionMismatch, InfeasibleSize, TooLarge
+from .field import PrimeField
+
+Point = tuple[int, ...]
+
+# Enumerating p**dim points is refused above this unless forced.
+SPHERE_ENUM_MAX = 10**7
+
+
+def point_rank(p: int, point: Point) -> int:
+    """Canonical integer encoding, least significant coordinate first."""
+    r = 0
+    for i, x in enumerate(point):
+        r += x * p**i
+    return r
+
+
+def rank_point(p: int, dim: int, rank: int) -> Point:
+    coords = []
+    for _ in range(dim):
+        coords.append(rank % p)
+        rank //= p
+    return tuple(coords)
+
+
+def ranks_to_coords(p: int, dim: int, ranks) -> np.ndarray:
+    """Vectorized rank_point; returns an (n, dim) int64 array."""
+    r = np.array(ranks, dtype=np.int64)
+    out = np.empty((r.shape[0], dim), dtype=np.int64)
+    for i in range(dim):
+        out[:, i] = r % p
+        r //= p
+    return out
+
+
+def coords_to_ranks(p: int, coords: np.ndarray) -> np.ndarray:
+    """Vectorized point_rank over the rows of an (n, dim) array."""
+    coords = np.asarray(coords, dtype=np.int64)
+    weights = p ** np.arange(coords.shape[1], dtype=np.int64)
+    return coords @ weights
+
+
+def norm(F: PrimeField, x: Point) -> int:
+    """The quadratic form sum(x_i**2) mod p."""
+    total = 0
+    for c in x:
+        total += c * c
+    return total % F.p
+
+
+def distance(F: PrimeField, x: Point, y: Point) -> int:
+    """||x - y|| under the quadratic form; not a metric, just a residue."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"points have dimensions {len(x)} and {len(y)}")
+    total = 0
+    for a, b in zip(x, y):
+        d = a - b
+        total += d * d
+    return total % F.p
+
+
+@dataclass(frozen=True)
+class SphereTable:
+    """Exact sphere sizes: sizes[a] = #{x in F_p^dim : ||x|| = a}."""
+
+    p: int
+    dim: int
+    sizes: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def sphere_table(F: PrimeField, dim: int) -> SphereTable:
+    """Sizes of all p spheres at once, by iterated cyclic convolution.
+
+    Cost is O(dim * p**2) independent of p**dim.  The counts are exact:
+    int64 vectorization is used only while every entry provably fits,
+    otherwise the convolution falls back to Python integers.
+    """
+    if dim < 1:
+        raise BadSpec(f"dimension must be >= 1, got {dim}")
+    p = F.p
+    if p**dim < 2**62:
+        base = np.array(F.square_counts, dtype=np.int64)
+        cur = base.copy()
+        for _ in range(dim - 1):
+            full = np.convolve(cur, base)
+            folded = full[:p].copy()
+            folded[: p - 1] += full[p:]
+            cur = folded
+        sizes = tuple(int(v) for v in cur)
+    else:
+        c = F.square_counts
+        cur = list(c)
+        for _ in range(dim - 1):
+            cur = [sum(cur[t] * c[(a - t) % p] for t in range(p)) for a in range(p)]
+        sizes = tuple(cur)
+    assert sum(sizes) == p**dim
+    return SphereTable(p=p, dim=dim, sizes=sizes)
+
+
+def sphere_size(F: PrimeField, dim: int, a: int) -> int:
+    return sphere_table(F, dim).sizes[a % F.p]
+
+
+def sphere_points(F: PrimeField, dim: int, a: int, force: bool = False) -> list[Point]:
+    """All points of norm a, in lexicographic coordinate order.
+
+    Dimensions up to 3 are filtered out of the full space; higher
+    dimensions descend coordinate by coordinate, pruning any prefix whose
+    remaining norm has an empty sphere in the remaining coordinates.
+    """
+    if dim < 1:
+        raise BadSpec(f"dimension must be >= 1, got {dim}")
+    p = F.p
+    a = a % p
+    total = p**dim
+    if total > SPHERE_ENUM_MAX and not force:
+        raise TooLarge(
+            f"p**dim = {total} exceeds the enumeration guardrail "
+            f"{SPHERE_ENUM_MAX}; pass force to override"
+        )
+    if dim <= 3:
+        idx = np.arange(total, dtype=np.int64)
+        coords = np.empty((total, dim), dtype=np.int64)
+        r = idx
+        # Fill least significant digit into the last column so ascending
+        # index order is lexicographic order on the tuples.
+        for j in range(dim - 1, -1, -1):
+            coords[:, j] = r % p
+            r = r // p
+        norms = (coords * coords).sum(axis=1) % p
+        sel = coords[norms == a]
+        return [tuple(int(c) for c in row) for row in sel]
+
+    tables = [sphere_table(F, j).sizes for j in range(1, dim)]
+    roots: list[list[int]] = [[] for _ in range(p)]
+    for x in range(p):
+        roots[x * x % p].append(x)
+    out: list[Point] = []
+    prefix: list[int] = []
+
+    def descend(remaining: int, need: int) -> None:
+        if remaining == 1:
+            for x in roots[need]:
+                out.append(tuple(prefix) + (x,))
+            return
+        lower = tables[remaining - 2]
+        for x in range(p):
+            rest = (need - x * x) % p
+            if lower[rest]:
+                prefix.append(x)
+                descend(remaining - 1, rest)
+                prefix.pop()
+
+    descend(dim, a)
+    return out
+
+
+@dataclass(frozen=True)
+class PointSet:
+    """A duplicate-free ordered collection of points of one dimension."""
+
+    points: tuple[Point, ...]
+    dim: int
+    origin_label: str = ""
+
+    def __post_init__(self):
+        seen = set()
+        for pt in self.points:
+            if len(pt) != self.dim:
+                raise DimensionMismatch(
+                    f"point {pt} has dimension {len(pt)}, set has {self.dim}"
+                )
+            if any(c < 0 for c in pt):
+                raise BadSpec(f"negative coordinate in point {pt}")
+            if pt in seen:
+                raise BadSpec(f"duplicate point {pt}")
+            seen.add(pt)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def ranks(self, p: int) -> list[int]:
+        return [point_rank(p, pt) for pt in self.points]
+
+
+def size_threshold(p: int, dim: int) -> float:
+    """The regime boundary p**((dim+1)/2) on the set-size axis."""
+    return float(p) ** ((dim + 1) / 2)
+
+
+@dataclass(frozen=True)
+class _Atom:
+    kind: str
+    count: int | None = None
+    rel: float | None = None
+    side: int | None = None
+    radius: int | None = None
+    base: Point | None = None
+    direction: Point | None = None
+
+
+@dataclass(frozen=True)
+class GeneratorSpec:
+    """A parsed point-set generator expression; text keeps the original."""
+
+    text: str
+    atoms: tuple[_Atom, ...]
+
+
+def _parse_size_token(token: str, what: str) -> tuple[int | None, float | None]:
+    # A trailing "t" makes the size relative to the threshold p**((dim+1)/2).
+    if token.endswith("t"):
+        try:
+            rel = float(token[:-1])
+        except ValueError:
+            raise BadSpec(f"cannot parse {what} {token!r}") from None
+        if not math.isfinite(rel) or rel <= 0:
+            raise BadSpec(f"{what} multiplier must be positive, got {token!r}")
+        return None, rel
+    try:
+        value = int(token)
+    except ValueError:
+        raise BadSpec(f"cannot parse {what} {token!r}") from None
+    if value < 0:
+        raise BadSpec(f"{what} must be nonnegative, got {value}")
+    return value, None
+
+
+def _parse_point_token(token: str) -> Point:
+    try:
+        return tuple(int(part) for part in token.split(","))
+    except ValueError:
+        raise BadSpec(f"cannot parse point {token!r}") from None
+
+
+def _parse_atom(token: str) -> _Atom:
+    token = token.strip()
+    if token == "all":
+        return _Atom(kind="all")
+    head, sep, arg = token.partition(":")
+    if not sep or not arg:
+        raise BadSpec(f"unrecognized generator {token!r}")
+    if head == "random":
+        count, rel = _parse_size_token(arg, "random size")
+        return _Atom(kind="random", count=count, rel=rel)
+    if head == "box":
+        side, rel = _parse_size_token(arg, "box side")
+        return _Atom(kind="box", side=side, rel=rel)
+    if head == "sphere":
+        try:
+            radius = int(arg)
+        except ValueError:
+            raise BadSpec(f"cannot parse sphere radius {arg!r}") from None
+        return _Atom(kind="sphere", radius=radius)
+    if head == "line":
+        base_txt, sep2, dir_txt = arg.partition(";")
+        if not sep2:
+            raise BadSpec(f"line generator needs 'base;direction', got {arg!r}")
+        return _Atom(
+            kind="line",
+            base=_parse_point_token(base_txt),
+            direction=_parse_point_token(dir_txt),
+        )
+    raise BadSpec(f"unknown generator kind {head!r}")
+
+
+def parse_generator(text: str) -> GeneratorSpec:
+    """Parse a generator expression.
+
+    Grammar: atoms joined by '+', each atom one of
+      all              every point of the space
+      random:N         N distinct points, uniform; N may be 'Xt' for
+                       round(X * p**((dim+1)/2)), clamped to the space
+      box:S            the box [0,S)^dim; S may be 'Xt' (side solved from
+                       the target size, clamped to [1, p])
+      sphere:A         all points of norm A
+      line:P;D         the p points P + t*D, direction D nonzero
+    """
+    atoms = tuple(_parse_atom(tok) for tok in text.split("+"))
+    return GeneratorSpec(text=text, atoms=atoms)
+
+
+def _atom_points(
+    F: PrimeField, dim: int, atom: _Atom, rng: random.Random, force: bool
+) -> list[Point]:
+    p = F.p
+    total = p**dim
+    if atom.kind == "all":
+        if total > SPHERE_ENUM_MAX and not force:
+            raise TooLarge(
+                f"p**dim = {total} exceeds the enumeration guardrail; "
+                "pass force to override"
+            )
+        return [rank_point(p, dim, r) for r in range(total)]
+    if atom.kind == "random":
+        n = atom.count
+        if n is None:
+            n = min(total, max(1, round(atom.rel * size_threshold(p, dim))))
+        if n > total:
+            raise InfeasibleSize(
+                f"requested {n} distinct points from a space of {total}"
+            )
+        return [rank_point(p, dim, r) for r in rng.sample(range(total), n)]
+    if atom.kind == "box":
+        side = atom.side
+        if side is None:
+            target = max(1.0, atom.rel * size_threshold(p, dim))
+            side = min(p, max(1, round(target ** (1.0 / dim))))
+        if side > p:
+            raise BadSpec(f"box side {side} exceeds p = {p}")
+        if side**dim > SPHERE_ENUM_MAX and not force:
+            raise TooLarge(f"box of {side**dim} points exceeds the guardrail")
+        return [tuple(pt) for pt in itertools.product(range(side), repeat=dim)]
+    if atom.kind == "sphere":
+        if not 0 <= atom.radius < p:
+            raise BadSpec(f"sphere radius {atom.radius} is not a residue mod {p}")
+        return sphere_points(F, dim, atom.radius, force=force)
+    if atom.kind == "line":
+        base, direction = atom.base, atom.direction
+        if len(base) != dim or len(direction) != dim:
+            raise BadSpec("line base/direction dimension mismatch")
+        if any(not 0 <= c < p for c in base + direction):
+            raise BadSpec(f"line coordinates must be residues mod {p}")
+        if all(c == 0 for c in direction):
+            raise BadSpec("line direction must be nonzero")
+        return [
+            tuple((b + t * d) % p for b, d in zip(base, direction)) for t in range(p)
+        ]
+    raise BadSpec(f"unknown generator kind {atom.kind!r}")
+
+
+def generate_point_set(
+    F: PrimeField,
+    dim: int,
+    spec: GeneratorSpec | str,
+    seed: int = 0,
+    force: bool = False,
+) -> PointSet:
+    """Produce a point set from a generator expression, deterministically.
+
+    The same (spec, seed) always yields the same set in the same order.
+    Unions deduplicate, keeping the first occurrence.
+    """
+    gs = parse_generator(spec) if isinstance(spec, str) else spec
+    if dim < 1:
+        raise BadSpec(f"dimension must be >= 1, got {dim}")
+    rng = random.Random(seed)
+    seen: set[Point] = set()
+    pts: list[Point] = []
+    for atom in gs.atoms:
+        for pt in _atom_points(F, dim, atom, rng, force):
+            if pt not in seen:
+                seen.add(pt)
+                pts.append(pt)
+    return PointSet(points=tuple(pts), dim=dim, origin_label=gs.text)
+
+
+def parse_point_text(text: str) -> list[Point]:
+    """Parse the one-point-per-line text format.
+
+    Lines hold comma-separated decimal residues; '#' comments and blank
+    lines are ignored, the dimension is fixed by the first data line, and
+    duplicate points are rejected.
+    """
+    points: list[Point] = []
+    seen: set[Point] = set()
+    dim: int | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            pt = tuple(int(part) for part in line.split(","))
+        except ValueError:
+            raise BadSpec(
+                f"line {lineno}: cannot parse {line!r} as comma-separated residues"
+            ) from None
+        if dim is None:
+            dim = len(pt)
+        elif len(pt) != dim:
+            raise DimensionMismatch(
+                f"line {lineno}: expected {dim} coordinates, got {len(pt)}"
+            )
+        if pt in seen:
+            raise BadSpec(f"line {lineno}: duplicate point {line!r}")
+        seen.add(pt)
+        points.append(pt)
+    return points
+
+
+def load_point_set(
+    text: str, F: PrimeField, dim: int | None = None, label: str = "points"
+) -> PointSet:
+    """Parse point text and validate every coordinate against the field."""
+    pts = parse_point_text(text)
+    if not pts:
+        if dim is None:
+            raise BadSpec("empty point list and no dimension given")
+        return PointSet(points=(), dim=dim, origin_label=label)
+    d = len(pts[0])
+    if dim is not None and d != dim:
+        raise DimensionMismatch(f"points have dimension {d}, expected {dim}")
+    for pt in pts:
+        if any(not 0 <= c < F.p for c in pt):
+            raise BadSpec(f"coordinate out of range [0, {F.p}) in point {pt}")
+    return PointSet(points=tuple(pts), dim=d, origin_label=label)
+
+
+def format_point_text(ps: PointSet) -> str:
+    return "".join(",".join(str(c) for c in pt) + "\n" for pt in ps.points)
