@@ -69,7 +69,6 @@ from .spectral import (
     degree_sum_check,
     hinge_bound,
     hinge_count,
-    hinge_count_oracle,
     make_view,
     mixing_check,
     variance_check,
@@ -88,8 +87,8 @@ __all__ = [
     "sphere_points", "sphere_size", "sphere_table",
     # spectral
     "DegreeSumResult", "MixingResult", "RegularGraphView", "VarianceResult",
-    "degree_sum_check", "hinge_bound", "hinge_count", "hinge_count_oracle",
-    "make_view", "mixing_check", "variance_check",
+    "degree_sum_check", "hinge_bound", "hinge_count", "make_view",
+    "mixing_check", "variance_check",
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics", "adjacent",
     "eigenvalue_at", "eigenvalues", "euclid_graph", "ramanujan_bound",

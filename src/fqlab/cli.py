@@ -2,12 +2,12 @@
 batteries, and reproducible parameter sweeps with JSONL/CSV records.
 
 Subcommands: sphere, spectrum, fcount, verify, sweep.  Exit codes: 0 when
-every requested verdict holds, 1 when at least one verdict fails, 2 on
-invalid arguments or refused guardrails.  Records are byte-deterministic
-for a given config: fixed key order, integers bare, reals at 12
-significant digits, rationals as reduced "num/den" strings; record seeds
-derive from a hash of the config digest and the cell key, so reruns and
-replays never depend on scheduling.
+every requested verdict holds, 1 when at least one verdict fails or stdout
+closes early, 2 on invalid arguments or refused guardrails.  Records are
+byte-deterministic for a given config: fixed key order, integers bare,
+reals at 12 significant digits, rationals as reduced "num/den" strings;
+record seeds derive from a hash of the config digest and the cell key, so
+reruns and replays never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__, bounds
 from .bounds import check_main_theorem
-from .errors import BadSpec, FqlabError, TooLarge, VerificationFailed
+from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
-    SPECTRUM_MAX,
     euclid_graph,
+    guard_spectrum,
     ramanujan_bound,
     regular_view,
     spectrum,
@@ -57,9 +58,10 @@ from .spectral import (
     variance_check,
 )
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 CHECK_NAMES = ("spectrum", "variance", "mixing", "hinge", "main", "remark")
+SUBSET_CHECKS = frozenset({"variance", "mixing", "hinge"})
 
 DEFAULT_SWEEP_CONFIG = {
     "grid": [
@@ -203,14 +205,6 @@ def _field_for_cli(q: int, allow_1mod4: bool) -> PrimeField:
     return F
 
 
-def _guard_spectrum(F: PrimeField, dim: int, force: bool) -> None:
-    if F.p**dim > SPECTRUM_MAX and not force:
-        raise TooLarge(
-            f"p**dim = {F.p ** dim} exceeds the spectrum guardrail "
-            f"{SPECTRUM_MAX}; pass --force to override"
-        )
-
-
 def _parse_checks(text: str) -> tuple[str, ...]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     bad = [n for n in names if n not in CHECK_NAMES]
@@ -238,152 +232,167 @@ def _status(ok: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verify batteries
+# checks, each written once and shared by verify, sweep, spectrum and fcount
 
 
-def _battery_spectrum(F, dim, a_values, seed, force, spectra):
-    records, ok_all = [], True
-    for a in a_values:
-        s = spectra[a]
-        bound_ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
-        detail = (
-            f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
+def _spectrum_verdict(G, s, sample_count, seed, force) -> tuple[bool, str]:
+    """The ceiling test on one radius' spectrum plus its independent recheck."""
+    ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
+    detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
+    try:
+        diag = verify_spectrum(G, sample_count=sample_count, seed=seed, force=force)
+        detail += f";eigvec={diag.max_eigvec_residual:.3g}"
+    except VerificationFailed as exc:
+        ok = False
+        detail += f";{exc}"
+    return ok, detail
+
+
+def _subset_rows(check, view, exact, ceiling, B, C=None):
+    """Yield (lam_kind, lhs, rhs, holds, detail) rows of one subset check.
+
+    Each row is evaluated under the exact second eigenvalue and under the
+    ceiling; the hinge check yields the squared bound and the degree-sum
+    step it squares.
+    """
+    for lam_kind, lam in (("exact", exact), ("ceiling", ceiling)):
+        v = dataclasses.replace(view, lam=lam)
+        if check == "variance":
+            res = variance_check(v, B)
+            yield lam_kind, res.lhs, res.rhs, res.holds, f"|B|={len(B)}"
+        elif check == "mixing":
+            res = mixing_check(v, B, C)
+            yield lam_kind, res.deviation, res.bound, res.holds, f"e={res.e}"
+        else:
+            p2 = hinge_count(v, B)
+            bnd = hinge_bound(v.n, v.k, lam, len(B))
+            yield lam_kind, p2, bnd, p2 <= bnd + BOUND_TOL, "hinges"
+            ds = degree_sum_check(v, B)
+            yield lam_kind, ds.lhs, ds.rhs, ds.holds, "degree-sum"
+
+
+def _theorem_row(check, report) -> tuple[float, float, bool, str]:
+    """(lhs, rhs, holds, detail) of the f(E) sandwich ("main") or of the
+    distance-count floor ("remark") in one report."""
+    if check == "main":
+        return (
+            float(report.f_value), report.upper_exact,
+            report.lower_ok and report.upper_ok and report.asym_ok,
+            f"lower={report.lower_bound.numerator}/{report.lower_bound.denominator},"
+            f"asym={report.upper_asymptotic:.6g},regime={report.regime}",
         )
-        ok = bound_ok
-        try:
-            diag = verify_spectrum(
-                euclid_graph(F, dim, a),
-                sample_count=8,
-                seed=derive_seed(seed, "spectrum", a),
-                force=force,
-            )
-            detail += f";eigvec={diag.max_eigvec_residual:.3g}"
-        except VerificationFailed as exc:
-            ok = False
-            detail += f";{exc}"
-        ok_all &= ok
-        records.append(
-            _record(
-                VERIFY_FIELDS,
-                status="ok" if ok else "fail",
-                check="spectrum", p=F.p, dim=dim, a=a,
-                lhs=s.second_eigenvalue, rhs=s.ramanujan_bound,
-                holds=ok, detail=detail, seed=seed, tool_version=TOOL_VERSION,
-            )
-        )
-        print(
-            f"spectrum  p={F.p} dim={dim} a={a}: "
+    return (
+        float(report.delta_implied), float(report.distance_count), report.delta_ok,
+        f"distances={report.distance_count}",
+    )
+
+
+def _report_fields(report) -> dict:
+    """The sweep-record fields that one report fills."""
+    return dict(
+        set_size=report.set_size,
+        f_value=report.f_value, null_pair_count=report.null_pair_count,
+        distance_count=report.distance_count,
+        distance_set=",".join(str(r) for r in report.distance_set),
+        lower_bound=report.lower_bound, upper_exact=report.upper_exact,
+        upper_asymptotic=report.upper_asymptotic,
+        delta_implied=report.delta_implied, regime=report.regime,
+        ratio_cubic=report.ratio_cubic, ratio_linear=report.ratio_linear,
+        lower_ok=report.lower_ok, upper_ok=report.upper_ok,
+        asym_ok=report.asym_ok, delta_ok=report.delta_ok,
+    )
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+
+def _verify_record(check, p, dim, seed, lhs, rhs, holds, detail, **fields) -> dict:
+    return _record(
+        VERIFY_FIELDS,
+        status="ok" if holds else "fail", check=check, p=p, dim=dim,
+        lhs=float(lhs), rhs=float(rhs), holds=holds, detail=detail,
+        seed=seed, tool_version=TOOL_VERSION, **fields,
+    )
+
+
+def _verify_radius(F, dim, a, s, checks, args, out) -> None:
+    """Every graph-local check on radius a, appended to the (records,
+    summary lines) pair out[check].
+
+    The radius' neighbor table is built once for all subset checks and is
+    freed on return, so one table is alive at a time.
+    """
+    p = F.p
+    G = euclid_graph(F, dim, a)
+    if "spectrum" in checks:
+        seed = derive_seed(args.seed, "spectrum", a)
+        ok, detail = _spectrum_verdict(G, s, 8, seed, args.force)
+        out["spectrum"][0].append(_verify_record(
+            "spectrum", p, dim, args.seed, s.second_eigenvalue, s.ramanujan_bound,
+            ok, detail, a=a,
+        ))
+        out["spectrum"][1].append(
+            f"spectrum  p={p} dim={dim} a={a}: "
             f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
             f"{_status(ok)}"
         )
-    return records, ok_all
-
-
-def _battery_subsets(check, F, dim, a_values, trials, seed, force, spectra):
-    records, ok_all = [], True
-    p = F.p
-    for a in a_values:
-        G = euclid_graph(F, dim, a)
-        exact = spectra[a].second_eigenvalue
-        ceiling = ramanujan_bound(p, dim)
-        base_view = regular_view(G, lam=exact, force=force)
-        rng = random.Random(derive_seed(seed, check, p, dim, a))
-        sizes = _spanning_sizes(G.n, trials)
+    subset_checks = [c for c in checks if c in SUBSET_CHECKS]
+    if not subset_checks:
+        return
+    view = regular_view(G, lam=s.second_eigenvalue, force=args.force)
+    ceiling = ramanujan_bound(p, dim)
+    for check in subset_checks:
+        rng = random.Random(derive_seed(args.seed, check, p, dim, a))
         a_ok = True
-        for trial, size in enumerate(sizes):
+        for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
             B = rng.sample(range(G.n), size)
             C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
-            for lam_kind, lam in (("exact", exact), ("ceiling", ceiling)):
-                view = dataclasses.replace(base_view, lam=lam)
-                rows = []
-                if check == "variance":
-                    res = variance_check(view, B)
-                    rows.append((res.lhs, res.rhs, res.holds, f"|B|={size}"))
-                elif check == "mixing":
-                    res = mixing_check(view, B, C)
-                    rows.append(
-                        (res.deviation, res.bound, res.holds, f"e={res.e}")
-                    )
-                else:  # hinge battery: the squared bound plus its linear step
-                    p2 = hinge_count(view, B)
-                    bnd = hinge_bound(G.n, G.valency, lam, size)
-                    rows.append((p2, bnd, p2 <= bnd + BOUND_TOL, "hinges"))
-                    ds = degree_sum_check(view, B)
-                    rows.append((ds.lhs, ds.rhs, ds.holds, "degree-sum"))
-                for lhs, rhs, holds, detail in rows:
-                    a_ok &= holds
-                    records.append(
-                        _record(
-                            VERIFY_FIELDS,
-                            status="ok" if holds else "fail",
-                            check=check, p=p, dim=dim, a=a,
-                            lam_kind=lam_kind, trial=trial,
-                            set_size=size,
-                            c_size=len(C) if C is not None else None,
-                            lhs=float(lhs), rhs=float(rhs), holds=holds,
-                            detail=detail, seed=seed, tool_version=TOOL_VERSION,
-                        )
-                    )
-        ok_all &= a_ok
-        print(
-            f"{check:<8}  p={p} dim={dim} a={a}: {trials} subsets, "
+            rows = _subset_rows(check, view, s.second_eigenvalue, ceiling, B, C)
+            for lam_kind, lhs, rhs, holds, detail in rows:
+                a_ok &= holds
+                out[check][0].append(_verify_record(
+                    check, p, dim, args.seed, lhs, rhs, holds, detail,
+                    a=a, lam_kind=lam_kind, trial=trial, set_size=size,
+                    c_size=len(C) if C is not None else None,
+                ))
+        out[check][1].append(
+            f"{check:<8}  p={p} dim={dim} a={a}: {args.trials} subsets, "
             f"exact and ceiling  {_status(a_ok)}"
         )
-    return records, ok_all
 
 
-def _battery_main(F, dim, trials, seed, force, spectra, wanted):
-    records, ok_all = [], True
-    p = F.p
-    n = p**dim
-    rng = random.Random(derive_seed(seed, "main", p, dim))
+def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
+    """main and remark on one list of point sets, one report per set.
+
+    The sets are F_p^dim itself and a ladder of random subsets.  Unless
+    forced, sizes stay within the degree-profile guardrail, and the full
+    space is included only when its profile fits.
+    """
+    p, n = F.p, F.p**dim
+    cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
+    rng = random.Random(derive_seed(args.seed, "main", p, dim))
     sets = []
-    if n <= 10**7 or force:
-        sets.append(generate_point_set(F, dim, "all", seed=0, force=force))
-    for size in _spanning_sizes(n, trials):
+    if n <= cap:
+        sets.append(generate_point_set(F, dim, "all", seed=0, force=args.force))
+    for size in _spanning_sizes(cap, args.trials):
         ranks = sorted(rng.sample(range(n), size))
         pts = tuple(rank_point(p, dim, r) for r in ranks)
         sets.append(PointSet(points=pts, dim=dim, origin_label=f"random-subset:{size}"))
+    wanted = [c for c in ("main", "remark") if c in checks]
     for trial, E in enumerate(sets):
-        report = check_main_theorem(F, dim, E, spectra, force=force)
-        if "main" in wanted:
-            ok = report.lower_ok and report.upper_ok and report.asym_ok
-            ok_all &= ok
-            records.append(
-                _record(
-                    VERIFY_FIELDS,
-                    status="ok" if ok else "fail",
-                    check="main", p=p, dim=dim, trial=trial,
-                    set_size=report.set_size,
-                    lhs=float(report.f_value), rhs=report.upper_exact,
-                    holds=ok,
-                    detail=(
-                        f"lower={report.lower_bound.numerator}/"
-                        f"{report.lower_bound.denominator},"
-                        f"asym={report.upper_asymptotic:.6g},"
-                        f"regime={report.regime}"
-                    ),
-                    seed=seed, tool_version=TOOL_VERSION,
-                )
-            )
-        if "remark" in wanted:
-            ok = report.delta_ok
-            ok_all &= ok
-            records.append(
-                _record(
-                    VERIFY_FIELDS,
-                    status="ok" if ok else "fail",
-                    check="remark", p=p, dim=dim, trial=trial,
-                    set_size=report.set_size,
-                    lhs=float(report.delta_implied), rhs=float(report.distance_count),
-                    holds=ok,
-                    detail=f"distances={report.distance_count}",
-                    seed=seed, tool_version=TOOL_VERSION,
-                )
-            )
-    label = "+".join(w for w in ("main", "remark") if w in wanted)
-    print(f"{label:<8}  p={p} dim={dim}: {len(sets)} point sets  {_status(ok_all)}")
-    return records, ok_all
+        report = check_main_theorem(F, dim, E, spectra, force=args.force)
+        for check in wanted:
+            lhs, rhs, holds, detail = _theorem_row(check, report)
+            out[check][0].append(_verify_record(
+                check, p, dim, args.seed, lhs, rhs, holds, detail,
+                trial=trial, set_size=report.set_size,
+            ))
+    for check in wanted:
+        ok = all(r["holds"] for r in out[check][0])
+        out[check][1].append(
+            f"{check:<8}  p={p} dim={dim}: {len(sets)} point sets  {_status(ok)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +415,14 @@ def cmd_sphere(args) -> int:
 
 def cmd_spectrum(args) -> int:
     F = _field_for_cli(args.q, args.allow_1mod4)
-    _guard_spectrum(F, args.dim, args.force)
     radii = list(range(1, F.p)) if args.a is None else [args.a]
     records, all_ok = [], True
     for a in radii:
         G = euclid_graph(F, args.dim, a)
         s = spectrum(G, force=args.force)
-        bound_ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
-        try:
-            verify_spectrum(G, sample_count=4, seed=args.seed, force=args.force)
-        except VerificationFailed as exc:
-            print(f"a={a}: verification failed: {exc}")
-            bound_ok = False
+        bound_ok, detail = _spectrum_verdict(G, s, 4, args.seed, args.force)
+        if not bound_ok:
+            print(f"a={a}: check failed: {detail}")
         all_ok &= bound_ok
         classes_txt = "; ".join(f"{v:.10g} x{mult}" for v, mult in s.classes)
         print(f"a={a} valency={s.valency} n={s.n}")
@@ -463,7 +468,6 @@ def cmd_fcount(args) -> int:
         generator = args.gen
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
-    _guard_spectrum(F, dim, args.force)
     spectra = _spectra_for(F, dim, range(1, F.p), args.force)
     report = check_main_theorem(F, dim, E, spectra, force=args.force)
     print(f"p={F.p} dim={dim} |E|={report.set_size} generator={generator}")
@@ -487,8 +491,12 @@ def cmd_fcount(args) -> int:
     )
     print(f"verdict: {_status(report.holds)}")
     if args.out:
-        rec = _sweep_record_from_report(
-            report, generator, args.seed, derive_seed(args.seed), ""
+        rec = _record(
+            SWEEP_FIELDS,
+            status="ok" if report.holds else "fail",
+            p=F.p, dim=dim, generator=generator, seed=args.seed,
+            cell_seed=derive_seed(args.seed), holds=report.holds, error="",
+            config_digest="", tool_version=TOOL_VERSION, **_report_fields(report),
         )
         _write_output(args.out, emit([rec], args.format, SWEEP_FIELDS))
     return 0 if report.holds else 1
@@ -502,32 +510,24 @@ def cmd_verify(args) -> int:
     checks = _parse_checks(args.checks)
     if args.trials < 1:
         raise BadSpec("--trials must be at least 1")
-    _guard_spectrum(F, dim, args.force)
     if args.a is not None and not 0 < args.a < F.p:
         raise BadSpec(f"radius must be a nonzero residue mod {F.p}, got {args.a}")
     a_values = [args.a] if args.a is not None else list(range(1, F.p))
     need_all = {"main", "remark"} & set(checks)
     radii = range(1, F.p) if need_all else a_values
     spectra = _spectra_for(F, dim, radii, args.force)
-    records, all_ok = [], True
+    # Records and summary lines are buffered per check, so the output keeps
+    # check-major order while the work runs one radius at a time.
+    out = {check: ([], []) for check in checks}
+    for a in a_values:
+        _verify_radius(F, dim, a, spectra[a], checks, args, out)
+    if need_all:
+        _verify_point_sets(F, dim, spectra, checks, args, out)
+    records = [rec for check in checks for rec in out[check][0]]
     for check in checks:
-        if check == "spectrum":
-            recs, ok = _battery_spectrum(F, dim, a_values, args.seed, args.force, spectra)
-        elif check in ("variance", "mixing", "hinge"):
-            recs, ok = _battery_subsets(
-                check, F, dim, a_values, args.trials, args.seed, args.force, spectra
-            )
-        elif check == "main":
-            recs, ok = _battery_main(
-                F, dim, args.trials, args.seed, args.force, spectra, {"main"}
-            )
-        else:  # remark
-            recs, ok = _battery_main(
-                F, dim, args.trials, args.seed, args.force, spectra, {"remark"}
-            )
-        records.extend(recs)
-        all_ok &= ok
+        print(*out[check][1], sep="\n")
     passed = sum(1 for r in records if r["holds"])
+    all_ok = passed == len(records)
     print(f"verify: {passed}/{len(records)} checks passed  {_status(all_ok)}")
     if not all_ok:
         first = next(r for r in records if not r["holds"])
@@ -606,27 +606,6 @@ def normalize_config(config: dict) -> dict:
     }
 
 
-def _sweep_record_from_report(report, generator, seed, cell_seed, digest):
-    rec = _record(
-        SWEEP_FIELDS,
-        status="ok" if report.holds else "fail",
-        p=report.q, dim=report.dim, generator=generator, seed=seed,
-        cell_seed=cell_seed, set_size=report.set_size,
-        f_value=report.f_value, null_pair_count=report.null_pair_count,
-        distance_count=report.distance_count,
-        distance_set=",".join(str(r) for r in report.distance_set),
-        lower_bound=report.lower_bound, upper_exact=report.upper_exact,
-        upper_asymptotic=report.upper_asymptotic,
-        delta_implied=report.delta_implied, regime=report.regime,
-        ratio_cubic=report.ratio_cubic, ratio_linear=report.ratio_linear,
-        lower_ok=report.lower_ok, upper_ok=report.upper_ok,
-        asym_ok=report.asym_ok, delta_ok=report.delta_ok,
-        holds=report.holds, error="", config_digest=digest,
-        tool_version=TOOL_VERSION,
-    )
-    return rec
-
-
 def _cell_record(F, dim, gen, seed_label, checks, digest, spectra, spectrum_ok, views, force):
     p = F.p
     cseed = derive_seed(digest, p, dim, gen, seed_label)
@@ -642,53 +621,26 @@ def _cell_record(F, dim, gen, seed_label, checks, digest, spectra, spectrum_ok, 
         verdicts = []
         if "main" in checks or "remark" in checks:
             report = check_main_theorem(F, dim, E, spectra, force=force)
-            rec.update(
-                f_value=report.f_value,
-                null_pair_count=report.null_pair_count,
-                distance_count=report.distance_count,
-                distance_set=",".join(str(r) for r in report.distance_set),
-                lower_bound=report.lower_bound,
-                upper_exact=report.upper_exact,
-                upper_asymptotic=report.upper_asymptotic,
-                delta_implied=report.delta_implied,
-                regime=report.regime,
-                ratio_cubic=report.ratio_cubic,
-                ratio_linear=report.ratio_linear,
-                lower_ok=report.lower_ok, upper_ok=report.upper_ok,
-                asym_ok=report.asym_ok, delta_ok=report.delta_ok,
-            )
-            if "main" in checks:
-                verdicts += [report.lower_ok, report.upper_ok, report.asym_ok]
-            if "remark" in checks:
-                verdicts.append(report.delta_ok)
+            rec.update(_report_fields(report))
+            verdicts += [_theorem_row(c, report)[2] for c in ("main", "remark") if c in checks]
         if "spectrum" in checks:
             rec["spectrum_ok"] = spectrum_ok
             verdicts.append(spectrum_ok)
-        subset_checks = {"variance", "mixing", "hinge"} & set(checks)
+        subset_checks = [c for c in checks if c in SUBSET_CHECKS]
         if subset_checks:
             ranks = E.ranks(p)
-            var_ok = mix_ok = hin_ok = eq_ok = True
+            ceiling = ramanujan_bound(p, dim)
+            oks = {}
             for a in range(1, p):
-                for lam in (spectra[a].second_eigenvalue, ramanujan_bound(p, dim)):
-                    view = dataclasses.replace(views[a], lam=lam)
-                    if "variance" in subset_checks:
-                        var_ok &= variance_check(view, ranks).holds
-                    if "mixing" in subset_checks:
-                        mix_ok &= mixing_check(view, ranks, ranks).holds
-                    if "hinge" in subset_checks:
-                        p2 = hinge_count(view, ranks)
-                        hin_ok &= p2 <= hinge_bound(view.n, view.k, lam, len(ranks)) + BOUND_TOL
-                        eq_ok &= degree_sum_check(view, ranks).holds
-            if "variance" in subset_checks:
-                rec["variance_ok"] = var_ok
-                verdicts.append(var_ok)
-            if "mixing" in subset_checks:
-                rec["mixing_ok"] = mix_ok
-                verdicts.append(mix_ok)
-            if "hinge" in subset_checks:
-                rec["hinge_ok"] = hin_ok
-                rec["eq2_ok"] = eq_ok
-                verdicts += [hin_ok, eq_ok]
+                for check in subset_checks:
+                    rows = _subset_rows(
+                        check, views[a], spectra[a].second_eigenvalue, ceiling, ranks, ranks
+                    )
+                    for *_, holds, detail in rows:
+                        key = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
+                        oks[key] = oks.get(key, True) and holds
+            rec.update(oks)
+            verdicts += oks.values()
         holds = all(verdicts)
         rec["holds"] = holds
         if not holds:
@@ -708,22 +660,14 @@ def _run_sweep_group(task) -> list[dict]:
     spectra = _spectra_for(F, dim, range(1, p), force)
     spectrum_ok = None
     if "spectrum" in checks:
-        spectrum_ok = True
-        for a in range(1, p):
-            s = spectra[a]
-            ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
-            try:
-                verify_spectrum(
-                    euclid_graph(F, dim, a),
-                    sample_count=4,
-                    seed=derive_seed(digest, p, dim, a),
-                    force=force,
-                )
-            except VerificationFailed:
-                ok = False
-            spectrum_ok &= ok
+        spectrum_ok = all(
+            _spectrum_verdict(
+                euclid_graph(F, dim, a), spectra[a], 4, derive_seed(digest, p, dim, a), force
+            )[0]
+            for a in range(1, p)
+        )
     views = {}
-    if {"variance", "mixing", "hinge"} & set(checks):
+    if SUBSET_CHECKS & set(checks):
         views = {
             a: regular_view(
                 euclid_graph(F, dim, a),
@@ -750,11 +694,7 @@ def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[di
                 if (p, dim) not in pairs:
                     pairs.append((p, dim))
     for p, dim in pairs:
-        if p**dim > SPECTRUM_MAX and not force:
-            raise TooLarge(
-                f"cell p={p} dim={dim} has p**dim = {p ** dim} above the "
-                f"guardrail {SPECTRUM_MAX}; pass --force to override"
-            )
+        guard_spectrum(p, dim, force)
     tasks = [
         (
             p, dim,
@@ -917,7 +857,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FqlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early; point it at devnull so the
+        # interpreter's final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1

@@ -85,6 +85,16 @@ def _char_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
+def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
+    """Refuse spectrum and neighbor-table work on p**dim > SPECTRUM_MAX
+    vertices unless forced; every such route calls this one check."""
+    if p**dim > SPECTRUM_MAX and not force:
+        raise TooLarge(
+            f"p**dim = {p}**{dim} = {p ** dim} exceeds the spectrum guardrail "
+            f"{SPECTRUM_MAX}; pass --force to override"
+        )
+
+
 def ramanujan_bound(p: int, dim: int) -> float:
     """The ceiling 2 * p**((dim-1)/2) on nontrivial eigenvalue magnitudes."""
     return 2.0 * float(p) ** ((dim - 1) / 2)
@@ -123,11 +133,7 @@ def eigenvalue_at(G: EuclidGraphSpec, m: Point) -> float:
 def _eigenvalues_with_residual(
     G: EuclidGraphSpec, force: bool
 ) -> tuple[np.ndarray, float]:
-    if G.n > SPECTRUM_MAX and not force:
-        raise TooLarge(
-            f"p**dim = {G.n} exceeds the spectrum guardrail {SPECTRUM_MAX}; "
-            "pass force to override"
-        )
+    guard_spectrum(G.field.p, G.dim, force)
     p = G.field.p
     S = np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64)
     cos_t, sin_t = _char_tables(p)
@@ -276,11 +282,7 @@ def regular_view(
     exact second eigenvalue.  Neighbors of x are the translates x + s over
     the connection sphere, encoded as ranks.
     """
-    if G.n > SPECTRUM_MAX and not force:
-        raise TooLarge(
-            f"p**dim = {G.n} exceeds the guardrail {SPECTRUM_MAX}; "
-            "pass force to override"
-        )
+    guard_spectrum(G.field.p, G.dim, force)
     if lam is None:
         lam = spectrum(G, force=force).second_eigenvalue
     p = G.field.p
@@ -294,5 +296,4 @@ def regular_view(
         k=G.valency,
         lam=float(lam),
         adj=adj,
-        validate=G.n * G.valency <= 2_000_000,
     )

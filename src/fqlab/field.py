@@ -44,27 +44,9 @@ class PrimeField:
     square_counts: tuple[int, ...]
     minus_one_is_square: bool
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def square(self, a: int) -> int:
-        return (a * a) % self.p
-
     def is_square(self, t: int) -> bool:
         """True iff t has a square root in F_p; 0 counts as a square."""
         return self.square_counts[t % self.p] > 0
-
-    def elements(self) -> range:
-        return range(self.p)
 
 
 def make_field(p: int) -> PrimeField:

@@ -18,10 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadSpec, TooLarge, VertexOutOfRange
+from .errors import BadSpec, VertexOutOfRange
 
 BOUND_TOL = 1e-9
-HINGE_ORACLE_MAX = 200
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
 
@@ -48,15 +47,16 @@ class RegularGraphView:
 
 
 def make_view(
-    n: int, k: int, lam: float, adj: np.ndarray, validate: bool = True
+    n: int, k: int, lam: float, adj: np.ndarray
 ) -> RegularGraphView:
-    """Wrap a neighbor table, optionally validating shape and symmetry."""
+    """Wrap a neighbor table after validating its shape and range, and its
+    symmetry when it has at most VALIDATE_MAX_ENTRIES entries."""
     adj = np.asarray(adj, dtype=np.int64)
     if adj.shape != (n, k):
         raise BadSpec(f"adjacency table shape {adj.shape} != ({n}, {k})")
     if adj.size and (adj.min() < 0 or adj.max() >= n):
         raise VertexOutOfRange("neighbor index outside [0, n)")
-    if validate and adj.size and adj.size <= VALIDATE_MAX_ENTRIES:
+    if adj.size and adj.size <= VALIDATE_MAX_ENTRIES:
         src = np.repeat(np.arange(n, dtype=np.int64), k)
         dst = adj.ravel()
         fwd = np.lexsort((dst, src))
@@ -90,27 +90,6 @@ def hinge_count(view: RegularGraphView, E: Iterable[int]) -> int:
         return 0
     degs = ind[view.adj[arr]].sum(axis=1)
     return int((degs * degs).sum())
-
-
-def hinge_count_oracle(view: RegularGraphView, E: Iterable[int]) -> int:
-    """Literal loop over E**3 testing both adjacencies; cubic, guardrailed."""
-    arr, _ = _subset(view, E)
-    members = [int(v) for v in arr]
-    if len(members) > HINGE_ORACLE_MAX:
-        raise TooLarge(
-            f"|E| = {len(members)} exceeds the cubic oracle guardrail "
-            f"{HINGE_ORACLE_MAX}"
-        )
-    nbr = {v: set(int(u) for u in view.adj[v]) for v in members}
-    total = 0
-    for v in members:
-        nv = nbr[v]
-        for u in members:
-            if u in nv:
-                for w in members:
-                    if w in nv:
-                        total += 1
-    return total
 
 
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fqlab
+import fqlab.bounds
 import fqlab.cli as cli
 from fqlab import VerificationFailed
 from fqlab.cli import (
@@ -204,6 +211,38 @@ def test_verify_guardrail_exits_2():
     assert main(["verify", "--q", "103", "--dim", "3", "--checks", "spectrum"]) == 2
 
 
+def test_verify_point_sets_stay_within_profile_guardrail(monkeypatch, tmp_path):
+    # |E|**2 <= 10**4 leaves out F_11^3 itself (1331 points); main and
+    # remark run on random subsets of at most 100 points instead
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", 10**4)
+    out_file = tmp_path / "v.jsonl"
+    code = main(["verify", "--q", "11", "--dim", "3", "--checks", "main,remark",
+                 "--trials", "3", "--out", str(out_file)])
+    assert code == 0
+    recs = [json.loads(l) for l in out_file.read_text().splitlines()]
+    assert len(recs) == 6
+    assert all(r["set_size"] <= 100 for r in recs)
+
+
+def test_verify_builds_each_view_and_report_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("regular_view", "check_main_theorem"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
+    assert calls["regular_view"] == 2  # one per radius, shared by three checks
+    assert calls["check_main_theorem"] == 3  # F_3^2 and two subsets, main and remark
+
+
 # --- sweep ------------------------------------------------------------------------
 
 
@@ -328,6 +367,21 @@ def test_sweep_continues_past_error_cell(tmp_path, capsys):
     assert by_gen["random:100"]["status"] == "error"
     assert "100" in by_gen["random:100"]["error"]
     assert "replay:" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    src = str(Path(fqlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fqlab", "sphere", "--q", "103", "--dim", "3", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"a=0 ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_jobs_env_fallback(monkeypatch):

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 import oracles
 from fqlab import (
     BadSpec,
-    TooLarge,
     VertexOutOfRange,
     degree_sum_check,
     euclid_graph,
     hinge_bound,
     hinge_count,
-    hinge_count_oracle,
     make_field,
     make_view,
     mixing_check,
@@ -63,18 +61,6 @@ def test_hinge_examples(g3_view):
     assert hinge_count(g3_view, range(9)) == 144
 
 
-def test_hinge_oracle_examples(g3_view):
-    assert hinge_count_oracle(g3_view, ranks(3, THREE)) == 6
-    assert hinge_count_oracle(g3_view, []) == 0
-    assert hinge_count_oracle(g3_view, range(9)) == 144
-
-
-def test_hinge_oracle_guardrail(f19):
-    view = regular_view(euclid_graph(f19, 2, 1))
-    with pytest.raises(TooLarge):
-        hinge_count_oracle(view, range(201))
-
-
 def test_hinge_matches_brute_route(g3_view):
     rng = random.Random(7)
     for _ in range(20):
@@ -92,7 +78,8 @@ def test_hinge_oracle_equivalence_random(p, dim, a):
     for _ in range(100):
         size = rng.randint(0, min(G.n, 60))
         sub = rng.sample(range(G.n), size)
-        assert hinge_count(view, sub) == hinge_count_oracle(view, sub)
+        pts = [rank_point(p, dim, r) for r in sub]
+        assert hinge_count(view, sub) == oracles.hinge_brute(p, a, pts)
 
 
 def test_hinge_bound_examples():
