@@ -34,7 +34,6 @@ from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
     euclid_graph,
     guard_spectrum,
-    ramanujan_bound,
     regular_view,
     spectrum,
     verify_spectrum,
@@ -240,7 +239,7 @@ def _spectrum_verdict(G, s, sample_count, seed, force) -> tuple[bool, str]:
     ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
     detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
     try:
-        diag = verify_spectrum(G, sample_count=sample_count, seed=seed, force=force)
+        diag = verify_spectrum(G, s, sample_count=sample_count, seed=seed, force=force)
         detail += f";eigvec={diag.max_eigvec_residual:.3g}"
     except VerificationFailed as exc:
         ok = False
@@ -248,27 +247,33 @@ def _spectrum_verdict(G, s, sample_count, seed, force) -> tuple[bool, str]:
     return ok, detail
 
 
-def _subset_rows(check, view, exact, ceiling, B, C=None):
-    """Yield (lam_kind, lhs, rhs, holds, detail) rows of one subset check.
-
-    Each row is evaluated under the exact second eigenvalue and under the
-    ceiling; the hinge check yields the squared bound and the degree-sum
-    step it squares.
+def _subset_rows(G, s, subsets, force):
+    """Yield (check, i, lam_kind, lhs, rhs, holds, detail) for the i-th
+    (B, C) pair of each check in subsets, under the exact second eigenvalue
+    of s and under its ceiling; hinge yields the squared bound and the
+    degree-sum step it squares.  The radius' neighbor table is built once
+    and freed on return, so one table is alive at a time.
     """
-    for lam_kind, lam in (("exact", exact), ("ceiling", ceiling)):
-        v = dataclasses.replace(view, lam=lam)
-        if check == "variance":
-            res = variance_check(v, B)
-            yield lam_kind, res.lhs, res.rhs, res.holds, f"|B|={len(B)}"
-        elif check == "mixing":
-            res = mixing_check(v, B, C)
-            yield lam_kind, res.deviation, res.bound, res.holds, f"e={res.e}"
-        else:
-            p2 = hinge_count(v, B)
-            bnd = hinge_bound(v.n, v.k, lam, len(B))
-            yield lam_kind, p2, bnd, p2 <= bnd + BOUND_TOL, "hinges"
-            ds = degree_sum_check(v, B)
-            yield lam_kind, ds.lhs, ds.rhs, ds.holds, "degree-sum"
+    if not any(subsets.values()):
+        return
+    view = regular_view(G, lam=s.second_eigenvalue, force=force)
+    lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
+    for check, pairs in subsets.items():
+        for i, (B, C) in enumerate(pairs):
+            for lam_kind, lam in lams:
+                v = dataclasses.replace(view, lam=lam)
+                if check == "variance":
+                    res = variance_check(v, B)
+                    yield check, i, lam_kind, res.lhs, res.rhs, res.holds, f"|B|={len(B)}"
+                elif check == "mixing":
+                    res = mixing_check(v, B, C)
+                    yield check, i, lam_kind, res.deviation, res.bound, res.holds, f"e={res.e}"
+                else:
+                    p2 = hinge_count(v, B)
+                    bnd = hinge_bound(v.n, v.k, lam, len(B))
+                    yield check, i, lam_kind, p2, bnd, p2 <= bnd + BOUND_TOL, "hinges"
+                    ds = degree_sum_check(v, B)
+                    yield check, i, lam_kind, ds.lhs, ds.rhs, ds.holds, "degree-sum"
 
 
 def _theorem_row(check, report) -> tuple[float, float, bool, str]:
@@ -320,8 +325,8 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
     """Every graph-local check on radius a, appended to the (records,
     summary lines) pair out[check].
 
-    The radius' neighbor table is built once for all subset checks and is
-    freed on return, so one table is alive at a time.
+    Each subset check draws its (B, C) pairs from its own seeded stream, B
+    then C per trial, and all of them run through one neighbor table.
     """
     p = F.p
     G = euclid_graph(F, dim, a)
@@ -337,37 +342,37 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
             f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
             f"{_status(ok)}"
         )
-    subset_checks = [c for c in checks if c in SUBSET_CHECKS]
-    if not subset_checks:
-        return
-    view = regular_view(G, lam=s.second_eigenvalue, force=args.force)
-    ceiling = ramanujan_bound(p, dim)
-    for check in subset_checks:
+    subsets = {}
+    for check in (c for c in checks if c in SUBSET_CHECKS):
         rng = random.Random(derive_seed(args.seed, check, p, dim, a))
-        a_ok = True
-        for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
+        pairs = subsets[check] = []
+        for size in _spanning_sizes(G.n, args.trials):
             B = rng.sample(range(G.n), size)
             C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
-            rows = _subset_rows(check, view, s.second_eigenvalue, ceiling, B, C)
-            for lam_kind, lhs, rhs, holds, detail in rows:
-                a_ok &= holds
-                out[check][0].append(_verify_record(
-                    check, p, dim, args.seed, lhs, rhs, holds, detail,
-                    a=a, lam_kind=lam_kind, trial=trial, set_size=size,
-                    c_size=len(C) if C is not None else None,
-                ))
+            pairs.append((B, C))
+    oks = dict.fromkeys(subsets, True)
+    rows = _subset_rows(G, s, subsets, args.force)
+    for check, trial, lam_kind, lhs, rhs, holds, detail in rows:
+        B, C = subsets[check][trial]
+        oks[check] &= holds
+        out[check][0].append(_verify_record(
+            check, p, dim, args.seed, lhs, rhs, holds, detail,
+            a=a, lam_kind=lam_kind, trial=trial, set_size=len(B),
+            c_size=len(C) if C is not None else None,
+        ))
+    for check, ok in oks.items():
         out[check][1].append(
             f"{check:<8}  p={p} dim={dim} a={a}: {args.trials} subsets, "
-            f"exact and ceiling  {_status(a_ok)}"
+            f"exact and ceiling  {_status(ok)}"
         )
 
 
 def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
-    """main and remark on one list of point sets, one report per set.
+    """main and remark on one list of point sets, one report per distinct set.
 
-    The sets are F_p^dim itself and a ladder of random subsets.  Unless
-    forced, sizes stay within the degree-profile guardrail, and the full
-    space is included only when its profile fits.
+    The sets are F_p^dim itself and a ladder of random subsets (a size-n
+    rung is F_p^dim again).  Unless forced, sizes stay within the profile
+    guardrail, and the full space is included only when its profile fits.
     """
     p, n = F.p, F.p**dim
     cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
@@ -380,8 +385,11 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
         pts = tuple(rank_point(p, dim, r) for r in ranks)
         sets.append(PointSet(points=pts, dim=dim, origin_label=f"random-subset:{size}"))
     wanted = [c for c in ("main", "remark") if c in checks]
+    reports = {}
     for trial, E in enumerate(sets):
-        report = check_main_theorem(F, dim, E, spectra, force=args.force)
+        if E.points not in reports:
+            reports[E.points] = check_main_theorem(F, dim, E, spectra, force=args.force)
+        report = reports[E.points]
         for check in wanted:
             lhs, rhs, holds, detail = _theorem_row(check, report)
             out[check][0].append(_verify_record(
@@ -535,7 +543,9 @@ def cmd_verify(args) -> int:
             "replay: fqlab verify"
             f" --q {first['p']} --dim {first['dim']}"
             + (f" --a {first['a']}" if first["a"] is not None else "")
-            + f" --checks {first['check']} --trials {args.trials} --seed {args.seed}",
+            + f" --checks {first['check']} --trials {args.trials} --seed {args.seed}"
+            + (" --allow-1mod4" if args.allow_1mod4 else "")
+            + (" --force" if args.force else ""),
             file=sys.stderr,
         )
     if args.out:
@@ -606,81 +616,66 @@ def normalize_config(config: dict) -> dict:
     }
 
 
-def _cell_record(F, dim, gen, seed_label, checks, digest, spectra, spectrum_ok, views, force):
-    p = F.p
-    cseed = derive_seed(digest, p, dim, gen, seed_label)
-    rec = _record(
-        SWEEP_FIELDS,
-        status="ok", p=p, dim=dim, generator=gen, seed=seed_label,
-        cell_seed=cseed, error="", config_digest=digest,
-        tool_version=TOOL_VERSION,
-    )
-    try:
-        E = generate_point_set(F, dim, gen, seed=cseed, force=force)
-        rec["set_size"] = len(E)
-        verdicts = []
-        if "main" in checks or "remark" in checks:
-            report = check_main_theorem(F, dim, E, spectra, force=force)
-            rec.update(_report_fields(report))
-            verdicts += [_theorem_row(c, report)[2] for c in ("main", "remark") if c in checks]
-        if "spectrum" in checks:
-            rec["spectrum_ok"] = spectrum_ok
-            verdicts.append(spectrum_ok)
-        subset_checks = [c for c in checks if c in SUBSET_CHECKS]
-        if subset_checks:
-            ranks = E.ranks(p)
-            ceiling = ramanujan_bound(p, dim)
-            oks = {}
-            for a in range(1, p):
-                for check in subset_checks:
-                    rows = _subset_rows(
-                        check, views[a], spectra[a].second_eigenvalue, ceiling, ranks, ranks
-                    )
-                    for *_, holds, detail in rows:
-                        key = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
-                        oks[key] = oks.get(key, True) and holds
-            rec.update(oks)
-            verdicts += oks.values()
-        holds = all(verdicts)
-        rec["holds"] = holds
-        if not holds:
-            rec["status"] = "fail"
-    except FqlabError as exc:
-        rec["status"] = "error"
-        rec["error"] = str(exc)
-        rec["holds"] = False
-    return rec
-
-
 def _run_sweep_group(task) -> list[dict]:
+    """Every cell of one (p, dim), radius-major: each cell's point set and
+    report first (sets with the same ranks in the same order share one
+    report and one set of subset verdicts), then one pass per radius for the
+    spectrum verdict and the subset checks, the records last.
+    """
     p, dim, gens, seeds, checks, digest, force, allow = task
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = make_field(p)
     spectra = _spectra_for(F, dim, range(1, p), force)
-    spectrum_ok = None
-    if "spectrum" in checks:
-        spectrum_ok = all(
-            _spectrum_verdict(
-                euclid_graph(F, dim, a), spectra[a], 4, derive_seed(digest, p, dim, a), force
-            )[0]
-            for a in range(1, p)
-        )
-    views = {}
-    if SUBSET_CHECKS & set(checks):
-        views = {
-            a: regular_view(
-                euclid_graph(F, dim, a),
-                lam=spectra[a].second_eigenvalue,
-                force=force,
+    theorem_checks = [c for c in ("main", "remark") if c in checks]
+    records, cells, reports = [], [], {}
+    for gen in gens:
+        for seed in seeds:
+            cseed = derive_seed(digest, p, dim, gen, seed)
+            rec = _record(
+                SWEEP_FIELDS,
+                status="ok", p=p, dim=dim, generator=gen, seed=seed,
+                cell_seed=cseed, error="", config_digest=digest,
+                tool_version=TOOL_VERSION,
             )
-            for a in range(1, p)
-        }
-    return [
-        _cell_record(F, dim, gen, seed, checks, digest, spectra, spectrum_ok, views, force)
-        for gen in gens
-        for seed in seeds
-    ]
+            records.append(rec)
+            try:
+                E = generate_point_set(F, dim, gen, seed=cseed, force=force)
+                rec["set_size"] = len(E)
+                key = tuple(E.ranks(p))
+                if theorem_checks and key not in reports:
+                    reports[key] = check_main_theorem(F, dim, E, spectra, force=force)
+                cells.append((rec, key))
+            except FqlabError as exc:
+                rec["status"] = "error"
+                rec["error"] = str(exc)
+                rec["holds"] = False
+    oks = {key: {} for _, key in cells}
+    sets = list(oks)
+    spectrum_ok = True
+    for a in range(1, p):
+        G = euclid_graph(F, dim, a)
+        if "spectrum" in checks and spectrum_ok:
+            spec_seed = derive_seed(digest, p, dim, a)
+            spectrum_ok = _spectrum_verdict(G, spectra[a], 4, spec_seed, force)[0]
+        subsets = {c: [(key, key) for key in sets] for c in checks if c in SUBSET_CHECKS}
+        for check, i, *_, holds, detail in _subset_rows(G, spectra[a], subsets, force):
+            name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
+            oks[sets[i]][name] = oks[sets[i]].get(name, True) and holds
+    for rec, key in cells:
+        report, verdicts = reports.get(key), []
+        if report is not None:
+            rec.update(_report_fields(report))
+            verdicts += [_theorem_row(c, report)[2] for c in theorem_checks]
+        if "spectrum" in checks:
+            rec["spectrum_ok"] = spectrum_ok
+            verdicts.append(spectrum_ok)
+        rec.update(oks[key])
+        verdicts += oks[key].values()
+        rec["holds"] = all(verdicts)
+        if not rec["holds"]:
+            rec["status"] = "fail"
+    return records
 
 
 def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[dict], str]:
@@ -763,6 +758,8 @@ def cmd_sweep(args) -> int:
         print(
             f"replay: fqlab fcount --q {r['p']} --dim {r['dim']}"
             f" --gen '{r['generator']}' --seed {r['cell_seed']}"
+            + (" --allow-1mod4" if config["allow_1mod4"] else "")
+            + (" --force" if args.force else "")
             + (f"  # {r['error']}" if r["error"] else ""),
             file=sys.stderr,
         )

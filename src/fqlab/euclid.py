@@ -213,32 +213,35 @@ def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
 
 @dataclass(frozen=True)
 class SpectrumDiagnostics:
-    trace_sum_residual: float
-    trace_square_residual: float
-    trace_tolerance: float
     max_eigvec_residual: float
-    eigvec_tolerance: float
     sampled_ranks: tuple[int, ...]
 
 
 def verify_spectrum(
-    G: EuclidGraphSpec, sample_count: int = 8, seed: int = 0, force: bool = False
+    G: EuclidGraphSpec,
+    s: SpectralSummary,
+    sample_count: int = 8,
+    seed: int = 0,
+    force: bool = False,
 ) -> SpectrumDiagnostics:
-    """Recheck the character-sum spectrum against graph-side identities.
+    """Recheck the spectrum summary s of G against graph-side identities.
 
     The eigenvalue sum must vanish (no loops) and the square sum must be
     n * valency (each vertex closes valency 2-walks), both to TRACE_REL_TOL
-    relative to n * valency.  For sample_count seeded random frequencies m,
-    the adjacency operator is applied to the character vector by explicit
-    neighbor summation and compared with lam_m computed independently by
-    eigenvalue_at; the max-norm residual must stay under EIGVEC_TOL times
-    the valency.  Raises VerificationFailed on any breach.
+    relative to n * valency; s carries both residuals.  For sample_count
+    seeded random frequencies m, adjacency is applied to the character
+    vectors by explicit neighbor summation (one pass over the sphere, n x
+    sample_count complex values) and compared with lam_m computed by
+    eigenvalue_at; the max-norm residual must stay under EIGVEC_TOL times the
+    valency.  Raises VerificationFailed on any breach, BadSpec if s belongs
+    to another graph.
     """
-    lam, _ = _eigenvalues_with_residual(G, force)
+    if (s.p, s.dim, s.a) != (G.field.p, G.dim, G.a):
+        raise BadSpec(f"summary of (p, dim, a) = {(s.p, s.dim, s.a)} is for another graph")
+    guard_spectrum(G.field.p, G.dim, force)
     n, k, p = G.n, G.valency, G.field.p
     trace_tol = TRACE_REL_TOL * n * k
-    r1 = float(abs(lam.sum()))
-    r2 = float(abs((lam * lam).sum() - n * k))
+    r1, r2 = s.trace_sum_residual, s.trace_square_residual
     if r1 > trace_tol or r2 > trace_tol:
         raise VerificationFailed(
             f"trace residuals ({r1}, {r2}) exceed tolerance {trace_tol}"
@@ -246,31 +249,23 @@ def verify_spectrum(
     rng = random.Random(seed)
     sampled = tuple(sorted(rng.sample(range(n), min(sample_count, n))))
     M = ranks_to_coords(p, G.dim, np.arange(n, dtype=np.int64))
-    sphere = np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64)
+    phase = (M @ ranks_to_coords(p, G.dim, sampled).T) % p
     cos_t, sin_t = _char_tables(p)
+    V = cos_t[phase] + 1j * sin_t[phase]
+    AV = np.zeros_like(V)
+    for x in np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64):
+        AV += V[coords_to_ranks(p, (M + x) % p)]
     eig_tol = EIGVEC_TOL * k
     worst = 0.0
-    for rm in sampled:
+    for j, rm in enumerate(sampled):
         m = rank_point(p, G.dim, rm)
-        phase = (M @ np.array(m, dtype=np.int64)) % p
-        v = cos_t[phase] + 1j * sin_t[phase]
-        av = np.zeros(n, dtype=np.complex128)
-        for s in sphere:
-            av += v[coords_to_ranks(p, (M + s) % p)]
-        resid = float(np.abs(av - eigenvalue_at(G, m) * v).max())
+        resid = float(np.abs(AV[:, j] - eigenvalue_at(G, m) * V[:, j]).max())
         worst = max(worst, resid)
         if resid > eig_tol:
             raise VerificationFailed(
                 f"eigenvector residual {resid} at m = {m} exceeds {eig_tol}"
             )
-    return SpectrumDiagnostics(
-        trace_sum_residual=r1,
-        trace_square_residual=r2,
-        trace_tolerance=trace_tol,
-        max_eigvec_residual=worst,
-        eigvec_tolerance=eig_tol,
-        sampled_ranks=sampled,
-    )
+    return SpectrumDiagnostics(max_eigvec_residual=worst, sampled_ranks=sampled)
 
 
 def regular_view(

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p for odd primes, with quadratic-residue tables.
+"""Odd prime moduli: the primality test and the square-count table of F_p.
 
 Residues are plain ints in [0, p).  A PrimeField is immutable after
 construction and safe to share across threads and worker processes.  The
@@ -43,10 +43,6 @@ class PrimeField:
     p: int
     square_counts: tuple[int, ...]
     minus_one_is_square: bool
-
-    def is_square(self, t: int) -> bool:
-        """True iff t has a square root in F_p; 0 counts as a square."""
-        return self.square_counts[t % self.p] > 0
 
 
 def make_field(p: int) -> PrimeField:

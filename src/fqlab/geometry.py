@@ -28,6 +28,15 @@ Point = tuple[int, ...]
 SPHERE_ENUM_MAX = 10**7
 
 
+def guard_enumeration(count: int, force: bool = False) -> None:
+    """Refuse to enumerate more than SPHERE_ENUM_MAX points unless forced."""
+    if count > SPHERE_ENUM_MAX and not force:
+        raise TooLarge(
+            f"{count} points exceed the enumeration guardrail {SPHERE_ENUM_MAX}; "
+            "pass --force to override"
+        )
+
+
 def point_rank(p: int, point: Point) -> int:
     """Canonical integer encoding, least significant coordinate first."""
     r = 0
@@ -135,11 +144,7 @@ def sphere_points(F: PrimeField, dim: int, a: int, force: bool = False) -> list[
     p = F.p
     a = a % p
     total = p**dim
-    if total > SPHERE_ENUM_MAX and not force:
-        raise TooLarge(
-            f"p**dim = {total} exceeds the enumeration guardrail "
-            f"{SPHERE_ENUM_MAX}; pass force to override"
-        )
+    guard_enumeration(total, force)
     if dim <= 3:
         idx = np.arange(total, dtype=np.int64)
         coords = np.empty((total, dim), dtype=np.int64)
@@ -311,11 +316,7 @@ def _atom_points(
     p = F.p
     total = p**dim
     if atom.kind == "all":
-        if total > SPHERE_ENUM_MAX and not force:
-            raise TooLarge(
-                f"p**dim = {total} exceeds the enumeration guardrail; "
-                "pass force to override"
-            )
+        guard_enumeration(total, force)
         return [rank_point(p, dim, r) for r in range(total)]
     if atom.kind == "random":
         n = atom.count
@@ -333,8 +334,7 @@ def _atom_points(
             side = min(p, max(1, round(target ** (1.0 / dim))))
         if side > p:
             raise BadSpec(f"box side {side} exceeds p = {p}")
-        if side**dim > SPHERE_ENUM_MAX and not force:
-            raise TooLarge(f"box of {side**dim} points exceeds the guardrail")
+        guard_enumeration(side**dim, force)
         return [tuple(pt) for pt in itertools.product(range(side), repeat=dim)]
     if atom.kind == "sphere":
         if not 0 <= atom.radius < p:

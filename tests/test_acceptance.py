@@ -104,7 +104,7 @@ def test_c2_spectra_and_trace_moments(capsys, instances):
         lam = eigenvalues(G)
         worst_trace = max(worst_trace, abs(float(lam.sum())) / nk,
                           abs(float((lam * lam).sum()) - nk) / nk)
-        diag = verify_spectrum(G, sample_count=8, seed=p * 100 + a)
+        diag = verify_spectrum(G, s, sample_count=8, seed=p * 100 + a)
         worst_eig = max(worst_eig, diag.max_eigvec_residual / G.valency)
     ok = spec_ok and worst_trace <= TOL_TRACE and worst_eig <= TOL_EIGVEC
     report(capsys, 2, ok,

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 import fqlab
 import fqlab.bounds
 import fqlab.cli as cli
+import fqlab.euclid
 from fqlab import VerificationFailed
 from fqlab.cli import (
     SWEEP_FIELDS,
@@ -110,11 +113,25 @@ def test_spectrum_command(capsys, tmp_path):
 
 
 def test_spectrum_verification_failure_exits_1(monkeypatch):
-    def boom(G, sample_count=4, seed=0, force=False):
+    def boom(G, s, sample_count=4, seed=0, force=False):
         raise VerificationFailed("synthetic")
 
     monkeypatch.setattr(cli, "verify_spectrum", boom)
     assert main(["spectrum", "--q", "3", "--dim", "2", "--a", "1"]) == 1
+
+
+def test_spectrum_computes_each_eigenvalue_array_once(monkeypatch):
+    # the ceiling test and the recheck share one eigenvalue array per radius
+    calls = Counter()
+    inner = fqlab.euclid._eigenvalues_with_residual
+
+    def counted(G, force):
+        calls[G.a] += 1
+        return inner(G, force)
+
+    monkeypatch.setattr(fqlab.euclid, "_eigenvalues_with_residual", counted)
+    assert main(["spectrum", "--q", "7", "--dim", "2"]) == 0
+    assert calls == Counter(range(1, 7))
 
 
 def test_fcount_gen(capsys):
@@ -207,6 +224,19 @@ def test_verify_failure_exits_1_with_replay(monkeypatch, capsys):
     assert "replay: fqlab verify" in captured.err
 
 
+def test_verify_replay_carries_flags(monkeypatch, capsys):
+    # without --allow-1mod4 the replay would stop at the 1-mod-4 gate (exit 2)
+    monkeypatch.setattr(cli, "hinge_bound", lambda n, k, lam, m: -1.0)
+    argv = ["verify", "--q", "13", "--dim", "2", "--allow-1mod4", "--force",
+            "--checks", "hinge", "--trials", "2"]
+    assert main(argv) == 1
+    replay = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("replay: fqlab ")]
+    assert len(replay) == 1
+    assert "--allow-1mod4" in replay[0] and "--force" in replay[0]
+    assert main(shlex.split(replay[0].removeprefix("replay: fqlab "))) == 1
+
+
 def test_verify_guardrail_exits_2():
     assert main(["verify", "--q", "103", "--dim", "3", "--checks", "spectrum"]) == 2
 
@@ -240,7 +270,8 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
         monkeypatch.setattr(cli, name, counted(name))
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
     assert calls["regular_view"] == 2  # one per radius, shared by three checks
-    assert calls["check_main_theorem"] == 3  # F_3^2 and two subsets, main and remark
+    # F_3^2 and the size-1 subset, main and remark; the size-9 rung is F_3^2
+    assert calls["check_main_theorem"] == 2
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -367,6 +398,49 @@ def test_sweep_continues_past_error_cell(tmp_path, capsys):
     assert by_gen["random:100"]["status"] == "error"
     assert "100" in by_gen["random:100"]["error"]
     assert "replay:" in capsys.readouterr().err
+
+
+def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "hinge_bound", lambda n, k, lam, m: -1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "checks": ["hinge"], "allow_1mod4": True,
+                               "grid": [{"primes": [13], "dims": [2]}], "seeds": [1]}))
+    out = tmp_path / "r.jsonl"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1",
+                 "--force"])
+    assert code == 1
+    replay = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("replay: fqlab fcount")]
+    assert replay
+    assert all("--allow-1mod4" in line and "--force" in line for line in replay)
+
+
+def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
+    tables, alive, peak = Counter(), weakref.WeakSet(), []
+    view = cli.regular_view
+
+    def tracked(G, **kwargs):
+        v = view(G, **kwargs)
+        tables[G.field.p, G.dim] += 1
+        alive.add(v)
+        peak.append(len(alive))
+        return v
+
+    reported = []
+    report = cli.check_main_theorem
+
+    def counted(F, dim, E, spectra, force=False):
+        reported.append((F.p, dim, E.points))
+        return report(F, dim, E, spectra, force=force)
+
+    monkeypatch.setattr(cli, "regular_view", tracked)
+    monkeypatch.setattr(cli, "check_main_theorem", counted)
+    records, _ = run_sweep(SMALL_CONFIG, jobs=1)
+    assert len(records) == 8 and all(r["holds"] for r in records)
+    assert tables == {(3, 2): 2, (7, 2): 6}  # p - 1 tables per (p, dim)
+    assert max(peak) == 1
+    # per p: "all" once for both seeds, and two distinct random sets
+    assert len(reported) == len(set(reported)) == 6
 
 
 def test_closed_stdout_exits_quietly():

@@ -157,9 +157,10 @@ def test_degree_rows_all_equal_valency(f7):
 
 
 def test_verify_spectrum_residuals(f3, f7):
-    d = verify_spectrum(euclid_graph(f3, 2, 1), sample_count=9, seed=5)
+    G3, G7 = euclid_graph(f3, 2, 1), euclid_graph(f7, 2, 1)
+    d = verify_spectrum(G3, spectrum(G3), sample_count=9, seed=5)
     assert d.max_eigvec_residual <= 1e-8 * 4
-    d7 = verify_spectrum(euclid_graph(f7, 2, 1), sample_count=8, seed=5)
+    d7 = verify_spectrum(G7, spectrum(G7), sample_count=8, seed=5)
     assert d7.max_eigvec_residual <= 1e-8 * 8
 
 
@@ -184,7 +185,12 @@ def test_verify_spectrum_detects_corruption(f3, monkeypatch):
 
     monkeypatch.setattr(euclid_mod, "_eigenvalues_with_residual", corrupt)
     with pytest.raises(VerificationFailed):
-        verify_spectrum(G, sample_count=9, seed=0)
+        verify_spectrum(G, spectrum(G), sample_count=9, seed=0)
+
+
+def test_verify_spectrum_rejects_foreign_summary(f7):
+    with pytest.raises(BadSpec):
+        verify_spectrum(euclid_graph(f7, 2, 1), spectrum(euclid_graph(f7, 2, 3)))
 
 
 def test_spectrum_guardrail():

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqlab.geometry
 import oracles
 from fqlab import (
     BadSpec,
     DimensionMismatch,
     InfeasibleSize,
     PointSet,
+    TooLarge,
     distance,
     format_point_text,
     generate_point_set,
@@ -196,6 +198,24 @@ def test_generate_threshold_relative_sizes(f7):
     box = generate_point_set(f7, 2, "box:1t", seed=0)
     side = round(t ** 0.5)
     assert len(box) == side * side
+
+
+def test_enumeration_guardrail_one_message(f3, monkeypatch):
+    # spheres, the full space and boxes all enumerate 9 points of F_3^2
+    monkeypatch.setattr(fqlab.geometry, "SPHERE_ENUM_MAX", 5)
+    messages = set()
+    for route in (
+        lambda force: sphere_points(f3, 2, 1, force=force),
+        lambda force: generate_point_set(f3, 2, "all", force=force),
+        lambda force: generate_point_set(f3, 2, "box:3", force=force),
+    ):
+        with pytest.raises(TooLarge) as info:
+            route(False)
+        messages.add(str(info.value))
+        assert route(True)
+    assert messages == {
+        "9 points exceed the enumeration guardrail 5; pass --force to override"
+    }
 
 
 def test_parse_generator_rejects_garbage():
