@@ -35,7 +35,6 @@ from .euclid import (
     SpectralSummary,
     SpectrumDiagnostics,
     adjacent,
-    eigenvalue_at,
     eigenvalues,
     euclid_graph,
     ramanujan_bound,
@@ -91,7 +90,7 @@ __all__ = [
     "mixing_check", "variance_check",
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics", "adjacent",
-    "eigenvalue_at", "eigenvalues", "euclid_graph", "ramanujan_bound",
+    "eigenvalues", "euclid_graph", "ramanujan_bound",
     "regular_view", "spectrum", "verify_spectrum",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",

@@ -616,11 +616,21 @@ def normalize_config(config: dict) -> dict:
     }
 
 
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the FqlabError it raised, so a failure can be shared
+    by every cell it belongs to."""
+    try:
+        return fn(*args, **kwargs)
+    except FqlabError as exc:
+        return exc
+
+
 def _run_sweep_group(task) -> list[dict]:
     """Every cell of one (p, dim), radius-major: each cell's point set and
-    report first (sets with the same ranks in the same order share one
-    report and one set of subset verdicts), then one pass per radius for the
-    spectrum verdict and the subset checks, the records last.
+    report first (a generator that ignores the seed is generated once, and
+    sets with the same ranks in the same order share one report and one set
+    of subset verdicts), then one pass per radius for the spectrum verdict
+    and the subset checks, the records last.
     """
     p, dim, gens, seeds, checks, digest, force, allow = task
     with warnings.catch_warnings():
@@ -630,6 +640,7 @@ def _run_sweep_group(task) -> list[dict]:
     theorem_checks = [c for c in ("main", "remark") if c in checks]
     records, cells, reports = [], [], {}
     for gen in gens:
+        spec, made = parse_generator(gen), None
         for seed in seeds:
             cseed = derive_seed(digest, p, dim, gen, seed)
             rec = _record(
@@ -639,17 +650,19 @@ def _run_sweep_group(task) -> list[dict]:
                 tool_version=TOOL_VERSION,
             )
             records.append(rec)
-            try:
-                E = generate_point_set(F, dim, gen, seed=cseed, force=force)
+            if made is None or spec.uses_seed:
+                made = _outcome(generate_point_set, F, dim, spec, seed=cseed, force=force)
+            error = made
+            if not isinstance(made, FqlabError):
+                E, key = made, tuple(made.ranks(p))
                 rec["set_size"] = len(E)
-                key = tuple(E.ranks(p))
                 if theorem_checks and key not in reports:
-                    reports[key] = check_main_theorem(F, dim, E, spectra, force=force)
+                    reports[key] = _outcome(check_main_theorem, F, dim, E, spectra, force=force)
+                error = reports.get(key)
+            if isinstance(error, FqlabError):
+                rec.update(status="error", error=str(error), holds=False)
+            else:
                 cells.append((rec, key))
-            except FqlabError as exc:
-                rec["status"] = "error"
-                rec["error"] = str(exc)
-                rec["holds"] = False
     oks = {key: {} for _, key in cells}
     sets = list(oks)
     spectrum_ok = True

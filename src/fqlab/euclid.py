@@ -9,10 +9,13 @@ over the sphere,
     lam_m = sum over s with ||s|| = a of cos(2*pi*(m.s)/p),
 
 which is exactly real because the sphere is closed under negation.  The
-module computes these sums from precomputed cosine and sine tables of the
-p possible phases (never via a dense eigensolver), and verify_spectrum
-rechecks the values against trace identities and explicit neighbor sums
-so the character-sum route never goes unchecked.
+sphere is also invariant under the orthogonal group, which is transitive
+on nonzero vectors of equal norm, so lam_m depends only on ||m||: every
+radius has at most p + 1 distinct eigenvalues, with sphere sizes as
+multiplicities.  The module computes one p x p table of them per (p, dim),
+for all radii at once (never via a dense eigensolver), and verify_spectrum
+rechecks each summary against trace identities and explicit neighbor sums
+so the table never goes unchecked.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from .geometry import (
     Point,
     coords_to_ranks,
     distance,
+    norm,
     rank_point,
     ranks_to_coords,
     sphere_points,
     sphere_size,
+    sphere_table,
 )
 from .spectral import RegularGraphView, make_view
 
@@ -108,70 +113,81 @@ def adjacent(G: EuclidGraphSpec, x: Point, y: Point) -> bool:
     return x != y and distance(G.field, x, y) == G.a
 
 
-def eigenvalue_at(G: EuclidGraphSpec, m: Point) -> float:
-    """The eigenvalue attached to one frequency vector m.
+@functools.lru_cache(maxsize=16)
+def _norm_class_table(F: PrimeField, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every radius' eigenvalue on every norm class of frequencies.
 
-    Sums the character over the connection sphere directly.  A measurable
-    imaginary part would mean the sphere lost its negation symmetry, so it
-    is treated as an internal error rather than rounded away.
+    Returns (values, imag): values[a, c] is lam_m of G_p(a) for each
+    nonzero m with ||m|| = c (0 for an empty class), imag[a] the largest
+    imaginary part over row a.  One representative m per class is paired
+    with all p**dim points x: the exact counts H[t, a] of x with m.x = t
+    and ||x|| = a give every radius' character sum at once, cos @ H, in
+    O(p**(dim+1)) work and without enumerating a sphere.
     """
-    if len(m) != G.dim:
-        raise DimensionMismatch(f"frequency {m} has dimension {len(m)}, not {G.dim}")
-    p = G.field.p
+    p = F.p
+    X = ranks_to_coords(p, dim, np.arange(p**dim, dtype=np.int64))
+    norms = (X * X).sum(axis=1) % p
     cos_t, sin_t = _char_tables(p)
-    real = 0.0
-    imag = 0.0
-    for s in _sphere_cached(G.field, G.dim, G.a, False):
-        t = sum(mi * si for mi, si in zip(m, s)) % p
-        real += cos_t[t]
-        imag += sin_t[t]
-    if abs(imag) > IMAG_TOL:
-        raise ImagResidualTooLarge(f"imaginary residual {imag!r} at m = {m}")
-    return float(real)
+    values = np.zeros((p, p))
+    imag = np.zeros((p, p))
+    classes, first = np.unique(norms[1:], return_index=True)
+    for c, r in zip(classes, first + 1):
+        H = np.bincount((X @ X[r]) % p * p + norms, minlength=p * p).reshape(p, p)
+        values[:, c] = cos_t @ H
+        imag[:, c] = sin_t @ H
+    values.setflags(write=False)
+    return values, np.abs(imag).max(axis=1)
 
 
-def _eigenvalues_with_residual(
-    G: EuclidGraphSpec, force: bool
-) -> tuple[np.ndarray, float]:
+def _radius_row(G: EuclidGraphSpec, force: bool) -> tuple[np.ndarray, float]:
+    """Row a of the norm-class table and its worst imaginary residual.
+
+    A measurable imaginary part would mean the sphere lost its negation
+    symmetry, so it is an internal error rather than rounded away.
+    """
     guard_spectrum(G.field.p, G.dim, force)
-    p = G.field.p
-    S = np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64)
-    cos_t, sin_t = _char_tables(p)
-    lam = np.empty(G.n, dtype=np.float64)
-    imag_max = 0.0
-    chunk = max(1, (1 << 22) // max(1, G.valency))
-    for start in range(0, G.n, chunk):
-        stop = min(G.n, start + chunk)
-        M = ranks_to_coords(p, G.dim, np.arange(start, stop, dtype=np.int64))
-        dots = (M @ S.T) % p
-        lam[start:stop] = cos_t[dots].sum(axis=1)
-        imag_max = max(imag_max, float(np.abs(sin_t[dots].sum(axis=1)).max()))
+    values, imag = _norm_class_table(G.field, G.dim)
+    imag_max = float(imag[G.a])
     if imag_max > IMAG_TOL:
         raise ImagResidualTooLarge(f"worst imaginary residual {imag_max!r}")
-    return lam, imag_max
+    return values[G.a], imag_max
 
 
 def eigenvalues(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
     """All p**dim eigenvalues, indexed by the rank of the frequency vector."""
-    lam, _ = _eigenvalues_with_residual(G, force)
+    row, _ = _radius_row(G, force)
+    p = G.field.p
+    M = ranks_to_coords(p, G.dim, np.arange(G.n, dtype=np.int64))
+    lam = row[(M * M).sum(axis=1) % p]
+    lam[0] = G.valency  # m = 0 has norm 0 but is a class of its own
     return lam
 
 
-def _group_classes(lam: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
-    vals = np.sort(lam)[::-1]
-    classes: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[start] - vals[i] > tol:
-            members = vals[start:i]
-            classes.append((float(members.mean()), int(members.size)))
-            start = i
-    return tuple(classes)
+def _group_classes(
+    values: np.ndarray, counts: np.ndarray, tol: float
+) -> tuple[tuple[float, int], ...]:
+    """Merge (value, count) pairs, sorted by descending value, into classes:
+    a value more than tol below its class's first member opens a new class,
+    whose value is the count-weighted mean."""
+    order = np.argsort(-values, kind="stable")
+    vals, mults = values[order], counts[order]
+    starts, head = [0], float(vals[0])
+    for i, v in enumerate(vals.tolist()):
+        if head - v > tol:
+            starts.append(i)
+            head = v
+    sizes = np.add.reduceat(mults, starts)
+    means = np.add.reduceat(vals * mults, starts) / sizes
+    return tuple(zip(means.tolist(), sizes.tolist()))
 
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """The grouped spectrum of one graph plus its summary statistics."""
+    """The grouped spectrum of one graph plus its summary statistics.
+
+    norm_values[c] is the eigenvalue on every nonzero frequency m with
+    ||m|| = c (0 where there is none); m = 0 carries trivial_eigenvalue.
+    """
 
     p: int
     dim: int
@@ -185,29 +201,39 @@ class SpectralSummary:
     max_imag_residual: float
     trace_sum_residual: float
     trace_square_residual: float
+    norm_values: tuple[float, ...]
 
 
 def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
-    """Compute every eigenvalue and group them into multiplicity classes.
+    """Every eigenvalue of G, grouped into multiplicity classes.
 
+    Nonzero frequencies of one norm share one eigenvalue (the connection
+    sphere is invariant under the orthogonal group, which by Witt's theorem
+    is transitive on nonzero vectors of equal norm), so the spectrum is row
+    a of the norm-class table with the sphere sizes as multiplicities.
     Classes are sorted by descending value; values within GROUP_TOL share
     a class.  second_eigenvalue is max |lam_m| over nonzero m.
     """
-    lam, imag_max = _eigenvalues_with_residual(G, force)
-    second = float(np.abs(lam[1:]).max()) if G.n > 1 else 0.0
+    row, imag_max = _radius_row(G, force)
+    counts = np.array(sphere_table(G.field, G.dim).sizes, dtype=np.int64)
+    counts[0] -= 1  # the zero frequency is the trivial class
+    held = counts > 0
+    lam, mult = row[held], counts[held]
+    k, n = G.valency, G.n
     return SpectralSummary(
         p=G.field.p,
         dim=G.dim,
         a=G.a,
-        n=G.n,
-        valency=G.valency,
-        classes=_group_classes(lam, GROUP_TOL),
-        trivial_eigenvalue=float(lam[0]),
-        second_eigenvalue=second,
+        n=n,
+        valency=k,
+        classes=_group_classes(np.append(lam, k), np.append(mult, 1), GROUP_TOL),
+        trivial_eigenvalue=float(k),
+        second_eigenvalue=float(np.abs(lam).max()),
         ramanujan_bound=ramanujan_bound(G.field.p, G.dim),
         max_imag_residual=imag_max,
-        trace_sum_residual=float(abs(lam.sum())),
-        trace_square_residual=float(abs((lam * lam).sum() - G.n * G.valency)),
+        trace_sum_residual=float(abs(k + (mult * lam).sum())),
+        trace_square_residual=float(abs(k * k + (mult * lam * lam).sum() - n * k)),
+        norm_values=tuple(float(v) for v in row),
     )
 
 
@@ -231,10 +257,10 @@ def verify_spectrum(
     relative to n * valency; s carries both residuals.  For sample_count
     seeded random frequencies m, adjacency is applied to the character
     vectors by explicit neighbor summation (one pass over the sphere, n x
-    sample_count complex values) and compared with lam_m computed by
-    eigenvalue_at; the max-norm residual must stay under EIGVEC_TOL times the
-    valency.  Raises VerificationFailed on any breach, BadSpec if s belongs
-    to another graph.
+    sample_count complex values) and compared with the value s gives for
+    ||m||, so a wrong norm-class table cannot pass; the max-norm residual
+    must stay under EIGVEC_TOL times the valency.  Raises VerificationFailed
+    on any breach, BadSpec if s belongs to another graph.
     """
     if (s.p, s.dim, s.a) != (G.field.p, G.dim, G.a):
         raise BadSpec(f"summary of (p, dim, a) = {(s.p, s.dim, s.a)} is for another graph")
@@ -259,7 +285,8 @@ def verify_spectrum(
     worst = 0.0
     for j, rm in enumerate(sampled):
         m = rank_point(p, G.dim, rm)
-        resid = float(np.abs(AV[:, j] - eigenvalue_at(G, m) * V[:, j]).max())
+        lam = s.norm_values[norm(G.field, m)] if rm else s.trivial_eigenvalue
+        resid = float(np.abs(AV[:, j] - lam * V[:, j]).max())
         worst = max(worst, resid)
         if resid > eig_tol:
             raise VerificationFailed(

@@ -236,6 +236,12 @@ class GeneratorSpec:
     text: str
     atoms: tuple[_Atom, ...]
 
+    @property
+    def uses_seed(self) -> bool:
+        """Only random atoms draw on the seed; any other set is the same
+        for every seed."""
+        return any(atom.kind == "random" for atom in self.atoms)
+
 
 def _parse_size_token(token: str, what: str) -> tuple[int | None, float | None]:
     # A trailing "t" makes the size relative to the threshold p**((dim+1)/2).

@@ -1,11 +1,12 @@
 """Independent brute-force routes used to cross-check the package.
 
 Everything here recomputes quantities from first principles: exhaustive
-enumeration over F_p^dim, literal loops over point triples, and dense
-matrix powers.  Nothing imports the package's counting kernels, so an
-agreement is evidence, not tautology.
+enumeration over F_p^dim, literal loops over point triples, character
+sums over whole spheres, and dense matrix powers.  Nothing imports the
+package's counting kernels, so an agreement is evidence, not tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -103,6 +104,52 @@ def closed_walk_counts(A: np.ndarray) -> tuple[int, int, int]:
     """Traces of A, A**2, A**3: closed walks of length 1, 2, 3."""
     A2 = A @ A
     return int(A.trace()), int(A2.trace()), int((A2 @ A).trace())
+
+
+def points_by_rank(p: int, dim: int) -> np.ndarray:
+    """All p**dim points as rows, row r holding the point of rank
+    sum(x_i * p**i) (least significant coordinate first)."""
+    return np.array([t[::-1] for t in product(range(p), repeat=dim)], dtype=np.int64)
+
+
+def eigenvalue_at_brute(p: int, dim: int, a: int, m) -> float:
+    """lam_m = sum over the radius-a sphere of cos(2*pi*(m.s)/p), literally."""
+    return sum(
+        math.cos(2 * math.pi * (sum(mi * si for mi, si in zip(m, s)) % p) / p)
+        for s in sphere_points_brute(p, dim, a)
+    )
+
+
+def eigenvalues_brute(p: int, dim: int, a: int) -> tuple[np.ndarray, float]:
+    """Every lam_m, indexed by the rank of m, and the worst |imaginary part|.
+
+    The character is summed over the whole sphere for each frequency, in
+    blocks of frequencies: O(p**dim * |sphere|) work, independent of any
+    symmetry of the spectrum.
+    """
+    X = points_by_rank(p, dim)
+    S = X[(X * X).sum(axis=1) % p == a % p]
+    lam = np.empty(len(X))
+    imag = 0.0
+    block = max(1, (1 << 20) // max(1, len(S)))
+    for start in range(0, len(X), block):
+        phase = 2 * np.pi * ((X[start:start + block] @ S.T) % p) / p
+        lam[start:start + block] = np.cos(phase).sum(axis=1)
+        imag = max(imag, float(np.abs(np.sin(phase).sum(axis=1)).max()))
+    return lam, imag
+
+
+def group_classes_brute(lam: np.ndarray, tol: float) -> list[tuple[float, int]]:
+    """Sort all eigenvalues descending and cut wherever a value falls more
+    than tol below the first member of its class."""
+    vals = np.sort(lam)[::-1]
+    classes = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[start] - vals[i] > tol:
+            classes.append((float(vals[start:i].mean()), i - start))
+            start = i
+    return classes
 
 
 def variance_lhs_brute(p: int, dim: int, a: int, B) -> Fraction:

@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +16,7 @@ import fqlab
 import fqlab.bounds
 import fqlab.cli as cli
 import fqlab.euclid
+import fqlab.geometry
 from fqlab import VerificationFailed
 from fqlab.cli import (
     SWEEP_FIELDS,
@@ -121,17 +124,45 @@ def test_spectrum_verification_failure_exits_1(monkeypatch):
 
 
 def test_spectrum_computes_each_eigenvalue_array_once(monkeypatch):
-    # the ceiling test and the recheck share one eigenvalue array per radius
+    # the ceiling test and the recheck share one spectrum per radius
     calls = Counter()
-    inner = fqlab.euclid._eigenvalues_with_residual
+    inner = fqlab.euclid._radius_row
 
     def counted(G, force):
         calls[G.a] += 1
         return inner(G, force)
 
-    monkeypatch.setattr(fqlab.euclid, "_eigenvalues_with_residual", counted)
+    monkeypatch.setattr(fqlab.euclid, "_radius_row", counted)
     assert main(["spectrum", "--q", "7", "--dim", "2"]) == 0
     assert calls == Counter(range(1, 7))
+
+
+@pytest.mark.parametrize("p,dim", [(11, 2), (7, 3), (5, 4)])
+def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p, dim):
+    builds, enumerated = Counter(), Counter()
+    build = fqlab.euclid._norm_class_table.__wrapped__
+
+    def counted_build(F, dim):
+        builds[F.p, dim] += 1
+        return build(F, dim)
+
+    def counted_sphere(F, dim, a, force=False):
+        enumerated[a] += 1
+        return []
+
+    monkeypatch.setattr(
+        fqlab.euclid, "_norm_class_table", functools.lru_cache(maxsize=16)(counted_build)
+    )
+    monkeypatch.setattr(fqlab.euclid, "sphere_points", counted_sphere)
+    monkeypatch.setattr(fqlab.geometry, "sphere_points", counted_sphere)
+    fqlab.euclid._sphere_cached.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = fqlab.make_field(p)
+    spectra = cli._spectra_for(F, dim, range(1, p), force=False)
+    assert sorted(spectra) == list(range(1, p))
+    assert builds == Counter({(p, dim): 1})
+    assert not enumerated
 
 
 def test_fcount_gen(capsys):
@@ -463,3 +494,29 @@ def test_jobs_env_fallback(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["sweep", "--default", "--out", "x"])
     assert args.jobs == 3
+
+
+def test_sweep_generates_each_seed_free_set_once(monkeypatch):
+    calls = Counter()
+    inner = cli.generate_point_set
+
+    def counted(F, dim, spec, seed=0, force=False):
+        calls[F.p, spec.text] += 1
+        return inner(F, dim, spec, seed=seed, force=force)
+
+    monkeypatch.setattr(cli, "generate_point_set", counted)
+    config = {
+        "grid": [{"primes": [3, 7], "dims": [2]}],
+        "generators": ["all", "sphere:1", "box:5", "line:0,0;1,1", "random:1t", "all+random:2"],
+        "seeds": [1, 2, 3],
+        "checks": ["main", "variance"],
+    }
+    records, _ = run_sweep(config, jobs=1)
+    seeded = {"random:1t", "all+random:2"}
+    assert calls == Counter({
+        (p, gen): 3 if gen in seeded else 1 for p in (3, 7) for gen in config["generators"]
+    })
+    # box:5 does not fit F_3: every seed gets the same error record
+    errors = [r for r in records if r["status"] == "error"]
+    assert [(r["p"], r["generator"]) for r in errors] == [(3, "box:5")] * 3
+    assert len({r["error"] for r in errors}) == 1

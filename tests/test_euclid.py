@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,7 +12,6 @@ from fqlab import (
     TooLarge,
     VerificationFailed,
     adjacent,
-    eigenvalue_at,
     eigenvalues,
     euclid_graph,
     make_field,
@@ -20,8 +20,10 @@ from fqlab import (
     regular_view,
     spectrum,
     sphere_size,
+    sphere_table,
     verify_spectrum,
 )
+from fqlab.euclid import GROUP_TOL
 
 # every instance exercised by the batteries: 44 graphs
 INSTANCES = [(p, 2, a) for p in (3, 7, 11, 19) for a in range(1, p)] + [
@@ -86,10 +88,57 @@ def G_all_points():
 
 
 def test_eigenvalue_at_examples(f3):
-    G = euclid_graph(f3, 2, 1)
-    assert eigenvalue_at(G, (0, 0)) == pytest.approx(4.0, abs=1e-9)
-    assert eigenvalue_at(G, (1, 0)) == pytest.approx(1.0, abs=1e-9)
-    assert eigenvalue_at(G, (1, 1)) == pytest.approx(-2.0, abs=1e-9)
+    lam = eigenvalues(euclid_graph(f3, 2, 1))
+    for m, want in [((0, 0), 4.0), ((1, 0), 1.0), ((1, 1), -2.0)]:
+        assert oracles.eigenvalue_at_brute(3, 2, 1, m) == pytest.approx(want, abs=1e-9)
+        assert lam[point_rank(3, m)] == pytest.approx(want, abs=1e-9)
+
+
+def _match_oracle(G):
+    """The norm-class table against the whole-sphere character sum for
+    every frequency; returns the spectrum."""
+    lam_ref, imag_ref = oracles.eigenvalues_brute(G.field.p, G.dim, G.a)
+    assert np.abs(eigenvalues(G) - lam_ref).max() <= 1e-9
+    s = spectrum(G)
+    ref = oracles.group_classes_brute(lam_ref, GROUP_TOL)
+    assert [m for _, m in s.classes] == [m for _, m in ref]
+    assert np.allclose([v for v, _ in s.classes], [v for v, _ in ref], rtol=0, atol=1e-9)
+    assert s.second_eigenvalue == pytest.approx(np.abs(lam_ref[1:]).max(), abs=1e-9)
+    assert s.max_imag_residual <= 1e-8 and imag_ref <= 1e-8
+    return s
+
+
+@pytest.mark.parametrize("p,dim,a", INSTANCES)
+def test_eigenvalues_match_character_sum_oracle(p, dim, a):
+    _match_oracle(graph(p, dim, a))
+
+
+# p**dim <= 2 * 10**4, and the oracle's p**dim x |sphere| ~ p**(2 dim - 1)
+# character terms at most 5 * 10**6
+SMALL_SPACES = [
+    (p, dim)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 97, 139)
+    for dim in range(2, 10)
+    if p**dim <= 2 * 10**4 and p ** (2 * dim - 1) <= 5 * 10**6
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SMALL_SPACES), st.integers(1, 10**6))
+@example((5, 2), 1)
+@example((13, 2), 5)
+@example((5, 4), 2)
+@example((7, 4), 3)
+@example((3, 5), 1)
+def test_eigenvalues_match_oracle_random_spaces(space, a_seed):
+    # p = 1 mod 4 gives a nonzero isotropic class in dim 2; dim >= 4
+    # enumerates spheres by descent in the eigenvector recheck
+    p, dim = space
+    a = 1 + a_seed % (p - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        G = graph(p, dim, a)
+    verify_spectrum(G, _match_oracle(G), sample_count=4, seed=a_seed)
 
 
 def test_spectrum_g31(f3):
@@ -127,10 +176,13 @@ def test_multiplicities_sum_to_n(f7):
 
 
 def test_spectrum_negation_symmetric(f7):
-    G = euclid_graph(f7, 2, 1)
+    lam = eigenvalues(euclid_graph(f7, 2, 1))
     for m in [(1, 2), (3, 0), (5, 6)]:
         neg = tuple((-c) % 7 for c in m)
-        assert eigenvalue_at(G, m) == pytest.approx(eigenvalue_at(G, neg), abs=1e-9)
+        assert lam[point_rank(7, m)] == pytest.approx(lam[point_rank(7, neg)], abs=1e-9)
+        assert lam[point_rank(7, m)] == pytest.approx(
+            oracles.eigenvalue_at_brute(7, 2, 1, neg), abs=1e-9
+        )
 
 
 @pytest.mark.parametrize("p,dim,a", [(3, 2, 1), (3, 2, 2), (3, 3, 1), (7, 2, 3)])
@@ -171,21 +223,47 @@ def test_verify_spectrum_trace_values(f3, f7):
     assert (lam7 * lam7).sum() == pytest.approx(392, rel=1e-9)
 
 
-def test_verify_spectrum_detects_corruption(f3, monkeypatch):
+def _corrupt_class_table(monkeypatch, F, dim, edit):
     import fqlab.euclid as euclid_mod
 
+    values, imag = euclid_mod._norm_class_table(F, dim)
+    values = values.copy()
+    edit(values)
+    monkeypatch.setattr(euclid_mod, "_norm_class_table", lambda F, dim: (values, imag))
+
+
+def test_verify_spectrum_detects_corruption(f3, monkeypatch):
     G = euclid_graph(f3, 2, 1)
-    good = euclid_mod._eigenvalues_with_residual
 
-    def corrupt(g, force=False):
-        lam, res = good(g, force)
-        lam = lam.copy()
-        lam[3] += 0.5
-        return lam, res
+    def shift(v):
+        v[1, 2] += 0.5
 
-    monkeypatch.setattr(euclid_mod, "_eigenvalues_with_residual", corrupt)
+    _corrupt_class_table(monkeypatch, f3, 2, shift)
     with pytest.raises(VerificationFailed):
         verify_spectrum(G, spectrum(G), sample_count=9, seed=0)
+
+
+def test_verify_spectrum_detects_swapped_classes(f7, monkeypatch):
+    # Two norm classes of equal size trade values: the multiset of
+    # eigenvalues, and so both trace sums, stay as they were, and only the
+    # sampled eigenvector check can tell.
+    G = euclid_graph(f7, 2, 1)
+    sizes = sphere_table(f7, 2).sizes
+    c1, c2 = 1, 3
+    assert sizes[c1] == sizes[c2]
+    good = spectrum(G)
+    assert abs(good.norm_values[c1] - good.norm_values[c2]) > 1.0
+
+    def swap(v):
+        v[1, [c1, c2]] = v[1, [c2, c1]]
+
+    _corrupt_class_table(monkeypatch, f7, 2, swap)
+    bad = spectrum(G)
+    assert bad.classes == good.classes
+    assert bad.trace_sum_residual == pytest.approx(good.trace_sum_residual, abs=1e-9)
+    assert bad.trace_square_residual == pytest.approx(good.trace_square_residual, abs=1e-9)
+    with pytest.raises(VerificationFailed, match="eigenvector residual"):
+        verify_spectrum(G, bad, sample_count=G.n, seed=0)
 
 
 def test_verify_spectrum_rejects_foreign_summary(f7):

@@ -27,9 +27,9 @@ RECORD_DIGESTS = [
     (["sweep", "--default", "--jobs", "1", "--format", "csv"],
      "f0c4ca9a02bf56413ef52ce0b7efd5b6243aea380a83125566080172a341ef7f"),
     (VERIFY_ARGV,
-     "d41aa2dedc14cc9cc75821f6f0ea5794d0a5e2b1a0722f71d8c98b7f6ef5cc4e"),
+     "2bdc91db867bfc78ca8718d9588df1fb21e3251c50497f2b50d81c70e4519544"),
     (["spectrum", "--q", "7", "--dim", "2"],
-     "be7866720161809e8fafaca400735c80e2b4c39305161cbfbf9a22d76a5611e7"),
+     "c257e3ac1ec340d9c6eb53e9e3e56290b64345af430158825e1c519ec11f5605"),
     (["fcount", "--q", "7", "--dim", "3", "--gen", "random:1t", "--seed", "2"],
      "b58d8b571f8533ca580fd52445c0af4395b51c6615730f48b00fb0b387e67a7d"),
 ]
