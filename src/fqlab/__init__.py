@@ -12,8 +12,6 @@ from .bounds import (
     DegreeProfile,
     check_main_theorem,
     degree_profile,
-    distance_set,
-    f_count,
     lower_bound_f,
     upper_bound_f,
 )
@@ -34,7 +32,6 @@ from .euclid import (
     EuclidGraphSpec,
     SpectralSummary,
     SpectrumDiagnostics,
-    adjacent,
     eigenvalues,
     euclid_graph,
     ramanujan_bound,
@@ -46,7 +43,6 @@ from .field import PrimeField, is_prime, make_field
 from .geometry import (
     PointSet,
     SphereTable,
-    distance,
     format_point_text,
     generate_point_set,
     load_point_set,
@@ -61,16 +57,17 @@ from .geometry import (
     sphere_table,
 )
 from .spectral import (
-    DegreeSumResult,
-    MixingResult,
     RegularGraphView,
-    VarianceResult,
+    degree_sum_bound,
     degree_sum_check,
     hinge_bound,
     hinge_count,
     make_view,
+    mixing_bound,
     mixing_check,
+    variance_bound,
     variance_check,
+    within_bound,
 )
 
 __version__ = "0.1.0"
@@ -80,21 +77,21 @@ __all__ = [
     # field
     "PrimeField", "is_prime", "make_field",
     # geometry
-    "PointSet", "SphereTable", "distance", "format_point_text",
+    "PointSet", "SphereTable", "format_point_text",
     "generate_point_set", "load_point_set", "norm", "parse_generator",
     "parse_point_text", "point_rank", "rank_point", "size_threshold",
     "sphere_points", "sphere_size", "sphere_table",
     # spectral
-    "DegreeSumResult", "MixingResult", "RegularGraphView", "VarianceResult",
-    "degree_sum_check", "hinge_bound", "hinge_count", "make_view",
-    "mixing_check", "variance_check",
+    "RegularGraphView", "degree_sum_bound", "degree_sum_check", "hinge_bound",
+    "hinge_count", "make_view", "mixing_bound", "mixing_check",
+    "variance_bound", "variance_check", "within_bound",
     # euclid
-    "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics", "adjacent",
+    "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics",
     "eigenvalues", "euclid_graph", "ramanujan_bound",
     "regular_view", "spectrum", "verify_spectrum",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
-    "distance_set", "f_count", "lower_bound_f", "upper_bound_f",
+    "lower_bound_f", "upper_bound_f",
     # errors
     "FqlabError", "NotPrime", "EvenModulus", "DimensionMismatch", "TooLarge",
     "InfeasibleSize", "BadSpec", "ImagResidualTooLarge", "VerificationFailed",

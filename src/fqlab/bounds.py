@@ -87,33 +87,26 @@ def degree_profile(
         if coords.max() >= p:
             raise BadSpec(f"point coordinates exceed the field range [0, {p})")
         chunk = max(1, (1 << 22) // m)
+        # Two reused (chunk, m) buffers: squared differences accumulate one
+        # coordinate at a time, then the sum becomes the flat bincount index.
+        acc_buf, sq_buf = np.empty((2, min(chunk, m), m), dtype=np.int64)
         for start in range(0, m, chunk):
             stop = min(m, start + chunk)
-            diff = (coords[start:stop, None, :] - coords[None, :, :]) % p
-            dists = (diff * diff).sum(axis=2) % p
             rows = stop - start
-            flat = (np.arange(rows, dtype=np.int64)[:, None] * p + dists).ravel()
-            counts[start:stop] = np.bincount(flat, minlength=rows * p).reshape(rows, p)
+            acc, sq = acc_buf[:rows], sq_buf[:rows]
+            acc.fill(0)
+            for j in range(dim):
+                np.subtract(coords[start:stop, j, None], coords[None, :, j], out=sq)
+                sq *= sq
+                acc += sq
+            acc %= p
+            acc += np.arange(0, rows * p, p, dtype=np.int64)[:, None]
+            flat = np.bincount(acc.ravel(), minlength=rows * p)
+            counts[start:stop] = flat.reshape(rows, p)
         # Each row includes the point's own zero distance; drop it.
         counts[:, 0] -= 1
     null = int(counts[:, 0].sum()) if m else 0
     return DegreeProfile(p=p, dim=dim, size=m, counts=counts, null_pair_count=null)
-
-
-def f_count(F: PrimeField, dim: int, E: PointSet, force: bool = False) -> int:
-    """The exact hinge statistic f(E) over nonzero distances."""
-    return degree_profile(F, dim, E, force=force).f_value()
-
-
-def distance_set(
-    F: PrimeField, dim: int, E: PointSet, force: bool = False
-) -> frozenset[int]:
-    """Distances realized by distinct ordered pairs of E.
-
-    Contains 0 exactly when null pairs exist; callers wanting the nonzero
-    part drop 0.
-    """
-    return degree_profile(F, dim, E, force=force).distance_values()
 
 
 def lower_bound_f(profile: DegreeProfile, q: int) -> Fraction:

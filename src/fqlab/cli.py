@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -49,12 +48,15 @@ from .geometry import (
     sphere_table,
 )
 from .spectral import (
-    BOUND_TOL,
+    degree_sum_bound,
     degree_sum_check,
     hinge_bound,
     hinge_count,
+    mixing_bound,
     mixing_check,
+    variance_bound,
     variance_check,
+    within_bound,
 )
 
 TOOL_VERSION = __version__
@@ -108,9 +110,10 @@ def format_real(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _json_value(v) -> str:
+def _format_value(v, null: str, quote) -> str:
+    """One record value as text; quote wraps rationals and strings."""
     if v is None:
-        return "null"
+        return null
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -118,24 +121,10 @@ def _json_value(v) -> str:
     if isinstance(v, float):
         return format_real(v)
     if isinstance(v, Fraction):
-        return json.dumps(f"{v.numerator}/{v.denominator}")
+        return quote(f"{v.numerator}/{v.denominator}")
     if isinstance(v, str):
-        return json.dumps(v)
+        return quote(v)
     raise TypeError(f"unsupported record value {v!r}")
-
-
-def _csv_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_real(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
@@ -147,7 +136,10 @@ def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
     if fmt == "jsonl":
         lines = []
         for rec in records:
-            body = ",".join(f"{json.dumps(k)}:{_json_value(rec.get(k))}" for k in fields)
+            body = ",".join(
+                f"{json.dumps(k)}:{_format_value(rec.get(k), 'null', json.dumps)}"
+                for k in fields
+            )
             lines.append("{" + body + "}")
         return "".join(line + "\n" for line in lines)
     if fmt == "csv":
@@ -155,7 +147,7 @@ def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
         for rec in records:
-            writer.writerow([_csv_value(rec.get(k)) for k in fields])
+            writer.writerow([_format_value(rec.get(k), "", str) for k in fields])
         return buf.getvalue()
     raise BadSpec(f"unknown output format {fmt!r}")
 
@@ -236,7 +228,7 @@ def _status(ok: bool) -> str:
 
 def _spectrum_verdict(G, s, sample_count, seed, force) -> tuple[bool, str]:
     """The ceiling test on one radius' spectrum plus its independent recheck."""
-    ok = s.second_eigenvalue <= s.ramanujan_bound + BOUND_TOL
+    ok = within_bound(s.second_eigenvalue, s.ramanujan_bound)
     detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
     try:
         diag = verify_spectrum(G, s, sample_count=sample_count, seed=seed, force=force)
@@ -251,29 +243,35 @@ def _subset_rows(G, s, subsets, force):
     """Yield (check, i, lam_kind, lhs, rhs, holds, detail) for the i-th
     (B, C) pair of each check in subsets, under the exact second eigenvalue
     of s and under its ceiling; hinge yields the squared bound and the
-    degree-sum step it squares.  The radius' neighbor table is built once
-    and freed on return, so one table is alive at a time.
+    degree-sum step it squares.  Each count is made once and judged under
+    both lambdas.  The radius' neighbor table is built once and freed on
+    return, so one table is alive at a time.
     """
     if not any(subsets.values()):
         return
-    view = regular_view(G, lam=s.second_eigenvalue, force=force)
+    view = regular_view(G, force=force)
+    n, k = view.n, view.k
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
     for check, pairs in subsets.items():
         for i, (B, C) in enumerate(pairs):
+            b = len(B)
+            # (exact count, detail, its bound as a function of lambda)
+            if check == "variance":
+                lhs = variance_check(view, B)
+                sides = [(lhs, f"|B|={b}", lambda lam: variance_bound(n, lam, b))]
+            elif check == "mixing":
+                e, deviation = mixing_check(view, B, C)
+                sides = [(deviation, f"e={e}", lambda lam: mixing_bound(lam, b, len(C)))]
+            else:
+                hinges, degree_sum = hinge_count(view, B), degree_sum_check(view, B)
+                sides = [
+                    (hinges, "hinges", lambda lam: hinge_bound(n, k, lam, b)),
+                    (degree_sum, "degree-sum", lambda lam: degree_sum_bound(n, k, lam, b)),
+                ]
             for lam_kind, lam in lams:
-                v = dataclasses.replace(view, lam=lam)
-                if check == "variance":
-                    res = variance_check(v, B)
-                    yield check, i, lam_kind, res.lhs, res.rhs, res.holds, f"|B|={len(B)}"
-                elif check == "mixing":
-                    res = mixing_check(v, B, C)
-                    yield check, i, lam_kind, res.deviation, res.bound, res.holds, f"e={res.e}"
-                else:
-                    p2 = hinge_count(v, B)
-                    bnd = hinge_bound(v.n, v.k, lam, len(B))
-                    yield check, i, lam_kind, p2, bnd, p2 <= bnd + BOUND_TOL, "hinges"
-                    ds = degree_sum_check(v, B)
-                    yield check, i, lam_kind, ds.lhs, ds.rhs, ds.holds, "degree-sum"
+                for lhs, detail, bound in sides:
+                    rhs = bound(lam)
+                    yield check, i, lam_kind, lhs, rhs, within_bound(lhs, rhs), detail
 
 
 def _theorem_row(check, report) -> tuple[float, float, bool, str]:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     BadSpec,
-    DimensionMismatch,
     ImagResidualTooLarge,
     TooLarge,
     VerificationFailed,
@@ -38,7 +37,6 @@ from .field import PrimeField
 from .geometry import (
     Point,
     coords_to_ranks,
-    distance,
     norm,
     rank_point,
     ranks_to_coords,
@@ -103,14 +101,6 @@ def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
 def ramanujan_bound(p: int, dim: int) -> float:
     """The ceiling 2 * p**((dim-1)/2) on nontrivial eigenvalue magnitudes."""
     return 2.0 * float(p) ** ((dim - 1) / 2)
-
-
-def adjacent(G: EuclidGraphSpec, x: Point, y: Point) -> bool:
-    if len(x) != G.dim or len(y) != G.dim:
-        raise DimensionMismatch(
-            f"points of dimension {len(x)}, {len(y)} in a dim {G.dim} graph"
-        )
-    return x != y and distance(G.field, x, y) == G.a
 
 
 @functools.lru_cache(maxsize=16)
@@ -295,27 +285,17 @@ def verify_spectrum(
     return SpectrumDiagnostics(max_eigvec_residual=worst, sampled_ranks=sampled)
 
 
-def regular_view(
-    G: EuclidGraphSpec, lam: float | None = None, force: bool = False
-) -> RegularGraphView:
+def regular_view(G: EuclidGraphSpec, force: bool = False) -> RegularGraphView:
     """Materialize the neighbor table as a generic regular-graph view.
 
-    lam is the eigenvalue bound the view should carry; None computes the
-    exact second eigenvalue.  Neighbors of x are the translates x + s over
-    the connection sphere, encoded as ranks.
+    Neighbors of x are the translates x + s over the connection sphere,
+    encoded as ranks.
     """
     guard_spectrum(G.field.p, G.dim, force)
-    if lam is None:
-        lam = spectrum(G, force=force).second_eigenvalue
     p = G.field.p
     M = ranks_to_coords(p, G.dim, np.arange(G.n, dtype=np.int64))
     sphere = np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64)
     adj = np.empty((G.n, G.valency), dtype=np.int64)
     for j in range(G.valency):
         adj[:, j] = coords_to_ranks(p, (M + sphere[j]) % p)
-    return make_view(
-        n=G.n,
-        k=G.valency,
-        lam=float(lam),
-        adj=adj,
-    )
+    return make_view(n=G.n, k=G.valency, adj=adj)

@@ -78,17 +78,6 @@ def norm(F: PrimeField, x: Point) -> int:
     return total % F.p
 
 
-def distance(F: PrimeField, x: Point, y: Point) -> int:
-    """||x - y|| under the quadratic form; not a metric, just a residue."""
-    if len(x) != len(y):
-        raise DimensionMismatch(f"points have dimensions {len(x)} and {len(y)}")
-    total = 0
-    for a, b in zip(x, y):
-        d = a - b
-        total += d * d
-    return total % F.p
-
-
 @dataclass(frozen=True)
 class SphereTable:
     """Exact sphere sizes: sizes[a] = #{x in F_p^dim : ||x|| = a}."""

@@ -1,12 +1,15 @@
-"""Inequality checks for regular graphs with a known eigenvalue bound.
+"""Inequality checks for regular graphs, split into counts and bounds.
 
-Everything here is stated against RegularGraphView, a bare (n, k, lambda)
-abstraction with a materialized neighbor table, so the checks can be
-exercised both by the distance graphs built elsewhere in this package and
-by unrelated regular graphs in the tests.  Left-hand sides are exact
-integers or rationals; only the lambda-bearing right-hand sides live in
-floating point, and every bound comparison gets the absolute tolerance
-BOUND_TOL.
+Everything here is stated against RegularGraphView, a bare (n, k) neighbor
+table, so the checks can be exercised both by the distance graphs built
+elsewhere in this package and by unrelated regular graphs in the tests.
+Each inequality is a count that depends only on the graph and the subset
+(variance_check, mixing_check, hinge_count, degree_sum_check) plus a bound
+computed from (n, k, lambda, set sizes), where lambda is any upper bound on
+the nontrivial eigenvalue magnitudes, sharp or not; one count can thus be
+judged under several lambdas.  Counts are exact integers or rationals;
+only the lambda-bearing bounds may live in floating point, and
+within_bound compares the two with the absolute tolerance BOUND_TOL.
 """
 
 from __future__ import annotations
@@ -27,28 +30,15 @@ VALIDATE_MAX_ENTRIES = 2_000_000
 
 @dataclass(frozen=True, eq=False)
 class RegularGraphView:
-    """A k-regular graph on vertices 0..n-1 with an eigenvalue bound.
-
-    adj[v] lists the k neighbors of v.  lam is an upper bound on the
-    absolute value of every nontrivial eigenvalue; the checks are valid
-    for any true bound, sharp or not, so callers may carry the exact
-    second eigenvalue or a ceiling.
-    """
+    """A k-regular graph on vertices 0..n-1; adj[v] lists the k neighbors
+    of v."""
 
     n: int
     k: int
-    lam: float
     adj: np.ndarray
 
-    def neighbors(self, v: int) -> list[int]:
-        if not 0 <= v < self.n:
-            raise VertexOutOfRange(f"vertex {v} not in [0, {self.n})")
-        return [int(u) for u in self.adj[v]]
 
-
-def make_view(
-    n: int, k: int, lam: float, adj: np.ndarray
-) -> RegularGraphView:
+def make_view(n: int, k: int, adj: np.ndarray) -> RegularGraphView:
     """Wrap a neighbor table after validating its shape and range, and its
     symmetry when it has at most VALIDATE_MAX_ENTRIES entries."""
     adj = np.asarray(adj, dtype=np.int64)
@@ -65,7 +55,13 @@ def make_view(
             np.array_equal(src[fwd], dst[rev]) and np.array_equal(dst[fwd], src[rev])
         ):
             raise BadSpec("adjacency table is not symmetric")
-    return RegularGraphView(n=n, k=k, lam=float(lam), adj=adj)
+    return RegularGraphView(n=n, k=k, adj=adj)
+
+
+def within_bound(lhs, rhs) -> bool:
+    """lhs <= rhs + BOUND_TOL, in exact rationals when rhs is exact."""
+    tol = Fraction(BOUND_TOL) if isinstance(rhs, Fraction) else BOUND_TOL
+    return bool(lhs <= rhs + tol)
 
 
 def _subset(view: RegularGraphView, S: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -79,16 +75,18 @@ def _subset(view: RegularGraphView, S: Iterable[int]) -> tuple[np.ndarray, np.nd
     return arr, ind
 
 
+def _inside_degrees(view: RegularGraphView, E: Iterable[int]) -> np.ndarray:
+    """|N(v) inside E| for each v in E, in one pass over the neighbor table."""
+    arr, ind = _subset(view, E)
+    return ind[view.adj[arr]].sum(axis=1)
+
+
 def hinge_count(view: RegularGraphView, E: Iterable[int]) -> int:
     """Ordered hinges (u, v, w) in E**3 with uv and vw edges; u == w counts.
 
-    Equals the sum over v in E of |N(v) inside E| squared, computed in one
-    pass over the neighbor table.
+    Equals the sum over v in E of |N(v) inside E| squared.
     """
-    arr, ind = _subset(view, E)
-    if arr.size == 0:
-        return 0
-    degs = ind[view.adj[arr]].sum(axis=1)
+    degs = _inside_degrees(view, E)
     return int((degs * degs).sum())
 
 
@@ -100,80 +98,47 @@ def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
     return float(m * b * b)
 
 
-@dataclass(frozen=True)
-class VarianceResult:
-    lhs: float
-    rhs: float
-    holds: bool
+def degree_sum_check(view: RegularGraphView, E: Iterable[int]) -> int:
+    """The sum over v in E of |N(v) inside E|, that is e(E, E).
 
-
-def variance_check(view: RegularGraphView, B: Iterable[int]) -> VarianceResult:
-    """Neighbor-count variance over all vertices against the lambda bound.
-
-    lhs = sum over v in V of (|N(v) inside B| - k|B|/n)**2, exact.
-    rhs = (lam**2 / n) |B| (n - |B|).
+    Its bound is the mixing inequality on the pair (E, E), the
+    intermediate step the hinge bound squares.
     """
+    return int(_inside_degrees(view, E).sum())
+
+
+def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:
+    """k*m**2/n + lam*m, exact in the float lam."""
+    return Fraction(k * m * m, n) + Fraction(float(lam)) * m
+
+
+def variance_check(view: RegularGraphView, B: Iterable[int]) -> Fraction:
+    """The exact neighbor-count variance over all vertices: the sum over v
+    in V of (|N(v) inside B| - k|B|/n)**2."""
     arr, ind = _subset(view, B)
-    b = int(arr.size)
-    n, k = view.n, view.k
+    n = view.n
     degs = ind[view.adj].sum(axis=1)
-    sum_deg = int(degs.sum())
-    sum_sq = int((degs * degs).sum())
-    mean = Fraction(k * b, n)
-    lhs = Fraction(sum_sq) - 2 * mean * sum_deg + n * mean * mean
-    rhs = view.lam * view.lam * b * (n - b) / n
-    return VarianceResult(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + BOUND_TOL))
+    mean = Fraction(view.k * int(arr.size), n)
+    sum_sq, sum_deg = int((degs * degs).sum()), int(degs.sum())
+    return Fraction(sum_sq) - 2 * mean * sum_deg + n * mean * mean
 
 
-@dataclass(frozen=True)
-class MixingResult:
-    e: int
-    expected: float
-    deviation: float
-    bound: float
-    holds: bool
+def variance_bound(n: int, lam: float, b: int) -> float:
+    """(lam**2 / n) * b * (n - b)."""
+    return lam * lam * b * (n - b) / n
 
 
 def mixing_check(
     view: RegularGraphView, B: Iterable[int], C: Iterable[int]
-) -> MixingResult:
-    """Ordered adjacent pairs (u in B, v in C) against the mixing bound.
-
-    |e(B, C) - k|B||C|/n| <= lam * sqrt(|B||C|).
-    """
+) -> tuple[int, Fraction]:
+    """(e, |e - k|B||C|/n|), e counting ordered adjacent pairs (u in B, v in C)."""
     b_arr, _ = _subset(view, B)
     _, c_ind = _subset(view, C)
     e = int(c_ind[view.adj[b_arr]].sum()) if b_arr.size else 0
     b, c = int(b_arr.size), int(c_ind.sum())
-    expected = Fraction(view.k * b * c, view.n)
-    deviation = abs(Fraction(e) - expected)
-    bound = view.lam * math.sqrt(b * c)
-    return MixingResult(
-        e=e,
-        expected=float(expected),
-        deviation=float(deviation),
-        bound=float(bound),
-        holds=bool(deviation <= bound + BOUND_TOL),
-    )
+    return e, abs(Fraction(e) - Fraction(view.k * b * c, view.n))
 
 
-@dataclass(frozen=True)
-class DegreeSumResult:
-    lhs: int
-    rhs: float
-    holds: bool
-
-
-def degree_sum_check(view: RegularGraphView, E: Iterable[int]) -> DegreeSumResult:
-    """Sum over v in E of |N(v) inside E| against k|E|**2/n + lam|E|.
-
-    This is the mixing inequality applied to the pair (E, E); it is the
-    intermediate step the hinge bound squares.
-    """
-    arr, ind = _subset(view, E)
-    m = int(arr.size)
-    lhs = int(ind[view.adj[arr]].sum()) if m else 0
-    rhs = Fraction(view.k * m * m, view.n) + Fraction(float(view.lam)) * m
-    return DegreeSumResult(
-        lhs=lhs, rhs=float(rhs), holds=bool(lhs <= rhs + Fraction(BOUND_TOL))
-    )
+def mixing_bound(lam: float, b: int, c: int) -> float:
+    """lam * sqrt(b*c)."""
+    return lam * math.sqrt(b * c)

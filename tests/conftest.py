@@ -35,6 +35,11 @@ def f13():
 
 @pytest.fixture(scope="session")
 def g3_view(f3):
-    """G_3(1) in dim 2 with its exact second eigenvalue, shared read-only."""
-    G = euclid_graph(f3, 2, 1)
-    return regular_view(G, lam=spectrum(G).second_eigenvalue)
+    """The neighbor table of G_3(1) in dim 2, shared read-only."""
+    return regular_view(euclid_graph(f3, 2, 1))
+
+
+@pytest.fixture(scope="session")
+def g3_lam(f3):
+    """The exact second eigenvalue of G_3(1) in dim 2."""
+    return spectrum(euclid_graph(f3, 2, 1)).second_eigenvalue

@@ -4,6 +4,8 @@ Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres, and dense matrix powers.  Nothing imports the
 package's counting kernels, so an agreement is evidence, not tautology.
+The distance, adjacency and neighbor-row helpers the tests need, and the
+package does not, live here too.
 """
 
 import math
@@ -12,6 +14,8 @@ from itertools import product
 
 import numpy as np
 
+from fqlab import DimensionMismatch, VertexOutOfRange
+
 
 def norm_brute(p: int, x) -> int:
     return sum(c * c for c in x) % p
@@ -19,6 +23,29 @@ def norm_brute(p: int, x) -> int:
 
 def dist_brute(p: int, x, y) -> int:
     return sum((a - b) ** 2 for a, b in zip(x, y)) % p
+
+
+def distance(F, x, y) -> int:
+    """||x - y|| over the field F, for points of equal dimension."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"points have dimensions {len(x)} and {len(y)}")
+    return dist_brute(F.p, x, y)
+
+
+def adjacent(G, x, y) -> bool:
+    """Whether x and y are joined in the distance graph G."""
+    if len(x) != G.dim or len(y) != G.dim:
+        raise DimensionMismatch(
+            f"points of dimension {len(x)}, {len(y)} in a dim {G.dim} graph"
+        )
+    return x != y and distance(G.field, x, y) == G.a
+
+
+def neighbors(view, v: int) -> list[int]:
+    """Row v of a regular-graph view's neighbor table."""
+    if not 0 <= v < view.n:
+        raise VertexOutOfRange(f"vertex {v} not in [0, {view.n})")
+    return [int(u) for u in view.adj[v]]
 
 
 def sphere_sizes_brute(p: int, dim: int) -> list[int]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,7 @@ from fqlab import (
     PointSet,
     check_main_theorem,
     degree_profile,
-    distance_set,
     euclid_graph,
-    f_count,
     generate_point_set,
     hinge_count,
     load_point_set,
@@ -85,20 +84,34 @@ def test_profile_matches_brute(p, dim, gen):
     assert prof.null_pair_count == oracles.null_pairs_brute(p, E.points)
 
 
+def test_profile_peak_memory():
+    # one chunk of 2**22 pairs holds two (rows, |E|) int64 buffers, 64 MiB
+    F = make_field(59)
+    E = generate_point_set(F, 2, "all")
+    tracemalloc.start()
+    try:
+        prof = degree_profile(F, 2, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.counts.sum() == 3481 * 3480
+    assert peak < 160 * 2**20
+
+
 # --- f and distance set --------------------------------------------------------
 
 
 def test_f_examples(f3, three):
-    assert f_count(f3, 2, generate_point_set(f3, 2, "all")) == 288
-    assert f_count(f3, 2, three) == 8
-    assert f_count(f3, 2, load_point_set("1,1\n", f3)) == 0
+    assert degree_profile(f3, 2, generate_point_set(f3, 2, "all")).f_value() == 288
+    assert degree_profile(f3, 2, three).f_value() == 8
+    assert degree_profile(f3, 2, load_point_set("1,1\n", f3)).f_value() == 0
 
 
 def test_distance_set_examples(f3, three):
-    assert distance_set(f3, 2, three) == frozenset({1, 2})
-    assert distance_set(f3, 2, load_point_set("1,1\n", f3)) == frozenset()
+    assert degree_profile(f3, 2, three).distance_values() == frozenset({1, 2})
+    assert degree_profile(f3, 2, load_point_set("1,1\n", f3)).distance_values() == frozenset()
     full = generate_point_set(f3, 2, "all")
-    assert distance_set(f3, 2, full) - {0} == {1, 2}
+    assert degree_profile(f3, 2, full).distance_values() - {0} == {1, 2}
 
 
 @pytest.mark.parametrize("p,dim,size,seed", [(3, 2, 7, 1), (7, 2, 20, 2),
@@ -106,7 +119,7 @@ def test_distance_set_examples(f3, three):
 def test_f_matches_triple_brute(p, dim, size, seed):
     F = make_field(p)
     E = generate_point_set(F, dim, f"random:{size}", seed=seed)
-    assert f_count(F, dim, E) == oracles.f_brute(p, E.points)
+    assert degree_profile(F, dim, E).f_value() == oracles.f_brute(p, E.points)
 
 
 @pytest.mark.parametrize("p,dim,size,seed", [(3, 2, 6, 5), (7, 2, 15, 6), (7, 3, 12, 7)])
@@ -119,7 +132,7 @@ def test_f_equals_hinge_sum_over_radii(p, dim, size, seed):
         hinge_count(regular_view(euclid_graph(F, dim, a)), ranks)
         for a in range(1, p)
     )
-    assert f_count(F, dim, E) == total
+    assert degree_profile(F, dim, E).f_value() == total
 
 
 # --- lower and upper bounds ----------------------------------------------------

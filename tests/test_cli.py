@@ -77,6 +77,12 @@ def test_emit_csv_values():
     assert out == "a,b,c\ntrue,,1/3\n"
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_emit_rejects_unsupported_values(fmt):
+    with pytest.raises(TypeError):
+        emit([{"a": (1, 2)}], fmt, ("a",))
+
+
 def test_derive_seed_stable():
     assert derive_seed("x", 3, 2) == derive_seed("x", 3, 2)
     assert derive_seed("x", 3, 2) != derive_seed("x", 2, 3)
@@ -303,6 +309,31 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
     assert calls["regular_view"] == 2  # one per radius, shared by three checks
     # F_3^2 and the size-1 subset, main and remark; the size-9 rung is F_3^2
     assert calls["check_main_theorem"] == 2
+
+
+def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("variance_check", "mixing_check", "hinge_count", "degree_sum_check")
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.setattr(fqlab.euclid, "spectrum", counted("spectrum"))
+    argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
+            "--checks", "variance,mixing,hinge", "--trials", "3"]
+    assert main(argv) == 0
+    # one count per (check, subset), judged under the exact and ceiling lambda
+    assert calls == {name: 3 for name in names}
+    fqlab.euclid.regular_view(fqlab.euclid_graph(fqlab.make_field(7), 2, 1))
+    assert calls["spectrum"] == 0
 
 
 # --- sweep ------------------------------------------------------------------------

@@ -10,18 +10,22 @@ import oracles
 from fqlab import (
     BadSpec,
     VertexOutOfRange,
+    degree_sum_bound,
     degree_sum_check,
     euclid_graph,
     hinge_bound,
     hinge_count,
     make_field,
     make_view,
+    mixing_bound,
     mixing_check,
     point_rank,
     rank_point,
     regular_view,
     spectrum,
+    variance_bound,
     variance_check,
+    within_bound,
 )
 
 
@@ -38,18 +42,18 @@ THREE = [(0, 0), (0, 1), (1, 0)]
 def test_make_view_rejects_asymmetric():
     adj = np.array([[1], [0], [1]])  # 2 -> 1 missing the reverse edge
     with pytest.raises(BadSpec):
-        make_view(n=3, k=1, lam=0.0, adj=adj)
+        make_view(n=3, k=1, adj=adj)
 
 
 def test_make_view_rejects_out_of_range():
     adj = np.array([[3], [0], [1]])
     with pytest.raises(VertexOutOfRange):
-        make_view(n=3, k=1, lam=0.0, adj=adj)
+        make_view(n=3, k=1, adj=adj)
 
 
 def test_neighbors_out_of_range(g3_view):
     with pytest.raises(VertexOutOfRange):
-        g3_view.neighbors(9)
+        oracles.neighbors(g3_view, 9)
 
 
 # --- hinge counting ----------------------------------------------------------
@@ -99,19 +103,21 @@ def test_hinge_bound_monotone(m, dm, lam, dlam):
 # --- variance ----------------------------------------------------------------
 
 
-def test_variance_example(g3_view):
-    res = variance_check(g3_view, ranks(3, THREE))
-    assert res.lhs == pytest.approx(4.0, abs=1e-12)
-    assert res.rhs == pytest.approx(8.0, abs=1e-9)
-    assert res.holds
+def test_variance_example(g3_view, g3_lam):
+    lhs = variance_check(g3_view, ranks(3, THREE))
+    rhs = variance_bound(9, g3_lam, 3)
+    assert lhs == 4
+    assert rhs == pytest.approx(8.0, abs=1e-9)
+    assert within_bound(lhs, rhs)
 
 
-def test_variance_empty_and_full(g3_view):
-    for B in ([], range(9)):
-        res = variance_check(g3_view, B)
-        assert res.lhs == pytest.approx(0.0, abs=1e-12)
-        assert res.rhs == pytest.approx(0.0, abs=1e-9)
-        assert res.holds
+def test_variance_empty_and_full(g3_view, g3_lam):
+    for B, b in (([], 0), (range(9), 9)):
+        lhs = variance_check(g3_view, B)
+        rhs = variance_bound(9, g3_lam, b)
+        assert lhs == 0
+        assert rhs == pytest.approx(0.0, abs=1e-9)
+        assert within_bound(lhs, rhs)
 
 
 def test_variance_lhs_matches_fraction_brute(g3_view):
@@ -120,32 +126,32 @@ def test_variance_lhs_matches_fraction_brute(g3_view):
         sub = rng.sample(range(9), rng.randint(0, 9))
         pts = [rank_point(3, 2, r) for r in sub]
         want = oracles.variance_lhs_brute(3, 2, 1, pts)
-        assert variance_check(g3_view, sub).lhs == pytest.approx(float(want), abs=1e-12)
+        assert variance_check(g3_view, sub) == want
 
 
 # --- mixing ------------------------------------------------------------------
 
 
-def test_mixing_full_space(g3_view):
-    res = mixing_check(g3_view, range(9), range(9))
-    assert res.e == 36
-    assert res.expected == pytest.approx(36.0)
-    assert res.deviation == pytest.approx(0.0, abs=1e-12)
-    assert res.holds
+def test_mixing_full_space(g3_view, g3_lam):
+    e, deviation = mixing_check(g3_view, range(9), range(9))
+    assert e == 36
+    assert deviation == 0
+    assert within_bound(deviation, mixing_bound(g3_lam, 9, 9))
 
 
-def test_mixing_singletons(g3_view):
-    res = mixing_check(g3_view, [0], [point_rank(3, (0, 1))])
-    assert res.e == 1
-    assert res.expected == pytest.approx(4 / 9)
-    assert res.deviation == pytest.approx(5 / 9)
-    assert res.bound == pytest.approx(2.0, abs=1e-9)
-    assert res.holds
+def test_mixing_singletons(g3_view, g3_lam):
+    e, deviation = mixing_check(g3_view, [0], [point_rank(3, (0, 1))])
+    assert e == 1
+    assert deviation == Fraction(5, 9)  # |1 - 4/9|
+    bound = mixing_bound(g3_lam, 1, 1)
+    assert bound == pytest.approx(2.0, abs=1e-9)
+    assert within_bound(deviation, bound)
 
 
-def test_mixing_empty(g3_view):
-    res = mixing_check(g3_view, [], range(9))
-    assert res.e == 0 and res.bound == pytest.approx(0.0) and res.holds
+def test_mixing_empty(g3_view, g3_lam):
+    e, deviation = mixing_check(g3_view, [], range(9))
+    bound = mixing_bound(g3_lam, 0, 9)
+    assert e == 0 and bound == pytest.approx(0.0) and within_bound(deviation, bound)
 
 
 def test_mixing_e_matches_brute(g3_view):
@@ -155,7 +161,7 @@ def test_mixing_e_matches_brute(g3_view):
         C = rng.sample(range(9), rng.randint(0, 9))
         bp = [rank_point(3, 2, r) for r in B]
         cp = [rank_point(3, 2, r) for r in C]
-        assert mixing_check(g3_view, B, C).e == oracles.mixing_e_brute(3, 1, bp, cp)
+        assert mixing_check(g3_view, B, C)[0] == oracles.mixing_e_brute(3, 1, bp, cp)
 
 
 # --- whole-battery properties ------------------------------------------------
@@ -165,33 +171,40 @@ def test_mixing_e_matches_brute(g3_view):
 @given(st.data())
 def test_inequalities_hold_on_g7(data):
     G = euclid_graph(make_field(7), 2, 1)
-    view = regular_view(G)
+    view, lam = regular_view(G), spectrum(G).second_eigenvalue
     B = data.draw(st.sets(st.integers(0, 48), max_size=49))
     C = data.draw(st.sets(st.integers(0, 48), max_size=49))
-    assert variance_check(view, B).holds
-    assert mixing_check(view, B, C).holds
+    b, c = len(B), len(C)
+    assert within_bound(variance_check(view, B), variance_bound(49, lam, b))
+    assert within_bound(mixing_check(view, B, C)[1], mixing_bound(lam, b, c))
     p2 = hinge_count(view, B)
-    assert p2 <= hinge_bound(view.n, view.k, view.lam, len(B)) + 1e-9
-    assert degree_sum_check(view, B).holds
+    assert p2 <= hinge_bound(view.n, view.k, lam, b) + 1e-9
+    assert within_bound(degree_sum_check(view, B), degree_sum_bound(49, 8, lam, b))
 
 
-def test_degree_sum_is_hinge_linear_step(g3_view):
+def test_degree_sum_is_hinge_linear_step(g3_view, g3_lam):
     # Eq.-style intermediate: sum of inside-degrees over E
-    res = degree_sum_check(g3_view, ranks(3, THREE))
-    assert res.lhs == 4  # degrees 2,1,1
-    assert res.rhs == pytest.approx(4 * 9 / 9 + 2.0 * 3, abs=1e-9)
-    assert res.holds
+    lhs = degree_sum_check(g3_view, ranks(3, THREE))
+    rhs = degree_sum_bound(9, 4, g3_lam, 3)
+    assert lhs == 4  # degrees 2,1,1
+    assert rhs == pytest.approx(4 * 9 / 9 + 2.0 * 3, abs=1e-9)
+    assert within_bound(lhs, rhs)
 
 
 def test_checks_with_ceiling_lambda(f7):
-    import dataclasses
-
-    G = euclid_graph(f7, 2, 1)
-    exact = regular_view(G)
-    ceiling = dataclasses.replace(exact, lam=2 * 7**0.5)
+    view, ceiling = regular_view(euclid_graph(f7, 2, 1)), 2 * 7**0.5
     rng = random.Random(3)
     for _ in range(10):
         B = rng.sample(range(49), rng.randint(1, 49))
-        assert variance_check(ceiling, B).holds
-        assert mixing_check(ceiling, B, B).holds
-        assert hinge_count(ceiling, B) <= hinge_bound(49, 8, ceiling.lam, len(B)) + 1e-9
+        b = len(B)
+        assert within_bound(variance_check(view, B), variance_bound(49, ceiling, b))
+        assert within_bound(mixing_check(view, B, B)[1], mixing_bound(ceiling, b, b))
+        assert hinge_count(view, B) <= hinge_bound(49, 8, ceiling, b) + 1e-9
+
+
+def test_within_bound_exact_when_bound_is_exact():
+    # in floats the bound 10**17 - 1e-6 rounds up to 10**17 and would pass
+    assert not within_bound(10**17, Fraction(10**17) - Fraction(1, 10**6))
+    assert within_bound(10**17, Fraction(10**17) - Fraction(1, 10**10))
+    assert within_bound(Fraction(1, 3), 1 / 3)
+    assert not within_bound(1, 1 - 1e-6)
