@@ -32,18 +32,18 @@ from .euclid import (
     EuclidGraphSpec,
     SpectralSummary,
     SpectrumDiagnostics,
+    degree_column,
     eigenvalues,
     euclid_graph,
     ramanujan_bound,
-    regular_view,
     spectrum,
+    sphere_transform,
     verify_spectrum,
 )
 from .field import PrimeField, is_prime, make_field
 from .geometry import (
     PointSet,
     SphereTable,
-    format_point_text,
     generate_point_set,
     load_point_set,
     norm,
@@ -57,12 +57,10 @@ from .geometry import (
     sphere_table,
 )
 from .spectral import (
-    RegularGraphView,
     degree_sum_bound,
     degree_sum_check,
     hinge_bound,
     hinge_count,
-    make_view,
     mixing_bound,
     mixing_check,
     variance_bound,
@@ -77,18 +75,17 @@ __all__ = [
     # field
     "PrimeField", "is_prime", "make_field",
     # geometry
-    "PointSet", "SphereTable", "format_point_text",
-    "generate_point_set", "load_point_set", "norm", "parse_generator",
-    "parse_point_text", "point_rank", "rank_point", "size_threshold",
-    "sphere_points", "sphere_size", "sphere_table",
+    "PointSet", "SphereTable", "generate_point_set", "load_point_set",
+    "norm", "parse_generator", "parse_point_text", "point_rank", "rank_point",
+    "size_threshold", "sphere_points", "sphere_size", "sphere_table",
     # spectral
-    "RegularGraphView", "degree_sum_bound", "degree_sum_check", "hinge_bound",
-    "hinge_count", "make_view", "mixing_bound", "mixing_check",
-    "variance_bound", "variance_check", "within_bound",
+    "degree_sum_bound", "degree_sum_check", "hinge_bound", "hinge_count",
+    "mixing_bound", "mixing_check", "variance_bound", "variance_check",
+    "within_bound",
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics",
-    "eigenvalues", "euclid_graph", "ramanujan_bound",
-    "regular_view", "spectrum", "verify_spectrum",
+    "degree_column", "eigenvalues", "euclid_graph", "ramanujan_bound",
+    "spectrum", "sphere_transform", "verify_spectrum",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

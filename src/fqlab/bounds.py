@@ -78,7 +78,7 @@ def degree_profile(
     if m * m > PROFILE_MAX_PAIRS and not force:
         raise TooLarge(
             f"|E|**2 = {m * m} exceeds the profile guardrail {PROFILE_MAX_PAIRS}; "
-            "pass force to override"
+            "pass --force to override"
         )
     p = F.p
     counts = np.zeros((m, p), dtype=np.int64)

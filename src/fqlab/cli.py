@@ -31,9 +31,10 @@ from . import __version__, bounds
 from .bounds import check_main_theorem
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
+    degree_column,
     euclid_graph,
     guard_spectrum,
-    regular_view,
+    sphere_transform,
     spectrum,
     verify_spectrum,
 )
@@ -239,39 +240,43 @@ def _spectrum_verdict(G, s, sample_count, seed, force) -> tuple[bool, str]:
     return ok, detail
 
 
-def _subset_rows(G, s, subsets, force):
-    """Yield (check, i, lam_kind, lhs, rhs, holds, detail) for the i-th
-    (B, C) pair of each check in subsets, under the exact second eigenvalue
-    of s and under its ceiling; hinge yields the squared bound and the
-    degree-sum step it squares.  Each count is made once and judged under
-    both lambdas.  The radius' neighbor table is built once and freed on
-    return, so one table is alive at a time.
+def _subset_rows(G, s, items, force):
+    """Yield (i, lam_kind, lhs, rhs, holds, detail) for the i-th (check, B,
+    C) item, under the exact second eigenvalue of s and under its ceiling;
+    hinge yields the squared bound and the degree-sum step it squares.
+    Each count is made once and judged under both lambdas.  Every count
+    reduces the degree column of B; consecutive items with the same B
+    object share one column.  The radius' sphere transform is computed
+    once and freed on return, so one is alive at a time.
     """
-    if not any(subsets.values()):
+    if not items:
         return
-    view = regular_view(G, force=force)
-    n, k = view.n, view.k
+    T = sphere_transform(G, force=force)
+    n, k = G.n, G.valency
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
-    for check, pairs in subsets.items():
-        for i, (B, C) in enumerate(pairs):
-            b = len(B)
-            # (exact count, detail, its bound as a function of lambda)
-            if check == "variance":
-                lhs = variance_check(view, B)
-                sides = [(lhs, f"|B|={b}", lambda lam: variance_bound(n, lam, b))]
-            elif check == "mixing":
-                e, deviation = mixing_check(view, B, C)
-                sides = [(deviation, f"e={e}", lambda lam: mixing_bound(lam, b, len(C)))]
-            else:
-                hinges, degree_sum = hinge_count(view, B), degree_sum_check(view, B)
-                sides = [
-                    (hinges, "hinges", lambda lam: hinge_bound(n, k, lam, b)),
-                    (degree_sum, "degree-sum", lambda lam: degree_sum_bound(n, k, lam, b)),
-                ]
-            for lam_kind, lam in lams:
-                for lhs, detail, bound in sides:
-                    rhs = bound(lam)
-                    yield check, i, lam_kind, lhs, rhs, within_bound(lhs, rhs), detail
+    last_B = deg = None
+    for i, (check, B, C) in enumerate(items):
+        if B is not last_B:
+            last_B, deg = B, degree_column(G, T, B)
+        b = len(B)
+        # (exact count, detail, its bound as a function of lambda)
+        if check == "variance":
+            sides = [
+                (variance_check(deg), f"|B|={b}", lambda lam: variance_bound(n, lam, b)),
+            ]
+        elif check == "mixing":
+            e, deviation = mixing_check(deg, C)
+            sides = [(deviation, f"e={e}", lambda lam: mixing_bound(lam, b, len(C)))]
+        else:
+            sides = [
+                (hinge_count(deg, B), "hinges", lambda lam: hinge_bound(n, k, lam, b)),
+                (degree_sum_check(deg, B), "degree-sum",
+                 lambda lam: degree_sum_bound(n, k, lam, b)),
+            ]
+        for lam_kind, lam in lams:
+            for lhs, detail, bound in sides:
+                rhs = bound(lam)
+                yield i, lam_kind, lhs, rhs, within_bound(lhs, rhs), detail
 
 
 def _theorem_row(check, report) -> tuple[float, float, bool, str]:
@@ -324,7 +329,7 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
     summary lines) pair out[check].
 
     Each subset check draws its (B, C) pairs from its own seeded stream, B
-    then C per trial, and all of them run through one neighbor table.
+    then C per trial, and all of them run against one sphere transform.
     """
     p = F.p
     G = euclid_graph(F, dim, a)
@@ -340,18 +345,17 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
             f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
             f"{_status(ok)}"
         )
-    subsets = {}
+    items, trials = [], []
     for check in (c for c in checks if c in SUBSET_CHECKS):
         rng = random.Random(derive_seed(args.seed, check, p, dim, a))
-        pairs = subsets[check] = []
-        for size in _spanning_sizes(G.n, args.trials):
+        for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
             B = rng.sample(range(G.n), size)
             C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
-            pairs.append((B, C))
-    oks = dict.fromkeys(subsets, True)
-    rows = _subset_rows(G, s, subsets, args.force)
-    for check, trial, lam_kind, lhs, rhs, holds, detail in rows:
-        B, C = subsets[check][trial]
+            items.append((check, B, C))
+            trials.append(trial)
+    oks = {check: True for check, _, _ in items}
+    for i, lam_kind, lhs, rhs, holds, detail in _subset_rows(G, s, items, args.force):
+        (check, B, C), trial = items[i], trials[i]
         oks[check] &= holds
         out[check][0].append(_verify_record(
             check, p, dim, args.seed, lhs, rhs, holds, detail,
@@ -669,10 +673,11 @@ def _run_sweep_group(task) -> list[dict]:
         if "spectrum" in checks and spectrum_ok:
             spec_seed = derive_seed(digest, p, dim, a)
             spectrum_ok = _spectrum_verdict(G, spectra[a], 4, spec_seed, force)[0]
-        subsets = {c: [(key, key) for key in sets] for c in checks if c in SUBSET_CHECKS}
-        for check, i, *_, holds, detail in _subset_rows(G, spectra[a], subsets, force):
+        items = [(c, key, key) for key in sets for c in checks if c in SUBSET_CHECKS]
+        for i, *_, holds, detail in _subset_rows(G, spectra[a], items, force):
+            check, key, _ = items[i]
             name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
-            oks[sets[i]][name] = oks[sets[i]].get(name, True) and holds
+            oks[key][name] = oks[key].get(name, True) and holds
     for rec, key in cells:
         report, verdicts = reports.get(key), []
         if report is not None:

@@ -16,6 +16,12 @@ multiplicities.  The module computes one p x p table of them per (p, dim),
 for all radii at once (never via a dense eigensolver), and verify_spectrum
 rechecks each summary against trace identities and explicit neighbor sums
 so the table never goes unchecked.
+
+Subset counts need no neighbor table either: the number of neighbors a
+vertex v has inside a set B is the cyclic convolution of the indicators
+of B and of the sphere over Z_p^dim, so degree_column computes it for
+every v with one pair of FFTs against sphere_transform, in O(n log n)
+time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .errors import (
 )
 from .field import PrimeField
 from .geometry import (
-    Point,
     coords_to_ranks,
     norm,
     rank_point,
@@ -44,15 +49,18 @@ from .geometry import (
     sphere_size,
     sphere_table,
 )
-from .spectral import RegularGraphView, make_view
+from .spectral import vertex_array
 
-# Spectrum and neighbor-table work is refused above this many vertices
+# Spectrum and degree-column work is refused above this many vertices
 # unless forced.
 SPECTRUM_MAX = 10**6
 IMAG_TOL = 1e-8  # character sums must be real to this absolute tolerance
 GROUP_TOL = 1e-6  # eigenvalues closer than this share a multiplicity class
 TRACE_REL_TOL = 1e-6  # trace residual tolerance, relative to n * valency
 EIGVEC_TOL = 1e-8  # eigenvector residual tolerance, relative to valency
+# A degree column is accepted only if every entry lies this close to an
+# integer before rounding; exact counts make the true residual 0.
+DEGREE_RESIDUAL_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -77,11 +85,6 @@ def euclid_graph(F: PrimeField, dim: int, a: int) -> EuclidGraphSpec:
     )
 
 
-@functools.lru_cache(maxsize=128)
-def _sphere_cached(F: PrimeField, dim: int, a: int, force: bool) -> tuple[Point, ...]:
-    return tuple(sphere_points(F, dim, a, force=force))
-
-
 @functools.lru_cache(maxsize=64)
 def _char_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     angles = 2.0 * math.pi * np.arange(p) / p
@@ -89,7 +92,7 @@ def _char_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
-    """Refuse spectrum and neighbor-table work on p**dim > SPECTRUM_MAX
+    """Refuse spectrum and degree-column work on p**dim > SPECTRUM_MAX
     vertices unless forced; every such route calls this one check."""
     if p**dim > SPECTRUM_MAX and not force:
         raise TooLarge(
@@ -269,7 +272,7 @@ def verify_spectrum(
     cos_t, sin_t = _char_tables(p)
     V = cos_t[phase] + 1j * sin_t[phase]
     AV = np.zeros_like(V)
-    for x in np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64):
+    for x in np.array(sphere_points(G.field, G.dim, G.a, force=force), dtype=np.int64):
         AV += V[coords_to_ranks(p, (M + x) % p)]
     eig_tol = EIGVEC_TOL * k
     worst = 0.0
@@ -285,17 +288,44 @@ def verify_spectrum(
     return SpectrumDiagnostics(max_eigvec_residual=worst, sampled_ranks=sampled)
 
 
-def regular_view(G: EuclidGraphSpec, force: bool = False) -> RegularGraphView:
-    """Materialize the neighbor table as a generic regular-graph view.
+def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
+    """rfftn of the radius-a sphere indicator over Z_p^dim.
 
-    Neighbors of x are the translates x + s over the connection sphere,
-    encoded as ranks.
+    The indicator is norms == a over all p**dim points, laid out in rank
+    order as a (p,) * dim array (norms are symmetric in the coordinates, so
+    the layout needs no care); no sphere is enumerated and no eigenvalue
+    is read, which keeps the subset counts independent of the spectrum
+    they are judged against.
     """
-    guard_spectrum(G.field.p, G.dim, force)
     p = G.field.p
-    M = ranks_to_coords(p, G.dim, np.arange(G.n, dtype=np.int64))
-    sphere = np.array(_sphere_cached(G.field, G.dim, G.a, force), dtype=np.int64)
-    adj = np.empty((G.n, G.valency), dtype=np.int64)
-    for j in range(G.valency):
-        adj[:, j] = coords_to_ranks(p, (M + sphere[j]) % p)
-    return make_view(n=G.n, k=G.valency, adj=adj)
+    guard_spectrum(p, G.dim, force)
+    squares = np.arange(p, dtype=np.int64) ** 2 % p
+    norms = functools.reduce(np.add.outer, [squares] * G.dim) % p
+    return np.fft.rfftn(norms == G.a)
+
+
+def degree_column(G: EuclidGraphSpec, T: np.ndarray, B) -> np.ndarray:
+    """deg[v] = #{y in B : ||v - y|| = a} for every rank v, as int64.
+
+    The column is the cyclic convolution of 1_B with the sphere indicator,
+    irfftn(rfftn(1_B) * T) with T = sphere_transform(G), rounded.  Its
+    exactness certificate: every entry lies within DEGREE_RESIDUAL_TOL of
+    its rounding and the entries sum to valency * |B|; a breach raises
+    VerificationFailed.  Duplicate ranks in B count once; a rank outside
+    [0, n) raises VertexOutOfRange.
+    """
+    shape = (G.field.p,) * G.dim
+    members = vertex_array(G.n, B)
+    ind = np.zeros(G.n)
+    ind[members] = 1.0
+    B_hat = np.fft.rfftn(ind.reshape(shape))
+    raw = np.fft.irfftn(B_hat * T, s=shape, axes=range(G.dim)).ravel()
+    deg = np.rint(raw).astype(np.int64)
+    residual = float(np.abs(raw - deg).max())
+    total = int(deg.sum())
+    if residual >= DEGREE_RESIDUAL_TOL or total != G.valency * members.size:
+        raise VerificationFailed(
+            f"degree column of {members.size} vertices fails its certificate: "
+            f"rounding residual {residual!r}, sum {total} != {G.valency * members.size}"
+        )
+    return deg

@@ -424,7 +424,3 @@ def load_point_set(
         if any(not 0 <= c < F.p for c in pt):
             raise BadSpec(f"coordinate out of range [0, {F.p}) in point {pt}")
     return PointSet(points=tuple(pts), dim=d, origin_label=label)
-
-
-def format_point_text(ps: PointSet) -> str:
-    return "".join(",".join(str(c) for c in pt) + "\n" for pt in ps.points)

@@ -1,12 +1,14 @@
 """Inequality checks for regular graphs, split into counts and bounds.
 
-Everything here is stated against RegularGraphView, a bare (n, k) neighbor
-table, so the checks can be exercised both by the distance graphs built
-elsewhere in this package and by unrelated regular graphs in the tests.
-Each inequality is a count that depends only on the graph and the subset
-(variance_check, mixing_check, hinge_count, degree_sum_check) plus a bound
-computed from (n, k, lambda, set sizes), where lambda is any upper bound on
-the nontrivial eigenvalue magnitudes, sharp or not; one count can thus be
+Every count reduces one degree column: for a vertex set B of a k-regular
+graph on n vertices, deg[v] = |N(v) inside B| for every vertex v, an int64
+array of length n whose entries sum to k|B|.  The counts (variance_check,
+mixing_check, hinge_count, degree_sum_check) see only that column and the
+sets they sum it over, so they serve the distance graphs, whose columns
+euclid builds by convolution, as well as any other regular graph whose
+column the tests build from a neighbor table.  Each bound is computed from
+(n, k, lambda, set sizes), where lambda is any upper bound on the
+nontrivial eigenvalue magnitudes, sharp or not; one count can thus be
 judged under several lambdas.  Counts are exact integers or rationals;
 only the lambda-bearing bounds may live in floating point, and
 within_bound compares the two with the absolute tolerance BOUND_TOL.
@@ -15,47 +17,14 @@ within_bound compares the two with the absolute tolerance BOUND_TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .errors import BadSpec, VertexOutOfRange
+from .errors import VertexOutOfRange
 
 BOUND_TOL = 1e-9
-# Symmetry validation is skipped above this many table entries.
-VALIDATE_MAX_ENTRIES = 2_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class RegularGraphView:
-    """A k-regular graph on vertices 0..n-1; adj[v] lists the k neighbors
-    of v."""
-
-    n: int
-    k: int
-    adj: np.ndarray
-
-
-def make_view(n: int, k: int, adj: np.ndarray) -> RegularGraphView:
-    """Wrap a neighbor table after validating its shape and range, and its
-    symmetry when it has at most VALIDATE_MAX_ENTRIES entries."""
-    adj = np.asarray(adj, dtype=np.int64)
-    if adj.shape != (n, k):
-        raise BadSpec(f"adjacency table shape {adj.shape} != ({n}, {k})")
-    if adj.size and (adj.min() < 0 or adj.max() >= n):
-        raise VertexOutOfRange("neighbor index outside [0, n)")
-    if adj.size and adj.size <= VALIDATE_MAX_ENTRIES:
-        src = np.repeat(np.arange(n, dtype=np.int64), k)
-        dst = adj.ravel()
-        fwd = np.lexsort((dst, src))
-        rev = np.lexsort((src, dst))
-        if not (
-            np.array_equal(src[fwd], dst[rev]) and np.array_equal(dst[fwd], src[rev])
-        ):
-            raise BadSpec("adjacency table is not symmetric")
-    return RegularGraphView(n=n, k=k, adj=adj)
 
 
 def within_bound(lhs, rhs) -> bool:
@@ -64,30 +33,23 @@ def within_bound(lhs, rhs) -> bool:
     return bool(lhs <= rhs + tol)
 
 
-def _subset(view: RegularGraphView, S: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicate a vertex collection into (sorted array, indicator)."""
+def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
+    """The distinct vertices of S as a sorted int64 array; raises
+    VertexOutOfRange when one leaves [0, n)."""
     arr = np.array(sorted({int(v) for v in S}), dtype=np.int64)
-    if arr.size and (arr[0] < 0 or arr[-1] >= view.n):
-        raise VertexOutOfRange(f"vertex set leaves [0, {view.n})")
-    ind = np.zeros(view.n, dtype=np.int64)
-    if arr.size:
-        ind[arr] = 1
-    return arr, ind
+    if arr.size and (arr[0] < 0 or arr[-1] >= n):
+        raise VertexOutOfRange(f"vertex set leaves [0, {n})")
+    return arr
 
 
-def _inside_degrees(view: RegularGraphView, E: Iterable[int]) -> np.ndarray:
-    """|N(v) inside E| for each v in E, in one pass over the neighbor table."""
-    arr, ind = _subset(view, E)
-    return ind[view.adj[arr]].sum(axis=1)
-
-
-def hinge_count(view: RegularGraphView, E: Iterable[int]) -> int:
+def hinge_count(deg: np.ndarray, E: Iterable[int]) -> int:
     """Ordered hinges (u, v, w) in E**3 with uv and vw edges; u == w counts.
 
-    Equals the sum over v in E of |N(v) inside E| squared.
+    deg is the degree column of E; the count is the sum over v in E of
+    deg[v] squared.
     """
-    degs = _inside_degrees(view, E)
-    return int((degs * degs).sum())
+    inside = deg[vertex_array(deg.size, E)]
+    return int((inside * inside).sum())
 
 
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
@@ -98,13 +60,13 @@ def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
     return float(m * b * b)
 
 
-def degree_sum_check(view: RegularGraphView, E: Iterable[int]) -> int:
-    """The sum over v in E of |N(v) inside E|, that is e(E, E).
+def degree_sum_check(deg: np.ndarray, E: Iterable[int]) -> int:
+    """The sum over v in E of deg[v], deg the degree column of E: e(E, E).
 
     Its bound is the mixing inequality on the pair (E, E), the
     intermediate step the hinge bound squares.
     """
-    return int(_inside_degrees(view, E).sum())
+    return int(deg[vertex_array(deg.size, E)].sum())
 
 
 def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:
@@ -112,15 +74,11 @@ def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:
     return Fraction(k * m * m, n) + Fraction(float(lam)) * m
 
 
-def variance_check(view: RegularGraphView, B: Iterable[int]) -> Fraction:
+def variance_check(deg: np.ndarray) -> Fraction:
     """The exact neighbor-count variance over all vertices: the sum over v
-    in V of (|N(v) inside B| - k|B|/n)**2."""
-    arr, ind = _subset(view, B)
-    n = view.n
-    degs = ind[view.adj].sum(axis=1)
-    mean = Fraction(view.k * int(arr.size), n)
-    sum_sq, sum_deg = int((degs * degs).sum()), int(degs.sum())
-    return Fraction(sum_sq) - 2 * mean * sum_deg + n * mean * mean
+    of (deg[v] - k|B|/n)**2, deg the degree column of B (k|B| = deg.sum())."""
+    total = int(deg.sum())
+    return int((deg * deg).sum()) - Fraction(total * total, deg.size)
 
 
 def variance_bound(n: int, lam: float, b: int) -> float:
@@ -128,15 +86,12 @@ def variance_bound(n: int, lam: float, b: int) -> float:
     return lam * lam * b * (n - b) / n
 
 
-def mixing_check(
-    view: RegularGraphView, B: Iterable[int], C: Iterable[int]
-) -> tuple[int, Fraction]:
-    """(e, |e - k|B||C|/n|), e counting ordered adjacent pairs (u in B, v in C)."""
-    b_arr, _ = _subset(view, B)
-    _, c_ind = _subset(view, C)
-    e = int(c_ind[view.adj[b_arr]].sum()) if b_arr.size else 0
-    b, c = int(b_arr.size), int(c_ind.sum())
-    return e, abs(Fraction(e) - Fraction(view.k * b * c, view.n))
+def mixing_check(deg: np.ndarray, C: Iterable[int]) -> tuple[int, Fraction]:
+    """(e, |e - k|B||C|/n|), deg the degree column of B and e the number of
+    ordered adjacent pairs (u in B, v in C)."""
+    c_arr = vertex_array(deg.size, C)
+    e = int(deg[c_arr].sum())
+    return e, abs(Fraction(e) - Fraction(int(deg.sum()) * int(c_arr.size), deg.size))
 
 
 def mixing_bound(lam: float, b: int, c: int) -> float:

@@ -2,7 +2,8 @@ import warnings
 
 import pytest
 
-from fqlab import euclid_graph, make_field, regular_view, spectrum
+import oracles
+from fqlab import euclid_graph, make_field, spectrum
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +36,8 @@ def f13():
 
 @pytest.fixture(scope="session")
 def g3_view(f3):
-    """The neighbor table of G_3(1) in dim 2, shared read-only."""
-    return regular_view(euclid_graph(f3, 2, 1))
+    """The oracle neighbor table of G_3(1) in dim 2, shared read-only."""
+    return oracles.regular_view(euclid_graph(f3, 2, 1))
 
 
 @pytest.fixture(scope="session")

@@ -2,19 +2,24 @@
 
 Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
-sums over whole spheres, and dense matrix powers.  Nothing imports the
-package's counting kernels, so an agreement is evidence, not tautology.
-The distance, adjacency and neighbor-row helpers the tests need, and the
-package does not, live here too.
+sums over whole spheres, neighbor tables, and dense matrix powers.
+Nothing imports the package's counting kernels, so an agreement is
+evidence, not tautology.  The distance, adjacency, neighbor-table and
+point-text helpers the tests need, and the package does not, live here
+too.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from fqlab import DimensionMismatch, VertexOutOfRange
+from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange
+
+# Symmetry validation is skipped above this many table entries.
+VALIDATE_MAX_ENTRIES = 2_000_000
 
 
 def norm_brute(p: int, x) -> int:
@@ -39,6 +44,74 @@ def adjacent(G, x, y) -> bool:
             f"points of dimension {len(x)}, {len(y)} in a dim {G.dim} graph"
         )
     return x != y and distance(G.field, x, y) == G.a
+
+
+def format_point_text(ps) -> str:
+    """A point set in the point-file format: one comma-separated point per line."""
+    return "".join(",".join(str(c) for c in pt) + "\n" for pt in ps.points)
+
+
+@dataclass(frozen=True, eq=False)
+class RegularGraphView:
+    """A k-regular graph on vertices 0..n-1; adj[v] lists the k neighbors
+    of v."""
+
+    n: int
+    k: int
+    adj: np.ndarray
+
+
+def make_view(n: int, k: int, adj: np.ndarray) -> RegularGraphView:
+    """Wrap a neighbor table after validating its shape and range, and its
+    symmetry when it has at most VALIDATE_MAX_ENTRIES entries."""
+    adj = np.asarray(adj, dtype=np.int64)
+    if adj.shape != (n, k):
+        raise BadSpec(f"adjacency table shape {adj.shape} != ({n}, {k})")
+    if adj.size and (adj.min() < 0 or adj.max() >= n):
+        raise VertexOutOfRange("neighbor index outside [0, n)")
+    if adj.size and adj.size <= VALIDATE_MAX_ENTRIES:
+        src = np.repeat(np.arange(n, dtype=np.int64), k)
+        dst = adj.ravel()
+        fwd = np.lexsort((dst, src))
+        rev = np.lexsort((src, dst))
+        if not (
+            np.array_equal(src[fwd], dst[rev]) and np.array_equal(dst[fwd], src[rev])
+        ):
+            raise BadSpec("adjacency table is not symmetric")
+    return RegularGraphView(n=n, k=k, adj=adj)
+
+
+def regular_view(G) -> RegularGraphView:
+    """The neighbor table of the distance graph G: row x holds the ranks of
+    the translates x + s over the radius-a sphere, found by enumeration."""
+    p, dim = G.field.p, G.dim
+    X = points_by_rank(p, dim)
+    S = np.array(sphere_points_brute(p, dim, G.a), dtype=np.int64)
+    adj = ((X[:, None, :] + S[None, :, :]) % p) @ (p ** np.arange(dim))
+    return make_view(n=G.n, k=G.valency, adj=adj)
+
+
+def view_column(view: RegularGraphView, B) -> np.ndarray:
+    """deg[v] = |N(v) inside B| for every vertex v, read off the neighbor
+    table as ind_B[adj].sum(1); duplicates in B count once."""
+    members = sorted({int(v) for v in B})
+    if members and not (0 <= members[0] and members[-1] < view.n):
+        raise VertexOutOfRange(f"vertex set leaves [0, {view.n})")
+    ind = np.zeros(view.n, dtype=np.int64)
+    ind[members] = 1
+    return ind[view.adj].sum(axis=1)
+
+
+def table_counts(view: RegularGraphView, B, C) -> tuple[Fraction, int, int, int]:
+    """(variance, e(B, C), hinges, degree-sum) of the vertex set B, by
+    literal loops over the neighbor table, the variance about the mean
+    k|B|/n; duplicates in B and C count once."""
+    Bset, Cset = {int(v) for v in B}, {int(v) for v in C}
+    deg = [sum(1 for u in row if u in Bset) for row in view.adj.tolist()]
+    mean = Fraction(view.k * len(Bset), view.n)
+    variance = sum((d - mean) ** 2 for d in deg)
+    e = sum(deg[v] for v in Cset)
+    return variance, e, sum(deg[v] ** 2 for v in Bset), sum(deg[v] for v in Bset)
 
 
 def neighbors(view, v: int) -> list[int]:

@@ -16,6 +16,7 @@ import pytest
 import oracles
 from fqlab import (
     check_main_theorem,
+    degree_column,
     degree_profile,
     degree_sum_bound,
     degree_sum_check,
@@ -30,9 +31,9 @@ from fqlab import (
     mixing_check,
     ramanujan_bound,
     rank_point,
-    regular_view,
     spectrum,
     sphere_table,
+    sphere_transform,
     variance_bound,
     variance_check,
     verify_spectrum,
@@ -61,12 +62,12 @@ def spanning_sizes(n, trials):
 
 @pytest.fixture(scope="module")
 def instances():
-    """Graph, spectral summary, and neighbor-table view for all 44 instances."""
+    """Graph, spectral summary, and sphere transform for all 44 instances."""
     out = {}
     for p, dim, a in INSTANCES:
         G = euclid_graph(make_field(p), dim, a)
         s = spectrum(G)
-        out[(p, dim, a)] = (G, s, regular_view(G))
+        out[(p, dim, a)] = (G, s, sphere_transform(G))
     return out
 
 
@@ -132,17 +133,18 @@ def test_c3_eigenvalue_ceiling(capsys, instances):
 def test_c4_subset_inequality_batteries(capsys, instances):
     trials = 50
     checks = fails = 0
-    for (p, dim, a), (G, s, view) in instances.items():
+    for (p, dim, a), (G, s, T) in instances.items():
         n, k = G.n, G.valency
         rng = random.Random(f"battery|{p}|{dim}|{a}")
         for size in spanning_sizes(n, trials):
             B = rng.sample(range(n), size)
             C = rng.sample(range(n), rng.randint(1, n))
             b, c = len(B), len(C)
-            variance = variance_check(view, B)
-            deviation = mixing_check(view, B, C)[1]
-            hinges = hinge_count(view, B)
-            degree_sum = degree_sum_check(view, B)
+            deg = degree_column(G, T, B)
+            variance = variance_check(deg)
+            deviation = mixing_check(deg, C)[1]
+            hinges = hinge_count(deg, B)
+            degree_sum = degree_sum_check(deg, B)
             for lam in (s.second_eigenvalue, ramanujan_bound(p, dim)):
                 verdicts = (
                     variance <= variance_bound(n, lam, b) + TOL_BOUND,
@@ -161,14 +163,15 @@ def test_c4_subset_inequality_batteries(capsys, instances):
 
 
 def test_c5_oracle_equivalence(capsys):
-    F11 = make_field(11)
-    view11 = regular_view(euclid_graph(F11, 2, 1))
+    G11 = euclid_graph(make_field(11), 2, 1)
+    T11 = sphere_transform(G11)
     rng = random.Random("oracle|11|2|1")
     hinge_bad = 0
     for _ in range(100):
-        sub = rng.sample(range(view11.n), rng.randint(0, 60))
+        sub = rng.sample(range(G11.n), rng.randint(0, 60))
         pts = [rank_point(11, 2, r) for r in sub]
-        if hinge_count(view11, sub) != oracles.hinge_brute(11, 1, pts):
+        deg = degree_column(G11, T11, sub)
+        if hinge_count(deg, sub) != oracles.hinge_brute(11, 1, pts):
             hinge_bad += 1
     f_bad = 0
     f_sets = 0
@@ -177,10 +180,10 @@ def test_c5_oracle_equivalence(capsys):
         F = make_field(p)
         E = generate_point_set(F, dim, f"random:{size}", seed=seed)
         via_profile = degree_profile(F, dim, E).f_value()
-        via_hinges = sum(
-            hinge_count(regular_view(euclid_graph(F, dim, a)), E.ranks(p))
-            for a in range(1, p)
-        )
+        ranks, via_hinges = E.ranks(p), 0
+        for a in range(1, p):
+            G = euclid_graph(F, dim, a)
+            via_hinges += hinge_count(degree_column(G, sphere_transform(G), ranks), ranks)
         via_triples = oracles.f_brute(p, E.points)
         f_sets += 1
         if not (via_profile == via_hinges == via_triples):

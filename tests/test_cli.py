@@ -161,7 +161,6 @@ def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p,
     )
     monkeypatch.setattr(fqlab.euclid, "sphere_points", counted_sphere)
     monkeypatch.setattr(fqlab.geometry, "sphere_points", counted_sphere)
-    fqlab.euclid._sphere_cached.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = fqlab.make_field(p)
@@ -303,10 +302,12 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 
         return wrapper
 
-    for name in ("regular_view", "check_main_theorem"):
+    for name in ("sphere_transform", "degree_column", "check_main_theorem"):
         monkeypatch.setattr(cli, name, counted(name))
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
-    assert calls["regular_view"] == 2  # one per radius, shared by three checks
+    assert calls["sphere_transform"] == 2  # one per radius, shared by three checks
+    # one column per (check, subset): 2 radii x 3 checks x 2 trials
+    assert calls["degree_column"] == 12
     # F_3^2 and the size-1 subset, main and remark; the size-9 rung is F_3^2
     assert calls["check_main_theorem"] == 2
 
@@ -332,7 +333,8 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     assert main(argv) == 0
     # one count per (check, subset), judged under the exact and ceiling lambda
     assert calls == {name: 3 for name in names}
-    fqlab.euclid.regular_view(fqlab.euclid_graph(fqlab.make_field(7), 2, 1))
+    G = fqlab.euclid_graph(fqlab.make_field(7), 2, 1)
+    fqlab.euclid.degree_column(G, fqlab.euclid.sphere_transform(G), range(10))
     assert calls["spectrum"] == 0
 
 
@@ -478,15 +480,19 @@ def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
 
 
 def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
-    tables, alive, peak = Counter(), weakref.WeakSet(), []
-    view = cli.regular_view
+    transforms, columns, alive, peak = Counter(), Counter(), [], []
+    transform, column = cli.sphere_transform, cli.degree_column
 
     def tracked(G, **kwargs):
-        v = view(G, **kwargs)
-        tables[G.field.p, G.dim] += 1
-        alive.add(v)
-        peak.append(len(alive))
-        return v
+        T = transform(G, **kwargs)
+        transforms[G.field.p, G.dim] += 1
+        alive.append(weakref.ref(T))
+        peak.append(sum(ref() is not None for ref in alive))
+        return T
+
+    def counted_column(G, T, B):
+        columns[G.field.p, G.dim] += 1
+        return column(G, T, B)
 
     reported = []
     report = cli.check_main_theorem
@@ -495,14 +501,62 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         reported.append((F.p, dim, E.points))
         return report(F, dim, E, spectra, force=force)
 
-    monkeypatch.setattr(cli, "regular_view", tracked)
+    monkeypatch.setattr(cli, "sphere_transform", tracked)
+    monkeypatch.setattr(cli, "degree_column", counted_column)
     monkeypatch.setattr(cli, "check_main_theorem", counted)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
-    assert tables == {(3, 2): 2, (7, 2): 6}  # p - 1 tables per (p, dim)
+    assert transforms == {(3, 2): 2, (7, 2): 6}  # p - 1 transforms per (p, dim)
     assert max(peak) == 1
+    # one column per (distinct set, radius) serves all four counts
+    assert columns == {(3, 2): 3 * 2, (7, 2): 3 * 6}
     # per p: "all" once for both seeds, and two distinct random sets
     assert len(reported) == len(set(reported)) == 6
+
+
+def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
+    # with B = E the hinge and degree-sum counts of radius a are the sum of
+    # counts[x, a]**2 and of counts[x, a] over the set's degree profile
+    radius, seen = {}, []
+    column = cli.degree_column
+
+    def tracked_column(G, T, B):
+        radius.update(p=G.field.p, dim=G.dim, a=G.a)
+        return column(G, T, B)
+
+    def recorder(name, fn):
+        def wrapper(deg, E):
+            value = fn(deg, E)
+            seen.append((name, radius["p"], radius["dim"], radius["a"], tuple(E), value))
+            return value
+        return wrapper
+
+    monkeypatch.setattr(cli, "degree_column", tracked_column)
+    monkeypatch.setattr(cli, "hinge_count", recorder("hinges", cli.hinge_count))
+    monkeypatch.setattr(
+        cli, "degree_sum_check", recorder("degree-sum", cli.degree_sum_check)
+    )
+    grid = [{"primes": [3, 7], "dims": [2]}, {"primes": [3], "dims": [3]}]
+    run_sweep({**SMALL_CONFIG, "grid": grid}, jobs=1)
+    assert {(name, p, dim) for name, p, dim, *_ in seen} == {
+        (name, p, dim)
+        for name in ("hinges", "degree-sum")
+        for p, dim in ((3, 2), (7, 2), (3, 3))
+    }
+    for name, p, dim, a, ranks, value in seen:
+        points = tuple(fqlab.rank_point(p, dim, r) for r in ranks)
+        E = fqlab.PointSet(points=points, dim=dim)
+        counts = fqlab.degree_profile(fqlab.make_field(p), dim, E).counts[:, a]
+        assert value == int((counts**2).sum() if name == "hinges" else counts.sum())
+
+
+def test_fcount_profile_guardrail_message(capsys):
+    assert main(["fcount", "--q", "103", "--dim", "2", "--gen", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: |E|**2 = 112550881 exceeds the profile guardrail 100000000; "
+        "pass --force to override\n"
+    )
 
 
 def test_closed_stdout_exits_quietly():

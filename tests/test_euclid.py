@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import random
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +15,21 @@ from fqlab import (
     BadSpec,
     TooLarge,
     VerificationFailed,
+    VertexOutOfRange,
+    degree_column,
+    degree_sum_check,
     eigenvalues,
     euclid_graph,
+    hinge_count,
     make_field,
+    mixing_check,
     point_rank,
     ramanujan_bound,
-    regular_view,
     spectrum,
     sphere_size,
     sphere_table,
+    sphere_transform,
+    variance_check,
     verify_spectrum,
 )
 from fqlab.euclid import GROUP_TOL
@@ -277,7 +286,7 @@ def test_spectrum_guardrail():
         spectrum(euclid_graph(F, 3, 1))
 
 
-# --- regular view ----------------------------------------------------------
+# --- degree columns and the oracle neighbor table ----------------------------
 
 
 def test_regular_view_shape(g3_view):
@@ -293,3 +302,111 @@ def test_regular_view_neighbors_match_brute(g3_view):
         got = sorted(oracles.neighbors(g3_view, r))
         want = sorted(point_rank(3, y) for y in oracles.neighbors_brute(3, 2, 1, x))
         assert got == want
+
+
+def assert_column_matches_table(G, view, B, C):
+    """The FFT degree column of B equals the neighbor-table column, and each
+    count read off it equals the literal count over the table."""
+    deg = degree_column(G, sphere_transform(G), B)
+    assert deg.dtype == np.int64
+    assert np.array_equal(deg, oracles.view_column(view, B))
+    variance, e, hinges, degree_sum = oracles.table_counts(view, B, C)
+    b, c = len(set(B)), len(set(C))
+    assert variance_check(deg) == variance
+    assert mixing_check(deg, C) == (e, abs(e - Fraction(G.valency * b * c, G.n)))
+    assert hinge_count(deg, B) == hinges
+    assert degree_sum_check(deg, B) == degree_sum
+
+
+def test_degree_columns_match_neighbor_tables_on_grid():
+    for p, dim, a in INSTANCES:
+        G = graph(p, dim, a)
+        view = oracles.regular_view(G)
+        rng = random.Random(f"column|{p}|{dim}|{a}")
+        for size in (0, 1, 2, G.n // 3, G.n):
+            B = rng.sample(range(G.n), size)
+            C = rng.sample(range(G.n), rng.randint(0, G.n))
+            assert_column_matches_table(G, view, B, C)
+
+
+@st.composite
+def column_cases(draw):
+    """(p, dim, a, B, C) on a space of at most 7**4 points; B and C may
+    repeat ranks."""
+    p, dim = draw(st.sampled_from(
+        [(p, d) for p in (3, 5, 7, 11, 13) for d in (2, 3, 4) if p**d <= 7**4]
+    ))
+    ranks = st.lists(st.integers(0, p**dim - 1), max_size=300)
+    return p, dim, draw(st.integers(1, p - 1)), draw(ranks), draw(ranks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(column_cases())
+@example((5, 4, 2, list(range(625)), [0, 0, 7]))
+@example((13, 2, 5, [3, 3, 168], list(range(169))))
+@example((13, 3, 1, list(range(0, 2197, 5)), [1]))
+@example((7, 4, 3, [], list(range(2401))))
+def test_degree_columns_match_neighbor_tables_random_spaces(case):
+    p, dim, a, B, C = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        G = euclid_graph(make_field(p), dim, a)
+    assert_column_matches_table(G, oracles.regular_view(G), B, C)
+
+
+def test_degree_column_edge_cases(f7):
+    G = euclid_graph(f7, 2, 3)
+    T, view, n, k = sphere_transform(G), oracles.regular_view(G), G.n, G.valency
+    empty, one, full = (degree_column(G, T, B) for B in ([], [5], range(n)))
+    assert not empty.any()
+    assert one.sum() == k and set(one.tolist()) == {0, 1}
+    assert (full == k).all()
+    assert np.array_equal(degree_column(G, T, [4, 9, 4, 4]), degree_column(G, T, [9, 4]))
+    for B in ([], [5], range(n), [4, 9, 4, 4]):
+        assert_column_matches_table(G, view, B, [4, 5, 5, 30])
+    for bad in ([n], [-1], [0, n + 3]):
+        with pytest.raises(VertexOutOfRange):
+            degree_column(G, T, bad)
+    with pytest.raises(VertexOutOfRange):
+        mixing_check(one, [n])
+    with pytest.raises(VertexOutOfRange):
+        hinge_count(one, [-1])
+    with pytest.raises(VertexOutOfRange):
+        degree_sum_check(one, [n])
+
+
+def test_degree_column_certificate(f3):
+    G1, G2 = euclid_graph(f3, 3, 1), euclid_graph(f3, 3, 2)  # valencies 6 and 12
+    T1, T2 = sphere_transform(G1), sphere_transform(G2)
+    degree_column(G1, T1, range(27))
+    with pytest.raises(VerificationFailed):
+        degree_column(G1, T1 * 1.5, [0, 5, 7])  # entries leave the integers
+    with pytest.raises(VerificationFailed):
+        degree_column(G1, T2, [0, 5, 7])  # exact integers, wrong total
+
+
+def test_sphere_transform_guardrail():
+    G = euclid_graph(make_field(103), 3, 1)
+    with pytest.raises(TooLarge, match="pass --force to override"):
+        sphere_transform(G)
+
+
+def test_subset_counts_peak_memory():
+    # one radius of F_43^3: n = 79,507 vertices of valency 1,806, so
+    # an n x k neighbor table alone would take about 1.2 GB
+    G = euclid_graph(make_field(43), 3, 1)
+    rng = random.Random(1)
+    sets = [rng.sample(range(G.n), size) for size in (1, 282, G.n)]
+    tracemalloc.start()
+    try:
+        T = sphere_transform(G)
+        for B in sets:
+            deg = degree_column(G, T, B)
+            variance_check(deg)
+            mixing_check(deg, B)
+            hinge_count(deg, B)
+            degree_sum_check(deg, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

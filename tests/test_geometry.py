@@ -10,7 +10,6 @@ from fqlab import (
     InfeasibleSize,
     PointSet,
     TooLarge,
-    format_point_text,
     generate_point_set,
     load_point_set,
     make_field,
@@ -238,7 +237,7 @@ def test_generate_random_no_duplicates(seed):
 
 def test_parse_point_text_roundtrip(f7):
     E = generate_point_set(f7, 3, "random:6", seed=9)
-    again = load_point_set(format_point_text(E), f7, dim=3)
+    again = load_point_set(oracles.format_point_text(E), f7, dim=3)
     assert again.points == E.points
 
 
