@@ -31,14 +31,12 @@ from .errors import (
 from .euclid import (
     EuclidGraphSpec,
     SpectralSummary,
-    SpectrumDiagnostics,
     degree_column,
-    eigenvalues,
     euclid_graph,
     ramanujan_bound,
+    recheck_spectrum,
     spectrum,
     sphere_transform,
-    verify_spectrum,
 )
 from .field import PrimeField, is_prime, make_field
 from .geometry import (
@@ -83,9 +81,8 @@ __all__ = [
     "mixing_bound", "mixing_check", "variance_bound", "variance_check",
     "within_bound",
     # euclid
-    "EuclidGraphSpec", "SpectralSummary", "SpectrumDiagnostics",
-    "degree_column", "eigenvalues", "euclid_graph", "ramanujan_bound",
-    "spectrum", "sphere_transform", "verify_spectrum",
+    "EuclidGraphSpec", "SpectralSummary", "degree_column", "euclid_graph",
+    "ramanujan_bound", "recheck_spectrum", "spectrum", "sphere_transform",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

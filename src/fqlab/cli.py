@@ -34,9 +34,9 @@ from .euclid import (
     degree_column,
     euclid_graph,
     guard_spectrum,
+    recheck_spectrum,
     sphere_transform,
     spectrum,
-    verify_spectrum,
 )
 from .field import PrimeField, make_field
 from .geometry import (
@@ -227,31 +227,27 @@ def _status(ok: bool) -> str:
 # checks, each written once and shared by verify, sweep, spectrum and fcount
 
 
-def _spectrum_verdict(G, s, sample_count, seed, force) -> tuple[bool, str]:
-    """The ceiling test on one radius' spectrum plus its independent recheck."""
+def _spectrum_verdict(G, s, T) -> tuple[bool, str]:
+    """The ceiling test on one radius' spectrum plus its independent recheck
+    against the radius' sphere transform T."""
     ok = within_bound(s.second_eigenvalue, s.ramanujan_bound)
     detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
     try:
-        diag = verify_spectrum(G, s, sample_count=sample_count, seed=seed, force=force)
-        detail += f";eigvec={diag.max_eigvec_residual:.3g}"
+        detail += f";eigvec={recheck_spectrum(G, s, T):.3g}"
     except VerificationFailed as exc:
         ok = False
         detail += f";{exc}"
     return ok, detail
 
 
-def _subset_rows(G, s, items, force):
+def _subset_rows(G, s, T, items):
     """Yield (i, lam_kind, lhs, rhs, holds, detail) for the i-th (check, B,
     C) item, under the exact second eigenvalue of s and under its ceiling;
     hinge yields the squared bound and the degree-sum step it squares.
     Each count is made once and judged under both lambdas.  Every count
-    reduces the degree column of B; consecutive items with the same B
-    object share one column.  The radius' sphere transform is computed
-    once and freed on return, so one is alive at a time.
+    reduces the degree column of B against the radius' sphere transform T;
+    consecutive items with the same B object share one column.
     """
-    if not items:
-        return
-    T = sphere_transform(G, force=force)
     n, k = G.n, G.valency
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
     last_B = deg = None
@@ -329,13 +325,23 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
     summary lines) pair out[check].
 
     Each subset check draws its (B, C) pairs from its own seeded stream, B
-    then C per trial, and all of them run against one sphere transform.
+    then C per trial.  The spectrum recheck and every subset count run
+    against one sphere transform, made only if one of them is asked for and
+    freed on return.
     """
     p = F.p
     G = euclid_graph(F, dim, a)
+    items, trials = [], []
+    for check in (c for c in checks if c in SUBSET_CHECKS):
+        rng = random.Random(derive_seed(args.seed, check, p, dim, a))
+        for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
+            B = rng.sample(range(G.n), size)
+            C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
+            items.append((check, B, C))
+            trials.append(trial)
+    T = sphere_transform(G, force=args.force) if items or "spectrum" in checks else None
     if "spectrum" in checks:
-        seed = derive_seed(args.seed, "spectrum", a)
-        ok, detail = _spectrum_verdict(G, s, 8, seed, args.force)
+        ok, detail = _spectrum_verdict(G, s, T)
         out["spectrum"][0].append(_verify_record(
             "spectrum", p, dim, args.seed, s.second_eigenvalue, s.ramanujan_bound,
             ok, detail, a=a,
@@ -345,16 +351,8 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
             f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
             f"{_status(ok)}"
         )
-    items, trials = [], []
-    for check in (c for c in checks if c in SUBSET_CHECKS):
-        rng = random.Random(derive_seed(args.seed, check, p, dim, a))
-        for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
-            B = rng.sample(range(G.n), size)
-            C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
-            items.append((check, B, C))
-            trials.append(trial)
     oks = {check: True for check, _, _ in items}
-    for i, lam_kind, lhs, rhs, holds, detail in _subset_rows(G, s, items, args.force):
+    for i, lam_kind, lhs, rhs, holds, detail in _subset_rows(G, s, T, items):
         (check, B, C), trial = items[i], trials[i]
         oks[check] &= holds
         out[check][0].append(_verify_record(
@@ -430,7 +428,7 @@ def cmd_spectrum(args) -> int:
     for a in radii:
         G = euclid_graph(F, args.dim, a)
         s = spectrum(G, force=args.force)
-        bound_ok, detail = _spectrum_verdict(G, s, 4, args.seed, args.force)
+        bound_ok, detail = _spectrum_verdict(G, s, sphere_transform(G, force=args.force))
         if not bound_ok:
             print(f"a={a}: check failed: {detail}")
         all_ok &= bound_ok
@@ -632,7 +630,8 @@ def _run_sweep_group(task) -> list[dict]:
     report first (a generator that ignores the seed is generated once, and
     sets with the same ranks in the same order share one report and one set
     of subset verdicts), then one pass per radius for the spectrum verdict
-    and the subset checks, the records last.
+    and the subset checks, which share the radius' sphere transform, the
+    records last.
     """
     p, dim, gens, seeds, checks, digest, force, allow = task
     with warnings.catch_warnings():
@@ -668,16 +667,18 @@ def _run_sweep_group(task) -> list[dict]:
     oks = {key: {} for _, key in cells}
     sets = list(oks)
     spectrum_ok = True
+    items = [(c, key, key) for key in sets for c in checks if c in SUBSET_CHECKS]
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
-        if "spectrum" in checks and spectrum_ok:
-            spec_seed = derive_seed(digest, p, dim, a)
-            spectrum_ok = _spectrum_verdict(G, spectra[a], 4, spec_seed, force)[0]
-        items = [(c, key, key) for key in sets for c in checks if c in SUBSET_CHECKS]
-        for i, *_, holds, detail in _subset_rows(G, spectra[a], items, force):
+        recheck = "spectrum" in checks and spectrum_ok
+        T = sphere_transform(G, force=force) if recheck or items else None
+        if recheck:
+            spectrum_ok = _spectrum_verdict(G, spectra[a], T)[0]
+        for i, *_, holds, detail in _subset_rows(G, spectra[a], T, items):
             check, key, _ = items[i]
             name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
             oks[key][name] = oks[key].get(name, True) and holds
+        del T  # freed before the next radius' transform is made
     for rec, key in cells:
         report, verdicts = reports.get(key), []
         if report is not None:
@@ -824,7 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="eigenvalues of one or all radii")
     add_common(sp)
     sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="write records to this path")
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.set_defaults(func=cmd_spectrum)

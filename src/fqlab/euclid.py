@@ -13,14 +13,18 @@ sphere is also invariant under the orthogonal group, which is transitive
 on nonzero vectors of equal norm, so lam_m depends only on ||m||: every
 radius has at most p + 1 distinct eigenvalues, with sphere sizes as
 multiplicities.  The module computes one p x p table of them per (p, dim),
-for all radii at once (never via a dense eigensolver), and verify_spectrum
-rechecks each summary against trace identities and explicit neighbor sums
-so the table never goes unchecked.
+for all radii at once (never via a dense eigensolver).
+
+sphere_transform is the Fourier transform of the sphere indicator over
+Z_p^dim, so its value at m is lam_m computed by another route: one FFT,
+with neither the orthogonal symmetry nor the table.  recheck_spectrum
+compares the table with it at every frequency, and checks the trace
+identities, so the table never goes unchecked.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
 of B and of the sphere over Z_p^dim, so degree_column computes it for
-every v with one pair of FFTs against sphere_transform, in O(n log n)
+every v with one pair of FFTs against the same transform, in O(n log n)
 time and O(n) memory.
 """
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +43,7 @@ from .errors import (
     VerificationFailed,
 )
 from .field import PrimeField
-from .geometry import (
-    coords_to_ranks,
-    norm,
-    rank_point,
-    ranks_to_coords,
-    sphere_points,
-    sphere_size,
-    sphere_table,
-)
+from .geometry import ranks_to_coords, sphere_size, sphere_table
 from .spectral import vertex_array
 
 # Spectrum and degree-column work is refused above this many vertices
@@ -85,12 +80,6 @@ def euclid_graph(F: PrimeField, dim: int, a: int) -> EuclidGraphSpec:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _char_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    angles = 2.0 * math.pi * np.arange(p) / p
-    return np.cos(angles), np.sin(angles)
-
-
 def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
     """Refuse spectrum and degree-column work on p**dim > SPECTRUM_MAX
     vertices unless forced; every such route calls this one check."""
@@ -120,7 +109,8 @@ def _norm_class_table(F: PrimeField, dim: int) -> tuple[np.ndarray, np.ndarray]:
     p = F.p
     X = ranks_to_coords(p, dim, np.arange(p**dim, dtype=np.int64))
     norms = (X * X).sum(axis=1) % p
-    cos_t, sin_t = _char_tables(p)
+    angles = 2.0 * math.pi * np.arange(p) / p
+    cos_t, sin_t = np.cos(angles), np.sin(angles)
     values = np.zeros((p, p))
     imag = np.zeros((p, p))
     classes, first = np.unique(norms[1:], return_index=True)
@@ -144,16 +134,6 @@ def _radius_row(G: EuclidGraphSpec, force: bool) -> tuple[np.ndarray, float]:
     if imag_max > IMAG_TOL:
         raise ImagResidualTooLarge(f"worst imaginary residual {imag_max!r}")
     return values[G.a], imag_max
-
-
-def eigenvalues(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
-    """All p**dim eigenvalues, indexed by the rank of the frequency vector."""
-    row, _ = _radius_row(G, force)
-    p = G.field.p
-    M = ranks_to_coords(p, G.dim, np.arange(G.n, dtype=np.int64))
-    lam = row[(M * M).sum(axis=1) % p]
-    lam[0] = G.valency  # m = 0 has norm 0 but is a class of its own
-    return lam
 
 
 def _group_classes(
@@ -230,34 +210,44 @@ def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumDiagnostics:
-    max_eigvec_residual: float
-    sampled_ranks: tuple[int, ...]
+def _norm_grid(p: int, dim: int) -> np.ndarray:
+    """||x|| for every x in Z_p^dim, as a (p,) * dim array indexed by the
+    coordinates (norms are symmetric in them, so the axis order needs no
+    care)."""
+    squares = np.arange(p, dtype=np.int64) ** 2 % p
+    return functools.reduce(np.add.outer, [squares] * dim) % p
 
 
-def verify_spectrum(
-    G: EuclidGraphSpec,
-    s: SpectralSummary,
-    sample_count: int = 8,
-    seed: int = 0,
-    force: bool = False,
-) -> SpectrumDiagnostics:
-    """Recheck the spectrum summary s of G against graph-side identities.
+def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
+    """rfftn of the radius-a sphere indicator over Z_p^dim.
+
+    The indicator is norms == a over all p**dim points, laid out in rank
+    order as a (p,) * dim array.  T[m] = sum over s with ||s|| = a of
+    exp(-2*pi*i*(m.s)/p), which is lam_m, for the half of the frequencies
+    whose last axis index is at most p // 2 (the rest are their negatives,
+    with the same norm and value).  No sphere is enumerated and no
+    eigenvalue is read, which keeps the recheck and the subset counts
+    independent of the spectrum they are judged against.
+    """
+    guard_spectrum(G.field.p, G.dim, force)
+    return np.fft.rfftn(_norm_grid(G.field.p, G.dim) == G.a)
+
+
+def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> float:
+    """Recheck the spectrum summary s of G; returns the worst eigenvector
+    residual.
 
     The eigenvalue sum must vanish (no loops) and the square sum must be
     n * valency (each vertex closes valency 2-walks), both to TRACE_REL_TOL
-    relative to n * valency; s carries both residuals.  For sample_count
-    seeded random frequencies m, adjacency is applied to the character
-    vectors by explicit neighbor summation (one pass over the sphere, n x
-    sample_count complex values) and compared with the value s gives for
-    ||m||, so a wrong norm-class table cannot pass; the max-norm residual
-    must stay under EIGVEC_TOL times the valency.  Raises VerificationFailed
-    on any breach, BadSpec if s belongs to another graph.
+    relative to n * valency; s carries both residuals.  Then the value s
+    gives for ||m|| is compared with T[m], T = sphere_transform(G), at every
+    frequency m: |T[m] - lam| is the max-norm residual of A chi_m - lam chi_m
+    for the character chi_m, so a wrong norm-class table cannot pass.  The
+    worst residual must stay under EIGVEC_TOL times the valency.  Raises
+    VerificationFailed on any breach, BadSpec if s belongs to another graph.
     """
     if (s.p, s.dim, s.a) != (G.field.p, G.dim, G.a):
         raise BadSpec(f"summary of (p, dim, a) = {(s.p, s.dim, s.a)} is for another graph")
-    guard_spectrum(G.field.p, G.dim, force)
     n, k, p = G.n, G.valency, G.field.p
     trace_tol = TRACE_REL_TOL * n * k
     r1, r2 = s.trace_sum_residual, s.trace_square_residual
@@ -265,43 +255,19 @@ def verify_spectrum(
         raise VerificationFailed(
             f"trace residuals ({r1}, {r2}) exceed tolerance {trace_tol}"
         )
-    rng = random.Random(seed)
-    sampled = tuple(sorted(rng.sample(range(n), min(sample_count, n))))
-    M = ranks_to_coords(p, G.dim, np.arange(n, dtype=np.int64))
-    phase = (M @ ranks_to_coords(p, G.dim, sampled).T) % p
-    cos_t, sin_t = _char_tables(p)
-    V = cos_t[phase] + 1j * sin_t[phase]
-    AV = np.zeros_like(V)
-    for x in np.array(sphere_points(G.field, G.dim, G.a, force=force), dtype=np.int64):
-        AV += V[coords_to_ranks(p, (M + x) % p)]
+    lam = np.array(s.norm_values)[_norm_grid(p, G.dim)[..., : p // 2 + 1]]
+    lam[(0,) * G.dim] = s.trivial_eigenvalue  # m = 0 is a class of its own
+    resid = np.abs(T - lam)
+    worst = float(resid.max())
     eig_tol = EIGVEC_TOL * k
-    worst = 0.0
-    for j, rm in enumerate(sampled):
-        m = rank_point(p, G.dim, rm)
-        lam = s.norm_values[norm(G.field, m)] if rm else s.trivial_eigenvalue
-        resid = float(np.abs(AV[:, j] - lam * V[:, j]).max())
-        worst = max(worst, resid)
-        if resid > eig_tol:
-            raise VerificationFailed(
-                f"eigenvector residual {resid} at m = {m} exceeds {eig_tol}"
-            )
-    return SpectrumDiagnostics(max_eigvec_residual=worst, sampled_ranks=sampled)
-
-
-def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
-    """rfftn of the radius-a sphere indicator over Z_p^dim.
-
-    The indicator is norms == a over all p**dim points, laid out in rank
-    order as a (p,) * dim array (norms are symmetric in the coordinates, so
-    the layout needs no care); no sphere is enumerated and no eigenvalue
-    is read, which keeps the subset counts independent of the spectrum
-    they are judged against.
-    """
-    p = G.field.p
-    guard_spectrum(p, G.dim, force)
-    squares = np.arange(p, dtype=np.int64) ** 2 % p
-    norms = functools.reduce(np.add.outer, [squares] * G.dim) % p
-    return np.fft.rfftn(norms == G.a)
+    if worst > eig_tol:
+        # axis j of the rank-order layout holds coordinate dim - 1 - j
+        at = np.unravel_index(resid.argmax(), resid.shape)
+        m = tuple(int(c) for c in reversed(at))
+        raise VerificationFailed(
+            f"eigenvector residual {worst} at m = {m} exceeds {eig_tol}"
+        )
+    return worst
 
 
 def degree_column(G: EuclidGraphSpec, T: np.ndarray, B) -> np.ndarray:

@@ -4,9 +4,9 @@ Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres, neighbor tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
-evidence, not tautology.  The distance, adjacency, neighbor-table and
-point-text helpers the tests need, and the package does not, live here
-too.
+evidence, not tautology.  The distance, adjacency, neighbor-table,
+eigenvalue-gather and point-text helpers the tests need, and the package
+does not, live here too.
 """
 
 import math
@@ -237,6 +237,34 @@ def eigenvalues_brute(p: int, dim: int, a: int) -> tuple[np.ndarray, float]:
         lam[start:start + block] = np.cos(phase).sum(axis=1)
         imag = max(imag, float(np.abs(np.sin(phase).sum(axis=1)).max()))
     return lam, imag
+
+
+def eigenvalues(s) -> np.ndarray:
+    """All p**dim eigenvalues of a spectral summary s, indexed by the rank
+    of the frequency vector: s.norm_values gathered by norm, with m = 0
+    carrying s.trivial_eigenvalue."""
+    lam = np.array(s.norm_values)[(points_by_rank(s.p, s.dim) ** 2).sum(axis=1) % s.p]
+    lam[0] = s.trivial_eigenvalue  # m = 0 has norm 0 but is a class of its own
+    return lam
+
+
+def eigvec_residual_brute(G, s, ranks) -> float:
+    """max over the frequency ranks given of ||A chi_m - lam chi_m||_inf,
+    where chi_m(x) = exp(2*pi*i*(m.x)/p), A is applied by explicit neighbor
+    sums over the radius-a sphere (n x len(ranks) complex values), and lam
+    is the value the summary s gives for ||m||."""
+    p, dim = G.field.p, G.dim
+    X = points_by_rank(p, dim)
+    ranks = list(ranks)
+    V = np.exp(2j * np.pi * ((X @ X[ranks].T) % p) / p)
+    AV = np.zeros_like(V)
+    weights = p ** np.arange(dim)
+    for x in sphere_points_brute(p, dim, G.a):
+        AV += V[((X + np.array(x)) % p) @ weights]
+    lam = np.array([
+        s.norm_values[norm_brute(p, X[r])] if r else s.trivial_eigenvalue for r in ranks
+    ])
+    return float(np.abs(AV - lam * V).max())
 
 
 def group_classes_brute(lam: np.ndarray, tol: float) -> list[tuple[float, int]]:

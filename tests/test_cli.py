@@ -122,10 +122,10 @@ def test_spectrum_command(capsys, tmp_path):
 
 
 def test_spectrum_verification_failure_exits_1(monkeypatch):
-    def boom(G, s, sample_count=4, seed=0, force=False):
+    def boom(G, s, T):
         raise VerificationFailed("synthetic")
 
-    monkeypatch.setattr(cli, "verify_spectrum", boom)
+    monkeypatch.setattr(cli, "recheck_spectrum", boom)
     assert main(["spectrum", "--q", "3", "--dim", "2", "--a", "1"]) == 1
 
 
@@ -143,10 +143,13 @@ def test_spectrum_computes_each_eigenvalue_array_once(monkeypatch):
     assert calls == Counter(range(1, 7))
 
 
-@pytest.mark.parametrize("p,dim", [(11, 2), (7, 3), (5, 4)])
+@pytest.mark.parametrize("p,dim", [(11, 2), (7, 3), (5, 4), (7, 2)])
 def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p, dim):
-    builds, enumerated = Counter(), Counter()
+    # the spectrum command rechecks every radius against its own sphere
+    # transform, still without enumerating a sphere
+    builds, enumerated, transforms = Counter(), Counter(), Counter()
     build = fqlab.euclid._norm_class_table.__wrapped__
+    transform = cli.sphere_transform
 
     def counted_build(F, dim):
         builds[F.p, dim] += 1
@@ -156,17 +159,29 @@ def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p,
         enumerated[a] += 1
         return []
 
+    def counted_transform(G, **kwargs):
+        transforms[G.a] += 1
+        return transform(G, **kwargs)
+
     monkeypatch.setattr(
         fqlab.euclid, "_norm_class_table", functools.lru_cache(maxsize=16)(counted_build)
     )
-    monkeypatch.setattr(fqlab.euclid, "sphere_points", counted_sphere)
     monkeypatch.setattr(fqlab.geometry, "sphere_points", counted_sphere)
+    monkeypatch.setattr(cli, "sphere_points", counted_sphere)
+    monkeypatch.setattr(cli, "sphere_transform", counted_transform)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = fqlab.make_field(p)
     spectra = cli._spectra_for(F, dim, range(1, p), force=False)
     assert sorted(spectra) == list(range(1, p))
     assert builds == Counter({(p, dim): 1})
+    assert not enumerated and not transforms
+    argv = ["spectrum", "--q", str(p), "--dim", str(dim), "--allow-1mod4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    assert builds == Counter({(p, dim): 1})
+    assert transforms == Counter(range(1, p))  # one per radius
     assert not enumerated
 
 
@@ -310,6 +325,20 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
     assert calls["degree_column"] == 12
     # F_3^2 and the size-1 subset, main and remark; the size-9 rung is F_3^2
     assert calls["check_main_theorem"] == 2
+
+
+def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
+    made = []
+    transform = cli.sphere_transform
+
+    def counted(G, **kwargs):
+        made.append(G.a)
+        return transform(G, **kwargs)
+
+    monkeypatch.setattr(cli, "sphere_transform", counted)
+    assert main(["verify", "--q", "7", "--dim", "2", "--checks", "main,remark",
+                 "--trials", "2"]) == 0
+    assert made == []
 
 
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -18,19 +19,19 @@ from fqlab import (
     VertexOutOfRange,
     degree_column,
     degree_sum_check,
-    eigenvalues,
     euclid_graph,
     hinge_count,
     make_field,
     mixing_check,
     point_rank,
     ramanujan_bound,
+    rank_point,
+    recheck_spectrum,
     spectrum,
     sphere_size,
     sphere_table,
     sphere_transform,
     variance_check,
-    verify_spectrum,
 )
 from fqlab.euclid import GROUP_TOL
 
@@ -97,7 +98,7 @@ def G_all_points():
 
 
 def test_eigenvalue_at_examples(f3):
-    lam = eigenvalues(euclid_graph(f3, 2, 1))
+    lam = oracles.eigenvalues(spectrum(euclid_graph(f3, 2, 1)))
     for m, want in [((0, 0), 4.0), ((1, 0), 1.0), ((1, 1), -2.0)]:
         assert oracles.eigenvalue_at_brute(3, 2, 1, m) == pytest.approx(want, abs=1e-9)
         assert lam[point_rank(3, m)] == pytest.approx(want, abs=1e-9)
@@ -107,8 +108,8 @@ def _match_oracle(G):
     """The norm-class table against the whole-sphere character sum for
     every frequency; returns the spectrum."""
     lam_ref, imag_ref = oracles.eigenvalues_brute(G.field.p, G.dim, G.a)
-    assert np.abs(eigenvalues(G) - lam_ref).max() <= 1e-9
     s = spectrum(G)
+    assert np.abs(oracles.eigenvalues(s) - lam_ref).max() <= 1e-9
     ref = oracles.group_classes_brute(lam_ref, GROUP_TOL)
     assert [m for _, m in s.classes] == [m for _, m in ref]
     assert np.allclose([v for v, _ in s.classes], [v for v, _ in ref], rtol=0, atol=1e-9)
@@ -141,13 +142,13 @@ SMALL_SPACES = [
 @example((3, 5), 1)
 def test_eigenvalues_match_oracle_random_spaces(space, a_seed):
     # p = 1 mod 4 gives a nonzero isotropic class in dim 2; dim >= 4
-    # enumerates spheres by descent in the eigenvector recheck
+    # exercises the table and the transform over a deeper norm grid
     p, dim = space
     a = 1 + a_seed % (p - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         G = graph(p, dim, a)
-    verify_spectrum(G, _match_oracle(G), sample_count=4, seed=a_seed)
+    recheck_spectrum(G, _match_oracle(G), sphere_transform(G))
 
 
 def test_spectrum_g31(f3):
@@ -173,7 +174,7 @@ def test_eigenvalue_bound_all_instances(p, dim, a):
 @pytest.mark.parametrize("p,dim,a", INSTANCES)
 def test_trace_moments_all_instances(p, dim, a):
     G = graph(p, dim, a)
-    lam = eigenvalues(G)
+    lam = oracles.eigenvalues(spectrum(G))
     nk = G.n * G.valency
     assert abs(lam.sum()) <= 1e-6 * nk
     assert abs((lam * lam).sum() - nk) <= 1e-6 * nk
@@ -185,7 +186,7 @@ def test_multiplicities_sum_to_n(f7):
 
 
 def test_spectrum_negation_symmetric(f7):
-    lam = eigenvalues(euclid_graph(f7, 2, 1))
+    lam = oracles.eigenvalues(spectrum(euclid_graph(f7, 2, 1)))
     for m in [(1, 2), (3, 0), (5, 6)]:
         neg = tuple((-c) % 7 for c in m)
         assert lam[point_rank(7, m)] == pytest.approx(lam[point_rank(7, neg)], abs=1e-9)
@@ -199,7 +200,7 @@ def test_closed_walks_match_dense_matrix_powers(p, dim, a):
     # basis-independent: trace(A), trace(A^2), trace(A^3) against sum(lam^j)
     A = oracles.adjacency_matrix_brute(p, dim, a)
     w1, w2, w3 = oracles.closed_walk_counts(A)
-    lam = eigenvalues(graph(p, dim, a))
+    lam = oracles.eigenvalues(spectrum(graph(p, dim, a)))
     assert w1 == 0
     assert abs(lam.sum() - w1) <= 1e-6 * max(1, w2)
     assert abs((lam**2).sum() - w2) <= 1e-6 * w2
@@ -219,16 +220,47 @@ def test_degree_rows_all_equal_valency(f7):
 
 def test_verify_spectrum_residuals(f3, f7):
     G3, G7 = euclid_graph(f3, 2, 1), euclid_graph(f7, 2, 1)
-    d = verify_spectrum(G3, spectrum(G3), sample_count=9, seed=5)
-    assert d.max_eigvec_residual <= 1e-8 * 4
-    d7 = verify_spectrum(G7, spectrum(G7), sample_count=8, seed=5)
-    assert d7.max_eigvec_residual <= 1e-8 * 8
+    assert recheck_spectrum(G3, spectrum(G3), sphere_transform(G3)) <= 1e-8 * 4
+    assert recheck_spectrum(G7, spectrum(G7), sphere_transform(G7)) <= 1e-8 * 8
+
+
+def _residual_at(G, s, T, r):
+    """|T[m] - lam(||m||)| at the frequency m of rank r, read off the half
+    spectrum in rank-order layout (axis j holds coordinate dim - 1 - j); a
+    frequency outside the half is read at -m, which has the same norm."""
+    p = G.field.p
+    m = rank_point(p, G.dim, r)
+    if m[0] > p // 2:
+        m = tuple(-c % p for c in m)
+    lam = s.norm_values[sum(c * c for c in m) % p] if r else s.trivial_eigenvalue
+    return abs(T[m[::-1]] - lam)
+
+
+@pytest.mark.parametrize("p,dim,a", INSTANCES)
+def test_recheck_matches_neighbor_sum_oracle(p, dim, a):
+    # every frequency stays within the pinned 1e-8 relative residual, and
+    # at 8 sampled frequencies the transform's residual is the explicit
+    # neighbor sums' one, for the true summary and for one whose class
+    # values are all shifted
+    G = graph(p, dim, a)
+    s, T = spectrum(G), sphere_transform(G)
+    assert recheck_spectrum(G, s, T) <= 1e-8 * G.valency
+    ranks = sorted(random.Random(p * 100 + a).sample(range(G.n), 8))
+    shifted = dataclasses.replace(
+        s, norm_values=tuple(v + 0.01 * (c + 1) for c, v in enumerate(s.norm_values))
+    )
+    for summary in (s, shifted):
+        for r in ranks:
+            brute = oracles.eigvec_residual_brute(G, summary, [r])
+            assert _residual_at(G, summary, T, r) == pytest.approx(brute, abs=1e-12)
+    with pytest.raises(VerificationFailed, match="eigenvector residual"):
+        recheck_spectrum(G, shifted, T)
 
 
 def test_verify_spectrum_trace_values(f3, f7):
-    lam3 = eigenvalues(euclid_graph(f3, 2, 1))
+    lam3 = oracles.eigenvalues(spectrum(euclid_graph(f3, 2, 1)))
     assert (lam3 * lam3).sum() == pytest.approx(36, rel=1e-9)
-    lam7 = eigenvalues(euclid_graph(f7, 2, 1))
+    lam7 = oracles.eigenvalues(spectrum(euclid_graph(f7, 2, 1)))
     assert (lam7 * lam7).sum() == pytest.approx(392, rel=1e-9)
 
 
@@ -249,13 +281,13 @@ def test_verify_spectrum_detects_corruption(f3, monkeypatch):
 
     _corrupt_class_table(monkeypatch, f3, 2, shift)
     with pytest.raises(VerificationFailed):
-        verify_spectrum(G, spectrum(G), sample_count=9, seed=0)
+        recheck_spectrum(G, spectrum(G), sphere_transform(G))
 
 
 def test_verify_spectrum_detects_swapped_classes(f7, monkeypatch):
     # Two norm classes of equal size trade values: the multiset of
     # eigenvalues, and so both trace sums, stay as they were, and only the
-    # sampled eigenvector check can tell.
+    # eigenvector check can tell; it names a frequency of a swapped class.
     G = euclid_graph(f7, 2, 1)
     sizes = sphere_table(f7, 2).sizes
     c1, c2 = 1, 3
@@ -271,13 +303,16 @@ def test_verify_spectrum_detects_swapped_classes(f7, monkeypatch):
     assert bad.classes == good.classes
     assert bad.trace_sum_residual == pytest.approx(good.trace_sum_residual, abs=1e-9)
     assert bad.trace_square_residual == pytest.approx(good.trace_square_residual, abs=1e-9)
-    with pytest.raises(VerificationFailed, match="eigenvector residual"):
-        verify_spectrum(G, bad, sample_count=G.n, seed=0)
+    with pytest.raises(VerificationFailed, match="eigenvector residual") as info:
+        recheck_spectrum(G, bad, sphere_transform(G))
+    m = re.search(r"at m = \((\d+), (\d+)\)", str(info.value)).groups()
+    assert sum(int(c) ** 2 for c in m) % 7 in (c1, c2)
 
 
 def test_verify_spectrum_rejects_foreign_summary(f7):
+    G = euclid_graph(f7, 2, 1)
     with pytest.raises(BadSpec):
-        verify_spectrum(euclid_graph(f7, 2, 1), spectrum(euclid_graph(f7, 2, 3)))
+        recheck_spectrum(G, spectrum(euclid_graph(f7, 2, 3)), sphere_transform(G))
 
 
 def test_spectrum_guardrail():

@@ -27,7 +27,7 @@ RECORD_DIGESTS = [
     (["sweep", "--default", "--jobs", "1", "--format", "csv"],
      "f0c4ca9a02bf56413ef52ce0b7efd5b6243aea380a83125566080172a341ef7f"),
     (VERIFY_ARGV,
-     "2bdc91db867bfc78ca8718d9588df1fb21e3251c50497f2b50d81c70e4519544"),
+     "2e73b1f3e0fae32201a3b207e9da7926af575ebcbaae2d9b517035fde0c73a9e"),
     (["spectrum", "--q", "7", "--dim", "2"],
      "c257e3ac1ec340d9c6eb53e9e3e56290b64345af430158825e1c519ec11f5605"),
     (["fcount", "--q", "7", "--dim", "3", "--gen", "random:1t", "--seed", "2"],
