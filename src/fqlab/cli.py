@@ -57,6 +57,7 @@ from .spectral import (
     mixing_check,
     variance_bound,
     variance_check,
+    vertex_array,
     within_bound,
 )
 
@@ -246,14 +247,17 @@ def _subset_rows(G, s, T, items):
     hinge yields the squared bound and the degree-sum step it squares.
     Each count is made once and judged under both lambdas.  Every count
     reduces the degree column of B against the radius' sphere transform T;
-    consecutive items with the same B object share one column.
+    consecutive items with the same B object share one column and one
+    sorted vertex array, which the column and every count over B (and over
+    C when C is B) read.
     """
     n, k = G.n, G.valency
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
-    last_B = deg = None
+    last_B = members = deg = None
     for i, (check, B, C) in enumerate(items):
         if B is not last_B:
-            last_B, deg = B, degree_column(G, T, B)
+            last_B, members = B, vertex_array(n, B)
+            deg = degree_column(G, T, members)
         b = len(B)
         # (exact count, detail, its bound as a function of lambda)
         if check == "variance":
@@ -261,12 +265,12 @@ def _subset_rows(G, s, T, items):
                 (variance_check(deg), f"|B|={b}", lambda lam: variance_bound(n, lam, b)),
             ]
         elif check == "mixing":
-            e, deviation = mixing_check(deg, C)
+            e, deviation = mixing_check(deg, members if C is B else C)
             sides = [(deviation, f"e={e}", lambda lam: mixing_bound(lam, b, len(C)))]
         else:
             sides = [
-                (hinge_count(deg, B), "hinges", lambda lam: hinge_bound(n, k, lam, b)),
-                (degree_sum_check(deg, B), "degree-sum",
+                (hinge_count(deg, members), "hinges", lambda lam: hinge_bound(n, k, lam, b)),
+                (degree_sum_check(deg, members), "degree-sum",
                  lambda lam: degree_sum_bound(n, k, lam, b)),
             ]
         for lam_kind, lam in lams:

@@ -25,7 +25,9 @@ Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
 of B and of the sphere over Z_p^dim, so degree_column computes it for
 every v with one pair of FFTs against the same transform, in O(n log n)
-time and O(n) memory.
+time and O(n) memory.  certified_column is that convolution and its
+exactness certificate; bounds.degree_profile uses it too, one column per
+radius against one transform of the point set.
 """
 
 from __future__ import annotations
@@ -210,12 +212,15 @@ def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
     )
 
 
+@functools.lru_cache(maxsize=2)
 def _norm_grid(p: int, dim: int) -> np.ndarray:
-    """||x|| for every x in Z_p^dim, as a (p,) * dim array indexed by the
-    coordinates (norms are symmetric in them, so the axis order needs no
-    care)."""
+    """||x|| for every x in Z_p^dim, as a read-only (p,) * dim array indexed
+    by the coordinates (norms are symmetric in them, so the axis order needs
+    no care)."""
     squares = np.arange(p, dtype=np.int64) ** 2 % p
-    return functools.reduce(np.add.outer, [squares] * dim) % p
+    grid = functools.reduce(np.add.outer, [squares] * dim) % p
+    grid.setflags(write=False)
+    return grid
 
 
 def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
@@ -270,28 +275,46 @@ def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> f
     return worst
 
 
-def degree_column(G: EuclidGraphSpec, T: np.ndarray, B) -> np.ndarray:
-    """deg[v] = #{y in B : ||v - y|| = a} for every rank v, as int64.
+def set_transform(p: int, dim: int, ranks: np.ndarray) -> np.ndarray:
+    """rfftn of the indicator of the distinct vertex ranks over Z_p^dim,
+    in the layout of sphere_transform."""
+    ind = np.zeros(p**dim)
+    ind[ranks] = 1.0
+    return np.fft.rfftn(ind.reshape((p,) * dim))
 
-    The column is the cyclic convolution of 1_B with the sphere indicator,
-    irfftn(rfftn(1_B) * T) with T = sphere_transform(G), rounded.  Its
-    exactness certificate: every entry lies within DEGREE_RESIDUAL_TOL of
-    its rounding and the entries sum to valency * |B|; a breach raises
-    VerificationFailed.  Duplicate ranks in B count once; a rank outside
-    [0, n) raises VertexOutOfRange.
+
+def certified_column(
+    G: EuclidGraphSpec, T: np.ndarray, B_hat: np.ndarray, size: int
+) -> np.ndarray:
+    """The degree column of a set of size distinct vertices whose
+    set_transform is B_hat: irfftn(B_hat * T) with T = sphere_transform(G),
+    rounded to int64.
+
+    Its exactness certificate: every entry lies within DEGREE_RESIDUAL_TOL
+    of its rounding and the entries sum to valency * size; a breach raises
+    VerificationFailed.
     """
     shape = (G.field.p,) * G.dim
-    members = vertex_array(G.n, B)
-    ind = np.zeros(G.n)
-    ind[members] = 1.0
-    B_hat = np.fft.rfftn(ind.reshape(shape))
     raw = np.fft.irfftn(B_hat * T, s=shape, axes=range(G.dim)).ravel()
     deg = np.rint(raw).astype(np.int64)
     residual = float(np.abs(raw - deg).max())
     total = int(deg.sum())
-    if residual >= DEGREE_RESIDUAL_TOL or total != G.valency * members.size:
+    if residual >= DEGREE_RESIDUAL_TOL or total != G.valency * size:
         raise VerificationFailed(
-            f"degree column of {members.size} vertices fails its certificate: "
-            f"rounding residual {residual!r}, sum {total} != {G.valency * members.size}"
+            f"degree column of {size} vertices fails its certificate: "
+            f"rounding residual {residual!r}, sum {total} != {G.valency * size}"
         )
     return deg
+
+
+def degree_column(G: EuclidGraphSpec, T: np.ndarray, B) -> np.ndarray:
+    """deg[v] = #{y in B : ||v - y|| = a} for every rank v, as int64.
+
+    The column is the cyclic convolution of 1_B with the sphere indicator,
+    made and certified by certified_column against T = sphere_transform(G).
+    Duplicate ranks in B count once; a rank outside [0, n) raises
+    VertexOutOfRange.
+    """
+    members = vertex_array(G.n, B)
+    B_hat = set_transform(G.field.p, G.dim, members)
+    return certified_column(G, T, B_hat, members.size)

@@ -35,8 +35,16 @@ def within_bound(lhs, rhs) -> bool:
 
 def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
     """The distinct vertices of S as a sorted int64 array; raises
-    VertexOutOfRange when one leaves [0, n)."""
-    arr = np.array(sorted({int(v) for v in S}), dtype=np.int64)
+    VertexOutOfRange when one leaves [0, n).  An int64 array that is
+    already sorted and distinct, such as one this function returned, is
+    only range-checked, so a set sorted once can be handed to every count.
+    """
+    arr = S
+    if not (
+        isinstance(S, np.ndarray) and S.dtype == np.int64 and S.ndim == 1
+        and (S[1:] > S[:-1]).all()
+    ):
+        arr = np.array(sorted({int(v) for v in S}), dtype=np.int64)
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise VertexOutOfRange(f"vertex set leaves [0, {n})")
     return arr

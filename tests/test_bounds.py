@@ -1,15 +1,19 @@
+import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from fqlab import (
     MissingSpectrum,
     PointSet,
+    VerificationFailed,
     check_main_theorem,
     degree_column,
     degree_profile,
@@ -19,10 +23,12 @@ from fqlab import (
     load_point_set,
     lower_bound_f,
     make_field,
+    rank_point,
     spectrum,
     sphere_transform,
     upper_bound_f,
 )
+from fqlab import bounds
 
 THREE_TEXT = "0,0\n0,1\n1,0\n"
 
@@ -97,6 +103,152 @@ def test_profile_peak_memory():
         tracemalloc.stop()
     assert prof.counts.sum() == 3481 * 3480
     assert peak < 160 * 2**20
+
+
+# --- profile routes: pairwise and convolution ---------------------------------
+
+
+def profile_by(route, F, dim, E):
+    """degree_profile with its cost model pinned to one route."""
+    ratio = 0 if route == "convolved" else math.inf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "PROFILE_FFT_RATIO", ratio)
+        return degree_profile(F, dim, E)
+
+
+def assert_routes_agree(F, dim, E):
+    pair, conv = (profile_by(route, F, dim, E) for route in ("pairwise", "convolved"))
+    assert conv.counts.dtype == np.int64
+    assert np.array_equal(conv.counts, pair.counts)
+    assert conv.null_pair_count == pair.null_pair_count
+    return conv
+
+
+def routes_taken(monkeypatch):
+    """The route of every later degree_profile call, in order."""
+    taken = []
+    for route in ("pairwise", "convolved"):
+        fn = getattr(bounds, f"_{route}_profile")
+
+        def recorder(*args, fn=fn, route=route):
+            taken.append(route)
+            return fn(*args)
+
+        monkeypatch.setattr(bounds, f"_{route}_profile", recorder)
+    return taken
+
+
+# the (p, dim) pairs of the 44-instance grid
+GRID = [(p, 2) for p in (3, 7, 11, 19)] + [(p, 3) for p in (3, 7)]
+
+
+@pytest.mark.parametrize("p,dim", GRID)
+@pytest.mark.parametrize("gen", ["all", "sphere:1", "box:1t", "random:1t", "random:2t"])
+def test_profile_routes_agree_on_grid(p, dim, gen):
+    F = make_field(p)
+    assert_routes_agree(F, dim, generate_point_set(F, dim, gen, seed=3))
+
+
+@st.composite
+def profile_cases(draw):
+    """(p, dim, ranks) with p in 3..13 and dim in 2..4; ranks are distinct
+    and may be empty."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    dim = draw(st.integers(2, 4))
+    n = p**dim
+    ranks = draw(st.lists(st.integers(0, n - 1), max_size=min(n, 400), unique=True))
+    return p, dim, ranks
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile_cases())
+@example((3, 2, []))
+@example((13, 4, [28560]))
+@example((5, 3, list(range(125))))
+@example((7, 2, [0, 8, 16, 24, 32, 40, 48]))
+def test_profile_routes_agree_random_spaces(case):
+    p, dim, ranks = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    E = PointSet(points=tuple(rank_point(p, dim, r) for r in ranks), dim=dim)
+    prof = assert_routes_agree(F, dim, E)
+    assert prof.counts.shape == (len(ranks), p)
+    assert all(int(row.sum()) == len(ranks) - 1 for row in prof.counts)
+
+
+def test_profile_routes_agree_on_f3_full_space(f3):
+    prof = assert_routes_agree(f3, 2, generate_point_set(f3, 2, "all"))
+    assert prof.f_value() == 288
+
+
+@pytest.mark.parametrize("p,dim,gen,route", [
+    (83, 2, "random:1t", "pairwise"),  # |E|**2 = p**3, the fcount-sparse set
+    (59, 2, "all", "convolved"),  # |E|**2 = 59 p**3
+    (11, 3, "all", "convolved"),  # |E|**2 = 121 p**4
+])
+def test_profile_route_choice(monkeypatch, p, dim, gen, route):
+    F = make_field(p)
+    E = generate_point_set(F, dim, gen, seed=1)
+    taken = routes_taken(monkeypatch)
+    degree_profile(F, dim, E)
+    assert taken == [route]
+
+
+def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch, f11):
+    # F_11^2 is dense enough to convolve, but not over a guardrail of 100
+    # vertices unless forced
+    monkeypatch.setattr(bounds, "SPECTRUM_MAX", 100)
+    taken = routes_taken(monkeypatch)
+    E = generate_point_set(f11, 2, "all")
+    unforced, forced = degree_profile(f11, 2, E), degree_profile(f11, 2, E, force=True)
+    assert taken == ["pairwise", "convolved"]
+    assert np.array_equal(unforced.counts, forced.counts)
+
+
+@pytest.mark.parametrize("scale", [1.5, 2.0])  # entries leave the integers; wrong sum
+def test_convolved_profile_certificate(monkeypatch, scale):
+    # a corrupted sphere transform fails the column certificate, with no
+    # fallback to the pairwise route
+    F = make_field(11)
+    E = generate_point_set(F, 2, "random:100", seed=1)  # |E|**2 = 7.5 p**3
+    taken = routes_taken(monkeypatch)
+    transform = bounds.sphere_transform
+    monkeypatch.setattr(bounds, "sphere_transform", lambda G, **kw: transform(G, **kw) * scale)
+    with pytest.raises(VerificationFailed, match="fails its certificate"):
+        degree_profile(F, 2, E)
+    assert taken == ["convolved"]
+
+
+def test_convolved_profile_peak_memory(monkeypatch):
+    F = make_field(59)
+    E = generate_point_set(F, 2, "all")
+    taken = routes_taken(monkeypatch)
+    tracemalloc.start()
+    try:
+        prof = degree_profile(F, 2, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["convolved"]
+    assert prof.counts.sum() == 3481 * 3480
+    assert peak < 8 * 2**20
+
+
+def test_pairwise_profile_peak_memory(monkeypatch):
+    # one chunk of 2**22 pairs holds two (rows, |E|) int64 buffers, 64 MiB
+    F = make_field(211)
+    E = generate_point_set(F, 2, "random:1t", seed=1)
+    taken = routes_taken(monkeypatch)
+    tracemalloc.start()
+    try:
+        prof = degree_profile(F, 2, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["pairwise"]
+    assert prof.counts.sum() == len(E) * (len(E) - 1)
+    assert peak < 80 * 2**20
 
 
 # --- f and distance set --------------------------------------------------------

@@ -543,6 +543,28 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     assert len(reported) == len(set(reported)) == 6
 
 
+def test_sweep_sorts_each_set_once_per_radius(monkeypatch):
+    # the degree column and all four counts of one (set, radius) read one
+    # sorted vertex array, so vertex_array sorts once per column
+    calls = Counter()
+    column = cli.degree_column
+
+    def counted_sorted(values):
+        calls["sorted"] += 1
+        return sorted(values)
+
+    def counted_column(G, T, B):
+        calls["degree_column"] += 1
+        return column(G, T, B)
+
+    monkeypatch.setattr(fqlab.spectral, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(cli, "degree_column", counted_column)
+    records, _ = run_sweep(SMALL_CONFIG, jobs=1)
+    assert all(r["holds"] for r in records)
+    # three distinct sets per p, one column per (set, radius)
+    assert calls == {"sorted": 3 * 2 + 3 * 6, "degree_column": 3 * 2 + 3 * 6}
+
+
 def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
     # with B = E the hinge and degree-sum counts of radius a are the sum of
     # counts[x, a]**2 and of counts[x, a] over the set's degree profile

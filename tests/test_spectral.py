@@ -27,6 +27,7 @@ from fqlab import (
     variance_check,
     within_bound,
 )
+from fqlab.spectral import vertex_array
 from oracles import view_column
 
 
@@ -213,3 +214,16 @@ def test_within_bound_exact_when_bound_is_exact():
     assert within_bound(10**17, Fraction(10**17) - Fraction(1, 10**10))
     assert within_bound(Fraction(1, 3), 1 / 3)
     assert not within_bound(1, 1 - 1e-6)
+
+
+def test_vertex_array_passes_a_sorted_array_through():
+    arr = vertex_array(10, [7, 2, 7, 0])
+    assert arr.tolist() == [0, 2, 7] and arr.dtype == np.int64
+    assert vertex_array(10, arr) is arr
+    # anything else is sorted and deduplicated, arrays included
+    assert vertex_array(10, np.array([7, 2, 7, 0])).tolist() == [0, 2, 7]
+    assert vertex_array(10, np.array([3, 3], dtype=np.int64)).tolist() == [3]
+    assert vertex_array(10, np.array([3, 1], dtype=np.int64)).tolist() == [1, 3]
+    for bad in (np.array([0, 10], dtype=np.int64), np.array([-1, 4], dtype=np.int64)):
+        with pytest.raises(VertexOutOfRange):
+            vertex_array(10, bad)
