@@ -31,10 +31,11 @@ from .errors import (
 from .euclid import (
     EuclidGraphSpec,
     SpectralSummary,
-    degree_column,
+    certified_columns,
     euclid_graph,
     ramanujan_bound,
     recheck_spectrum,
+    set_transforms,
     spectrum,
     sphere_transform,
 )
@@ -81,8 +82,9 @@ __all__ = [
     "mixing_bound", "mixing_check", "variance_bound", "variance_check",
     "within_bound",
     # euclid
-    "EuclidGraphSpec", "SpectralSummary", "degree_column", "euclid_graph",
-    "ramanujan_bound", "recheck_spectrum", "spectrum", "sphere_transform",
+    "EuclidGraphSpec", "SpectralSummary", "certified_columns", "euclid_graph",
+    "ramanujan_bound", "recheck_spectrum", "set_transforms", "spectrum",
+    "sphere_transform",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

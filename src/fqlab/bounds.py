@@ -32,10 +32,10 @@ from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
 from .euclid import (
     SPECTRUM_MAX,
     SpectralSummary,
-    certified_column,
+    certified_columns,
     euclid_graph,
     ramanujan_bound,
-    set_transform,
+    set_transforms,
     sphere_transform,
 )
 from .field import PrimeField
@@ -99,10 +99,10 @@ def degree_profile(
     The pairwise route evaluates all |E|**2 distances in chunks.  The
     convolution route reads column r != 0 off the degree column of E in
     the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over Z_p^dim:
-    one transform of E for the whole profile, then one certified inverse
-    transform per radius (euclid.certified_column, which raises
-    VerificationFailed rather than return a column that fails its
-    certificate); column 0 is |E| - 1 minus the rest of the row.  The
+    one transform of E, as a one-row stack, for the whole profile, then one
+    certified inverse transform per radius (euclid.certified_columns,
+    which raises VerificationFailed rather than return a column that fails
+    its certificate); column 0 is |E| - 1 minus the rest of the row.  The
     cost model PROFILE_FFT_RATIO picks the route; both give the same array.
     |E|**2 > PROFILE_MAX_PAIRS is refused unless forced, whatever the route.
     """
@@ -162,10 +162,10 @@ def _convolved_profile(
     """Fill counts from one transform of E and one degree column per radius."""
     m, p = counts.shape
     ranks = coords_to_ranks(p, coords)
-    E_hat = set_transform(p, dim, ranks)
+    E_hat = set_transforms(p, dim, [ranks])
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
-        counts[:, a] = certified_column(G, sphere_transform(G, force=force), E_hat, m)[ranks]
+        counts[:, a] = certified_columns(G, sphere_transform(G, force=force), E_hat, [m])[0, ranks]
     counts[:, 0] = (m - 1) - counts[:, 1:].sum(axis=1)
 
 

@@ -31,10 +31,11 @@ from . import __version__, bounds
 from .bounds import check_main_theorem
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
-    degree_column,
+    certified_columns,
     euclid_graph,
     guard_spectrum,
     recheck_spectrum,
+    set_transforms,
     sphere_transform,
     spectrum,
 )
@@ -65,6 +66,11 @@ TOOL_VERSION = __version__
 
 CHECK_NAMES = ("spectrum", "variance", "mixing", "hinge", "main", "remark")
 SUBSET_CHECKS = frozenset({"variance", "mixing", "hinge"})
+# Subset counts stack their sets' degree columns, at most
+# max(1, STACK_ELEMENTS // n) sets of an n-vertex graph at a time, so a
+# stack's transforms and columns stay near 2 MiB apiece however many sets
+# share a radius.
+STACK_ELEMENTS = 2**18
 
 DEFAULT_SWEEP_CONFIG = {
     "grid": [
@@ -241,41 +247,75 @@ def _spectrum_verdict(G, s, T) -> tuple[bool, str]:
     return ok, detail
 
 
-def _subset_rows(G, s, T, items):
-    """Yield (i, lam_kind, lhs, rhs, holds, detail) for the i-th (check, B,
-    C) item, under the exact second eigenvalue of s and under its ceiling;
-    hinge yields the squared bound and the degree-sum step it squares.
-    Each count is made once and judged under both lambdas.  Every count
-    reduces the degree column of B against the radius' sphere transform T;
-    consecutive items with the same B object share one column and one
-    sorted vertex array, which the column and every count over B (and over
-    C when C is B) read.
+def _stacks(n: int, members: list, items: list):
+    """Split the sets members, and the (check, row, C) items that read
+    them, into consecutive stacks of at most max(1, STACK_ELEMENTS // n)
+    sets; yields (the stack's sets, its items with rows renumbered within
+    the stack, their indices in items)."""
+    step = max(1, STACK_ELEMENTS // n)
+    for start in range(0, len(members), step):
+        ids = [i for i, (_, row, _) in enumerate(items) if start <= row < start + step]
+        moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
+        yield members[start:start + step], moved, ids
+
+
+def _subset_rows(G, s, T, members, hats, items, memo):
+    """Yield (i, lam_kind, lhs, rhs, holds, detail) for the i-th (check,
+    row, C) item, under the exact second eigenvalue of s and under its
+    ceiling; hinge yields the squared bound and the degree-sum step it
+    squares.
+
+    The item checks the set whose sorted vertex array is members[row];
+    mixing pairs it with C, a sorted vertex array, or with itself when C
+    is None.  hats is set_transforms of members, so one certified_columns
+    call against the radius' sphere transform T makes the degree column of
+    every set, and each count is made once per set (once per item for
+    mixing against its own C) and judged under both lambdas.  Each bound is
+    computed once per (radius, lambda, check, |B|, |C|) and kept in memo,
+    which the caller keeps across stacks: sets of one size share it.
     """
+    if not items:
+        return
     n, k = G.n, G.valency
+    deg = certified_columns(G, T, hats, [m.size for m in members])
+    wanted = {check for check, _, _ in items}
+    mix = [i for i, (check, _, _) in enumerate(items) if check == "mixing"]
+    paired = all(items[i][2] is None for i in mix)  # every mixing C is its B
+    variance = variance_check(deg) if "variance" in wanted else None
+    hinges = hinge_count(deg, members) if "hinge" in wanted else None
+    sums = degree_sum_check(deg, members) if "hinge" in wanted or (mix and paired) else None
+    mixed = {}
+    if mix:
+        rows = [items[i][1] for i in mix]
+        Cs = [members[row] if C is None else C for _, row, C in (items[i] for i in mix)]
+        e = [sums[row] for row in rows] if paired else None
+        mixed = dict(zip(mix, mixing_check(deg[rows], Cs, e)))
+    del deg
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
-    last_B = members = deg = None
-    for i, (check, B, C) in enumerate(items):
-        if B is not last_B:
-            last_B, members = B, vertex_array(n, B)
-            deg = degree_column(G, T, members)
-        b = len(B)
-        # (exact count, detail, its bound as a function of lambda)
+    for i, (check, row, C) in enumerate(items):
+        b = members[row].size
+        # (exact count, detail, bound key, the bound as a function of lambda)
         if check == "variance":
             sides = [
-                (variance_check(deg), f"|B|={b}", lambda lam: variance_bound(n, lam, b)),
+                (variance[row], f"|B|={b}", (check, b), lambda lam: variance_bound(n, lam, b)),
             ]
         elif check == "mixing":
-            e, deviation = mixing_check(deg, members if C is B else C)
-            sides = [(deviation, f"e={e}", lambda lam: mixing_bound(lam, b, len(C)))]
+            (e, deviation), c = mixed[i], b if C is None else C.size
+            sides = [
+                (deviation, f"e={e}", (check, b, c), lambda lam: mixing_bound(lam, b, c)),
+            ]
         else:
             sides = [
-                (hinge_count(deg, members), "hinges", lambda lam: hinge_bound(n, k, lam, b)),
-                (degree_sum_check(deg, members), "degree-sum",
+                (hinges[row], "hinges", ("hinges", b), lambda lam: hinge_bound(n, k, lam, b)),
+                (sums[row], "degree-sum", ("degree-sum", b),
                  lambda lam: degree_sum_bound(n, k, lam, b)),
             ]
         for lam_kind, lam in lams:
-            for lhs, detail, bound in sides:
-                rhs = bound(lam)
+            for lhs, detail, key, bound in sides:
+                key = (G.a, lam_kind, *key)
+                if key not in memo:
+                    memo[key] = bound(lam)
+                rhs = memo[key]
                 yield i, lam_kind, lhs, rhs, within_bound(lhs, rhs), detail
 
 
@@ -331,17 +371,21 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
     Each subset check draws its (B, C) pairs from its own seeded stream, B
     then C per trial.  The spectrum recheck and every subset count run
     against one sphere transform, made only if one of them is asked for and
-    freed on return.
+    freed on return.  The distinct sets B are sorted once and stacked, so
+    each stack takes one set transform and one inverse transform.
     """
     p = F.p
     G = euclid_graph(F, dim, a)
-    items, trials = [], []
+    items, trials, members, index = [], [], [], {}
     for check in (c for c in checks if c in SUBSET_CHECKS):
         rng = random.Random(derive_seed(args.seed, check, p, dim, a))
         for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
-            B = rng.sample(range(G.n), size)
+            B = vertex_array(G.n, rng.sample(range(G.n), size))
             C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
-            items.append((check, B, C))
+            row = index.setdefault(B.tobytes(), len(members))
+            if row == len(members):
+                members.append(B)
+            items.append((check, row, None if C is None else vertex_array(G.n, C)))
             trials.append(trial)
     T = sphere_transform(G, force=args.force) if items or "spectrum" in checks else None
     if "spectrum" in checks:
@@ -355,15 +399,21 @@ def _verify_radius(F, dim, a, s, checks, args, out) -> None:
             f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
             f"{_status(ok)}"
         )
+    rows, memo = [[] for _ in items], {}
+    for stack, stack_items, ids in _stacks(G.n, members, items):
+        hats = set_transforms(p, dim, stack)
+        for i, *row in _subset_rows(G, s, T, stack, hats, stack_items, memo):
+            rows[ids[i]].append(row)
+        del hats
     oks = {check: True for check, _, _ in items}
-    for i, lam_kind, lhs, rhs, holds, detail in _subset_rows(G, s, T, items):
-        (check, B, C), trial = items[i], trials[i]
-        oks[check] &= holds
-        out[check][0].append(_verify_record(
-            check, p, dim, args.seed, lhs, rhs, holds, detail,
-            a=a, lam_kind=lam_kind, trial=trial, set_size=len(B),
-            c_size=len(C) if C is not None else None,
-        ))
+    for (check, row, C), trial, results in zip(items, trials, rows):
+        for lam_kind, lhs, rhs, holds, detail in results:
+            oks[check] &= holds
+            out[check][0].append(_verify_record(
+                check, p, dim, args.seed, lhs, rhs, holds, detail,
+                a=a, lam_kind=lam_kind, trial=trial, set_size=members[row].size,
+                c_size=None if C is None else C.size,
+            ))
     for check, ok in oks.items():
         out[check][1].append(
             f"{check:<8}  p={p} dim={dim} a={a}: {args.trials} subsets, "
@@ -630,12 +680,16 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _run_sweep_group(task) -> list[dict]:
-    """Every cell of one (p, dim), radius-major: each cell's point set and
-    report first (a generator that ignores the seed is generated once, and
-    sets with the same ranks in the same order share one report and one set
-    of subset verdicts), then one pass per radius for the spectrum verdict
-    and the subset checks, which share the radius' sphere transform, the
-    records last.
+    """Every cell of one (p, dim): each cell's point set and report first
+    (a generator that ignores the seed is generated once, and sets with the
+    same ranks in the same order share one report and one set of subset
+    verdicts), then the spectrum verdict and the subset checks, the records
+    last.
+
+    Each distinct set is sorted once, and the sets are stacked (_stacks);
+    per stack, one set transform serves every radius, and per (stack,
+    radius) one sphere transform serves the spectrum recheck (on the first
+    stack) and every subset count.  At most one sphere transform is alive.
     """
     p, dim, gens, seeds, checks, digest, force, allow = task
     with warnings.catch_warnings():
@@ -669,20 +723,32 @@ def _run_sweep_group(task) -> list[dict]:
             else:
                 cells.append((rec, key))
     oks = {key: {} for _, key in cells}
-    sets = list(oks)
-    spectrum_ok = True
-    items = [(c, key, key) for key in sets for c in checks if c in SUBSET_CHECKS]
-    for a in range(1, p):
-        G = euclid_graph(F, dim, a)
-        recheck = "spectrum" in checks and spectrum_ok
-        T = sphere_transform(G, force=force) if recheck or items else None
-        if recheck:
-            spectrum_ok = _spectrum_verdict(G, spectra[a], T)[0]
-        for i, *_, holds, detail in _subset_rows(G, spectra[a], T, items):
-            check, key, _ = items[i]
-            name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
-            oks[key][name] = oks[key].get(name, True) and holds
-        del T  # freed before the next radius' transform is made
+    sets, subset = list(oks), [c for c in checks if c in SUBSET_CHECKS]
+    n = p**dim
+    members = [vertex_array(n, key) for key in sets] if subset else []
+    items = [(c, row, None) for row in range(len(members)) for c in subset]
+    spectrum_ok, memo = True, {}
+    # a spectrum check without subset checks still takes one pass over radii
+    stacks = list(_stacks(n, members, items)) or [([], [], [])]
+    for j, (stack, stack_items, ids) in enumerate(stacks):
+        hats = set_transforms(p, dim, stack) if stack_items else None
+        for a in range(1, p):
+            G = euclid_graph(F, dim, a)
+            recheck = j == 0 and "spectrum" in checks and spectrum_ok
+            if not (recheck or stack_items):
+                continue
+            T = sphere_transform(G, force=force)
+            if recheck:
+                spectrum_ok = _spectrum_verdict(G, spectra[a], T)[0]
+            for i, *_, holds, detail in _subset_rows(
+                G, spectra[a], T, stack, hats, stack_items, memo
+            ):
+                check, row, _ = items[ids[i]]
+                name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
+                got = oks[sets[row]]
+                got[name] = got.get(name, True) and holds
+            del T  # freed before the next radius' transform is made
+        del hats  # freed before the next stack's transform is made
     for rec, key in cells:
         report, verdicts = reports.get(key), []
         if report is not None:

@@ -23,11 +23,13 @@ identities, so the table never goes unchecked.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
-of B and of the sphere over Z_p^dim, so degree_column computes it for
-every v with one pair of FFTs against the same transform, in O(n log n)
-time and O(n) memory.  certified_column is that convolution and its
-exactness certificate; bounds.degree_profile uses it too, one column per
-radius against one transform of the point set.
+of B and of the sphere over Z_p^dim.  set_transforms transforms a stack of
+set indicators at once, and certified_columns turns the stack and one
+sphere transform into every set's degree column with one inverse FFT, in
+O(S n log n) time and O(S n) memory for S sets, each column certified
+exact.  A set is thus transformed once however many radii read it, and
+each radius costs one inverse transform per stack; bounds.degree_profile
+uses the same route with the point set as a one-row stack.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .errors import (
 )
 from .field import PrimeField
 from .geometry import ranks_to_coords, sphere_size, sphere_table
-from .spectral import vertex_array
 
 # Spectrum and degree-column work is refused above this many vertices
 # unless forced.
@@ -275,46 +276,41 @@ def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> f
     return worst
 
 
-def set_transform(p: int, dim: int, ranks: np.ndarray) -> np.ndarray:
-    """rfftn of the indicator of the distinct vertex ranks over Z_p^dim,
-    in the layout of sphere_transform."""
-    ind = np.zeros(p**dim)
-    ind[ranks] = 1.0
-    return np.fft.rfftn(ind.reshape((p,) * dim))
+def set_transforms(p: int, dim: int, members) -> np.ndarray:
+    """rfftn over the last dim axes of the (len(members), p, ..., p) stack
+    whose row i is the indicator of the distinct ranks members[i]; each row
+    is in the layout of sphere_transform."""
+    rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    ind = np.zeros((len(members), p**dim))
+    ind[rows, np.concatenate(members)] = 1.0
+    return np.fft.rfftn(ind.reshape((len(members),) + (p,) * dim), axes=range(1, dim + 1))
 
 
-def certified_column(
-    G: EuclidGraphSpec, T: np.ndarray, B_hat: np.ndarray, size: int
+def certified_columns(
+    G: EuclidGraphSpec, T: np.ndarray, hats: np.ndarray, sizes
 ) -> np.ndarray:
-    """The degree column of a set of size distinct vertices whose
-    set_transform is B_hat: irfftn(B_hat * T) with T = sphere_transform(G),
-    rounded to int64.
+    """The degree columns of a stack of sets, as an (S, n) int64 array.
 
-    Its exactness certificate: every entry lies within DEGREE_RESIDUAL_TOL
-    of its rounding and the entries sum to valency * size; a breach raises
-    VerificationFailed.
+    hats is the set_transforms stack of S sets of sizes[i] distinct
+    vertices and T = sphere_transform(G); row i is irfftn(hats[i] * T),
+    deg[i, v] = #{y in B_i : ||v - y|| = a}, rounded to int64.  Every row
+    keeps its exactness certificate: its entries lie within
+    DEGREE_RESIDUAL_TOL of their rounding and sum to valency * sizes[i].
+    A breach raises VerificationFailed naming the first failing row.
     """
-    shape = (G.field.p,) * G.dim
-    raw = np.fft.irfftn(B_hat * T, s=shape, axes=range(G.dim)).ravel()
+    raw = np.fft.irfftn(
+        hats * T, s=(G.field.p,) * G.dim, axes=range(1, G.dim + 1)
+    ).reshape(len(sizes), G.n)
     deg = np.rint(raw).astype(np.int64)
-    residual = float(np.abs(raw - deg).max())
-    total = int(deg.sum())
-    if residual >= DEGREE_RESIDUAL_TOL or total != G.valency * size:
+    raw -= deg
+    residual = np.abs(raw, out=raw).max(axis=1)
+    totals = deg.sum(axis=1)
+    want = G.valency * np.asarray(sizes, dtype=np.int64)
+    bad = np.flatnonzero((residual >= DEGREE_RESIDUAL_TOL) | (totals != want))
+    if bad.size:
+        i = int(bad[0])
         raise VerificationFailed(
-            f"degree column of {size} vertices fails its certificate: "
-            f"rounding residual {residual!r}, sum {total} != {G.valency * size}"
+            f"degree column of row {i} ({sizes[i]} vertices) fails its certificate: "
+            f"rounding residual {float(residual[i])!r}, sum {int(totals[i])} != {int(want[i])}"
         )
     return deg
-
-
-def degree_column(G: EuclidGraphSpec, T: np.ndarray, B) -> np.ndarray:
-    """deg[v] = #{y in B : ||v - y|| = a} for every rank v, as int64.
-
-    The column is the cyclic convolution of 1_B with the sphere indicator,
-    made and certified by certified_column against T = sphere_transform(G).
-    Duplicate ranks in B count once; a rank outside [0, n) raises
-    VertexOutOfRange.
-    """
-    members = vertex_array(G.n, B)
-    B_hat = set_transform(G.field.p, G.dim, members)
-    return certified_column(G, T, B_hat, members.size)

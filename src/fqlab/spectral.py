@@ -1,17 +1,21 @@
 """Inequality checks for regular graphs, split into counts and bounds.
 
-Every count reduces one degree column: for a vertex set B of a k-regular
-graph on n vertices, deg[v] = |N(v) inside B| for every vertex v, an int64
-array of length n whose entries sum to k|B|.  The counts (variance_check,
-mixing_check, hinge_count, degree_sum_check) see only that column and the
-sets they sum it over, so they serve the distance graphs, whose columns
-euclid builds by convolution, as well as any other regular graph whose
-column the tests build from a neighbor table.  Each bound is computed from
-(n, k, lambda, set sizes), where lambda is any upper bound on the
-nontrivial eigenvalue magnitudes, sharp or not; one count can thus be
-judged under several lambdas.  Counts are exact integers or rationals;
-only the lambda-bearing bounds may live in floating point, and
-within_bound compares the two with the absolute tolerance BOUND_TOL.
+Every count reduces a stack of degree columns: for vertex sets B_0, ...,
+B_{S-1} of a k-regular graph on n vertices, deg[i, v] = |N(v) inside B_i|
+for every vertex v, an (S, n) int64 array whose row i sums to k|B_i|.  The
+counts (variance_check, mixing_check, hinge_count, degree_sum_check) see
+only that stack and each row's sorted member array, and return one result
+per row: hinge and degree-sum counts gather every row's members at once
+and sum each row's run with np.add.reduceat, the variance is a pair of row
+sums.  They thus serve the distance graphs, whose columns euclid builds by
+convolution, as well as any other regular graph whose columns the tests
+build from a neighbor table.  Each bound is computed from (n, k, lambda,
+set sizes), where lambda is any upper bound on the nontrivial eigenvalue
+magnitudes, sharp or not; one count can thus be judged under several
+lambdas, and sets of one size share every bound.  Counts are exact
+integers or rationals; only the lambda-bearing bounds may live in floating
+point, and within_bound compares the two with the absolute tolerance
+BOUND_TOL.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import numpy as np
 from .errors import VertexOutOfRange
 
 BOUND_TOL = 1e-9
+BOUND_TOL_EXACT = Fraction(BOUND_TOL)  # the same tolerance, for exact bounds
 
 
 def within_bound(lhs, rhs) -> bool:
     """lhs <= rhs + BOUND_TOL, in exact rationals when rhs is exact."""
-    tol = Fraction(BOUND_TOL) if isinstance(rhs, Fraction) else BOUND_TOL
+    tol = BOUND_TOL_EXACT if isinstance(rhs, Fraction) else BOUND_TOL
     return bool(lhs <= rhs + tol)
 
 
@@ -50,14 +55,35 @@ def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def hinge_count(deg: np.ndarray, E: Iterable[int]) -> int:
-    """Ordered hinges (u, v, w) in E**3 with uv and vw edges; u == w counts.
+def _member_degrees(deg: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, sizes): deg[i, v] for v in members[i], concatenated over the
+    rows i in one gather, and each row's member count; raises
+    VertexOutOfRange when a member leaves [0, n)."""
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64), *members]).astype(np.int64, copy=False)
+    if flat.size and (flat.min() < 0 or flat.max() >= deg.shape[1]):
+        raise VertexOutOfRange(f"vertex set leaves [0, {deg.shape[1]})")
+    return deg[np.repeat(np.arange(sizes.size), sizes), flat], sizes
 
-    deg is the degree column of E; the count is the sum over v in E of
-    deg[v] squared.
+
+def _row_sums(values: np.ndarray, sizes: np.ndarray) -> list[int]:
+    """The sum of each row's run of sizes[i] consecutive values, as exact
+    ints.  A trailing 0 keeps every start index in range; an empty run,
+    which reduceat reads as its successor's first value, is set to 0."""
+    sums = np.add.reduceat(np.append(values, 0), np.cumsum(sizes) - sizes)
+    return np.where(sizes > 0, sums, 0).tolist()
+
+
+def hinge_count(deg: np.ndarray, members) -> list[int]:
+    """Ordered hinges (u, v, w) in E_i**3 with uv and vw edges, u == w
+    counting, for every row i.
+
+    deg[i] is the degree column of E_i and members[i] its distinct
+    vertices as a sorted array (vertex_array's form); the count is the sum
+    over v in E_i of deg[i, v] squared.
     """
-    inside = deg[vertex_array(deg.size, E)]
-    return int((inside * inside).sum())
+    inside, sizes = _member_degrees(deg, members)
+    return _row_sums(inside * inside, sizes)
 
 
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
@@ -68,13 +94,16 @@ def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
     return float(m * b * b)
 
 
-def degree_sum_check(deg: np.ndarray, E: Iterable[int]) -> int:
-    """The sum over v in E of deg[v], deg the degree column of E: e(E, E).
+def degree_sum_check(deg: np.ndarray, members) -> list[int]:
+    """The sum over v in members[i] of deg[i, v], for every row i.
 
-    Its bound is the mixing inequality on the pair (E, E), the
-    intermediate step the hinge bound squares.
+    With deg[i] the degree column of B_i and members[i] a sorted vertex
+    array this is e(B_i, members[i]), the ordered adjacent pairs from B_i
+    into the set; with members[i] = B_i = E it is e(E, E), whose bound is
+    the mixing inequality on the pair (E, E), the intermediate step the
+    hinge bound squares.
     """
-    return int(deg[vertex_array(deg.size, E)].sum())
+    return _row_sums(*_member_degrees(deg, members))
 
 
 def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:
@@ -82,11 +111,14 @@ def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:
     return Fraction(k * m * m, n) + Fraction(float(lam)) * m
 
 
-def variance_check(deg: np.ndarray) -> Fraction:
-    """The exact neighbor-count variance over all vertices: the sum over v
-    of (deg[v] - k|B|/n)**2, deg the degree column of B (k|B| = deg.sum())."""
-    total = int(deg.sum())
-    return int((deg * deg).sum()) - Fraction(total * total, deg.size)
+def variance_check(deg: np.ndarray) -> list[Fraction]:
+    """The exact neighbor-count variance over all vertices, for every row
+    i: the sum over v of (deg[i, v] - k|B_i|/n)**2, deg[i] the degree
+    column of B_i (k|B_i| is the row sum)."""
+    n = deg.shape[1]
+    totals = deg.sum(axis=1).tolist()
+    squares = np.einsum("ij,ij->i", deg, deg).tolist()
+    return [sq - Fraction(t * t, n) for sq, t in zip(squares, totals)]
 
 
 def variance_bound(n: int, lam: float, b: int) -> float:
@@ -94,12 +126,19 @@ def variance_bound(n: int, lam: float, b: int) -> float:
     return lam * lam * b * (n - b) / n
 
 
-def mixing_check(deg: np.ndarray, C: Iterable[int]) -> tuple[int, Fraction]:
-    """(e, |e - k|B||C|/n|), deg the degree column of B and e the number of
-    ordered adjacent pairs (u in B, v in C)."""
-    c_arr = vertex_array(deg.size, C)
-    e = int(deg[c_arr].sum())
-    return e, abs(Fraction(e) - Fraction(int(deg.sum()) * int(c_arr.size), deg.size))
+def mixing_check(deg: np.ndarray, C, e=None) -> list[tuple[int, Fraction]]:
+    """(e_i, |e_i - k|B_i||C_i|/n|) for every row i, deg[i] the degree
+    column of B_i and C[i] the sorted vertex array of C_i.
+
+    e_i, the number of ordered adjacent pairs (u in B_i, v in C_i), is
+    degree_sum_check(deg, C) unless the caller passes the list e: with
+    C = B those are the degree sums it has already counted.
+    """
+    if e is None:
+        e = degree_sum_check(deg, C)
+    n = deg.shape[1]
+    totals = deg.sum(axis=1).tolist()
+    return [(ei, abs(ei - Fraction(t * len(c), n))) for ei, t, c in zip(e, totals, C)]
 
 
 def mixing_bound(lam: float, b: int, c: int) -> float:

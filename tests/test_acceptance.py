@@ -16,7 +16,6 @@ import pytest
 import oracles
 from fqlab import (
     check_main_theorem,
-    degree_column,
     degree_profile,
     degree_sum_bound,
     degree_sum_check,
@@ -37,6 +36,8 @@ from fqlab import (
     variance_check,
 )
 from fqlab.cli import DEFAULT_SWEEP_CONFIG, main, run_sweep
+from fqlab.spectral import vertex_array
+from stacks import columns
 
 TOL_BOUND = 1e-9
 TOL_TRACE = 1e-6
@@ -138,11 +139,11 @@ def test_c4_subset_inequality_batteries(capsys, instances):
             B = rng.sample(range(n), size)
             C = rng.sample(range(n), rng.randint(1, n))
             b, c = len(B), len(C)
-            deg = degree_column(G, T, B)
-            variance = variance_check(deg)
-            deviation = mixing_check(deg, C)[1]
-            hinges = hinge_count(deg, B)
-            degree_sum = degree_sum_check(deg, B)
+            deg, members = columns(G, T, [B])
+            variance = variance_check(deg)[0]
+            deviation = mixing_check(deg, [vertex_array(n, C)])[0][1]
+            hinges = hinge_count(deg, members)[0]
+            degree_sum = degree_sum_check(deg, members)[0]
             for lam in (s.second_eigenvalue, ramanujan_bound(p, dim)):
                 verdicts = (
                     variance <= variance_bound(n, lam, b) + TOL_BOUND,
@@ -168,8 +169,7 @@ def test_c5_oracle_equivalence(capsys):
     for _ in range(100):
         sub = rng.sample(range(G11.n), rng.randint(0, 60))
         pts = [rank_point(11, 2, r) for r in sub]
-        deg = degree_column(G11, T11, sub)
-        if hinge_count(deg, sub) != oracles.hinge_brute(11, 1, pts):
+        if hinge_count(*columns(G11, T11, [sub]))[0] != oracles.hinge_brute(11, 1, pts):
             hinge_bad += 1
     f_bad = 0
     f_sets = 0
@@ -181,7 +181,7 @@ def test_c5_oracle_equivalence(capsys):
         ranks, via_hinges = E.ranks(p), 0
         for a in range(1, p):
             G = euclid_graph(F, dim, a)
-            via_hinges += hinge_count(degree_column(G, sphere_transform(G), ranks), ranks)
+            via_hinges += hinge_count(*columns(G, sphere_transform(G), [ranks]))[0]
         via_triples = oracles.f_brute(p, E.points)
         f_sets += 1
         if not (via_profile == via_hinges == via_triples):

@@ -15,7 +15,6 @@ from fqlab import (
     PointSet,
     VerificationFailed,
     check_main_theorem,
-    degree_column,
     degree_profile,
     euclid_graph,
     generate_point_set,
@@ -29,6 +28,7 @@ from fqlab import (
     upper_bound_f,
 )
 from fqlab import bounds
+from stacks import columns
 
 THREE_TEXT = "0,0\n0,1\n1,0\n"
 
@@ -284,7 +284,7 @@ def test_f_equals_hinge_sum_over_radii(p, dim, size, seed):
     total = 0
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
-        total += hinge_count(degree_column(G, sphere_transform(G), ranks), ranks)
+        total += hinge_count(*columns(G, sphere_transform(G), [ranks]))[0]
     assert degree_profile(F, dim, E).f_value() == total
 
 

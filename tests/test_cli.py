@@ -29,6 +29,7 @@ from fqlab.cli import (
     normalize_config,
     run_sweep,
 )
+from stacks import columns
 
 SMALL_CONFIG = {
     "grid": [{"primes": [3, 7], "dims": [2]}],
@@ -306,7 +307,7 @@ def test_verify_point_sets_stay_within_profile_guardrail(monkeypatch, tmp_path):
 
 
 def test_verify_builds_each_view_and_report_once(monkeypatch):
-    calls = Counter()
+    calls, stacked, read = Counter(), [], []
 
     def counted(name):
         fn = getattr(cli, name)
@@ -317,12 +318,30 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 
         return wrapper
 
-    for name in ("sphere_transform", "degree_column", "check_main_theorem"):
+    transforms, rows = cli.set_transforms, cli._subset_rows
+
+    def tracked(p, dim, members):
+        stacked.append([tuple(m.tolist()) for m in members])
+        return transforms(p, dim, members)
+
+    def reading(G, s, T, members, hats, items, memo):
+        read.append((len(members), {row for _, row, _ in items}, len(items)))
+        yield from rows(G, s, T, members, hats, items, memo)
+
+    for name in ("sphere_transform", "certified_columns", "check_main_theorem"):
         monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.setattr(cli, "set_transforms", tracked)
+    monkeypatch.setattr(cli, "_subset_rows", reading)
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
     assert calls["sphere_transform"] == 2  # one per radius, shared by three checks
-    # one column per (check, subset): 2 radii x 3 checks x 2 trials
-    assert calls["degree_column"] == 12
+    # one stack per radius: each distinct subset is transformed once, and one
+    # inverse transform makes the columns of all 3 checks x 2 trials
+    assert calls["certified_columns"] == 2 and len(stacked) == 2
+    for sets in stacked:
+        assert len(set(sets)) == len(sets) and tuple(range(9)) in sets  # size-9 rung shared
+    assert [(size, rows_read, items) for size, rows_read, items in read] == [
+        (len(sets), set(range(len(sets))), 6) for sets in stacked
+    ]
     # F_3^2 and the size-1 subset, main and remark; the size-9 rung is F_3^2
     assert calls["check_main_theorem"] == 2
 
@@ -342,28 +361,36 @@ def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
 
 
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
-    calls = Counter()
+    calls, rows = Counter(), Counter()
 
     def counted(name):
         fn = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if isinstance(result, list):
+                rows[name] += len(result)
+            return result
 
         return wrapper
 
     names = ("variance_check", "mixing_check", "hinge_count", "degree_sum_check")
-    for name in names:
+    for name in names + ("certified_columns",):
         monkeypatch.setattr(cli, name, counted(name))
     monkeypatch.setattr(fqlab.euclid, "spectrum", counted("spectrum"))
     argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
-    # one count per (check, subset), judged under the exact and ceiling lambda
-    assert calls == {name: 3 for name in names}
+    # one stack of the distinct subsets, one call of each count on it,
+    # judged under the exact and ceiling lambda; mixing has one row per
+    # (subset, C) item, the others one per distinct subset
+    assert calls == {name: 1 for name in names + ("certified_columns",)}
+    assert rows["mixing_check"] == 3
+    assert rows["variance_check"] == rows["hinge_count"] == rows["degree_sum_check"]
+    assert 3 <= rows["hinge_count"] <= 9
     G = fqlab.euclid_graph(fqlab.make_field(7), 2, 1)
-    fqlab.euclid.degree_column(G, fqlab.euclid.sphere_transform(G), range(10))
+    columns(G, fqlab.euclid.sphere_transform(G), [range(10)])
     assert calls["spectrum"] == 0
 
 
@@ -509,8 +536,8 @@ def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
 
 
 def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
-    transforms, columns, alive, peak = Counter(), Counter(), [], []
-    transform, column = cli.sphere_transform, cli.degree_column
+    transforms, stacks, inverses, alive, peak = Counter(), Counter(), Counter(), [], []
+    transform, stacked, inverse = cli.sphere_transform, cli.set_transforms, cli.certified_columns
 
     def tracked(G, **kwargs):
         T = transform(G, **kwargs)
@@ -519,9 +546,13 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         peak.append(sum(ref() is not None for ref in alive))
         return T
 
-    def counted_column(G, T, B):
-        columns[G.field.p, G.dim] += 1
-        return column(G, T, B)
+    def counted_stack(p, dim, members):
+        stacks[p, dim, len(members)] += 1
+        return stacked(p, dim, members)
+
+    def counted_inverse(G, T, hats, sizes):
+        inverses[G.field.p, G.dim, len(sizes)] += 1
+        return inverse(G, T, hats, sizes)
 
     reported = []
     report = cli.check_main_theorem
@@ -531,58 +562,75 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         return report(F, dim, E, spectra, force=force)
 
     monkeypatch.setattr(cli, "sphere_transform", tracked)
-    monkeypatch.setattr(cli, "degree_column", counted_column)
+    monkeypatch.setattr(cli, "set_transforms", counted_stack)
+    monkeypatch.setattr(cli, "certified_columns", counted_inverse)
     monkeypatch.setattr(cli, "check_main_theorem", counted)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
     assert transforms == {(3, 2): 2, (7, 2): 6}  # p - 1 transforms per (p, dim)
     assert max(peak) == 1
-    # one column per (distinct set, radius) serves all four counts
-    assert columns == {(3, 2): 3 * 2, (7, 2): 3 * 6}
+    # the three distinct sets of a (p, dim) form one stack, transformed
+    # once; one inverse transform per radius serves all four counts
+    assert stacks == {(3, 2, 3): 1, (7, 2, 3): 1}
+    assert inverses == {(3, 2, 3): 2, (7, 2, 3): 6}
     # per p: "all" once for both seeds, and two distinct random sets
     assert len(reported) == len(set(reported)) == 6
+    # stacks of one set: one sphere transform per (stack, radius), the
+    # spectrum recheck on the first stack only, still one alive at a time
+    for seen in (transforms, stacks, inverses, alive, peak):
+        seen.clear()
+    monkeypatch.setattr(cli, "STACK_ELEMENTS", 1)
+    assert run_sweep(SMALL_CONFIG, jobs=1)[0] == records
+    assert transforms == {(3, 2): 3 * 2, (7, 2): 3 * 6}
+    assert max(peak) == 1
+    assert stacks == {(3, 2, 1): 3, (7, 2, 1): 3}
+    assert inverses == {(3, 2, 1): 3 * 2, (7, 2, 1): 3 * 6}
 
 
-def test_sweep_sorts_each_set_once_per_radius(monkeypatch):
-    # the degree column and all four counts of one (set, radius) read one
-    # sorted vertex array, so vertex_array sorts once per column
-    calls = Counter()
-    column = cli.degree_column
+def test_sweep_sorts_and_transforms_each_set_once_per_group(monkeypatch):
+    # each distinct set is sorted once per (p, dim), and the set transform
+    # and all four counts of every radius read that one sorted vertex array
+    calls, rows = Counter(), []
+    stacked = cli.set_transforms
 
     def counted_sorted(values):
         calls["sorted"] += 1
         return sorted(values)
 
-    def counted_column(G, T, B):
-        calls["degree_column"] += 1
-        return column(G, T, B)
+    def counted_stack(p, dim, members):
+        calls["set_transforms"] += 1
+        rows.extend(tuple(m.tolist()) for m in members)
+        return stacked(p, dim, members)
 
     monkeypatch.setattr(fqlab.spectral, "sorted", counted_sorted, raising=False)
-    monkeypatch.setattr(cli, "degree_column", counted_column)
+    monkeypatch.setattr(cli, "set_transforms", counted_stack)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
-    # three distinct sets per p, one column per (set, radius)
-    assert calls == {"sorted": 3 * 2 + 3 * 6, "degree_column": 3 * 2 + 3 * 6}
+    # three distinct sets per p, one stack per p
+    assert calls == {"sorted": 3 + 3, "set_transforms": 2}
+    assert len(rows) == len(set(rows)) == 6
 
 
 def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
     # with B = E the hinge and degree-sum counts of radius a are the sum of
     # counts[x, a]**2 and of counts[x, a] over the set's degree profile
     radius, seen = {}, []
-    column = cli.degree_column
+    inverse = cli.certified_columns
 
-    def tracked_column(G, T, B):
+    def tracked_inverse(G, T, hats, sizes):
         radius.update(p=G.field.p, dim=G.dim, a=G.a)
-        return column(G, T, B)
+        return inverse(G, T, hats, sizes)
 
     def recorder(name, fn):
-        def wrapper(deg, E):
-            value = fn(deg, E)
-            seen.append((name, radius["p"], radius["dim"], radius["a"], tuple(E), value))
-            return value
+        def wrapper(deg, members):
+            values = fn(deg, members)
+            assert len(values) == len(members) == deg.shape[0]
+            for E, value in zip(members, values):
+                seen.append((name, radius["p"], radius["dim"], radius["a"], tuple(E), value))
+            return values
         return wrapper
 
-    monkeypatch.setattr(cli, "degree_column", tracked_column)
+    monkeypatch.setattr(cli, "certified_columns", tracked_inverse)
     monkeypatch.setattr(cli, "hinge_count", recorder("hinges", cli.hinge_count))
     monkeypatch.setattr(
         cli, "degree_sum_check", recorder("degree-sum", cli.degree_sum_check)
@@ -599,6 +647,82 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
         E = fqlab.PointSet(points=points, dim=dim)
         counts = fqlab.degree_profile(fqlab.make_field(p), dim, E).counts[:, a]
         assert value == int((counts**2).sum() if name == "hinges" else counts.sum())
+
+
+def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
+    # no subset check asked for, or no set generated: the spectrum recheck
+    # still takes one sphere transform per radius, and no stack is made
+    made, stacked = Counter(), []
+    transform = cli.sphere_transform
+
+    def counted(G, **kwargs):
+        made[G.field.p] += 1
+        return transform(G, **kwargs)
+
+    monkeypatch.setattr(cli, "sphere_transform", counted)
+    monkeypatch.setattr(cli, "set_transforms", lambda *args: stacked.append(args))
+    for checks, gen in ((["spectrum"], "all"), (["spectrum", "hinge"], "random:100")):
+        made.clear()
+        config = {**SMALL_CONFIG, "generators": [gen], "checks": checks}
+        records, _ = run_sweep(config, jobs=1)
+        assert made == {3: 2, 7: 6}
+        if gen == "all":
+            assert all(r["spectrum_ok"] and r["holds"] for r in records)
+        else:
+            assert all(r["status"] == "error" for r in records)
+    assert stacked == []
+
+
+def test_sweep_computes_each_bound_once_per_size(monkeypatch):
+    # the two random sets of one p share a size, so each bound is computed
+    # once per (radius, lambda, check, |B|, |C|), not once per set
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    names = ("variance_bound", "mixing_bound", "hinge_bound", "degree_sum_bound")
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    records, _ = run_sweep(SMALL_CONFIG, jobs=1)
+    assert all(r["holds"] for r in records)
+    sizes = {(r["p"], r["set_size"]) for r in records}
+    assert len(sizes) == 4  # per p: F_p^2 and one size for both random sets
+    # per radius and size, each bound under two lambdas; three sets would
+    # make three
+    radii = sum(p - 1 for p in (3, 7))
+    assert calls == {name: radii * 2 * 2 for name in names}
+
+
+SWEEP_ALLCHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_allchecks.json"
+
+
+@pytest.mark.parametrize("held", [1, 2])
+def test_stack_boundaries_keep_the_records(monkeypatch, tmp_path, held):
+    # STACK_ELEMENTS = 2 * 361 stacks two sets of the largest graphs
+    # (F_19^2 and F_7^3), whose stacks are counted; 1 stacks one set of any
+    # graph
+    config = json.loads(SWEEP_ALLCHECKS.read_text())
+    verify = ["verify", "--q", "7", "--dim", "3", "--trials", "3"]
+    baseline = emit(run_sweep(config, jobs=1)[0], "jsonl", SWEEP_FIELDS)
+    assert main(verify + ["--out", str(tmp_path / "v0.jsonl")]) == 0
+    stack_sizes = Counter()
+    stacked = cli.set_transforms
+
+    def counted_stack(p, dim, members):
+        if p**dim > 300:
+            stack_sizes[len(members)] += 1
+        return stacked(p, dim, members)
+
+    monkeypatch.setattr(cli, "set_transforms", counted_stack)
+    monkeypatch.setattr(cli, "STACK_ELEMENTS", 1 if held == 1 else 2 * 361)
+    assert emit(run_sweep(config, jobs=1)[0], "jsonl", SWEEP_FIELDS) == baseline
+    assert main(verify + ["--out", str(tmp_path / "v1.jsonl")]) == 0
+    assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v0.jsonl").read_bytes()
+    assert max(stack_sizes) == held and stack_sizes[held] > 1
 
 
 def test_fcount_profile_guardrail_message(capsys):

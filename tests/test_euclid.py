@@ -17,7 +17,7 @@ from fqlab import (
     TooLarge,
     VerificationFailed,
     VertexOutOfRange,
-    degree_column,
+    certified_columns,
     degree_sum_check,
     euclid_graph,
     hinge_count,
@@ -27,13 +27,17 @@ from fqlab import (
     ramanujan_bound,
     rank_point,
     recheck_spectrum,
+    set_transforms,
     spectrum,
     sphere_size,
     sphere_table,
     sphere_transform,
     variance_check,
 )
+from fqlab import cli
 from fqlab.euclid import GROUP_TOL
+from fqlab.spectral import vertex_array
+from stacks import columns
 
 # every instance exercised by the batteries: 44 graphs
 INSTANCES = [(p, 2, a) for p in (3, 7, 11, 19) for a in range(1, p)] + [
@@ -339,29 +343,37 @@ def test_regular_view_neighbors_match_brute(g3_view):
         assert got == want
 
 
-def assert_column_matches_table(G, view, B, C):
-    """The FFT degree column of B equals the neighbor-table column, and each
-    count read off it equals the literal count over the table."""
-    deg = degree_column(G, sphere_transform(G), B)
-    assert deg.dtype == np.int64
-    assert np.array_equal(deg, oracles.view_column(view, B))
-    variance, e, hinges, degree_sum = oracles.table_counts(view, B, C)
-    b, c = len(set(B)), len(set(C))
-    assert variance_check(deg) == variance
-    assert mixing_check(deg, C) == (e, abs(e - Fraction(G.valency * b * c, G.n)))
-    assert hinge_count(deg, B) == hinges
-    assert degree_sum_check(deg, B) == degree_sum
+def assert_columns_match_tables(G, view, pairs):
+    """The stacked FFT degree columns of the sets B equal their
+    neighbor-table columns, and every count read off the stack equals the
+    literal count over the table, for each (B, C) pair of one stack."""
+    deg, members = columns(G, sphere_transform(G), [B for B, _ in pairs])
+    assert deg.dtype == np.int64 and deg.shape == (len(pairs), G.n)
+    Cs = [vertex_array(G.n, C) for _, C in pairs]
+    variance, mixing = variance_check(deg), mixing_check(deg, Cs)
+    hinges, sums = hinge_count(deg, members), degree_sum_check(deg, members)
+    # with C = B the degree sums stand in for the gather over C
+    assert mixing_check(deg, members, sums) == mixing_check(deg, members)
+    for i, (B, C) in enumerate(pairs):
+        assert np.array_equal(deg[i], oracles.view_column(view, B))
+        want = oracles.table_counts(view, B, C)
+        assert (variance[i], mixing[i][0], hinges[i], sums[i]) == want
+        b, c = len(set(B)), len(set(C))
+        assert mixing[i][1] == abs(want[1] - Fraction(G.valency * b * c, G.n))
 
 
 def test_degree_columns_match_neighbor_tables_on_grid():
+    # one stack of five subsets per instance
     for p, dim, a in INSTANCES:
         G = graph(p, dim, a)
         view = oracles.regular_view(G)
         rng = random.Random(f"column|{p}|{dim}|{a}")
+        pairs = []
         for size in (0, 1, 2, G.n // 3, G.n):
             B = rng.sample(range(G.n), size)
             C = rng.sample(range(G.n), rng.randint(0, G.n))
-            assert_column_matches_table(G, view, B, C)
+            pairs.append((B, C))
+        assert_columns_match_tables(G, view, pairs)
 
 
 @st.composite
@@ -386,38 +398,82 @@ def test_degree_columns_match_neighbor_tables_random_spaces(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         G = euclid_graph(make_field(p), dim, a)
-    assert_column_matches_table(G, oracles.regular_view(G), B, C)
+    assert_columns_match_tables(G, oracles.regular_view(G), [(B, C)])
+
+
+@st.composite
+def stack_cases(draw):
+    """(p, dim, a, pairs): one to five (B, C) pairs for one stack, p in
+    3..13 and dim in 2..4 on a space of at most 7**4 points; a set may be
+    empty, a singleton or repeat ranks, and C differs from B."""
+    p, dim = draw(st.sampled_from(
+        [(p, d) for p in (3, 5, 7, 11, 13) for d in (2, 3, 4) if p**d <= 7**4]
+    ))
+    rank = st.integers(0, p**dim - 1)
+    sets = st.one_of(
+        st.just([]), st.lists(rank, min_size=1, max_size=1),
+        st.lists(rank, max_size=60), st.lists(st.sampled_from([0, p**dim - 1, 1]), max_size=6),
+    )
+    pairs = draw(st.lists(st.tuples(sets, sets), min_size=1, max_size=5))
+    return p, dim, draw(st.integers(1, p - 1)), pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(stack_cases())
+@example((3, 2, 1, [([], [0]), ([4], []), ([4, 4, 8, 0], [8, 8]), ([], [])]))
+@example((13, 2, 5, [(list(range(169)), [5]), ([7], list(range(169)))]))
+def test_stacked_columns_match_neighbor_tables_random_spaces(case):
+    p, dim, a, pairs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        G = euclid_graph(make_field(p), dim, a)
+    assert_columns_match_tables(G, oracles.regular_view(G), pairs)
 
 
 def test_degree_column_edge_cases(f7):
     G = euclid_graph(f7, 2, 3)
     T, view, n, k = sphere_transform(G), oracles.regular_view(G), G.n, G.valency
-    empty, one, full = (degree_column(G, T, B) for B in ([], [5], range(n)))
+    (empty, one, full, dup), _ = columns(G, T, [[], [5], range(n), [4, 9, 4, 4]])
     assert not empty.any()
     assert one.sum() == k and set(one.tolist()) == {0, 1}
     assert (full == k).all()
-    assert np.array_equal(degree_column(G, T, [4, 9, 4, 4]), degree_column(G, T, [9, 4]))
-    for B in ([], [5], range(n), [4, 9, 4, 4]):
-        assert_column_matches_table(G, view, B, [4, 5, 5, 30])
+    assert np.array_equal(dup, columns(G, T, [[9, 4]])[0][0])
+    assert_columns_match_tables(
+        G, view, [(B, [4, 5, 5, 30]) for B in ([], [5], range(n), [4, 9, 4, 4])]
+    )
     for bad in ([n], [-1], [0, n + 3]):
         with pytest.raises(VertexOutOfRange):
-            degree_column(G, T, bad)
+            columns(G, T, [bad])
+    stack = one[None]
     with pytest.raises(VertexOutOfRange):
-        mixing_check(one, [n])
+        mixing_check(stack, [np.array([n])])
     with pytest.raises(VertexOutOfRange):
-        hinge_count(one, [-1])
+        hinge_count(stack, [np.array([-1])])
     with pytest.raises(VertexOutOfRange):
-        degree_sum_check(one, [n])
+        degree_sum_check(stack, [np.array([n])])
 
 
 def test_degree_column_certificate(f3):
     G1, G2 = euclid_graph(f3, 3, 1), euclid_graph(f3, 3, 2)  # valencies 6 and 12
     T1, T2 = sphere_transform(G1), sphere_transform(G2)
-    degree_column(G1, T1, range(27))
+    columns(G1, T1, [range(27)])
     with pytest.raises(VerificationFailed):
-        degree_column(G1, T1 * 1.5, [0, 5, 7])  # entries leave the integers
+        columns(G1, T1 * 1.5, [[0, 5, 7]])  # entries leave the integers
     with pytest.raises(VerificationFailed):
-        degree_column(G1, T2, [0, 5, 7])  # exact integers, wrong total
+        columns(G1, T2, [[0, 5, 7]])  # exact integers, wrong total
+
+
+@pytest.mark.parametrize("scale", [1.5, 2.0])  # entries leave the integers; wrong sum
+def test_stacked_certificate_names_the_failing_row(f7, scale):
+    G = euclid_graph(f7, 2, 3)
+    T = sphere_transform(G)
+    members = [vertex_array(G.n, B) for B in ([1, 2], [0, 5, 7], [3], [])]
+    sizes = [m.size for m in members]
+    hats = set_transforms(7, 2, members)
+    assert certified_columns(G, T, hats, sizes).shape == (4, G.n)
+    hats[1] *= scale  # corrupts row 1 of hats * T only
+    with pytest.raises(VerificationFailed, match=r"row 1 \(3 vertices\) fails its certificate"):
+        certified_columns(G, T, hats, sizes)
 
 
 def test_sphere_transform_guardrail():
@@ -436,12 +492,37 @@ def test_subset_counts_peak_memory():
     try:
         T = sphere_transform(G)
         for B in sets:
-            deg = degree_column(G, T, B)
+            deg, members = columns(G, T, [B])
             variance_check(deg)
-            mixing_check(deg, B)
-            hinge_count(deg, B)
-            degree_sum_check(deg, B)
+            mixing_check(deg, members)
+            hinge_count(deg, members)
+            degree_sum_check(deg, members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_stacked_subset_counts_peak_memory():
+    # ten sets of one radius of F_43^3 through the command's stacks, at most
+    # max(1, STACK_ELEMENTS // n) = 3 sets of 79,507 vertices per stack
+    G = euclid_graph(make_field(43), 3, 1)
+    s = spectrum(G)
+    rng = random.Random(2)
+    sizes = (1, 10, 100, 282, 1000, 5000, 20000, 40000, G.n - 1, G.n)
+    members = [vertex_array(G.n, rng.sample(range(G.n), size)) for size in sizes]
+    items = [(c, row, None) for row in range(10) for c in ("variance", "mixing", "hinge")]
+    assert max(len(stack) for stack, _, _ in cli._stacks(G.n, members, items)) == 3
+    tracemalloc.start()
+    try:
+        T = sphere_transform(G)
+        held, memo = [], {}
+        for stack, stack_items, _ in cli._stacks(G.n, members, items):
+            hats = set_transforms(43, 3, stack)
+            held += [r[4] for r in cli._subset_rows(G, s, T, stack, hats, stack_items, memo)]
+            del hats
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 10 * 8 and all(held)  # (2 + 2 + 4) verdicts per set
     assert peak < 64 * 2**20

@@ -10,7 +10,6 @@ import oracles
 from fqlab import (
     BadSpec,
     VertexOutOfRange,
-    degree_column,
     degree_sum_bound,
     degree_sum_check,
     euclid_graph,
@@ -29,6 +28,7 @@ from fqlab import (
 )
 from fqlab.spectral import vertex_array
 from oracles import view_column
+from stacks import columns, one
 
 
 def ranks(p, pts):
@@ -63,7 +63,7 @@ def test_neighbors_out_of_range(g3_view):
 
 def test_hinge_examples(g3_view):
     for E, want in ((ranks(3, THREE), 6), ([0], 0), (range(9), 144)):
-        assert hinge_count(view_column(g3_view, E), E) == want
+        assert one(hinge_count, view_column(g3_view, E), E) == want
 
 
 def test_hinge_matches_brute_route(g3_view):
@@ -73,7 +73,7 @@ def test_hinge_matches_brute_route(g3_view):
         sub = rng.sample(range(9), size)
         pts = [rank_point(3, 2, r) for r in sub]
         deg = view_column(g3_view, sub)
-        assert hinge_count(deg, sub) == oracles.hinge_brute(3, 1, pts)
+        assert one(hinge_count, deg, sub) == oracles.hinge_brute(3, 1, pts)
 
 
 @pytest.mark.parametrize("p,dim,a", [(7, 2, 1), (11, 2, 3), (3, 3, 2)])
@@ -85,7 +85,7 @@ def test_hinge_oracle_equivalence_random(p, dim, a):
         size = rng.randint(0, min(G.n, 60))
         sub = rng.sample(range(G.n), size)
         pts = [rank_point(p, dim, r) for r in sub]
-        assert hinge_count(degree_column(G, T, sub), sub) == oracles.hinge_brute(p, a, pts)
+        assert hinge_count(*columns(G, T, [sub]))[0] == oracles.hinge_brute(p, a, pts)
 
 
 def test_hinge_bound_examples():
@@ -106,7 +106,7 @@ def test_hinge_bound_monotone(m, dm, lam, dlam):
 
 
 def test_variance_example(g3_view, g3_lam):
-    lhs = variance_check(view_column(g3_view, ranks(3, THREE)))
+    lhs = one(variance_check, view_column(g3_view, ranks(3, THREE)))
     rhs = variance_bound(9, g3_lam, 3)
     assert lhs == 4
     assert rhs == pytest.approx(8.0, abs=1e-9)
@@ -115,7 +115,7 @@ def test_variance_example(g3_view, g3_lam):
 
 def test_variance_empty_and_full(g3_view, g3_lam):
     for B, b in (([], 0), (range(9), 9)):
-        lhs = variance_check(view_column(g3_view, B))
+        lhs = one(variance_check, view_column(g3_view, B))
         rhs = variance_bound(9, g3_lam, b)
         assert lhs == 0
         assert rhs == pytest.approx(0.0, abs=1e-9)
@@ -128,21 +128,21 @@ def test_variance_lhs_matches_fraction_brute(g3_view):
         sub = rng.sample(range(9), rng.randint(0, 9))
         pts = [rank_point(3, 2, r) for r in sub]
         want = oracles.variance_lhs_brute(3, 2, 1, pts)
-        assert variance_check(view_column(g3_view, sub)) == want
+        assert one(variance_check, view_column(g3_view, sub)) == want
 
 
 # --- mixing ------------------------------------------------------------------
 
 
 def test_mixing_full_space(g3_view, g3_lam):
-    e, deviation = mixing_check(view_column(g3_view, range(9)), range(9))
+    e, deviation = one(mixing_check, view_column(g3_view, range(9)), range(9))
     assert e == 36
     assert deviation == 0
     assert within_bound(deviation, mixing_bound(g3_lam, 9, 9))
 
 
 def test_mixing_singletons(g3_view, g3_lam):
-    e, deviation = mixing_check(view_column(g3_view, [0]), [point_rank(3, (0, 1))])
+    e, deviation = one(mixing_check, view_column(g3_view, [0]), [point_rank(3, (0, 1))])
     assert e == 1
     assert deviation == Fraction(5, 9)  # |1 - 4/9|
     bound = mixing_bound(g3_lam, 1, 1)
@@ -151,7 +151,7 @@ def test_mixing_singletons(g3_view, g3_lam):
 
 
 def test_mixing_empty(g3_view, g3_lam):
-    e, deviation = mixing_check(view_column(g3_view, []), range(9))
+    e, deviation = one(mixing_check, view_column(g3_view, []), range(9))
     bound = mixing_bound(g3_lam, 0, 9)
     assert e == 0 and bound == pytest.approx(0.0) and within_bound(deviation, bound)
 
@@ -163,7 +163,7 @@ def test_mixing_e_matches_brute(g3_view):
         C = rng.sample(range(9), rng.randint(0, 9))
         bp = [rank_point(3, 2, r) for r in B]
         cp = [rank_point(3, 2, r) for r in C]
-        e = mixing_check(view_column(g3_view, B), C)[0]
+        e = one(mixing_check, view_column(g3_view, B), C)[0]
         assert e == oracles.mixing_e_brute(3, 1, bp, cp)
 
 
@@ -178,18 +178,18 @@ def test_inequalities_hold_on_g7(data):
     B = data.draw(st.sets(st.integers(0, 48), max_size=49))
     C = data.draw(st.sets(st.integers(0, 48), max_size=49))
     b, c = len(B), len(C)
-    deg = degree_column(G, sphere_transform(G), B)
-    assert within_bound(variance_check(deg), variance_bound(49, lam, b))
-    assert within_bound(mixing_check(deg, C)[1], mixing_bound(lam, b, c))
-    p2 = hinge_count(deg, B)
+    deg, members = columns(G, sphere_transform(G), [B])
+    assert within_bound(variance_check(deg)[0], variance_bound(49, lam, b))
+    assert within_bound(mixing_check(deg, [vertex_array(49, C)])[0][1], mixing_bound(lam, b, c))
+    p2 = hinge_count(deg, members)[0]
     assert p2 <= hinge_bound(G.n, G.valency, lam, b) + 1e-9
-    assert within_bound(degree_sum_check(deg, B), degree_sum_bound(49, 8, lam, b))
+    assert within_bound(degree_sum_check(deg, members)[0], degree_sum_bound(49, 8, lam, b))
 
 
 def test_degree_sum_is_hinge_linear_step(g3_view, g3_lam):
     # Eq.-style intermediate: sum of inside-degrees over E
     E = ranks(3, THREE)
-    lhs = degree_sum_check(view_column(g3_view, E), E)
+    lhs = one(degree_sum_check, view_column(g3_view, E), E)
     rhs = degree_sum_bound(9, 4, g3_lam, 3)
     assert lhs == 4  # degrees 2,1,1
     assert rhs == pytest.approx(4 * 9 / 9 + 2.0 * 3, abs=1e-9)
@@ -202,10 +202,10 @@ def test_checks_with_ceiling_lambda(f7):
     rng = random.Random(3)
     for _ in range(10):
         B = rng.sample(range(49), rng.randint(1, 49))
-        b, deg = len(B), degree_column(G, T, B)
-        assert within_bound(variance_check(deg), variance_bound(49, ceiling, b))
-        assert within_bound(mixing_check(deg, B)[1], mixing_bound(ceiling, b, b))
-        assert hinge_count(deg, B) <= hinge_bound(49, 8, ceiling, b) + 1e-9
+        b, (deg, members) = len(B), columns(G, T, [B])
+        assert within_bound(variance_check(deg)[0], variance_bound(49, ceiling, b))
+        assert within_bound(mixing_check(deg, members)[0][1], mixing_bound(ceiling, b, b))
+        assert hinge_count(deg, members)[0] <= hinge_bound(49, 8, ceiling, b) + 1e-9
 
 
 def test_within_bound_exact_when_bound_is_exact():
