@@ -247,18 +247,6 @@ def _spectrum_verdict(G, s, T) -> tuple[bool, str]:
     return ok, detail
 
 
-def _stacks(n: int, members: list, items: list):
-    """Split the sets members, and the (check, row, C) items that read
-    them, into consecutive stacks of at most max(1, STACK_ELEMENTS // n)
-    sets; yields (the stack's sets, its items with rows renumbered within
-    the stack, their indices in items)."""
-    step = max(1, STACK_ELEMENTS // n)
-    for start in range(0, len(members), step):
-        ids = [i for i, (_, row, _) in enumerate(items) if start <= row < start + step]
-        moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
-        yield members[start:start + step], moved, ids
-
-
 def _subset_rows(G, s, T, members, hats, items, memo):
     """Yield (i, lam_kind, lhs, rhs, holds, detail) for the i-th (check,
     row, C) item, under the exact second eigenvalue of s and under its
@@ -270,9 +258,9 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     is None.  hats is set_transforms of members, so one certified_columns
     call against the radius' sphere transform T makes the degree column of
     every set, and each count is made once per set (once per item for
-    mixing against its own C) and judged under both lambdas.  Each bound is
-    computed once per (radius, lambda, check, |B|, |C|) and kept in memo,
-    which the caller keeps across stacks: sets of one size share it.
+    mixing) and judged under both lambdas.  Each bound is computed once per
+    (radius, lambda, check, |B|, |C|) and kept in memo, which the caller
+    keeps across stacks: sets of one size share it.
     """
     if not items:
         return
@@ -280,16 +268,14 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     deg = certified_columns(G, T, hats, [m.size for m in members])
     wanted = {check for check, _, _ in items}
     mix = [i for i, (check, _, _) in enumerate(items) if check == "mixing"]
-    paired = all(items[i][2] is None for i in mix)  # every mixing C is its B
     variance = variance_check(deg) if "variance" in wanted else None
     hinges = hinge_count(deg, members) if "hinge" in wanted else None
-    sums = degree_sum_check(deg, members) if "hinge" in wanted or (mix and paired) else None
+    sums = degree_sum_check(deg, members) if "hinge" in wanted else None
     mixed = {}
     if mix:
         rows = [items[i][1] for i in mix]
         Cs = [members[row] if C is None else C for _, row, C in (items[i] for i in mix)]
-        e = [sums[row] for row in rows] if paired else None
-        mixed = dict(zip(mix, mixing_check(deg[rows], Cs, e)))
+        mixed = dict(zip(mix, mixing_check(deg[rows], Cs)))
     del deg
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
     for i, (check, row, C) in enumerate(items):
@@ -317,6 +303,46 @@ def _subset_rows(G, s, T, members, hats, items, memo):
                     memo[key] = bound(lam)
                 rhs = memo[key]
                 yield i, lam_kind, lhs, rhs, within_bound(lhs, rhs), detail
+
+
+def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):
+    """Yield (a, i, lam_kind, lhs, rhs, holds, detail) for every graph-local
+    verdict on the radii a of F_p^dim: the spectrum verdict of each radius
+    (i = None, lam_kind None) when recheck is set, and _subset_rows' rows
+    for the (check, row, C) items, i indexing items and row members.
+
+    This is the one pass behind spectrum, verify and sweep.  The sorted
+    vertex arrays members are stacked at most max(1, STACK_ELEMENTS // n)
+    at a time, stacks outer and radii inner, so each stack is transformed
+    once for all radii.  Per (stack, radius) one sphere transform serves
+    the spectrum verdict (first stack only) and the stack's counts, and at
+    most one is alive; a stack with neither makes none, and a pass over one
+    radius makes one for all its stacks.  One bound memo serves every
+    stack.
+    """
+    step = max(1, STACK_ELEMENTS // F.p**dim)
+    memo, T, made = {}, None, None
+    for start in range(0, max(len(members), 1), step):
+        ids = [i for i, (_, row, _) in enumerate(items) if start <= row < start + step]
+        moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
+        rechecks = recheck and start == 0
+        if not (moved or rechecks):
+            continue
+        stack = members[start:start + step]
+        hats = set_transforms(F.p, dim, stack) if moved else None
+        for a in radii:
+            G, s = euclid_graph(F, dim, a), spectra[a]
+            if made != a:  # a one-radius pass keeps its transform across stacks
+                T = None  # freed before the next radius' transform is made
+                T, made = sphere_transform(G, force=force), a
+            if rechecks:
+                ok, detail = _spectrum_verdict(G, s, T)
+                yield a, None, None, s.second_eigenvalue, s.ramanujan_bound, ok, detail
+            for i, lam_kind, lhs, rhs, holds, detail in _subset_rows(
+                G, s, T, stack, hats, moved, memo
+            ):
+                yield a, ids[i], lam_kind, lhs, rhs, holds, detail
+        del hats  # freed before the next stack's transform is made
 
 
 def _theorem_row(check, report) -> tuple[float, float, bool, str]:
@@ -364,47 +390,41 @@ def _verify_record(check, p, dim, seed, lhs, rhs, holds, detail, **fields) -> di
     )
 
 
-def _verify_radius(F, dim, a, s, checks, args, out) -> None:
+def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
     """Every graph-local check on radius a, appended to the (records,
     summary lines) pair out[check].
 
     Each subset check draws its (B, C) pairs from its own seeded stream, B
-    then C per trial.  The spectrum recheck and every subset count run
-    against one sphere transform, made only if one of them is asked for and
-    freed on return.  The distinct sets B are sorted once and stacked, so
-    each stack takes one set transform and one inverse transform.
+    then C per trial.  The distinct sets B are sorted once and go through
+    one _graph_rows pass of their own, since no other radius reads them.
     """
-    p = F.p
-    G = euclid_graph(F, dim, a)
+    p, n = F.p, F.p**dim
     items, trials, members, index = [], [], [], {}
     for check in (c for c in checks if c in SUBSET_CHECKS):
         rng = random.Random(derive_seed(args.seed, check, p, dim, a))
-        for trial, size in enumerate(_spanning_sizes(G.n, args.trials)):
-            B = vertex_array(G.n, rng.sample(range(G.n), size))
-            C = rng.sample(range(G.n), rng.randint(1, G.n)) if check == "mixing" else None
+        for trial, size in enumerate(_spanning_sizes(n, args.trials)):
+            B = vertex_array(n, rng.sample(range(n), size))
+            C = rng.sample(range(n), rng.randint(1, n)) if check == "mixing" else None
             row = index.setdefault(B.tobytes(), len(members))
             if row == len(members):
                 members.append(B)
-            items.append((check, row, None if C is None else vertex_array(G.n, C)))
+            items.append((check, row, None if C is None else vertex_array(n, C)))
             trials.append(trial)
-    T = sphere_transform(G, force=args.force) if items or "spectrum" in checks else None
-    if "spectrum" in checks:
-        ok, detail = _spectrum_verdict(G, s, T)
+    rows = [[] for _ in items]
+    for _, i, *verdict in _graph_rows(
+        F, dim, spectra, [a], members, items, "spectrum" in checks, args.force
+    ):
+        if i is not None:
+            rows[i].append(verdict)
+            continue
+        _, lam, bound, ok, detail = verdict
         out["spectrum"][0].append(_verify_record(
-            "spectrum", p, dim, args.seed, s.second_eigenvalue, s.ramanujan_bound,
-            ok, detail, a=a,
+            "spectrum", p, dim, args.seed, lam, bound, ok, detail, a=a,
         ))
         out["spectrum"][1].append(
             f"spectrum  p={p} dim={dim} a={a}: "
-            f"lambda={s.second_eigenvalue:.10g} <= {s.ramanujan_bound:.6g}  "
-            f"{_status(ok)}"
+            f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
         )
-    rows, memo = [[] for _ in items], {}
-    for stack, stack_items, ids in _stacks(G.n, members, items):
-        hats = set_transforms(p, dim, stack)
-        for i, *row in _subset_rows(G, s, T, stack, hats, stack_items, memo):
-            rows[ids[i]].append(row)
-        del hats
     oks = {check: True for check, _, _ in items}
     for (check, row, C), trial, results in zip(items, trials, rows):
         for lam_kind, lhs, rhs, holds, detail in results:
@@ -478,11 +498,12 @@ def cmd_sphere(args) -> int:
 def cmd_spectrum(args) -> int:
     F = _field_for_cli(args.q, args.allow_1mod4)
     radii = list(range(1, F.p)) if args.a is None else [args.a]
+    spectra = _spectra_for(F, args.dim, radii, args.force)
     records, all_ok = [], True
-    for a in radii:
-        G = euclid_graph(F, args.dim, a)
-        s = spectrum(G, force=args.force)
-        bound_ok, detail = _spectrum_verdict(G, s, sphere_transform(G, force=args.force))
+    for a, _, _, _, _, bound_ok, detail in _graph_rows(
+        F, args.dim, spectra, radii, [], [], True, args.force
+    ):
+        s = spectra[a]
         if not bound_ok:
             print(f"a={a}: check failed: {detail}")
         all_ok &= bound_ok
@@ -582,7 +603,7 @@ def cmd_verify(args) -> int:
     # check-major order while the work runs one radius at a time.
     out = {check: ([], []) for check in checks}
     for a in a_values:
-        _verify_radius(F, dim, a, spectra[a], checks, args, out)
+        _verify_radius(F, dim, a, spectra, checks, args, out)
     if need_all:
         _verify_point_sets(F, dim, spectra, checks, args, out)
     records = [rec for check in checks for rec in out[check][0]]
@@ -686,12 +707,11 @@ def _run_sweep_group(task) -> list[dict]:
     verdicts), then the spectrum verdict and the subset checks, the records
     last.
 
-    Each distinct set is sorted once, and the sets are stacked (_stacks);
-    per stack, one set transform serves every radius, and per (stack,
-    radius) one sphere transform serves the spectrum recheck (on the first
-    stack) and every subset count.  At most one sphere transform is alive.
+    Each distinct set is sorted once, and every set and radius goes through
+    one _graph_rows pass, since every radius reads every set; a (p, dim)
+    with no set makes no sphere transform.
     """
-    p, dim, gens, seeds, checks, digest, force, allow = task
+    p, dim, gens, seeds, checks, digest, force = task
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = make_field(p)
@@ -724,31 +744,19 @@ def _run_sweep_group(task) -> list[dict]:
                 cells.append((rec, key))
     oks = {key: {} for _, key in cells}
     sets, subset = list(oks), [c for c in checks if c in SUBSET_CHECKS]
-    n = p**dim
-    members = [vertex_array(n, key) for key in sets] if subset else []
+    members = [vertex_array(p**dim, key) for key in sets] if subset else []
     items = [(c, row, None) for row in range(len(members)) for c in subset]
-    spectrum_ok, memo = True, {}
-    # a spectrum check without subset checks still takes one pass over radii
-    stacks = list(_stacks(n, members, items)) or [([], [], [])]
-    for j, (stack, stack_items, ids) in enumerate(stacks):
-        hats = set_transforms(p, dim, stack) if stack_items else None
-        for a in range(1, p):
-            G = euclid_graph(F, dim, a)
-            recheck = j == 0 and "spectrum" in checks and spectrum_ok
-            if not (recheck or stack_items):
-                continue
-            T = sphere_transform(G, force=force)
-            if recheck:
-                spectrum_ok = _spectrum_verdict(G, spectra[a], T)[0]
-            for i, *_, holds, detail in _subset_rows(
-                G, spectra[a], T, stack, hats, stack_items, memo
-            ):
-                check, row, _ = items[ids[i]]
-                name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
-                got = oks[sets[row]]
-                got[name] = got.get(name, True) and holds
-            del T  # freed before the next radius' transform is made
-        del hats  # freed before the next stack's transform is made
+    recheck, spectrum_ok = "spectrum" in checks and bool(cells), True
+    for _, i, _, _, _, holds, detail in _graph_rows(
+        F, dim, spectra, range(1, p), members, items, recheck, force
+    ):
+        if i is None:
+            spectrum_ok &= holds
+            continue
+        check, row, _ = items[i]
+        name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
+        got = oks[sets[row]]
+        got[name] = got.get(name, True) and holds
     for rec, key in cells:
         report, verdicts = reports.get(key), []
         if report is not None:
@@ -781,7 +789,7 @@ def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[di
         (
             p, dim,
             tuple(config["generators"]), tuple(config["seeds"]),
-            tuple(config["checks"]), digest, force, config["allow_1mod4"],
+            tuple(config["checks"]), digest, force,
         )
         for p, dim in pairs
     ]

@@ -124,29 +124,15 @@ def sphere_size(F: PrimeField, dim: int, a: int) -> int:
 def sphere_points(F: PrimeField, dim: int, a: int, force: bool = False) -> list[Point]:
     """All points of norm a, in lexicographic coordinate order.
 
-    Dimensions up to 3 are filtered out of the full space; higher
-    dimensions descend coordinate by coordinate, pruning any prefix whose
-    remaining norm has an empty sphere in the remaining coordinates.
+    The points are found coordinate by coordinate, pruning any prefix whose
+    remaining norm has an empty sphere in the remaining coordinates, so
+    every prefix tried leads to at least one point.
     """
     if dim < 1:
         raise BadSpec(f"dimension must be >= 1, got {dim}")
     p = F.p
     a = a % p
-    total = p**dim
-    guard_enumeration(total, force)
-    if dim <= 3:
-        idx = np.arange(total, dtype=np.int64)
-        coords = np.empty((total, dim), dtype=np.int64)
-        r = idx
-        # Fill least significant digit into the last column so ascending
-        # index order is lexicographic order on the tuples.
-        for j in range(dim - 1, -1, -1):
-            coords[:, j] = r % p
-            r = r // p
-        norms = (coords * coords).sum(axis=1) % p
-        sel = coords[norms == a]
-        return [tuple(int(c) for c in row) for row in sel]
-
+    guard_enumeration(p**dim, force)
     tables = [sphere_table(F, j).sizes for j in range(1, dim)]
     roots: list[list[int]] = [[] for _ in range(p)]
     for x in range(p):

@@ -39,17 +39,9 @@ def within_bound(lhs, rhs) -> bool:
 
 
 def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
-    """The distinct vertices of S as a sorted int64 array; raises
-    VertexOutOfRange when one leaves [0, n).  An int64 array that is
-    already sorted and distinct, such as one this function returned, is
-    only range-checked, so a set sorted once can be handed to every count.
-    """
-    arr = S
-    if not (
-        isinstance(S, np.ndarray) and S.dtype == np.int64 and S.ndim == 1
-        and (S[1:] > S[:-1]).all()
-    ):
-        arr = np.array(sorted({int(v) for v in S}), dtype=np.int64)
+    """The distinct vertices of S as a sorted int64 array, the form every
+    count reads; raises VertexOutOfRange when one leaves [0, n)."""
+    arr = np.array(sorted({int(v) for v in S}), dtype=np.int64)
     if arr.size and (arr[0] < 0 or arr[-1] >= n):
         raise VertexOutOfRange(f"vertex set leaves [0, {n})")
     return arr
@@ -126,16 +118,12 @@ def variance_bound(n: int, lam: float, b: int) -> float:
     return lam * lam * b * (n - b) / n
 
 
-def mixing_check(deg: np.ndarray, C, e=None) -> list[tuple[int, Fraction]]:
+def mixing_check(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
     """(e_i, |e_i - k|B_i||C_i|/n|) for every row i, deg[i] the degree
-    column of B_i and C[i] the sorted vertex array of C_i.
-
-    e_i, the number of ordered adjacent pairs (u in B_i, v in C_i), is
-    degree_sum_check(deg, C) unless the caller passes the list e: with
-    C = B those are the degree sums it has already counted.
-    """
-    if e is None:
-        e = degree_sum_check(deg, C)
+    column of B_i and C[i] the sorted vertex array of C_i; e_i, the number
+    of ordered adjacent pairs (u in B_i, v in C_i), is the degree sum of
+    row i over C_i."""
+    e = degree_sum_check(deg, C)
     n = deg.shape[1]
     totals = deg.sum(axis=1).tolist()
     return [(ei, abs(ei - Fraction(t * len(c), n))) for ei, t, c in zip(e, totals, C)]

@@ -360,6 +360,29 @@ def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
     assert made == []
 
 
+def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
+    # stacks of one set: each radius' pass makes one sphere transform for
+    # all its stacks, which the spectrum recheck shares
+    made, stacked = Counter(), []
+    transform, stack = cli.sphere_transform, cli.set_transforms
+
+    def counted(G, **kwargs):
+        made[G.a] += 1
+        return transform(G, **kwargs)
+
+    def counted_stack(p, dim, members):
+        stacked.append(len(members))
+        return stack(p, dim, members)
+
+    monkeypatch.setattr(cli, "sphere_transform", counted)
+    monkeypatch.setattr(cli, "set_transforms", counted_stack)
+    monkeypatch.setattr(cli, "STACK_ELEMENTS", 1)
+    assert main(["verify", "--q", "7", "--dim", "2", "--checks", "spectrum,variance,hinge",
+                 "--trials", "3"]) == 0
+    assert made == Counter(range(1, 7))
+    assert set(stacked) == {1} and len(stacked) >= 3 * 6
+
+
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     calls, rows = Counter(), Counter()
 
@@ -650,8 +673,9 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
 
 
 def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
-    # no subset check asked for, or no set generated: the spectrum recheck
-    # still takes one sphere transform per radius, and no stack is made
+    # no subset check asked for: the spectrum recheck still takes one
+    # sphere transform per radius; no set generated: no record reads the
+    # recheck, so no transform is made; no stack is made either way
     made, stacked = Counter(), []
     transform = cli.sphere_transform
 
@@ -665,12 +689,66 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
         made.clear()
         config = {**SMALL_CONFIG, "generators": [gen], "checks": checks}
         records, _ = run_sweep(config, jobs=1)
-        assert made == {3: 2, 7: 6}
         if gen == "all":
+            assert made == {3: 2, 7: 6}
             assert all(r["spectrum_ok"] and r["holds"] for r in records)
         else:
+            assert made == {}
             assert all(r["status"] == "error" for r in records)
     assert stacked == []
+
+
+def test_graph_checks_make_transforms_only_through_graph_rows(monkeypatch, tmp_path):
+    # spectrum, verify and sweep reach the sphere and set transforms and the
+    # degree columns only through one _graph_rows pass: stubbed out, none is
+    # made; unstubbed, it runs once per spectrum command, once per verify
+    # radius and once per sweep (p, dim)
+    calls, passes = Counter(), []
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("sphere_transform", "set_transforms", "certified_columns"):
+        monkeypatch.setattr(cli, name, counted(name))
+    graph_rows = cli._graph_rows
+
+    def traced(F, dim, spectra, radii, *rest):
+        passes.append((F.p, dim, tuple(radii)))
+        yield from graph_rows(F, dim, spectra, radii, *rest)
+
+    out = tmp_path / "r.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_CONFIG))
+    graph = "spectrum,variance,mixing,hinge"
+    commands = (
+        ["spectrum", "--q", "7", "--dim", "2", "--out", str(out)],
+        ["verify", "--q", "7", "--dim", "2", "--trials", "2", "--checks", graph],
+        ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"],
+    )
+    monkeypatch.setattr(cli, "_graph_rows", lambda *args: iter(()))
+    for argv in commands:
+        assert main(argv) == 0
+    assert calls == {}
+    monkeypatch.setattr(cli, "_graph_rows", traced)
+    for argv in commands:
+        assert main(argv) == 0
+    radii = tuple(range(1, 7))
+    assert passes == (
+        [(7, 2, radii)] + [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
+    )
+    # one sphere transform per radius and command; one stack per verify
+    # radius and per sweep (p, dim), one inverse per (stack, radius)
+    assert calls == {
+        "sphere_transform": 6 + 6 + 2 + 6,
+        "set_transforms": 6 + 2,
+        "certified_columns": 6 + 2 + 6,
+    }
 
 
 def test_sweep_computes_each_bound_once_per_size(monkeypatch):

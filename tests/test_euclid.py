@@ -352,8 +352,6 @@ def assert_columns_match_tables(G, view, pairs):
     Cs = [vertex_array(G.n, C) for _, C in pairs]
     variance, mixing = variance_check(deg), mixing_check(deg, Cs)
     hinges, sums = hinge_count(deg, members), degree_sum_check(deg, members)
-    # with C = B the degree sums stand in for the gather over C
-    assert mixing_check(deg, members, sums) == mixing_check(deg, members)
     for i, (B, C) in enumerate(pairs):
         assert np.array_equal(deg[i], oracles.view_column(view, B))
         want = oracles.table_counts(view, B, C)
@@ -503,26 +501,31 @@ def test_subset_counts_peak_memory():
     assert peak < 64 * 2**20
 
 
-def test_stacked_subset_counts_peak_memory():
-    # ten sets of one radius of F_43^3 through the command's stacks, at most
-    # max(1, STACK_ELEMENTS // n) = 3 sets of 79,507 vertices per stack
-    G = euclid_graph(make_field(43), 3, 1)
-    s = spectrum(G)
+def test_stacked_subset_counts_peak_memory(monkeypatch):
+    # ten sets of one radius of F_43^3 through the commands' graph-check
+    # pass, at most max(1, STACK_ELEMENTS // n) = 3 sets of 79,507 vertices
+    # per stack
+    F = make_field(43)
+    G = euclid_graph(F, 3, 1)
+    spectra = {1: spectrum(G)}
     rng = random.Random(2)
     sizes = (1, 10, 100, 282, 1000, 5000, 20000, 40000, G.n - 1, G.n)
     members = [vertex_array(G.n, rng.sample(range(G.n), size)) for size in sizes]
     items = [(c, row, None) for row in range(10) for c in ("variance", "mixing", "hinge")]
-    assert max(len(stack) for stack, _, _ in cli._stacks(G.n, members, items)) == 3
+    stacked, transforms = [], cli.set_transforms
+
+    def counted(p, dim, stack):
+        stacked.append(len(stack))
+        return transforms(p, dim, stack)
+
+    monkeypatch.setattr(cli, "set_transforms", counted)
     tracemalloc.start()
     try:
-        T = sphere_transform(G)
-        held, memo = [], {}
-        for stack, stack_items, _ in cli._stacks(G.n, members, items):
-            hats = set_transforms(43, 3, stack)
-            held += [r[4] for r in cli._subset_rows(G, s, T, stack, hats, stack_items, memo)]
-            del hats
+        rows = cli._graph_rows(F, 3, spectra, [1], members, items, False, False)
+        held = [holds for *_, holds, _ in rows]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert stacked == [3, 3, 3, 1]
     assert len(held) == 10 * 8 and all(held)  # (2 + 2 + 4) verdicts per set
     assert peak < 64 * 2**20

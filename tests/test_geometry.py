@@ -118,7 +118,9 @@ def test_sphere_points_examples(f3, f7):
     assert len(sphere_points(f7, 2, 3)) == 8 == sphere_size(f7, 2, 3)
 
 
-@pytest.mark.parametrize("p,dim", [(3, 2), (3, 3), (3, 4), (7, 2), (7, 4), (11, 2)])
+@pytest.mark.parametrize(
+    "p,dim", [(3, 2), (3, 3), (3, 4), (7, 1), (7, 2), (7, 3), (7, 4), (11, 2)]
+)
 def test_sphere_points_match_brute(p, dim):
     F = make_field(p)
     for a in range(p):

