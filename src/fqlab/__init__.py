@@ -36,6 +36,7 @@ from .euclid import (
     ramanujan_bound,
     recheck_spectrum,
     set_transforms,
+    spectra,
     spectrum,
     sphere_transform,
 )
@@ -83,8 +84,8 @@ __all__ = [
     "within_bound",
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "certified_columns", "euclid_graph",
-    "ramanujan_bound", "recheck_spectrum", "set_transforms", "spectrum",
-    "sphere_transform",
+    "ramanujan_bound", "recheck_spectrum", "set_transforms", "spectra",
+    "spectrum", "sphere_transform",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

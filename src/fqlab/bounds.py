@@ -91,6 +91,17 @@ class DegreeProfile:
         return frozenset(int(r) for r in present)
 
 
+def guard_profile(m: int, force: bool = False) -> None:
+    """Refuse the profile of an m-point set when m**2 > PROFILE_MAX_PAIRS
+    unless forced; degree_profile calls it, and fcount calls it before
+    building any spectrum."""
+    if m * m > PROFILE_MAX_PAIRS and not force:
+        raise TooLarge(
+            f"|E|**2 = {m * m} exceeds the profile guardrail {PROFILE_MAX_PAIRS}; "
+            "pass --force to override"
+        )
+
+
 def degree_profile(
     F: PrimeField, dim: int, E: PointSet, force: bool = False
 ) -> DegreeProfile:
@@ -109,11 +120,7 @@ def degree_profile(
     if E.dim != dim:
         raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
     m = len(E)
-    if m * m > PROFILE_MAX_PAIRS and not force:
-        raise TooLarge(
-            f"|E|**2 = {m * m} exceeds the profile guardrail {PROFILE_MAX_PAIRS}; "
-            "pass --force to override"
-        )
+    guard_profile(m, force)
     p = F.p
     counts = np.zeros((m, p), dtype=np.int64)
     if m:

@@ -27,7 +27,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, bounds
+from . import __version__, bounds, euclid
 from .bounds import check_main_theorem
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
@@ -37,7 +37,6 @@ from .euclid import (
     recheck_spectrum,
     set_transforms,
     sphere_transform,
-    spectrum,
 )
 from .field import PrimeField, make_field
 from .geometry import (
@@ -220,10 +219,6 @@ def _spanning_sizes(n: int, trials: int) -> list[int]:
     if trials == 1:
         return [n]
     return [max(1, min(n, round(n ** (i / (trials - 1))))) for i in range(trials)]
-
-
-def _spectra_for(F: PrimeField, dim: int, radii, force: bool) -> dict:
-    return {a: spectrum(euclid_graph(F, dim, a), force=force) for a in radii}
 
 
 def _status(ok: bool) -> str:
@@ -498,7 +493,7 @@ def cmd_sphere(args) -> int:
 def cmd_spectrum(args) -> int:
     F = _field_for_cli(args.q, args.allow_1mod4)
     radii = list(range(1, F.p)) if args.a is None else [args.a]
-    spectra = _spectra_for(F, args.dim, radii, args.force)
+    spectra = euclid.spectra(F, args.dim, radii, args.force)
     records, all_ok = [], True
     for a, _, _, _, _, bound_ok, detail in _graph_rows(
         F, args.dim, spectra, radii, [], [], True, args.force
@@ -551,7 +546,8 @@ def cmd_fcount(args) -> int:
         generator = args.gen
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
-    spectra = _spectra_for(F, dim, range(1, F.p), args.force)
+    bounds.guard_profile(len(E), args.force)  # before any spectrum is built
+    spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
     report = check_main_theorem(F, dim, E, spectra, force=args.force)
     print(f"p={F.p} dim={dim} |E|={report.set_size} generator={generator}")
     print(f"f={report.f_value} null_pairs={report.null_pair_count}")
@@ -598,7 +594,7 @@ def cmd_verify(args) -> int:
     a_values = [args.a] if args.a is not None else list(range(1, F.p))
     need_all = {"main", "remark"} & set(checks)
     radii = range(1, F.p) if need_all else a_values
-    spectra = _spectra_for(F, dim, radii, args.force)
+    spectra = euclid.spectra(F, dim, radii, args.force)
     # Records and summary lines are buffered per check, so the output keeps
     # check-major order while the work runs one radius at a time.
     out = {check: ([], []) for check in checks}
@@ -715,7 +711,7 @@ def _run_sweep_group(task) -> list[dict]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = make_field(p)
-    spectra = _spectra_for(F, dim, range(1, p), force)
+    spectra = euclid.spectra(F, dim, range(1, p), force)
     theorem_checks = [c for c in ("main", "remark") if c in checks]
     records, cells, reports = [], [], {}
     for gen in gens:

@@ -13,13 +13,18 @@ sphere is also invariant under the orthogonal group, which is transitive
 on nonzero vectors of equal norm, so lam_m depends only on ||m||: every
 radius has at most p + 1 distinct eigenvalues, with sphere sizes as
 multiplicities.  The module computes one p x p table of them per (p, dim),
-for all radii at once (never via a dense eigensolver).
+for all radii at once, in closed form: factoring the sphere's Fourier
+transform coordinate by coordinate into Gauss sums leaves one sum over
+F_p^* per entry, and the whole table is one two-dimensional FFT of size
+p x p, whatever dim is (never a dense eigensolver, and no point of
+F_p^dim is visited).
 
 sphere_transform is the Fourier transform of the sphere indicator over
-Z_p^dim, so its value at m is lam_m computed by another route: one FFT,
-with neither the orthogonal symmetry nor the table.  recheck_spectrum
-compares the table with it at every frequency, and checks the trace
-identities, so the table never goes unchecked.
+Z_p^dim, so its value at m is lam_m computed by another route: one FFT
+over all p**dim points, with neither the orthogonal symmetry nor the
+Gauss sums.  recheck_spectrum compares the table with it at every
+frequency, and checks the trace identities, so the table never goes
+unchecked.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
@@ -47,10 +52,11 @@ from .errors import (
     VerificationFailed,
 )
 from .field import PrimeField
-from .geometry import ranks_to_coords, sphere_size, sphere_table
+from .geometry import sphere_size, sphere_table
 
-# Spectrum and degree-column work is refused above this many vertices
-# unless forced.
+# Work over all of F_p^dim (sphere and set transforms, degree columns) is
+# refused above this many vertices, and the p x p norm-class table above
+# this many entries (16 MB of complex transform), unless forced.
 SPECTRUM_MAX = 10**6
 IMAG_TOL = 1e-8  # character sums must be real to this absolute tolerance
 GROUP_TOL = 1e-6  # eigenvalues closer than this share a multiplicity class
@@ -84,11 +90,21 @@ def euclid_graph(F: PrimeField, dim: int, a: int) -> EuclidGraphSpec:
 
 
 def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
-    """Refuse spectrum and degree-column work on p**dim > SPECTRUM_MAX
-    vertices unless forced; every such route calls this one check."""
+    """Refuse work over all p**dim > SPECTRUM_MAX vertices of F_p^dim
+    unless forced; every such route calls this one check."""
     if p**dim > SPECTRUM_MAX and not force:
         raise TooLarge(
             f"p**dim = {p}**{dim} = {p ** dim} exceeds the spectrum guardrail "
+            f"{SPECTRUM_MAX}; pass --force to override"
+        )
+
+
+def guard_table(p: int, force: bool = False) -> None:
+    """Refuse the p x p norm-class table above SPECTRUM_MAX entries unless
+    forced; the spectra of every radius are read off it."""
+    if p * p > SPECTRUM_MAX and not force:
+        raise TooLarge(
+            f"p**2 = {p}**2 = {p * p} exceeds the spectrum table guardrail "
             f"{SPECTRUM_MAX}; pass --force to override"
         )
 
@@ -98,45 +114,50 @@ def ramanujan_bound(p: int, dim: int) -> float:
     return 2.0 * float(p) ** ((dim - 1) / 2)
 
 
+def _gauss_sum(p: int) -> complex:
+    """G(1) = sum over x in F_p of exp(2*pi*i*x**2/p), which Gauss showed
+    is sqrt(p) when p == 1 (mod 4) and i*sqrt(p) when p == 3 (mod 4)."""
+    return math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+
+
 @functools.lru_cache(maxsize=16)
 def _norm_class_table(F: PrimeField, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Every radius' eigenvalue on every norm class of frequencies.
 
     Returns (values, imag): values[a, c] is lam_m of G_p(a) for each
     nonzero m with ||m|| = c (0 for an empty class), imag[a] the largest
-    imaginary part over row a.  One representative m per class is paired
-    with all p**dim points x: the exact counts H[t, a] of x with m.x = t
-    and ||x|| = a give every radius' character sum at once, cos @ H, in
-    O(p**(dim+1)) work and without enumerating a sphere.
+    imaginary part over row a's populated classes.  Writing the sphere
+    indicator as (1/p) sum over t of w**(t(||s|| - a)), w = exp(2*pi*i/p),
+    each coordinate's sum over s_j is the Gauss sum
+    G(t) w**(-m_j**2 (4t)**-1), and G(t) = eta(t) G(1) with eta the
+    quadratic character, so for m != 0 with ||m|| = c
+
+        lam(a, c) = (1/p) sum over t != 0 of G(t)**dim w**(-t a - c (4t)**-1),
+
+    the Kloosterman (even dim) or Salie (odd dim) form of the sphere's
+    Fourier transform.  The whole table is one fft2 of the p x p array
+    holding eta(t)**dim at (t, (4t)**-1), scaled by G(1)**dim / p: O(p**2
+    log p) work whatever dim is, with no point of F_p^dim visited.
     """
     p = F.p
-    X = ranks_to_coords(p, dim, np.arange(p**dim, dtype=np.int64))
-    norms = (X * X).sum(axis=1) % p
-    angles = 2.0 * math.pi * np.arange(p) / p
-    cos_t, sin_t = np.cos(angles), np.sin(angles)
-    values = np.zeros((p, p))
-    imag = np.zeros((p, p))
-    classes, first = np.unique(norms[1:], return_index=True)
-    for c, r in zip(classes, first + 1):
-        H = np.bincount((X @ X[r]) % p * p + norms, minlength=p * p).reshape(p, p)
-        values[:, c] = cos_t @ H
-        imag[:, c] = sin_t @ H
+    t = np.arange(1, p)
+    eta = np.where(np.array(F.square_counts[1:]) > 0, 1.0, -1.0)
+    curve = np.zeros((p, p))
+    curve[t, [pow(4 * int(x), -1, p) for x in t]] = eta**dim
+    table = np.fft.fft2(curve)
+    table *= _gauss_sum(p) ** dim / p
+    held = _class_sizes(F, dim) > 0
+    values = np.where(held, table.real, 0.0)
     values.setflags(write=False)
-    return values, np.abs(imag).max(axis=1)
+    return values, np.abs(table.imag[:, held]).max(axis=1)
 
 
-def _radius_row(G: EuclidGraphSpec, force: bool) -> tuple[np.ndarray, float]:
-    """Row a of the norm-class table and its worst imaginary residual.
-
-    A measurable imaginary part would mean the sphere lost its negation
-    symmetry, so it is an internal error rather than rounded away.
-    """
-    guard_spectrum(G.field.p, G.dim, force)
-    values, imag = _norm_class_table(G.field, G.dim)
-    imag_max = float(imag[G.a])
-    if imag_max > IMAG_TOL:
-        raise ImagResidualTooLarge(f"worst imaginary residual {imag_max!r}")
-    return values[G.a], imag_max
+def _class_sizes(F: PrimeField, dim: int) -> np.ndarray:
+    """The number of nonzero frequencies of each norm: the sphere sizes,
+    less the zero frequency, which is the trivial class."""
+    counts = np.array(sphere_table(F, dim).sizes, dtype=np.int64)
+    counts[0] -= 1
+    return counts
 
 
 def _group_classes(
@@ -180,37 +201,73 @@ class SpectralSummary:
     norm_values: tuple[float, ...]
 
 
-def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
-    """Every eigenvalue of G, grouped into multiplicity classes.
+def spectra(
+    F: PrimeField, dim: int, radii, force: bool = False
+) -> dict[int, SpectralSummary]:
+    """The spectrum summary of the distance graph G_p(a) for every radius a
+    in radii, read off one norm-class table.
 
     Nonzero frequencies of one norm share one eigenvalue (the connection
     sphere is invariant under the orthogonal group, which by Witt's theorem
-    is transitive on nonzero vectors of equal norm), so the spectrum is row
-    a of the norm-class table with the sphere sizes as multiplicities.
-    Classes are sorted by descending value; values within GROUP_TOL share
-    a class.  second_eigenvalue is max |lam_m| over nonzero m.
+    is transitive on nonzero vectors of equal norm), so the spectrum of
+    G_p(a) is row a of the table with the class sizes as multiplicities.
+    The second eigenvalue (max |lam_m| over nonzero m), both trace
+    residuals and the imaginary residual of every radius are array
+    operations over the (radii x populated classes) block; only the
+    grouping into multiplicity classes, sorted by descending value, values
+    within GROUP_TOL sharing a class, runs per radius.  A measurable
+    imaginary part would mean a wrong table, so it raises
+    ImagResidualTooLarge rather than being rounded away.  The table is
+    refused above p**2 = SPECTRUM_MAX entries unless forced; nothing here
+    grows with p**dim.
     """
-    row, imag_max = _radius_row(G, force)
-    counts = np.array(sphere_table(G.field, G.dim).sizes, dtype=np.int64)
-    counts[0] -= 1  # the zero frequency is the trivial class
+    graphs = [euclid_graph(F, dim, a) for a in radii]
+    if not graphs:
+        return {}
+    guard_table(F.p, force)
+    values, imag = _norm_class_table(F, dim)
+    counts = _class_sizes(F, dim)
     held = counts > 0
-    lam, mult = row[held], counts[held]
-    k, n = G.valency, G.n
-    return SpectralSummary(
-        p=G.field.p,
-        dim=G.dim,
-        a=G.a,
-        n=n,
-        valency=k,
-        classes=_group_classes(np.append(lam, k), np.append(mult, 1), GROUP_TOL),
-        trivial_eigenvalue=float(k),
-        second_eigenvalue=float(np.abs(lam).max()),
-        ramanujan_bound=ramanujan_bound(G.field.p, G.dim),
-        max_imag_residual=imag_max,
-        trace_sum_residual=float(abs(k + (mult * lam).sum())),
-        trace_square_residual=float(abs(k * k + (mult * lam * lam).sum() - n * k)),
-        norm_values=tuple(float(v) for v in row),
-    )
+    rows = np.array([G.a for G in graphs])
+    worst = imag[rows]
+    if worst.max() > IMAG_TOL:
+        raise ImagResidualTooLarge(f"worst imaginary residual {worst.max()!r}")
+    block = values[rows]
+    lam, mult = block[:, held], counts[held]
+    k, n = np.array([G.valency for G in graphs], dtype=np.float64), F.p**dim
+    second = np.abs(lam).max(axis=1)
+    trace_sum = np.abs(k + lam @ mult)
+    trace_square = np.abs(k * k + (lam * lam) @ mult - n * k)
+    ceiling = ramanujan_bound(F.p, dim)
+    out = {}
+    for G, row, lam_a, imag_a, second_a, sum_a, square_a in zip(
+        graphs, block.tolist(), lam, worst.tolist(), second.tolist(),
+        trace_sum.tolist(), trace_square.tolist(),
+    ):
+        out[G.a] = SpectralSummary(
+            p=F.p,
+            dim=dim,
+            a=G.a,
+            n=n,
+            valency=G.valency,
+            classes=_group_classes(
+                np.append(lam_a, G.valency), np.append(mult, 1), GROUP_TOL
+            ),
+            trivial_eigenvalue=float(G.valency),
+            second_eigenvalue=second_a,
+            ramanujan_bound=ceiling,
+            max_imag_residual=imag_a,
+            trace_sum_residual=sum_a,
+            trace_square_residual=square_a,
+            norm_values=tuple(row),
+        )
+    return out
+
+
+def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
+    """Every eigenvalue of G, grouped into multiplicity classes: the
+    spectra summary of its one radius."""
+    return spectra(G.field, G.dim, [G.a], force)[G.a]
 
 
 @functools.lru_cache(maxsize=2)

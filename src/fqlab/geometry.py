@@ -53,16 +53,6 @@ def rank_point(p: int, dim: int, rank: int) -> Point:
     return tuple(coords)
 
 
-def ranks_to_coords(p: int, dim: int, ranks) -> np.ndarray:
-    """Vectorized rank_point; returns an (n, dim) int64 array."""
-    r = np.array(ranks, dtype=np.int64)
-    out = np.empty((r.shape[0], dim), dtype=np.int64)
-    for i in range(dim):
-        out[:, i] = r % p
-        r //= p
-    return out
-
-
 def coords_to_ranks(p: int, coords: np.ndarray) -> np.ndarray:
     """Vectorized point_rank over the rows of an (n, dim) array."""
     coords = np.asarray(coords, dtype=np.int64)

@@ -33,9 +33,18 @@ BOUND_TOL_EXACT = Fraction(BOUND_TOL)  # the same tolerance, for exact bounds
 
 
 def within_bound(lhs, rhs) -> bool:
-    """lhs <= rhs + BOUND_TOL, in exact rationals when rhs is exact."""
-    tol = BOUND_TOL_EXACT if isinstance(rhs, Fraction) else BOUND_TOL
-    return bool(lhs <= rhs + tol)
+    """lhs <= rhs + BOUND_TOL, in exact rationals when rhs is exact.
+
+    A float rhs + BOUND_TOL is compared exactly with a rational lhs by
+    cross-multiplying with its integer ratio, which is the comparison
+    Fraction makes without building a Fraction from the float."""
+    if isinstance(rhs, Fraction):
+        return bool(lhs <= rhs + BOUND_TOL_EXACT)
+    limit = rhs + BOUND_TOL
+    if isinstance(lhs, Fraction) and math.isfinite(limit):
+        num, den = limit.as_integer_ratio()
+        return lhs.numerator * den <= num * lhs.denominator
+    return bool(lhs <= limit)
 
 
 def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
-sums over whole spheres, neighbor tables, and dense matrix powers.
+sums over whole spheres and over every point per norm class, neighbor
+tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
 evidence, not tautology.  The distance, adjacency, neighbor-table,
 eigenvalue-gather and point-text helpers the tests need, and the package
@@ -237,6 +238,29 @@ def eigenvalues_brute(p: int, dim: int, a: int) -> tuple[np.ndarray, float]:
         lam[start:start + block] = np.cos(phase).sum(axis=1)
         imag = max(imag, float(np.abs(np.sin(phase).sum(axis=1)).max()))
     return lam, imag
+
+
+def norm_class_table_brute(p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every radius' eigenvalue on every norm class, by pairing one
+    representative frequency m per class with all p**dim points x.
+
+    values[a, c] is lam_m of the radius-a graph for ||m|| = c (0 for a
+    class with no nonzero m) and imag[a] the worst imaginary part over row
+    a.  The exact counts H[t, a] of x with m.x = t and ||x|| = a give every
+    radius' character sum at once, cos @ H: O(p**(dim+1)) work, with no
+    Gauss sum.
+    """
+    X = points_by_rank(p, dim)
+    norms = (X * X).sum(axis=1) % p
+    angles = 2.0 * math.pi * np.arange(p) / p
+    cos_t, sin_t = np.cos(angles), np.sin(angles)
+    values, imag = np.zeros((p, p)), np.zeros((p, p))
+    classes, first = np.unique(norms[1:], return_index=True)
+    for c, r in zip(classes, first + 1):
+        H = np.bincount((X @ X[r]) % p * p + norms, minlength=p * p).reshape(p, p)
+        values[:, c] = cos_t @ H
+        imag[:, c] = sin_t @ H
+    return values, np.abs(imag).max(axis=1)
 
 
 def eigenvalues(s) -> np.ndarray:

@@ -131,15 +131,15 @@ def test_spectrum_verification_failure_exits_1(monkeypatch):
 
 
 def test_spectrum_computes_each_eigenvalue_array_once(monkeypatch):
-    # the ceiling test and the recheck share one spectrum per radius
+    # the ceiling test and the recheck share one spectrum summary per radius
     calls = Counter()
-    inner = fqlab.euclid._radius_row
+    summary = fqlab.euclid.SpectralSummary
 
-    def counted(G, force):
-        calls[G.a] += 1
-        return inner(G, force)
+    def counted(**fields):
+        calls[fields["a"]] += 1
+        return summary(**fields)
 
-    monkeypatch.setattr(fqlab.euclid, "_radius_row", counted)
+    monkeypatch.setattr(fqlab.euclid, "SpectralSummary", counted)
     assert main(["spectrum", "--q", "7", "--dim", "2"]) == 0
     assert calls == Counter(range(1, 7))
 
@@ -173,7 +173,7 @@ def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = fqlab.make_field(p)
-    spectra = cli._spectra_for(F, dim, range(1, p), force=False)
+    spectra = fqlab.euclid.spectra(F, dim, range(1, p), force=False)
     assert sorted(spectra) == list(range(1, p))
     assert builds == Counter({(p, dim): 1})
     assert not enumerated and not transforms
@@ -386,8 +386,8 @@ def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     calls, rows = Counter(), Counter()
 
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(name, module=cli):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -401,7 +401,7 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     names = ("variance_check", "mixing_check", "hinge_count", "degree_sum_check")
     for name in names + ("certified_columns",):
         monkeypatch.setattr(cli, name, counted(name))
-    monkeypatch.setattr(fqlab.euclid, "spectrum", counted("spectrum"))
+    monkeypatch.setattr(fqlab.euclid, "spectrum", counted("spectrum", fqlab.euclid))
     argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
@@ -810,6 +810,35 @@ def test_fcount_profile_guardrail_message(capsys):
         "error: |E|**2 = 112550881 exceeds the profile guardrail 100000000; "
         "pass --force to override\n"
     )
+
+
+def test_fcount_refuses_the_profile_before_building_spectra(monkeypatch, capsys):
+    # 13,778 points of F_83^3: |E|**2 is over the profile guardrail, so the
+    # command exits 2 with the profile message and no norm-class table
+    builds = Counter()
+    build = fqlab.euclid._norm_class_table.__wrapped__
+
+    def counted_build(F, dim):
+        builds[F.p, dim] += 1
+        return build(F, dim)
+
+    monkeypatch.setattr(fqlab.euclid, "_norm_class_table", counted_build)
+    assert main(["fcount", "--q", "83", "--dim", "3", "--gen", "random:2t"]) == 2
+    assert capsys.readouterr().err == (
+        "error: |E|**2 = 189833284 exceeds the profile guardrail 100000000; "
+        "pass --force to override\n"
+    )
+    assert not builds
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:2t"]) == 0
+    assert builds == Counter({(7, 2): 1})
+
+
+def test_fcount_sparse_set_past_the_vertex_guardrail(capsys):
+    # F_103^3 has 1,092,727 vertices, over SPECTRUM_MAX, but its spectra
+    # come from a 103 x 103 table and the 60-point profile is pairwise
+    assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60", "--seed", "1"]) == 0
+    assert "verdict: ok" in capsys.readouterr().out
+    assert main(["spectrum", "--q", "103", "--dim", "3", "--a", "1"]) == 2
 
 
 def test_closed_stdout_exits_quietly():

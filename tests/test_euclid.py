@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from fqlab import (
     BadSpec,
+    ImagResidualTooLarge,
     TooLarge,
     VerificationFailed,
     VertexOutOfRange,
@@ -320,9 +321,74 @@ def test_verify_spectrum_rejects_foreign_summary(f7):
 
 
 def test_spectrum_guardrail():
-    F = make_field(103)
-    with pytest.raises(TooLarge):
-        spectrum(euclid_graph(F, 3, 1))
+    # the table is bounded by its p x p entries, not by the p**dim vertices:
+    # F_103^3 (1,092,727 vertices) gets its spectrum, F_1019^2 is refused
+    s = spectrum(euclid_graph(make_field(103), 3, 1))
+    assert s.n == 103**3 and s.second_eigenvalue <= s.ramanujan_bound
+    with pytest.raises(TooLarge, match="spectrum table guardrail 1000000"):
+        spectrum(euclid_graph(make_field(1019), 2, 1))
+
+
+# --- the closed-form table against the per-class character sums ---------------
+
+
+def _match_table_oracle(p, dim):
+    """The Gauss-sum table against the O(p**(dim+1)) per-class character
+    sums, on every populated class of every radius."""
+    import fqlab.euclid as euclid_mod
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    values, imag = euclid_mod._norm_class_table(F, dim)
+    ref, ref_imag = oracles.norm_class_table_brute(p, dim)
+    X = oracles.points_by_rank(p, dim)
+    held = np.bincount((X[1:] * X[1:]).sum(axis=1) % p, minlength=p) > 0
+    assert np.abs(values[1:, held] - ref[1:, held]).max() <= 1e-9
+    assert (values[:, ~held] == 0).all()
+    assert imag[1:].max() <= 1e-9 and ref_imag[1:].max() <= 1e-9
+
+
+@pytest.mark.parametrize("p,dim", sorted({(p, dim) for p, dim, _ in INSTANCES}))
+def test_class_table_matches_character_sum_oracle(p, dim):
+    _match_table_oracle(p, dim)
+
+
+# the oracle's p**(dim+1) work at most 2 * 10**6
+TABLE_SPACES = [
+    (p, dim)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for dim in range(2, 7)
+    if p ** (dim + 1) <= 2 * 10**6
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(TABLE_SPACES))
+@example((5, 2))
+@example((13, 3))
+@example((29, 3))
+@example((5, 6))
+@example((7, 5))
+def test_class_table_matches_oracle_random_spaces(space):
+    # G(1) is real for p = 1 (mod 4) and imaginary for p = 3 (mod 4), where
+    # an odd dim (the Salie form) leaves G(1)**dim imaginary
+    _match_table_oracle(*space)
+
+
+@pytest.mark.parametrize("dim,caught", [(2, VerificationFailed), (3, ImagResidualTooLarge)])
+def test_wrong_gauss_sum_phase_is_caught(monkeypatch, dim, caught):
+    # G(1) = sqrt(p) for p = 3 (mod 4), where the true sum is i*sqrt(p):
+    # in dim 2 every eigenvalue changes sign, which the recheck against the
+    # sphere transform refuses; in dim 3 the table turns imaginary
+    import fqlab.euclid as euclid_mod
+
+    F = make_field(7)
+    G = euclid_graph(F, dim, 1)
+    monkeypatch.setattr(euclid_mod, "_gauss_sum", lambda p: math.sqrt(p))
+    monkeypatch.setattr(euclid_mod, "_norm_class_table", euclid_mod._norm_class_table.__wrapped__)
+    with pytest.raises(caught):
+        recheck_spectrum(G, spectrum(G), sphere_transform(G))
 
 
 # --- degree columns and the oracle neighbor table ----------------------------

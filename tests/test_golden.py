@@ -27,9 +27,9 @@ RECORD_DIGESTS = [
     (["sweep", "--default", "--jobs", "1", "--format", "csv"],
      "f0c4ca9a02bf56413ef52ce0b7efd5b6243aea380a83125566080172a341ef7f"),
     (VERIFY_ARGV,
-     "2e73b1f3e0fae32201a3b207e9da7926af575ebcbaae2d9b517035fde0c73a9e"),
+     "efb650b6cd9c5531b0c2149cd1efb5c8ba7916877b5f94e567ace4e34e8d45a2"),
     (["spectrum", "--q", "7", "--dim", "2"],
-     "c257e3ac1ec340d9c6eb53e9e3e56290b64345af430158825e1c519ec11f5605"),
+     "34d37f446340283b68dcd9e5dc9fc7ee8f47a4e7aafd08bfca9d6057f6700ac1"),
     (["fcount", "--q", "7", "--dim", "3", "--gen", "random:1t", "--seed", "2"],
      "b58d8b571f8533ca580fd52445c0af4395b51c6615730f48b00fb0b387e67a7d"),
 ]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from fqlab import (
     variance_check,
     within_bound,
 )
-from fqlab.spectral import vertex_array
+from fqlab.spectral import BOUND_TOL, vertex_array
 from oracles import view_column
 from stacks import columns, one
 
@@ -214,6 +215,35 @@ def test_within_bound_exact_when_bound_is_exact():
     assert within_bound(10**17, Fraction(10**17) - Fraction(1, 10**10))
     assert within_bound(Fraction(1, 3), 1 / 3)
     assert not within_bound(1, 1 - 1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-1e18, max_value=1e18, allow_nan=False),
+    st.integers(1, 10**6),
+    st.booleans(),
+)
+def test_within_bound_matches_fraction_comparison(rhs, n, as_numpy):
+    # a rational count against a float bound, at equality with rhs +
+    # BOUND_TOL, one ulp either side of it, and at the nearest fractions of
+    # denominator n, gives the verdict of Fraction's own exact comparison
+    if as_numpy:
+        rhs = np.float64(rhs)
+    limit = rhs + BOUND_TOL
+    near = Fraction(round(Fraction(limit) * n), n)
+    for lhs in (
+        Fraction(limit),
+        Fraction(math.nextafter(limit, math.inf)),
+        Fraction(math.nextafter(limit, -math.inf)),
+        near - Fraction(1, n), near, near + Fraction(1, n),
+    ):
+        assert within_bound(lhs, rhs) is (lhs <= limit)
+
+
+def test_within_bound_outside_the_finite_floats():
+    assert within_bound(Fraction(10**400, 3), math.inf)
+    assert not within_bound(Fraction(1, 3), -math.inf)
+    assert not within_bound(Fraction(1, 3), math.nan)
 
 
 def test_vertex_array_passes_a_sorted_array_through():
