@@ -17,7 +17,7 @@ The profile has two exact routes, picked by a fixed cost model: all
 |E|**2 pairs for sparse sets, and for dense sets (|E|**2 well above
 p**(dim+1), the paper's regime a) one FFT convolution of the set with
 each radius' sphere, every column certified as exact integers with the
-right total.
+right total.  Both keep per-radius sums only, never |E| * p degrees.
 """
 
 from __future__ import annotations
@@ -57,38 +57,31 @@ PROFILE_FFT_RATIO = 7
 
 @dataclass(frozen=True, eq=False)
 class DegreeProfile:
-    """Per-point distance multiplicities of one point set.
+    """Distance multiplicities of one point set, summed per radius.
 
-    counts[i][r] is the number of other points of E at distance r from
-    the i-th point, rows following the point set's order.  The r = 0
-    column excludes the point itself, so it counts null pairs only.
-    Row sums are |E| - 1.
+    With deg(x, r) the number of other points of E at distance r from x,
+    hinges[r] = sum over x in E of deg(x, r)**2 and pairs[r] = sum over x
+    in E of deg(x, r), the ordered pairs of distinct points at distance r;
+    pairs[0] counts null pairs only.  Both are length-p int64 vectors, and
+    pairs sums to |E|(|E| - 1).
     """
 
     p: int
     dim: int
     size: int
-    counts: np.ndarray
-    null_pair_count: int
+    hinges: np.ndarray
+    pairs: np.ndarray
 
     def f_value(self) -> int:
-        if self.size == 0:
-            return 0
-        cols = self.counts[:, 1:]
-        return int((cols * cols).sum())
+        return int(self.hinges[1:].sum())
 
     def nonzero_pair_count(self) -> int:
         """Ordered pairs of distinct points at nonzero distance."""
-        if self.size == 0:
-            return 0
-        return int(self.counts[:, 1:].sum())
+        return int(self.pairs[1:].sum())
 
     def distance_values(self) -> frozenset[int]:
         """Distances realized by distinct ordered pairs; may contain 0."""
-        if self.size == 0:
-            return frozenset()
-        present = np.flatnonzero(self.counts.sum(axis=0))
-        return frozenset(int(r) for r in present)
+        return frozenset(int(r) for r in np.flatnonzero(self.pairs))
 
 
 def guard_profile(m: int, force: bool = False) -> None:
@@ -105,24 +98,26 @@ def guard_profile(m: int, force: bool = False) -> None:
 def degree_profile(
     F: PrimeField, dim: int, E: PointSet, force: bool = False
 ) -> DegreeProfile:
-    """Tabulate deg(x, r) for every x in E, by one of two exact routes.
+    """Sum deg(x, r)**2 and deg(x, r) over x in E for every r, by one of
+    two exact routes, each adding into the sums as it goes.
 
     The pairwise route evaluates all |E|**2 distances in chunks.  The
-    convolution route reads column r != 0 off the degree column of E in
+    convolution route reads radius r != 0 off the degree column of E in
     the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over Z_p^dim:
     one transform of E, as a one-row stack, for the whole profile, then one
     certified inverse transform per radius (euclid.certified_columns,
     which raises VerificationFailed rather than return a column that fails
-    its certificate); column 0 is |E| - 1 minus the rest of the row.  The
-    cost model PROFILE_FFT_RATIO picks the route; both give the same array.
-    |E|**2 > PROFILE_MAX_PAIRS is refused unless forced, whatever the route.
+    its certificate), gathered at E; deg(x, 0) is |E| - 1 minus the rest.
+    The cost model PROFILE_FFT_RATIO picks the route; both give the same
+    vectors.  |E|**2 > PROFILE_MAX_PAIRS is refused unless forced,
+    whatever the route.
     """
     if E.dim != dim:
         raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
     m = len(E)
     guard_profile(m, force)
     p = F.p
-    counts = np.zeros((m, p), dtype=np.int64)
+    sums = np.zeros((2, p), dtype=np.int64)  # rows: hinges, pairs
     if m:
         coords = np.array(E.points, dtype=np.int64)
         if coords.max() >= p:
@@ -132,15 +127,14 @@ def degree_profile(
             force or p**dim <= SPECTRUM_MAX
         )
         if convolve:
-            _convolved_profile(F, dim, coords, counts, force)
+            _convolved_profile(F, dim, coords, sums, force)
         else:
-            _pairwise_profile(p, dim, coords, counts)
-    null = int(counts[:, 0].sum()) if m else 0
-    return DegreeProfile(p=p, dim=dim, size=m, counts=counts, null_pair_count=null)
+            _pairwise_profile(p, dim, coords, sums)
+    return DegreeProfile(p=p, dim=dim, size=m, hinges=sums[0], pairs=sums[1])
 
 
-def _pairwise_profile(p: int, dim: int, coords: np.ndarray, counts: np.ndarray) -> None:
-    """Fill counts from all |E|**2 coordinate differences."""
+def _pairwise_profile(p: int, dim: int, coords: np.ndarray, sums: np.ndarray) -> None:
+    """Add into the (hinges, pairs) rows of sums from all |E|**2 differences."""
     m = coords.shape[0]
     chunk = max(1, (1 << 22) // m)
     # Two reused (chunk, m) buffers: squared differences accumulate one
@@ -157,23 +151,26 @@ def _pairwise_profile(p: int, dim: int, coords: np.ndarray, counts: np.ndarray) 
             acc += sq
         acc %= p
         acc += np.arange(0, rows * p, p, dtype=np.int64)[:, None]
-        flat = np.bincount(acc.ravel(), minlength=rows * p)
-        counts[start:stop] = flat.reshape(rows, p)
-    # Each row includes the point's own zero distance; drop it.
-    counts[:, 0] -= 1
+        deg = np.bincount(acc.ravel(), minlength=rows * p).reshape(rows, p)
+        deg[:, 0] -= 1  # each row includes the point's own zero distance
+        sums += [np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)]
 
 
 def _convolved_profile(
-    F: PrimeField, dim: int, coords: np.ndarray, counts: np.ndarray, force: bool
+    F: PrimeField, dim: int, coords: np.ndarray, sums: np.ndarray, force: bool
 ) -> None:
-    """Fill counts from one transform of E and one degree column per radius."""
-    m, p = counts.shape
+    """Fill the (hinges, pairs) rows of sums from one transform of E and
+    one degree column per radius, gathered at E."""
+    m, p = coords.shape[0], F.p
     ranks = coords_to_ranks(p, coords)
     E_hat = set_transforms(p, dim, [ranks])
+    null = np.full(m, m - 1, dtype=np.int64)
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
-        counts[:, a] = certified_columns(G, sphere_transform(G, force=force), E_hat, [m])[0, ranks]
-    counts[:, 0] = (m - 1) - counts[:, 1:].sum(axis=1)
+        inside = certified_columns(G, sphere_transform(G, force=force), E_hat, [m])[0, ranks]
+        sums[:, a] = inside @ inside, inside.sum()
+        null -= inside
+    sums[:, 0] = null @ null, null.sum()
 
 
 def lower_bound_f(profile: DegreeProfile, q: int) -> Fraction:
@@ -294,7 +291,7 @@ def check_main_theorem(
         set_size=m,
         f_value=f,
         distance_set=nz,
-        null_pair_count=prof.null_pair_count,
+        null_pair_count=int(prof.pairs[0]),
         lower_bound=lower,
         upper_exact=upper_exact,
         upper_asymptotic=upper_asym,

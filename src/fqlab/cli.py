@@ -779,8 +779,9 @@ def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[di
             for dim in block["dims"]:
                 if (p, dim) not in pairs:
                     pairs.append((p, dim))
-    for p, dim in pairs:
-        guard_spectrum(p, dim, force)
+    if set(config["checks"]) - {"main", "remark"}:  # graph checks span F_p^dim
+        for p, dim in pairs:
+            guard_spectrum(p, dim, force)
     tasks = [
         (
             p, dim,

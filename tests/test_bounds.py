@@ -50,34 +50,47 @@ def spectra3(f3):
 # --- degree profile ----------------------------------------------------------
 
 
+def brute_sums(p, points):
+    """(hinges, pairs) of the per-point oracle table: the column sums of
+    its squared entries and of its entries."""
+    table = oracles.degree_profile_brute(p, points)
+    hinges = [sum(row[r] ** 2 for row in table) for r in range(p)]
+    pairs = [sum(row[r] for row in table) for r in range(p)]
+    return hinges, pairs
+
+
+def sums_of(prof):
+    return prof.hinges.tolist(), prof.pairs.tolist()
+
+
 def test_profile_three_points(f3, three):
+    # per-point degree rows (0,0): [0, 2, 0], (0,1) and (1,0): [0, 1, 1]
     prof = degree_profile(f3, 2, three)
-    rows = {three.points[i]: list(map(int, prof.counts[i])) for i in range(3)}
-    assert rows[(0, 0)] == [0, 2, 0]
-    assert rows[(0, 1)] == [0, 1, 1]
-    assert rows[(1, 0)] == [0, 1, 1]
-    assert prof.null_pair_count == 0
+    assert sums_of(prof) == ([0, 4 + 1 + 1, 1 + 1], [0, 2 + 1 + 1, 1 + 1])
+    assert prof.pairs[0] == 0
 
 
 def test_profile_singleton(f3):
     E = load_point_set("1,2\n", f3)
     prof = degree_profile(f3, 2, E)
     assert prof.f_value() == 0
-    assert prof.null_pair_count == 0
-    assert list(map(int, prof.counts[0])) == [0, 0, 0]
+    assert sums_of(prof) == ([0, 0, 0], [0, 0, 0])
 
 
 def test_profile_counts_null_pairs(f7):
     # (2,3,1) is isotropic mod 7, so x and x+(2,3,1) form two ordered null pairs
     E = load_point_set("0,0,0\n2,3,1\n", f7)
     prof = degree_profile(f7, 3, E)
-    assert prof.null_pair_count == 2
+    assert prof.pairs[0] == 2
+    assert prof.hinges[0] == 1 + 1
 
 
 def test_profile_row_sums(f7):
+    # every point has |E| - 1 = 11 others, so the pairs total 12 * 11
     E = generate_point_set(f7, 2, "random:12", seed=4)
     prof = degree_profile(f7, 2, E)
-    assert all(int(row.sum()) == 11 for row in prof.counts)
+    assert all(sum(row) == 11 for row in oracles.degree_profile_brute(7, E.points))
+    assert int(prof.pairs.sum()) == 12 * 11
 
 
 @pytest.mark.parametrize("p,dim,gen", [(3, 2, "all"), (7, 2, "random:10"),
@@ -86,9 +99,8 @@ def test_profile_matches_brute(p, dim, gen):
     F = make_field(p)
     E = generate_point_set(F, dim, gen, seed=2)
     prof = degree_profile(F, dim, E)
-    brute = oracles.degree_profile_brute(p, E.points)
-    assert [list(map(int, row)) for row in prof.counts] == brute
-    assert prof.null_pair_count == oracles.null_pairs_brute(p, E.points)
+    assert sums_of(prof) == brute_sums(p, E.points)
+    assert prof.pairs[0] == oracles.null_pairs_brute(p, E.points)
 
 
 def test_profile_peak_memory():
@@ -101,7 +113,7 @@ def test_profile_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prof.counts.sum() == 3481 * 3480
+    assert prof.pairs.sum() == 3481 * 3480
     assert peak < 160 * 2**20
 
 
@@ -116,11 +128,16 @@ def profile_by(route, F, dim, E):
         return degree_profile(F, dim, E)
 
 
+# sets up to this size are also checked against the per-point oracle table
+BRUTE_MAX = 200
+
+
 def assert_routes_agree(F, dim, E):
     pair, conv = (profile_by(route, F, dim, E) for route in ("pairwise", "convolved"))
-    assert conv.counts.dtype == np.int64
-    assert np.array_equal(conv.counts, pair.counts)
-    assert conv.null_pair_count == pair.null_pair_count
+    assert conv.hinges.dtype == conv.pairs.dtype == np.int64
+    assert sums_of(conv) == sums_of(pair)
+    if len(E) <= BRUTE_MAX:
+        assert sums_of(conv) == brute_sums(F.p, E.points)
     return conv
 
 
@@ -173,8 +190,8 @@ def test_profile_routes_agree_random_spaces(case):
         F = make_field(p)
     E = PointSet(points=tuple(rank_point(p, dim, r) for r in ranks), dim=dim)
     prof = assert_routes_agree(F, dim, E)
-    assert prof.counts.shape == (len(ranks), p)
-    assert all(int(row.sum()) == len(ranks) - 1 for row in prof.counts)
+    assert prof.hinges.shape == prof.pairs.shape == (p,)
+    assert int(prof.pairs.sum()) == len(ranks) * (len(ranks) - 1)
 
 
 def test_profile_routes_agree_on_f3_full_space(f3):
@@ -203,7 +220,7 @@ def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch, f11):
     E = generate_point_set(f11, 2, "all")
     unforced, forced = degree_profile(f11, 2, E), degree_profile(f11, 2, E, force=True)
     assert taken == ["pairwise", "convolved"]
-    assert np.array_equal(unforced.counts, forced.counts)
+    assert sums_of(unforced) == sums_of(forced)
 
 
 @pytest.mark.parametrize("scale", [1.5, 2.0])  # entries leave the integers; wrong sum
@@ -231,8 +248,27 @@ def test_convolved_profile_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert taken == ["convolved"]
-    assert prof.counts.sum() == 3481 * 3480
+    assert prof.pairs.sum() == 3481 * 3480
     assert peak < 8 * 2**20
+
+
+def test_forced_full_space_profile_peak_memory(monkeypatch):
+    # F_103^2 is past the pairwise guardrail; its forced profile convolves
+    # and keeps only the two length-p vectors, not a 10609 x 103 table
+    F = make_field(103)
+    E = generate_point_set(F, 2, "all")
+    valencies = [euclid_graph(F, 2, a).valency for a in range(1, 103)]
+    taken = routes_taken(monkeypatch)
+    tracemalloc.start()
+    try:
+        prof = degree_profile(F, 2, E, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["convolved"]
+    assert prof.pairs.tolist() == [0] + [103**2 * k for k in valencies]
+    assert prof.f_value() == 103**2 * sum(k * k for k in valencies)
+    assert peak < 2 * 2**20
 
 
 def test_pairwise_profile_peak_memory(monkeypatch):
@@ -247,7 +283,7 @@ def test_pairwise_profile_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert taken == ["pairwise"]
-    assert prof.counts.sum() == len(E) * (len(E) - 1)
+    assert prof.pairs.sum() == len(E) * (len(E) - 1)
     assert peak < 80 * 2**20
 
 

@@ -635,8 +635,8 @@ def test_sweep_sorts_and_transforms_each_set_once_per_group(monkeypatch):
 
 
 def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
-    # with B = E the hinge and degree-sum counts of radius a are the sum of
-    # counts[x, a]**2 and of counts[x, a] over the set's degree profile
+    # with B = E the hinge and degree-sum counts of radius a are the set's
+    # degree profile's hinges[a] and pairs[a]
     radius, seen = {}, []
     inverse = cli.certified_columns
 
@@ -668,8 +668,8 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
     for name, p, dim, a, ranks, value in seen:
         points = tuple(fqlab.rank_point(p, dim, r) for r in ranks)
         E = fqlab.PointSet(points=points, dim=dim)
-        counts = fqlab.degree_profile(fqlab.make_field(p), dim, E).counts[:, a]
-        assert value == int((counts**2).sum() if name == "hinges" else counts.sum())
+        prof = fqlab.degree_profile(fqlab.make_field(p), dim, E)
+        assert value == int(prof.hinges[a] if name == "hinges" else prof.pairs[a])
 
 
 def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
@@ -839,6 +839,30 @@ def test_fcount_sparse_set_past_the_vertex_guardrail(capsys):
     assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60", "--seed", "1"]) == 0
     assert "verdict: ok" in capsys.readouterr().out
     assert main(["spectrum", "--q", "103", "--dim", "3", "--a", "1"]) == 2
+
+
+def test_sweep_past_the_vertex_guardrail_without_graph_checks(tmp_path, capsys):
+    # main and remark never work over all of F_103^3, so the sweep runs and
+    # each cell's f is the one fcount prints for its cell seed; a graph
+    # check brings the spectrum guardrail back
+    config = {"grid": [{"primes": [103], "dims": [3]}], "generators": ["random:50"],
+              "seeds": [1, 2], "checks": ["main", "remark"]}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 2
+    capsys.readouterr()
+    for rec in records:
+        assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:50",
+                     "--seed", str(rec["cell_seed"])]) == 0
+        assert f"f={rec['f_value']} " in capsys.readouterr().out
+    cfg.write_text(json.dumps({**config, "checks": ["main", "remark", "hinge"]}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: p**dim = 103**3 = 1092727 exceeds the spectrum guardrail 1000000; "
+        "pass --force to override\n"
+    )
 
 
 def test_closed_stdout_exits_quietly():
