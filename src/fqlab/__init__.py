@@ -32,6 +32,7 @@ from .euclid import (
     EuclidGraphSpec,
     SpectralSummary,
     certified_columns,
+    class_transform,
     euclid_graph,
     ramanujan_bound,
     recheck_spectrum,
@@ -83,9 +84,9 @@ __all__ = [
     "mixing_bound", "mixing_check", "variance_bound", "variance_check",
     "within_bound",
     # euclid
-    "EuclidGraphSpec", "SpectralSummary", "certified_columns", "euclid_graph",
-    "ramanujan_bound", "recheck_spectrum", "set_transforms", "spectra",
-    "spectrum", "sphere_transform",
+    "EuclidGraphSpec", "SpectralSummary", "certified_columns", "class_transform",
+    "euclid_graph", "ramanujan_bound", "recheck_spectrum", "set_transforms",
+    "spectra", "spectrum", "sphere_transform",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

@@ -16,8 +16,9 @@ one verdict per inequality.
 The profile has two exact routes, picked by a fixed cost model: all
 |E|**2 pairs for sparse sets, and for dense sets (|E|**2 well above
 p**(dim+1), the paper's regime a) one FFT convolution of the set with
-each radius' sphere, every column certified as exact integers with the
-right total.  Both keep per-radius sums only, never |E| * p degrees.
+each radius' sphere, whose transform is gathered from the norm-class
+table, every column certified as exact integers with the right total.
+Both keep per-radius sums only, never |E| * p degrees.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
 from .euclid import (
     SPECTRUM_MAX,
     SpectralSummary,
+    _norm_class_table,
     certified_columns,
+    class_transform,
     euclid_graph,
+    guard_spectrum,
     ramanujan_bound,
     set_transforms,
-    sphere_transform,
 )
 from .field import PrimeField
 from .geometry import PointSet, coords_to_ranks, size_threshold
@@ -66,8 +69,6 @@ class DegreeProfile:
     pairs sums to |E|(|E| - 1).
     """
 
-    p: int
-    dim: int
     size: int
     hinges: np.ndarray
     pairs: np.ndarray
@@ -104,10 +105,13 @@ def degree_profile(
     The pairwise route evaluates all |E|**2 distances in chunks.  The
     convolution route reads radius r != 0 off the degree column of E in
     the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over Z_p^dim:
-    one transform of E, as a one-row stack, for the whole profile, then one
-    certified inverse transform per radius (euclid.certified_columns,
-    which raises VerificationFailed rather than return a column that fails
-    its certificate), gathered at E; deg(x, 0) is |E| - 1 minus the rest.
+    one transform of E, as a one-row stack, for the whole profile, then
+    per radius the sphere's transform gathered from its row of the
+    norm-class table (euclid.class_transform, no FFT) and one certified
+    inverse transform (euclid.certified_columns, which raises
+    VerificationFailed rather than return a column that fails its
+    certificate, so a wrong table cannot give a wrong profile), gathered
+    at E; deg(x, 0) is |E| - 1 minus the rest.
     The cost model PROFILE_FFT_RATIO picks the route; both give the same
     vectors.  |E|**2 > PROFILE_MAX_PAIRS is refused unless forced,
     whatever the route.
@@ -130,7 +134,7 @@ def degree_profile(
             _convolved_profile(F, dim, coords, sums, force)
         else:
             _pairwise_profile(p, dim, coords, sums)
-    return DegreeProfile(p=p, dim=dim, size=m, hinges=sums[0], pairs=sums[1])
+    return DegreeProfile(size=m, hinges=sums[0], pairs=sums[1])
 
 
 def _pairwise_profile(p: int, dim: int, coords: np.ndarray, sums: np.ndarray) -> None:
@@ -160,14 +164,19 @@ def _convolved_profile(
     F: PrimeField, dim: int, coords: np.ndarray, sums: np.ndarray, force: bool
 ) -> None:
     """Fill the (hinges, pairs) rows of sums from one transform of E and
-    one degree column per radius, gathered at E."""
+    one degree column per radius, gathered at E; each radius' sphere
+    transform is its row of the norm-class table, gathered by norm (the
+    table's p**2 entries are within the guard on p**dim)."""
     m, p = coords.shape[0], F.p
+    guard_spectrum(p, dim, force)
+    values, _ = _norm_class_table(F, dim)
     ranks = coords_to_ranks(p, coords)
     E_hat = set_transforms(p, dim, [ranks])
     null = np.full(m, m - 1, dtype=np.int64)
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
-        inside = certified_columns(G, sphere_transform(G, force=force), E_hat, [m])[0, ranks]
+        T = class_transform(p, dim, values[a], G.valency)
+        inside = certified_columns(G, T, E_hat, [m])[0, ranks]
         sums[:, a] = inside @ inside, inside.sum()
         null -= inside
     sums[:, 0] = null @ null, null.sum()

@@ -19,12 +19,13 @@ F_p^* per entry, and the whole table is one two-dimensional FFT of size
 p x p, whatever dim is (never a dense eigensolver, and no point of
 F_p^dim is visited).
 
-sphere_transform is the Fourier transform of the sphere indicator over
-Z_p^dim, so its value at m is lam_m computed by another route: one FFT
-over all p**dim points, with neither the orthogonal symmetry nor the
-Gauss sums.  recheck_spectrum compares the table with it at every
-frequency, and checks the trace identities, so the table never goes
-unchecked.
+The sphere indicator's Fourier transform over Z_p^dim takes the value
+lam_m at m, so it has two routes.  class_transform gathers it from one
+radius' row of the table, indexed by the norm of each frequency;
+sphere_transform takes it as one FFT over all p**dim points, with neither
+the orthogonal symmetry nor the Gauss sums.  recheck_spectrum compares
+the two at every frequency, and checks the trace identities, so the table
+never goes unchecked.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
@@ -33,8 +34,12 @@ set indicators at once, and certified_columns turns the stack and one
 sphere transform into every set's degree column with one inverse FFT, in
 O(S n log n) time and O(S n) memory for S sets, each column certified
 exact.  A set is thus transformed once however many radii read it, and
-each radius costs one inverse transform per stack; bounds.degree_profile
-uses the same route with the point set as a one-row stack.
+each radius costs one inverse transform per stack.  The subset checks
+take each radius' transform from sphere_transform, which keeps them
+independent of the spectrum they are judged against;
+bounds.degree_profile, whose columns only count, uses the same route with
+the point set as a one-row stack and each radius' transform gathered by
+class_transform, and the certificate still guards every column.
 """
 
 from __future__ import annotations
@@ -178,12 +183,14 @@ def _group_classes(
     return tuple(zip(means.tolist(), sizes.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSummary:
-    """The grouped spectrum of one graph plus its summary statistics.
+    """The spectrum of one graph plus its summary statistics.
 
     norm_values[c] is the eigenvalue on every nonzero frequency m with
-    ||m|| = c (0 where there is none); m = 0 carries trivial_eigenvalue.
+    ||m|| = c (0 where there is none), the graph's read-only row of the
+    norm-class table, and class_sizes[c] the number of such m; m = 0
+    carries trivial_eigenvalue.
     """
 
     p: int
@@ -191,14 +198,26 @@ class SpectralSummary:
     a: int
     n: int
     valency: int
-    classes: tuple[tuple[float, int], ...]
     trivial_eigenvalue: float
     second_eigenvalue: float
     ramanujan_bound: float
     max_imag_residual: float
     trace_sum_residual: float
     trace_square_residual: float
-    norm_values: tuple[float, ...]
+    norm_values: np.ndarray
+    class_sizes: np.ndarray
+
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[float, int], ...]:
+        """Every eigenvalue grouped into multiplicity classes, sorted by
+        descending value, values within GROUP_TOL sharing a class; built on
+        first read."""
+        held = self.class_sizes > 0
+        return _group_classes(
+            np.append(self.norm_values[held], self.trivial_eigenvalue),
+            np.append(self.class_sizes[held], 1),
+            GROUP_TOL,
+        )
 
 
 def spectra(
@@ -213,10 +232,9 @@ def spectra(
     G_p(a) is row a of the table with the class sizes as multiplicities.
     The second eigenvalue (max |lam_m| over nonzero m), both trace
     residuals and the imaginary residual of every radius are array
-    operations over the (radii x populated classes) block; only the
-    grouping into multiplicity classes, sorted by descending value, values
-    within GROUP_TOL sharing a class, runs per radius.  A measurable
-    imaginary part would mean a wrong table, so it raises
+    operations over the (radii x populated classes) block; the grouping
+    into multiplicity classes waits until a summary's classes are read.
+    A measurable imaginary part would mean a wrong table, so it raises
     ImagResidualTooLarge rather than being rounded away.  The table is
     refused above p**2 = SPECTRUM_MAX entries unless forced; nothing here
     grows with p**dim.
@@ -227,6 +245,7 @@ def spectra(
     guard_table(F.p, force)
     values, imag = _norm_class_table(F, dim)
     counts = _class_sizes(F, dim)
+    counts.setflags(write=False)
     held = counts > 0
     rows = np.array([G.a for G in graphs])
     worst = imag[rows]
@@ -240,9 +259,8 @@ def spectra(
     trace_square = np.abs(k * k + (lam * lam) @ mult - n * k)
     ceiling = ramanujan_bound(F.p, dim)
     out = {}
-    for G, row, lam_a, imag_a, second_a, sum_a, square_a in zip(
-        graphs, block.tolist(), lam, worst.tolist(), second.tolist(),
-        trace_sum.tolist(), trace_square.tolist(),
+    for G, imag_a, second_a, sum_a, square_a in zip(
+        graphs, worst.tolist(), second.tolist(), trace_sum.tolist(), trace_square.tolist()
     ):
         out[G.a] = SpectralSummary(
             p=F.p,
@@ -250,16 +268,14 @@ def spectra(
             a=G.a,
             n=n,
             valency=G.valency,
-            classes=_group_classes(
-                np.append(lam_a, G.valency), np.append(mult, 1), GROUP_TOL
-            ),
             trivial_eigenvalue=float(G.valency),
             second_eigenvalue=second_a,
             ramanujan_bound=ceiling,
             max_imag_residual=imag_a,
             trace_sum_residual=sum_a,
             trace_square_residual=square_a,
-            norm_values=tuple(row),
+            norm_values=values[G.a],
+            class_sizes=counts,
         )
     return out
 
@@ -296,6 +312,20 @@ def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
     return np.fft.rfftn(_norm_grid(G.field.p, G.dim) == G.a)
 
 
+def class_transform(p: int, dim: int, values, trivial: float) -> np.ndarray:
+    """A sphere transform read off norm-class values: the array in
+    sphere_transform's layout holding values[||m||] at every frequency
+    m != 0 and trivial at m = 0.
+
+    With values row a of the norm-class table and trivial the valency it
+    is sphere_transform of G_p(a), gathered from the table in place of an
+    FFT over all p**dim points.
+    """
+    T = np.asarray(values)[_norm_grid(p, dim)[..., : p // 2 + 1]]
+    T[(0,) * dim] = trivial  # m = 0 is a class of its own
+    return T
+
+
 def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> float:
     """Recheck the spectrum summary s of G; returns the worst eigenvector
     residual.
@@ -303,9 +333,10 @@ def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> f
     The eigenvalue sum must vanish (no loops) and the square sum must be
     n * valency (each vertex closes valency 2-walks), both to TRACE_REL_TOL
     relative to n * valency; s carries both residuals.  Then the value s
-    gives for ||m|| is compared with T[m], T = sphere_transform(G), at every
-    frequency m: |T[m] - lam| is the max-norm residual of A chi_m - lam chi_m
-    for the character chi_m, so a wrong norm-class table cannot pass.  The
+    gives for ||m||, gathered by class_transform, is compared with T[m],
+    T = sphere_transform(G), at every frequency m: |T[m] - lam| is the
+    max-norm residual of A chi_m - lam chi_m for the character chi_m, so a
+    wrong norm-class table cannot pass.  The
     worst residual must stay under EIGVEC_TOL times the valency.  Raises
     VerificationFailed on any breach, BadSpec if s belongs to another graph.
     """
@@ -318,9 +349,7 @@ def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> f
         raise VerificationFailed(
             f"trace residuals ({r1}, {r2}) exceed tolerance {trace_tol}"
         )
-    lam = np.array(s.norm_values)[_norm_grid(p, G.dim)[..., : p // 2 + 1]]
-    lam[(0,) * G.dim] = s.trivial_eigenvalue  # m = 0 is a class of its own
-    resid = np.abs(T - lam)
+    resid = np.abs(T - class_transform(p, G.dim, s.norm_values, s.trivial_eigenvalue))
     worst = float(resid.max())
     eig_tol = EIGVEC_TOL * k
     if worst > eig_tol:

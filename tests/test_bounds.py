@@ -24,6 +24,7 @@ from fqlab import (
     make_field,
     rank_point,
     spectrum,
+    sphere_table,
     sphere_transform,
     upper_bound_f,
 )
@@ -103,16 +104,19 @@ def test_profile_matches_brute(p, dim, gen):
     assert prof.pairs[0] == oracles.null_pairs_brute(p, E.points)
 
 
-def test_profile_peak_memory():
-    # one chunk of 2**22 pairs holds two (rows, |E|) int64 buffers, 64 MiB
+def test_profile_peak_memory(monkeypatch):
+    # one chunk of 2**22 pairs holds two (rows, |E|) int64 buffers, 64 MiB;
+    # F_59^2 would convolve, so the pairwise route is pinned
     F = make_field(59)
     E = generate_point_set(F, 2, "all")
+    taken = routes_taken(monkeypatch)
     tracemalloc.start()
     try:
-        prof = degree_profile(F, 2, E)
+        prof = profile_by("pairwise", F, 2, E)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert taken == ["pairwise"]
     assert prof.pairs.sum() == 3481 * 3480
     assert peak < 160 * 2**20
 
@@ -225,13 +229,34 @@ def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch, f11):
 
 @pytest.mark.parametrize("scale", [1.5, 2.0])  # entries leave the integers; wrong sum
 def test_convolved_profile_certificate(monkeypatch, scale):
-    # a corrupted sphere transform fails the column certificate, with no
-    # fallback to the pairwise route
+    # a corrupted gathered sphere transform fails the column certificate,
+    # with no fallback to the pairwise route
     F = make_field(11)
     E = generate_point_set(F, 2, "random:100", seed=1)  # |E|**2 = 7.5 p**3
     taken = routes_taken(monkeypatch)
-    transform = bounds.sphere_transform
-    monkeypatch.setattr(bounds, "sphere_transform", lambda G, **kw: transform(G, **kw) * scale)
+    gather = bounds.class_transform
+    monkeypatch.setattr(bounds, "class_transform", lambda *args: gather(*args) * scale)
+    with pytest.raises(VerificationFailed, match="fails its certificate"):
+        degree_profile(F, 2, E)
+    assert taken == ["convolved"]
+
+
+@pytest.mark.parametrize("p,gen,seed", [(11, "random:100", 1), (59, "random:3t", 4)])
+def test_swapped_class_table_fails_the_profile_certificate(monkeypatch, p, gen, seed):
+    # two norm classes of equal size trade values in every row of the
+    # table: the gathered sphere transforms keep their zero frequency, so
+    # only the rounding residual can tell, and the profile is refused
+    F = make_field(p)
+    E = generate_point_set(F, 2, gen, seed=seed)
+    assert len(E) ** 2 > bounds.PROFILE_FFT_RATIO * p**3
+    values, imag = bounds._norm_class_table(F, 2)
+    c1, c2 = 1, 2
+    assert sphere_table(F, 2).sizes[c1] == sphere_table(F, 2).sizes[c2]
+    assert np.abs(values[1:, c1] - values[1:, c2]).max() > 1.0
+    swapped = values.copy()
+    swapped[:, [c1, c2]] = values[:, [c2, c1]]
+    taken = routes_taken(monkeypatch)
+    monkeypatch.setattr(bounds, "_norm_class_table", lambda F, dim: (swapped, imag))
     with pytest.raises(VerificationFailed, match="fails its certificate"):
         degree_profile(F, 2, E)
     assert taken == ["convolved"]

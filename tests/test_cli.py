@@ -614,18 +614,18 @@ def test_sweep_sorts_and_transforms_each_set_once_per_group(monkeypatch):
     # each distinct set is sorted once per (p, dim), and the set transform
     # and all four counts of every radius read that one sorted vertex array
     calls, rows = Counter(), []
-    stacked = cli.set_transforms
+    stacked, sort = cli.set_transforms, cli.vertex_array
 
-    def counted_sorted(values):
+    def counted_sorted(n, values):
         calls["sorted"] += 1
-        return sorted(values)
+        return sort(n, values)
 
     def counted_stack(p, dim, members):
         calls["set_transforms"] += 1
         rows.extend(tuple(m.tolist()) for m in members)
         return stacked(p, dim, members)
 
-    monkeypatch.setattr(fqlab.spectral, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(cli, "vertex_array", counted_sorted)
     monkeypatch.setattr(cli, "set_transforms", counted_stack)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
@@ -801,6 +801,75 @@ def test_stack_boundaries_keep_the_records(monkeypatch, tmp_path, held):
     assert main(verify + ["--out", str(tmp_path / "v1.jsonl")]) == 0
     assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v0.jsonl").read_bytes()
     assert max(stack_sizes) == held and stack_sizes[held] > 1
+
+
+def counted_sphere_transforms(monkeypatch):
+    """Count every sphere transform made from now on, per (p, dim), under
+    every name the package binds sphere_transform to."""
+    made = Counter()
+    transform = fqlab.euclid.sphere_transform
+
+    def counted(G, **kwargs):
+        made[G.field.p, G.dim] += 1
+        return transform(G, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fqlab" and getattr(module, "sphere_transform", None) is transform:
+            monkeypatch.setattr(module, "sphere_transform", counted)
+    return made
+
+
+def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
+    # all of F_19^2 convolves: each radius' transform is gathered from the
+    # norm-class table, and no FFT of a sphere is taken
+    made, gathered = counted_sphere_transforms(monkeypatch), Counter()
+    gather = fqlab.bounds.class_transform
+
+    def counted_gather(p, dim, values, trivial):
+        gathered[p, dim] += 1
+        return gather(p, dim, values, trivial)
+
+    monkeypatch.setattr(fqlab.bounds, "class_transform", counted_gather)
+    assert main(["fcount", "--q", "19", "--dim", "2", "--gen", "all"]) == 0
+    assert f"f={361 * 18 * 20 * 20} " in capsys.readouterr().out
+    assert made == {} and gathered == {(19, 2): 18}
+
+
+def test_sweep_makes_one_sphere_transform_per_radius(monkeypatch):
+    # the dense sets' profiles gather their transforms from the table, so
+    # the graph checks' p - 1 are the only ones: 44 on this config
+    made = counted_sphere_transforms(monkeypatch)
+    records, _ = run_sweep(json.loads(SWEEP_ALLCHECKS.read_text()), jobs=1)
+    assert all(r["holds"] for r in records)
+    assert made == {(p, dim): p - 1 for p, dim in
+                    [(3, 2), (7, 2), (11, 2), (19, 2), (3, 3), (7, 3)]}
+    assert sum(made.values()) == 44
+
+
+def test_only_spectrum_groups_eigenvalues_into_classes(monkeypatch, tmp_path):
+    # the multiplicity classes are built when read: fcount, verify and
+    # sweep never read them, spectrum once per radius for its text and its
+    # record
+    grouped = Counter()
+    group = fqlab.euclid._group_classes
+
+    def counted(values, counts, tol):
+        grouped[len(values)] += 1
+        return group(values, counts, tol)
+
+    monkeypatch.setattr(fqlab.euclid, "_group_classes", counted)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    cfg.write_text(json.dumps(SMALL_CONFIG))
+    for argv in (
+        ["fcount", "--q", "19", "--dim", "2", "--gen", "all"],
+        ["fcount", "--q", "19", "--dim", "2", "--gen", "random:20"],
+        ["verify", "--q", "7", "--dim", "2", "--trials", "2"],
+        ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"],
+    ):
+        assert main(argv) == 0
+    assert grouped == {}
+    assert main(["spectrum", "--q", "7", "--dim", "2", "--out", str(out)]) == 0
+    assert sum(grouped.values()) == 6
 
 
 def test_fcount_profile_guardrail_message(capsys):

@@ -19,6 +19,7 @@ from fqlab import (
     VerificationFailed,
     VertexOutOfRange,
     certified_columns,
+    class_transform,
     degree_sum_check,
     euclid_graph,
     hinge_count,
@@ -36,7 +37,7 @@ from fqlab import (
     variance_check,
 )
 from fqlab import cli
-from fqlab.euclid import GROUP_TOL
+from fqlab.euclid import EIGVEC_TOL, GROUP_TOL
 from fqlab.spectral import vertex_array
 from stacks import columns
 
@@ -389,6 +390,42 @@ def test_wrong_gauss_sum_phase_is_caught(monkeypatch, dim, caught):
     monkeypatch.setattr(euclid_mod, "_norm_class_table", euclid_mod._norm_class_table.__wrapped__)
     with pytest.raises(caught):
         recheck_spectrum(G, spectrum(G), sphere_transform(G))
+
+
+# --- the sphere transform gathered from the table -----------------------------
+
+
+def _gathered_transform_error(F, dim, a):
+    """|class_transform - sphere_transform| / valency, worst over every
+    frequency, for the table row and valency the degree profile gathers."""
+    import fqlab.euclid as euclid_mod
+
+    G = euclid_graph(F, dim, a)
+    values, _ = euclid_mod._norm_class_table(F, dim)
+    T, want = class_transform(F.p, dim, values[a], G.valency), sphere_transform(G)
+    assert T.shape == want.shape
+    return float(np.abs(T - want).max()) / G.valency
+
+
+@pytest.mark.parametrize("p,dim,a", INSTANCES)
+def test_gathered_transform_matches_sphere_transform(p, dim, a):
+    assert _gathered_transform_error(make_field(p), dim, a) <= EIGVEC_TOL
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(TABLE_SPACES), st.integers(1, 10**6))
+@example((5, 2), 1)
+@example((13, 3), 7)
+@example((29, 2), 3)
+@example((5, 6), 2)
+@example((7, 5), 4)
+def test_gathered_transform_matches_sphere_transform_random_spaces(space, a_seed):
+    # p = 1 (mod 4) included; dim up to 6 gathers from a deep norm grid
+    p, dim = space
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    assert _gathered_transform_error(F, dim, 1 + a_seed % (p - 1)) <= EIGVEC_TOL
 
 
 # --- degree columns and the oracle neighbor table ----------------------------

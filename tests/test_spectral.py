@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -244,6 +244,23 @@ def test_within_bound_outside_the_finite_floats():
     assert within_bound(Fraction(10**400, 3), math.inf)
     assert not within_bound(Fraction(1, 3), -math.inf)
     assert not within_bound(Fraction(1, 3), math.nan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 12), max_size=20), st.sampled_from([list, tuple, np.array]))
+@example([], list)
+@example([], tuple)
+@example([9, 9, 0], tuple)
+def test_vertex_array_matches_sorted_set(values, kind):
+    # the sorted distinct vertices, as int64, whatever the container;
+    # refused as soon as one leaves [0, 10), empty input included
+    S = kind(values) if kind is not np.array else np.array(values, dtype=np.int64)
+    if any(not 0 <= v < 10 for v in values):
+        with pytest.raises(VertexOutOfRange):
+            vertex_array(10, S)
+        return
+    arr = vertex_array(10, S)
+    assert arr.dtype == np.int64 and arr.tolist() == sorted(set(values))
 
 
 def test_vertex_array_passes_a_sorted_array_through():
