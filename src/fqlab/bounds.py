@@ -43,7 +43,7 @@ from .euclid import (
 )
 from .field import PrimeField
 from .geometry import PointSet, coords_to_ranks, size_threshold
-from .spectral import BOUND_TOL, hinge_bound
+from .spectral import hinge_bound, within_bound
 
 # Profiles need |E|**2 distance evaluations; refuse above this unless forced.
 PROFILE_MAX_PAIRS = 10**8
@@ -309,7 +309,7 @@ def check_main_theorem(
         ratio_cubic=float(f * F.p / m**3) if m else 0.0,
         ratio_linear=float(f / (m * F.p**dim)) if m else 0.0,
         lower_ok=bool(lower <= f),
-        upper_ok=bool(f <= upper_exact + BOUND_TOL),
-        asym_ok=bool(upper_exact <= upper_asym + BOUND_TOL),
+        upper_ok=within_bound(f, upper_exact),
+        asym_ok=within_bound(upper_exact, upper_asym),
         delta_ok=bool(delta_implied <= len(nz)),
     )

@@ -49,6 +49,7 @@ from .geometry import (
     sphere_table,
 )
 from .spectral import (
+    bound_threshold,
     degree_sum_bound,
     degree_sum_check,
     hinge_bound,
@@ -141,11 +142,12 @@ def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
     for an empty record list) followed by one row per record.
     """
     if fmt == "jsonl":
+        keys = [f"{json.dumps(k)}:" for k in fields]
         lines = []
         for rec in records:
             body = ",".join(
-                f"{json.dumps(k)}:{_format_value(rec.get(k), 'null', json.dumps)}"
-                for k in fields
+                key + _format_value(rec.get(k), "null", json.dumps)
+                for key, k in zip(keys, fields)
             )
             lines.append("{" + body + "}")
         return "".join(line + "\n" for line in lines)
@@ -255,7 +257,10 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     every set, and each count is made once per set (once per item for
     mixing) and judged under both lambdas.  Each bound is computed once per
     (radius, lambda, check, |B|, |C|) and kept in memo, which the caller
-    keeps across stacks: sets of one size share it.
+    keeps across stacks: sets of one size share it.  memo holds (rhs,
+    bound_threshold(rhs)), and a count lhs_num over lhs_den holds when
+    lhs_num * den <= num * lhs_den; lhs is yielded as lhs_num / lhs_den,
+    correctly rounded.
     """
     if not items:
         return
@@ -275,29 +280,32 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
     for i, (check, row, C) in enumerate(items):
         b = members[row].size
-        # (exact count, detail, bound key, the bound as a function of lambda)
+        # (count numerator, its denominator, detail, bound key, the bound
+        # as a function of lambda)
         if check == "variance":
             sides = [
-                (variance[row], f"|B|={b}", (check, b), lambda lam: variance_bound(n, lam, b)),
+                (variance[row], n, f"|B|={b}", (check, b), lambda lam: variance_bound(n, lam, b)),
             ]
         elif check == "mixing":
             (e, deviation), c = mixed[i], b if C is None else C.size
             sides = [
-                (deviation, f"e={e}", (check, b, c), lambda lam: mixing_bound(lam, b, c)),
+                (deviation, n, f"e={e}", (check, b, c), lambda lam: mixing_bound(lam, b, c)),
             ]
         else:
             sides = [
-                (hinges[row], "hinges", ("hinges", b), lambda lam: hinge_bound(n, k, lam, b)),
-                (sums[row], "degree-sum", ("degree-sum", b),
+                (hinges[row], 1, "hinges", ("hinges", b), lambda lam: hinge_bound(n, k, lam, b)),
+                (sums[row], 1, "degree-sum", ("degree-sum", b),
                  lambda lam: degree_sum_bound(n, k, lam, b)),
             ]
         for lam_kind, lam in lams:
-            for lhs, detail, key, bound in sides:
+            for lhs_num, lhs_den, detail, key, bound in sides:
                 key = (G.a, lam_kind, *key)
                 if key not in memo:
-                    memo[key] = bound(lam)
-                rhs = memo[key]
-                yield i, lam_kind, lhs, rhs, within_bound(lhs, rhs), detail
+                    rhs = bound(lam)
+                    memo[key] = rhs, bound_threshold(rhs)
+                rhs, (num, den) = memo[key]
+                holds = lhs_num * den <= num * lhs_den
+                yield i, lam_kind, lhs_num / lhs_den, rhs, holds, detail
 
 
 def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):

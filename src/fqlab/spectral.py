@@ -12,10 +12,15 @@ convolution, as well as any other regular graph whose columns the tests
 build from a neighbor table.  Each bound is computed from (n, k, lambda,
 set sizes), where lambda is any upper bound on the nontrivial eigenvalue
 magnitudes, sharp or not; one count can thus be judged under several
-lambdas, and sets of one size share every bound.  Counts are exact
-integers or rationals; only the lambda-bearing bounds may live in floating
-point, and within_bound compares the two with the absolute tolerance
-BOUND_TOL.
+lambdas, and sets of one size share every bound.  Every count is an
+integer numerator over a known denominator: hinge and degree-sum counts
+over 1, the variance and mixing deviations over n.  The lambda-bearing
+bounds may live in floating point; hinge_bound and degree_sum_bound are
+assembled from lambda's integer ratio, exactly, in Python ints.
+bound_threshold turns a bound plus the absolute tolerance BOUND_TOL into
+an exact integer ratio num/den, once per bound, and a verdict is then one
+integer comparison, lhs_num * den <= num * lhs_den; within_bound makes
+that comparison for one (lhs, rhs) pair.
 """
 
 from __future__ import annotations
@@ -30,21 +35,40 @@ from .errors import VertexOutOfRange
 
 BOUND_TOL = 1e-9
 BOUND_TOL_EXACT = Fraction(BOUND_TOL)  # the same tolerance, for exact bounds
+_TOL_NUM, _TOL_DEN = BOUND_TOL.as_integer_ratio()
+
+
+def bound_threshold(rhs) -> tuple[int, int]:
+    """The exact threshold of the bound rhs: (num, den), den > 0, with
+    num/den equal to rhs + BOUND_TOL.
+
+    A float bound adds the tolerance in floating point, as the verdict
+    always has, and takes the sum's integer ratio; an exact bound adds it
+    exactly.  A non-finite sum becomes (1, 0) for +inf and (-1, 0) for
+    -inf and nan, so under the verdict's comparison every finite count
+    passes the first and fails the other two."""
+    if isinstance(rhs, Fraction):
+        num, den = rhs.numerator, rhs.denominator
+        return num * _TOL_DEN + _TOL_NUM * den, den * _TOL_DEN
+    limit = rhs + BOUND_TOL
+    if math.isfinite(limit):
+        return limit.as_integer_ratio()
+    return (1 if limit > 0 else -1), 0
 
 
 def within_bound(lhs, rhs) -> bool:
-    """lhs <= rhs + BOUND_TOL, in exact rationals when rhs is exact.
-
-    A float rhs + BOUND_TOL is compared exactly with a rational lhs by
-    cross-multiplying with its integer ratio, which is the comparison
-    Fraction makes without building a Fraction from the float."""
-    if isinstance(rhs, Fraction):
-        return bool(lhs <= rhs + BOUND_TOL_EXACT)
-    limit = rhs + BOUND_TOL
-    if isinstance(lhs, Fraction) and math.isfinite(limit):
-        num, den = limit.as_integer_ratio()
-        return lhs.numerator * den <= num * lhs.denominator
-    return bool(lhs <= limit)
+    """lhs <= rhs + BOUND_TOL, exactly: the integer ratio of lhs (an int,
+    Fraction or float) cross-multiplied with bound_threshold(rhs), the
+    comparison every verdict makes.  A non-finite float lhs is compared
+    as a float."""
+    if isinstance(lhs, float) and not math.isfinite(lhs):
+        return bool(lhs <= rhs + (BOUND_TOL_EXACT if isinstance(rhs, Fraction) else BOUND_TOL))
+    num, den = bound_threshold(rhs)
+    if isinstance(lhs, float):
+        lhs_num, lhs_den = lhs.as_integer_ratio()
+    else:
+        lhs_num, lhs_den = int(lhs.numerator), int(lhs.denominator)
+    return lhs_num * den <= num * lhs_den
 
 
 def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
@@ -94,11 +118,16 @@ def hinge_count(deg: np.ndarray, members) -> list[int]:
 
 
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
-    """m * (k*m/n + lam)**2, assembled in exact rationals, floated last."""
+    """m * (k*m/n + lam)**2, exact in the float lam, rounded once.
+
+    With lam = N/D its integer ratio this is m*(k*m*D + N*n)**2 over
+    (n*D)**2, and the int true division rounds it correctly, as float()
+    of the same Fraction would."""
     if m <= 0:
         return 0.0
-    b = Fraction(k * m, n) + Fraction(float(lam))
-    return float(m * b * b)
+    N, D = float(lam).as_integer_ratio()
+    root = k * m * D + N * n
+    return m * root * root / (n * D) ** 2
 
 
 def degree_sum_check(deg: np.ndarray, members) -> list[int]:
@@ -114,18 +143,21 @@ def degree_sum_check(deg: np.ndarray, members) -> list[int]:
 
 
 def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:
-    """k*m**2/n + lam*m, exact in the float lam."""
-    return Fraction(k * m * m, n) + Fraction(float(lam)) * m
+    """k*m**2/n + lam*m, exact in the float lam: with lam = N/D its integer
+    ratio, (k*m**2*D + N*m*n) / (n*D)."""
+    N, D = float(lam).as_integer_ratio()
+    return Fraction(k * m * m * D + N * m * n, n * D)
 
 
-def variance_check(deg: np.ndarray) -> list[Fraction]:
+def variance_check(deg: np.ndarray) -> list[int]:
     """The exact neighbor-count variance over all vertices, for every row
-    i: the sum over v of (deg[i, v] - k|B_i|/n)**2, deg[i] the degree
-    column of B_i (k|B_i| is the row sum)."""
+    i, as its numerator over n: the sum over v of (deg[i, v] -
+    k|B_i|/n)**2 is (n * sum deg[i]**2 - t_i**2) / n, deg[i] the degree
+    column of B_i and t_i = k|B_i| the row sum."""
     n = deg.shape[1]
     totals = deg.sum(axis=1).tolist()
     squares = np.einsum("ij,ij->i", deg, deg).tolist()
-    return [sq - Fraction(t * t, n) for sq, t in zip(squares, totals)]
+    return [n * sq - t * t for sq, t in zip(squares, totals)]
 
 
 def variance_bound(n: int, lam: float, b: int) -> float:
@@ -133,15 +165,16 @@ def variance_bound(n: int, lam: float, b: int) -> float:
     return lam * lam * b * (n - b) / n
 
 
-def mixing_check(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
-    """(e_i, |e_i - k|B_i||C_i|/n|) for every row i, deg[i] the degree
-    column of B_i and C[i] the sorted vertex array of C_i; e_i, the number
-    of ordered adjacent pairs (u in B_i, v in C_i), is the degree sum of
-    row i over C_i."""
+def mixing_check(deg: np.ndarray, C) -> list[tuple[int, int]]:
+    """(e_i, |e_i * n - t_i|C_i||) for every row i, the second the
+    numerator over n of the deviation |e_i - k|B_i||C_i|/n|; deg[i] is
+    the degree column of B_i, t_i = k|B_i| its row sum, and C[i] the
+    sorted vertex array of C_i.  e_i, the number of ordered adjacent pairs
+    (u in B_i, v in C_i), is the degree sum of row i over C_i."""
     e = degree_sum_check(deg, C)
     n = deg.shape[1]
     totals = deg.sum(axis=1).tolist()
-    return [(ei, abs(ei - Fraction(t * len(c), n))) for ei, t, c in zip(e, totals, C)]
+    return [(ei, abs(ei * n - t * len(c))) for ei, t, c in zip(e, totals, C)]
 
 
 def mixing_bound(lam: float, b: int, c: int) -> float:

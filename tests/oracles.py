@@ -5,9 +5,11 @@ enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres and over every point per norm class, neighbor
 tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
-evidence, not tautology.  The distance, adjacency, neighbor-table,
-eigenvalue-gather and point-text helpers the tests need, and the package
-does not, live here too.
+evidence, not tautology.  The Fraction routes of the subset bounds,
+counts and verdict, which the package replaced with integer numerators
+and thresholds, are kept here as their oracles.  The distance,
+adjacency, neighbor-table, eigenvalue-gather and point-text helpers the
+tests need, and the package does not, live here too.
 """
 
 import math
@@ -336,3 +338,52 @@ def hinge_brute(p: int, a: int, E) -> int:
                 if w != v and dist_brute(p, v, w) == a:
                     total += 1
     return total
+
+
+# --- the Fraction routes of the subset bounds, counts and verdict --------
+
+BOUND_TOL = 1e-9  # the pinned bound tolerance
+
+
+def hinge_bound_fraction(n: int, k: int, lam: float, m: int) -> float:
+    """m * (k*m/n + lam)**2, assembled in Fractions, floated last."""
+    if m <= 0:
+        return 0.0
+    b = Fraction(k * m, n) + Fraction(float(lam))
+    return float(m * b * b)
+
+
+def degree_sum_bound_fraction(n: int, k: int, lam: float, m: int) -> Fraction:
+    """k*m**2/n + lam*m as a Fraction sum, exact in the float lam."""
+    return Fraction(k * m * m, n) + Fraction(float(lam)) * m
+
+
+def within_bound_fraction(lhs, rhs) -> bool:
+    """lhs <= rhs + 1e-9 by Python's own exact comparison: the tolerance
+    added exactly to a Fraction bound and in floating point to a float
+    one."""
+    if isinstance(rhs, Fraction):
+        return bool(lhs <= rhs + Fraction(BOUND_TOL))
+    return bool(lhs <= rhs + BOUND_TOL)
+
+
+def variance_fraction(deg: np.ndarray) -> list[Fraction]:
+    """Sum over v of (deg[i, v] - k|B_i|/n)**2 for every row i of a degree
+    column stack, the row sum standing for k|B_i|."""
+    n = deg.shape[1]
+    return [
+        sum((Fraction(int(d)) - Fraction(int(row.sum()), n)) ** 2 for d in row)
+        for row in deg
+    ]
+
+
+def mixing_fraction(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
+    """(e_i, |e_i - k|B_i||C_i|/n|) for every row i, e_i the degree sum
+    of row i over the distinct vertices of C[i]."""
+    n = deg.shape[1]
+    out = []
+    for row, c in zip(deg, C):
+        members = sorted(set(int(v) for v in c))
+        e = sum(int(row[v]) for v in members)
+        out.append((e, abs(e - Fraction(int(row.sum()) * len(members), n))))
+    return out

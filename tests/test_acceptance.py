@@ -140,8 +140,8 @@ def test_c4_subset_inequality_batteries(capsys, instances):
             C = rng.sample(range(n), rng.randint(1, n))
             b, c = len(B), len(C)
             deg, members = columns(G, T, [B])
-            variance = variance_check(deg)[0]
-            deviation = mixing_check(deg, [vertex_array(n, C)])[0][1]
+            variance = Fraction(variance_check(deg)[0], n)
+            deviation = Fraction(mixing_check(deg, [vertex_array(n, C)])[0][1], n)
             hinges = hinge_count(deg, members)[0]
             degree_sum = degree_sum_check(deg, members)[0]
             for lam in (s.second_eigenvalue, ramanujan_bound(p, dim)):

@@ -752,8 +752,9 @@ def test_graph_checks_make_transforms_only_through_graph_rows(monkeypatch, tmp_p
 
 
 def test_sweep_computes_each_bound_once_per_size(monkeypatch):
-    # the two random sets of one p share a size, so each bound is computed
-    # once per (radius, lambda, check, |B|, |C|), not once per set
+    # the two random sets of one p share a size, so each bound and its
+    # exact threshold are computed once per (radius, lambda, check, |B|,
+    # |C|), not once per set or per verdict
     calls = Counter()
 
     def counted(name, fn):
@@ -763,8 +764,16 @@ def test_sweep_computes_each_bound_once_per_size(monkeypatch):
         return wrapper
 
     names = ("variance_bound", "mixing_bound", "hinge_bound", "degree_sum_bound")
-    for name in names:
+    for name in names + ("bound_threshold",):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    subset_rows = cli._subset_rows
+
+    def counted_rows(*args):
+        for row in subset_rows(*args):
+            calls["verdicts"] += 1
+            yield row
+
+    monkeypatch.setattr(cli, "_subset_rows", counted_rows)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
     sizes = {(r["p"], r["set_size"]) for r in records}
@@ -772,7 +781,30 @@ def test_sweep_computes_each_bound_once_per_size(monkeypatch):
     # per radius and size, each bound under two lambdas; three sets would
     # make three
     radii = sum(p - 1 for p in (3, 7))
-    assert calls == {name: radii * 2 * 2 for name in names}
+    assert calls == {
+        **{name: radii * 2 * 2 for name in names},
+        "bound_threshold": radii * 2 * 2 * len(names),
+        # three sets per p, four verdicts per set under each lambda
+        "verdicts": radii * 3 * 2 * 4,
+    }
+
+
+def test_forced_bound_failures_reach_the_sweep_records(monkeypatch):
+    # every bound name stays patchable: an unsatisfiable bound fails its
+    # own verdict column, through the exact threshold of -1.0
+    for name, column in (
+        ("variance_bound", "variance_ok"), ("mixing_bound", "mixing_ok"),
+        ("hinge_bound", "hinge_ok"), ("degree_sum_bound", "eq2_ok"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, lambda *args: -1.0)
+            records, _ = run_sweep(SMALL_CONFIG, jobs=1)
+        failed = {
+            key for key in ("variance_ok", "mixing_ok", "hinge_ok", "eq2_ok")
+            if not all(r[key] for r in records)
+        }
+        assert failed == {column}
+        assert all(r["status"] == "fail" for r in records)
 
 
 SWEEP_ALLCHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_allchecks.json"

@@ -458,9 +458,9 @@ def assert_columns_match_tables(G, view, pairs):
     for i, (B, C) in enumerate(pairs):
         assert np.array_equal(deg[i], oracles.view_column(view, B))
         want = oracles.table_counts(view, B, C)
-        assert (variance[i], mixing[i][0], hinges[i], sums[i]) == want
+        assert (Fraction(variance[i], G.n), mixing[i][0], hinges[i], sums[i]) == want
         b, c = len(set(B)), len(set(C))
-        assert mixing[i][1] == abs(want[1] - Fraction(G.valency * b * c, G.n))
+        assert Fraction(mixing[i][1], G.n) == abs(want[1] - Fraction(G.valency * b * c, G.n))
 
 
 def test_degree_columns_match_neighbor_tables_on_grid():
@@ -475,6 +475,22 @@ def test_degree_columns_match_neighbor_tables_on_grid():
             C = rng.sample(range(G.n), rng.randint(0, G.n))
             pairs.append((B, C))
         assert_columns_match_tables(G, view, pairs)
+
+
+def test_count_numerators_equal_n_times_fraction_oracles_on_grid():
+    # variance and mixing deviations are numerators over n: n times the
+    # Fraction routes they replaced, for four sets per instance
+    for p, dim, a in INSTANCES:
+        G = graph(p, dim, a)
+        rng = random.Random(f"numerator|{p}|{dim}|{a}")
+        sets = [rng.sample(range(G.n), size) for size in (0, 1, G.n // 3, G.n)]
+        Cs = [vertex_array(G.n, rng.sample(range(G.n), rng.randint(0, G.n))) for _ in sets]
+        deg, _ = columns(G, sphere_transform(G), sets)
+        variance, mixing = variance_check(deg), mixing_check(deg, Cs)
+        assert all(type(v) is int for v in variance)
+        assert variance == [G.n * v for v in oracles.variance_fraction(deg)]
+        assert all(type(e) is int and type(dev) is int for e, dev in mixing)
+        assert mixing == [(e, G.n * dev) for e, dev in oracles.mixing_fraction(deg, Cs)]
 
 
 @st.composite

@@ -27,7 +27,7 @@ from fqlab import (
     variance_check,
     within_bound,
 )
-from fqlab.spectral import BOUND_TOL, vertex_array
+from fqlab.spectral import BOUND_TOL, bound_threshold, vertex_array
 from oracles import view_column
 from stacks import columns, one
 
@@ -107,7 +107,7 @@ def test_hinge_bound_monotone(m, dm, lam, dlam):
 
 
 def test_variance_example(g3_view, g3_lam):
-    lhs = one(variance_check, view_column(g3_view, ranks(3, THREE)))
+    lhs = Fraction(one(variance_check, view_column(g3_view, ranks(3, THREE))), 9)
     rhs = variance_bound(9, g3_lam, 3)
     assert lhs == 4
     assert rhs == pytest.approx(8.0, abs=1e-9)
@@ -116,7 +116,7 @@ def test_variance_example(g3_view, g3_lam):
 
 def test_variance_empty_and_full(g3_view, g3_lam):
     for B, b in (([], 0), (range(9), 9)):
-        lhs = one(variance_check, view_column(g3_view, B))
+        lhs = Fraction(one(variance_check, view_column(g3_view, B)), 9)
         rhs = variance_bound(9, g3_lam, b)
         assert lhs == 0
         assert rhs == pytest.approx(0.0, abs=1e-9)
@@ -129,7 +129,7 @@ def test_variance_lhs_matches_fraction_brute(g3_view):
         sub = rng.sample(range(9), rng.randint(0, 9))
         pts = [rank_point(3, 2, r) for r in sub]
         want = oracles.variance_lhs_brute(3, 2, 1, pts)
-        assert one(variance_check, view_column(g3_view, sub)) == want
+        assert Fraction(one(variance_check, view_column(g3_view, sub)), 9) == want
 
 
 # --- mixing ------------------------------------------------------------------
@@ -137,6 +137,7 @@ def test_variance_lhs_matches_fraction_brute(g3_view):
 
 def test_mixing_full_space(g3_view, g3_lam):
     e, deviation = one(mixing_check, view_column(g3_view, range(9)), range(9))
+    deviation = Fraction(deviation, 9)
     assert e == 36
     assert deviation == 0
     assert within_bound(deviation, mixing_bound(g3_lam, 9, 9))
@@ -144,6 +145,7 @@ def test_mixing_full_space(g3_view, g3_lam):
 
 def test_mixing_singletons(g3_view, g3_lam):
     e, deviation = one(mixing_check, view_column(g3_view, [0]), [point_rank(3, (0, 1))])
+    deviation = Fraction(deviation, 9)
     assert e == 1
     assert deviation == Fraction(5, 9)  # |1 - 4/9|
     bound = mixing_bound(g3_lam, 1, 1)
@@ -153,6 +155,7 @@ def test_mixing_singletons(g3_view, g3_lam):
 
 def test_mixing_empty(g3_view, g3_lam):
     e, deviation = one(mixing_check, view_column(g3_view, []), range(9))
+    deviation = Fraction(deviation, 9)
     bound = mixing_bound(g3_lam, 0, 9)
     assert e == 0 and bound == pytest.approx(0.0) and within_bound(deviation, bound)
 
@@ -180,8 +183,10 @@ def test_inequalities_hold_on_g7(data):
     C = data.draw(st.sets(st.integers(0, 48), max_size=49))
     b, c = len(B), len(C)
     deg, members = columns(G, sphere_transform(G), [B])
-    assert within_bound(variance_check(deg)[0], variance_bound(49, lam, b))
-    assert within_bound(mixing_check(deg, [vertex_array(49, C)])[0][1], mixing_bound(lam, b, c))
+    assert within_bound(Fraction(variance_check(deg)[0], 49), variance_bound(49, lam, b))
+    assert within_bound(
+        Fraction(mixing_check(deg, [vertex_array(49, C)])[0][1], 49), mixing_bound(lam, b, c)
+    )
     p2 = hinge_count(deg, members)[0]
     assert p2 <= hinge_bound(G.n, G.valency, lam, b) + 1e-9
     assert within_bound(degree_sum_check(deg, members)[0], degree_sum_bound(49, 8, lam, b))
@@ -204,8 +209,8 @@ def test_checks_with_ceiling_lambda(f7):
     for _ in range(10):
         B = rng.sample(range(49), rng.randint(1, 49))
         b, (deg, members) = len(B), columns(G, T, [B])
-        assert within_bound(variance_check(deg)[0], variance_bound(49, ceiling, b))
-        assert within_bound(mixing_check(deg, members)[0][1], mixing_bound(ceiling, b, b))
+        assert within_bound(Fraction(variance_check(deg)[0], 49), variance_bound(49, ceiling, b))
+        assert within_bound(Fraction(mixing_check(deg, members)[0][1], 49), mixing_bound(ceiling, b, b))
         assert hinge_count(deg, members)[0] <= hinge_bound(49, 8, ceiling, b) + 1e-9
 
 
@@ -217,33 +222,127 @@ def test_within_bound_exact_when_bound_is_exact():
     assert not within_bound(1, 1 - 1e-6)
 
 
-@settings(max_examples=300, deadline=None)
+def threshold_verdict(lhs_num, lhs_den, rhs) -> bool:
+    """The subset verdict: a count lhs_num over lhs_den against the exact
+    threshold of rhs."""
+    num, den = bound_threshold(rhs)
+    return lhs_num * den <= num * lhs_den
+
+
+EXACT_BOUNDS = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    st.floats(min_value=-1e18, max_value=1e18, allow_nan=False),
+    st.one_of(
+        st.floats(min_value=-1e18, max_value=1e18),
+        st.floats(allow_nan=False, allow_infinity=False),
+        EXACT_BOUNDS,
+    ),
     st.integers(1, 10**6),
     st.booleans(),
 )
+@example(0.0, 1, False)
+@example(1.7976931348623157e308, 7, False)
+@example(-5e-324, 3, True)
+@example(Fraction(10**17) - Fraction(1, 10**6), 10**6, False)
 def test_within_bound_matches_fraction_comparison(rhs, n, as_numpy):
-    # a rational count against a float bound, at equality with rhs +
+    # a count against a float or exact bound, at equality with rhs +
     # BOUND_TOL, one ulp either side of it, and at the nearest fractions of
-    # denominator n, gives the verdict of Fraction's own exact comparison
-    if as_numpy:
+    # denominator n, gives the verdict of Fraction's own exact comparison,
+    # through the exact threshold and through within_bound
+    exact = isinstance(rhs, Fraction)
+    if as_numpy and not exact:
         rhs = np.float64(rhs)
-    limit = rhs + BOUND_TOL
-    near = Fraction(round(Fraction(limit) * n), n)
-    for lhs in (
-        Fraction(limit),
-        Fraction(math.nextafter(limit, math.inf)),
-        Fraction(math.nextafter(limit, -math.inf)),
-        near - Fraction(1, n), near, near + Fraction(1, n),
-    ):
-        assert within_bound(lhs, rhs) is (lhs <= limit)
+    limit = rhs + Fraction(BOUND_TOL) if exact else Fraction(rhs + BOUND_TOL)
+    assert Fraction(*bound_threshold(rhs)) == limit
+    if exact:
+        ulp = Fraction(1, limit.denominator * n)
+        sides = (limit - ulp, limit + ulp)
+    else:
+        ulps = (math.nextafter(rhs + BOUND_TOL, to) for to in (-math.inf, math.inf))
+        sides = tuple(Fraction(x) for x in ulps if math.isfinite(x))
+    near = Fraction(round(limit * n), n)
+    for lhs in (limit, *sides, near - Fraction(1, n), near, near + Fraction(1, n)):
+        want = oracles.within_bound_fraction(lhs, rhs)
+        assert threshold_verdict(lhs.numerator, lhs.denominator, rhs) is want
+        assert within_bound(lhs, rhs) is want
+        assert within_bound(float(lhs), rhs) is oracles.within_bound_fraction(float(lhs), rhs)
 
 
 def test_within_bound_outside_the_finite_floats():
     assert within_bound(Fraction(10**400, 3), math.inf)
     assert not within_bound(Fraction(1, 3), -math.inf)
     assert not within_bound(Fraction(1, 3), math.nan)
+    # inf passes every finite count, -inf and nan fail it, as Fraction's
+    # comparison with a non-finite float does
+    for rhs, threshold in ((math.inf, (1, 0)), (-math.inf, (-1, 0)), (math.nan, (-1, 0))):
+        assert bound_threshold(rhs) == threshold
+        for lhs in (Fraction(10**400, 3), -Fraction(10**400, 3), Fraction(0), 7, -2.5):
+            want = oracles.within_bound_fraction(lhs, rhs)
+            assert want is (rhs == math.inf)
+            assert threshold_verdict(*lhs.as_integer_ratio(), rhs) is want
+            assert within_bound(lhs, rhs) is want
+
+
+@pytest.mark.parametrize("lhs", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("rhs", [math.inf, -math.inf, math.nan, 1.0, Fraction(1, 3), Fraction(10**400, 3)])
+def test_within_bound_non_finite_count(lhs, rhs):
+    assert within_bound(lhs, rhs) is oracles.within_bound_fraction(lhs, rhs)
+
+
+# --- integer routes against the Fraction routes they replaced --------------
+
+EXTREME_LAMBDAS = (5e-324, -5e-324, 1e300, -1e300, -2.5, -0.0, 0.0, 3.0, 2 * 7**0.5)
+LAMBDAS = st.one_of(
+    st.sampled_from(EXTREME_LAMBDAS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def bound_args(draw):
+    """(n, k, lam, m) with n up to 10**12, k and m up to n."""
+    n = draw(st.integers(1, 10**12))
+    return n, draw(st.integers(0, n)), draw(LAMBDAS), draw(st.integers(0, n))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the OverflowError it raised."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_args(), st.booleans())
+@example((9, 4, 5e-324, 3), False)
+@example((10**12, 10**12, 1e300, 10**12), False)
+@example((10**12, 7, -1e300, 1), False)
+@example((49, 8, -2.5, 30), True)
+@example((49, 8, 3.0, 0), False)
+def test_hinge_bound_matches_fraction_oracle_bit_for_bit(args, as_numpy):
+    n, k, lam, m = args
+    if as_numpy:
+        lam = np.float64(lam)
+    got = outcome(hinge_bound, n, k, lam, m)
+    want = outcome(oracles.hinge_bound_fraction, n, k, lam, m)
+    if isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex()
+    else:
+        assert got is want  # both overflow
+
+
+@settings(max_examples=400, deadline=None)
+@given(bound_args())
+@example((9, 4, 5e-324, 3))
+@example((10**12, 10**12, 1e300, 10**12))
+@example((10**12, 7, -1e300, 1))
+@example((49, 8, 3.0, 0))
+def test_degree_sum_bound_matches_fraction_oracle(args):
+    n, k, lam, m = args
+    got = degree_sum_bound(n, k, lam, m)
+    assert type(got) is Fraction and got == oracles.degree_sum_bound_fraction(n, k, lam, m)
 
 
 @settings(max_examples=60, deadline=None)
