@@ -38,7 +38,6 @@ from .euclid import (
     recheck_spectrum,
     set_transforms,
     spectra,
-    spectrum,
     sphere_transform,
 )
 from .field import PrimeField, is_prime, make_field
@@ -47,7 +46,6 @@ from .geometry import (
     SphereTable,
     generate_point_set,
     load_point_set,
-    norm,
     parse_generator,
     parse_point_text,
     point_rank,
@@ -77,7 +75,7 @@ __all__ = [
     "PrimeField", "is_prime", "make_field",
     # geometry
     "PointSet", "SphereTable", "generate_point_set", "load_point_set",
-    "norm", "parse_generator", "parse_point_text", "point_rank", "rank_point",
+    "parse_generator", "parse_point_text", "point_rank", "rank_point",
     "size_threshold", "sphere_points", "sphere_size", "sphere_table",
     # spectral
     "degree_sum_bound", "degree_sum_check", "hinge_bound", "hinge_count",
@@ -86,7 +84,7 @@ __all__ = [
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "certified_columns", "class_transform",
     "euclid_graph", "ramanujan_bound", "recheck_spectrum", "set_transforms",
-    "spectra", "spectrum", "sphere_transform",
+    "spectra", "sphere_transform",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

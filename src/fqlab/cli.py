@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -31,6 +32,7 @@ from . import __version__, bounds, euclid
 from .bounds import check_main_theorem
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
+    SpectralSummary,
     certified_columns,
     euclid_graph,
     guard_spectrum,
@@ -92,6 +94,8 @@ SWEEP_FIELDS = (
     "spectrum_ok", "variance_ok", "mixing_ok", "hinge_ok", "eq2_ok",
     "holds", "error", "config_digest", "tool_version",
 )
+# The sweep-record fields that a BoundReport fills.
+REPORT_FIELDS = SWEEP_FIELDS[SWEEP_FIELDS.index("set_size"):SWEEP_FIELDS.index("delta_ok") + 1]
 
 VERIFY_FIELDS = (
     "status", "check", "p", "dim", "a", "lam_kind", "trial",
@@ -103,6 +107,10 @@ SPECTRUM_FIELDS = (
     "p", "dim", "a", "n", "valency", "second_eigenvalue", "ramanujan_bound",
     "bound_ok", "max_imag_residual", "trace_sum_residual",
     "trace_square_residual", "classes", "tool_version",
+)
+# The spectrum-record fields that a SpectralSummary holds under the same name.
+SUMMARY_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SpectralSummary) if f.name in SPECTRUM_FIELDS
 )
 
 
@@ -245,10 +253,11 @@ def _spectrum_verdict(G, s, T) -> tuple[bool, str]:
 
 
 def _subset_rows(G, s, T, members, hats, items, memo):
-    """Yield (i, lam_kind, lhs, rhs, holds, detail) for the i-th (check,
-    row, C) item, under the exact second eigenvalue of s and under its
-    ceiling; hinge yields the squared bound and the degree-sum step it
-    squares.
+    """Yield (i, column, lam_kind, lhs, rhs, holds, detail) for the i-th
+    (check, row, C) item, under the exact second eigenvalue of s and under
+    its ceiling.  column names the sweep-record column the verdict fills:
+    the check's own, except that hinge also yields the degree-sum step
+    that its bound squares, in column eq2.
 
     The item checks the set whose sorted vertex array is members[row];
     mixing pairs it with C, a sorted vertex array, or with itself when C
@@ -256,7 +265,7 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     call against the radius' sphere transform T makes the degree column of
     every set, and each count is made once per set (once per item for
     mixing) and judged under both lambdas.  Each bound is computed once per
-    (radius, lambda, check, |B|, |C|) and kept in memo, which the caller
+    (radius, lambda, column, |B|, |C|) and kept in memo, which the caller
     keeps across stacks: sets of one size share it.  memo holds (rhs,
     bound_threshold(rhs)), and a count lhs_num over lhs_den holds when
     lhs_num * den <= num * lhs_den; lhs is yielded as lhs_num / lhs_den,
@@ -280,39 +289,40 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
     for i, (check, row, C) in enumerate(items):
         b = members[row].size
-        # (count numerator, its denominator, detail, bound key, the bound
-        # as a function of lambda)
+        # (column, count numerator, its denominator, detail, set sizes, the
+        # bound as a function of lambda)
         if check == "variance":
             sides = [
-                (variance[row], n, f"|B|={b}", (check, b), lambda lam: variance_bound(n, lam, b)),
+                (check, variance[row], n, f"|B|={b}", (b,), lambda lam: variance_bound(n, lam, b)),
             ]
         elif check == "mixing":
             (e, deviation), c = mixed[i], b if C is None else C.size
             sides = [
-                (deviation, n, f"e={e}", (check, b, c), lambda lam: mixing_bound(lam, b, c)),
+                (check, deviation, n, f"e={e}", (b, c), lambda lam: mixing_bound(lam, b, c)),
             ]
         else:
             sides = [
-                (hinges[row], 1, "hinges", ("hinges", b), lambda lam: hinge_bound(n, k, lam, b)),
-                (sums[row], 1, "degree-sum", ("degree-sum", b),
+                (check, hinges[row], 1, "hinges", (b,), lambda lam: hinge_bound(n, k, lam, b)),
+                ("eq2", sums[row], 1, "degree-sum", (b,),
                  lambda lam: degree_sum_bound(n, k, lam, b)),
             ]
         for lam_kind, lam in lams:
-            for lhs_num, lhs_den, detail, key, bound in sides:
-                key = (G.a, lam_kind, *key)
+            for column, lhs_num, lhs_den, detail, sizes, bound in sides:
+                key = (G.a, lam_kind, column, *sizes)
                 if key not in memo:
                     rhs = bound(lam)
                     memo[key] = rhs, bound_threshold(rhs)
                 rhs, (num, den) = memo[key]
                 holds = lhs_num * den <= num * lhs_den
-                yield i, lam_kind, lhs_num / lhs_den, rhs, holds, detail
+                yield i, column, lam_kind, lhs_num / lhs_den, rhs, holds, detail
 
 
 def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):
-    """Yield (a, i, lam_kind, lhs, rhs, holds, detail) for every graph-local
-    verdict on the radii a of F_p^dim: the spectrum verdict of each radius
-    (i = None, lam_kind None) when recheck is set, and _subset_rows' rows
-    for the (check, row, C) items, i indexing items and row members.
+    """Yield (a, i, column, lam_kind, lhs, rhs, holds, detail) for every
+    graph-local verdict on the radii a of F_p^dim: the spectrum verdict of
+    each radius (i = None, column "spectrum", lam_kind None) when recheck
+    is set, and _subset_rows' rows for the (check, row, C) items, i
+    indexing items and row members.
 
     This is the one pass behind spectrum, verify and sweep.  The sorted
     vertex arrays members are stacked at most max(1, STACK_ELEMENTS // n)
@@ -340,11 +350,9 @@ def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):
                 T, made = sphere_transform(G, force=force), a
             if rechecks:
                 ok, detail = _spectrum_verdict(G, s, T)
-                yield a, None, None, s.second_eigenvalue, s.ramanujan_bound, ok, detail
-            for i, lam_kind, lhs, rhs, holds, detail in _subset_rows(
-                G, s, T, stack, hats, moved, memo
-            ):
-                yield a, ids[i], lam_kind, lhs, rhs, holds, detail
+                yield a, None, "spectrum", None, s.second_eigenvalue, s.ramanujan_bound, ok, detail
+            for i, *verdict in _subset_rows(G, s, T, stack, hats, moved, memo):
+                yield a, ids[i], *verdict
         del hats  # freed before the next stack's transform is made
 
 
@@ -365,19 +373,11 @@ def _theorem_row(check, report) -> tuple[float, float, bool, str]:
 
 
 def _report_fields(report) -> dict:
-    """The sweep-record fields that one report fills."""
-    return dict(
-        set_size=report.set_size,
-        f_value=report.f_value, null_pair_count=report.null_pair_count,
-        distance_count=report.distance_count,
-        distance_set=",".join(str(r) for r in report.distance_set),
-        lower_bound=report.lower_bound, upper_exact=report.upper_exact,
-        upper_asymptotic=report.upper_asymptotic,
-        delta_implied=report.delta_implied, regime=report.regime,
-        ratio_cubic=report.ratio_cubic, ratio_linear=report.ratio_linear,
-        lower_ok=report.lower_ok, upper_ok=report.upper_ok,
-        asym_ok=report.asym_ok, delta_ok=report.delta_ok,
-    )
+    """The sweep-record fields that one report fills, each its attribute of
+    the same name; only the distance set needs formatting."""
+    fields = {name: getattr(report, name) for name in REPORT_FIELDS}
+    fields["distance_set"] = ",".join(str(r) for r in report.distance_set)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +414,7 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
             items.append((check, row, None if C is None else vertex_array(n, C)))
             trials.append(trial)
     rows = [[] for _ in items]
-    for _, i, *verdict in _graph_rows(
+    for _, i, _, *verdict in _graph_rows(
         F, dim, spectra, [a], members, items, "spectrum" in checks, args.force
     ):
         if i is not None:
@@ -503,7 +503,7 @@ def cmd_spectrum(args) -> int:
     radii = list(range(1, F.p)) if args.a is None else [args.a]
     spectra = euclid.spectra(F, args.dim, radii, args.force)
     records, all_ok = [], True
-    for a, _, _, _, _, bound_ok, detail in _graph_rows(
+    for a, *_, bound_ok, detail in _graph_rows(
         F, args.dim, spectra, radii, [], [], True, args.force
     ):
         s = spectra[a]
@@ -517,19 +517,11 @@ def cmd_spectrum(args) -> int:
             f"  second={s.second_eigenvalue:.10g} "
             f"bound={s.ramanujan_bound:.10g}  {_status(bound_ok)}"
         )
-        records.append(
-            _record(
-                SPECTRUM_FIELDS,
-                p=F.p, dim=args.dim, a=a, n=s.n, valency=s.valency,
-                second_eigenvalue=s.second_eigenvalue,
-                ramanujan_bound=s.ramanujan_bound, bound_ok=bound_ok,
-                max_imag_residual=s.max_imag_residual,
-                trace_sum_residual=s.trace_sum_residual,
-                trace_square_residual=s.trace_square_residual,
-                classes=";".join(f"{format_real(v)}x{mult}" for v, mult in s.classes),
-                tool_version=TOOL_VERSION,
-            )
-        )
+        records.append(_record(
+            SPECTRUM_FIELDS, bound_ok=bound_ok, tool_version=TOOL_VERSION,
+            classes=";".join(f"{format_real(v)}x{mult}" for v, mult in s.classes),
+            **{name: getattr(s, name) for name in SUMMARY_FIELDS},
+        ))
     if args.out:
         _write_output(args.out, emit(records, args.format, SPECTRUM_FIELDS))
     return 0 if all_ok else 1
@@ -750,27 +742,19 @@ def _run_sweep_group(task) -> list[dict]:
     sets, subset = list(oks), [c for c in checks if c in SUBSET_CHECKS]
     members = [vertex_array(p**dim, key) for key in sets] if subset else []
     items = [(c, row, None) for row in range(len(members)) for c in subset]
-    recheck, spectrum_ok = "spectrum" in checks and bool(cells), True
-    for _, i, _, _, _, holds, detail in _graph_rows(
+    recheck = "spectrum" in checks and bool(cells)
+    for _, i, column, _, _, _, holds, _ in _graph_rows(
         F, dim, spectra, range(1, p), members, items, recheck, force
     ):
-        if i is None:
-            spectrum_ok &= holds
-            continue
-        check, row, _ = items[i]
-        name = "eq2_ok" if detail == "degree-sum" else f"{check}_ok"
-        got = oks[sets[row]]
-        got[name] = got.get(name, True) and holds
+        # a radius' spectrum verdict judges every set, a subset verdict its own
+        for got in oks.values() if i is None else [oks[sets[items[i][1]]]]:
+            got[f"{column}_ok"] = got.get(f"{column}_ok", True) and holds
     for rec, key in cells:
-        report, verdicts = reports.get(key), []
+        report, verdicts = reports.get(key), list(oks[key].values())
         if report is not None:
             rec.update(_report_fields(report))
             verdicts += [_theorem_row(c, report)[2] for c in theorem_checks]
-        if "spectrum" in checks:
-            rec["spectrum_ok"] = spectrum_ok
-            verdicts.append(spectrum_ok)
         rec.update(oks[key])
-        verdicts += oks[key].values()
         rec["holds"] = all(verdicts)
         if not rec["holds"]:
             rec["status"] = "fail"
@@ -855,12 +839,14 @@ def cmd_sweep(args) -> int:
     print(f"wrote {args.out} ({len(records)} records, {args.format})")
     bad = [r for r in records if r["status"] != "ok"]
     for r in bad[:5]:
+        failed = [k for k in SWEEP_FIELDS if k.endswith("_ok") and r[k] is False]
         print(
             f"replay: fqlab fcount --q {r['p']} --dim {r['dim']}"
             f" --gen '{r['generator']}' --seed {r['cell_seed']}"
             + (" --allow-1mod4" if config["allow_1mod4"] else "")
             + (" --force" if args.force else "")
-            + (f"  # {r['error']}" if r["error"] else ""),
+            + (f"  # {r['error']}" if r["error"] else "")
+            + (f"  # failed: {','.join(failed)}" if failed else ""),
             file=sys.stderr,
         )
     return 0 if not bad else 1
@@ -868,16 +854,6 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("FQLAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -939,8 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the built-in default grid")
     sp.add_argument("--out", default=None, help="output records path")
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    sp.add_argument("--jobs", type=int, default=_default_jobs(),
-                    help="parallel workers (FQLAB_JOBS overrides the default)")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, one per (p, dim) group (default 1)")
     sp.add_argument("--show-config", action="store_true",
                     help="print the normalized config and exit")
     sp.add_argument("--force", action="store_true")

@@ -280,12 +280,6 @@ def spectra(
     return out
 
 
-def spectrum(G: EuclidGraphSpec, force: bool = False) -> SpectralSummary:
-    """Every eigenvalue of G, grouped into multiplicity classes: the
-    spectra summary of its one radius."""
-    return spectra(G.field, G.dim, [G.a], force)[G.a]
-
-
 @functools.lru_cache(maxsize=2)
 def _norm_grid(p: int, dim: int) -> np.ndarray:
     """||x|| for every x in Z_p^dim, as a read-only (p,) * dim array indexed

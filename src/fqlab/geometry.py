@@ -1,12 +1,13 @@
-"""Vectors in F_p^dim: the quadratic distance form, sphere counts and
-enumeration, point-set generators, and the point-set text format.
+"""Vectors in F_p^dim: sphere counts and enumeration, point-set
+generators, and the point-set text format.
 
 Points are plain tuples of ints.  The canonical integer encoding of a
 point is its rank sum(x_i * p**i), least significant coordinate first;
 ranks order point sets, key random sampling, and name graph vertices in
-the spectral modules.  Sphere sizes are computed by iterated cyclic
-convolution of the field's square-count table, so counting never requires
-enumerating the space; enumeration is a separate, guardrailed operation.
+the spectral modules.  Sphere sizes come in closed form from the
+quadratic character, read off the field's square-count table, so counting
+never requires enumerating the space; enumeration is a separate,
+guardrailed operation.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ def coords_to_ranks(p: int, coords: np.ndarray) -> np.ndarray:
     return coords @ weights
 
 
-def norm(F: PrimeField, x: Point) -> int:
-    """The quadratic form sum(x_i**2) mod p."""
-    total = 0
-    for c in x:
-        total += c * c
-    return total % F.p
-
-
 @dataclass(frozen=True)
 class SphereTable:
     """Exact sphere sizes: sizes[a] = #{x in F_p^dim : ||x|| = a}."""
@@ -79,30 +72,28 @@ class SphereTable:
 
 @functools.lru_cache(maxsize=256)
 def sphere_table(F: PrimeField, dim: int) -> SphereTable:
-    """Sizes of all p spheres at once, by iterated cyclic convolution.
+    """Sizes of all p spheres at once, in closed form.
 
-    Cost is O(dim * p**2) independent of p**dim.  The counts are exact:
-    int64 vectorization is used only while every entry provably fits,
-    otherwise the convolution falls back to Python integers.
+    With eta the quadratic character of F_p (eta(0) = 0), the number of x
+    in F_p^dim with x_1**2 + ... + x_dim**2 = a is (Lidl and Niederreiter,
+    Finite Fields, Theorems 6.26 and 6.27)
+
+        p**(dim-1) + p**((dim-1)/2) * eta((-1)**((dim-1)/2) * a)     dim odd,
+        p**(dim-1) + v(a) * p**(dim/2-1) * eta((-1)**(dim/2))        dim even,
+
+    with v(0) = p - 1 and v(a) = -1 otherwise.  The counts are exact Python
+    ints, in O(p) work whatever p**dim is.
     """
     if dim < 1:
         raise BadSpec(f"dimension must be >= 1, got {dim}")
     p = F.p
-    if p**dim < 2**62:
-        base = np.array(F.square_counts, dtype=np.int64)
-        cur = base.copy()
-        for _ in range(dim - 1):
-            full = np.convolve(cur, base)
-            folded = full[:p].copy()
-            folded[: p - 1] += full[p:]
-            cur = folded
-        sizes = tuple(int(v) for v in cur)
+    eta = [c - 1 for c in F.square_counts]  # x*x = t has 1 + eta(t) roots
+    if dim % 2:
+        sign, half = (-1) ** ((dim - 1) // 2), p ** ((dim - 1) // 2)
+        sizes = tuple(p ** (dim - 1) + half * eta[sign * a % p] for a in range(p))
     else:
-        c = F.square_counts
-        cur = list(c)
-        for _ in range(dim - 1):
-            cur = [sum(cur[t] * c[(a - t) % p] for t in range(p)) for a in range(p)]
-        sizes = tuple(cur)
+        step = p ** (dim // 2 - 1) * eta[(-1) ** (dim // 2) % p]
+        sizes = (p ** (dim - 1) + (p - 1) * step,) + (p ** (dim - 1) - step,) * (p - 1)
     assert sum(sizes) == p**dim
     return SphereTable(p=p, dim=dim, sizes=sizes)
 

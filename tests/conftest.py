@@ -3,7 +3,8 @@ import warnings
 import pytest
 
 import oracles
-from fqlab import euclid_graph, make_field, spectrum
+from fqlab import euclid_graph, make_field
+from oracles import spectrum
 
 
 @pytest.fixture(scope="session")

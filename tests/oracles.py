@@ -5,11 +5,14 @@ enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres and over every point per norm class, neighbor
 tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
-evidence, not tautology.  The Fraction routes of the subset bounds,
-counts and verdict, which the package replaced with integer numerators
-and thresholds, are kept here as their oracles.  The distance,
-adjacency, neighbor-table, eigenvalue-gather and point-text helpers the
-tests need, and the package does not, live here too.
+evidence, not tautology; spectrum, the one-radius reading of the
+package's spectra that the tests use, is the one call into the package.
+The routes the package replaced are kept here as their oracles: the
+Fraction routes of the subset bounds, counts and verdict (now integer
+numerators and thresholds) and the convolution of the sphere sizes (now
+a closed form).  The distance, adjacency, neighbor-table,
+eigenvalue-gather and point-text helpers the tests need, and the package
+does not, live here too.
 """
 
 import math
@@ -19,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange
+from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange, spectra
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
@@ -130,6 +133,16 @@ def sphere_sizes_brute(p: int, dim: int) -> list[int]:
     for x in product(range(p), repeat=dim):
         sizes[norm_brute(p, x)] += 1
     return sizes
+
+
+def sphere_sizes_convolution(p: int, dim: int) -> list[int]:
+    """Count points of each norm by iterated cyclic convolution of the
+    square-count table, in Python ints: O(dim * p**2) work, so it reaches
+    the sizes that enumeration cannot."""
+    sizes = np.array([1] + [0] * (p - 1), dtype=object)  # F_p^0: one point, norm 0
+    for _ in range(dim):
+        sizes = sum(np.roll(sizes, x * x % p) for x in range(p))
+    return sizes.tolist()
 
 
 def sphere_points_brute(p: int, dim: int, a: int) -> list[tuple]:
@@ -263,6 +276,11 @@ def norm_class_table_brute(p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
         values[:, c] = cos_t @ H
         imag[:, c] = sin_t @ H
     return values, np.abs(imag).max(axis=1)
+
+
+def spectrum(G):
+    """The spectrum summary of the one distance graph G."""
+    return spectra(G.field, G.dim, [G.a])[G.a]
 
 
 def eigenvalues(s) -> np.ndarray:

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import spectrum
 from fqlab import (
     check_main_theorem,
     degree_profile,
@@ -29,7 +30,6 @@ from fqlab import (
     mixing_check,
     ramanujan_bound,
     rank_point,
-    spectrum,
     sphere_table,
     sphere_transform,
     variance_bound,

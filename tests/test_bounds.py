@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import spectrum
 from fqlab import (
     MissingSpectrum,
     PointSet,
@@ -23,7 +24,6 @@ from fqlab import (
     lower_bound_f,
     make_field,
     rank_point,
-    spectrum,
     sphere_table,
     sphere_transform,
     upper_bound_f,

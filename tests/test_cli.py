@@ -29,7 +29,6 @@ from fqlab.cli import (
     normalize_config,
     run_sweep,
 )
-from stacks import columns
 
 SMALL_CONFIG = {
     "grid": [{"primes": [3, 7], "dims": [2]}],
@@ -386,8 +385,8 @@ def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     calls, rows = Counter(), Counter()
 
-    def counted(name, module=cli):
-        fn = getattr(module, name)
+    def counted(name):
+        fn = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -401,7 +400,6 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     names = ("variance_check", "mixing_check", "hinge_count", "degree_sum_check")
     for name in names + ("certified_columns",):
         monkeypatch.setattr(cli, name, counted(name))
-    monkeypatch.setattr(fqlab.euclid, "spectrum", counted("spectrum", fqlab.euclid))
     argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
@@ -412,9 +410,6 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     assert rows["mixing_check"] == 3
     assert rows["variance_check"] == rows["hinge_count"] == rows["degree_sum_check"]
     assert 3 <= rows["hinge_count"] <= 9
-    G = fqlab.euclid_graph(fqlab.make_field(7), 2, 1)
-    columns(G, fqlab.euclid.sphere_transform(G), [range(10)])
-    assert calls["spectrum"] == 0
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -807,6 +802,29 @@ def test_forced_bound_failures_reach_the_sweep_records(monkeypatch):
         assert all(r["status"] == "fail" for r in records)
 
 
+def test_sweep_replay_names_the_failed_columns(monkeypatch, tmp_path, capsys):
+    # a cell that fails only graph checks replays as an fcount that passes,
+    # so its replay line names the record columns that failed, in record order
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    for stubs, checks, failed in (
+        ({"variance_bound": -1.0}, ["variance", "main"], "variance_ok"),
+        ({"variance_bound": -1.0, "degree_sum_bound": -1.0}, ["hinge", "variance"],
+         "variance_ok,eq2_ok"),
+        ({"within_bound": False}, ["spectrum", "mixing"], "spectrum_ok"),
+    ):
+        cfg.write_text(json.dumps({"grid": [{"primes": [7], "dims": [2]}],
+                                   "generators": ["random:10"], "seeds": [1],
+                                   "checks": checks}))
+        with monkeypatch.context() as m:
+            for name, value in stubs.items():
+                m.setattr(cli, name, lambda *args, value=value: value)
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        (replay,) = capsys.readouterr().err.splitlines()
+        command, comment = replay.removeprefix("replay: fqlab ").split("  # ")
+        assert comment == f"failed: {failed}"
+        assert main(shlex.split(command)) == 0
+
+
 SWEEP_ALLCHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_allchecks.json"
 
 
@@ -981,11 +999,9 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
-def test_jobs_env_fallback(monkeypatch):
-    monkeypatch.setenv("FQLAB_JOBS", "3")
-    parser = build_parser()
-    args = parser.parse_args(["sweep", "--default", "--out", "x"])
-    assert args.jobs == 3
+def test_sweep_runs_serially_by_default():
+    args = build_parser().parse_args(["sweep", "--default", "--out", "x"])
+    assert args.jobs == 1
 
 
 def test_sweep_generates_each_seed_free_set_once(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import spectrum
 from fqlab import (
     BadSpec,
     ImagResidualTooLarge,
@@ -30,7 +31,6 @@ from fqlab import (
     rank_point,
     recheck_spectrum,
     set_transforms,
-    spectrum,
     sphere_size,
     sphere_table,
     sphere_transform,

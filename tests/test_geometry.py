@@ -1,5 +1,7 @@
+import warnings
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fqlab.geometry
@@ -13,7 +15,6 @@ from fqlab import (
     generate_point_set,
     load_point_set,
     make_field,
-    norm,
     parse_generator,
     parse_point_text,
     point_rank,
@@ -31,9 +32,9 @@ pt2 = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 def test_norm_examples(f3, f7):
-    assert norm(f3, (0, 0)) == 0
-    assert norm(f3, (1, 1)) == 2
-    assert norm(f7, (2, 3, 1)) == 0  # isotropic vector in dim 3
+    assert oracles.norm_brute(f3.p, (0, 0)) == 0
+    assert oracles.norm_brute(f3.p, (1, 1)) == 2
+    assert oracles.norm_brute(f7.p, (2, 3, 1)) == 0  # isotropic vector in dim 3
 
 
 def test_distance_examples(f3):
@@ -89,12 +90,28 @@ def test_sphere_table_p7_dim2(f7):
 def test_sphere_table_matches_enumeration(p, dim):
     F = make_field(p)
     assert list(sphere_table(F, dim).sizes) == oracles.sphere_sizes_brute(p, dim)
+    assert oracles.sphere_sizes_convolution(p, dim) == oracles.sphere_sizes_brute(p, dim)
 
 
 @pytest.mark.parametrize("p,dim", [(3, 4), (3, 5), (7, 4)])
 def test_sphere_table_matches_enumeration_high_dim(p, dim):
     F = make_field(p)
     assert list(sphere_table(F, dim).sizes) == oracles.sphere_sizes_brute(p, dim)
+
+
+PRIMES_TO_101 = [p for p in range(3, 102, 2) if all(p % d for d in range(3, p, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES_TO_101), st.integers(1, 12))
+@example(101, 12)
+@example(13, 8)  # 1 mod 4: -1 is a square
+def test_sphere_table_closed_form_matches_convolution(p, dim):
+    # past p**dim = 2**62 too, where only Python ints hold the counts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    assert list(sphere_table(F, dim).sizes) == oracles.sphere_sizes_convolution(p, dim)
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 19])

@@ -21,14 +21,13 @@ from fqlab import (
     mixing_check,
     point_rank,
     rank_point,
-    spectrum,
     sphere_transform,
     variance_bound,
     variance_check,
     within_bound,
 )
 from fqlab.spectral import BOUND_TOL, bound_threshold, vertex_array
-from oracles import view_column
+from oracles import spectrum, view_column
 from stacks import columns, one
 
 
