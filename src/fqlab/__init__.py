@@ -48,8 +48,6 @@ from .geometry import (
     load_point_set,
     parse_generator,
     parse_point_text,
-    point_rank,
-    rank_point,
     size_threshold,
     sphere_points,
     sphere_size,
@@ -75,7 +73,7 @@ __all__ = [
     "PrimeField", "is_prime", "make_field",
     # geometry
     "PointSet", "SphereTable", "generate_point_set", "load_point_set",
-    "parse_generator", "parse_point_text", "point_rank", "rank_point",
+    "parse_generator", "parse_point_text",
     "size_threshold", "sphere_points", "sphere_size", "sphere_table",
     # spectral
     "degree_sum_bound", "degree_sum_check", "hinge_bound", "hinge_count",

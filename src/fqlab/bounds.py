@@ -42,7 +42,7 @@ from .euclid import (
     set_transforms,
 )
 from .field import PrimeField
-from .geometry import PointSet, coords_to_ranks, size_threshold
+from .geometry import PointSet, ranks_to_coords, size_threshold
 from .spectral import hinge_bound, within_bound
 
 # Profiles need |E|**2 distance evaluations; refuse above this unless forced.
@@ -114,31 +114,33 @@ def degree_profile(
     at E; deg(x, 0) is |E| - 1 minus the rest.
     The cost model PROFILE_FFT_RATIO picks the route; both give the same
     vectors.  |E|**2 > PROFILE_MAX_PAIRS is refused unless forced,
-    whatever the route.
+    whatever the route, and a set of another field always.  Both routes
+    read E's ranks; only the pairwise one derives coordinates.
     """
     if E.dim != dim:
         raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
+    p = F.p
+    if E.p != p:
+        raise BadSpec(f"point set lies in F_{E.p}^{dim}, not F_{p}^{dim}")
     m = len(E)
     guard_profile(m, force)
-    p = F.p
     sums = np.zeros((2, p), dtype=np.int64)  # rows: hinges, pairs
     if m:
-        coords = np.array(E.points, dtype=np.int64)
-        if coords.max() >= p:
-            raise BadSpec(f"point coordinates exceed the field range [0, {p})")
         # Work above the spectrum guardrail stays pairwise unless forced.
         convolve = m * m > PROFILE_FFT_RATIO * p ** (dim + 1) and (
             force or p**dim <= SPECTRUM_MAX
         )
         if convolve:
-            _convolved_profile(F, dim, coords, sums, force)
+            _convolved_profile(F, dim, E.ranks, sums, force)
         else:
-            _pairwise_profile(p, dim, coords, sums)
+            _pairwise_profile(p, dim, E.ranks, sums)
     return DegreeProfile(size=m, hinges=sums[0], pairs=sums[1])
 
 
-def _pairwise_profile(p: int, dim: int, coords: np.ndarray, sums: np.ndarray) -> None:
-    """Add into the (hinges, pairs) rows of sums from all |E|**2 differences."""
+def _pairwise_profile(p: int, dim: int, ranks: np.ndarray, sums: np.ndarray) -> None:
+    """Add into the (hinges, pairs) rows of sums from all |E|**2 differences
+    of the points' coordinates, derived from their ranks."""
+    coords = ranks_to_coords(p, dim, ranks)
     m = coords.shape[0]
     chunk = max(1, (1 << 22) // m)
     # Two reused (chunk, m) buffers: squared differences accumulate one
@@ -161,16 +163,15 @@ def _pairwise_profile(p: int, dim: int, coords: np.ndarray, sums: np.ndarray) ->
 
 
 def _convolved_profile(
-    F: PrimeField, dim: int, coords: np.ndarray, sums: np.ndarray, force: bool
+    F: PrimeField, dim: int, ranks: np.ndarray, sums: np.ndarray, force: bool
 ) -> None:
     """Fill the (hinges, pairs) rows of sums from one transform of E and
-    one degree column per radius, gathered at E; each radius' sphere
-    transform is its row of the norm-class table, gathered by norm (the
-    table's p**2 entries are within the guard on p**dim)."""
-    m, p = coords.shape[0], F.p
+    one degree column per radius, gathered at E's ranks; each radius'
+    sphere transform is its row of the norm-class table, gathered by norm
+    (the table's p**2 entries are within the guard on p**dim)."""
+    m, p = ranks.size, F.p
     guard_spectrum(p, dim, force)
     values, _ = _norm_class_table(F, dim)
-    ranks = coords_to_ranks(p, coords)
     E_hat = set_transforms(p, dim, [ranks])
     null = np.full(m, m - 1, dtype=np.int64)
     for a in range(1, p):

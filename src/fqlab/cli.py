@@ -46,7 +46,6 @@ from .geometry import (
     generate_point_set,
     load_point_set,
     parse_generator,
-    rank_point,
     sphere_points,
     sphere_table,
 )
@@ -96,6 +95,12 @@ SWEEP_FIELDS = (
 )
 # The sweep-record fields that a BoundReport fills.
 REPORT_FIELDS = SWEEP_FIELDS[SWEEP_FIELDS.index("set_size"):SWEEP_FIELDS.index("delta_ok") + 1]
+# The check behind each sweep-record verdict column that is not named
+# {check}_ok, for replay commands.
+COLUMN_CHECKS = {
+    "lower_ok": "main", "upper_ok": "main", "asym_ok": "main",
+    "delta_ok": "remark", "eq2_ok": "hinge",
+}
 
 VERIFY_FIELDS = (
     "status", "check", "p", "dim", "a", "lam_kind", "trial",
@@ -356,6 +361,25 @@ def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):
         del hats  # freed before the next stack's transform is made
 
 
+def _graph_oks(F, dim, spectra, sets, checks, force) -> list[dict]:
+    """The {column}_ok record flags of the graph checks among checks, one
+    dict per rank array in sets, from one _graph_rows pass over every
+    radius: each set is sorted once (only when a subset check needs it),
+    its subset verdicts judge it alone, and a radius' spectrum verdict
+    judges every set.  No set makes no pass."""
+    subset = [c for c in checks if c in SUBSET_CHECKS]
+    members = [vertex_array(F.p**dim, ranks) for ranks in sets] if subset else []
+    items = [(c, row, None) for row in range(len(members)) for c in subset]
+    oks = [{} for _ in sets]
+    recheck = "spectrum" in checks and bool(sets)
+    for _, i, column, _, _, _, holds, _ in _graph_rows(
+        F, dim, spectra, range(1, F.p), members, items, recheck, force
+    ):
+        for got in oks if i is None else [oks[items[i][1]]]:
+            got[f"{column}_ok"] = got.get(f"{column}_ok", True) and holds
+    return oks
+
+
 def _theorem_row(check, report) -> tuple[float, float, bool, str]:
     """(lhs, rhs, holds, detail) of the f(E) sandwich ("main") or of the
     distance-count floor ("remark") in one report."""
@@ -459,14 +483,14 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
         sets.append(generate_point_set(F, dim, "all", seed=0, force=args.force))
     for size in _spanning_sizes(cap, args.trials):
         ranks = sorted(rng.sample(range(n), size))
-        pts = tuple(rank_point(p, dim, r) for r in ranks)
-        sets.append(PointSet(points=pts, dim=dim, origin_label=f"random-subset:{size}"))
+        sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{size}"))
     wanted = [c for c in ("main", "remark") if c in checks]
     reports = {}
     for trial, E in enumerate(sets):
-        if E.points not in reports:
-            reports[E.points] = check_main_theorem(F, dim, E, spectra, force=args.force)
-        report = reports[E.points]
+        key = E.ranks.tobytes()
+        if key not in reports:
+            reports[key] = check_main_theorem(F, dim, E, spectra, force=args.force)
+        report = reports[key]
         for check in wanted:
             lhs, rhs, holds, detail = _theorem_row(check, report)
             out[check][0].append(_verify_record(
@@ -529,6 +553,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_fcount(args) -> int:
     F = _field_for_cli(args.q, args.allow_1mod4)
+    checks = _parse_checks(args.checks)
     if args.points and args.gen:
         raise BadSpec("--points and --gen are mutually exclusive; pick one input source")
     if args.points:
@@ -547,8 +572,14 @@ def cmd_fcount(args) -> int:
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
     bounds.guard_profile(len(E), args.force)  # before any spectrum is built
+    if set(checks) - {"main", "remark"}:  # graph checks span F_p^dim
+        guard_spectrum(F.p, dim, args.force)
     spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
     report = check_main_theorem(F, dim, E, spectra, force=args.force)
+    (oks,) = _graph_oks(F, dim, spectra, [E.ranks], checks, args.force)
+    holds = all(oks.values()) and all(
+        _theorem_row(c, report)[2] for c in checks if c in ("main", "remark")
+    )
     print(f"p={F.p} dim={dim} |E|={report.set_size} generator={generator}")
     print(f"f={report.f_value} null_pairs={report.null_pair_count}")
     print(
@@ -568,17 +599,22 @@ def cmd_fcount(args) -> int:
         f"regime={report.regime} ratio_cubic={report.ratio_cubic:.10g}"
         f" ratio_linear={report.ratio_linear:.10g}"
     )
-    print(f"verdict: {_status(report.holds)}")
+    if oks:
+        print("graph checks: " + " ".join(
+            f"{k}={_status(oks[k])}" for k in SWEEP_FIELDS if k in oks
+        ))
+    print(f"verdict: {_status(holds)}")
     if args.out:
         rec = _record(
             SWEEP_FIELDS,
-            status="ok" if report.holds else "fail",
+            status="ok" if holds else "fail",
             p=F.p, dim=dim, generator=generator, seed=args.seed,
-            cell_seed=derive_seed(args.seed), holds=report.holds, error="",
+            cell_seed=derive_seed(args.seed), holds=holds, error="",
             config_digest="", tool_version=TOOL_VERSION, **_report_fields(report),
+            **oks,
         )
         _write_output(args.out, emit([rec], args.format, SWEEP_FIELDS))
-    return 0 if report.holds else 1
+    return 0 if holds else 1
 
 
 def cmd_verify(args) -> int:
@@ -703,9 +739,9 @@ def _run_sweep_group(task) -> list[dict]:
     verdicts), then the spectrum verdict and the subset checks, the records
     last.
 
-    Each distinct set is sorted once, and every set and radius goes through
-    one _graph_rows pass, since every radius reads every set; a (p, dim)
-    with no set makes no sphere transform.
+    Sets are keyed by the bytes of their rank arrays.  The distinct sets go
+    through one _graph_oks pass, since every radius reads every set; a
+    (p, dim) with no set makes no sphere transform.
     """
     p, dim, gens, seeds, checks, digest, force = task
     with warnings.catch_warnings():
@@ -713,7 +749,7 @@ def _run_sweep_group(task) -> list[dict]:
         F = make_field(p)
     spectra = euclid.spectra(F, dim, range(1, p), force)
     theorem_checks = [c for c in ("main", "remark") if c in checks]
-    records, cells, reports = [], [], {}
+    records, cells, reports, sets = [], [], {}, {}
     for gen in gens:
         spec, made = parse_generator(gen), None
         for seed in seeds:
@@ -729,26 +765,17 @@ def _run_sweep_group(task) -> list[dict]:
                 made = _outcome(generate_point_set, F, dim, spec, seed=cseed, force=force)
             error = made
             if not isinstance(made, FqlabError):
-                E, key = made, tuple(made.ranks(p))
-                rec["set_size"] = len(E)
+                key = made.ranks.tobytes()
+                rec["set_size"] = len(made)
                 if theorem_checks and key not in reports:
-                    reports[key] = _outcome(check_main_theorem, F, dim, E, spectra, force=force)
+                    reports[key] = _outcome(check_main_theorem, F, dim, made, spectra, force=force)
                 error = reports.get(key)
             if isinstance(error, FqlabError):
                 rec.update(status="error", error=str(error), holds=False)
             else:
                 cells.append((rec, key))
-    oks = {key: {} for _, key in cells}
-    sets, subset = list(oks), [c for c in checks if c in SUBSET_CHECKS]
-    members = [vertex_array(p**dim, key) for key in sets] if subset else []
-    items = [(c, row, None) for row in range(len(members)) for c in subset]
-    recheck = "spectrum" in checks and bool(cells)
-    for _, i, column, _, _, _, holds, _ in _graph_rows(
-        F, dim, spectra, range(1, p), members, items, recheck, force
-    ):
-        # a radius' spectrum verdict judges every set, a subset verdict its own
-        for got in oks.values() if i is None else [oks[sets[items[i][1]]]]:
-            got[f"{column}_ok"] = got.get(f"{column}_ok", True) and holds
+                sets.setdefault(key, made.ranks)
+    oks = dict(zip(sets, _graph_oks(F, dim, spectra, list(sets.values()), checks, force)))
     for rec, key in cells:
         report, verdicts = reports.get(key), list(oks[key].values())
         if report is not None:
@@ -840,9 +867,12 @@ def cmd_sweep(args) -> int:
     bad = [r for r in records if r["status"] != "ok"]
     for r in bad[:5]:
         failed = [k for k in SWEEP_FIELDS if k.endswith("_ok") and r[k] is False]
+        replayed = {COLUMN_CHECKS.get(k, k.removesuffix("_ok")) for k in failed}
         print(
             f"replay: fqlab fcount --q {r['p']} --dim {r['dim']}"
             f" --gen '{r['generator']}' --seed {r['cell_seed']}"
+            + (f" --checks {','.join(c for c in CHECK_NAMES if c in replayed)}"
+               if failed else "")
             + (" --allow-1mod4" if config["allow_1mod4"] else "")
             + (" --force" if args.force else "")
             + (f"  # {r['error']}" if r["error"] else "")
@@ -893,6 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", default=None, help="point file (one per line)")
     sp.add_argument("--gen", default=None, help="generator expression")
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--checks", default="main,remark",
+                    help="checks the verdict covers; graph checks judge the set itself")
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.set_defaults(func=cmd_fcount)

@@ -1,19 +1,19 @@
 """Vectors in F_p^dim: sphere counts and enumeration, point-set
 generators, and the point-set text format.
 
-Points are plain tuples of ints.  The canonical integer encoding of a
-point is its rank sum(x_i * p**i), least significant coordinate first;
-ranks order point sets, key random sampling, and name graph vertices in
-the spectral modules.  Sphere sizes come in closed form from the
-quadratic character, read off the field's square-count table, so counting
-never requires enumerating the space; enumeration is a separate,
-guardrailed operation.
+A point is named by its rank sum(x_i * p**i), least significant
+coordinate first.  A PointSet is one read-only int64 rank array with p,
+dim and a label; generators build the array directly, callers derive
+coordinates (ranks // p**i % p) only where they need them, and tuples of
+ints appear only at the edges: point text, sphere enumeration, and a
+set's derived points.  Sphere sizes come in closed form from the
+quadratic character, so counting never enumerates the space;
+enumeration is a separate, guardrailed operation.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -38,27 +38,24 @@ def guard_enumeration(count: int, force: bool = False) -> None:
         )
 
 
-def point_rank(p: int, point: Point) -> int:
-    """Canonical integer encoding, least significant coordinate first."""
-    r = 0
-    for i, x in enumerate(point):
-        r += x * p**i
-    return r
-
-
-def rank_point(p: int, dim: int, rank: int) -> Point:
-    coords = []
-    for _ in range(dim):
-        coords.append(rank % p)
-        rank //= p
-    return tuple(coords)
+def _space_size(p: int, dim: int) -> int:
+    """p**dim, refused when int64 ranks cannot name every point."""
+    n = p**dim
+    if n - 1 > np.iinfo(np.int64).max:
+        raise BadSpec(f"F_{p}^{dim} has {n} points, more than int64 ranks can name")
+    return n
 
 
 def coords_to_ranks(p: int, coords: np.ndarray) -> np.ndarray:
-    """Vectorized point_rank over the rows of an (n, dim) array."""
+    """The ranks of the rows of an (n, dim) coordinate array."""
     coords = np.asarray(coords, dtype=np.int64)
     weights = p ** np.arange(coords.shape[1], dtype=np.int64)
     return coords @ weights
+
+
+def ranks_to_coords(p: int, dim: int, ranks: np.ndarray) -> np.ndarray:
+    """The (n, dim) coordinates of n ranks: column i is ranks // p**i % p."""
+    return ranks[:, None] // p ** np.arange(dim, dtype=np.int64) % p
 
 
 @dataclass(frozen=True)
@@ -138,35 +135,39 @@ def sphere_points(F: PrimeField, dim: int, a: int, force: bool = False) -> list[
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """A duplicate-free ordered collection of points of one dimension."""
+    """A duplicate-free ordered set of points of F_p^dim, held as their
+    ranks: a read-only int64 array, copied from the ranks given."""
 
-    points: tuple[Point, ...]
+    ranks: np.ndarray
+    p: int
     dim: int
     origin_label: str = ""
 
     def __post_init__(self):
-        seen = set()
-        for pt in self.points:
-            if len(pt) != self.dim:
-                raise DimensionMismatch(
-                    f"point {pt} has dimension {len(pt)}, set has {self.dim}"
-                )
-            if any(c < 0 for c in pt):
-                raise BadSpec(f"negative coordinate in point {pt}")
-            if pt in seen:
-                raise BadSpec(f"duplicate point {pt}")
-            seen.add(pt)
+        n = _space_size(self.p, self.dim)
+        ranks = np.array(self.ranks, dtype=np.int64)
+        if ranks.ndim != 1:
+            raise DimensionMismatch(f"ranks must be a flat array, got shape {ranks.shape}")
+        # One sort and a neighbor compare, as in spectral.vertex_array.
+        ordered = np.sort(ranks)
+        if ordered.size and (ordered[0] < 0 or ordered[-1] >= n):
+            raise BadSpec(f"point rank outside [0, {n}) of F_{self.p}^{self.dim}")
+        twins = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if twins.size:
+            twin = ranks_to_coords(self.p, self.dim, ordered[twins[:1]])[0]
+            raise BadSpec(f"duplicate point {tuple(twin.tolist())}")
+        ranks.flags.writeable = False
+        object.__setattr__(self, "ranks", ranks)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.ranks.size
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def ranks(self, p: int) -> list[int]:
-        return [point_rank(p, pt) for pt in self.points]
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The points as coordinate tuples, in rank-array order."""
+        return tuple(map(tuple, ranks_to_coords(self.p, self.dim, self.ranks).tolist()))
 
 
 def size_threshold(p: int, dim: int) -> float:
@@ -272,14 +273,13 @@ def parse_generator(text: str) -> GeneratorSpec:
     return GeneratorSpec(text=text, atoms=atoms)
 
 
-def _atom_points(
-    F: PrimeField, dim: int, atom: _Atom, rng: random.Random, force: bool
-) -> list[Point]:
+def _atom_ranks(
+    F: PrimeField, dim: int, total: int, atom: _Atom, rng: random.Random, force: bool
+) -> np.ndarray:
     p = F.p
-    total = p**dim
     if atom.kind == "all":
         guard_enumeration(total, force)
-        return [rank_point(p, dim, r) for r in range(total)]
+        return np.arange(total, dtype=np.int64)
     if atom.kind == "random":
         n = atom.count
         if n is None:
@@ -288,7 +288,7 @@ def _atom_points(
             raise InfeasibleSize(
                 f"requested {n} distinct points from a space of {total}"
             )
-        return [rank_point(p, dim, r) for r in rng.sample(range(total), n)]
+        return np.array(rng.sample(range(total), n), dtype=np.int64)
     if atom.kind == "box":
         side = atom.side
         if side is None:
@@ -297,11 +297,13 @@ def _atom_points(
         if side > p:
             raise BadSpec(f"box side {side} exceeds p = {p}")
         guard_enumeration(side**dim, force)
-        return [tuple(pt) for pt in itertools.product(range(side), repeat=dim)]
+        # itertools.product order: the first coordinate varies slowest
+        return coords_to_ranks(p, np.indices((side,) * dim).reshape(dim, -1).T)
     if atom.kind == "sphere":
         if not 0 <= atom.radius < p:
             raise BadSpec(f"sphere radius {atom.radius} is not a residue mod {p}")
-        return sphere_points(F, dim, atom.radius, force=force)
+        points = sphere_points(F, dim, atom.radius, force=force)
+        return coords_to_ranks(p, np.array(points, dtype=np.int64).reshape(-1, dim))
     if atom.kind == "line":
         base, direction = atom.base, atom.direction
         if len(base) != dim or len(direction) != dim:
@@ -310,9 +312,8 @@ def _atom_points(
             raise BadSpec(f"line coordinates must be residues mod {p}")
         if all(c == 0 for c in direction):
             raise BadSpec("line direction must be nonzero")
-        return [
-            tuple((b + t * d) % p for b, d in zip(base, direction)) for t in range(p)
-        ]
+        t = np.arange(p, dtype=np.int64)[:, None]
+        return coords_to_ranks(p, (np.array(base) + t * np.array(direction)) % p)
     raise BadSpec(f"unknown generator kind {atom.kind!r}")
 
 
@@ -331,15 +332,13 @@ def generate_point_set(
     gs = parse_generator(spec) if isinstance(spec, str) else spec
     if dim < 1:
         raise BadSpec(f"dimension must be >= 1, got {dim}")
+    total = _space_size(F.p, dim)
     rng = random.Random(seed)
-    seen: set[Point] = set()
-    pts: list[Point] = []
-    for atom in gs.atoms:
-        for pt in _atom_points(F, dim, atom, rng, force):
-            if pt not in seen:
-                seen.add(pt)
-                pts.append(pt)
-    return PointSet(points=tuple(pts), dim=dim, origin_label=gs.text)
+    parts = [_atom_ranks(F, dim, total, atom, rng, force) for atom in gs.atoms]
+    ranks = np.concatenate(parts)
+    if len(parts) > 1:
+        ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
+    return PointSet(ranks, p=F.p, dim=dim, origin_label=gs.text)
 
 
 def parse_point_text(text: str) -> list[Point]:
@@ -383,11 +382,11 @@ def load_point_set(
     if not pts:
         if dim is None:
             raise BadSpec("empty point list and no dimension given")
-        return PointSet(points=(), dim=dim, origin_label=label)
+        return PointSet([], p=F.p, dim=dim, origin_label=label)
     d = len(pts[0])
     if dim is not None and d != dim:
         raise DimensionMismatch(f"points have dimension {d}, expected {dim}")
     for pt in pts:
         if any(not 0 <= c < F.p for c in pt):
             raise BadSpec(f"coordinate out of range [0, {F.p}) in point {pt}")
-    return PointSet(points=tuple(pts), dim=d, origin_label=label)
+    return PointSet(coords_to_ranks(F.p, pts), p=F.p, dim=d, origin_label=label)

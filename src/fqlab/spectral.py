@@ -76,7 +76,8 @@ def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
     count reads; raises VertexOutOfRange when one leaves [0, n)."""
     # One sort and a neighbor mask; np.unique hashes integers since numpy
     # 2.3, which is several times slower at these sizes.
-    arr = np.sort(np.fromiter(S, dtype=np.int64))
+    arr = S if isinstance(S, np.ndarray) else np.fromiter(S, dtype=np.int64)
+    arr = np.sort(arr.astype(np.int64, copy=False))
     distinct = np.empty(arr.size, dtype=bool)
     distinct[:1] = True
     np.not_equal(arr[1:], arr[:-1], out=distinct[1:])

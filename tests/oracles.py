@@ -5,24 +5,27 @@ enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres and over every point per norm class, neighbor
 tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
-evidence, not tautology; spectrum, the one-radius reading of the
-package's spectra that the tests use, is the one call into the package.
+evidence, not tautology; the calls into the package are spectrum, the
+one-radius reading of the package's spectra that the tests use, and
+parse_generator, which hands the generator oracle its atoms.
 The routes the package replaced are kept here as their oracles: the
 Fraction routes of the subset bounds, counts and verdict (now integer
-numerators and thresholds) and the convolution of the sphere sizes (now
-a closed form).  The distance, adjacency, neighbor-table,
-eigenvalue-gather and point-text helpers the tests need, and the package
-does not, live here too.
+numerators and thresholds), the convolution of the sphere sizes (now a
+closed form) and the generators' tuple-per-point route (now rank
+arrays).  The distance, adjacency, neighbor-table, eigenvalue-gather,
+point-rank and point-text helpers the tests need, and the package does
+not, live here too.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange, spectra
+from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange, parse_generator, spectra
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
@@ -149,6 +152,51 @@ def sphere_points_brute(p: int, dim: int, a: int) -> list[tuple]:
     return sorted(
         x for x in product(range(p), repeat=dim) if norm_brute(p, x) == a % p
     )
+
+
+def point_rank(p: int, point) -> int:
+    """The rank sum(x_i * p**i) of one point, least significant first."""
+    return sum(x * p**i for i, x in enumerate(point))
+
+
+def rank_point(p: int, dim: int, rank: int) -> tuple:
+    """The point of rank rank in F_p^dim."""
+    return tuple(rank // p**i % p for i in range(dim))
+
+
+def generate_points_brute(p: int, dim: int, spec: str, seed: int = 0) -> list[tuple]:
+    """The points of a valid generator expression as coordinate tuples, the
+    route the package took before point sets became rank arrays: atom by
+    atom from one random.Random(seed), all in rank order, random in
+    random.sample's order over the ranks, box in itertools.product order,
+    sphere lexicographic, line for t = 0, ..., p - 1, and a union keeping
+    each point's first occurrence."""
+    total, threshold = p**dim, float(p) ** ((dim + 1) / 2)
+    rng = random.Random(seed)
+    seen, out = set(), []
+    for atom in parse_generator(spec).atoms:
+        if atom.kind == "all":
+            pts = [rank_point(p, dim, r) for r in range(total)]
+        elif atom.kind == "random":
+            n = atom.count
+            if n is None:
+                n = min(total, max(1, round(atom.rel * threshold)))
+            pts = [rank_point(p, dim, r) for r in rng.sample(range(total), n)]
+        elif atom.kind == "box":
+            side = atom.side
+            if side is None:
+                side = min(p, max(1, round(max(1.0, atom.rel * threshold) ** (1.0 / dim))))
+            pts = list(product(range(side), repeat=dim))
+        elif atom.kind == "sphere":
+            pts = sphere_points_brute(p, dim, atom.radius)
+        else:
+            base, step = atom.base, atom.direction
+            pts = [tuple((b + t * d) % p for b, d in zip(base, step)) for t in range(p)]
+        for pt in pts:
+            if pt not in seen:
+                seen.add(pt)
+                out.append(pt)
+    return out
 
 
 def degree_profile_brute(p: int, points) -> list[list[int]]:

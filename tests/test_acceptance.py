@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import spectrum
+from oracles import rank_point, spectrum
 from fqlab import (
     check_main_theorem,
     degree_profile,
@@ -29,7 +29,6 @@ from fqlab import (
     mixing_bound,
     mixing_check,
     ramanujan_bound,
-    rank_point,
     sphere_table,
     sphere_transform,
     variance_bound,
@@ -178,7 +177,7 @@ def test_c5_oracle_equivalence(capsys):
         F = make_field(p)
         E = generate_point_set(F, dim, f"random:{size}", seed=seed)
         via_profile = degree_profile(F, dim, E).f_value()
-        ranks, via_hinges = E.ranks(p), 0
+        ranks, via_hinges = E.ranks, 0
         for a in range(1, p):
             G = euclid_graph(F, dim, a)
             via_hinges += hinge_count(*columns(G, sphere_transform(G), [ranks]))[0]

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import spectrum
 from fqlab import (
+    BadSpec,
+    DimensionMismatch,
     MissingSpectrum,
     PointSet,
     VerificationFailed,
@@ -23,7 +25,6 @@ from fqlab import (
     load_point_set,
     lower_bound_f,
     make_field,
-    rank_point,
     sphere_table,
     sphere_transform,
     upper_bound_f,
@@ -121,6 +122,17 @@ def test_profile_peak_memory(monkeypatch):
     assert peak < 160 * 2**20
 
 
+def test_profile_refuses_a_set_of_another_field_or_dimension(f3, f7):
+    # ranks name points of one F_p^dim only, so a set is profiled over its own
+    # field and dimension or refused
+    for F, E in ((f7, generate_point_set(f3, 2, "all")),
+                 (f3, generate_point_set(f7, 2, "random:5", seed=1))):
+        with pytest.raises(BadSpec, match=f"F_{E.p}\\^2, not F_{F.p}\\^2"):
+            degree_profile(F, 2, E)
+    with pytest.raises(DimensionMismatch):
+        degree_profile(f3, 3, generate_point_set(f3, 2, "all"))
+
+
 # --- profile routes: pairwise and convolution ---------------------------------
 
 
@@ -192,7 +204,7 @@ def test_profile_routes_agree_random_spaces(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = make_field(p)
-    E = PointSet(points=tuple(rank_point(p, dim, r) for r in ranks), dim=dim)
+    E = PointSet(ranks, p=p, dim=dim)
     prof = assert_routes_agree(F, dim, E)
     assert prof.hinges.shape == prof.pairs.shape == (p,)
     assert int(prof.pairs.sum()) == len(ranks) * (len(ranks) - 1)
@@ -341,7 +353,7 @@ def test_f_equals_hinge_sum_over_radii(p, dim, size, seed):
     # cross-module identity: f(E) = sum over a != 0 of the hinge count in G_q(a)
     F = make_field(p)
     E = generate_point_set(F, dim, f"random:{size}", seed=seed)
-    ranks = E.ranks(p)
+    ranks = E.ranks
     total = 0
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
@@ -387,7 +399,7 @@ def test_upper_bounds_full_space(f3, spectra3):
 
 
 def test_upper_bounds_empty(f3, spectra3):
-    E = PointSet(points=(), dim=2, origin_label="empty")
+    E = PointSet([], p=3, dim=2, origin_label="empty")
     assert upper_bound_f(E, spectra3) == (0.0, 0.0)
 
 

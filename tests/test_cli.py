@@ -19,6 +19,7 @@ import fqlab.euclid
 import fqlab.geometry
 from fqlab import VerificationFailed
 from fqlab.cli import (
+    CHECK_NAMES,
     SWEEP_FIELDS,
     build_parser,
     config_digest,
@@ -661,8 +662,7 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
         for p, dim in ((3, 2), (7, 2), (3, 3))
     }
     for name, p, dim, a, ranks, value in seen:
-        points = tuple(fqlab.rank_point(p, dim, r) for r in ranks)
-        E = fqlab.PointSet(points=points, dim=dim)
+        E = fqlab.PointSet(ranks, p=p, dim=dim)
         prof = fqlab.degree_profile(fqlab.make_field(p), dim, E)
         assert value == int(prof.hinges[a] if name == "hinges" else prof.pairs[a])
 
@@ -803,14 +803,16 @@ def test_forced_bound_failures_reach_the_sweep_records(monkeypatch):
 
 
 def test_sweep_replay_names_the_failed_columns(monkeypatch, tmp_path, capsys):
-    # a cell that fails only graph checks replays as an fcount that passes,
-    # so its replay line names the record columns that failed, in record order
+    # a cell that fails only graph checks replays as an fcount of those
+    # checks on the cell's set, which fails the same way under the same
+    # stubs and passes without them; the replay line also names the record
+    # columns that failed, in record order
     cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
-    for stubs, checks, failed in (
-        ({"variance_bound": -1.0}, ["variance", "main"], "variance_ok"),
+    for stubs, checks, failed, replayed in (
+        ({"variance_bound": -1.0}, ["variance", "main"], "variance_ok", "variance"),
         ({"variance_bound": -1.0, "degree_sum_bound": -1.0}, ["hinge", "variance"],
-         "variance_ok,eq2_ok"),
-        ({"within_bound": False}, ["spectrum", "mixing"], "spectrum_ok"),
+         "variance_ok,eq2_ok", "variance,hinge"),
+        ({"within_bound": False}, ["spectrum", "mixing"], "spectrum_ok", "spectrum"),
     ):
         cfg.write_text(json.dumps({"grid": [{"primes": [7], "dims": [2]}],
                                    "generators": ["random:10"], "seeds": [1],
@@ -819,10 +821,41 @@ def test_sweep_replay_names_the_failed_columns(monkeypatch, tmp_path, capsys):
             for name, value in stubs.items():
                 m.setattr(cli, name, lambda *args, value=value: value)
             assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
-        (replay,) = capsys.readouterr().err.splitlines()
-        command, comment = replay.removeprefix("replay: fqlab ").split("  # ")
-        assert comment == f"failed: {failed}"
+            (replay,) = capsys.readouterr().err.splitlines()
+            command, comment = replay.removeprefix("replay: fqlab ").split("  # ")
+            assert comment == f"failed: {failed}"
+            assert f" --checks {replayed}" in command
+            assert main(shlex.split(command)) == 1
+            assert "verdict: FAIL" in capsys.readouterr().out
         assert main(shlex.split(command)) == 0
+
+
+def test_fcount_graph_checks_fill_the_sweep_cell_record(tmp_path, capsys):
+    # fcount --checks judges its own set as the sweep judges the cell's:
+    # the same verdict columns and holds, and one stdout line naming them;
+    # the default checks leave stdout and the record as they were
+    checks = list(CHECK_NAMES)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    cfg.write_text(json.dumps({"grid": [{"primes": [7], "dims": [2]}],
+                               "generators": ["random:1t", "sphere:2+box:2"],
+                               "seeds": [4], "checks": checks}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    for cell in (json.loads(line) for line in out.read_text().splitlines()):
+        fout = tmp_path / "f.jsonl"
+        argv = ["fcount", "--q", "7", "--dim", "2", "--gen", cell["generator"],
+                "--seed", str(cell["cell_seed"])]
+        capsys.readouterr()
+        assert main(argv + ["--checks", ",".join(checks), "--out", str(fout)]) == 0
+        text = capsys.readouterr().out
+        assert "graph checks: spectrum_ok=ok variance_ok=ok mixing_ok=ok hinge_ok=ok eq2_ok=ok\n" in text
+        (rec,) = [json.loads(line) for line in fout.read_text().splitlines()]
+        same = SWEEP_FIELDS[SWEEP_FIELDS.index("set_size"):SWEEP_FIELDS.index("holds") + 1]
+        assert {k: rec[k] for k in same} == {k: cell[k] for k in same}
+        assert main(argv + ["--out", str(fout)]) == 0
+        assert "graph checks" not in capsys.readouterr().out
+        (rec,) = [json.loads(line) for line in fout.read_text().splitlines()]
+        assert rec["spectrum_ok"] is rec["variance_ok"] is rec["eq2_ok"] is None
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "all", "--checks", "orbit"]) == 2
 
 
 SWEEP_ALLCHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_allchecks.json"

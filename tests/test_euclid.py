@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import spectrum
+from oracles import point_rank, rank_point, spectrum
 from fqlab import (
     BadSpec,
     ImagResidualTooLarge,
@@ -26,9 +26,7 @@ from fqlab import (
     hinge_count,
     make_field,
     mixing_check,
-    point_rank,
     ramanujan_bound,
-    rank_point,
     recheck_spectrum,
     set_transforms,
     sphere_size,

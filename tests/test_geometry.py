@@ -1,11 +1,13 @@
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fqlab.geometry
 import oracles
+from oracles import point_rank, rank_point
 from fqlab import (
     BadSpec,
     DimensionMismatch,
@@ -17,13 +19,12 @@ from fqlab import (
     make_field,
     parse_generator,
     parse_point_text,
-    point_rank,
-    rank_point,
     size_threshold,
     sphere_points,
     sphere_size,
     sphere_table,
 )
+from fqlab.geometry import coords_to_ranks, ranks_to_coords
 
 pt2 = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
@@ -63,11 +64,15 @@ def test_rank_least_significant_first():
     assert point_rank(3, (1, 0)) == 1
     assert point_rank(3, (0, 1)) == 3
     assert point_rank(5, (2, 3)) == 2 + 3 * 5
+    assert coords_to_ranks(5, [(2, 3), (1, 0)]).tolist() == [2 + 3 * 5, 1]
 
 
 @given(st.integers(0, 342))
 def test_rank_roundtrip(r):
     assert point_rank(7, rank_point(7, 3, r)) == r
+    coords = ranks_to_coords(7, 3, np.array([r], dtype=np.int64))
+    assert tuple(coords[0].tolist()) == rank_point(7, 3, r)
+    assert coords_to_ranks(7, coords).tolist() == [r]
 
 
 # --- sphere counting ------------------------------------------------------
@@ -153,14 +158,50 @@ def test_sphere_points_negation_closed(f7):
 # --- point sets and generators -------------------------------------------
 
 
-def test_pointset_rejects_duplicates():
-    with pytest.raises(BadSpec):
-        PointSet(points=((0, 1), (0, 1)), dim=2, origin_label="dup")
+def test_pointset_rejects_duplicates(f3):
+    # (0, 1) has rank 3 in F_3^2
+    with pytest.raises(BadSpec, match=r"^duplicate point \(0, 1\)$"):
+        PointSet([3, 3], p=3, dim=2, origin_label="dup")
+    with pytest.raises(BadSpec, match=r"^line 2: duplicate point '0,1'$"):
+        load_point_set("0,1\n0,1\n", f3, dim=2)
 
 
-def test_pointset_rejects_ragged():
+def test_pointset_rejects_ragged(f3):
+    # a ragged point list can only arrive as text; coordinates handed over
+    # as rows in place of ranks are refused too
+    with pytest.raises(DimensionMismatch, match=r"^line 2: expected 2 coordinates, got 3$"):
+        load_point_set("0,1\n0,1,2\n", f3, dim=2)
     with pytest.raises(DimensionMismatch):
-        PointSet(points=((0, 1), (0, 1, 2)), dim=2, origin_label="ragged")
+        PointSet([[0, 1], [1, 0]], p=3, dim=2, origin_label="ragged")
+
+
+def test_pointset_rejects_negative_and_out_of_range(f3):
+    for ranks in ([-1], [0, 9], [8, -4, 2]):
+        with pytest.raises(BadSpec, match=r"outside \[0, 9\)"):
+            PointSet(ranks, p=3, dim=2)
+    for text, point in (("-1,0\n", "(-1, 0)"), ("0,0\n0,3\n", "(0, 3)")):
+        with pytest.raises(BadSpec) as info:
+            load_point_set(text, f3, dim=2)
+        assert str(info.value) == f"coordinate out of range [0, 3) in point {point}"
+    assert PointSet([8, 0], p=3, dim=2).points == ((2, 2), (0, 0))
+
+
+def test_pointset_refuses_spaces_past_int64_ranks(f3):
+    with pytest.raises(BadSpec, match="int64"):
+        PointSet([0], p=3, dim=40)
+    with pytest.raises(BadSpec, match="int64"):
+        generate_point_set(f3, 40, "box:1")
+    assert len(generate_point_set(f3, 39, "box:1")) == 1
+
+
+def test_pointset_ranks_are_a_read_only_copy():
+    given_ranks = np.array([5, 1, 7], dtype=np.int64)
+    E = PointSet(given_ranks, p=3, dim=2)
+    given_ranks[0] = 0
+    assert E.ranks.tolist() == [5, 1, 7] and E.ranks.dtype == np.int64
+    with pytest.raises(ValueError):
+        E.ranks[0] = 2
+    assert E.points == ((2, 1), (1, 0), (1, 2)) and len(E) == 3
 
 
 def test_generate_all(f3):
@@ -240,6 +281,75 @@ def test_parse_generator_rejects_garbage():
                 "random:0.5", "sphere:x"):
         with pytest.raises(BadSpec):
             parse_generator(bad)
+
+
+# the (p, dim) pairs of the 44-instance grid
+GRID = [(p, 2) for p in (3, 7, 11, 19)] + [(p, 3) for p in (3, 7)]
+
+
+def grid_specs(p, dim):
+    """One generator of every atom kind on F_p^dim, plus unions."""
+    line = f"line:{','.join(['1'] * dim)};{','.join(['0'] * (dim - 1) + ['2'])}"
+    atoms = ["all", "random:7", "random:1t", "box:2", "box:1t", "sphere:0", "sphere:1", line]
+    unions = [f"sphere:1+{line}", "box:1t+random:0.5t+sphere:1", f"random:5+random:5+{line}+all"]
+    return atoms + unions
+
+
+@pytest.mark.parametrize("p,dim", GRID)
+def test_generators_match_the_tuple_oracle_on_grid(p, dim):
+    F = make_field(p)
+    for spec in grid_specs(p, dim):
+        for seed in (0, 3):
+            E = generate_point_set(F, dim, spec, seed=seed)
+            want = oracles.generate_points_brute(p, dim, spec, seed=seed)
+            assert E.ranks.tolist() == [point_rank(p, pt) for pt in want], spec
+            assert E.points == tuple(want)
+            assert (E.p, E.dim, E.origin_label) == (p, dim, spec)
+
+
+@st.composite
+def generator_cases(draw):
+    """(p, dim, spec, seed): a union of one to three valid atoms on a small
+    F_p^dim, p including primes that are 1 mod 4."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    dim = draw(st.integers(1, 3))
+    total = p**dim
+    residues = st.lists(st.integers(0, p - 1), min_size=dim, max_size=dim)
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["all", "random", "random_t", "box", "box_t", "sphere", "line"]))
+        if kind == "all":
+            atoms.append("all")
+        elif kind == "random":
+            atoms.append(f"random:{draw(st.integers(0, total))}")
+        elif kind == "box":
+            atoms.append(f"box:{draw(st.integers(0, p))}")
+        elif kind in ("random_t", "box_t"):
+            rel = draw(st.sampled_from(["0.1", "0.5", "1", "1.5", "3"]))
+            atoms.append(f"{kind[:-2]}:{rel}t")
+        elif kind == "sphere":
+            atoms.append(f"sphere:{draw(st.integers(0, p - 1))}")
+        else:
+            base = draw(residues)
+            step = draw(residues.filter(any))
+            atoms.append(f"line:{','.join(map(str, base))};{','.join(map(str, step))}")
+    return p, dim, "+".join(atoms), draw(st.integers(0, 2**64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_cases())
+@example((3, 2, "sphere:1+sphere:1+line:0,0;1,0", 0))
+@example((13, 3, "random:2197+all", 7))
+@example((5, 1, "sphere:2+box:0", 1))
+def test_generators_match_the_tuple_oracle_random_specs(case):
+    p, dim, spec, seed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    E = generate_point_set(F, dim, spec, seed=seed)
+    want = oracles.generate_points_brute(p, dim, spec, seed=seed)
+    assert E.ranks.tolist() == [point_rank(p, pt) for pt in want]
+    assert E.points == tuple(want)
 
 
 @given(st.integers(0, 2**63 - 1))

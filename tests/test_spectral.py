@@ -19,15 +19,13 @@ from fqlab import (
     make_field,
     mixing_bound,
     mixing_check,
-    point_rank,
-    rank_point,
     sphere_transform,
     variance_bound,
     variance_check,
     within_bound,
 )
 from fqlab.spectral import BOUND_TOL, bound_threshold, vertex_array
-from oracles import spectrum, view_column
+from oracles import point_rank, rank_point, spectrum, view_column
 from stacks import columns, one
 
 
