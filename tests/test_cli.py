@@ -985,12 +985,18 @@ def test_fcount_refuses_the_profile_before_building_spectra(monkeypatch, capsys)
     assert builds == Counter({(7, 2): 1})
 
 
-def test_fcount_sparse_set_past_the_vertex_guardrail(capsys):
+def test_fcount_sparse_set_past_the_vertex_guardrail(monkeypatch, capsys):
     # F_103^3 has 1,092,727 vertices, over SPECTRUM_MAX, but its spectra
     # come from a 103 x 103 table and the 60-point profile is pairwise
     assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60", "--seed", "1"]) == 0
     assert "verdict: ok" in capsys.readouterr().out
     assert main(["spectrum", "--q", "103", "--dim", "3", "--a", "1"]) == 2
+    # a graph check on the set spans F_103^3, so it is refused before the
+    # spectra and the profile are made
+    monkeypatch.setattr(cli.euclid, "spectra", None)
+    assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60",
+                 "--checks", "main,hinge"]) == 2
+    assert "exceeds the spectrum guardrail" in capsys.readouterr().err
 
 
 def test_sweep_past_the_vertex_guardrail_without_graph_checks(tmp_path, capsys):
