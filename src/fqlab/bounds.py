@@ -114,8 +114,7 @@ def degree_profile(
     at E; deg(x, 0) is |E| - 1 minus the rest.
     The cost model PROFILE_FFT_RATIO picks the route; both give the same
     vectors.  |E|**2 > PROFILE_MAX_PAIRS is refused unless forced,
-    whatever the route, and a set of another field always.  Both routes
-    read E's ranks; only the pairwise one derives coordinates.
+    whatever the route, and a set of another field always.
     """
     if E.dim != dim:
         raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")

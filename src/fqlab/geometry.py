@@ -147,10 +147,11 @@ class PointSet:
 
     def __post_init__(self):
         n = _space_size(self.p, self.dim)
-        ranks = np.array(self.ranks, dtype=np.int64)
+        ranks = np.asarray(self.ranks, dtype=np.int64)
         if ranks.ndim != 1:
             raise DimensionMismatch(f"ranks must be a flat array, got shape {ranks.shape}")
-        # One sort and a neighbor compare, as in spectral.vertex_array.
+        # One sort and a neighbor compare, as in spectral.vertex_array; the
+        # sorted copy is freed before the kept copy is made.
         ordered = np.sort(ranks)
         if ordered.size and (ordered[0] < 0 or ordered[-1] >= n):
             raise BadSpec(f"point rank outside [0, {n}) of F_{self.p}^{self.dim}")
@@ -158,6 +159,8 @@ class PointSet:
         if twins.size:
             twin = ranks_to_coords(self.p, self.dim, ordered[twins[:1]])[0]
             raise BadSpec(f"duplicate point {tuple(twin.tolist())}")
+        del ordered
+        ranks = ranks.copy()
         ranks.flags.writeable = False
         object.__setattr__(self, "ranks", ranks)
 
