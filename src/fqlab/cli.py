@@ -366,7 +366,7 @@ def _graph_oks(F, dim, spectra, sets, checks, force) -> list[dict]:
     dict per rank array in sets, from one _graph_rows pass over every
     radius: each set is sorted once (only when a subset check needs it),
     its subset verdicts judge it alone, and a radius' spectrum verdict
-    judges every set.  No set makes no pass."""
+    judges every set.  With no set, no pass is made."""
     subset = [c for c in checks if c in SUBSET_CHECKS]
     members = [vertex_array(F.p**dim, ranks) for ranks in sets] if subset else []
     items = [(c, row, None) for row in range(len(members)) for c in subset]
