@@ -34,6 +34,7 @@ from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
     SpectralSummary,
     certified_columns,
+    class_transform,
     euclid_graph,
     guard_spectrum,
     recheck_spectrum,
@@ -244,20 +245,25 @@ def _status(ok: bool) -> str:
 # checks, each written once and shared by verify, sweep, spectrum and fcount
 
 
-def _spectrum_verdict(G, s, T) -> tuple[bool, str]:
-    """The ceiling test on one radius' spectrum plus its independent recheck
-    against the radius' sphere transform T."""
-    ok = within_bound(s.second_eigenvalue, s.ramanujan_bound)
-    detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
-    try:
-        detail += f";eigvec={recheck_spectrum(G, s, T):.3g}"
-    except VerificationFailed as exc:
-        ok = False
-        detail += f";{exc}"
-    return ok, detail
+def _spectrum_rows(F, dim, spectra, radii, force):
+    """Yield (a, holds, detail) for each radius a: the ceiling test on its
+    spectrum plus the independent recheck of its norm-class row against
+    the radius' sphere transform, one FFT over F_p^dim, freed before the
+    next radius' is made.  This is the only pass that takes one."""
+    for a in radii:
+        G, s = euclid_graph(F, dim, a), spectra[a]
+        ok = within_bound(s.second_eigenvalue, s.ramanujan_bound)
+        detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
+        try:
+            worst = recheck_spectrum(G, s, sphere_transform(G, force=force))
+            detail += f";eigvec={worst:.3g}"
+        except VerificationFailed as exc:
+            ok = False
+            detail += f";{exc}"
+        yield a, ok, detail
 
 
-def _subset_rows(G, s, T, members, hats, items, memo):
+def _subset_rows(G, s, members, hats, items, memo):
     """Yield (i, column, lam_kind, lhs, rhs, holds, detail) for the i-th
     (check, row, C) item, under the exact second eigenvalue of s and under
     its ceiling.  column names the sweep-record column the verdict fills:
@@ -267,18 +273,18 @@ def _subset_rows(G, s, T, members, hats, items, memo):
     The item checks the set whose sorted vertex array is members[row];
     mixing pairs it with C, a sorted vertex array, or with itself when C
     is None.  hats is set_transforms of members, so one certified_columns
-    call against the radius' sphere transform T makes the degree column of
-    every set, and each count is made once per set (once per item for
-    mixing) and judged under both lambdas.  Each bound is computed once per
-    (radius, lambda, column, |B|, |C|) and kept in memo, which the caller
-    keeps across stacks: sets of one size share it.  memo holds (rhs,
+    call against the radius' sphere transform, gathered from s's row of the
+    norm-class table by class_transform, makes the degree column of every
+    set, and each count is made once per set (once per item for mixing) and
+    judged under both lambdas.  Each bound is computed once per (radius,
+    lambda, column, |B|, |C|) and kept in memo, which the caller keeps
+    across stacks: sets of one size share it.  memo holds (rhs,
     bound_threshold(rhs)), and a count lhs_num over lhs_den holds when
     lhs_num * den <= num * lhs_den; lhs is yielded as lhs_num / lhs_den,
     correctly rounded.
     """
-    if not items:
-        return
     n, k = G.n, G.valency
+    T = class_transform(G.field.p, G.dim, s.norm_values, s.valency)
     deg = certified_columns(G, T, hats, [m.size for m in members])
     wanted = {check for check, _, _ in items}
     mix = [i for i, (check, _, _) in enumerate(items) if check == "mixing"]
@@ -290,7 +296,7 @@ def _subset_rows(G, s, T, members, hats, items, memo):
         rows = [items[i][1] for i in mix]
         Cs = [members[row] if C is None else C for _, row, C in (items[i] for i in mix)]
         mixed = dict(zip(mix, mixing_check(deg[rows], Cs)))
-    del deg
+    del deg, T
     lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
     for i, (check, row, C) in enumerate(items):
         b = members[row].size
@@ -322,41 +328,31 @@ def _subset_rows(G, s, T, members, hats, items, memo):
                 yield i, column, lam_kind, lhs_num / lhs_den, rhs, holds, detail
 
 
-def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):
-    """Yield (a, i, column, lam_kind, lhs, rhs, holds, detail) for every
-    graph-local verdict on the radii a of F_p^dim: the spectrum verdict of
-    each radius (i = None, column "spectrum", lam_kind None) when recheck
-    is set, and _subset_rows' rows for the (check, row, C) items, i
-    indexing items and row members.
+def _graph_rows(F, dim, spectra, radii, members, items, force):
+    """Yield (a, i, column, lam_kind, lhs, rhs, holds, detail) for
+    _subset_rows' rows on the radii a of F_p^dim, i indexing the (check,
+    row, C) items and row members.
 
-    This is the one pass behind spectrum, verify and sweep.  The sorted
-    vertex arrays members are stacked at most max(1, STACK_ELEMENTS // n)
-    at a time, stacks outer and radii inner, so each stack is transformed
-    once for all radii.  Per (stack, radius) one sphere transform serves
-    the spectrum verdict (first stack only) and the stack's counts, and at
-    most one is alive; a stack with neither makes none, and a pass over one
-    radius makes one for all its stacks.  One bound memo serves every
-    stack.
+    This is the one subset pass behind verify, sweep and fcount.  The
+    sorted vertex arrays members are stacked at most max(1, STACK_ELEMENTS
+    // n) at a time, stacks outer and radii inner, so each stack is
+    transformed once for all radii, and each (stack, radius) gathers its
+    sphere transform from the norm-class table.  One bound memo serves
+    every stack.  A gather does not guard p**dim, so the pass refuses a
+    space past the vertex guardrail before its first stack.
     """
+    if members:
+        guard_spectrum(F.p, dim, force)
     step = max(1, STACK_ELEMENTS // F.p**dim)
-    memo, T, made = {}, None, None
-    for start in range(0, max(len(members), 1), step):
+    memo = {}
+    for start in range(0, len(members), step):
         ids = [i for i, (_, row, _) in enumerate(items) if start <= row < start + step]
         moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
-        rechecks = recheck and start == 0
-        if not (moved or rechecks):
-            continue
         stack = members[start:start + step]
-        hats = set_transforms(F.p, dim, stack) if moved else None
+        hats = set_transforms(F.p, dim, stack)
         for a in radii:
-            G, s = euclid_graph(F, dim, a), spectra[a]
-            if made != a:  # a one-radius pass keeps its transform across stacks
-                T = None  # freed before the next radius' transform is made
-                T, made = sphere_transform(G, force=force), a
-            if rechecks:
-                ok, detail = _spectrum_verdict(G, s, T)
-                yield a, None, "spectrum", None, s.second_eigenvalue, s.ramanujan_bound, ok, detail
-            for i, *verdict in _subset_rows(G, s, T, stack, hats, moved, memo):
+            G = euclid_graph(F, dim, a)
+            for i, *verdict in _subset_rows(G, spectra[a], stack, hats, moved, memo):
                 yield a, ids[i], *verdict
         del hats  # freed before the next stack's transform is made
 
@@ -364,19 +360,24 @@ def _graph_rows(F, dim, spectra, radii, members, items, recheck, force):
 def _graph_oks(F, dim, spectra, sets, checks, force) -> list[dict]:
     """The {column}_ok record flags of the graph checks among checks, one
     dict per rank array in sets, from one _graph_rows pass over every
-    radius: each set is sorted once (only when a subset check needs it),
-    its subset verdicts judge it alone, and a radius' spectrum verdict
-    judges every set.  With no set, no pass is made."""
+    radius, then one _spectrum_rows pass: each set is sorted once (only
+    when a subset check needs it), its subset verdicts judge it alone, and
+    the spectrum verdicts of all radii judge every set.  With no set, no
+    pass is made."""
     subset = [c for c in checks if c in SUBSET_CHECKS]
     members = [vertex_array(F.p**dim, ranks) for ranks in sets] if subset else []
     items = [(c, row, None) for row in range(len(members)) for c in subset]
     oks = [{} for _ in sets]
-    recheck = "spectrum" in checks and bool(sets)
+    radii = range(1, F.p)
     for _, i, column, _, _, _, holds, _ in _graph_rows(
-        F, dim, spectra, range(1, F.p), members, items, recheck, force
+        F, dim, spectra, radii, members, items, force
     ):
-        for got in oks if i is None else [oks[items[i][1]]]:
-            got[f"{column}_ok"] = got.get(f"{column}_ok", True) and holds
+        got = oks[items[i][1]]
+        got[f"{column}_ok"] = got.get(f"{column}_ok", True) and holds
+    if "spectrum" in checks and sets:
+        ok = all(holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii, force))
+        for got in oks:
+            got["spectrum_ok"] = ok
     return oks
 
 
@@ -423,7 +424,8 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
 
     Each subset check draws its (B, C) pairs from its own seeded stream, B
     then C per trial.  The distinct sets B are sorted once and go through
-    one _graph_rows pass of their own, since no other radius reads them.
+    one _graph_rows pass of their own, since no other radius reads them;
+    the spectrum check is one _spectrum_rows pass over the radius.
     """
     p, n = F.p, F.p**dim
     items, trials, members, index = [], [], [], {}
@@ -437,14 +439,9 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
                 members.append(B)
             items.append((check, row, None if C is None else vertex_array(n, C)))
             trials.append(trial)
-    rows = [[] for _ in items]
-    for _, i, _, *verdict in _graph_rows(
-        F, dim, spectra, [a], members, items, "spectrum" in checks, args.force
-    ):
-        if i is not None:
-            rows[i].append(verdict)
-            continue
-        _, lam, bound, ok, detail = verdict
+    if "spectrum" in checks:
+        [(_, ok, detail)] = _spectrum_rows(F, dim, spectra, [a], args.force)
+        lam, bound = spectra[a].second_eigenvalue, spectra[a].ramanujan_bound
         out["spectrum"][0].append(_verify_record(
             "spectrum", p, dim, args.seed, lam, bound, ok, detail, a=a,
         ))
@@ -452,6 +449,9 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
             f"spectrum  p={p} dim={dim} a={a}: "
             f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
         )
+    rows = [[] for _ in items]
+    for _, i, _, *verdict in _graph_rows(F, dim, spectra, [a], members, items, args.force):
+        rows[i].append(verdict)
     oks = {check: True for check, _, _ in items}
     for (check, row, C), trial, results in zip(items, trials, rows):
         for lam_kind, lhs, rhs, holds, detail in results:
@@ -527,9 +527,7 @@ def cmd_spectrum(args) -> int:
     radii = list(range(1, F.p)) if args.a is None else [args.a]
     spectra = euclid.spectra(F, args.dim, radii, args.force)
     records, all_ok = [], True
-    for a, *_, bound_ok, detail in _graph_rows(
-        F, args.dim, spectra, radii, [], [], True, args.force
-    ):
+    for a, bound_ok, detail in _spectrum_rows(F, args.dim, spectra, radii, args.force):
         s = spectra[a]
         if not bound_ok:
             print(f"a={a}: check failed: {detail}")
@@ -895,58 +893,53 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by several subcommands live on parent parsers, whose
+    # arguments are copied into each subcommand rather than built again.
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--q", type=int, required=True, help="odd prime modulus")
+    field.add_argument("--allow-1mod4", action="store_true",
+                       help="permit primes with -1 a square")
+    field.add_argument("--force", action="store_true", help="override size guardrails")
+    records = argparse.ArgumentParser(add_help=False)
+    records.add_argument("--out", default=None, help="write records to this path")
+    records.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
-    def add_common(sp, dim_required=True):
-        sp.add_argument("--q", type=int, required=True, help="odd prime modulus")
-        sp.add_argument("--dim", type=int, required=dim_required,
-                        help="ambient dimension")
-        sp.add_argument("--allow-1mod4", action="store_true",
-                        help="permit primes with -1 a square")
-        sp.add_argument("--force", action="store_true",
-                        help="override size guardrails")
+    def add_space(name, summary, parents=(), dim_required=True):
+        sp = sub.add_parser(name, help=summary, parents=[field, *parents])
+        sp.add_argument("--dim", type=int, required=dim_required, help="ambient dimension")
+        return sp
 
-    sp = sub.add_parser("sphere", help="sphere sizes, optionally the points")
-    add_common(sp)
+    sp = add_space("sphere", "sphere sizes, optionally the points")
     sp.add_argument("--a", type=int, default=None, help="one radius only")
     sp.add_argument("--list", action="store_true", help="print the points")
     sp.set_defaults(func=cmd_sphere)
 
-    sp = sub.add_parser("spectrum", help="eigenvalues of one or all radii")
-    add_common(sp)
+    sp = add_space("spectrum", "eigenvalues of one or all radii", [records])
     sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--out", default=None, help="write records to this path")
-    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("fcount", help="distance statistics of one point set")
-    add_common(sp, dim_required=False)
+    sp = add_space("fcount", "distance statistics of one point set", [records],
+                   dim_required=False)
     sp.add_argument("--points", default=None, help="point file (one per line)")
     sp.add_argument("--gen", default=None, help="generator expression")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--checks", default="main,remark",
                     help="checks the verdict covers; graph checks judge the set itself")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.set_defaults(func=cmd_fcount)
 
-    sp = sub.add_parser("verify", help="run check batteries on one instance")
-    add_common(sp)
+    sp = add_space("verify", "run check batteries on one instance", [records])
     sp.add_argument("--a", type=int, default=None,
                     help="restrict graph-local checks to one radius")
     sp.add_argument("--checks", default=",".join(CHECK_NAMES))
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("sweep", help="run a config grid and emit records")
+    sp = sub.add_parser("sweep", help="run a config grid and emit records", parents=[records])
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", default=None, help="JSON config file")
     group.add_argument("--default", action="store_true",
                        help="use the built-in default grid")
-    sp.add_argument("--out", default=None, help="output records path")
-    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, one per (p, dim) group (default 1)")
     sp.add_argument("--show-config", action="store_true",

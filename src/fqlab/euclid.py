@@ -25,21 +25,20 @@ radius' row of the table, indexed by the norm of each frequency;
 sphere_transform takes it as one FFT over all p**dim points, with neither
 the orthogonal symmetry nor the Gauss sums.  recheck_spectrum compares
 the two at every frequency, and checks the trace identities, so the table
-never goes unchecked.
+never goes unchecked; that recheck is sphere_transform's only use.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
 of B and of the sphere over Z_p^dim.  set_transforms transforms a stack of
 set indicators at once, and certified_columns turns the stack and one
-sphere transform into every set's degree column with one inverse FFT, in
-O(S n log n) time and O(S n) memory for S sets, each column certified
-exact.  A set is thus transformed once however many radii read it, and
-each radius costs one inverse transform per stack.  The subset checks
-take each radius' transform from sphere_transform, which keeps them
-independent of the spectrum they are judged against;
-bounds.degree_profile, whose columns only count, uses the same route with
-the point set as a one-row stack and each radius' transform gathered by
-class_transform, and the certificate still guards every column.
+radius' transform, gathered by class_transform, into every set's degree
+column with one inverse FFT, in O(S n log n) time and O(S n) memory for S
+sets.  A set is thus transformed once however many radii read it, and
+each radius costs one gather and one inverse transform per stack.  This
+is the one route to a degree column: the subset checks take it with
+their stacks of sets, bounds.degree_profile with the point set as a
+one-row stack.  Every column is certified exact, so a wrong table row
+whose counts leave the integers is refused, not counted.
 """
 
 from __future__ import annotations
@@ -239,10 +238,11 @@ def spectra(
     refused above p**2 = SPECTRUM_MAX entries unless forced; nothing here
     grows with p**dim.
     """
-    graphs = [euclid_graph(F, dim, a) for a in radii]
-    if not graphs:
+    radii = list(radii)
+    if not radii:
         return {}
-    guard_table(F.p, force)
+    guard_table(F.p, force)  # before the O(p) work of building each graph
+    graphs = [euclid_graph(F, dim, a) for a in radii]
     values, imag = _norm_class_table(F, dim)
     counts = _class_sizes(F, dim)
     counts.setflags(write=False)
@@ -299,8 +299,8 @@ def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
     exp(-2*pi*i*(m.s)/p), which is lam_m, for the half of the frequencies
     whose last axis index is at most p // 2 (the rest are their negatives,
     with the same norm and value).  No sphere is enumerated and no
-    eigenvalue is read, which keeps the recheck and the subset counts
-    independent of the spectrum they are judged against.
+    eigenvalue is read, which keeps the spectrum recheck independent of
+    the table it judges.
     """
     guard_spectrum(G.field.p, G.dim, force)
     return np.fft.rfftn(_norm_grid(G.field.p, G.dim) == G.a)
@@ -372,7 +372,8 @@ def certified_columns(
     """The degree columns of a stack of sets, as an (S, n) int64 array.
 
     hats is the set_transforms stack of S sets of sizes[i] distinct
-    vertices and T = sphere_transform(G); row i is irfftn(hats[i] * T),
+    vertices and T the sphere transform of G, as class_transform gathers
+    it from G's row of the norm-class table; row i is irfftn(hats[i] * T),
     deg[i, v] = #{y in B_i : ||v - y|| = a}, rounded to int64.  Every row
     keeps its exactness certificate: its entries lie within
     DEGREE_RESIDUAL_TOL of their rounding and sum to valency * sizes[i].

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EvenModulus, NotPrime
 
@@ -37,11 +37,13 @@ class PrimeField:
     satisfies square_counts[0] == 1, every other entry is 0 or 2, and the
     entries sum to p.  minus_one_is_square records whether p == 1 (mod 4),
     in which case null distances between distinct points exist already in
-    dimension 2 and default command-line runs refuse the modulus.
+    dimension 2 and default command-line runs refuse the modulus.  The
+    table is a function of p, so equality and hashing skip it: a cache
+    keyed by the field costs O(1) per lookup, not O(p).
     """
 
     p: int
-    square_counts: tuple[int, ...]
+    square_counts: tuple[int, ...] = field(compare=False)
     minus_one_is_square: bool
 
 

@@ -291,6 +291,7 @@ def _atom_ranks(
             raise InfeasibleSize(
                 f"requested {n} distinct points from a space of {total}"
             )
+        guard_enumeration(n, force)
         return np.array(rng.sample(range(total), n), dtype=np.int64)
     if atom.kind == "box":
         side = atom.side

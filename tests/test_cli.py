@@ -1,6 +1,8 @@
 import functools
+import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -324,16 +326,16 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
         stacked.append([tuple(m.tolist()) for m in members])
         return transforms(p, dim, members)
 
-    def reading(G, s, T, members, hats, items, memo):
+    def reading(G, s, members, hats, items, memo):
         read.append((len(members), {row for _, row, _ in items}, len(items)))
-        yield from rows(G, s, T, members, hats, items, memo)
+        yield from rows(G, s, members, hats, items, memo)
 
     for name in ("sphere_transform", "certified_columns", "check_main_theorem"):
         monkeypatch.setattr(cli, name, counted(name))
     monkeypatch.setattr(cli, "set_transforms", tracked)
     monkeypatch.setattr(cli, "_subset_rows", reading)
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
-    assert calls["sphere_transform"] == 2  # one per radius, shared by three checks
+    assert calls["sphere_transform"] == 2  # one per radius, for the spectrum recheck alone
     # one stack per radius: each distinct subset is transformed once, and one
     # inverse transform makes the columns of all 3 checks x 2 trials
     assert calls["certified_columns"] == 2 and len(stacked) == 2
@@ -361,8 +363,8 @@ def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
 
 
 def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
-    # stacks of one set: each radius' pass makes one sphere transform for
-    # all its stacks, which the spectrum recheck shares
+    # stacks of one set: the spectrum pass makes one sphere transform per
+    # radius, however many stacks the subset pass gathers transforms for
     made, stacked = Counter(), []
     transform, stack = cli.sphere_transform, cli.set_transforms
 
@@ -557,6 +559,7 @@ def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
 def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     transforms, stacks, inverses, alive, peak = Counter(), Counter(), Counter(), [], []
     transform, stacked, inverse = cli.sphere_transform, cli.set_transforms, cli.certified_columns
+    gathers, gather = Counter(), cli.class_transform
 
     def tracked(G, **kwargs):
         T = transform(G, **kwargs)
@@ -573,6 +576,10 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         inverses[G.field.p, G.dim, len(sizes)] += 1
         return inverse(G, T, hats, sizes)
 
+    def counted_gather(p, dim, values, trivial):
+        gathers[p, dim] += 1
+        return gather(p, dim, values, trivial)
+
     reported = []
     report = cli.check_main_theorem
 
@@ -583,26 +590,31 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     monkeypatch.setattr(cli, "sphere_transform", tracked)
     monkeypatch.setattr(cli, "set_transforms", counted_stack)
     monkeypatch.setattr(cli, "certified_columns", counted_inverse)
+    monkeypatch.setattr(cli, "class_transform", counted_gather)
     monkeypatch.setattr(cli, "check_main_theorem", counted)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
     assert transforms == {(3, 2): 2, (7, 2): 6}  # p - 1 transforms per (p, dim)
     assert max(peak) == 1
     # the three distinct sets of a (p, dim) form one stack, transformed
-    # once; one inverse transform per radius serves all four counts
+    # once; one gathered transform and one inverse transform per radius
+    # serve all four counts
     assert stacks == {(3, 2, 3): 1, (7, 2, 3): 1}
+    assert gathers == {(3, 2): 2, (7, 2): 6}
     assert inverses == {(3, 2, 3): 2, (7, 2, 3): 6}
     # per p: "all" once for both seeds, and two distinct random sets
     assert len(reported) == len(set(reported)) == 6
-    # stacks of one set: one sphere transform per (stack, radius), the
-    # spectrum recheck on the first stack only, still one alive at a time
-    for seen in (transforms, stacks, inverses, alive, peak):
+    # stacks of one set: one gathered transform per (stack, radius), and
+    # still one sphere transform per radius, for the spectrum recheck,
+    # one alive at a time
+    for seen in (transforms, stacks, inverses, gathers, alive, peak):
         seen.clear()
     monkeypatch.setattr(cli, "STACK_ELEMENTS", 1)
     assert run_sweep(SMALL_CONFIG, jobs=1)[0] == records
-    assert transforms == {(3, 2): 3 * 2, (7, 2): 3 * 6}
+    assert transforms == {(3, 2): 2, (7, 2): 6}
     assert max(peak) == 1
     assert stacks == {(3, 2, 1): 3, (7, 2, 1): 3}
+    assert gathers == {(3, 2): 3 * 2, (7, 2): 3 * 6}
     assert inverses == {(3, 2, 1): 3 * 2, (7, 2, 1): 3 * 6}
 
 
@@ -693,12 +705,14 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
     assert stacked == []
 
 
-def test_graph_checks_make_transforms_only_through_graph_rows(monkeypatch, tmp_path):
-    # spectrum, verify and sweep reach the sphere and set transforms and the
-    # degree columns only through one _graph_rows pass: stubbed out, none is
-    # made; unstubbed, it runs once per spectrum command, once per verify
-    # radius and once per sweep (p, dim)
-    calls, passes = Counter(), []
+def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch, tmp_path):
+    # spectrum, verify and sweep reach the set transforms, the gathered
+    # transforms and the degree columns only through one _graph_rows pass,
+    # and the sphere transforms only through one _spectrum_rows pass:
+    # stubbed out, none is made; unstubbed, the subset pass runs once per
+    # verify radius and once per sweep (p, dim), the spectrum pass once per
+    # spectrum command, once per verify radius and once per sweep (p, dim)
+    calls, passes, rechecks = Counter(), [], []
 
     def counted(name):
         fn = getattr(cli, name)
@@ -709,13 +723,17 @@ def test_graph_checks_make_transforms_only_through_graph_rows(monkeypatch, tmp_p
 
         return wrapper
 
-    for name in ("sphere_transform", "set_transforms", "certified_columns"):
+    for name in ("sphere_transform", "class_transform", "set_transforms", "certified_columns"):
         monkeypatch.setattr(cli, name, counted(name))
-    graph_rows = cli._graph_rows
+    graph_rows, spectrum_rows = cli._graph_rows, cli._spectrum_rows
 
     def traced(F, dim, spectra, radii, *rest):
         passes.append((F.p, dim, tuple(radii)))
         yield from graph_rows(F, dim, spectra, radii, *rest)
+
+    def traced_spectrum(F, dim, spectra, radii, force):
+        rechecks.append((F.p, dim, tuple(radii)))
+        yield from spectrum_rows(F, dim, spectra, radii, force)
 
     out = tmp_path / "r.jsonl"
     cfg = tmp_path / "cfg.json"
@@ -726,21 +744,28 @@ def test_graph_checks_make_transforms_only_through_graph_rows(monkeypatch, tmp_p
         ["verify", "--q", "7", "--dim", "2", "--trials", "2", "--checks", graph],
         ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"],
     )
+    radii = tuple(range(1, 7))
     monkeypatch.setattr(cli, "_graph_rows", lambda *args: iter(()))
+    monkeypatch.setattr(cli, "_spectrum_rows", lambda F, dim, spectra, radii, force: (
+        (a, True, "") for a in radii
+    ))
     for argv in commands:
         assert main(argv) == 0
     assert calls == {}
     monkeypatch.setattr(cli, "_graph_rows", traced)
+    monkeypatch.setattr(cli, "_spectrum_rows", traced_spectrum)
     for argv in commands:
         assert main(argv) == 0
-    radii = tuple(range(1, 7))
-    assert passes == (
+    assert passes == [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
+    assert rechecks == (
         [(7, 2, radii)] + [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
     )
     # one sphere transform per radius and command; one stack per verify
-    # radius and per sweep (p, dim), one inverse per (stack, radius)
+    # radius and per sweep (p, dim), one gather and one inverse per (stack,
+    # radius)
     assert calls == {
         "sphere_transform": 6 + 6 + 2 + 6,
+        "class_transform": 6 + 2 + 6,
         "set_transforms": 6 + 2,
         "certified_columns": 6 + 2 + 6,
     }
@@ -919,8 +944,9 @@ def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
 
 
 def test_sweep_makes_one_sphere_transform_per_radius(monkeypatch):
-    # the dense sets' profiles gather their transforms from the table, so
-    # the graph checks' p - 1 are the only ones: 44 on this config
+    # the dense sets' profiles and the subset counts gather their
+    # transforms from the table, so the spectrum recheck's p - 1 are the
+    # only ones: 44 on this config
     made = counted_sphere_transforms(monkeypatch)
     records, _ = run_sweep(json.loads(SWEEP_ALLCHECKS.read_text()), jobs=1)
     assert all(r["holds"] for r in records)
@@ -1067,3 +1093,205 @@ def test_sweep_generates_each_seed_free_set_once(monkeypatch):
     errors = [r for r in records if r["status"] == "error"]
     assert [(r["p"], r["generator"]) for r in errors] == [(3, "box:5")] * 3
     assert len({r["error"] for r in errors}) == 1
+
+
+def test_broken_pipe_exits_1_in_process(monkeypatch, tmp_path):
+    # stdout fails on write as a pipe whose reader left does: main exits 1
+    # and points stdout's descriptor at devnull, so the final flush at exit
+    # writes nowhere
+    class ClosedPipe(io.TextIOBase):
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    target = tmp_path / "stdout"
+    with open(target, "wb") as handle:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(handle.fileno()))
+        assert main(["sphere", "--q", "7", "--dim", "2"]) == 1
+        os.write(handle.fileno(), b"lost")
+    assert target.read_bytes() == b""
+
+
+# --- input rejections ---------------------------------------------------------
+
+_CONFIG = {"grid": [{"primes": [3], "dims": [2]}], "generators": ["all"], "seeds": [1]}
+
+
+def _config_case(config, fragment):
+    """A sweep over config, written to c.json, refused with fragment."""
+    return (["sweep", "--config", "{tmp}/c.json", "--out", "{tmp}/r.jsonl"],
+            {"c.json": json.dumps(config)}, fragment)
+
+
+def _fcount_case(*args, fragment, files=None):
+    return ["fcount", "--q", "7", *args], files or {}, fragment
+
+
+REJECTIONS = {
+    "config not an object": _config_case([1, 2], "must be a JSON object"),
+    "config grid block": _config_case(
+        {**_CONFIG, "grid": [{"primes": [3], "dims": [2], "sizes": [1]}]}, "grid blocks must be"),
+    "config primes": _config_case(
+        {**_CONFIG, "grid": [{"primes": [3.0], "dims": [2]}]}, "primes must be integers"),
+    "config dims": _config_case(
+        {**_CONFIG, "grid": [{"primes": [3], "dims": [1]}]}, "dims must be integers >= 2"),
+    "config seeds": _config_case({**_CONFIG, "seeds": ["1"]}, "seeds must be integers"),
+    "config checks not a list": _config_case(
+        {**_CONFIG, "checks": "main"}, "non-empty 'checks' list"),
+    "config unknown checks": _config_case({**_CONFIG, "checks": ["bogus"]}, "unknown checks"),
+    "config not json": (["sweep", "--config", "{tmp}/c.json", "--out", "{tmp}/r.jsonl"],
+                        {"c.json": "{not json"}, "cannot parse config"),
+    "sweep without out": (["sweep", "--default"], {}, "sweep needs --out"),
+    "verify no trials": (["verify", "--q", "7", "--dim", "2", "--trials", "0"], {},
+                         "--trials must be at least 1"),
+    "verify radius q": (["verify", "--q", "7", "--dim", "2", "--a", "7"], {},
+                        "radius must be a nonzero residue mod 7"),
+    "fcount dim 1": _fcount_case("--dim", "1", "--gen", "all",
+                                 fragment="dimension must be >= 2"),
+    "verify dim 1": (["verify", "--q", "7", "--dim", "1"], {}, "dimension must be >= 2"),
+    "spectrum dim 1": (["spectrum", "--q", "7", "--dim", "1"], {}, "dimension must be >= 2"),
+    "fcount dim 0": _fcount_case("--dim", "0", "--gen", "all", fragment="dimension must be >= 1"),
+    "gen without dim": _fcount_case("--gen", "all", fragment="--gen requires --dim"),
+    "no checks": _fcount_case("--dim", "2", "--gen", "all", "--checks", ",",
+                              fragment="no checks requested"),
+    "random size": _fcount_case("--dim", "2", "--gen", "random:abc",
+                                fragment="cannot parse random size 'abc'"),
+    "random multiplier": _fcount_case("--dim", "2", "--gen", "random:-1t",
+                                      fragment="multiplier must be positive"),
+    "sphere radius": _fcount_case("--dim", "2", "--gen", "sphere:9",
+                                  fragment="sphere radius 9 is not a residue mod 7"),
+    "line zero direction": _fcount_case("--dim", "2", "--gen", "line:0,0;0,0",
+                                        fragment="line direction must be nonzero"),
+    "line lengths": _fcount_case("--dim", "2", "--gen", "line:0,0;1",
+                                 fragment="dimension mismatch"),
+    "line range": _fcount_case("--dim", "2", "--gen", "line:0,9;1,1",
+                               fragment="line coordinates must be residues mod 7"),
+    "empty points": _fcount_case("--points", "{tmp}/p.txt", files={"p.txt": "# none\n"},
+                                 fragment="empty point list and no dimension given"),
+    "points dimension": _fcount_case("--dim", "2", "--points", "{tmp}/p.txt",
+                                     files={"p.txt": "1,2,3\n"},
+                                     fragment="points have dimension 3, expected 2"),
+    "points unparsable": _fcount_case("--points", "{tmp}/p.txt", files={"p.txt": "1,x\n"},
+                                      fragment="line 1: cannot parse '1,x'"),
+}
+
+
+@pytest.mark.parametrize("argv,files,fragment", REJECTIONS.values(), ids=REJECTIONS)
+def test_input_rejections_exit_2_with_one_error_line(tmp_path, capsys, argv, files, fragment):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err and "Traceback" not in err
+
+
+def test_random_atom_past_the_enumeration_guardrail_draws_nothing(monkeypatch, capsys):
+    # a random atom holds as many points as it draws, so it is refused, like
+    # every other atom, before a single point is drawn
+    drawn, sample = [], random.Random.sample
+
+    def counted(self, population, k, **kwargs):
+        drawn.append(k)
+        return sample(self, population, k, **kwargs)
+
+    monkeypatch.setattr(fqlab.geometry, "SPHERE_ENUM_MAX", 40)
+    monkeypatch.setattr(random.Random, "sample", counted)
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:41"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 41 points exceed the enumeration guardrail 40; pass --force to override\n"
+    )
+    assert drawn == []
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:40"]) == 0
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:41", "--force"]) == 0
+    assert drawn == [40, 41]
+
+
+# --- the argument parser ------------------------------------------------------
+
+PARSED = [
+    (["sphere", "--q", "7", "--dim", "2"],
+     dict(a=None, allow_1mod4=False, dim=2, force=False, list=False, q=7)),
+    (["sphere", "--q", "13", "--dim", "3", "--a", "2", "--list", "--allow-1mod4", "--force"],
+     dict(a=2, allow_1mod4=True, dim=3, force=True, list=True, q=13)),
+    (["spectrum", "--q", "7", "--dim", "2"],
+     dict(a=None, allow_1mod4=False, dim=2, force=False, format="jsonl", out=None, q=7)),
+    (["spectrum", "--q", "7", "--dim", "3", "--a", "3", "--out", "s.csv", "--format", "csv"],
+     dict(a=3, allow_1mod4=False, dim=3, force=False, format="csv", out="s.csv", q=7)),
+    (["fcount", "--q", "7", "--gen", "all"],
+     dict(allow_1mod4=False, checks="main,remark", dim=None, force=False, format="jsonl",
+          gen="all", out=None, points=None, q=7, seed=0)),
+    (["fcount", "--q", "7", "--dim", "2", "--points", "p.txt", "--seed", "3", "--checks", "main",
+      "--out", "f.csv", "--format", "csv", "--force"],
+     dict(allow_1mod4=False, checks="main", dim=2, force=True, format="csv", gen=None,
+          out="f.csv", points="p.txt", q=7, seed=3)),
+    (["verify", "--q", "7", "--dim", "2"],
+     dict(a=None, allow_1mod4=False, checks="spectrum,variance,mixing,hinge,main,remark", dim=2,
+          force=False, format="jsonl", out=None, q=7, seed=0, trials=20)),
+    (["verify", "--q", "7", "--dim", "3", "--a", "1", "--checks", "hinge", "--trials", "3",
+      "--seed", "4", "--out", "v.csv", "--format", "csv", "--allow-1mod4"],
+     dict(a=1, allow_1mod4=True, checks="hinge", dim=3, force=False, format="csv", out="v.csv",
+          q=7, seed=4, trials=3)),
+    (["sweep", "--default"],
+     dict(config=None, default=True, force=False, format="jsonl", jobs=1, out=None,
+          show_config=False)),
+    (["sweep", "--config", "c.json", "--out", "r.csv", "--format", "csv", "--jobs", "2",
+      "--show-config", "--force"],
+     dict(config="c.json", default=False, force=True, format="csv", jobs=2, out="r.csv",
+          show_config=True)),
+]
+
+
+@pytest.mark.parametrize("argv,want", PARSED, ids=[" ".join(argv) for argv, _ in PARSED])
+def test_parser_namespaces(argv, want):
+    # every subcommand's options, defaults included, one namespace each
+    args = build_parser().parse_args(argv)
+    assert args.func is getattr(cli, f"cmd_{argv[0]}")
+    assert {k: v for k, v in vars(args).items() if k != "func"} == {"command": argv[0], **want}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fcount", "--q", "7", "--gen", "all", "--format", "xml"],
+    ["sphere", "--dim", "2"],
+    ["verify", "--q", "7"],
+    ["sweep", "--out", "r.jsonl"],
+    ["sweep", "--default", "--config", "c.json", "--out", "r.jsonl"],
+])
+def test_parser_refusals(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+# --- a wrong norm-class row ---------------------------------------------------
+
+
+@pytest.mark.parametrize("p,dim", [(11, 2), (7, 3), (19, 2)])
+def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypatch, capsys,
+                                                                       p, dim):
+    # radius 1's row with classes 1 and 2 swapped: the subset counts gather
+    # their transform from that row, so their degree columns leave the
+    # integers and the certificate refuses them (exit 2); the recheck
+    # against the sphere's own FFT fails the spectrum verdict (exit 1)
+    build = fqlab.euclid._norm_class_table.__wrapped__
+
+    def swapped(F, dim):
+        values, imag = build(F, dim)
+        values = values.copy()
+        values[1, [1, 2]] = values[1, [2, 1]]
+        values.setflags(write=False)
+        return values, imag
+
+    monkeypatch.setattr(fqlab.euclid, "_norm_class_table", functools.lru_cache()(swapped))
+    space = ["--q", str(p), "--dim", str(dim)]
+    subset = ["--trials", "3", "--checks", "variance,mixing,hinge"]
+    assert main(["verify", *space, "--a", "1", *subset]) == 2
+    assert "fails its certificate" in capsys.readouterr().err
+    assert main(["spectrum", *space, "--a", "1"]) == 1
+    assert "a=1: check failed:" in capsys.readouterr().out
+    assert main(["verify", *space, "--a", "2", *subset]) == 0  # radius 2's row is intact

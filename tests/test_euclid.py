@@ -328,6 +328,19 @@ def test_spectrum_guardrail():
         spectrum(euclid_graph(make_field(1019), 2, 1))
 
 
+def test_refused_table_builds_no_graph(monkeypatch):
+    # each graph descriptor reads the sphere table, O(p) work per radius,
+    # so the table guardrail refuses F_1019^2 before any is built
+    import fqlab.euclid as euclid_mod
+
+    built = []
+    monkeypatch.setattr(euclid_mod, "euclid_graph", lambda *args: built.append(args))
+    with pytest.raises(TooLarge, match="spectrum table guardrail"):
+        euclid_mod.spectra(make_field(1019), 2, range(1, 1019))
+    assert built == []
+    assert euclid_mod.spectra(make_field(1019), 2, []) == {}
+
+
 # --- the closed-form table against the per-class character sums ---------------
 
 
@@ -424,6 +437,21 @@ def test_gathered_transform_matches_sphere_transform_random_spaces(space, a_seed
         warnings.simplefilter("ignore")
         F = make_field(p)
     assert _gathered_transform_error(F, dim, 1 + a_seed % (p - 1)) <= EIGVEC_TOL
+
+
+@pytest.mark.parametrize("p,dim,a", INSTANCES)
+def test_gathered_columns_equal_sphere_transform_columns(p, dim, a):
+    # the subset counts' route, a transform gathered from the radius' row of
+    # the table, makes the same integer columns as an FFT of the sphere,
+    # for a stack of an empty set, a point, a random third and the space
+    G = graph(p, dim, a)
+    s = spectrum(G)
+    rng = random.Random(p * dim * a)
+    sets = [[], [rng.randrange(G.n)], rng.sample(range(G.n), G.n // 3), range(G.n)]
+    gathered, _ = columns(G, class_transform(p, dim, s.norm_values, s.valency), sets)
+    made, _ = columns(G, sphere_transform(G), sets)
+    assert gathered.shape == (4, G.n)
+    np.testing.assert_array_equal(gathered, made)
 
 
 # --- degree columns and the oracle neighbor table ----------------------------
@@ -638,7 +666,7 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     monkeypatch.setattr(cli, "set_transforms", counted)
     tracemalloc.start()
     try:
-        rows = cli._graph_rows(F, 3, spectra, [1], members, items, False, False)
+        rows = cli._graph_rows(F, 3, spectra, [1], members, items, False)
         held = [holds for *_, holds, _ in rows]
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,3 +74,12 @@ def test_is_square_examples(f7, f3):
 @given(st.integers(min_value=2, max_value=500))
 def test_is_prime_matches_factoring(n):
     assert is_prime(n) == all(n % d for d in range(2, n))
+
+
+def test_field_equality_and_hash_skip_the_square_table():
+    # the table is a function of p, so caches keyed by a field never hash
+    # its p entries
+    F = make_field(7)
+    G = dataclasses.replace(F, square_counts=None)
+    assert F == G and hash(F) == hash(G)
+    assert F != make_field(11)
