@@ -31,12 +31,10 @@ from .errors import (
 from .euclid import (
     EuclidGraphSpec,
     SpectralSummary,
-    certified_columns,
-    class_transform,
+    degree_columns,
     euclid_graph,
     ramanujan_bound,
     recheck_spectrum,
-    set_transforms,
     spectra,
     sphere_transform,
 )
@@ -80,9 +78,8 @@ __all__ = [
     "mixing_bound", "mixing_check", "variance_bound", "variance_check",
     "within_bound",
     # euclid
-    "EuclidGraphSpec", "SpectralSummary", "certified_columns", "class_transform",
-    "euclid_graph", "ramanujan_bound", "recheck_spectrum", "set_transforms",
-    "spectra", "sphere_transform",
+    "EuclidGraphSpec", "SpectralSummary", "degree_columns", "euclid_graph",
+    "ramanujan_bound", "recheck_spectrum", "spectra", "sphere_transform",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

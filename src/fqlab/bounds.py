@@ -15,10 +15,9 @@ one verdict per inequality.
 
 The profile has two exact routes, picked by a fixed cost model: all
 |E|**2 pairs for sparse sets, and for dense sets (|E|**2 well above
-p**(dim+1), the paper's regime a) one FFT convolution of the set with
-each radius' sphere, whose transform is gathered from the norm-class
-table, every column certified as exact integers with the right total.
-Both keep per-radius sums only, never |E| * p degrees.
+p**(dim+1), the paper's regime a) the set's certified degree column in
+every radius' graph.  Both keep per-radius sums only, never |E| * p
+degrees.
 """
 
 from __future__ import annotations
@@ -30,17 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
-from .euclid import (
-    SPECTRUM_MAX,
-    SpectralSummary,
-    _norm_class_table,
-    certified_columns,
-    class_transform,
-    euclid_graph,
-    guard_spectrum,
-    ramanujan_bound,
-    set_transforms,
-)
+from .euclid import SPECTRUM_MAX, SpectralSummary, degree_columns, ramanujan_bound
 from .field import PrimeField
 from .geometry import PointSet, ranks_to_coords, size_threshold
 from .spectral import hinge_bound, within_bound
@@ -104,14 +93,11 @@ def degree_profile(
 
     The pairwise route evaluates all |E|**2 distances in chunks.  The
     convolution route reads radius r != 0 off the degree column of E in
-    the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over Z_p^dim:
-    one transform of E, as a one-row stack, for the whole profile, then
-    per radius the sphere's transform gathered from its row of the
-    norm-class table (euclid.class_transform, no FFT) and one certified
-    inverse transform (euclid.certified_columns, which raises
-    VerificationFailed rather than return a column that fails its
-    certificate, so a wrong table cannot give a wrong profile), gathered
-    at E; deg(x, 0) is |E| - 1 minus the rest.
+    the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over Z_p^dim,
+    gathered at E; euclid.degree_columns makes it, with E as a one-row
+    stack, and raises VerificationFailed rather than return a column that
+    fails its certificate, so a wrong table cannot give a wrong profile.
+    deg(x, 0) is |E| - 1 minus the rest.
     The cost model PROFILE_FFT_RATIO picks the route; both give the same
     vectors.  |E|**2 > PROFILE_MAX_PAIRS is refused unless forced,
     whatever the route, and a set of another field always.
@@ -164,20 +150,14 @@ def _pairwise_profile(p: int, dim: int, ranks: np.ndarray, sums: np.ndarray) -> 
 def _convolved_profile(
     F: PrimeField, dim: int, ranks: np.ndarray, sums: np.ndarray, force: bool
 ) -> None:
-    """Fill the (hinges, pairs) rows of sums from one transform of E and
-    one degree column per radius, gathered at E's ranks; each radius'
-    sphere transform is its row of the norm-class table, gathered by norm
-    (the table's p**2 entries are within the guard on p**dim)."""
-    m, p = ranks.size, F.p
-    guard_spectrum(p, dim, force)
-    values, _ = _norm_class_table(F, dim)
-    E_hat = set_transforms(p, dim, [ranks])
+    """Fill the (hinges, pairs) rows of sums from E's degree column in
+    every radius' graph, gathered at E's ranks."""
+    m = ranks.size
     null = np.full(m, m - 1, dtype=np.int64)
-    for a in range(1, p):
-        G = euclid_graph(F, dim, a)
-        T = class_transform(p, dim, values[a], G.valency)
-        inside = certified_columns(G, T, E_hat, [m])[0, ranks]
-        sums[:, a] = inside @ inside, inside.sum()
+    for _, G, deg in degree_columns(F, dim, [ranks], range(1, F.p), force):
+        inside = deg[0, ranks]
+        del deg  # dropped before the next radius' column is made
+        sums[:, G.a] = inside @ inside, inside.sum()
         null -= inside
     sums[:, 0] = null @ null, null.sum()
 

@@ -33,12 +33,10 @@ from .bounds import check_main_theorem
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
     SpectralSummary,
-    certified_columns,
-    class_transform,
+    degree_columns,
     euclid_graph,
     guard_spectrum,
     recheck_spectrum,
-    set_transforms,
     sphere_transform,
 )
 from .field import PrimeField, make_field
@@ -68,11 +66,6 @@ TOOL_VERSION = __version__
 
 CHECK_NAMES = ("spectrum", "variance", "mixing", "hinge", "main", "remark")
 SUBSET_CHECKS = frozenset({"variance", "mixing", "hinge"})
-# Subset counts stack their sets' degree columns, at most
-# max(1, STACK_ELEMENTS // n) sets of an n-vertex graph at a time, so a
-# stack's transforms and columns stay near 2 MiB apiece however many sets
-# share a radius.
-STACK_ELEMENTS = 2**18
 
 DEFAULT_SWEEP_CONFIG = {
     "grid": [
@@ -263,98 +256,71 @@ def _spectrum_rows(F, dim, spectra, radii, force):
         yield a, ok, detail
 
 
-def _subset_rows(G, s, members, hats, items, memo):
-    """Yield (i, column, lam_kind, lhs, rhs, holds, detail) for the i-th
-    (check, row, C) item, under the exact second eigenvalue of s and under
-    its ceiling.  column names the sweep-record column the verdict fills:
-    the check's own, except that hinge also yields the degree-sum step
-    that its bound squares, in column eq2.
-
-    The item checks the set whose sorted vertex array is members[row];
-    mixing pairs it with C, a sorted vertex array, or with itself when C
-    is None.  hats is set_transforms of members, so one certified_columns
-    call against the radius' sphere transform, gathered from s's row of the
-    norm-class table by class_transform, makes the degree column of every
-    set, and each count is made once per set (once per item for mixing) and
-    judged under both lambdas.  Each bound is computed once per (radius,
-    lambda, column, |B|, |C|) and kept in memo, which the caller keeps
-    across stacks: sets of one size share it.  memo holds (rhs,
-    bound_threshold(rhs)), and a count lhs_num over lhs_den holds when
-    lhs_num * den <= num * lhs_den; lhs is yielded as lhs_num / lhs_den,
-    correctly rounded.
-    """
-    n, k = G.n, G.valency
-    T = class_transform(G.field.p, G.dim, s.norm_values, s.valency)
-    deg = certified_columns(G, T, hats, [m.size for m in members])
-    wanted = {check for check, _, _ in items}
-    mix = [i for i, (check, _, _) in enumerate(items) if check == "mixing"]
-    variance = variance_check(deg) if "variance" in wanted else None
-    hinges = hinge_count(deg, members) if "hinge" in wanted else None
-    sums = degree_sum_check(deg, members) if "hinge" in wanted else None
-    mixed = {}
-    if mix:
-        rows = [items[i][1] for i in mix]
-        Cs = [members[row] if C is None else C for _, row, C in (items[i] for i in mix)]
-        mixed = dict(zip(mix, mixing_check(deg[rows], Cs)))
-    del deg, T
-    lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
-    for i, (check, row, C) in enumerate(items):
-        b = members[row].size
-        # (column, count numerator, its denominator, detail, set sizes, the
-        # bound as a function of lambda)
-        if check == "variance":
-            sides = [
-                (check, variance[row], n, f"|B|={b}", (b,), lambda lam: variance_bound(n, lam, b)),
-            ]
-        elif check == "mixing":
-            (e, deviation), c = mixed[i], b if C is None else C.size
-            sides = [
-                (check, deviation, n, f"e={e}", (b, c), lambda lam: mixing_bound(lam, b, c)),
-            ]
-        else:
-            sides = [
-                (check, hinges[row], 1, "hinges", (b,), lambda lam: hinge_bound(n, k, lam, b)),
-                ("eq2", sums[row], 1, "degree-sum", (b,),
-                 lambda lam: degree_sum_bound(n, k, lam, b)),
-            ]
-        for lam_kind, lam in lams:
-            for column, lhs_num, lhs_den, detail, sizes, bound in sides:
-                key = (G.a, lam_kind, column, *sizes)
-                if key not in memo:
-                    rhs = bound(lam)
-                    memo[key] = rhs, bound_threshold(rhs)
-                rhs, (num, den) = memo[key]
-                holds = lhs_num * den <= num * lhs_den
-                yield i, column, lam_kind, lhs_num / lhs_den, rhs, holds, detail
-
-
 def _graph_rows(F, dim, spectra, radii, members, items, force):
-    """Yield (a, i, column, lam_kind, lhs, rhs, holds, detail) for
-    _subset_rows' rows on the radii a of F_p^dim, i indexing the (check,
-    row, C) items and row members.
+    """Yield (a, i, column, lam_kind, lhs, rhs, holds, detail) for the i-th
+    (check, row, C) item on each radius a of F_p^dim, under the exact
+    second eigenvalue of spectra[a] and under its ceiling.  column names
+    the sweep-record column the verdict fills: the check's own, except
+    that hinge also yields the degree-sum step that its bound squares, in
+    column eq2.
 
-    This is the one subset pass behind verify, sweep and fcount.  The
-    sorted vertex arrays members are stacked at most max(1, STACK_ELEMENTS
-    // n) at a time, stacks outer and radii inner, so each stack is
-    transformed once for all radii, and each (stack, radius) gathers its
-    sphere transform from the norm-class table.  One bound memo serves
-    every stack.  A gather does not guard p**dim, so the pass refuses a
-    space past the vertex guardrail before its first stack.
+    This is the one subset pass behind verify, sweep and fcount.  The item
+    checks the set whose sorted vertex array is members[row]; mixing pairs
+    it with C, a sorted vertex array, or with itself when C is None.  Each
+    (stack, radius) of one euclid.degree_columns pass makes every count
+    once per set (once per item for mixing), judged under both lambdas,
+    and drops its columns before its first row.  Each bound is computed
+    once per (radius, lambda, column, |B|, |C|) and kept in memo across
+    stacks, so sets of one size share it: (rhs, bound_threshold(rhs)),
+    and a count lhs_num over lhs_den holds when lhs_num * den <= num *
+    lhs_den; lhs is yielded as lhs_num / lhs_den, correctly rounded.
     """
-    if members:
-        guard_spectrum(F.p, dim, force)
-    step = max(1, STACK_ELEMENTS // F.p**dim)
-    memo = {}
-    for start in range(0, len(members), step):
-        ids = [i for i, (_, row, _) in enumerate(items) if start <= row < start + step]
-        moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
-        stack = members[start:start + step]
-        hats = set_transforms(F.p, dim, stack)
-        for a in radii:
-            G = euclid_graph(F, dim, a)
-            for i, *verdict in _subset_rows(G, spectra[a], stack, hats, moved, memo):
-                yield a, ids[i], *verdict
-        del hats  # freed before the next stack's transform is made
+    memo, last = {}, None
+    for start, G, deg in degree_columns(F, dim, members, radii, force):
+        if start != last:  # a new stack: its sets and the items that check them
+            last, stack = start, members[start:start + len(deg)]
+            ids = [i for i, (_, row, _) in enumerate(items) if 0 <= row - start < len(stack)]
+            moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
+            wanted = {check for check, _, _ in moved}
+            mix = [j for j, (check, _, _) in enumerate(moved) if check == "mixing"]
+        n, k, s = G.n, G.valency, spectra[G.a]
+        variance = variance_check(deg) if "variance" in wanted else None
+        hinges = hinge_count(deg, stack) if "hinge" in wanted else None
+        sums = degree_sum_check(deg, stack) if "hinge" in wanted else None
+        mixed = {}
+        if mix:
+            rows = [moved[j][1] for j in mix]
+            Cs = [stack[row] if C is None else C for _, row, C in (moved[j] for j in mix)]
+            mixed = dict(zip(mix, mixing_check(deg[rows], Cs)))
+        del deg
+        lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
+        for j, (check, row, C) in enumerate(moved):
+            b = stack[row].size
+            # (column, count numerator, its denominator, detail, set sizes,
+            # the bound as a function of lambda)
+            if check == "variance":
+                sides = [(check, variance[row], n, f"|B|={b}", (b,),
+                          lambda lam: variance_bound(n, lam, b))]
+            elif check == "mixing":
+                (e, deviation), c = mixed[j], b if C is None else C.size
+                sides = [(check, deviation, n, f"e={e}", (b, c),
+                          lambda lam: mixing_bound(lam, b, c))]
+            else:
+                sides = [
+                    (check, hinges[row], 1, "hinges", (b,),
+                     lambda lam: hinge_bound(n, k, lam, b)),
+                    ("eq2", sums[row], 1, "degree-sum", (b,),
+                     lambda lam: degree_sum_bound(n, k, lam, b)),
+                ]
+            for lam_kind, lam in lams:
+                for column, lhs_num, lhs_den, detail, sizes, bound in sides:
+                    key = (G.a, lam_kind, column, *sizes)
+                    if key not in memo:
+                        rhs = bound(lam)
+                        memo[key] = rhs, bound_threshold(rhs)
+                    rhs, (num, den) = memo[key]
+                    holds = lhs_num * den <= num * lhs_den
+                    yield G.a, ids[j], column, lam_kind, lhs_num / lhs_den, rhs, holds, detail
 
 
 def _graph_oks(F, dim, spectra, sets, checks, force) -> list[dict]:
@@ -524,7 +490,7 @@ def cmd_sphere(args) -> int:
 
 def cmd_spectrum(args) -> int:
     F = _field_for_cli(args.q, args.allow_1mod4)
-    radii = list(range(1, F.p)) if args.a is None else [args.a]
+    radii = range(1, F.p) if args.a is None else [args.a]
     spectra = euclid.spectra(F, args.dim, radii, args.force)
     records, all_ok = [], True
     for a, bound_ok, detail in _spectrum_rows(F, args.dim, spectra, radii, args.force):
@@ -557,19 +523,19 @@ def cmd_fcount(args) -> int:
     if args.points:
         text = Path(args.points).read_text(encoding="utf-8")
         E = load_point_set(text, F, dim=args.dim, label=f"points:{Path(args.points).name}")
-        dim = E.dim
-        generator = E.origin_label
     else:
         if args.gen is None:
             raise BadSpec("fcount needs --points FILE or --gen SPEC")
         if args.dim is None:
             raise BadSpec("--gen requires --dim")
-        dim = args.dim
-        E = generate_point_set(F, dim, args.gen, seed=args.seed, force=args.force)
-        generator = args.gen
+        spec = parse_generator(args.gen)
+        # A floor on |E|: refuses no set that would pass, and draws none.
+        bounds.guard_profile(spec.size_floor(F, args.dim), args.force)
+        E = generate_point_set(F, args.dim, spec, seed=args.seed, force=args.force)
+    dim, generator = E.dim, E.origin_label
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
-    bounds.guard_profile(len(E), args.force)  # before any spectrum is built
+    bounds.guard_profile(len(E), args.force)  # a union or a file, before any spectrum
     if set(checks) - {"main", "remark"}:  # graph checks span F_p^dim
         guard_spectrum(F.p, dim, args.force)
     spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
@@ -625,7 +591,7 @@ def cmd_verify(args) -> int:
         raise BadSpec("--trials must be at least 1")
     if args.a is not None and not 0 < args.a < F.p:
         raise BadSpec(f"radius must be a nonzero residue mod {F.p}, got {args.a}")
-    a_values = [args.a] if args.a is not None else list(range(1, F.p))
+    a_values = [args.a] if args.a is not None else range(1, F.p)
     need_all = {"main", "remark"} & set(checks)
     radii = range(1, F.p) if need_all else a_values
     spectra = euclid.spectra(F, dim, radii, args.force)

@@ -29,15 +29,13 @@ never goes unchecked; that recheck is sphere_transform's only use.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
-of B and of the sphere over Z_p^dim.  set_transforms transforms a stack of
-set indicators at once, and certified_columns turns the stack and one
-radius' transform, gathered by class_transform, into every set's degree
-column with one inverse FFT, in O(S n log n) time and O(S n) memory for S
-sets.  A set is thus transformed once however many radii read it, and
-each radius costs one gather and one inverse transform per stack.  This
-is the one route to a degree column: the subset checks take it with
-their stacks of sets, bounds.degree_profile with the point set as a
-one-row stack.  Every column is certified exact, so a wrong table row
+of B and of the sphere over Z_p^dim.  degree_columns is the one route to
+a degree column: it transforms each stack of sets once (set_transforms),
+and per radius gathers the sphere's transform (class_transform) and
+makes every column of the stack with one inverse FFT (certified_columns),
+in O(S n log n) time and O(S n) memory for S sets.  The subset checks take
+it with their stacks of sets, bounds.degree_profile with the point set as
+a one-row stack.  Every column is certified exact, so a wrong table row
 whose counts leave the integers is refused, not counted.
 """
 
@@ -69,6 +67,10 @@ EIGVEC_TOL = 1e-8  # eigenvector residual tolerance, relative to valency
 # A degree column is accepted only if every entry lies this close to an
 # integer before rounding; exact counts make the true residual 0.
 DEGREE_RESIDUAL_TOL = 0.25
+# Degree columns are made for at most max(1, STACK_ELEMENTS // n) sets of
+# an n-vertex graph at a time, so a stack's transforms and columns stay
+# near 2 MiB apiece however many sets share a radius.
+STACK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,11 @@ def spectra(
     A measurable imaginary part would mean a wrong table, so it raises
     ImagResidualTooLarge rather than being rounded away.  The table is
     refused above p**2 = SPECTRUM_MAX entries unless forced; nothing here
-    grows with p**dim.
+    grows with p**dim.  radii is a range or a list.
     """
-    radii = list(radii)
     if not radii:
         return {}
-    guard_table(F.p, force)  # before the O(p) work of building each graph
+    guard_table(F.p, force)  # before any O(p) work: listing radii, building graphs
     graphs = [euclid_graph(F, dim, a) for a in radii]
     values, imag = _norm_class_table(F, dim)
     counts = _class_sizes(F, dim)
@@ -395,3 +396,31 @@ def certified_columns(
             f"rounding residual {float(residual[i])!r}, sum {int(totals[i])} != {int(want[i])}"
         )
     return deg
+
+
+def degree_columns(F: PrimeField, dim: int, members, radii, force: bool = False):
+    """Yield (start, G, deg) per stack of the rank arrays members and per
+    radius a in radii, stacks outer: G is G_p(a) on F_p^dim and deg the
+    certified degree columns of members[start:start + len(deg)] in G.
+
+    A stack holds at most max(1, STACK_ELEMENTS // p**dim) sets and is
+    transformed once for all radii.  Nothing yielded is kept here, so one
+    column array is alive at a time if the caller drops each before the
+    next.  Work past the vertex guardrail is refused before the first
+    stack unless forced; no members, no work.
+    """
+    if not members:
+        return
+    p = F.p
+    guard_spectrum(p, dim, force)
+    values, _ = _norm_class_table(F, dim)
+    step = max(1, STACK_ELEMENTS // p**dim)
+    for start in range(0, len(members), step):
+        stack = members[start:start + step]
+        hats, sizes = set_transforms(p, dim, stack), [m.size for m in stack]
+        for a in radii:
+            G = euclid_graph(F, dim, a)
+            yield start, G, certified_columns(
+                G, class_transform(p, dim, values[a], G.valency), hats, sizes
+            )
+        del hats

@@ -2,15 +2,17 @@
 
 Residues are plain ints in [0, p).  A PrimeField is immutable after
 construction and safe to share across threads and worker processes.  The
-square-count table drives every sphere-size computation downstream, so it
-is built once, by full enumeration, at field construction.
+square-count table drives every sphere-size computation downstream; it
+is built once, by full enumeration, when first read, so refused work
+costs no O(p).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EvenModulus, NotPrime
 
@@ -43,12 +45,20 @@ class PrimeField:
     """
 
     p: int
-    square_counts: tuple[int, ...] = field(compare=False)
     minus_one_is_square: bool
+
+    @functools.cached_property
+    def square_counts(self) -> tuple[int, ...]:
+        counts = [0] * self.p
+        for x in range(self.p):
+            counts[x * x % self.p] += 1
+        assert (counts[-1] > 0) == self.minus_one_is_square  # Euler's criterion
+        return tuple(counts)
 
 
 def make_field(p: int) -> PrimeField:
-    """Validate p and build a PrimeField with its square-count table.
+    """Validate p and build a PrimeField; its square-count table waits
+    until it is read.
 
     Raises EvenModulus for even p (the even check runs first, so 4 is
     reported as even rather than composite) and NotPrime for everything
@@ -62,16 +72,11 @@ def make_field(p: int) -> PrimeField:
         raise EvenModulus(f"modulus must be odd, got {p}")
     if not is_prime(p):
         raise NotPrime(f"modulus must be prime, got {p}")
-    counts = [0] * p
-    for x in range(p):
-        counts[x * x % p] += 1
-    minus_one = counts[p - 1] > 0
-    # Euler's criterion, cross-checked against the enumerated table.
-    assert minus_one == (p % 4 == 1)
+    minus_one = p % 4 == 1  # Euler's criterion
     if minus_one:
         warnings.warn(
             f"p={p} is 1 mod 4, so -1 is a square and distinct points at "
             "distance 0 exist in every dimension >= 2",
             stacklevel=2,
         )
-    return PrimeField(p=p, square_counts=tuple(counts), minus_one_is_square=minus_one)
+    return PrimeField(p=p, minus_one_is_square=minus_one)

@@ -39,7 +39,9 @@ def guard_enumeration(count: int, force: bool = False) -> None:
 
 
 def _space_size(p: int, dim: int) -> int:
-    """p**dim, refused when int64 ranks cannot name every point."""
+    """p**dim, refused when dim < 1 or int64 ranks cannot name every point."""
+    if dim < 1:
+        raise BadSpec(f"dimension must be >= 1, got {dim}")
     n = p**dim
     if n - 1 > np.iinfo(np.int64).max:
         raise BadSpec(f"F_{p}^{dim} has {n} points, more than int64 ranks can name")
@@ -202,6 +204,12 @@ class GeneratorSpec:
         for every seed."""
         return any(atom.kind == "random" for atom in self.atoms)
 
+    def size_floor(self, F: PrimeField, dim: int) -> int:
+        """The largest atom's size in F_p^dim, from the atoms' parameters:
+        a floor on the generated set's size, for guardrails before a draw."""
+        total = _space_size(F.p, dim)
+        return max(_atom_size(F, dim, total, atom) for atom in self.atoms)
+
 
 def _parse_size_token(token: str, what: str) -> tuple[int | None, float | None]:
     # A trailing "t" makes the size relative to the threshold p**((dim+1)/2).
@@ -276,36 +284,52 @@ def parse_generator(text: str) -> GeneratorSpec:
     return GeneratorSpec(text=text, atoms=atoms)
 
 
-def _atom_ranks(
-    F: PrimeField, dim: int, total: int, atom: _Atom, rng: random.Random, force: bool
-) -> np.ndarray:
+def _box_side(p: int, dim: int, atom: _Atom) -> int:
+    """The box atom's side, solved from its target size if relative."""
+    side = atom.side
+    if side is None:
+        target = max(1.0, atom.rel * size_threshold(p, dim))
+        side = min(p, max(1, round(target ** (1.0 / dim))))
+    if side > p:
+        raise BadSpec(f"box side {side} exceeds p = {p}")
+    return side
+
+
+def _atom_size(F: PrimeField, dim: int, total: int, atom: _Atom) -> int:
+    """The number of points atom makes in F_p^dim (total points), from its
+    parameters alone; a random count past total raises InfeasibleSize."""
     p = F.p
-    if atom.kind == "all":
-        guard_enumeration(total, force)
-        return np.arange(total, dtype=np.int64)
     if atom.kind == "random":
         n = atom.count
         if n is None:
             n = min(total, max(1, round(atom.rel * size_threshold(p, dim))))
         if n > total:
-            raise InfeasibleSize(
-                f"requested {n} distinct points from a space of {total}"
-            )
-        guard_enumeration(n, force)
-        return np.array(rng.sample(range(total), n), dtype=np.int64)
+            raise InfeasibleSize(f"requested {n} distinct points from a space of {total}")
+        return n
     if atom.kind == "box":
-        side = atom.side
-        if side is None:
-            target = max(1.0, atom.rel * size_threshold(p, dim))
-            side = min(p, max(1, round(target ** (1.0 / dim))))
-        if side > p:
-            raise BadSpec(f"box side {side} exceeds p = {p}")
-        guard_enumeration(side**dim, force)
-        # itertools.product order: the first coordinate varies slowest
-        return coords_to_ranks(p, np.indices((side,) * dim).reshape(dim, -1).T)
+        return _box_side(p, dim, atom) ** dim
     if atom.kind == "sphere":
         if not 0 <= atom.radius < p:
             raise BadSpec(f"sphere radius {atom.radius} is not a residue mod {p}")
+        return sphere_size(F, dim, atom.radius)
+    return p if atom.kind == "line" else total
+
+
+def _atom_ranks(
+    F: PrimeField, dim: int, total: int, atom: _Atom, rng: random.Random, force: bool
+) -> np.ndarray:
+    p, size = F.p, _atom_size(F, dim, total, atom)
+    if atom.kind in ("all", "random", "box"):
+        guard_enumeration(size, force)
+    if atom.kind == "all":
+        return np.arange(size, dtype=np.int64)
+    if atom.kind == "random":
+        return np.array(rng.sample(range(total), size), dtype=np.int64)
+    if atom.kind == "box":
+        side = _box_side(p, dim, atom)
+        # itertools.product order: the first coordinate varies slowest
+        return coords_to_ranks(p, np.indices((side,) * dim).reshape(dim, -1).T)
+    if atom.kind == "sphere":
         points = sphere_points(F, dim, atom.radius, force=force)
         return coords_to_ranks(p, np.array(points, dtype=np.int64).reshape(-1, dim))
     if atom.kind == "line":
@@ -334,8 +358,6 @@ def generate_point_set(
     Unions deduplicate, keeping the first occurrence.
     """
     gs = parse_generator(spec) if isinstance(spec, str) else spec
-    if dim < 1:
-        raise BadSpec(f"dimension must be >= 1, got {dim}")
     total = _space_size(F.p, dim)
     rng = random.Random(seed)
     parts = [_atom_ranks(F, dim, total, atom, rng, force) for atom in gs.atoms]

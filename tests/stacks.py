@@ -2,7 +2,7 @@
 or a few: columns builds a certified stack, one runs a count on the
 one-row stack of a single column."""
 
-from fqlab import certified_columns, set_transforms
+from fqlab.euclid import certified_columns, set_transforms
 from fqlab.spectral import vertex_array
 
 

@@ -29,7 +29,7 @@ from fqlab import (
     sphere_transform,
     upper_bound_f,
 )
-from fqlab import bounds
+from fqlab import bounds, euclid
 from stacks import columns
 
 THREE_TEXT = "0,0\n0,1\n1,0\n"
@@ -246,8 +246,8 @@ def test_convolved_profile_certificate(monkeypatch, scale):
     F = make_field(11)
     E = generate_point_set(F, 2, "random:100", seed=1)  # |E|**2 = 7.5 p**3
     taken = routes_taken(monkeypatch)
-    gather = bounds.class_transform
-    monkeypatch.setattr(bounds, "class_transform", lambda *args: gather(*args) * scale)
+    gather = euclid.class_transform
+    monkeypatch.setattr(euclid, "class_transform", lambda *args: gather(*args) * scale)
     with pytest.raises(VerificationFailed, match="fails its certificate"):
         degree_profile(F, 2, E)
     assert taken == ["convolved"]
@@ -261,14 +261,14 @@ def test_swapped_class_table_fails_the_profile_certificate(monkeypatch, p, gen, 
     F = make_field(p)
     E = generate_point_set(F, 2, gen, seed=seed)
     assert len(E) ** 2 > bounds.PROFILE_FFT_RATIO * p**3
-    values, imag = bounds._norm_class_table(F, 2)
+    values, imag = euclid._norm_class_table(F, 2)
     c1, c2 = 1, 2
     assert sphere_table(F, 2).sizes[c1] == sphere_table(F, 2).sizes[c2]
     assert np.abs(values[1:, c1] - values[1:, c2]).max() > 1.0
     swapped = values.copy()
     swapped[:, [c1, c2]] = values[:, [c2, c1]]
     taken = routes_taken(monkeypatch)
-    monkeypatch.setattr(bounds, "_norm_class_table", lambda F, dim: (swapped, imag))
+    monkeypatch.setattr(euclid, "_norm_class_table", lambda F, dim: (swapped, imag))
     with pytest.raises(VerificationFailed, match="fails its certificate"):
         degree_profile(F, 2, E)
     assert taken == ["convolved"]

@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -18,6 +19,7 @@ import fqlab
 import fqlab.bounds
 import fqlab.cli as cli
 import fqlab.euclid
+import fqlab.field
 import fqlab.geometry
 from fqlab import VerificationFailed
 from fqlab.cli import (
@@ -39,6 +41,11 @@ SMALL_CONFIG = {
     "seeds": [1, 2],
     "checks": ["main", "remark", "variance", "mixing", "hinge", "spectrum"],
 }
+
+
+def caller() -> str:
+    """The name of the function that called the function calling this."""
+    return sys._getframe(2).f_code.co_name
 
 
 # --- serialization ----------------------------------------------------------
@@ -311,29 +318,30 @@ def test_verify_point_sets_stay_within_profile_guardrail(monkeypatch, tmp_path):
 def test_verify_builds_each_view_and_report_once(monkeypatch):
     calls, stacked, read = Counter(), [], []
 
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    transforms, rows = cli.set_transforms, cli._subset_rows
+    transforms, rows = fqlab.euclid.set_transforms, cli._graph_rows
 
     def tracked(p, dim, members):
         stacked.append([tuple(m.tolist()) for m in members])
         return transforms(p, dim, members)
 
-    def reading(G, s, members, hats, items, memo):
+    def reading(F, dim, spectra, radii, members, items, force):
         read.append((len(members), {row for _, row, _ in items}, len(items)))
-        yield from rows(G, s, members, hats, items, memo)
+        yield from rows(F, dim, spectra, radii, members, items, force)
 
-    for name in ("sphere_transform", "certified_columns", "check_main_theorem"):
-        monkeypatch.setattr(cli, name, counted(name))
-    monkeypatch.setattr(cli, "set_transforms", tracked)
-    monkeypatch.setattr(cli, "_subset_rows", reading)
+    counted(cli, "sphere_transform")
+    counted(fqlab.euclid, "certified_columns")
+    counted(cli, "check_main_theorem")
+    monkeypatch.setattr(fqlab.euclid, "set_transforms", tracked)
+    monkeypatch.setattr(cli, "_graph_rows", reading)
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
     assert calls["sphere_transform"] == 2  # one per radius, for the spectrum recheck alone
     # one stack per radius: each distinct subset is transformed once, and one
@@ -366,7 +374,7 @@ def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
     # stacks of one set: the spectrum pass makes one sphere transform per
     # radius, however many stacks the subset pass gathers transforms for
     made, stacked = Counter(), []
-    transform, stack = cli.sphere_transform, cli.set_transforms
+    transform, stack = cli.sphere_transform, fqlab.euclid.set_transforms
 
     def counted(G, **kwargs):
         made[G.a] += 1
@@ -377,8 +385,8 @@ def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
         return stack(p, dim, members)
 
     monkeypatch.setattr(cli, "sphere_transform", counted)
-    monkeypatch.setattr(cli, "set_transforms", counted_stack)
-    monkeypatch.setattr(cli, "STACK_ELEMENTS", 1)
+    monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
+    monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1)
     assert main(["verify", "--q", "7", "--dim", "2", "--checks", "spectrum,variance,hinge",
                  "--trials", "3"]) == 0
     assert made == Counter(range(1, 7))
@@ -388,8 +396,8 @@ def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     calls, rows = Counter(), Counter()
 
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -398,11 +406,12 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
                 rows[name] += len(result)
             return result
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     names = ("variance_check", "mixing_check", "hinge_count", "degree_sum_check")
-    for name in names + ("certified_columns",):
-        monkeypatch.setattr(cli, name, counted(name))
+    for name in names:
+        counted(cli, name)
+    counted(fqlab.euclid, "certified_columns")
     argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
@@ -558,8 +567,8 @@ def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
 
 def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     transforms, stacks, inverses, alive, peak = Counter(), Counter(), Counter(), [], []
-    transform, stacked, inverse = cli.sphere_transform, cli.set_transforms, cli.certified_columns
-    gathers, gather = Counter(), cli.class_transform
+    transform, stacked = cli.sphere_transform, fqlab.euclid.set_transforms
+    inverse, gathers, gather = fqlab.euclid.certified_columns, Counter(), fqlab.euclid.class_transform
 
     def tracked(G, **kwargs):
         T = transform(G, **kwargs)
@@ -577,7 +586,7 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         return inverse(G, T, hats, sizes)
 
     def counted_gather(p, dim, values, trivial):
-        gathers[p, dim] += 1
+        gathers[caller(), p, dim] += 1
         return gather(p, dim, values, trivial)
 
     reported = []
@@ -588,9 +597,9 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         return report(F, dim, E, spectra, force=force)
 
     monkeypatch.setattr(cli, "sphere_transform", tracked)
-    monkeypatch.setattr(cli, "set_transforms", counted_stack)
-    monkeypatch.setattr(cli, "certified_columns", counted_inverse)
-    monkeypatch.setattr(cli, "class_transform", counted_gather)
+    monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
+    monkeypatch.setattr(fqlab.euclid, "certified_columns", counted_inverse)
+    monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
     monkeypatch.setattr(cli, "check_main_theorem", counted)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
@@ -598,9 +607,13 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     assert max(peak) == 1
     # the three distinct sets of a (p, dim) form one stack, transformed
     # once; one gathered transform and one inverse transform per radius
-    # serve all four counts
+    # serve all four counts, and each recheck gathers the table's values
+    # once to compare
     assert stacks == {(3, 2, 3): 1, (7, 2, 3): 1}
-    assert gathers == {(3, 2): 2, (7, 2): 6}
+    assert gathers == {
+        ("degree_columns", 3, 2): 2, ("degree_columns", 7, 2): 6,
+        ("recheck_spectrum", 3, 2): 2, ("recheck_spectrum", 7, 2): 6,
+    }
     assert inverses == {(3, 2, 3): 2, (7, 2, 3): 6}
     # per p: "all" once for both seeds, and two distinct random sets
     assert len(reported) == len(set(reported)) == 6
@@ -609,12 +622,15 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     # one alive at a time
     for seen in (transforms, stacks, inverses, gathers, alive, peak):
         seen.clear()
-    monkeypatch.setattr(cli, "STACK_ELEMENTS", 1)
+    monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1)
     assert run_sweep(SMALL_CONFIG, jobs=1)[0] == records
     assert transforms == {(3, 2): 2, (7, 2): 6}
     assert max(peak) == 1
     assert stacks == {(3, 2, 1): 3, (7, 2, 1): 3}
-    assert gathers == {(3, 2): 3 * 2, (7, 2): 3 * 6}
+    assert gathers == {
+        ("degree_columns", 3, 2): 3 * 2, ("degree_columns", 7, 2): 3 * 6,
+        ("recheck_spectrum", 3, 2): 2, ("recheck_spectrum", 7, 2): 6,
+    }
     assert inverses == {(3, 2, 1): 3 * 2, (7, 2, 1): 3 * 6}
 
 
@@ -622,7 +638,7 @@ def test_sweep_sorts_and_transforms_each_set_once_per_group(monkeypatch):
     # each distinct set is sorted once per (p, dim), and the set transform
     # and all four counts of every radius read that one sorted vertex array
     calls, rows = Counter(), []
-    stacked, sort = cli.set_transforms, cli.vertex_array
+    stacked, sort = fqlab.euclid.set_transforms, cli.vertex_array
 
     def counted_sorted(n, values):
         calls["sorted"] += 1
@@ -634,7 +650,7 @@ def test_sweep_sorts_and_transforms_each_set_once_per_group(monkeypatch):
         return stacked(p, dim, members)
 
     monkeypatch.setattr(cli, "vertex_array", counted_sorted)
-    monkeypatch.setattr(cli, "set_transforms", counted_stack)
+    monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
     # three distinct sets per p, one stack per p
@@ -646,7 +662,7 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
     # with B = E the hinge and degree-sum counts of radius a are the set's
     # degree profile's hinges[a] and pairs[a]
     radius, seen = {}, []
-    inverse = cli.certified_columns
+    inverse = fqlab.euclid.certified_columns
 
     def tracked_inverse(G, T, hats, sizes):
         radius.update(p=G.field.p, dim=G.dim, a=G.a)
@@ -661,7 +677,7 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
             return values
         return wrapper
 
-    monkeypatch.setattr(cli, "certified_columns", tracked_inverse)
+    monkeypatch.setattr(fqlab.euclid, "certified_columns", tracked_inverse)
     monkeypatch.setattr(cli, "hinge_count", recorder("hinges", cli.hinge_count))
     monkeypatch.setattr(
         cli, "degree_sum_check", recorder("degree-sum", cli.degree_sum_check)
@@ -691,7 +707,7 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
         return transform(G, **kwargs)
 
     monkeypatch.setattr(cli, "sphere_transform", counted)
-    monkeypatch.setattr(cli, "set_transforms", lambda *args: stacked.append(args))
+    monkeypatch.setattr(fqlab.euclid, "set_transforms", lambda *args: stacked.append(args))
     for checks, gen in ((["spectrum"], "all"), (["spectrum", "hinge"], "random:100")):
         made.clear()
         config = {**SMALL_CONFIG, "generators": [gen], "checks": checks}
@@ -707,24 +723,27 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
 
 def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch, tmp_path):
     # spectrum, verify and sweep reach the set transforms, the gathered
-    # transforms and the degree columns only through one _graph_rows pass,
-    # and the sphere transforms only through one _spectrum_rows pass:
-    # stubbed out, none is made; unstubbed, the subset pass runs once per
-    # verify radius and once per sweep (p, dim), the spectrum pass once per
-    # spectrum command, once per verify radius and once per sweep (p, dim)
+    # transforms and the degree columns only through one _graph_rows pass
+    # (its degree_columns), and the sphere transforms and the gathers they
+    # are compared with only through one _spectrum_rows pass (its
+    # recheck_spectrum): stubbed out, none is made; unstubbed, the subset
+    # pass runs once per verify radius and once per sweep (p, dim), the
+    # spectrum pass once per spectrum command, once per verify radius and
+    # once per sweep (p, dim)
     calls, passes, rechecks = Counter(), [], []
 
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name, caller()] += 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("sphere_transform", "class_transform", "set_transforms", "certified_columns"):
-        monkeypatch.setattr(cli, name, counted(name))
+    counted(cli, "sphere_transform")
+    for name in ("class_transform", "set_transforms", "certified_columns"):
+        counted(fqlab.euclid, name)
     graph_rows, spectrum_rows = cli._graph_rows, cli._spectrum_rows
 
     def traced(F, dim, spectra, radii, *rest):
@@ -760,14 +779,15 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
     assert rechecks == (
         [(7, 2, radii)] + [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
     )
-    # one sphere transform per radius and command; one stack per verify
-    # radius and per sweep (p, dim), one gather and one inverse per (stack,
-    # radius)
+    # one sphere transform per radius and command, with the gather it is
+    # compared with; one stack per verify radius and per sweep (p, dim),
+    # one gather and one inverse per (stack, radius)
     assert calls == {
-        "sphere_transform": 6 + 6 + 2 + 6,
-        "class_transform": 6 + 2 + 6,
-        "set_transforms": 6 + 2,
-        "certified_columns": 6 + 2 + 6,
+        ("sphere_transform", "_spectrum_rows"): 6 + 6 + 2 + 6,
+        ("class_transform", "recheck_spectrum"): 6 + 6 + 2 + 6,
+        ("class_transform", "degree_columns"): 6 + 2 + 6,
+        ("set_transforms", "degree_columns"): 6 + 2,
+        ("certified_columns", "degree_columns"): 6 + 2 + 6,
     }
 
 
@@ -786,14 +806,14 @@ def test_sweep_computes_each_bound_once_per_size(monkeypatch):
     names = ("variance_bound", "mixing_bound", "hinge_bound", "degree_sum_bound")
     for name in names + ("bound_threshold",):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    subset_rows = cli._subset_rows
+    graph_rows = cli._graph_rows
 
     def counted_rows(*args):
-        for row in subset_rows(*args):
+        for row in graph_rows(*args):
             calls["verdicts"] += 1
             yield row
 
-    monkeypatch.setattr(cli, "_subset_rows", counted_rows)
+    monkeypatch.setattr(cli, "_graph_rows", counted_rows)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
     sizes = {(r["p"], r["set_size"]) for r in records}
@@ -896,15 +916,15 @@ def test_stack_boundaries_keep_the_records(monkeypatch, tmp_path, held):
     baseline = emit(run_sweep(config, jobs=1)[0], "jsonl", SWEEP_FIELDS)
     assert main(verify + ["--out", str(tmp_path / "v0.jsonl")]) == 0
     stack_sizes = Counter()
-    stacked = cli.set_transforms
+    stacked = fqlab.euclid.set_transforms
 
     def counted_stack(p, dim, members):
         if p**dim > 300:
             stack_sizes[len(members)] += 1
         return stacked(p, dim, members)
 
-    monkeypatch.setattr(cli, "set_transforms", counted_stack)
-    monkeypatch.setattr(cli, "STACK_ELEMENTS", 1 if held == 1 else 2 * 361)
+    monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
+    monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1 if held == 1 else 2 * 361)
     assert emit(run_sweep(config, jobs=1)[0], "jsonl", SWEEP_FIELDS) == baseline
     assert main(verify + ["--out", str(tmp_path / "v1.jsonl")]) == 0
     assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "v0.jsonl").read_bytes()
@@ -931,13 +951,13 @@ def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
     # all of F_19^2 convolves: each radius' transform is gathered from the
     # norm-class table, and no FFT of a sphere is taken
     made, gathered = counted_sphere_transforms(monkeypatch), Counter()
-    gather = fqlab.bounds.class_transform
+    gather = fqlab.euclid.class_transform
 
     def counted_gather(p, dim, values, trivial):
         gathered[p, dim] += 1
         return gather(p, dim, values, trivial)
 
-    monkeypatch.setattr(fqlab.bounds, "class_transform", counted_gather)
+    monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
     assert main(["fcount", "--q", "19", "--dim", "2", "--gen", "all"]) == 0
     assert f"f={361 * 18 * 20 * 20} " in capsys.readouterr().out
     assert made == {} and gathered == {(19, 2): 18}
@@ -1009,6 +1029,40 @@ def test_fcount_refuses_the_profile_before_building_spectra(monkeypatch, capsys)
     assert not builds
     assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:2t"]) == 0
     assert builds == Counter({(7, 2): 1})
+
+
+@pytest.mark.parametrize("dim,gen,size", [(14, "random:1t", 2178890), (13, "box:3", 3**13)])
+def test_fcount_refuses_the_profile_before_drawing_the_set(monkeypatch, capsys, dim, gen, size):
+    # 2.2 million random points of F_7^14, or a box of 1.6 million: the
+    # atom's size alone is past the profile guardrail, so nothing is drawn
+    def refused(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(random.Random, "sample", refused)
+    monkeypatch.setattr(fqlab.geometry, "_atom_ranks", refused)
+    assert main(["fcount", "--q", "7", "--dim", str(dim), "--gen", gen]) == 2
+    assert capsys.readouterr().err == (
+        f"error: |E|**2 = {size * size} exceeds the profile guardrail 100000000; "
+        "pass --force to override\n"
+    )
+
+
+def test_fcount_refuses_a_huge_table_without_o_p_work(monkeypatch, capsys):
+    # p = 10,000,019: the table guardrail refuses the spectra before the
+    # p-entry square-count table, the radii or any graph is made
+    def refused(*args):
+        raise AssertionError("O(p) work")
+
+    monkeypatch.setattr(fqlab.field.PrimeField, "square_counts", property(refused))
+    monkeypatch.setattr(fqlab.euclid, "euclid_graph", refused)
+    tracemalloc.start()
+    try:
+        code = main(["fcount", "--q", "10000019", "--dim", "2", "--gen", "random:5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "exceeds the spectrum table guardrail" in capsys.readouterr().err
+    assert peak < 2**20  # a list of the radii alone would take 80 MB
 
 
 def test_fcount_sparse_set_past_the_vertex_guardrail(monkeypatch, capsys):
@@ -1274,10 +1328,11 @@ def test_parser_refusals(argv, capsys):
 @pytest.mark.parametrize("p,dim", [(11, 2), (7, 3), (19, 2)])
 def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypatch, capsys,
                                                                        p, dim):
-    # radius 1's row with classes 1 and 2 swapped: the subset counts gather
-    # their transform from that row, so their degree columns leave the
-    # integers and the certificate refuses them (exit 2); the recheck
-    # against the sphere's own FFT fails the spectrum verdict (exit 1)
+    # radius 1's row with classes 1 and 2 swapped: the subset counts and a
+    # dense set's profile gather their transform from that row, so their
+    # degree columns leave the integers and the certificate refuses them
+    # (exit 2); the recheck against the sphere's own FFT fails the
+    # spectrum verdict (exit 1)
     build = fqlab.euclid._norm_class_table.__wrapped__
 
     def swapped(F, dim):
@@ -1291,6 +1346,10 @@ def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypa
     space = ["--q", str(p), "--dim", str(dim)]
     subset = ["--trials", "3", "--checks", "variance,mixing,hinge"]
     assert main(["verify", *space, "--a", "1", *subset]) == 2
+    assert "fails its certificate" in capsys.readouterr().err
+    # 3t points is past PROFILE_FFT_RATIO in each of these spaces: |E|**2 >
+    # 7 p**(dim+1) means |E| > 2.65t
+    assert main(["fcount", *space, "--gen", "random:3t"]) == 2
     assert "fails its certificate" in capsys.readouterr().err
     assert main(["spectrum", *space, "--a", "1"]) == 1
     assert "a=1: check failed:" in capsys.readouterr().out

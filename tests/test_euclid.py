@@ -19,8 +19,6 @@ from fqlab import (
     TooLarge,
     VerificationFailed,
     VertexOutOfRange,
-    certified_columns,
-    class_transform,
     degree_sum_check,
     euclid_graph,
     hinge_count,
@@ -28,14 +26,19 @@ from fqlab import (
     mixing_check,
     ramanujan_bound,
     recheck_spectrum,
-    set_transforms,
     sphere_size,
     sphere_table,
     sphere_transform,
     variance_check,
 )
 from fqlab import cli
-from fqlab.euclid import EIGVEC_TOL, GROUP_TOL
+from fqlab.euclid import (
+    EIGVEC_TOL,
+    GROUP_TOL,
+    certified_columns,
+    class_transform,
+    set_transforms,
+)
 from fqlab.spectral import vertex_array
 from stacks import columns
 
@@ -650,6 +653,8 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     # ten sets of one radius of F_43^3 through the commands' graph-check
     # pass, at most max(1, STACK_ELEMENTS // n) = 3 sets of 79,507 vertices
     # per stack
+    import fqlab.euclid as euclid_mod
+
     F = make_field(43)
     G = euclid_graph(F, 3, 1)
     spectra = {1: spectrum(G)}
@@ -657,13 +662,13 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     sizes = (1, 10, 100, 282, 1000, 5000, 20000, 40000, G.n - 1, G.n)
     members = [vertex_array(G.n, rng.sample(range(G.n), size)) for size in sizes]
     items = [(c, row, None) for row in range(10) for c in ("variance", "mixing", "hinge")]
-    stacked, transforms = [], cli.set_transforms
+    stacked = []
 
     def counted(p, dim, stack):
         stacked.append(len(stack))
-        return transforms(p, dim, stack)
+        return set_transforms(p, dim, stack)
 
-    monkeypatch.setattr(cli, "set_transforms", counted)
+    monkeypatch.setattr(euclid_mod, "set_transforms", counted)
     tracemalloc.start()
     try:
         rows = cli._graph_rows(F, 3, spectra, [1], members, items, False)
