@@ -13,11 +13,12 @@ spectral upper bounds (per-radius exact, and the uniform ceiling form),
 and assembles a report that classifies the set-size regime and carries
 one verdict per inequality.
 
-The profile has two exact routes, picked by a fixed cost model: all
-|E|**2 pairs for sparse sets, and for dense sets (|E|**2 well above
-p**(dim+1), the paper's regime a) the set's certified degree column in
-every radius' graph.  Both keep per-radius sums only, never |E| * p
-degrees.
+The profile has two exact routes, picked by a fixed cost model: for
+sparse sets all |E|**2 distances, a chunk of rows at a time, each a sum
+of per-coordinate squares gathered from tables of small integers; for
+dense sets (|E|**2 well above p**(dim+1), the paper's regime a) the
+set's certified degree column in every radius' graph.  Both keep
+per-radius sums only, never |E| * p degrees.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
 from .euclid import SPECTRUM_MAX, SpectralSummary, degree_columns, ramanujan_bound
 from .field import PrimeField
-from .geometry import PointSet, ranks_to_coords, size_threshold
+from .geometry import PointSet, size_threshold
 from .spectral import hinge_bound, within_bound
 
 # Profiles need |E|**2 distance evaluations; refuse above this unless forced.
@@ -41,10 +42,14 @@ PROFILE_MAX_PAIRS = 10**8
 # (p transforms of p**dim points), so the routes cross near the paper's
 # regime threshold |E| = p**((dim+1)/2).  Measured in CPU time (best of 3,
 # random sets, one core of a 2-vCPU Xeon VM, numpy 2.4) on p = 59, 83,
-# 103, 211 (dim 2), 11, 19, 43 (dim 3) and 7, 11 (dim 4): at a ratio of 3
-# the convolution took 1.3 to 2.6 times the pairwise time, at 7 it took
-# 0.48 to 1.06 times, at 15 0.19 to 0.57 times.
-PROFILE_FFT_RATIO = 7
+# 103, 211 (dim 2), 11, 19, 43 (dim 3) and 7, 11 (dim 4): at a ratio of 7
+# the convolution took 1.4 to 2.9 times the pairwise time, at 10 1.0 to
+# 2.1 times, at 15 0.51 to 1.46 times, at 20 0.49 to 1.17 times and at 30
+# 0.27 to 0.79 times.
+PROFILE_FFT_RATIO = 20
+# Pairs per chunk of the pairwise profile; its temporaries take about 12
+# bytes a pair, so a few MiB.
+PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,28 +128,57 @@ def degree_profile(
 
 
 def _pairwise_profile(p: int, dim: int, ranks: np.ndarray, sums: np.ndarray) -> None:
-    """Add into the (hinges, pairs) rows of sums from all |E|**2 differences
-    of the points' coordinates, derived from their ranks."""
-    coords = ranks_to_coords(p, dim, ranks)
-    m = coords.shape[0]
-    chunk = max(1, (1 << 22) // m)
-    # Two reused (chunk, m) buffers: squared differences accumulate one
-    # coordinate at a time, then the sum becomes the flat bincount index.
-    acc_buf, sq_buf = np.empty((2, min(chunk, m), m), dtype=np.int64)
+    """Fill the (hinges, pairs) rows of sums from the |E| x |E| distance
+    block, made a chunk of rows at a time from table gathers on small
+    integers, with no per-pair multiply.
+
+    ||x - y|| = sum over j of (x_j - y_j)**2 mod p.  When p <= |E| each
+    coordinate j has a p x |E| table of (u - y_j)**2 mod p, and a chunk's
+    block is the sum of its rows at x_j; its entries are below dim * p, so
+    each row is counted into dim * p bins, folded into p since v and v - p
+    are one distance.  When p > |E| that table would outgrow the block, so
+    the terms are gathered at the coordinate differences from the
+    length-(2p - 1) table of d**2 mod p and the block is reduced mod p.
+    Entries are int16 when dim * (p - 1) fits, else int32.
+    """
+    m = ranks.size
+    # One array per coordinate of the ranks; a distance does not depend on
+    # their order.
+    coords = np.unravel_index(ranks, (p,) * dim)
+    small = np.int16 if dim * (p - 1) < 1 << 15 else np.int32
+    by_table = p <= m
+    if by_table:
+        u = np.arange(p)
+        square = ((u[:, None] - u) ** 2 % p).astype(small)  # (u - v)**2 at [u, v]
+        tables = [square.take(c, axis=1) for c in coords]
+        bins = dim * p
+    else:
+        square = (np.arange(1 - p, p) ** 2 % p).astype(small)  # d**2 at d + p - 1
+        bins = p
+    chunk = max(1, PAIR_CHUNK // m)
+    offsets = np.arange(0, min(chunk, m) * bins, bins)[:, None]
     for start in range(0, m, chunk):
         stop = min(m, start + chunk)
         rows = stop - start
-        acc, sq = acc_buf[:rows], sq_buf[:rows]
-        acc.fill(0)
-        for j in range(dim):
-            np.subtract(coords[start:stop, j, None], coords[None, :, j], out=sq)
-            sq *= sq
-            acc += sq
-        acc %= p
-        acc += np.arange(0, rows * p, p, dtype=np.int64)[:, None]
-        deg = np.bincount(acc.ravel(), minlength=rows * p).reshape(rows, p)
-        deg[:, 0] -= 1  # each row includes the point's own zero distance
-        sums += [np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)]
+        if by_table:
+            block = tables[0].take(coords[0][start:stop], axis=0)
+            for table, c in zip(tables[1:], coords[1:]):
+                block += table.take(c[start:stop], axis=0)
+        else:
+            c = coords[0]
+            block = square.take((p - 1) + c[start:stop, None] - c)
+            for c in coords[1:]:
+                block += square.take((p - 1) + c[start:stop, None] - c)
+            block %= p
+        deg = np.bincount(np.add(block, offsets[:rows]).ravel(), minlength=rows * bins)
+        if by_table:  # v, v - p, ..., v - (dim - 1) p are one distance
+            deg = deg.reshape(rows, dim, p).sum(axis=1)
+        else:
+            deg = deg.reshape(rows, p)
+        sums += np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)
+    # Each row counted its own point at distance 0: (d - 1)**2 = d**2 - 2d + 1.
+    sums[0, 0] += m - 2 * sums[1, 0]
+    sums[1, 0] -= m
 
 
 def _convolved_profile(

@@ -715,7 +715,14 @@ def _run_sweep_group(task) -> list[dict]:
     theorem_checks = [c for c in ("main", "remark") if c in checks]
     records, cells, reports, sets = [], [], {}, {}
     for gen in gens:
-        spec, made = parse_generator(gen), None
+        spec, made, refused = parse_generator(gen), None, None
+        if theorem_checks and len(spec.atoms) == 1:
+            # One atom makes exactly size_floor points, so a set past the
+            # profile guardrail is refused, with its size, before any draw;
+            # a size_floor error is the generator's own, left to it.
+            size = _outcome(spec.size_floor, F, dim)
+            if isinstance(size, int):
+                refused = _outcome(bounds.guard_profile, size, force)
         for seed in seeds:
             cseed = derive_seed(digest, p, dim, gen, seed)
             rec = _record(
@@ -725,6 +732,9 @@ def _run_sweep_group(task) -> list[dict]:
                 tool_version=TOOL_VERSION,
             )
             records.append(rec)
+            if refused is not None:
+                rec.update(status="error", error=str(refused), holds=False, set_size=size)
+                continue
             if made is None or spec.uses_seed:
                 made = _outcome(generate_point_set, F, dim, spec, seed=cseed, force=force)
             error = made

@@ -11,10 +11,11 @@ parse_generator, which hands the generator oracle its atoms.
 The routes the package replaced are kept here as their oracles: the
 Fraction routes of the subset bounds, counts and verdict (now integer
 numerators and thresholds), the convolution of the sphere sizes (now a
-closed form) and the generators' tuple-per-point route (now rank
-arrays).  The distance, adjacency, neighbor-table, eigenvalue-gather,
-point-rank and point-text helpers the tests need, and the package does
-not, live here too.
+closed form), the generators' tuple-per-point route (now rank arrays)
+and the int64 arithmetic of the pairwise profile (now gathers from
+tables of squares).  The distance, adjacency, neighbor-table,
+eigenvalue-gather, point-rank and point-text helpers the tests need, and
+the package does not, live here too.
 """
 
 import math
@@ -207,6 +208,32 @@ def degree_profile_brute(p: int, points) -> list[list[int]]:
             if x != y:
                 prof[i][dist_brute(p, x, y)] += 1
     return prof
+
+
+def pairwise_profile_arith(p: int, dim: int, ranks) -> np.ndarray:
+    """The (hinges, pairs) rows of the degree profile from all |E|**2
+    coordinate differences, squared and summed in int64 and reduced mod p,
+    in chunks of 2**22 pairs: the package's pairwise route before it
+    gathered from tables."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    coords = ranks[:, None] // p ** np.arange(dim, dtype=np.int64) % p
+    m = coords.shape[0]
+    sums = np.zeros((2, p), dtype=np.int64)
+    if m == 0:
+        return sums
+    chunk = max(1, (1 << 22) // m)
+    for start in range(0, m, chunk):
+        stop = min(m, start + chunk)
+        rows = stop - start
+        acc = np.zeros((rows, m), dtype=np.int64)
+        for j in range(dim):
+            acc += (coords[start:stop, j, None] - coords[None, :, j]) ** 2
+        acc %= p
+        acc += np.arange(0, rows * p, p, dtype=np.int64)[:, None]
+        deg = np.bincount(acc.ravel(), minlength=rows * p).reshape(rows, p)
+        deg[:, 0] -= 1  # each row includes the point's own zero distance
+        sums += [np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)]
+    return sums
 
 
 def f_brute(p: int, points) -> int:

@@ -106,8 +106,8 @@ def test_profile_matches_brute(p, dim, gen):
 
 
 def test_profile_peak_memory(monkeypatch):
-    # one chunk of 2**22 pairs holds two (rows, |E|) int64 buffers, 64 MiB;
-    # F_59^2 would convolve, so the pairwise route is pinned
+    # two 59 x 3481 int16 tables and one chunk of 2**18 pairs, 3.5 MiB
+    # measured; F_59^2 would convolve, so the pairwise route is pinned
     F = make_field(59)
     E = generate_point_set(F, 2, "all")
     taken = routes_taken(monkeypatch)
@@ -119,7 +119,7 @@ def test_profile_peak_memory(monkeypatch):
         tracemalloc.stop()
     assert taken == ["pairwise"]
     assert prof.pairs.sum() == 3481 * 3480
-    assert peak < 160 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_profile_refuses_a_set_of_another_field_or_dimension(f3, f7):
@@ -152,9 +152,17 @@ def assert_routes_agree(F, dim, E):
     pair, conv = (profile_by(route, F, dim, E) for route in ("pairwise", "convolved"))
     assert conv.hinges.dtype == conv.pairs.dtype == np.int64
     assert sums_of(conv) == sums_of(pair)
-    if len(E) <= BRUTE_MAX:
-        assert sums_of(conv) == brute_sums(F.p, E.points)
+    assert_pairwise_matches_oracles(pair, E)
     return conv
+
+
+def assert_pairwise_matches_oracles(prof, E):
+    """prof equals the int64 arithmetic route, and the per-point oracle
+    table up to BRUTE_MAX points."""
+    arith = oracles.pairwise_profile_arith(E.p, E.dim, E.ranks)
+    assert sums_of(prof) == tuple(arith.tolist())
+    if len(E) <= BRUTE_MAX:
+        assert sums_of(prof) == brute_sums(E.p, E.points)
 
 
 def routes_taken(monkeypatch):
@@ -215,6 +223,57 @@ def test_profile_routes_agree_on_f3_full_space(f3):
     assert prof.f_value() == 288
 
 
+@pytest.mark.parametrize("p,dim,gen", [
+    (11, 2, "random:60"),  # p x |E| tables; dim p bins folded into p
+    (11, 2, "random:15"),  # tables, with |E| < dim p bins per row
+    (7, 4, "random:50"),
+    (211, 2, "random:1500"),  # tables over nine chunks of 2**18 pairs
+    (103, 2, "random:40"),  # p > |E|: differences, reduced mod p
+    (19, 3, "random:12"),
+    (1031, 2, "random:600"),  # differences over two chunks
+])
+def test_pairwise_profile_branches(p, dim, gen):
+    F = make_field(p)
+    E = generate_point_set(F, dim, gen, seed=5)
+    assert_pairwise_matches_oracles(profile_by("pairwise", F, dim, E), E)
+
+
+@pytest.mark.parametrize("p", [16381, 16411])
+def test_pairwise_profile_block_dtype_edge(p):
+    # a block entry is below dim p: 2 (p - 1) = 32760 still fits int16 at
+    # p = 16381, and 32820 does not at p = 16411, whose block is int32.
+    # (0, 0), (a, a), (a, 0) and (0, a), with a**2 mod p as large as it
+    # gets, reach entries near 2 (p - 1).
+    a = max(range(p), key=lambda t: t * t % p)
+    assert a * a % p >= p - 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    ranks = [0, a + a * p, a, a * p] + list(range(7, p * p, p * p // 31))[:30]
+    E = PointSet(ranks, p=p, dim=2)
+    tracemalloc.start()
+    try:
+        prof = profile_by("pairwise", F, 2, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_pairwise_matches_oracles(prof, E)
+    # p > |E|: squares read at the differences, no p x p or p x |E| table;
+    # the one chunk's 34 x p bins take most of the 5.1 MiB measured
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("pair_chunk", [1, 150, 400])
+@pytest.mark.parametrize("p,dim,gen", [(7, 2, "random:30"), (31, 2, "random:20"),
+                                       (7, 3, "random:40")])
+def test_pairwise_profile_chunk_boundaries(monkeypatch, pair_chunk, p, dim, gen):
+    # chunks of one row, and chunks that leave a short last one, in both routes
+    monkeypatch.setattr(bounds, "PAIR_CHUNK", pair_chunk)
+    F = make_field(p)
+    E = generate_point_set(F, dim, gen, seed=2)
+    assert_pairwise_matches_oracles(profile_by("pairwise", F, dim, E), E)
+
+
 @pytest.mark.parametrize("p,dim,gen,route", [
     (83, 2, "random:1t", "pairwise"),  # |E|**2 = p**3, the fcount-sparse set
     (59, 2, "all", "convolved"),  # |E|**2 = 59 p**3
@@ -228,13 +287,14 @@ def test_profile_route_choice(monkeypatch, p, dim, gen, route):
     assert taken == [route]
 
 
-def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch, f11):
-    # F_11^2 is dense enough to convolve, but not over a guardrail of 100
-    # vertices unless forced
-    monkeypatch.setattr(bounds, "SPECTRUM_MAX", 100)
+def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch):
+    # all of F_23^2 is dense enough to convolve (|E|**2 = 23 p**3), but not
+    # over a guardrail of 500 vertices unless forced
+    monkeypatch.setattr(bounds, "SPECTRUM_MAX", 500)
     taken = routes_taken(monkeypatch)
-    E = generate_point_set(f11, 2, "all")
-    unforced, forced = degree_profile(f11, 2, E), degree_profile(f11, 2, E, force=True)
+    F = make_field(23)
+    E = generate_point_set(F, 2, "all")
+    unforced, forced = degree_profile(F, 2, E), degree_profile(F, 2, E, force=True)
     assert taken == ["pairwise", "convolved"]
     assert sums_of(unforced) == sums_of(forced)
 
@@ -243,8 +303,8 @@ def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch, f11):
 def test_convolved_profile_certificate(monkeypatch, scale):
     # a corrupted gathered sphere transform fails the column certificate,
     # with no fallback to the pairwise route
-    F = make_field(11)
-    E = generate_point_set(F, 2, "random:100", seed=1)  # |E|**2 = 7.5 p**3
+    F = make_field(23)
+    E = generate_point_set(F, 2, "random:500", seed=1)  # |E|**2 = 20.5 p**3
     taken = routes_taken(monkeypatch)
     gather = euclid.class_transform
     monkeypatch.setattr(euclid, "class_transform", lambda *args: gather(*args) * scale)
@@ -257,10 +317,12 @@ def test_convolved_profile_certificate(monkeypatch, scale):
 def test_swapped_class_table_fails_the_profile_certificate(monkeypatch, p, gen, seed):
     # two norm classes of equal size trade values in every row of the
     # table: the gathered sphere transforms keep their zero frequency, so
-    # only the rounding residual can tell, and the profile is refused
+    # only the rounding residual can tell, and the profile is refused.
+    # These sets sit below the cost model's cut (7.5 and 9 p**3), so the
+    # convolution route, whose certificate this checks, is pinned.
+    monkeypatch.setattr(bounds, "PROFILE_FFT_RATIO", 0)
     F = make_field(p)
     E = generate_point_set(F, 2, gen, seed=seed)
-    assert len(E) ** 2 > bounds.PROFILE_FFT_RATIO * p**3
     values, imag = euclid._norm_class_table(F, 2)
     c1, c2 = 1, 2
     assert sphere_table(F, 2).sizes[c1] == sphere_table(F, 2).sizes[c2]
@@ -309,19 +371,22 @@ def test_forced_full_space_profile_peak_memory(monkeypatch):
 
 
 def test_pairwise_profile_peak_memory(monkeypatch):
-    # one chunk of 2**22 pairs holds two (rows, |E|) int64 buffers, 64 MiB
-    F = make_field(211)
-    E = generate_point_set(F, 2, "random:1t", seed=1)
+    # dim p x |E| int16 tables and one chunk of 2**18 pairs: 5.5 and 3.2 MiB
+    # measured at F_211^2 and F_43^3, against 68 and 53 MiB for two int64
+    # chunks of 2**22 pairs
     taken = routes_taken(monkeypatch)
-    tracemalloc.start()
-    try:
-        prof = degree_profile(F, 2, E)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert taken == ["pairwise"]
-    assert prof.pairs.sum() == len(E) * (len(E) - 1)
-    assert peak < 80 * 2**20
+    for p, dim in ((211, 2), (43, 3)):
+        F = make_field(p)
+        E = generate_point_set(F, dim, "random:1t", seed=1)
+        tracemalloc.start()
+        try:
+            prof = degree_profile(F, dim, E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.pairs.sum() == len(E) * (len(E) - 1)
+        assert peak < 16 * 2**20, (p, dim, peak)
+    assert taken == ["pairwise"] * 2
 
 
 # --- f and distance set --------------------------------------------------------

@@ -948,7 +948,7 @@ def counted_sphere_transforms(monkeypatch):
 
 
 def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
-    # all of F_19^2 convolves: each radius' transform is gathered from the
+    # all of F_23^2 convolves: each radius' transform is gathered from the
     # norm-class table, and no FFT of a sphere is taken
     made, gathered = counted_sphere_transforms(monkeypatch), Counter()
     gather = fqlab.euclid.class_transform
@@ -958,9 +958,9 @@ def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
         return gather(p, dim, values, trivial)
 
     monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
-    assert main(["fcount", "--q", "19", "--dim", "2", "--gen", "all"]) == 0
-    assert f"f={361 * 18 * 20 * 20} " in capsys.readouterr().out
-    assert made == {} and gathered == {(19, 2): 18}
+    assert main(["fcount", "--q", "23", "--dim", "2", "--gen", "all"]) == 0
+    assert f"f={529 * 22 * 24 * 24} " in capsys.readouterr().out
+    assert made == {} and gathered == {(23, 2): 22}
 
 
 def test_sweep_makes_one_sphere_transform_per_radius(monkeypatch):
@@ -1045,6 +1045,48 @@ def test_fcount_refuses_the_profile_before_drawing_the_set(monkeypatch, capsys, 
         f"error: |E|**2 = {size * size} exceeds the profile guardrail 100000000; "
         "pass --force to override\n"
     )
+
+
+def test_sweep_refuses_the_profile_before_drawing_the_set(monkeypatch):
+    # 2.2 million random points of F_7^14, or a box of 4.8 million: the
+    # atom's size alone is past the profile guardrail, so each cell gets
+    # the refusal and the size, and nothing is drawn
+    def refused(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(random.Random, "sample", refused)
+    monkeypatch.setattr(fqlab.geometry, "_atom_ranks", refused)
+    config = {"grid": [{"primes": [7], "dims": [14]}], "generators": ["random:1t", "box:3"],
+              "seeds": [1, 2], "checks": ["main"]}
+    records, _ = run_sweep(config, jobs=1)
+    assert [(r["generator"], r["status"], r["set_size"], r["error"], r["holds"])
+            for r in records] == [
+        (gen, "error", size,
+         f"|E|**2 = {size * size} exceeds the profile guardrail 100000000; "
+         "pass --force to override", False)
+        for gen, size in [("box:3", 3**14)] * 2 + [("random:1t", 2178890)] * 2
+    ]
+
+
+@pytest.mark.parametrize("gen", ["all", "random:1t", "box:1t", "sphere:1", "line:0,0;1,2",
+                                 "sphere:1+random:3"])
+def test_sweep_profile_refusal_records_the_drawn_sets_size(monkeypatch, gen):
+    # with a guardrail of 10 pairs every set here is refused: one atom
+    # before it is drawn, a union after, and the record holds the size and
+    # the refusal of the drawn set's profile either way
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", 10)
+    draws = []
+    draw = cli.generate_point_set
+    monkeypatch.setattr(cli, "generate_point_set", lambda *a, **k: draws.append(a) or draw(*a, **k))
+    config = {"grid": [{"primes": [7], "dims": [2]}], "generators": [gen], "seeds": [1],
+              "checks": ["main"]}
+    (rec,), _ = run_sweep(config, jobs=1)
+    assert len(draws) == ("+" in gen)
+    F = fqlab.make_field(7)
+    E = draw(F, 2, gen, seed=rec["cell_seed"])
+    with pytest.raises(fqlab.TooLarge) as refusal:
+        fqlab.degree_profile(F, 2, E)
+    assert (rec["status"], rec["set_size"], rec["error"]) == ("error", len(E), str(refusal.value))
 
 
 def test_fcount_refuses_a_huge_table_without_o_p_work(monkeypatch, capsys):
@@ -1347,8 +1389,9 @@ def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypa
     subset = ["--trials", "3", "--checks", "variance,mixing,hinge"]
     assert main(["verify", *space, "--a", "1", *subset]) == 2
     assert "fails its certificate" in capsys.readouterr().err
-    # 3t points is past PROFILE_FFT_RATIO in each of these spaces: |E|**2 >
-    # 7 p**(dim+1) means |E| > 2.65t
+    # 3t points, |E|**2 = 9 p**(dim+1), is below the cost model's cut, and
+    # F_11^2 has no set past it, so the convolution route is pinned
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_FFT_RATIO", 0)
     assert main(["fcount", *space, "--gen", "random:3t"]) == 2
     assert "fails its certificate" in capsys.readouterr().err
     assert main(["spectrum", *space, "--a", "1"]) == 1

@@ -307,6 +307,20 @@ def test_generators_match_the_tuple_oracle_on_grid(p, dim):
             assert (E.p, E.dim, E.origin_label) == (p, dim, spec)
 
 
+@pytest.mark.parametrize("p,dim", GRID)
+def test_size_floor_is_the_size_of_a_one_atom_set(p, dim):
+    # exact for one atom, which lets a sweep refuse a set past the profile
+    # guardrail before drawing it; a floor for a union
+    F = make_field(p)
+    for text in grid_specs(p, dim):
+        spec = parse_generator(text)
+        size = len(generate_point_set(F, dim, spec, seed=3))
+        if len(spec.atoms) == 1:
+            assert spec.size_floor(F, dim) == size, text
+        else:
+            assert spec.size_floor(F, dim) <= size, text
+
+
 @st.composite
 def generator_cases(draw):
     """(p, dim, spec, seed): a union of one to three valid atoms on a small
