@@ -14,11 +14,11 @@ and assembles a report that classifies the set-size regime and carries
 one verdict per inequality.
 
 The profile has two exact routes, picked by a fixed cost model: for
-sparse sets all |E|**2 distances, a chunk of rows at a time, each a sum
-of per-coordinate squares gathered from tables of small integers; for
-dense sets (|E|**2 well above p**(dim+1), the paper's regime a) the
-set's certified degree column in every radius' graph.  Both keep
-per-radius sums only, never |E| * p degrees.
+sparse sets all |E|**2 distances, a chunk of rows at a time in buffers
+of small integers made once per profile; for dense sets (|E|**2 well
+above p**(dim+1), the paper's regime a) the set's certified degree
+column in every radius' graph.  Both keep per-radius sums only, never
+|E| * p degrees.
 """
 
 from __future__ import annotations
@@ -47,9 +47,16 @@ PROFILE_MAX_PAIRS = 10**8
 # 2.1 times, at 15 0.51 to 1.46 times, at 20 0.49 to 1.17 times and at 30
 # 0.27 to 0.79 times.
 PROFILE_FFT_RATIO = 20
-# Pairs per chunk of the pairwise profile; its temporaries take about 12
-# bytes a pair, so a few MiB.
-PAIR_CHUNK = 1 << 18
+# Pairs per chunk of the pairwise profile, its working set: two buffers of
+# entries (int16 or int32 at sizes inside the guardrails) and one int64 bin
+# index, 12 or 16 bytes a pair, so 0.75 or 1 MiB, made once per profile;
+# each chunk's bin counts take at most 16 bytes a pair more.
+# A fresh process faults each page of them in once: the first profile of
+# the fcount-sparse set (756 points of F_83^2) took 200 page faults
+# (2-vCPU VM, numpy 2.4), against 1,590 with 2**18 pairs and p x |E|
+# tables of squares.  Smaller chunks fault less but loop more: 2**15 and
+# 2**14 took 9% and 45% more CPU on 10**4 points of F_991^4.
+PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,53 +136,69 @@ def degree_profile(
 
 def _pairwise_profile(p: int, dim: int, ranks: np.ndarray, sums: np.ndarray) -> None:
     """Fill the (hinges, pairs) rows of sums from the |E| x |E| distance
-    block, made a chunk of rows at a time from table gathers on small
-    integers, with no per-pair multiply.
+    block, a chunk of rows at a time, in buffers made once per profile and
+    sized by PAIR_CHUNK; nothing held grows with p |E|.
 
-    ||x - y|| = sum over j of (x_j - y_j)**2 mod p.  When p <= |E| each
-    coordinate j has a p x |E| table of (u - y_j)**2 mod p, and a chunk's
-    block is the sum of its rows at x_j; its entries are below dim * p, so
-    each row is counted into dim * p bins, folded into p since v and v - p
-    are one distance.  When p > |E| that table would outgrow the block, so
-    the terms are gathered at the coordinate differences from the
-    length-(2p - 1) table of d**2 mod p and the block is reduced mod p.
-    Entries are int16 when dim * (p - 1) fits, else int32.
+    ||x - y|| = sum over j of (x_j - y_j)**2 mod p.  An entry is the sum
+    of dim squares, in the narrowest of int16, int32 and int64 that holds
+    dim (p - 1)**2 (and, when p <= 2|E|, the chunk's bin indices), reduced
+    mod p as v - (v // p) p: numpy divides by one scalar without a divide
+    instruction per entry, and its `%` measured about 8 times slower.
+    When p <= 2|E| each row is counted into p bins.  Otherwise each row is
+    sorted and only the distances that occur are counted, from its runs of
+    equal entries, so no work or memory grows with p.
     """
     m = ranks.size
+    rows = min(m, max(1, PAIR_CHUNK // m))
+    # p bins cost O(p) a row and sorting O(|E| log |E|): bins measured 1.3
+    # to 1.5 times faster at p = 2|E| and 1.0 to 1.1 at 4|E|, sorting 1.1
+    # to 1.4 times faster at 8|E| (|E| = 60..2000, dim 2)
+    by_bins = p <= 2 * m
+    # entries are sums of dim squares and, in the bins route, bin indices
+    # below rows * p
+    top = max(dim * (p - 1) ** 2, rows * p if by_bins else 0)
+    small = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
     # One array per coordinate of the ranks; a distance does not depend on
     # their order.
-    coords = np.unravel_index(ranks, (p,) * dim)
-    small = np.int16 if dim * (p - 1) < 1 << 15 else np.int32
-    by_table = p <= m
-    if by_table:
-        u = np.arange(p)
-        square = ((u[:, None] - u) ** 2 % p).astype(small)  # (u - v)**2 at [u, v]
-        tables = [square.take(c, axis=1) for c in coords]
-        bins = dim * p
+    coords = [c.astype(small) for c in np.unravel_index(ranks, (p,) * dim)]
+    block, term = np.empty((2, rows, m), dtype=small)
+    if by_bins:
+        index = np.empty((rows, m), dtype=np.int64)
+        offsets = np.arange(0, rows * p, p, dtype=small)[:, None]
     else:
-        square = (np.arange(1 - p, p) ** 2 % p).astype(small)  # d**2 at d + p - 1
-        bins = p
-    chunk = max(1, PAIR_CHUNK // m)
-    offsets = np.arange(0, min(chunk, m) * bins, bins)[:, None]
-    for start in range(0, m, chunk):
-        stop = min(m, start + chunk)
-        rows = stop - start
-        if by_table:
-            block = tables[0].take(coords[0][start:stop], axis=0)
-            for table, c in zip(tables[1:], coords[1:]):
-                block += table.take(c[start:stop], axis=0)
+        run_starts = np.empty((rows, m), dtype=bool)
+    for start in range(0, m, rows):
+        stop = min(m, start + rows)
+        # the chunk's own rows of each buffer; a short last chunk reads no
+        # row left from the one before
+        n = stop - start
+        b, t = block[:n], term[:n]
+        np.subtract(coords[0][start:stop, None], coords[0], out=b)
+        np.multiply(b, b, out=b)
+        for c in coords[1:]:
+            np.subtract(c[start:stop, None], c, out=t)
+            np.multiply(t, t, out=t)
+            np.add(b, t, out=b)
+        np.floor_divide(b, p, out=t)
+        np.multiply(t, p, out=t)
+        np.subtract(b, t, out=b)
+        if by_bins:
+            np.add(b, offsets[:n], out=b)
+            ix = index[:n]
+            ix[...] = b  # bincount reads intp; this cast fills the one buffer
+            deg = np.bincount(ix.ravel(), minlength=n * p).reshape(n, p)
+            sums += np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)
         else:
-            c = coords[0]
-            block = square.take((p - 1) + c[start:stop, None] - c)
-            for c in coords[1:]:
-                block += square.take((p - 1) + c[start:stop, None] - c)
-            block %= p
-        deg = np.bincount(np.add(block, offsets[:rows]).ravel(), minlength=rows * bins)
-        if by_table:  # v, v - p, ..., v - (dim - 1) p are one distance
-            deg = deg.reshape(rows, dim, p).sum(axis=1)
-        else:
-            deg = deg.reshape(rows, p)
-        sums += np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)
+            b.sort(axis=1)  # a run of r in row x is deg(x, r) long
+            edge = run_starts[:n]
+            edge[:, 0] = True
+            np.not_equal(b[:, 1:], b[:, :-1], out=edge[:, 1:])
+            first = np.flatnonzero(edge)
+            r = b.ravel()[first]
+            deg = np.diff(first, append=n * m)
+            np.add.at(sums[1], r, deg)
+            np.multiply(deg, deg, out=deg)
+            np.add.at(sums[0], r, deg)
     # Each row counted its own point at distance 0: (d - 1)**2 = d**2 - 2d + 1.
     sums[0, 0] += m - 2 * sums[1, 0]
     sums[1, 0] -= m

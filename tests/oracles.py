@@ -12,10 +12,10 @@ The routes the package replaced are kept here as their oracles: the
 Fraction routes of the subset bounds, counts and verdict (now integer
 numerators and thresholds), the convolution of the sphere sizes (now a
 closed form), the generators' tuple-per-point route (now rank arrays)
-and the int64 arithmetic of the pairwise profile (now gathers from
-tables of squares).  The distance, adjacency, neighbor-table,
-eigenvalue-gather, point-rank and point-text helpers the tests need, and
-the package does not, live here too.
+and the int64 arithmetic of the pairwise profile (now chunks of small
+integers reduced by floor division).  The distance, adjacency,
+neighbor-table, eigenvalue-gather, point-rank and point-text helpers the
+tests need, and the package does not, live here too.
 """
 
 import math
@@ -212,9 +212,9 @@ def degree_profile_brute(p: int, points) -> list[list[int]]:
 
 def pairwise_profile_arith(p: int, dim: int, ranks) -> np.ndarray:
     """The (hinges, pairs) rows of the degree profile from all |E|**2
-    coordinate differences, squared and summed in int64 and reduced mod p,
-    in chunks of 2**22 pairs: the package's pairwise route before it
-    gathered from tables."""
+    coordinate differences, squared and summed in int64 and reduced mod p
+    by `%` rather than by floor division, in fresh chunks of 2**22 pairs
+    rather than the package's reused buffers."""
     ranks = np.asarray(ranks, dtype=np.int64)
     coords = ranks[:, None] // p ** np.arange(dim, dtype=np.int64) % p
     m = coords.shape[0]

@@ -106,7 +106,7 @@ def test_profile_matches_brute(p, dim, gen):
 
 
 def test_profile_peak_memory(monkeypatch):
-    # two 59 x 3481 int16 tables and one chunk of 2**18 pairs, 3.5 MiB
+    # one chunk of 2**16 pairs in int16 and int64 buffers: 0.76 MiB
     # measured; F_59^2 would convolve, so the pairwise route is pinned
     F = make_field(59)
     E = generate_point_set(F, 2, "all")
@@ -119,7 +119,7 @@ def test_profile_peak_memory(monkeypatch):
         tracemalloc.stop()
     assert taken == ["pairwise"]
     assert prof.pairs.sum() == 3481 * 3480
-    assert peak < 16 * 2**20
+    assert peak < 2**20
 
 
 def test_profile_refuses_a_set_of_another_field_or_dimension(f3, f7):
@@ -224,13 +224,13 @@ def test_profile_routes_agree_on_f3_full_space(f3):
 
 
 @pytest.mark.parametrize("p,dim,gen", [
-    (11, 2, "random:60"),  # p x |E| tables; dim p bins folded into p
-    (11, 2, "random:15"),  # tables, with |E| < dim p bins per row
+    (11, 2, "random:60"),  # p <= 2|E|: each row counted into p bins
+    (11, 2, "random:15"),  # bins, with |E| barely above p
     (7, 4, "random:50"),
-    (211, 2, "random:1500"),  # tables over nine chunks of 2**18 pairs
-    (103, 2, "random:40"),  # p > |E|: differences, reduced mod p
+    (211, 2, "random:1500"),  # int32 entries over 35 chunks of 2**16 pairs
+    (103, 2, "random:40"),  # p > 2|E|: rows sorted, runs counted
     (19, 3, "random:12"),
-    (1031, 2, "random:600"),  # differences over two chunks
+    (1031, 2, "random:600"),  # bins over six chunks
 ])
 def test_pairwise_profile_branches(p, dim, gen):
     F = make_field(p)
@@ -238,18 +238,16 @@ def test_pairwise_profile_branches(p, dim, gen):
     assert_pairwise_matches_oracles(profile_by("pairwise", F, dim, E), E)
 
 
-@pytest.mark.parametrize("p", [16381, 16411])
+@pytest.mark.parametrize("p", [127, 131, 16381, 16411, 32749, 32771])
 def test_pairwise_profile_block_dtype_edge(p):
-    # a block entry is below dim p: 2 (p - 1) = 32760 still fits int16 at
-    # p = 16381, and 32820 does not at p = 16411, whose block is int32.
-    # (0, 0), (a, a), (a, 0) and (0, a), with a**2 mod p as large as it
-    # gets, reach entries near 2 (p - 1).
-    a = max(range(p), key=lambda t: t * t % p)
-    assert a * a % p >= p - 2
+    # an entry is a sum of dim squares before it is reduced mod p, and the
+    # corners (0, 0) and (p - 1, p - 1) reach 2 (p - 1)**2: 31752 fits int16
+    # at p = 127 and 33800 does not at p = 131; 2147745800 does not fit
+    # int32 at p = 32771, whose entries are int64
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = make_field(p)
-    ranks = [0, a + a * p, a, a * p] + list(range(7, p * p, p * p // 31))[:30]
+    ranks = [0, p * p - 1, p - 1, (p - 1) * p] + list(range(7, p * p, p * p // 31))[:30]
     E = PointSet(ranks, p=p, dim=2)
     tracemalloc.start()
     try:
@@ -258,9 +256,10 @@ def test_pairwise_profile_block_dtype_edge(p):
     finally:
         tracemalloc.stop()
     assert_pairwise_matches_oracles(prof, E)
-    # p > |E|: squares read at the differences, no p x p or p x |E| table;
-    # the one chunk's 34 x p bins take most of the 5.1 MiB measured
-    assert peak < 8 * 2**20
+    # p > 2|E|: rows are sorted and only the distances that occur are
+    # counted; with a 34 x p histogram the peak was 10.3 MiB at p = 32771,
+    # and the length-p sums take most of the 0.56 MiB measured there
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("pair_chunk", [1, 150, 400])
@@ -272,6 +271,41 @@ def test_pairwise_profile_chunk_boundaries(monkeypatch, pair_chunk, p, dim, gen)
     F = make_field(p)
     E = generate_point_set(F, dim, gen, seed=2)
     assert_pairwise_matches_oracles(profile_by("pairwise", F, dim, E), E)
+
+
+@st.composite
+def chunked_profile_cases(draw):
+    """(p, dim, ranks, pair_chunk): p on both sides of 2|E|, dim 2..4, at
+    least one point, and chunks from one pair to past |E|**2."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 31, 101]))
+    dim = draw(st.integers(2, 4))
+    n = p**dim
+    ranks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 80),
+                          unique=True))
+    pair_chunk = draw(st.integers(1, len(ranks) ** 2 + 2 * len(ranks)))
+    return p, dim, ranks, pair_chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_profile_cases())
+# bins: rows of 7 over 25 points, the last chunk 4 rows
+@example((7, 2, list(range(0, 49, 2)), 175))
+# sorted rows: rows of 3 over 20 points, the last chunk 2 rows
+@example((101, 3, list(range(5, 101**3, 51515))[:20], 60))
+# one chunk of 300 rows: bin indices up to 300 p = 38100 need int32
+@example((127, 2, list(range(0, 127 * 127, 53))[:300], 300 * 300))
+def test_pairwise_profile_chunks_random(case):
+    # the chunk buffers are made once and reused; a short last chunk must
+    # count only its own rows of each of them, not rows of the chunk before
+    p, dim, ranks, pair_chunk = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    E = PointSet(ranks, p=p, dim=dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "PAIR_CHUNK", pair_chunk)
+        prof = profile_by("pairwise", F, dim, E)
+    assert sums_of(prof) == tuple(oracles.pairwise_profile_arith(p, dim, ranks).tolist())
 
 
 @pytest.mark.parametrize("p,dim,gen,route", [
@@ -371,11 +405,11 @@ def test_forced_full_space_profile_peak_memory(monkeypatch):
 
 
 def test_pairwise_profile_peak_memory(monkeypatch):
-    # dim p x |E| int16 tables and one chunk of 2**18 pairs: 5.5 and 3.2 MiB
-    # measured at F_211^2 and F_43^3, against 68 and 53 MiB for two int64
-    # chunks of 2**22 pairs
+    # one chunk of 2**16 pairs in reused buffers: 1.08, 0.80 and 0.86 MiB
+    # measured at F_211^2, F_43^3 and F_83^2 (the fcount-sparse set),
+    # against 5.5, 3.2 and 3.4 MiB with p x |E| tables of squares
     taken = routes_taken(monkeypatch)
-    for p, dim in ((211, 2), (43, 3)):
+    for p, dim in ((211, 2), (43, 3), (83, 2)):
         F = make_field(p)
         E = generate_point_set(F, dim, "random:1t", seed=1)
         tracemalloc.start()
@@ -385,8 +419,25 @@ def test_pairwise_profile_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert prof.pairs.sum() == len(E) * (len(E) - 1)
-        assert peak < 16 * 2**20, (p, dim, peak)
-    assert taken == ["pairwise"] * 2
+        assert peak < 1.5 * 2**20, (p, dim, peak)
+    assert taken == ["pairwise"] * 3
+
+
+def test_pairwise_profile_working_set_follows_pair_chunk(monkeypatch):
+    # 2000 points of F_991^4 in chunks of 2**12 pairs: 0.15 MiB measured,
+    # against 17 MiB with one p x |E| table of squares per coordinate;
+    # nothing the profile holds grows with p |E|
+    monkeypatch.setattr(bounds, "PAIR_CHUNK", 1 << 12)
+    F = make_field(991)
+    E = generate_point_set(F, 4, "random:2000", seed=1)
+    tracemalloc.start()
+    try:
+        prof = profile_by("pairwise", F, 4, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_pairwise_matches_oracles(prof, E)
+    assert peak < 2**18
 
 
 # --- f and distance set --------------------------------------------------------
