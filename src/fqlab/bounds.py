@@ -13,12 +13,14 @@ spectral upper bounds (per-radius exact, and the uniform ceiling form),
 and assembles a report that classifies the set-size regime and carries
 one verdict per inequality.
 
-The profile has two exact routes, picked by a fixed cost model: for
+The profile has three exact routes, picked by a fixed cost model: for
 sparse sets all |E|**2 distances, a chunk of rows at a time in buffers
-of small integers made once per profile; for dense sets (|E|**2 well
-above p**(dim+1), the paper's regime a) the set's certified degree
-column in every radius' graph.  Both keep per-radius sums only, never
-|E| * p degrees.
+of small integers made once per profile; for sets that nearly fill
+F_p^dim the pairwise profile of the complement, carried over to E by a
+p x p table of sphere intersection counts in integer arithmetic; for
+dense sets between the two (|E|**2 well above p**(dim+1), the paper's
+regime a) the set's certified degree column in every radius' graph.
+All keep per-radius sums only, never |E| * p degrees.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ import numpy as np
 from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
 from .euclid import SPECTRUM_MAX, SpectralSummary, degree_columns, ramanujan_bound
 from .field import PrimeField
-from .geometry import PointSet, size_threshold
+from .geometry import PointSet, intersection_table, size_threshold, sphere_table
 from .spectral import hinge_bound, within_bound
 
-# Profiles need |E|**2 distance evaluations; refuse above this unless forced.
+# Profiles are refused above this cost, in pair-equivalents, of the
+# cheapest route (profile_route) unless forced.
 PROFILE_MAX_PAIRS = 10**8
-# The profile convolves when |E|**2 > PROFILE_FFT_RATIO * p**(dim+1): the
-# pairwise route costs about |E|**2 and the convolution about p**(dim+1)
-# (p transforms of p**dim points), so the routes cross near the paper's
+# The pairwise route costs about |E|**2, the complement route |C|**2 + p**2
+# (C = F_p^dim minus E: its pairwise profile and one p x p product), and
+# the convolution about PROFILE_FFT_RATIO * p**(dim+1) (p transforms of
+# p**dim points), so pairwise and convolution cross near the paper's
 # regime threshold |E| = p**((dim+1)/2).  Measured in CPU time (best of 3,
 # random sets, one core of a 2-vCPU Xeon VM, numpy 2.4) on p = 59, 83,
 # 103, 211 (dim 2), 11, 19, 43 (dim 3) and 7, 11 (dim 4): at a ratio of 7
@@ -86,14 +90,55 @@ class DegreeProfile:
         return frozenset(int(r) for r in np.flatnonzero(self.pairs))
 
 
-def guard_profile(m: int, force: bool = False) -> None:
-    """Refuse the profile of an m-point set when m**2 > PROFILE_MAX_PAIRS
-    unless forced; degree_profile calls it, and fcount calls it before
-    building any spectrum."""
-    if m * m > PROFILE_MAX_PAIRS and not force:
+def _complement_fits(p: int, dim: int, c: int) -> bool:
+    """Whether every int64 sum of the complement route, for a complement
+    of c points, stays below 2**63.
+
+    Every sphere has k_r <= kmax = p**(dim-1) + p**(dim//2) points, so
+    pairs_C[r] <= |C| kmax, and an entry of I is at most p**(dim-1).  The
+    terms _complement_profile adds, (|E| - 2|C|) K_r**2, 2 K_r pairs_C[r],
+    |C| K_r, sum over t of I[r, t] pairs_C[t] and hinges_C[r], are then at
+    most max(|E|, 2|C|) kmax**2, 2|C| kmax**2, |C| kmax, p**(dim-1) |C|**2
+    and |C| kmax**2.  Past 2**63 the route is not taken: all of F_3^13
+    fits, and all of F_3^14, whose hinges do pass 2**63, does not.
+    """
+    kmax = p ** (dim - 1) + p ** (dim // 2)
+    m = p**dim - c
+    return (max(m, 2 * c) + 3 * c) * kmax**2 + c * kmax + p ** (dim - 1) * c * c < 2**63
+
+
+def profile_route(m: int, p: int, dim: int, force: bool = False) -> tuple[str, int]:
+    """The cheapest exact route to the profile of an m-point set of
+    F_p^dim, and its cost in pair-equivalents: "pairwise" at m**2,
+    "complement" at |C|**2 + p**2 for the complement C, and "convolved"
+    at PROFILE_FFT_RATIO * p**(dim+1).  The convolution needs p**dim <=
+    SPECTRUM_MAX unless forced, and the complement sums that fit int64;
+    a tie goes to the route named first."""
+    c = p**dim - m
+    costs = {"pairwise": m * m}
+    if _complement_fits(p, dim, c):
+        costs["complement"] = c * c + p * p
+    if force or p**dim <= SPECTRUM_MAX:
+        costs["convolved"] = PROFILE_FFT_RATIO * p ** (dim + 1)
+    route = min(costs, key=costs.get)
+    return route, costs[route]
+
+
+def guard_profile(m: int, p: int, dim: int, force: bool = False) -> None:
+    """Refuse the profile of an m-point set of F_p^dim when the cost of
+    the route profile_route picks exceeds PROFILE_MAX_PAIRS, unless
+    forced; degree_profile calls it, and fcount calls it before building
+    any spectrum."""
+    route, cost = profile_route(m, p, dim, force)
+    if cost > PROFILE_MAX_PAIRS and not force:
+        what = {
+            "pairwise": "|E|**2",
+            "complement": "|C|**2 + p**2 for the complement C of E",
+            "convolved": f"{PROFILE_FFT_RATIO} p**{dim + 1} for the convolution",
+        }[route]
         raise TooLarge(
-            f"|E|**2 = {m * m} exceeds the profile guardrail {PROFILE_MAX_PAIRS}; "
-            "pass --force to override"
+            f"{what} = {cost} exceeds the profile guardrail "
+            f"{PROFILE_MAX_PAIRS}; pass --force to override"
         )
 
 
@@ -101,18 +146,20 @@ def degree_profile(
     F: PrimeField, dim: int, E: PointSet, force: bool = False
 ) -> DegreeProfile:
     """Sum deg(x, r)**2 and deg(x, r) over x in E for every r, by one of
-    two exact routes, each adding into the sums as it goes.
+    three exact routes, each adding into the sums as it goes.
 
     The pairwise route evaluates all |E|**2 distances in chunks.  The
-    convolution route reads radius r != 0 off the degree column of E in
-    the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over Z_p^dim,
-    gathered at E; euclid.degree_columns makes it, with E as a one-row
-    stack, and raises VerificationFailed rather than return a column that
-    fails its certificate, so a wrong table cannot give a wrong profile.
-    deg(x, 0) is |E| - 1 minus the rest.
-    The cost model PROFILE_FFT_RATIO picks the route; both give the same
-    vectors.  |E|**2 > PROFILE_MAX_PAIRS is refused unless forced,
-    whatever the route, and a set of another field always.
+    complement route takes the pairwise profile of C = F_p^dim minus E
+    and carries it over to E in integer arithmetic (_complement_profile).
+    The convolution route reads radius r != 0 off the degree column of E
+    in the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over
+    Z_p^dim, gathered at E; euclid.degree_columns makes it, with E as a
+    one-row stack, and raises VerificationFailed rather than return a
+    column that fails its certificate, so a wrong table cannot give a
+    wrong profile.  deg(x, 0) is |E| - 1 minus the rest.
+    profile_route picks the cheapest route, and guard_profile refuses it
+    past PROFILE_MAX_PAIRS unless forced; all give the same vectors.  A
+    set of another field is refused always.
     """
     if E.dim != dim:
         raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
@@ -120,17 +167,15 @@ def degree_profile(
     if E.p != p:
         raise BadSpec(f"point set lies in F_{E.p}^{dim}, not F_{p}^{dim}")
     m = len(E)
-    guard_profile(m, force)
+    guard_profile(m, p, dim, force)
+    route, _ = profile_route(m, p, dim, force)
     sums = np.zeros((2, p), dtype=np.int64)  # rows: hinges, pairs
-    if m:
-        # Work above the spectrum guardrail stays pairwise unless forced.
-        convolve = m * m > PROFILE_FFT_RATIO * p ** (dim + 1) and (
-            force or p**dim <= SPECTRUM_MAX
-        )
-        if convolve:
-            _convolved_profile(F, dim, E.ranks, sums, force)
-        else:
-            _pairwise_profile(p, dim, E.ranks, sums)
+    if route == "complement":
+        _complement_profile(F, dim, E.ranks, sums)
+    elif route == "convolved":
+        _convolved_profile(F, dim, E.ranks, sums, force)
+    elif m:
+        _pairwise_profile(p, dim, E.ranks, sums)
     return DegreeProfile(size=m, hinges=sums[0], pairs=sums[1])
 
 
@@ -202,6 +247,44 @@ def _pairwise_profile(p: int, dim: int, ranks: np.ndarray, sums: np.ndarray) -> 
     # Each row counted its own point at distance 0: (d - 1)**2 = d**2 - 2d + 1.
     sums[0, 0] += m - 2 * sums[1, 0]
     sums[1, 0] -= m
+
+
+def _complement_profile(
+    F: PrimeField, dim: int, ranks: np.ndarray, sums: np.ndarray
+) -> None:
+    """Fill the (hinges, pairs) rows of sums from the pairwise profile of
+    the complement C of E in F_p^dim, in O(|C|**2 + p**2) work.
+
+    Every point has K_r other points at distance r in F_p^dim: k_r = |S_r|
+    for r != 0 and k_0 - 1.  A point x of E has K_r minus its neighbors
+    in C there, so summing over E, and then over the pairs of C that
+    share a neighbor x (a pair at distance t has I[r, t] of them, from
+    geometry.intersection_table, and a point of C counts itself at
+    radius 0),
+
+        pairs_E[r]  = (|E| - |C|) K_r + pairs_C[r]
+        hinges_E[r] = |E| K_r**2 - 2 K_r (|C| K_r - pairs_C[r]) + |C| K_r
+                      + sum over t of I[r, t] pairs_C[t] - hinges_C[r]
+                      - 2 [r = 0] pairs_C[0].
+
+    profile_route takes this route only where _complement_fits bounds
+    every int64 sum below 2**63.
+    """
+    p = F.p
+    outside = np.ones(p**dim, dtype=bool)
+    outside[ranks] = False
+    complement = np.flatnonzero(outside)
+    del outside
+    m, c = ranks.size, complement.size
+    if c:
+        _pairwise_profile(p, dim, complement, sums)
+    hinges_c, pairs_c = sums.copy()
+    K = np.array(sphere_table(F, dim).sizes, dtype=np.int64)
+    K[0] -= 1
+    sums[1] = (m - c) * K + pairs_c
+    sums[0] = (m - 2 * c) * K * K + 2 * K * pairs_c + c * K
+    sums[0] += intersection_table(F, dim) @ pairs_c - hinges_c
+    sums[0, 0] -= 2 * pairs_c[0]
 
 
 def _convolved_profile(

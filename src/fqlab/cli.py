@@ -438,8 +438,9 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     """main and remark on one list of point sets, one report per distinct set.
 
     The sets are F_p^dim itself and a ladder of random subsets (a size-n
-    rung is F_p^dim again).  Unless forced, sizes stay within the profile
-    guardrail, and the full space is included only when its profile fits.
+    rung is F_p^dim again).  Unless forced, sizes stay at most
+    isqrt(PROFILE_MAX_PAIRS), where even the pairwise profile fits its
+    guardrail, and the full space is included only within that cap.
     """
     p, n = F.p, F.p**dim
     cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
@@ -529,13 +530,17 @@ def cmd_fcount(args) -> int:
         if args.dim is None:
             raise BadSpec("--gen requires --dim")
         spec = parse_generator(args.gen)
-        # A floor on |E|: refuses no set that would pass, and draws none.
-        bounds.guard_profile(spec.size_floor(F, args.dim), args.force)
+        if len(spec.atoms) == 1:
+            # One atom makes exactly size_floor points, so a set past the
+            # profile guardrail is refused before any draw.  A union's
+            # floor bounds no route's cost: the complement's falls as the
+            # set grows.
+            bounds.guard_profile(spec.size_floor(F, args.dim), F.p, args.dim, args.force)
         E = generate_point_set(F, args.dim, spec, seed=args.seed, force=args.force)
     dim, generator = E.dim, E.origin_label
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
-    bounds.guard_profile(len(E), args.force)  # a union or a file, before any spectrum
+    bounds.guard_profile(len(E), F.p, dim, args.force)  # before any spectrum
     if set(checks) - {"main", "remark"}:  # graph checks span F_p^dim
         guard_spectrum(F.p, dim, args.force)
     spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
@@ -722,7 +727,7 @@ def _run_sweep_group(task) -> list[dict]:
             # a size_floor error is the generator's own, left to it.
             size = _outcome(spec.size_floor, F, dim)
             if isinstance(size, int):
-                refused = _outcome(bounds.guard_profile, size, force)
+                refused = _outcome(bounds.guard_profile, size, p, dim, force)
         for seed in seeds:
             cseed = derive_seed(digest, p, dim, gen, seed)
             rec = _record(

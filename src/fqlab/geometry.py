@@ -6,9 +6,10 @@ coordinate first.  A PointSet is one read-only int64 rank array with p,
 dim and a label; generators build the array directly, callers derive
 coordinates (ranks // p**i % p) only where they need them, and tuples of
 ints appear only at the edges: point text, sphere enumeration, and a
-set's derived points.  Sphere sizes come in closed form from the
-quadratic character, so counting never enumerates the space;
-enumeration is a separate, guardrailed operation.
+set's derived points.  Sphere sizes, and the sizes of the intersections
+of a sphere with its translates, come in closed form from the quadratic
+character, so counting never enumerates the space; enumeration is a
+separate, guardrailed operation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch, InfeasibleSize, TooLarge
+from .errors import (
+    BadSpec,
+    DimensionMismatch,
+    InfeasibleSize,
+    TooLarge,
+    VerificationFailed,
+)
 from .field import PrimeField
 
 Point = tuple[int, ...]
@@ -69,32 +76,99 @@ class SphereTable:
     sizes: tuple[int, ...]
 
 
+def _quadric_counts(F: PrimeField, n: int, delta: int) -> tuple[int, ...]:
+    """N_n(delta; b) for every b: the number of x in F_p^n with Q(x) = b,
+    for a nondegenerate quadratic form Q in n variables of determinant
+    delta, which counts only through its square class.
+
+    With eta the quadratic character of F_p (eta(0) = 0) (Lidl and
+    Niederreiter, Finite Fields, Theorems 6.26 and 6.27),
+
+        p**(n-1) + p**((n-1)/2) * eta((-1)**((n-1)/2) * b * delta)    n odd,
+        p**(n-1) + v(b) * p**(n/2-1) * eta((-1)**(n/2) * delta)       n even,
+
+    with v(0) = p - 1 and v(b) = -1 otherwise; n = 0 leaves only Q() = 0.
+    The counts are exact Python ints, in O(p) work whatever p**n is.
+    """
+    p = F.p
+    if n == 0:
+        return (1,) + (0,) * (p - 1)
+    eta = [c - 1 for c in F.square_counts]  # x*x = t has 1 + eta(t) roots
+    if n % 2:
+        sign, half = (-1) ** ((n - 1) // 2) * delta, p ** ((n - 1) // 2)
+        counts = tuple(p ** (n - 1) + half * eta[sign * b % p] for b in range(p))
+    else:
+        step = p ** (n // 2 - 1) * eta[(-1) ** (n // 2) * delta % p]
+        counts = (p ** (n - 1) + (p - 1) * step,) + (p ** (n - 1) - step,) * (p - 1)
+    assert sum(counts) == p**n
+    return counts
+
+
 @functools.lru_cache(maxsize=256)
 def sphere_table(F: PrimeField, dim: int) -> SphereTable:
-    """Sizes of all p spheres at once, in closed form.
-
-    With eta the quadratic character of F_p (eta(0) = 0), the number of x
-    in F_p^dim with x_1**2 + ... + x_dim**2 = a is (Lidl and Niederreiter,
-    Finite Fields, Theorems 6.26 and 6.27)
-
-        p**(dim-1) + p**((dim-1)/2) * eta((-1)**((dim-1)/2) * a)     dim odd,
-        p**(dim-1) + v(a) * p**(dim/2-1) * eta((-1)**(dim/2))        dim even,
-
-    with v(0) = p - 1 and v(a) = -1 otherwise.  The counts are exact Python
-    ints, in O(p) work whatever p**dim is.
-    """
+    """Sizes of all p spheres at once, in closed form: the number of x in
+    F_p^dim with x_1**2 + ... + x_dim**2 = a is N_dim(1; a) of
+    _quadric_counts, in O(p) work whatever p**dim is."""
     if dim < 1:
         raise BadSpec(f"dimension must be >= 1, got {dim}")
+    return SphereTable(p=F.p, dim=dim, sizes=_quadric_counts(F, dim, 1))
+
+
+def _intersection_counts(F: PrimeField, dim: int) -> np.ndarray:
+    """The p x p int64 table I[r, t] = |S_r & (S_r + v)| for any nonzero v
+    of norm t, S_r the sphere of norm r in F_p^dim, in closed form.
+
+    By Witt's theorem the orthogonal group is transitive on the nonzero
+    vectors of one norm, so the count depends on v only through ||v||.  A
+    point x lies in both spheres exactly when ||x|| = r and 2 x.v = t.
+    For t != 0, x = v/2 + y with y in the (dim-1)-space orthogonal to v,
+    whose form has determinant t up to squares, and ||y|| = r - t/4:
+    I[r, t] = N_{dim-1}(t; r - t/4).  For t = 0, v is isotropic, the
+    space orthogonal to it is the line of v plus a (dim-2)-space of
+    determinant -1, and I[r, 0] = p * N_{dim-2}(-1; r); dim 1 has no such
+    v, and that column is 0.  O(p**2) work in numpy, no float.
+    """
     p = F.p
-    eta = [c - 1 for c in F.square_counts]  # x*x = t has 1 + eta(t) roots
-    if dim % 2:
-        sign, half = (-1) ** ((dim - 1) // 2), p ** ((dim - 1) // 2)
-        sizes = tuple(p ** (dim - 1) + half * eta[sign * a % p] for a in range(p))
-    else:
-        step = p ** (dim // 2 - 1) * eta[(-1) ** (dim // 2) % p]
-        sizes = (p ** (dim - 1) + (p - 1) * step,) + (p ** (dim - 1) - step,) * (p - 1)
-    assert sum(sizes) == p**dim
-    return SphereTable(p=p, dim=dim, sizes=sizes)
+    eta = np.array(F.square_counts) - 1
+    nonsquare = int(np.argmin(eta))
+    # row 0 for determinants that are squares, row 1 for the rest
+    counts = np.array(
+        [_quadric_counts(F, dim - 1, 1), _quadric_counts(F, dim - 1, nonsquare)],
+        dtype=np.int64,
+    )
+    # index[r, t] = (r - t/4 mod p) + p [t is a nonsquare], into counts
+    # flattened; column 0 is overwritten below
+    index = np.add.outer(np.arange(p, dtype=np.int64), p - np.arange(p) * pow(4, -1, p) % p)
+    index %= p
+    index += np.where(eta < 0, p, 0)
+    table = counts.ravel()[index]
+    del index
+    table[:, 0] = p * np.array(_quadric_counts(F, dim - 2, -1)) if dim >= 2 else 0
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def intersection_table(F: PrimeField, dim: int) -> np.ndarray:
+    """_intersection_counts, read-only, once it meets the double count
+
+        sum over t of I[r, t] * #{v != 0 : ||v|| = t} = k_r (k_r - 1)
+
+    at every radius r, k_r the sphere sizes: both sides count ordered
+    pairs of distinct points of S_r.  Raises VerificationFailed where a
+    row breaks it.
+    """
+    table = _intersection_counts(F, dim)
+    k = np.array(sphere_table(F, dim).sizes, dtype=np.int64)
+    others = k.copy()
+    others[0] -= 1  # #{v != 0 : ||v|| = t}
+    breach = np.flatnonzero(table @ others != k * (k - 1))
+    if breach.size:
+        raise VerificationFailed(
+            f"sphere intersection table of F_{F.p}^{dim} fails its double "
+            f"count at radius {int(breach[0])}"
+        )
+    table.flags.writeable = False
+    return table
 
 
 def sphere_size(F: PrimeField, dim: int, a: int) -> int:

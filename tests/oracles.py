@@ -2,8 +2,8 @@
 
 Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
-sums over whole spheres and over every point per norm class, neighbor
-tables, and dense matrix powers.
+sums over whole spheres and over every point per norm class, sphere
+intersections point by point, neighbor tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
 evidence, not tautology; the calls into the package are spectrum, the
 one-radius reading of the package's spectra that the tests use, and
@@ -147,6 +147,19 @@ def sphere_sizes_convolution(p: int, dim: int) -> list[int]:
     for _ in range(dim):
         sizes = sum(np.roll(sizes, x * x % p) for x in range(p))
     return sizes.tolist()
+
+
+def intersection_counts_brute(p: int, dim: int) -> np.ndarray:
+    """counts[v, r] = |S_r & (S_r + v)| for every point v (by rank) and
+    radius r: the points x with ||x|| = r and ||x - v|| = r, counted by
+    enumerating all p**dim points for each v."""
+    pts = points_by_rank(p, dim)
+    norms = (pts * pts).sum(axis=1) % p
+    counts = np.zeros((len(pts), p), dtype=np.int64)
+    for v, shift in enumerate(pts):
+        shifted = ((pts - shift) ** 2).sum(axis=1) % p
+        counts[v] = np.bincount(norms[norms == shifted], minlength=p)
+    return counts
 
 
 def sphere_points_brute(p: int, dim: int, a: int) -> list[tuple]:

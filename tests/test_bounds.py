@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 import warnings
@@ -29,7 +28,7 @@ from fqlab import (
     sphere_transform,
     upper_bound_f,
 )
-from fqlab import bounds, euclid
+from fqlab import bounds, euclid, geometry
 from stacks import columns
 
 THREE_TEXT = "0,0\n0,1\n1,0\n"
@@ -133,27 +132,32 @@ def test_profile_refuses_a_set_of_another_field_or_dimension(f3, f7):
         degree_profile(f3, 3, generate_point_set(f3, 2, "all"))
 
 
-# --- profile routes: pairwise and convolution ---------------------------------
+# --- profile routes: pairwise, complement and convolution ---------------------
+
+ROUTES = ("pairwise", "complement", "convolved")
 
 
 def profile_by(route, F, dim, E):
     """degree_profile with its cost model pinned to one route."""
-    ratio = 0 if route == "convolved" else math.inf
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "PROFILE_FFT_RATIO", ratio)
+        mp.setattr(bounds, "profile_route", lambda m, p, dim, force=False: (route, 0))
         return degree_profile(F, dim, E)
 
 
 # sets up to this size are also checked against the per-point oracle table
 BRUTE_MAX = 200
+# sets whose complement is at most this size are also profiled through it
+COMPLEMENT_MAX = 2000
 
 
 def assert_routes_agree(F, dim, E):
-    pair, conv = (profile_by(route, F, dim, E) for route in ("pairwise", "convolved"))
-    assert conv.hinges.dtype == conv.pairs.dtype == np.int64
-    assert sums_of(conv) == sums_of(pair)
+    routes = [r for r in ROUTES if r != "complement" or E.p**dim - len(E) <= COMPLEMENT_MAX]
+    pair, *others = (profile_by(route, F, dim, E) for route in routes)
+    for prof in others:
+        assert prof.hinges.dtype == prof.pairs.dtype == np.int64
+        assert sums_of(prof) == sums_of(pair)
     assert_pairwise_matches_oracles(pair, E)
-    return conv
+    return others[-1]
 
 
 def assert_pairwise_matches_oracles(prof, E):
@@ -166,14 +170,21 @@ def assert_pairwise_matches_oracles(prof, E):
 
 
 def routes_taken(monkeypatch):
-    """The route of every later degree_profile call, in order."""
-    taken = []
-    for route in ("pairwise", "convolved"):
+    """The route of every later degree_profile call, in order; the
+    pairwise profile that the complement route takes of the complement is
+    part of its call, not a route of its own."""
+    taken, running = [], []
+    for route in ROUTES:
         fn = getattr(bounds, f"_{route}_profile")
 
         def recorder(*args, fn=fn, route=route):
-            taken.append(route)
-            return fn(*args)
+            if not running:
+                taken.append(route)
+            running.append(route)
+            try:
+                return fn(*args)
+            finally:
+                running.pop()
 
         monkeypatch.setattr(bounds, f"_{route}_profile", recorder)
     return taken
@@ -215,6 +226,33 @@ def test_profile_routes_agree_random_spaces(case):
     E = PointSet(ranks, p=p, dim=dim)
     prof = assert_routes_agree(F, dim, E)
     assert prof.hinges.shape == prof.pairs.shape == (p,)
+    assert int(prof.pairs.sum()) == len(ranks) * (len(ranks) - 1)
+
+
+@st.composite
+def complement_cases(draw):
+    """(p, dim, ranks) whose complement in F_p^dim is empty, one point, a
+    few, or half the space; p = 1 (mod 4) and dim >= 3 give null pairs."""
+    p, dim = draw(st.sampled_from([(3, 2), (5, 2), (7, 2), (13, 2), (31, 2), (3, 3),
+                                   (5, 3), (7, 3), (3, 4), (5, 4), (3, 5)]))
+    n = p**dim
+    size = draw(st.sampled_from([0, 1, 2, 3, 5, n // 2]))
+    outside = set(draw(st.randoms(use_true_random=False)).sample(range(n), size))
+    return p, dim, [r for r in range(n) if r not in outside]
+
+
+@settings(max_examples=40, deadline=None)
+@given(complement_cases())
+@example((3, 2, list(range(9))))
+@example((5, 3, list(range(1, 125))))
+@example((13, 2, list(range(0, 169, 2))))
+def test_profile_routes_agree_on_complements(case):
+    p, dim, ranks = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F = make_field(p)
+    E = PointSet(ranks, p=p, dim=dim)
+    prof = assert_routes_agree(F, dim, E)
     assert int(prof.pairs.sum()) == len(ranks) * (len(ranks) - 1)
 
 
@@ -310,8 +348,9 @@ def test_pairwise_profile_chunks_random(case):
 
 @pytest.mark.parametrize("p,dim,gen,route", [
     (83, 2, "random:1t", "pairwise"),  # |E|**2 = p**3, the fcount-sparse set
-    (59, 2, "all", "convolved"),  # |E|**2 = 59 p**3
-    (11, 3, "all", "convolved"),  # |E|**2 = 121 p**4
+    (59, 2, "all", "complement"),  # the fcount-dense set: |C|**2 + p**2 = p**2
+    (11, 3, "all", "complement"),
+    (11, 3, "random:665", "convolved"),  # |E|**2 and |C|**2 both past 20 p**4
 ])
 def test_profile_route_choice(monkeypatch, p, dim, gen, route):
     F = make_field(p)
@@ -321,14 +360,48 @@ def test_profile_route_choice(monkeypatch, p, dim, gen, route):
     assert taken == [route]
 
 
+@pytest.mark.parametrize("m,p,dim,force,chosen", [
+    (0, 3, 2, False, ("pairwise", 0)),
+    (991**2, 991, 2, False, ("complement", 991**2)),
+    (991**2 - 10**4, 991, 2, False, ("complement", 10**8 + 991**2)),
+    (13778, 83, 3, False, ("pairwise", 13778**2)),  # random:2t, refused
+    (40000, 43, 3, False, ("convolved", 20 * 43**4)),
+    (285000, 83, 3, False, ("convolved", 20 * 83**4)),  # refused
+    # past the spectrum guardrail the convolution needs force
+    (5 * 10**5, 101, 3, False, ("pairwise", 25 * 10**10)),
+    (5 * 10**5, 101, 3, True, ("convolved", 20 * 101**4)),
+    (10**4, 991, 4, False, ("pairwise", 10**8)),
+])
+def test_profile_route_costs(m, p, dim, force, chosen):
+    assert bounds.profile_route(m, p, dim, force) == chosen
+
+
+def test_complement_route_needs_int64_sums():
+    # _complement_fits bounds every sum of the complement route below 2**63:
+    # it holds for all of F_3^13 and not for F_3^14, whose hinges at one
+    # radius reach |E| k_r**2 > 1.2e19; that space then convolves, forced,
+    # or stays pairwise.  In F_7^8 the |C|**2 term decides.
+    assert bounds.profile_route(3**13, 3, 13) == ("complement", 9)
+    assert bounds.profile_route(3**14, 3, 14, force=True) == ("convolved", 20 * 3**15)
+    assert bounds.profile_route(3**14, 3, 14) == ("pairwise", 3**28)
+    assert bounds._complement_fits(7, 8, 1838200)
+    assert not bounds._complement_fits(7, 8, 1838201)
+    # all of F_3^12 through the complement route, against its closed form
+    F = make_field(3)
+    prof = degree_profile(F, 12, generate_point_set(F, 12, "all"))
+    K = np.array(sphere_table(F, 12).sizes) - np.eye(1, 3, dtype=np.int64)[0]
+    assert prof.pairs.tolist() == (3**12 * K).tolist()
+    assert prof.hinges.tolist() == (3**12 * K * K).tolist()
+
+
 def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch):
-    # all of F_23^2 is dense enough to convolve (|E|**2 = 23 p**3), but not
-    # over a guardrail of 500 vertices unless forced
+    # half of F_11^3 is dense enough to convolve (|E|**2 and |C|**2 both past
+    # 20 p**4), but not over a guardrail of 500 vertices unless forced
     monkeypatch.setattr(bounds, "SPECTRUM_MAX", 500)
     taken = routes_taken(monkeypatch)
-    F = make_field(23)
-    E = generate_point_set(F, 2, "all")
-    unforced, forced = degree_profile(F, 2, E), degree_profile(F, 2, E, force=True)
+    F = make_field(11)
+    E = generate_point_set(F, 3, "random:665", seed=1)
+    unforced, forced = degree_profile(F, 3, E), degree_profile(F, 3, E, force=True)
     assert taken == ["pairwise", "convolved"]
     assert sums_of(unforced) == sums_of(forced)
 
@@ -336,9 +409,12 @@ def test_profile_above_spectrum_guardrail_stays_pairwise(monkeypatch):
 @pytest.mark.parametrize("scale", [1.5, 2.0])  # entries leave the integers; wrong sum
 def test_convolved_profile_certificate(monkeypatch, scale):
     # a corrupted gathered sphere transform fails the column certificate,
-    # with no fallback to the pairwise route
+    # with no fallback to another route.  |E|**2 = 20.5 p**3, but 29 points
+    # short of F_23^2 the complement is cheaper, so the convolution route,
+    # whose certificate this checks, is pinned.
+    monkeypatch.setattr(bounds, "PROFILE_FFT_RATIO", 0)
     F = make_field(23)
-    E = generate_point_set(F, 2, "random:500", seed=1)  # |E|**2 = 20.5 p**3
+    E = generate_point_set(F, 2, "random:500", seed=1)
     taken = routes_taken(monkeypatch)
     gather = euclid.class_transform
     monkeypatch.setattr(euclid, "class_transform", lambda *args: gather(*args) * scale)
@@ -371,12 +447,13 @@ def test_swapped_class_table_fails_the_profile_certificate(monkeypatch, p, gen, 
 
 
 def test_convolved_profile_peak_memory(monkeypatch):
+    # all of F_59^2 takes the complement route; the convolution is pinned
     F = make_field(59)
     E = generate_point_set(F, 2, "all")
     taken = routes_taken(monkeypatch)
     tracemalloc.start()
     try:
-        prof = degree_profile(F, 2, E)
+        prof = profile_by("convolved", F, 2, E)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,22 +463,25 @@ def test_convolved_profile_peak_memory(monkeypatch):
 
 
 def test_forced_full_space_profile_peak_memory(monkeypatch):
-    # F_103^2 is past the pairwise guardrail; its forced profile convolves
-    # and keeps only the two length-p vectors, not a 10609 x 103 table
+    # all of F_103^2 takes the complement route, at a cost of p**2 and no
+    # force; the convolution, pinned and forced, keeps only the two
+    # length-p vectors too, not a 10609 x 103 table
     F = make_field(103)
     E = generate_point_set(F, 2, "all")
     valencies = [euclid_graph(F, 2, a).valency for a in range(1, 103)]
     taken = routes_taken(monkeypatch)
-    tracemalloc.start()
-    try:
-        prof = degree_profile(F, 2, E, force=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert taken == ["convolved"]
-    assert prof.pairs.tolist() == [0] + [103**2 * k for k in valencies]
-    assert prof.f_value() == 103**2 * sum(k * k for k in valencies)
-    assert peak < 2 * 2**20
+    for profile in (lambda: degree_profile(F, 2, E),
+                    lambda: profile_by("convolved", F, 2, E)):
+        tracemalloc.start()
+        try:
+            prof = profile()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.pairs.tolist() == [0] + [103**2 * k for k in valencies]
+        assert prof.f_value() == 103**2 * sum(k * k for k in valencies)
+        assert peak < 2 * 2**20
+    assert taken == ["complement", "convolved"]
 
 
 def test_pairwise_profile_peak_memory(monkeypatch):
@@ -438,6 +518,74 @@ def test_pairwise_profile_working_set_follows_pair_chunk(monkeypatch):
         tracemalloc.stop()
     assert_pairwise_matches_oracles(prof, E)
     assert peak < 2**18
+
+
+# --- sphere intersection table ---------------------------------------------
+
+
+def field(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return make_field(p)
+
+
+# the grid's (p, dim) pairs have p = 3 (mod 4); p = 1 (mod 4) adds null
+# vectors in dim 2, and dim 1 and 4 the edge cases of N_{dim-1}, N_{dim-2}
+INTERSECTION_CASES = GRID + [(5, 2), (13, 2), (5, 3), (3, 4), (5, 4), (3, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("p,dim", INTERSECTION_CASES)
+def test_intersection_table_matches_brute(p, dim):
+    table = geometry.intersection_table(field(p), dim)
+    assert table.shape == (p, p) and table.dtype == np.int64
+    assert not table.flags.writeable
+    brute = oracles.intersection_counts_brute(p, dim)
+    pts = oracles.points_by_rank(p, dim)
+    norms = (pts * pts).sum(axis=1) % p
+    # Witt: every nonzero v of norm t has the column of t
+    assert (brute[1:] == table[:, norms[1:]].T).all()
+
+
+@pytest.mark.parametrize("p,dim", GRID + [(5, 2), (13, 2)])
+def test_corrupted_intersection_entry_fails_the_double_count(monkeypatch, p, dim):
+    # column t is weighted by the vectors of norm t: at least one for t != 0,
+    # and for t = 0 the null vectors, which F_p^2 has only for p = 1 (mod 4);
+    # without them the column is never read, as no pair is null
+    F = field(p)
+    build = geometry._intersection_counts
+    weights = np.array(sphere_table(F, dim).sizes) - np.eye(1, p, dtype=np.int64)[0]
+    for r, t in [(0, 1), (p - 1, p - 1), (1, p // 2), (2, 0)]:
+        def corrupted(F, dim, r=r, t=t):
+            table = build(F, dim)
+            table[r, t] -= 1
+            return table
+
+        monkeypatch.setattr(geometry, "_intersection_counts", corrupted)
+        if weights[t]:
+            with pytest.raises(VerificationFailed, match=f"double count at radius {r}$"):
+                geometry.intersection_table.__wrapped__(F, dim)
+        else:
+            geometry.intersection_table.__wrapped__(F, dim)
+
+
+def test_corrupted_intersection_table_fails_the_complement_profile(monkeypatch):
+    # a table that breaks its double count stops the profile, with no
+    # fallback to another route
+    F = make_field(23)
+    E = generate_point_set(F, 2, "random:500", seed=1)
+    build = geometry._intersection_counts
+
+    def corrupted(F, dim):
+        table = build(F, dim)
+        table[3, 5] += 1
+        return table
+
+    monkeypatch.setattr(geometry, "_intersection_counts", corrupted)
+    geometry.intersection_table.cache_clear()
+    taken = routes_taken(monkeypatch)
+    with pytest.raises(VerificationFailed, match="F_23\\^2 fails its double count"):
+        degree_profile(F, 2, E)
+    assert taken == ["complement"]
 
 
 # --- f and distance set --------------------------------------------------------

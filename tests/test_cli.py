@@ -13,8 +13,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 import fqlab
 import fqlab.bounds
 import fqlab.cli as cli
@@ -948,8 +950,9 @@ def counted_sphere_transforms(monkeypatch):
 
 
 def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
-    # all of F_23^2 convolves: each radius' transform is gathered from the
-    # norm-class table, and no FFT of a sphere is taken
+    # half of F_11^3 convolves: each radius' transform is gathered from the
+    # norm-class table, and no FFT of a sphere is taken; all of F_23^2
+    # takes the complement route, with neither
     made, gathered = counted_sphere_transforms(monkeypatch), Counter()
     gather = fqlab.euclid.class_transform
 
@@ -958,9 +961,11 @@ def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
         return gather(p, dim, values, trivial)
 
     monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
+    assert main(["fcount", "--q", "11", "--dim", "3", "--gen", "random:665"]) == 0
+    assert made == {} and gathered == {(11, 3): 10}
     assert main(["fcount", "--q", "23", "--dim", "2", "--gen", "all"]) == 0
     assert f"f={529 * 22 * 24 * 24} " in capsys.readouterr().out
-    assert made == {} and gathered == {(23, 2): 22}
+    assert made == {} and gathered == {(11, 3): 10}
 
 
 def test_sweep_makes_one_sphere_transform_per_radius(monkeypatch):
@@ -1001,13 +1006,53 @@ def test_only_spectrum_groups_eigenvalues_into_classes(monkeypatch, tmp_path):
     assert sum(grouped.values()) == 6
 
 
-def test_fcount_profile_guardrail_message(capsys):
-    assert main(["fcount", "--q", "103", "--dim", "2", "--gen", "all"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "error: |E|**2 = 112550881 exceeds the profile guardrail 100000000; "
-        "pass --force to override\n"
-    )
+def test_fcount_profile_guardrail_message(monkeypatch, capsys):
+    # the refusal gives the cost of the cheapest route: the complement's
+    # for all of F_10007^2, the convolution's for half of F_83^3 (the
+    # pairwise text is pinned below), each before the set is drawn
+    def refused(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(random.Random, "sample", refused)
+    monkeypatch.setattr(fqlab.geometry, "_atom_ranks", refused)
+    for space, cost in (
+        (["--q", "10007", "--dim", "2", "--gen", "all"],
+         "|C|**2 + p**2 for the complement C of E = 100140049"),
+        (["--q", "83", "--dim", "3", "--gen", "random:285000"],
+         "20 p**4 for the convolution = 949166420"),
+    ):
+        assert main(["fcount", *space]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cost} exceeds the profile guardrail 100000000; "
+            "pass --force to override\n"
+        )
+
+
+def test_fcount_prices_a_union_or_a_file_by_its_own_size(monkeypatch, tmp_path, capsys):
+    # box:10 + line:0,10;1,0 is all of F_11^2 but 10 points, and a file of
+    # all of F_7^2 but 3 points: both take the complement route.  Under a
+    # guardrail of 300 the union's largest atom, 100 points, would cost
+    # 21**2 + 11**2 = 562 even by its complement, but a union is drawn
+    # first and priced by its own size, 10**2 + 11**2 = 221
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", 300)
+    taken = []
+    route = fqlab.bounds._complement_profile
+
+    def recorded(F, dim, ranks, sums):
+        taken.append(ranks.size)
+        route(F, dim, ranks, sums)
+
+    monkeypatch.setattr(fqlab.bounds, "_complement_profile", recorded)
+    union = "box:10+line:0,10;1,0"
+    drawn = fqlab.generate_point_set(fqlab.make_field(11), 2, union).ranks
+    listed = np.setdiff1d(np.arange(49), [0, 22, 20])
+    out = tmp_path / "near-all.txt"
+    out.write_text("".join(f"{r % 7},{r // 7}\n" for r in listed))
+    for p, source, ranks in ((11, ["--gen", union], drawn), (7, ["--points", str(out)], listed)):
+        assert main(["fcount", "--q", str(p), "--dim", "2", *source]) == 0
+        f = oracles.pairwise_profile_arith(p, 2, ranks)[0, 1:].sum()
+        assert f"\nf={f} " in capsys.readouterr().out
+    assert taken == [111, 46]
 
 
 def test_fcount_refuses_the_profile_before_building_spectra(monkeypatch, capsys):
