@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     EvenModulus,
     FqlabError,
-    ImagResidualTooLarge,
     InfeasibleSize,
     MissingSpectrum,
     NotPrime,
@@ -85,6 +84,6 @@ __all__ = [
     "lower_bound_f", "upper_bound_f",
     # errors
     "FqlabError", "NotPrime", "EvenModulus", "DimensionMismatch", "TooLarge",
-    "InfeasibleSize", "BadSpec", "ImagResidualTooLarge", "VerificationFailed",
+    "InfeasibleSize", "BadSpec", "VerificationFailed",
     "VertexOutOfRange", "MissingSpectrum",
 ]

@@ -104,8 +104,8 @@ VERIFY_FIELDS = (
 
 SPECTRUM_FIELDS = (
     "p", "dim", "a", "n", "valency", "second_eigenvalue", "ramanujan_bound",
-    "bound_ok", "max_imag_residual", "trace_sum_residual",
-    "trace_square_residual", "classes", "tool_version",
+    "bound_ok", "trace_sum_residual", "trace_square_residual", "classes",
+    "tool_version",
 )
 # The spectrum-record fields that a SpectralSummary holds under the same name.
 SUMMARY_FIELDS = tuple(
@@ -384,27 +384,47 @@ def _verify_record(check, p, dim, seed, lhs, rhs, holds, detail, **fields) -> di
     )
 
 
-def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
-    """Every graph-local check on radius a, appended to the (records,
-    summary lines) pair out[check].
+def _subset_draws(p, dim, a, checks, trials, seed):
+    """(members, items, trial numbers) of the subset checks among checks
+    on radius a: members holds each distinct set B once, as a sorted
+    vertex array, and items[i] is (check, row of its B in members, C), C
+    a sorted vertex array for mixing and None otherwise.
 
-    Each subset check draws its (B, C) pairs from its own seeded stream, B
-    then C per trial.  The distinct sets B are sorted once and go through
-    one _graph_rows pass of their own, since no other radius reads them;
-    the spectrum check is one _spectrum_rows pass over the radius.
+    Each check draws its (B, C) pairs from its own seeded stream, B then C
+    per trial, sizes on the _spanning_sizes ladder.  Those never decrease,
+    so once a variance or hinge stream reaches size n, every later B is
+    all of F_p^dim whatever the stream's state, and is taken without a
+    draw.  Mixing still draws its size-n sets: its next C reads the state
+    that draw leaves.
     """
-    p, n = F.p, F.p**dim
-    items, trials, members, index = [], [], [], {}
+    n = p**dim
+    items, trial_numbers, members, index = [], [], [], {}
     for check in (c for c in checks if c in SUBSET_CHECKS):
-        rng = random.Random(derive_seed(args.seed, check, p, dim, a))
-        for trial, size in enumerate(_spanning_sizes(n, args.trials)):
-            B = vertex_array(n, rng.sample(range(n), size))
+        rng = random.Random(derive_seed(seed, check, p, dim, a))
+        for trial, size in enumerate(_spanning_sizes(n, trials)):
+            if size == n and check != "mixing":
+                B = vertex_array(n, range(n))
+            else:
+                B = vertex_array(n, rng.sample(range(n), size))
             C = rng.sample(range(n), rng.randint(1, n)) if check == "mixing" else None
             row = index.setdefault(B.tobytes(), len(members))
             if row == len(members):
                 members.append(B)
             items.append((check, row, None if C is None else vertex_array(n, C)))
-            trials.append(trial)
+            trial_numbers.append(trial)
+    return members, items, trial_numbers
+
+
+def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
+    """Every graph-local check on radius a, appended to the (records,
+    summary lines) pair out[check].
+
+    The distinct sets B of _subset_draws go through one _graph_rows pass
+    of their own, since no other radius reads them; the spectrum check is
+    one _spectrum_rows pass over the radius.
+    """
+    p = F.p
+    members, items, trials = _subset_draws(p, dim, a, checks, args.trials, args.seed)
     if "spectrum" in checks:
         [(_, ok, detail)] = _spectrum_rows(F, dim, spectra, [a], args.force)
         lam, bound = spectra[a].second_eigenvalue, spectra[a].ramanujan_bound
@@ -434,6 +454,18 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
         )
 
 
+def _point_set_draws(p, dim, cap, trials, seed):
+    """The sorted ranks of each rung of verify's point-set ladder, sizes
+    _spanning_sizes(cap, trials), drawn from one seeded stream.  A rung of
+    size n = p**dim is all of F_p^dim whatever the stream's state, and is
+    taken without a draw: the sizes never decrease, so no later draw reads
+    the state it would leave."""
+    n = p**dim
+    rng = random.Random(derive_seed(seed, "main", p, dim))
+    for size in _spanning_sizes(cap, trials):
+        yield range(n) if size == n else sorted(rng.sample(range(n), size))
+
+
 def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     """main and remark on one list of point sets, one report per distinct set.
 
@@ -444,13 +476,11 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     """
     p, n = F.p, F.p**dim
     cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
-    rng = random.Random(derive_seed(args.seed, "main", p, dim))
     sets = []
     if n <= cap:
         sets.append(generate_point_set(F, dim, "all", seed=0, force=args.force))
-    for size in _spanning_sizes(cap, args.trials):
-        ranks = sorted(rng.sample(range(n), size))
-        sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{size}"))
+    for ranks in _point_set_draws(p, dim, cap, args.trials, args.seed):
+        sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}"))
     wanted = [c for c in ("main", "remark") if c in checks]
     reports = {}
     for trial, E in enumerate(sets):

@@ -29,10 +29,6 @@ class BadSpec(FqlabError):
     """A generator expression, config, or input file could not be accepted."""
 
 
-class ImagResidualTooLarge(FqlabError):
-    """A character sum came out measurably non-real, indicating a bug."""
-
-
 class VerificationFailed(FqlabError):
     """An independent recheck of a computed quantity did not agree."""
 

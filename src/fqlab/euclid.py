@@ -13,17 +13,17 @@ sphere is also invariant under the orthogonal group, which is transitive
 on nonzero vectors of equal norm, so lam_m depends only on ||m||: every
 radius has at most p + 1 distinct eigenvalues, with sphere sizes as
 multiplicities.  The module computes one p x p table of them per (p, dim),
-for all radii at once, in closed form: factoring the sphere's Fourier
-transform coordinate by coordinate into Gauss sums leaves one sum over
-F_p^* per entry, and the whole table is one two-dimensional FFT of size
-p x p, whatever dim is (never a dense eigensolver, and no point of
-F_p^dim is visited).
+for all radii at once, in closed form: the sphere's Fourier transform is
+a Salie sum for odd dim, one cosine per entry, and a Kloosterman sum for
+even dim, one matrix of quadratic characters times one vector of
+cosines, in O(p**2) work whatever dim is (never a dense eigensolver or
+an FFT, and no point of F_p^dim is visited).
 
 The sphere indicator's Fourier transform over Z_p^dim takes the value
 lam_m at m, so it has two routes.  class_transform gathers it from one
 radius' row of the table, indexed by the norm of each frequency;
 sphere_transform takes it as one FFT over all p**dim points, with neither
-the orthogonal symmetry nor the Gauss sums.  recheck_spectrum compares
+the orthogonal symmetry nor the character sums.  recheck_spectrum compares
 the two at every frequency, and checks the trace identities, so the table
 never goes unchecked; that recheck is sphere_transform's only use.
 
@@ -47,20 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSpec,
-    ImagResidualTooLarge,
-    TooLarge,
-    VerificationFailed,
-)
+from .errors import BadSpec, TooLarge, VerificationFailed
 from .field import PrimeField
-from .geometry import sphere_size, sphere_table
+from .geometry import _quadric_counts, sphere_size, sphere_table
 
 # Work over all of F_p^dim (sphere and set transforms, degree columns) is
 # refused above this many vertices, and the p x p norm-class table above
-# this many entries (16 MB of complex transform), unless forced.
+# this many entries (8 MB of float), unless forced.
 SPECTRUM_MAX = 10**6
-IMAG_TOL = 1e-8  # character sums must be real to this absolute tolerance
 GROUP_TOL = 1e-6  # eigenvalues closer than this share a multiplicity class
 TRACE_REL_TOL = 1e-6  # trace residual tolerance, relative to n * valency
 EIGVEC_TOL = 1e-8  # eigenvector residual tolerance, relative to valency
@@ -120,42 +114,68 @@ def ramanujan_bound(p: int, dim: int) -> float:
     return 2.0 * float(p) ** ((dim - 1) / 2)
 
 
-def _gauss_sum(p: int) -> complex:
-    """G(1) = sum over x in F_p of exp(2*pi*i*x**2/p), which Gauss showed
-    is sqrt(p) when p == 1 (mod 4) and i*sqrt(p) when p == 3 (mod 4)."""
-    return math.sqrt(p) * (1 if p % 4 == 1 else 1j)
-
-
 @functools.lru_cache(maxsize=16)
-def _norm_class_table(F: PrimeField, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every radius' eigenvalue on every norm class of frequencies.
+def _norm_class_table(F: PrimeField, dim: int) -> np.ndarray:
+    """Every radius' eigenvalue on every norm class of frequencies, in
+    closed form, as a read-only p x p float array.
 
-    Returns (values, imag): values[a, c] is lam_m of G_p(a) for each
-    nonzero m with ||m|| = c (0 for an empty class), imag[a] the largest
-    imaginary part over row a's populated classes.  Writing the sphere
-    indicator as (1/p) sum over t of w**(t(||s|| - a)), w = exp(2*pi*i/p),
-    each coordinate's sum over s_j is the Gauss sum
-    G(t) w**(-m_j**2 (4t)**-1), and G(t) = eta(t) G(1) with eta the
-    quadratic character, so for m != 0 with ||m|| = c
+    values[a, c] is lam_m of G_p(a) for each nonzero m with ||m|| = c, and
+    0 for a class with no nonzero m.  Row 0 is the same transform of the
+    radius-0 sphere, origin included; it is no graph's row.  For c != 0
+    write x = (b/c) m + y with y orthogonal to m: then m.x = b, and the
+    form on the (dim-1)-space orthogonal to m has determinant c, so
 
-        lam(a, c) = (1/p) sum over t != 0 of G(t)**dim w**(-t a - c (4t)**-1),
+        lam(a, c) = sum over b of N_{dim-1}(c; a - b**2/c) cos(2*pi*b/p),
 
-    the Kloosterman (even dim) or Salie (odd dim) form of the sphere's
-    Fourier transform.  The whole table is one fft2 of the p x p array
-    holding eta(t)**dim at (t, (4t)**-1), scaled by G(1)**dim / p: O(p**2
-    log p) work whatever dim is, with no point of F_p^dim visited.
+    N_n(delta; u) the quadric counts of geometry._quadric_counts.  With eta
+    the quadratic character (eta(0) = 0) and r(v) the sum of cos(2*pi*b/p)
+    over the roots of b**2 = v (1 at v = 0, 2 cos(2*pi*beta/p) at
+    v = beta**2 != 0, else 0), that sum collapses to the sphere's Fourier
+    transform as Iosevich and Rudnev (Trans. AMS 359, 2007) evaluate it:
+
+        odd dim (Salie):         p**((dim-1)/2) eta(e c) r(a c),
+                                 e = (-1)**((dim-1)/2);
+        even dim (Kloosterman):  p**((dim-2)/2) g(a c),
+                                 g(u) = sum over b of eta(e (u - b**2)) cos(2*pi*b/p)
+                                      = sum over v of eta(e (u - v)) r(v),
+                                 e = (-1)**((dim-2)/2).
+
+    An isotropic m (c = 0) spans a hyperbolic plane with some m', whose
+    orthogonal (dim-2)-space has determinant -1: the x with m.x = 0 give
+    p N_{dim-2}(-1; a) and every other b gives p**(dim-2), so
+
+        lam(a, 0) = p N_{dim-2}(-1; a) - p**(dim-2),
+
+    an integer, exact.  Every entry is real by construction.  O(p**2)
+    work, one p x p gather of row[a c] scaled by column, and two p x p
+    arrays at the peak, whatever dim is: no FFT, and no point of F_p^dim
+    visited.
     """
     p = F.p
-    t = np.arange(1, p)
-    eta = np.where(np.array(F.square_counts[1:]) > 0, 1.0, -1.0)
-    curve = np.zeros((p, p))
-    curve[t, [pow(4 * int(x), -1, p) for x in t]] = eta**dim
-    table = np.fft.fft2(curve)
-    table *= _gauss_sum(p) ** dim / p
-    held = _class_sizes(F, dim) > 0
-    values = np.where(held, table.real, 0.0)
+    t = np.arange(p)
+    eta = np.array(F.square_counts, dtype=np.float64) - 1.0  # b*b = t has 1 + eta(t) roots
+    roots = np.bincount(t * t % p, weights=np.cos(2.0 * math.pi / p * t), minlength=p)  # r
+    # eta(e x) = eta(e) eta(x), so the sign e is a factor of the scale
+    if dim % 2:
+        row = roots
+        scale = float(p ** ((dim - 1) // 2)) * eta[(-1) ** ((dim - 1) // 2) % p] * eta
+    else:
+        # g(u) / eta(e) = sum over v of eta(u - v) r(v), a cyclic
+        # convolution: the direct linear one, folded mod p
+        full = np.convolve(roots, eta)
+        row = full[:p]
+        row[:-1] += full[p:]
+        scale = float(p ** ((dim - 2) // 2)) * eta[(-1) ** ((dim - 2) // 2) % p]
+    index = np.multiply.outer(t, t)
+    index %= p
+    values = row[index]  # row[a c]
+    del index
+    values *= scale
+    if dim >= 2:
+        values[:, 0] = [p * N - p ** (dim - 2) for N in _quadric_counts(F, dim - 2, -1)]
+    values[:, _class_sizes(F, dim) == 0] = 0.0
     values.setflags(write=False)
-    return values, np.abs(table.imag[:, held]).max(axis=1)
+    return values
 
 
 def _class_sizes(F: PrimeField, dim: int) -> np.ndarray:
@@ -202,7 +222,6 @@ class SpectralSummary:
     trivial_eigenvalue: float
     second_eigenvalue: float
     ramanujan_bound: float
-    max_imag_residual: float
     trace_sum_residual: float
     trace_square_residual: float
     norm_values: np.ndarray
@@ -231,28 +250,24 @@ def spectra(
     sphere is invariant under the orthogonal group, which by Witt's theorem
     is transitive on nonzero vectors of equal norm), so the spectrum of
     G_p(a) is row a of the table with the class sizes as multiplicities.
-    The second eigenvalue (max |lam_m| over nonzero m), both trace
-    residuals and the imaginary residual of every radius are array
+    The table is the closed form of _norm_class_table (Salie sums for odd
+    dim, Kloosterman sums for even dim), real by construction, built once
+    per (p, dim) in O(p**2) with no FFT.  The second eigenvalue (max |lam_m|
+    over nonzero m) and both trace residuals of every radius are array
     operations over the (radii x populated classes) block; the grouping
     into multiplicity classes waits until a summary's classes are read.
-    A measurable imaginary part would mean a wrong table, so it raises
-    ImagResidualTooLarge rather than being rounded away.  The table is
-    refused above p**2 = SPECTRUM_MAX entries unless forced; nothing here
-    grows with p**dim.  radii is a range or a list.
+    The table is refused above p**2 = SPECTRUM_MAX entries unless forced;
+    nothing here grows with p**dim.  radii is a range or a list.
     """
     if not radii:
         return {}
     guard_table(F.p, force)  # before any O(p) work: listing radii, building graphs
     graphs = [euclid_graph(F, dim, a) for a in radii]
-    values, imag = _norm_class_table(F, dim)
+    values = _norm_class_table(F, dim)
     counts = _class_sizes(F, dim)
     counts.setflags(write=False)
     held = counts > 0
-    rows = np.array([G.a for G in graphs])
-    worst = imag[rows]
-    if worst.max() > IMAG_TOL:
-        raise ImagResidualTooLarge(f"worst imaginary residual {worst.max()!r}")
-    block = values[rows]
+    block = values[[G.a for G in graphs]]
     lam, mult = block[:, held], counts[held]
     k, n = np.array([G.valency for G in graphs], dtype=np.float64), F.p**dim
     second = np.abs(lam).max(axis=1)
@@ -260,8 +275,8 @@ def spectra(
     trace_square = np.abs(k * k + (lam * lam) @ mult - n * k)
     ceiling = ramanujan_bound(F.p, dim)
     out = {}
-    for G, imag_a, second_a, sum_a, square_a in zip(
-        graphs, worst.tolist(), second.tolist(), trace_sum.tolist(), trace_square.tolist()
+    for G, second_a, sum_a, square_a in zip(
+        graphs, second.tolist(), trace_sum.tolist(), trace_square.tolist()
     ):
         out[G.a] = SpectralSummary(
             p=F.p,
@@ -272,7 +287,6 @@ def spectra(
             trivial_eigenvalue=float(G.valency),
             second_eigenvalue=second_a,
             ramanujan_bound=ceiling,
-            max_imag_residual=imag_a,
             trace_sum_residual=sum_a,
             trace_square_residual=square_a,
             norm_values=values[G.a],
@@ -413,7 +427,7 @@ def degree_columns(F: PrimeField, dim: int, members, radii, force: bool = False)
         return
     p = F.p
     guard_spectrum(p, dim, force)
-    values, _ = _norm_class_table(F, dim)
+    values = _norm_class_table(F, dim)
     step = max(1, STACK_ELEMENTS // p**dim)
     for start in range(0, len(members), step):
         stack = members[start:start + step]

@@ -6,16 +6,20 @@ sums over whole spheres and over every point per norm class, sphere
 intersections point by point, neighbor tables, and dense matrix powers.
 Nothing imports the package's counting kernels, so an agreement is
 evidence, not tautology; the calls into the package are spectrum, the
-one-radius reading of the package's spectra that the tests use, and
-parse_generator, which hands the generator oracle its atoms.
+one-radius reading of the package's spectra that the tests use,
+parse_generator, which hands the generator oracle its atoms, and
+derive_seed and _spanning_sizes, which fix verify's streams and ladders.
 The routes the package replaced are kept here as their oracles: the
 Fraction routes of the subset bounds, counts and verdict (now integer
 numerators and thresholds), the convolution of the sphere sizes (now a
-closed form), the generators' tuple-per-point route (now rank arrays)
-and the int64 arithmetic of the pairwise profile (now chunks of small
-integers reduced by floor division).  The distance, adjacency,
-neighbor-table, eigenvalue-gather, point-rank and point-text helpers the
-tests need, and the package does not, live here too.
+closed form), the generators' tuple-per-point route (now rank arrays),
+the int64 arithmetic of the pairwise profile (now chunks of small
+integers reduced by floor division), the Gauss-sum fft2 of the
+norm-class table (now Salie and Kloosterman closed forms) and verify's
+draw loops (which now skip the draws that cannot depend on the seed).
+The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank
+and point-text helpers the tests need, and the package does not, live
+here too.
 """
 
 import math
@@ -27,6 +31,7 @@ from itertools import product
 import numpy as np
 
 from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange, parse_generator, spectra
+from fqlab.cli import _spanning_sizes, derive_seed
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
@@ -366,6 +371,83 @@ def norm_class_table_brute(p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return values, np.abs(imag).max(axis=1)
 
 
+def _gauss_sum(p: int) -> complex:
+    """G(1) = sum over x in F_p of exp(2*pi*i*x**2/p), which Gauss showed
+    is sqrt(p) when p == 1 (mod 4) and i*sqrt(p) when p == 3 (mod 4)."""
+    return math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+
+
+def norm_class_table_fft2(p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The norm-class table by the Gauss-sum route the package took before
+    its closed form: (values, imag) as in norm_class_table_brute, imag[a]
+    the worst imaginary part over row a's populated classes.
+
+    Writing the sphere indicator as (1/p) sum over t of
+    w**(t(||s|| - a)), w = exp(2*pi*i/p), each coordinate's sum over s_j
+    is the Gauss sum G(t) w**(-m_j**2 (4t)**-1), and G(t) = eta(t) G(1),
+    so for m != 0 with ||m|| = c
+
+        lam(a, c) = (1/p) sum over t != 0 of G(t)**dim w**(-t a - c (4t)**-1):
+
+    one fft2 of the p x p array holding eta(t)**dim at (t, (4t)**-1),
+    scaled by G(1)**dim / p.
+    """
+    t = np.arange(1, p)
+    eta = np.array([1.0 if pow(int(x), (p - 1) // 2, p) == 1 else -1.0 for x in t])
+    curve = np.zeros((p, p))
+    curve[t, [pow(4 * int(x), -1, p) for x in t]] = eta**dim
+    table = np.fft.fft2(curve)
+    table *= _gauss_sum(p) ** dim / p
+    sizes = np.array(sphere_sizes_convolution(p, dim), dtype=np.int64)
+    sizes[0] -= 1
+    held = sizes > 0
+    values = np.where(held, table.real, 0.0)
+    return values, np.abs(table.imag[:, held]).max(axis=1)
+
+
+def norm_class_table_closed_form(
+    p: int, dim: int, eta_sign: int = 1, frequency: int = 1, isotropic_shift: int = 0
+) -> np.ndarray:
+    """The closed form of the norm-class table as written, by literal loops
+    over Python ints and math.cos: for c != 0, with eta the quadratic
+    character and e = (-1)**h,
+
+        odd dim, h = (dim-1)/2:  p**h eta(e c) (sum of cos(2 pi b/p) over b**2 = a c),
+        even dim, h = (dim-2)/2: p**h (sum over b of eta(e (a c - b**2)) cos(2 pi b/p)),
+
+    and p N_{dim-2}(-1; a) - p**(dim-2) at c = 0, the count taken by
+    iterated convolution; 0 on a class with no nonzero m.  O(p**3) work.
+    The other arguments plant one defect: eta times eta_sign, cos(2 pi
+    frequency b/p), and column 0 off by isotropic_shift.
+    """
+    def eta(x):
+        x %= p
+        return 0 if x == 0 else eta_sign * (1 if pow(x, (p - 1) // 2, p) == 1 else -1)
+
+    cos = [math.cos(2 * math.pi * frequency * b / p) for b in range(p)]
+    h = (dim - 1) // 2 if dim % 2 else (dim - 2) // 2
+    e = (-1) ** h
+    values = np.zeros((p, p))
+    for a in range(p):
+        for c in range(1, p):
+            if dim % 2:
+                root_sum = sum(cos[b] for b in range(p) if b * b % p == a * c % p)
+                values[a, c] = p**h * eta(e * c) * root_sum
+            else:
+                values[a, c] = p**h * sum(eta(e * (a * c - b * b)) * cos[b] for b in range(p))
+    if dim >= 2:
+        # x_1**2 + ... + x_{dim-3}**2 - x_{dim-2}**2, a form of determinant -1
+        counts = np.array([1] + [0] * (p - 1), dtype=object)
+        for j in range(dim - 2):
+            sign = -1 if j == 0 else 1
+            counts = sum(np.roll(counts, sign * x * x % p) for x in range(p))
+        values[:, 0] = [p * int(N) - p ** (dim - 2) + isotropic_shift for N in counts]
+    sizes = np.array(sphere_sizes_convolution(p, dim))
+    sizes[0] -= 1
+    values[:, sizes == 0] = 0.0
+    return values
+
+
 def spectrum(G):
     """The spectrum summary of the one distance graph G."""
     return spectra(G.field, G.dim, [G.a])[G.a]
@@ -493,3 +575,34 @@ def mixing_fraction(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
         e = sum(int(row[v]) for v in members)
         out.append((e, abs(e - Fraction(int(row.sum()) * len(members), n))))
     return out
+
+
+# --- verify's draws, as the command made them before it skipped any -------
+
+
+def subset_draws_replay(p, dim, a, checks, trials, seed):
+    """(members, items, trial numbers) of verify's subset checks on radius
+    a, every set drawn: per check one random.Random(derive_seed(seed,
+    check, p, dim, a)) draws B, then C for mixing, per size of
+    _spanning_sizes(n, trials), and members keeps each distinct sorted B
+    once, in order of first draw."""
+    n = p**dim
+    members, items, trial_numbers, rows = [], [], [], {}
+    for check in [c for c in ("variance", "mixing", "hinge") if c in checks]:
+        rng = random.Random(derive_seed(seed, check, p, dim, a))
+        for trial, size in enumerate(_spanning_sizes(n, trials)):
+            B = sorted(rng.sample(range(n), size))
+            C = sorted(rng.sample(range(n), rng.randint(1, n))) if check == "mixing" else None
+            row = rows.setdefault(tuple(B), len(members))
+            if row == len(members):
+                members.append(B)
+            items.append((check, row, C))
+            trial_numbers.append(trial)
+    return members, items, trial_numbers
+
+
+def point_set_draws_replay(p, dim, cap, trials, seed):
+    """The sorted ranks of each rung of verify's point-set ladder, every
+    rung drawn from one random.Random(derive_seed(seed, "main", p, dim))."""
+    rng = random.Random(derive_seed(seed, "main", p, dim))
+    return [sorted(rng.sample(range(p**dim), size)) for size in _spanning_sizes(cap, trials)]

@@ -426,6 +426,86 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     assert 3 <= rows["hinge_count"] <= 9
 
 
+# every instance exercised by the batteries: 44 (p, dim, a)
+GRID = [(p, 2, a) for p in (3, 7, 11, 19) for a in range(1, p)] + [
+    (p, 3, a) for p in (3, 7) for a in range(1, p)
+]
+
+
+@pytest.mark.parametrize("trials", [1, 3, 5, 60])
+def test_verify_subset_draws_equal_the_drawing_loop(trials):
+    # a variance or hinge set of all n ranks is taken without a draw; the
+    # members and items equal those of the loop that drew every set, and
+    # 60 trials in F_3^2 put several rungs at n = 9
+    assert cli._spanning_sizes(9, 60).count(9) >= 2
+    checks = ("variance", "mixing", "hinge")
+    for p, dim, a in GRID:
+        members, items, numbers = cli._subset_draws(p, dim, a, checks, trials, 5)
+        want_members, want_items, want_numbers = oracles.subset_draws_replay(
+            p, dim, a, checks, trials, 5
+        )
+        assert [m.tolist() for m in members] == want_members
+        assert [(c, row, None if C is None else C.tolist()) for c, row, C in items] == want_items
+        assert numbers == want_numbers
+
+
+@pytest.mark.parametrize("trials", [1, 3, 5, 60])
+def test_verify_point_set_draws_equal_the_drawing_loop(trials):
+    # a rung of all n ranks is taken without a draw, at the cap n and below it
+    for p, dim in sorted({(p, dim) for p, dim, _ in GRID}):
+        n = p**dim
+        for cap in (n, max(1, n // 3)):
+            got = [list(ranks) for ranks in cli._point_set_draws(p, dim, cap, trials, 5)]
+            assert got == oracles.point_set_draws_replay(p, dim, cap, trials, 5)
+
+
+def test_verify_takes_size_n_sets_without_drawing(monkeypatch):
+    # F_3^2 with 60 trials: of the variance and hinge streams' 60 draws
+    # each, the rungs at n = 9 draw nothing; mixing draws all of its own
+    drawn = Counter()
+    sample = random.Random.sample
+
+    def counted(self, population, k):
+        drawn[k == len(population)] += 1
+        return sample(self, population, k)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    cli._subset_draws(3, 2, 1, ("variance", "hinge"), 60, 5)
+    assert drawn[True] == 0 and drawn[False] == 2 * (60 - cli._spanning_sizes(9, 60).count(9))
+    drawn.clear()
+    cli._subset_draws(3, 2, 1, ("mixing",), 60, 5)
+    assert drawn[True] >= cli._spanning_sizes(9, 60).count(9)
+    drawn.clear()
+    list(cli._point_set_draws(3, 2, 9, 60, 5))
+    assert drawn[True] == 0
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--q", "59", "--dim", "2", "--gen", "all"], False),
+    (["--q", "83", "--dim", "2", "--gen", "random:1t"], False),
+    (["--q", "7", "--dim", "2", "--gen", "all", "--checks", "main,spectrum"], True),
+])
+def test_fcount_default_checks_never_load_numpy_fft(argv, loaded):
+    # with its default checks (main, remark) fcount builds its spectra from
+    # the closed-form table and profiles these sets from the complement and
+    # pairwise, so numpy.fft is never imported; the spectrum recheck, which
+    # takes an FFT over F_p^dim, shows the probe can see the import
+    src = str(Path(fqlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from fqlab.cli import main\n"
+        f"assert main({['fcount', *argv]!r}) == 0\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
 # --- sweep ------------------------------------------------------------------------
 
 
@@ -1423,11 +1503,10 @@ def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypa
     build = fqlab.euclid._norm_class_table.__wrapped__
 
     def swapped(F, dim):
-        values, imag = build(F, dim)
-        values = values.copy()
+        values = build(F, dim).copy()
         values[1, [1, 2]] = values[1, [2, 1]]
         values.setflags(write=False)
-        return values, imag
+        return values
 
     monkeypatch.setattr(fqlab.euclid, "_norm_class_table", functools.lru_cache()(swapped))
     space = ["--q", str(p), "--dim", str(dim)]

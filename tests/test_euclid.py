@@ -15,7 +15,6 @@ import oracles
 from oracles import point_rank, rank_point, spectrum
 from fqlab import (
     BadSpec,
-    ImagResidualTooLarge,
     TooLarge,
     VerificationFailed,
     VertexOutOfRange,
@@ -121,7 +120,7 @@ def _match_oracle(G):
     assert [m for _, m in s.classes] == [m for _, m in ref]
     assert np.allclose([v for v, _ in s.classes], [v for v, _ in ref], rtol=0, atol=1e-9)
     assert s.second_eigenvalue == pytest.approx(np.abs(lam_ref[1:]).max(), abs=1e-9)
-    assert s.max_imag_residual <= 1e-8 and imag_ref <= 1e-8
+    assert imag_ref <= 1e-8
     return s
 
 
@@ -175,7 +174,6 @@ def test_ramanujan_bound_value():
 def test_eigenvalue_bound_all_instances(p, dim, a):
     s = spectrum(graph(p, dim, a))
     assert s.second_eigenvalue <= ramanujan_bound(p, dim) + 1e-9
-    assert s.max_imag_residual <= 1e-8
 
 
 @pytest.mark.parametrize("p,dim,a", INSTANCES)
@@ -274,10 +272,9 @@ def test_verify_spectrum_trace_values(f3, f7):
 def _corrupt_class_table(monkeypatch, F, dim, edit):
     import fqlab.euclid as euclid_mod
 
-    values, imag = euclid_mod._norm_class_table(F, dim)
-    values = values.copy()
+    values = euclid_mod._norm_class_table(F, dim).copy()
     edit(values)
-    monkeypatch.setattr(euclid_mod, "_norm_class_table", lambda F, dim: (values, imag))
+    monkeypatch.setattr(euclid_mod, "_norm_class_table", lambda F, dim: values)
 
 
 def test_verify_spectrum_detects_corruption(f3, monkeypatch):
@@ -347,21 +344,31 @@ def test_refused_table_builds_no_graph(monkeypatch):
 # --- the closed-form table against the per-class character sums ---------------
 
 
-def _match_table_oracle(p, dim):
-    """The Gauss-sum table against the O(p**(dim+1)) per-class character
-    sums, on every populated class of every radius."""
-    import fqlab.euclid as euclid_mod
-
+def _field(p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        F = make_field(p)
-    values, imag = euclid_mod._norm_class_table(F, dim)
+        return make_field(p)
+
+
+def _match_table_oracle(p, dim):
+    """The closed-form table against the O(p**(dim+1)) per-class character
+    sums, the Gauss-sum fft2 it replaced and the closed form as written, on
+    every class of every row, row 0 (the radius-0 sphere, origin
+    included) too."""
+    import fqlab.euclid as euclid_mod
+
+    values = euclid_mod._norm_class_table(_field(p), dim)
+    assert values.shape == (p, p) and values.dtype == np.float64
+    assert not values.flags.writeable
     ref, ref_imag = oracles.norm_class_table_brute(p, dim)
+    fft2, fft2_imag = oracles.norm_class_table_fft2(p, dim)
     X = oracles.points_by_rank(p, dim)
     held = np.bincount((X[1:] * X[1:]).sum(axis=1) % p, minlength=p) > 0
-    assert np.abs(values[1:, held] - ref[1:, held]).max() <= 1e-9
+    assert np.abs(values - ref).max() <= 1e-9
+    assert np.abs(values - fft2).max() <= 1e-9
+    assert np.abs(values - oracles.norm_class_table_closed_form(p, dim)).max() <= 1e-9
     assert (values[:, ~held] == 0).all()
-    assert imag[1:].max() <= 1e-9 and ref_imag[1:].max() <= 1e-9
+    assert ref_imag.max() <= 1e-9 and fft2_imag.max() <= 1e-9
 
 
 @pytest.mark.parametrize("p,dim", sorted({(p, dim) for p, dim, _ in INSTANCES}))
@@ -379,31 +386,97 @@ TABLE_SPACES = [
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(TABLE_SPACES))
+@given(st.sampled_from([(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)] + TABLE_SPACES))
 @example((5, 2))
 @example((13, 3))
 @example((29, 3))
 @example((5, 6))
 @example((7, 5))
+@example((13, 1))
+@example((7, 1))
 def test_class_table_matches_oracle_random_spaces(space):
-    # G(1) is real for p = 1 (mod 4) and imaginary for p = 3 (mod 4), where
-    # an odd dim (the Salie form) leaves G(1)**dim imaginary
+    # p = 1 (mod 4), where -1 is a square, and dim 1 to 6, odd dims (Salie)
+    # and even (Kloosterman)
     _match_table_oracle(*space)
 
 
-@pytest.mark.parametrize("dim,caught", [(2, VerificationFailed), (3, ImagResidualTooLarge)])
-def test_wrong_gauss_sum_phase_is_caught(monkeypatch, dim, caught):
-    # G(1) = sqrt(p) for p = 3 (mod 4), where the true sum is i*sqrt(p):
-    # in dim 2 every eigenvalue changes sign, which the recheck against the
-    # sphere transform refuses; in dim 3 the table turns imaginary
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([43, 59, 61, 83, 89, 101, 211, 229]), st.integers(1, 6))
+@example(83, 2)
+@example(89, 3)
+def test_class_table_matches_fft2_oracle_at_larger_p(p, dim):
+    # the fft2 route costs O(p**2 log p), so it reaches the primes of the
+    # benchmark; column 0 of the fft2 table carries its rounding, while the
+    # closed form's is an exact integer
     import fqlab.euclid as euclid_mod
 
-    F = make_field(7)
-    G = euclid_graph(F, dim, 1)
-    monkeypatch.setattr(euclid_mod, "_gauss_sum", lambda p: math.sqrt(p))
-    monkeypatch.setattr(euclid_mod, "_norm_class_table", euclid_mod._norm_class_table.__wrapped__)
-    with pytest.raises(caught):
-        recheck_spectrum(G, spectrum(G), sphere_transform(G))
+    values = euclid_mod._norm_class_table(_field(p), dim)
+    fft2, fft2_imag = oracles.norm_class_table_fft2(p, dim)
+    scale = float(p) ** ((dim - 1) / 2)
+    assert np.abs(values - fft2).max() <= 1e-12 * scale * p
+    assert fft2_imag.max() <= 1e-12 * scale * p
+    if dim >= 2:
+        assert (values[:, 0] == np.rint(values[:, 0])).all()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_class_table_peak_memory(dim):
+    # F_991^dim: the table is 8 p**2 bytes, and its build holds one int64
+    # index of the same size beside it, against 45 MiB for the complex fft2
+    # route it replaced
+    import fqlab.euclid as euclid_mod
+
+    F = make_field(991)
+    F.square_counts  # the field's own table is not the build's
+    tracemalloc.start()
+    try:
+        values = euclid_mod._norm_class_table.__wrapped__(F, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (991, 991)
+    assert peak < 2.5 * 8 * 991**2
+
+
+@pytest.mark.parametrize("p,dim", [(7, 3), (13, 2), (11, 4), (5, 5)])
+@pytest.mark.parametrize("defect", ["eta_sign", "frequency", "isotropic_shift"])
+def test_closed_form_defects_are_caught(monkeypatch, p, dim, defect):
+    # one defect planted in the closed form: eta negated, cos(4 pi b/p) in
+    # place of cos(2 pi b/p), or the isotropic column off by p.  Every
+    # radius' recheck against its sphere transform refuses the table.
+    import fqlab.bounds as bounds
+    import fqlab.euclid as euclid_mod
+    from fqlab import degree_profile, generate_point_set
+
+    F = _field(p)
+    planted = {"eta_sign": -1, "frequency": 2, "isotropic_shift": p}[defect]
+    bad = oracles.norm_class_table_closed_form(p, dim, **{defect: planted})
+    bad.setflags(write=False)
+    assert np.abs(bad[1:] - euclid_mod._norm_class_table(F, dim)[1:]).max() >= 1.0
+    monkeypatch.setattr(bounds, "profile_route", lambda m, p, dim, force=False: ("convolved", 0))
+    E = generate_point_set(F, dim, "random:1t", seed=1)
+    good = degree_profile(F, dim, E)
+    monkeypatch.setattr(euclid_mod, "_norm_class_table", lambda F, dim: bad)
+    for a in range(1, p):
+        G = euclid_graph(F, dim, a)
+        with pytest.raises(VerificationFailed):
+            recheck_spectrum(G, spectrum(G), sphere_transform(G))
+    if defect != "frequency":
+        # a convolved profile gathers its transforms from the table, and
+        # its degree columns leave the integers
+        with pytest.raises(VerificationFailed, match="fails its certificate"):
+            degree_profile(F, dim, E)
+        return
+    # Doubling the frequency is the dilation b -> 2b, which puts row 4a in
+    # place of row a: an exact sphere transform of a sphere of the same
+    # size, since 4 is a square.  The columns stay certified counts, of
+    # radius 4a, so no certificate can see this defect; the recheck above
+    # is what refuses it.
+    bad_profile = degree_profile(F, dim, E)
+    moved = 4 * np.arange(1, p) % p
+    assert (bad_profile.hinges[1:] == good.hinges[moved]).all()
+    assert (bad_profile.pairs[1:] == good.pairs[moved]).all()
+    assert (bad_profile.hinges != good.hinges).any()
 
 
 # --- the sphere transform gathered from the table -----------------------------
@@ -415,7 +488,7 @@ def _gathered_transform_error(F, dim, a):
     import fqlab.euclid as euclid_mod
 
     G = euclid_graph(F, dim, a)
-    values, _ = euclid_mod._norm_class_table(F, dim)
+    values = euclid_mod._norm_class_table(F, dim)
     T, want = class_transform(F.p, dim, values[a], G.valency), sphere_transform(G)
     assert T.shape == want.shape
     return float(np.abs(T - want).max()) / G.valency

@@ -27,9 +27,9 @@ RECORD_DIGESTS = [
     (["sweep", "--default", "--jobs", "1", "--format", "csv"],
      "f0c4ca9a02bf56413ef52ce0b7efd5b6243aea380a83125566080172a341ef7f"),
     (VERIFY_ARGV,
-     "efb650b6cd9c5531b0c2149cd1efb5c8ba7916877b5f94e567ace4e34e8d45a2"),
+     "cec5210b76f1f114fbf93098a3fd0daa4a36a55a62ffee5682a39656cc24def6"),
     (["spectrum", "--q", "7", "--dim", "2"],
-     "34d37f446340283b68dcd9e5dc9fc7ee8f47a4e7aafd08bfca9d6057f6700ac1"),
+     "12ee16aecdbc0b69c11d008bd8d55042de2f28d89126ee0999b5c5ce5ebb57a5"),
     (["fcount", "--q", "7", "--dim", "3", "--gen", "random:1t", "--seed", "2"],
      "b58d8b571f8533ca580fd52445c0af4395b51c6615730f48b00fb0b387e67a7d"),
 ]
