@@ -321,10 +321,11 @@ def upper_bound_f(
     """Spectral ceilings on f(E): (per-radius exact, uniform asymptotic form).
 
     The first sums the hinge bound over radii with each radius' exact
-    valency and exact second eigenvalue.  The second replaces them with
-    the max valency and the 2*p**((dim-1)/2) ceiling, which is the shape
-    the asymptotic statement uses; it dominates the first whenever the
-    ceiling really does bound every second eigenvalue.
+    valency and exact second eigenvalue, each distinct term computed once.
+    The second replaces them with the max valency and the
+    2*p**((dim-1)/2) ceiling, which is the shape the asymptotic statement
+    uses; it dominates the first whenever the ceiling really does bound
+    every second eigenvalue.
     """
     if not spectra:
         raise MissingSpectrum("no spectra supplied")
@@ -340,10 +341,16 @@ def upper_bound_f(
     if m == 0:
         return 0.0, 0.0
     qd = p**dim
-    exact = 0.0
+    # A term depends on the radius only through (valency, second
+    # eigenvalue), which the dilations x -> t x share across a square
+    # class of radii: one term per distinct pair, added in radius order.
+    terms, exact = {}, 0.0
     for a in range(1, p):
         s = spectra[a]
-        exact += hinge_bound(qd, s.valency, s.second_eigenvalue, m)
+        key = s.valency, s.second_eigenvalue
+        if key not in terms:
+            terms[key] = hinge_bound(qd, *key, m)
+        exact += terms[key]
     kmax = max(spectra[a].valency for a in range(1, p))
     ceiling = ramanujan_bound(p, dim)
     asym = (p - 1) * m * (kmax * m / qd + ceiling) ** 2

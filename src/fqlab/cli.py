@@ -49,7 +49,7 @@ from .geometry import (
     sphere_table,
 )
 from .spectral import (
-    bound_threshold,
+    bound_limit,
     degree_sum_bound,
     degree_sum_check,
     hinge_bound,
@@ -65,7 +65,10 @@ from .spectral import (
 TOOL_VERSION = __version__
 
 CHECK_NAMES = ("spectrum", "variance", "mixing", "hinge", "main", "remark")
-SUBSET_CHECKS = frozenset({"variance", "mixing", "hinge"})
+# The sweep-record columns that each subset check's verdicts fill: its
+# own, and for hinge also the degree-sum step that its bound squares.
+CHECK_COLUMNS = {"variance": ("variance",), "mixing": ("mixing",), "hinge": ("hinge", "eq2")}
+SUBSET_CHECKS = frozenset(CHECK_COLUMNS)
 
 DEFAULT_SWEEP_CONFIG = {
     "grid": [
@@ -95,6 +98,9 @@ COLUMN_CHECKS = {
     "lower_ok": "main", "upper_ok": "main", "asym_ok": "main",
     "delta_ok": "remark", "eq2_ok": "hinge",
 }
+
+# The detail text of a verify record, per subset column.
+VERIFY_DETAILS = {"variance": "|B|={b}", "mixing": "e={e}", "hinge": "hinges", "eq2": "degree-sum"}
 
 VERIFY_FIELDS = (
     "status", "check", "p", "dim", "a", "lam_kind", "trial",
@@ -256,90 +262,114 @@ def _spectrum_rows(F, dim, spectra, radii, force):
         yield a, ok, detail
 
 
+# Each column's bound as a function of (n, k, lambda, set sizes), in the
+# order _graph_rows yields the columns; each calls its bound through this
+# module's name, so that a test can stub it.
+COLUMN_BOUNDS = {
+    "variance": lambda n, k, lam, b: variance_bound(n, lam, b),
+    "mixing": lambda n, k, lam, b, c: mixing_bound(lam, b, c),
+    "hinge": lambda n, k, lam, b: hinge_bound(n, k, lam, b),
+    "eq2": lambda n, k, lam, b: degree_sum_bound(n, k, lam, b),
+}
+
+
 def _graph_rows(F, dim, spectra, radii, members, items, force):
-    """Yield (a, i, column, lam_kind, lhs, rhs, holds, detail) for the i-th
-    (check, row, C) item on each radius a of F_p^dim, under the exact
-    second eigenvalue of spectra[a] and under its ceiling.  column names
-    the sweep-record column the verdict fills: the check's own, except
-    that hinge also yields the degree-sum step that its bound squares, in
-    column eq2.
+    """Yield one block of verdicts per (stack, radius a, lambda, column):
+    (a, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges).
+
+    ids are the indices into items of the block's (check, row, C) items,
+    and counts[j], rhs[j] and holds[j] are item ids[j]'s count numerator
+    over lhs_den (1 for hinge and degree-sum counts, n for the variance
+    and mixing deviations), its bound, and whether count / lhs_den <= rhs
+    + BOUND_TOL.  In the mixing column edges[j] is the item's e, the
+    adjacent pairs from B into C; elsewhere edges is None.  Each radius is
+    judged under the exact second eigenvalue of spectra[a] (lam_kind
+    "exact"), then under its ceiling ("ceiling"), and under each in the
+    column order of COLUMN_BOUNDS, so an item's verdicts come lambda
+    first, then column.
 
     This is the one subset pass behind verify, sweep and fcount.  The item
     checks the set whose sorted vertex array is members[row]; mixing pairs
     it with C, a sorted vertex array, or with itself when C is None.  Each
     (stack, radius) of one euclid.degree_columns pass makes every count
-    once per set (once per item for mixing), judged under both lambdas,
-    and drops its columns before its first row.  Each bound is computed
-    once per (radius, lambda, column, |B|, |C|) and kept in memo across
-    stacks, so sets of one size share it: (rhs, bound_threshold(rhs)),
-    and a count lhs_num over lhs_den holds when lhs_num * den <= num *
-    lhs_den; lhs is yielded as lhs_num / lhs_den, correctly rounded.
+    once per set (once per item for mixing), and drops its columns before
+    its first block.  A bound depends on nothing but (column, n, k,
+    lambda, set sizes), and the dilation x -> t x maps G_p(a) onto
+    G_p(t**2 a), so radii share them: one memo keyed by those values keeps
+    each bound rhs with its integer limit, bound_limit(rhs, lhs_den), made
+    once across stacks and radii, and a count holds when it is at most
+    the limit.
     """
     memo, last = {}, None
     for start, G, deg in degree_columns(F, dim, members, radii, force):
         if start != last:  # a new stack: its sets and the items that check them
             last, stack = start, members[start:start + len(deg)]
-            ids = [i for i, (_, row, _) in enumerate(items) if 0 <= row - start < len(stack)]
-            moved = [(check, row - start, C) for check, row, C in (items[i] for i in ids)]
-            wanted = {check for check, _, _ in moved}
-            mix = [j for j, (check, _, _) in enumerate(moved) if check == "mixing"]
+            # per column, (item id, the count it reads, set sizes): the
+            # count is a stack row's, or for mixing the item's own
+            layout = {column: [] for column in COLUMN_BOUNDS}
+            mix_rows, Cs = [], []
+            for i, (check, row, C) in enumerate(items):
+                row -= start
+                if not 0 <= row < len(stack):
+                    continue
+                read, sizes = row, (stack[row].size,)
+                if check == "mixing":
+                    read = len(Cs)
+                    mix_rows.append(row)
+                    Cs.append(stack[row] if C is None else C)
+                    sizes += (Cs[-1].size,)
+                for column in CHECK_COLUMNS[check]:
+                    layout[column].append((i, read, sizes))
+            layout = {column: tuple(zip(*got)) for column, got in layout.items() if got}
         n, k, s = G.n, G.valency, spectra[G.a]
-        variance = variance_check(deg) if "variance" in wanted else None
-        hinges = hinge_count(deg, stack) if "hinge" in wanted else None
-        sums = degree_sum_check(deg, stack) if "hinge" in wanted else None
-        mixed = {}
-        if mix:
-            rows = [moved[j][1] for j in mix]
-            Cs = [stack[row] if C is None else C for _, row, C in (moved[j] for j in mix)]
-            mixed = dict(zip(mix, mixing_check(deg[rows], Cs)))
+        counts, edges = {}, None
+        if "variance" in layout:
+            counts["variance"] = variance_check(deg)
+        if "hinge" in layout:
+            counts["hinge"] = hinge_count(deg, stack)
+            counts["eq2"] = degree_sum_check(deg, stack)
+        if Cs:
+            edges, counts["mixing"] = zip(*mixing_check(deg[mix_rows], Cs))
         del deg
-        lams = (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound))
-        for j, (check, row, C) in enumerate(moved):
-            b = stack[row].size
-            # (column, count numerator, its denominator, detail, set sizes,
-            # the bound as a function of lambda)
-            if check == "variance":
-                sides = [(check, variance[row], n, f"|B|={b}", (b,),
-                          lambda lam: variance_bound(n, lam, b))]
-            elif check == "mixing":
-                (e, deviation), c = mixed[j], b if C is None else C.size
-                sides = [(check, deviation, n, f"e={e}", (b, c),
-                          lambda lam: mixing_bound(lam, b, c))]
-            else:
-                sides = [
-                    (check, hinges[row], 1, "hinges", (b,),
-                     lambda lam: hinge_bound(n, k, lam, b)),
-                    ("eq2", sums[row], 1, "degree-sum", (b,),
-                     lambda lam: degree_sum_bound(n, k, lam, b)),
-                ]
-            for lam_kind, lam in lams:
-                for column, lhs_num, lhs_den, detail, sizes, bound in sides:
-                    key = (G.a, lam_kind, column, *sizes)
-                    if key not in memo:
-                        rhs = bound(lam)
-                        memo[key] = rhs, bound_threshold(rhs)
-                    rhs, (num, den) = memo[key]
-                    holds = lhs_num * den <= num * lhs_den
-                    yield G.a, ids[j], column, lam_kind, lhs_num / lhs_den, rhs, holds, detail
+        for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
+            for column, (ids, reads, sizes) in layout.items():
+                lhs_den = n if column in ("variance", "mixing") else 1
+                known = memo.setdefault((column, n, k, lam), {})
+                rhs, limits = [], []
+                for size in sizes:
+                    if size not in known:
+                        value = COLUMN_BOUNDS[column](n, k, lam, *size)
+                        known[size] = value, bound_limit(value, lhs_den)
+                    value, limit = known[size]
+                    rhs.append(value)
+                    limits.append(limit)
+                lhs_num = [counts[column][r] for r in reads]
+                holds = [c <= limit for c, limit in zip(lhs_num, limits)]
+                yield (G.a, column, lam_kind, ids, lhs_num, lhs_den, rhs, holds,
+                       [edges[r] for r in reads] if column == "mixing" else None)
 
 
 def _graph_oks(F, dim, spectra, sets, checks, force) -> list[dict]:
     """The {column}_ok record flags of the graph checks among checks, one
     dict per rank array in sets, from one _graph_rows pass over every
     radius, then one _spectrum_rows pass: each set is sorted once (only
-    when a subset check needs it), its subset verdicts judge it alone, and
-    the spectrum verdicts of all radii judge every set.  With no set, no
-    pass is made."""
+    when a subset check needs it), and its subset columns start True; a
+    block whose holds are not all true clears the column of each set it
+    fails, and the blocks that hold are not walked.  The spectrum verdicts
+    of all radii judge every set.  With no set, no pass is made."""
     subset = [c for c in checks if c in SUBSET_CHECKS]
     members = [vertex_array(F.p**dim, ranks) for ranks in sets] if subset else []
     items = [(c, row, None) for row in range(len(members)) for c in subset]
-    oks = [{} for _ in sets]
+    flags = [f"{column}_ok" for check in subset for column in CHECK_COLUMNS[check]]
+    oks = [dict.fromkeys(flags, True) for _ in sets]
     radii = range(1, F.p)
-    for _, i, column, _, _, _, holds, _ in _graph_rows(
+    for _, column, _, ids, _, _, _, holds, _ in _graph_rows(
         F, dim, spectra, radii, members, items, force
     ):
-        got = oks[items[i][1]]
-        got[f"{column}_ok"] = got.get(f"{column}_ok", True) and holds
+        if not all(holds):
+            for i, ok in zip(ids, holds):
+                if not ok:
+                    oks[items[i][1]][f"{column}_ok"] = False
     if "spectrum" in checks and sets:
         ok = all(holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii, force))
         for got in oks:
@@ -436,15 +466,21 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
             f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
         )
     rows = [[] for _ in items]
-    for _, i, _, *verdict in _graph_rows(F, dim, spectra, [a], members, items, args.force):
-        rows[i].append(verdict)
+    for _, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges in _graph_rows(
+        F, dim, spectra, [a], members, items, args.force
+    ):
+        for j, i in enumerate(ids):
+            e = None if edges is None else edges[j]
+            rows[i].append((column, lam_kind, counts[j] / lhs_den, rhs[j], holds[j], e))
     oks = {check: True for check, _, _ in items}
     for (check, row, C), trial, results in zip(items, trials, rows):
-        for lam_kind, lhs, rhs, holds, detail in results:
+        b = members[row].size
+        for column, lam_kind, lhs, rhs, holds, e in results:
             oks[check] &= holds
+            detail = VERIFY_DETAILS[column].format(b=b, e=e)
             out[check][0].append(_verify_record(
                 check, p, dim, args.seed, lhs, rhs, holds, detail,
-                a=a, lam_kind=lam_kind, trial=trial, set_size=members[row].size,
+                a=a, lam_kind=lam_kind, trial=trial, set_size=b,
                 c_size=None if C is None else C.size,
             ))
     for check, ok in oks.items():

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BadSpec, TooLarge, VerificationFailed
 from .field import PrimeField
-from .geometry import _quadric_counts, sphere_size, sphere_table
+from .geometry import _quadric_counts, _space_size, sphere_size, sphere_table
 
 # Work over all of F_p^dim (sphere and set transforms, degree columns) is
 # refused above this many vertices, and the p x p norm-class table above
@@ -256,20 +256,24 @@ def spectra(
     over nonzero m) and both trace residuals of every radius are array
     operations over the (radii x populated classes) block; the grouping
     into multiplicity classes waits until a summary's classes are read.
-    The table is refused above p**2 = SPECTRUM_MAX entries unless forced;
-    nothing here grows with p**dim.  radii is a range or a list.
+    The table is refused above p**2 = SPECTRUM_MAX entries unless forced,
+    and a space past int64 ranks (geometry._space_size) always; nothing
+    here grows with p**dim.  radii is a range or a list.
     """
     if not radii:
         return {}
     guard_table(F.p, force)  # before any O(p) work: listing radii, building graphs
     graphs = [euclid_graph(F, dim, a) for a in radii]
+    # before any table work: past int64 ranks the table's scale and the
+    # class sizes leave the float and int64 ranges
+    n = _space_size(F.p, dim)
     values = _norm_class_table(F, dim)
     counts = _class_sizes(F, dim)
     counts.setflags(write=False)
     held = counts > 0
     block = values[[G.a for G in graphs]]
     lam, mult = block[:, held], counts[held]
-    k, n = np.array([G.valency for G in graphs], dtype=np.float64), F.p**dim
+    k = np.array([G.valency for G in graphs], dtype=np.float64)
     second = np.abs(lam).max(axis=1)
     trace_sum = np.abs(k + lam @ mult)
     trace_square = np.abs(k * k + (lam * lam) @ mult - n * k)

@@ -51,7 +51,7 @@ def _space_size(p: int, dim: int) -> int:
         raise BadSpec(f"dimension must be >= 1, got {dim}")
     n = p**dim
     if n - 1 > np.iinfo(np.int64).max:
-        raise BadSpec(f"F_{p}^{dim} has {n} points, more than int64 ranks can name")
+        raise BadSpec(f"F_{p}^{dim} has {p}**{dim} points, more than int64 ranks can name")
     return n
 
 

@@ -18,9 +18,10 @@ over 1, the variance and mixing deviations over n.  The lambda-bearing
 bounds may live in floating point; hinge_bound and degree_sum_bound are
 assembled from lambda's integer ratio, exactly, in Python ints.
 bound_threshold turns a bound plus the absolute tolerance BOUND_TOL into
-an exact integer ratio num/den, once per bound, and a verdict is then one
-integer comparison, lhs_num * den <= num * lhs_den; within_bound makes
-that comparison for one (lhs, rhs) pair.
+an exact integer ratio num/den, and bound_limit turns that, once per bound
+and count denominator, into the largest count numerator the bound admits,
+so a verdict is one comparison of Python ints, lhs_num <= limit;
+within_bound makes it for one (lhs, rhs) pair.
 """
 
 from __future__ import annotations
@@ -56,19 +57,33 @@ def bound_threshold(rhs) -> tuple[int, int]:
     return (1 if limit > 0 else -1), 0
 
 
+def bound_limit(rhs, lhs_den: int):
+    """The largest count numerator over lhs_den > 0 that the bound rhs
+    admits: an integer lhs_num has lhs_num / lhs_den <= rhs + BOUND_TOL
+    exactly when lhs_num <= bound_limit(rhs, lhs_den).
+
+    With (num, den) = bound_threshold(rhs) and den > 0, lhs_num * den <=
+    num * lhs_den holds for an integer lhs_num exactly when lhs_num <=
+    (num * lhs_den) // den.  The non-finite thresholds (den = 0) give
+    +inf, which every count passes, and -inf, which none does."""
+    num, den = bound_threshold(rhs)
+    if den:
+        return num * lhs_den // den
+    return math.inf if num > 0 else -math.inf
+
+
 def within_bound(lhs, rhs) -> bool:
-    """lhs <= rhs + BOUND_TOL, exactly: the integer ratio of lhs (an int,
-    Fraction or float) cross-multiplied with bound_threshold(rhs), the
-    comparison every verdict makes.  A non-finite float lhs is compared
-    as a float."""
+    """lhs <= rhs + BOUND_TOL, exactly: the numerator of lhs (an int,
+    Fraction or float) against bound_limit of rhs over its denominator,
+    the comparison every verdict makes.  A non-finite float lhs is
+    compared as a float."""
     if isinstance(lhs, float) and not math.isfinite(lhs):
         return bool(lhs <= rhs + (BOUND_TOL_EXACT if isinstance(rhs, Fraction) else BOUND_TOL))
-    num, den = bound_threshold(rhs)
     if isinstance(lhs, float):
         lhs_num, lhs_den = lhs.as_integer_ratio()
     else:
         lhs_num, lhs_den = int(lhs.numerator), int(lhs.denominator)
-    return lhs_num * den <= num * lhs_den
+    return lhs_num <= bound_limit(rhs, lhs_den)
 
 
 def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:

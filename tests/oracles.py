@@ -4,19 +4,23 @@ Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres and over every point per norm class, sphere
 intersections point by point, neighbor tables, and dense matrix powers.
-Nothing imports the package's counting kernels, so an agreement is
-evidence, not tautology; the calls into the package are spectrum, the
-one-radius reading of the package's spectra that the tests use,
-parse_generator, which hands the generator oracle its atoms, and
-derive_seed and _spanning_sizes, which fix verify's streams and ladders.
+Nothing but the per-verdict subset pass calls the package's counting
+kernels, so an agreement is evidence, not tautology; the other calls into
+the package are spectrum, the one-radius reading of the package's spectra
+that the tests use, parse_generator, which hands the generator oracle its
+atoms, and derive_seed and _spanning_sizes, which fix verify's streams
+and ladders.
 The routes the package replaced are kept here as their oracles: the
 Fraction routes of the subset bounds, counts and verdict (now integer
 numerators and thresholds), the convolution of the sphere sizes (now a
 closed form), the generators' tuple-per-point route (now rank arrays),
 the int64 arithmetic of the pairwise profile (now chunks of small
 integers reduced by floor division), the Gauss-sum fft2 of the
-norm-class table (now Salie and Kloosterman closed forms) and verify's
-draw loops (which now skip the draws that cannot depend on the seed).
+norm-class table (now Salie and Kloosterman closed forms), verify's
+draw loops (which now skip the draws that cannot depend on the seed) and
+the subset pass's per-verdict judging (now blocks of counts against
+integer limits shared across radii), which reads the package's degree
+columns, counts and bounds and so checks the judging alone.
 The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank
 and point-text helpers the tests need, and the package does not, live
 here too.
@@ -32,6 +36,18 @@ import numpy as np
 
 from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange, parse_generator, spectra
 from fqlab.cli import _spanning_sizes, derive_seed
+from fqlab.euclid import degree_columns
+from fqlab.spectral import (
+    bound_threshold,
+    degree_sum_bound,
+    degree_sum_check,
+    hinge_bound,
+    hinge_count,
+    mixing_bound,
+    mixing_check,
+    variance_bound,
+    variance_check,
+)
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
@@ -575,6 +591,49 @@ def mixing_fraction(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
         e = sum(int(row[v]) for v in members)
         out.append((e, abs(e - Fraction(int(row.sum()) * len(members), n))))
     return out
+
+
+# --- the subset pass, one verdict at a time -----------------------------
+
+
+def graph_rows_per_verdict(F, dim, spectra, radii, members, items, force):
+    """Yield (a, i, column, lam_kind, lhs, rhs, holds) for the i-th (check,
+    row, C) item of cli._graph_rows on each radius a, one verdict at a
+    time, as that pass did before it judged blocks: per (stack, radius) of
+    the package's degree_columns, the package's counts, and per item each
+    bound computed anew under the exact second eigenvalue and the ceiling,
+    judged by cross-multiplying its count with bound_threshold.  Only the
+    judging is under test; the counts, bounds and columns are the
+    package's own."""
+    bounds = {
+        "variance": lambda n, k, lam, b: variance_bound(n, lam, b),
+        "mixing": lambda n, k, lam, b, c: mixing_bound(lam, b, c),
+        "hinge": lambda n, k, lam, b: hinge_bound(n, k, lam, b),
+        "eq2": lambda n, k, lam, b: degree_sum_bound(n, k, lam, b),
+    }
+    for start, G, deg in degree_columns(F, dim, members, radii, force):
+        stack = members[start:start + len(deg)]
+        n, k, s = G.n, G.valency, spectra[G.a]
+        variance, hinges, sums = variance_check(deg), hinge_count(deg, stack), degree_sum_check(deg, stack)
+        for i, (check, row, C) in enumerate(items):
+            row -= start
+            if not 0 <= row < len(stack):
+                continue
+            b = stack[row].size
+            if check == "mixing":
+                C = stack[row] if C is None else C
+                [(_, deviation)] = mixing_check(deg[[row]], [C])
+                sides = [("mixing", deviation, n, (b, C.size))]
+            elif check == "variance":
+                sides = [("variance", variance[row], n, (b,))]
+            else:
+                sides = [("hinge", hinges[row], 1, (b,)), ("eq2", sums[row], 1, (b,))]
+            for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
+                for column, lhs_num, lhs_den, sizes in sides:
+                    rhs = bounds[column](n, k, lam, *sizes)
+                    num, den = bound_threshold(rhs)
+                    holds = lhs_num * den <= num * lhs_den
+                    yield G.a, i, column, lam_kind, lhs_num / lhs_den, rhs, holds
 
 
 # --- verify's draws, as the command made them before it skipped any -------

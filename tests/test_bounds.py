@@ -667,6 +667,33 @@ def test_upper_bounds_empty(f3, spectra3):
     assert upper_bound_f(E, spectra3) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("p,dim,terms", [(7, 2, 1), (11, 2, 1), (7, 3, 2), (3, 4, 1), (3, 5, 2)])
+def test_upper_bound_computes_each_term_once(monkeypatch, p, dim, terms):
+    # in F_p^dim, p = 3 mod 4, every radius of even dim has one valency and
+    # one second eigenvalue, and the two square classes of odd dim two
+    F = make_field(p)
+    spectra = euclid.spectra(F, dim, range(1, p))
+    calls, hinge = [], bounds.hinge_bound
+    monkeypatch.setattr(bounds, "hinge_bound", lambda *args: calls.append(args) or hinge(*args))
+    upper_bound_f(generate_point_set(F, dim, "random:1t", seed=1), spectra)
+    assert len(calls) == len(set(calls)) == terms
+
+
+@pytest.mark.parametrize("p,dim", GRID)
+@pytest.mark.parametrize("gen", ["all", "sphere:1", "random:0.5t", "random:2t"])
+def test_upper_bound_equals_the_per_radius_sum(p, dim, gen):
+    # one term per distinct (valency, second eigenvalue), still added in
+    # radius order: bit for bit the sum of the p - 1 terms made one a radius
+    F = make_field(p)
+    spectra = euclid.spectra(F, dim, range(1, p))
+    E = generate_point_set(F, dim, gen, seed=2)
+    exact = 0.0
+    for a in range(1, p):
+        s = spectra[a]
+        exact += bounds.hinge_bound(p**dim, s.valency, s.second_eigenvalue, len(E))
+    assert upper_bound_f(E, spectra)[0] == exact
+
+
 def test_upper_bound_missing_radius(f3, spectra3, three):
     partial = {1: spectra3[1]}
     with pytest.raises(MissingSpectrum):

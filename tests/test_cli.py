@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import fqlab
@@ -304,6 +306,24 @@ def test_verify_guardrail_exits_2():
     assert main(["verify", "--q", "103", "--dim", "3", "--checks", "spectrum"]) == 2
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+@pytest.mark.parametrize("command,dim", [
+    ("spectrum", 1300), ("spectrum", 700), ("verify", 1300), ("verify", 700),
+])
+def test_spaces_past_int64_ranks_are_refused_before_the_table(monkeypatch, capsys,
+                                                              command, dim, force):
+    # 3**1300 passes the float range and 3**700 the int64 class sizes; both
+    # are refused, forced or not, before the norm-class table is begun
+    built = []
+    monkeypatch.setattr(fqlab.euclid, "_norm_class_table", lambda *args: built.append(args))
+    argv = [command, "--q", "3", "--dim", str(dim), "--a", "1", *force]
+    assert main(argv + (["--checks", "spectrum"] if command == "verify" else [])) == 2
+    assert capsys.readouterr().err == (
+        f"error: F_3^{dim} has 3**{dim} points, more than int64 ranks can name\n"
+    )
+    assert built == []
+
+
 def test_verify_point_sets_stay_within_profile_guardrail(monkeypatch, tmp_path):
     # |E|**2 <= 10**4 leaves out F_11^3 itself (1331 points); main and
     # remark run on random subsets of at most 100 points instead
@@ -430,6 +450,78 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
 GRID = [(p, 2, a) for p in (3, 7, 11, 19) for a in range(1, p)] + [
     (p, 3, a) for p in (3, 7) for a in range(1, p)
 ]
+
+
+def verdicts_by_item(rows):
+    """Each item's (a, column, lam_kind, lhs, rhs type, rhs, holds) rows in
+    the order they come, from rows of (a, i, column, lam_kind, lhs, rhs,
+    holds)."""
+    by_item = {}
+    for a, i, column, lam_kind, lhs, rhs, holds in rows:
+        by_item.setdefault(i, []).append(
+            (a, column, lam_kind, lhs, type(rhs).__name__, rhs, holds)
+        )
+    return by_item
+
+
+def block_verdicts(blocks):
+    """The blocks of cli._graph_rows flattened to one row per verdict, each
+    block's shape checked on the way."""
+    for a, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges in blocks:
+        assert len(ids) == len(counts) == len(rhs) == len(holds) > 0
+        assert (edges is None) is (column != "mixing")
+        assert all(type(c) is int for c in counts) and lhs_den >= 1
+        for i, count, bound, ok in zip(ids, counts, rhs, holds):
+            yield a, i, column, lam_kind, count / lhs_den, bound, ok
+
+
+def assert_blocks_equal_the_per_verdict_route(F, dim, spectra, radii, members, items):
+    args = (F, dim, spectra, radii, members, items, False)
+    got = verdicts_by_item(block_verdicts(cli._graph_rows(*args)))
+    want = verdicts_by_item(oracles.graph_rows_per_verdict(*args))
+    assert got == want
+    assert sorted(got) == list(range(len(items)))  # every item judged
+
+
+def test_graph_blocks_equal_the_per_verdict_route():
+    # every verdict (radius, item, column, lambda kind, lhs, rhs, holds),
+    # and each item's verdicts in the order verify records them: verify's
+    # draws on each of the 44 instances, one radius a pass, and the
+    # sweep's shape, every distinct draw judged on every radius in one pass
+    checks = ("variance", "mixing", "hinge")
+    for p, dim in sorted({(p, dim) for p, dim, _ in GRID}):
+        F = fqlab.make_field(p)
+        spectra = fqlab.spectra(F, dim, range(1, p))
+        sets = []
+        for a in range(1, p):
+            members, items, _ = cli._subset_draws(p, dim, a, checks, 3, 5)
+            assert_blocks_equal_the_per_verdict_route(F, dim, spectra, [a], members, items)
+            sets += [m for m in members if not any(np.array_equal(m, s) for s in sets)]
+        items = [(c, row, None) for row in range(len(sets)) for c in checks]
+        assert_blocks_equal_the_per_verdict_route(F, dim, spectra, range(1, p), sets, items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_graph_blocks_equal_the_per_verdict_route_on_random_items(data):
+    # any sets, items in any order with mixing C sets or none, any radii,
+    # and stacks of one to three sets, so the memo crosses stacks
+    p, dim = data.draw(st.sampled_from([(3, 2), (7, 2), (11, 2), (3, 3), (7, 3)]))
+    n = p**dim
+    F = fqlab.make_field(p)
+    subset = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    members = [cli.vertex_array(n, B) for B in data.draw(st.lists(subset, min_size=1, max_size=5))]
+    item = st.tuples(
+        st.sampled_from(["variance", "mixing", "hinge"]),
+        st.integers(0, len(members) - 1),
+        st.none() | subset.map(lambda C: cli.vertex_array(n, C)),
+    ).map(lambda it: (it[0], it[1], it[2] if it[0] == "mixing" else None))
+    items = data.draw(st.lists(item, min_size=1, max_size=8))
+    radii = data.draw(st.lists(st.integers(1, p - 1), min_size=1, unique=True))
+    spectra = fqlab.spectra(F, dim, range(1, p))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fqlab.euclid, "STACK_ELEMENTS", n * data.draw(st.integers(1, 3)))
+        assert_blocks_equal_the_per_verdict_route(F, dim, spectra, radii, members, items)
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
@@ -874,9 +966,11 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
 
 
 def test_sweep_computes_each_bound_once_per_size(monkeypatch):
-    # the two random sets of one p share a size, so each bound and its
-    # exact threshold are computed once per (radius, lambda, check, |B|,
-    # |C|), not once per set or per verdict
+    # a bound depends only on (column, n, k, lambda, set sizes): the two
+    # random sets of one p share a size, and in F_p^2, p = 3 mod 4, every
+    # radius has one valency and one second eigenvalue, so each bound and
+    # its integer limit are computed once per (p, lambda, size), not once
+    # per radius, set or verdict
     calls = Counter()
 
     def counted(name, fn):
@@ -886,26 +980,28 @@ def test_sweep_computes_each_bound_once_per_size(monkeypatch):
         return wrapper
 
     names = ("variance_bound", "mixing_bound", "hinge_bound", "degree_sum_bound")
-    for name in names + ("bound_threshold",):
+    for name in names + ("bound_limit",):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     graph_rows = cli._graph_rows
 
     def counted_rows(*args):
-        for row in graph_rows(*args):
-            calls["verdicts"] += 1
-            yield row
+        for block in graph_rows(*args):
+            calls["blocks"] += 1
+            calls["verdicts"] += len(block[3])
+            yield block
 
     monkeypatch.setattr(cli, "_graph_rows", counted_rows)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
     sizes = {(r["p"], r["set_size"]) for r in records}
     assert len(sizes) == 4  # per p: F_p^2 and one size for both random sets
-    # per radius and size, each bound under two lambdas; three sets would
-    # make three
     radii = sum(p - 1 for p in (3, 7))
     assert calls == {
-        **{name: radii * 2 * 2 for name in names},
-        "bound_threshold": radii * 2 * 2 * len(names),
+        # two sizes per p, each under two lambdas
+        **{name: 2 * 2 * 2 for name in names},
+        "bound_limit": 2 * 2 * 2 * len(names),
+        # one stack per p: per radius, one block per lambda and column
+        "blocks": radii * 2 * 4,
         # three sets per p, four verdicts per set under each lambda
         "verdicts": radii * 3 * 2 * 4,
     }

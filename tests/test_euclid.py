@@ -744,8 +744,8 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     monkeypatch.setattr(euclid_mod, "set_transforms", counted)
     tracemalloc.start()
     try:
-        rows = cli._graph_rows(F, 3, spectra, [1], members, items, False)
-        held = [holds for *_, holds, _ in rows]
+        blocks = cli._graph_rows(F, 3, spectra, [1], members, items, False)
+        held = [ok for *_, holds, _ in blocks for ok in holds]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

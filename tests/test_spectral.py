@@ -24,7 +24,7 @@ from fqlab import (
     variance_check,
     within_bound,
 )
-from fqlab.spectral import BOUND_TOL, bound_threshold, vertex_array
+from fqlab.spectral import BOUND_TOL, bound_limit, bound_threshold, vertex_array
 from oracles import point_rank, rank_point, spectrum, view_column
 from stacks import columns, one
 
@@ -280,6 +280,34 @@ def test_within_bound_outside_the_finite_floats():
             assert want is (rhs == math.inf)
             assert threshold_verdict(*lhs.as_integer_ratio(), rhs) is want
             assert within_bound(lhs, rhs) is want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.floats(), st.sampled_from([5e-324, -5e-324, 1e308, -1e308]), EXACT_BOUNDS),
+    st.integers(-2**200, 2**200),
+    st.integers(2, 10**7),
+    st.booleans(),
+)
+@example(math.inf, 2**200, 9, False)
+@example(-math.inf, -2**200, 9, True)
+@example(math.nan, 0, 9, False)
+@example(1e308, 2**200, 9, True)
+@example(Fraction(10**17) - Fraction(1, 10**6), 10**17, 10**6, False)
+def test_bound_limit_is_the_largest_count_that_holds(rhs, count, n, over_n):
+    # a count over lhs_den (1, or n for the deviations) holds exactly when
+    # it is at most bound_limit, by the cross-multiplied threshold and by
+    # Fraction's own comparison; a finite limit holds and one past it fails
+    lhs_den = n if over_n else 1
+    limit = bound_limit(rhs, lhs_den)
+    for lhs_num in (count, count + 1, -count):
+        want = oracles.within_bound_fraction(Fraction(lhs_num, lhs_den), rhs)
+        assert (lhs_num <= limit) is want is threshold_verdict(lhs_num, lhs_den, rhs)
+    if isinstance(limit, int):
+        assert oracles.within_bound_fraction(Fraction(limit, lhs_den), rhs)
+        assert not oracles.within_bound_fraction(Fraction(limit + 1, lhs_den), rhs)
+    else:
+        assert limit == (math.inf if rhs + BOUND_TOL == math.inf else -math.inf)
 
 
 @pytest.mark.parametrize("lhs", [math.inf, -math.inf, math.nan])
