@@ -1,7 +1,10 @@
 """Command-line front end: single-instance queries, inequality-check
 batteries, and reproducible parameter sweeps with JSONL/CSV records.
 
-Subcommands: sphere, spectrum, fcount, verify, sweep.  Exit codes: 0 when
+Subcommands: sphere, spectrum, fcount, verify, sweep, each one entry of
+COMMANDS.  A call that names its command first builds only that
+command's parser; any other (no arguments, help, an unknown command)
+builds the full parser from the same table.  Exit codes: 0 when
 every requested verdict holds, 1 when at least one verdict fails or stdout
 closes early, 2 on invalid arguments or refused guardrails.  Records are
 byte-deterministic for a given config: fixed key order, integers bare,
@@ -51,11 +54,10 @@ from .geometry import (
 from .spectral import (
     bound_limit,
     degree_sum_bound,
-    degree_sum_check,
     hinge_bound,
-    hinge_count,
+    member_index,
+    member_sums,
     mixing_bound,
-    mixing_check,
     variance_bound,
     variance_check,
     vertex_array,
@@ -291,45 +293,50 @@ def _graph_rows(F, dim, spectra, radii, members, items, force):
     This is the one subset pass behind verify, sweep and fcount.  The item
     checks the set whose sorted vertex array is members[row]; mixing pairs
     it with C, a sorted vertex array, or with itself when C is None.  Each
-    (stack, radius) of one euclid.degree_columns pass makes every count
-    once per set (once per item for mixing), and drops its columns before
-    its first block.  A bound depends on nothing but (column, n, k,
-    lambda, set sizes), and the dilation x -> t x maps G_p(a) onto
-    G_p(t**2 a), so radii share them: one memo keyed by those values keeps
-    each bound rhs with its integer limit, bound_limit(rhs, lhs_den), made
-    once across stacks and radii, and a count holds when it is at most
-    the limit.
+    stack of one euclid.degree_columns pass indexes its segments once: its
+    sets, then the C of each mixing item that has one, each with the row
+    it reads.  Each (stack, radius) makes the variance once per set and
+    gathers every segment's degrees once, for the hinge and degree-sum
+    counts of its sets and the e of every mixing item, whose deviation
+    numerator is |e n - k|B| |C||, k|B| being B's row total; it drops its
+    columns before its first block.  A bound depends on nothing but
+    (column, n, k, lambda, set sizes), and the dilation x -> t x maps
+    G_p(a) onto G_p(t**2 a), so radii share them: one memo keyed by those
+    values keeps each bound rhs with its integer limit, bound_limit(rhs,
+    lhs_den), made once across stacks and radii, and a count holds when
+    it is at most the limit.
     """
     memo, last = {}, None
     for start, G, deg in degree_columns(F, dim, members, radii, force):
         if start != last:  # a new stack: its sets and the items that check them
             last, stack = start, members[start:start + len(deg)]
-            # per column, (item id, the count it reads, set sizes): the
-            # count is a stack row's, or for mixing the item's own
+            # per column, (item id, the segment whose count it reads, set
+            # sizes): a stack row's, or for a mixing item with a C its own
             layout = {column: [] for column in COLUMN_BOUNDS}
-            mix_rows, Cs = [], []
+            segments = [(B, row) for row, B in enumerate(stack)]
             for i, (check, row, C) in enumerate(items):
                 row -= start
                 if not 0 <= row < len(stack):
                     continue
                 read, sizes = row, (stack[row].size,)
                 if check == "mixing":
-                    read = len(Cs)
-                    mix_rows.append(row)
-                    Cs.append(stack[row] if C is None else C)
-                    sizes += (Cs[-1].size,)
+                    if C is not None:
+                        read = len(segments)
+                        segments.append((C, row))
+                    sizes += (segments[read][0].size,)
                 for column in CHECK_COLUMNS[check]:
                     layout[column].append((i, read, sizes))
             layout = {column: tuple(zip(*got)) for column, got in layout.items() if got}
+            index = member_index(deg.shape[1], *zip(*segments))
         n, k, s = G.n, G.valency, spectra[G.a]
         counts, edges = {}, None
         if "variance" in layout:
             counts["variance"] = variance_check(deg)
-        if "hinge" in layout:
-            counts["hinge"] = hinge_count(deg, stack)
-            counts["eq2"] = degree_sum_check(deg, stack)
-        if Cs:
-            edges, counts["mixing"] = zip(*mixing_check(deg[mix_rows], Cs))
+        if "hinge" in layout or "mixing" in layout:
+            counts["hinge"], edges = member_sums(deg, index)
+            counts["eq2"] = edges
+            counts["mixing"] = [abs(e * n - k * stack[row].size * C.size)
+                                for e, (C, row) in zip(edges, segments)]
         del deg
         for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
             for column, (ids, reads, sizes) in layout.items():
@@ -931,7 +938,87 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
+def _record_options(sp) -> None:
+    sp.add_argument("--out", default=None, help="write records to this path")
+    sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+
+
+def _space_options(sp, records=True, dim_required=True) -> None:
+    """The options of a command over F_q^dim: the field's, the records'
+    when it writes any, then --dim."""
+    sp.add_argument("--q", type=int, required=True, help="odd prime modulus")
+    sp.add_argument("--allow-1mod4", action="store_true",
+                    help="permit primes with -1 a square")
+    sp.add_argument("--force", action="store_true", help="override size guardrails")
+    if records:
+        _record_options(sp)
+    sp.add_argument("--dim", type=int, required=dim_required, help="ambient dimension")
+
+
+def _sphere_options(sp) -> None:
+    _space_options(sp, records=False)
+    sp.add_argument("--a", type=int, default=None, help="one radius only")
+    sp.add_argument("--list", action="store_true", help="print the points")
+
+
+def _spectrum_options(sp) -> None:
+    _space_options(sp)
+    sp.add_argument("--a", type=int, default=None)
+
+
+def _fcount_options(sp) -> None:
+    _space_options(sp, dim_required=False)
+    sp.add_argument("--points", default=None, help="point file (one per line)")
+    sp.add_argument("--gen", default=None, help="generator expression")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--checks", default="main,remark",
+                    help="checks the verdict covers; graph checks judge the set itself")
+
+
+def _verify_options(sp) -> None:
+    _space_options(sp)
+    sp.add_argument("--a", type=int, default=None,
+                    help="restrict graph-local checks to one radius")
+    sp.add_argument("--checks", default=",".join(CHECK_NAMES))
+    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=0)
+
+
+def _sweep_options(sp) -> None:
+    _record_options(sp)
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--config", default=None, help="JSON config file")
+    group.add_argument("--default", action="store_true", help="use the built-in default grid")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, one per (p, dim) group (default 1)")
+    sp.add_argument("--show-config", action="store_true",
+                    help="print the normalized config and exit")
+    sp.add_argument("--force", action="store_true")
+
+
+# name -> (help summary, the function that adds its options, its handler)
+COMMANDS = {
+    "sphere": ("sphere sizes, optionally the points", _sphere_options, cmd_sphere),
+    "spectrum": ("eigenvalues of one or all radii", _spectrum_options, cmd_spectrum),
+    "fcount": ("distance statistics of one point set", _fcount_options, cmd_fcount),
+    "verify": ("run check batteries on one instance", _verify_options, cmd_verify),
+    "sweep": ("run a config grid and emit records", _sweep_options, cmd_sweep),
+}
+
+
+def _command_parser(name, sp=None) -> argparse.ArgumentParser:
+    """sp, or a new parser "fqlab name", with the options of command name
+    and its handler and name as the defaults of func and command, so that
+    both routes give a command one namespace."""
+    sp = sp or argparse.ArgumentParser(prog=f"fqlab {name}")
+    _, add_options, func = COMMANDS[name]
+    add_options(sp)
+    sp.set_defaults(func=func, command=name)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command of COMMANDS a subcommand."""
     parser = argparse.ArgumentParser(
         prog="fqlab",
         description=(
@@ -940,66 +1027,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Options shared by several subcommands live on parent parsers, whose
-    # arguments are copied into each subcommand rather than built again.
-    field = argparse.ArgumentParser(add_help=False)
-    field.add_argument("--q", type=int, required=True, help="odd prime modulus")
-    field.add_argument("--allow-1mod4", action="store_true",
-                       help="permit primes with -1 a square")
-    field.add_argument("--force", action="store_true", help="override size guardrails")
-    records = argparse.ArgumentParser(add_help=False)
-    records.add_argument("--out", default=None, help="write records to this path")
-    records.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-
-    def add_space(name, summary, parents=(), dim_required=True):
-        sp = sub.add_parser(name, help=summary, parents=[field, *parents])
-        sp.add_argument("--dim", type=int, required=dim_required, help="ambient dimension")
-        return sp
-
-    sp = add_space("sphere", "sphere sizes, optionally the points")
-    sp.add_argument("--a", type=int, default=None, help="one radius only")
-    sp.add_argument("--list", action="store_true", help="print the points")
-    sp.set_defaults(func=cmd_sphere)
-
-    sp = add_space("spectrum", "eigenvalues of one or all radii", [records])
-    sp.add_argument("--a", type=int, default=None)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = add_space("fcount", "distance statistics of one point set", [records],
-                   dim_required=False)
-    sp.add_argument("--points", default=None, help="point file (one per line)")
-    sp.add_argument("--gen", default=None, help="generator expression")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--checks", default="main,remark",
-                    help="checks the verdict covers; graph checks judge the set itself")
-    sp.set_defaults(func=cmd_fcount)
-
-    sp = add_space("verify", "run check batteries on one instance", [records])
-    sp.add_argument("--a", type=int, default=None,
-                    help="restrict graph-local checks to one radius")
-    sp.add_argument("--checks", default=",".join(CHECK_NAMES))
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("sweep", help="run a config grid and emit records", parents=[records])
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--config", default=None, help="JSON config file")
-    group.add_argument("--default", action="store_true",
-                       help="use the built-in default grid")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes, one per (p, dim) group (default 1)")
-    sp.add_argument("--show-config", action="store_true",
-                    help="print the normalized config and exit")
-    sp.add_argument("--force", action="store_true")
-    sp.set_defaults(func=cmd_sweep)
-
+    for name, (summary, _, _) in COMMANDS.items():
+        _command_parser(name, sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:  # that command's parser alone
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+    else:  # no arguments, help, an unknown command or an option first
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -6,13 +6,14 @@ for every vertex v, an (S, n) int64 array whose row i sums to k|B_i|.  The
 counts (variance_check, mixing_check, hinge_count, degree_sum_check) see
 only that stack and each row's sorted member array, and return one result
 per row: hinge and degree-sum counts gather every row's members at once
-and sum each row's run with np.add.reduceat, the variance is a pair of row
-sums.  They thus serve the distance graphs, whose columns euclid builds by
-convolution, as well as any other regular graph whose columns the tests
-build from a neighbor table.  Each bound is computed from (n, k, lambda,
-set sizes), where lambda is any upper bound on the nontrivial eigenvalue
-magnitudes, sharp or not; one count can thus be judged under several
-lambdas, and sets of one size share every bound.  Every count is an
+and sum each row's run with np.add.reduceat (member_sums makes both from
+one gather, at a member_index built once per stack), the variance is a
+pair of row sums.  They thus serve the distance graphs, whose columns
+euclid builds by convolution, as well as any other regular graph whose
+columns the tests build from a neighbor table.  Each bound is computed
+from (n, k, lambda, set sizes), where lambda is any upper bound on the
+nontrivial eigenvalue magnitudes, sharp or not; one count can thus be
+judged under several lambdas, and sets of one size share every bound.  Every count is an
 integer numerator over a known denominator: hinge and degree-sum counts
 over 1, the variance and mixing deviations over n.  The lambda-bearing
 bounds may live in floating point; hinge_bound and degree_sum_bound are
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -102,15 +103,31 @@ def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def _member_degrees(deg: np.ndarray, members) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, sizes): deg[i, v] for v in members[i], concatenated over the
-    rows i in one gather, and each row's member count; raises
-    VertexOutOfRange when a member leaves [0, n)."""
+class MemberIndex(NamedTuple):
+    """Where the segments of one gather sit in a stack of degree columns:
+    (rows[j], flat[j]) is the j-th (row, member) pair, segment by segment,
+    and sizes[i] is segment i's member count."""
+
+    rows: np.ndarray
+    flat: np.ndarray
+    sizes: np.ndarray
+
+
+def member_index(n: int, members, rows=None) -> MemberIndex:
+    """The MemberIndex of the sorted vertex arrays members, segment i read
+    from row rows[i] of the columns (row i when rows is None); raises
+    VertexOutOfRange when a member leaves [0, n), n the column length."""
     sizes = np.array([len(m) for m in members], dtype=np.int64)
     flat = np.concatenate([np.zeros(0, dtype=np.int64), *members]).astype(np.int64, copy=False)
-    if flat.size and (flat.min() < 0 or flat.max() >= deg.shape[1]):
-        raise VertexOutOfRange(f"vertex set leaves [0, {deg.shape[1]})")
-    return deg[np.repeat(np.arange(sizes.size), sizes), flat], sizes
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        raise VertexOutOfRange(f"vertex set leaves [0, {n})")
+    rows = np.arange(sizes.size) if rows is None else np.asarray(rows, dtype=np.int64)
+    return MemberIndex(np.repeat(rows, sizes), flat, sizes)
+
+
+def _member_degrees(deg: np.ndarray, index: MemberIndex) -> np.ndarray:
+    """deg[i, v] for every (row i, member v) pair of index, in one gather."""
+    return deg[index.rows, index.flat]
 
 
 def _row_sums(values: np.ndarray, sizes: np.ndarray) -> list[int]:
@@ -129,8 +146,7 @@ def hinge_count(deg: np.ndarray, members) -> list[int]:
     vertices as a sorted array (vertex_array's form); the count is the sum
     over v in E_i of deg[i, v] squared.
     """
-    inside, sizes = _member_degrees(deg, members)
-    return _row_sums(inside * inside, sizes)
+    return member_sums(deg, member_index(deg.shape[1], members))[0]
 
 
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
@@ -155,7 +171,16 @@ def degree_sum_check(deg: np.ndarray, members) -> list[int]:
     the mixing inequality on the pair (E, E), the intermediate step the
     hinge bound squares.
     """
-    return _row_sums(*_member_degrees(deg, members))
+    index = member_index(deg.shape[1], members)
+    return _row_sums(_member_degrees(deg, index), index.sizes)
+
+
+def member_sums(deg: np.ndarray, index: MemberIndex) -> tuple[list[int], list[int]]:
+    """(hinge counts, degree sums) of every segment of index, from one
+    gather of deg: the sums over its members v of deg[i, v] squared and of
+    deg[i, v], i the row it reads."""
+    inside = _member_degrees(deg, index)
+    return _row_sums(inside * inside, index.sizes), _row_sums(inside, index.sizes)
 
 
 def degree_sum_bound(n: int, k: int, lam: float, m: int) -> Fraction:

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import io
 import json
@@ -424,13 +425,14 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             result = fn(*args, **kwargs)
-            if isinstance(result, list):
-                rows[name] += len(result)
+            if isinstance(result, (list, tuple)):
+                # member_sums: (hinge counts, degree sums), one each per segment
+                rows[name] += len(result[0] if isinstance(result, tuple) else result)
             return result
 
         monkeypatch.setattr(module, name, wrapper)
 
-    names = ("variance_check", "mixing_check", "hinge_count", "degree_sum_check")
+    names = ("variance_check", "member_sums")
     for name in names:
         counted(cli, name)
     counted(fqlab.euclid, "certified_columns")
@@ -438,12 +440,12 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
     # one stack of the distinct subsets, one call of each count on it,
-    # judged under the exact and ceiling lambda; mixing has one row per
-    # (subset, C) item, the others one per distinct subset
+    # judged under the exact and ceiling lambda; the variance has one row
+    # per distinct subset, the one gather of member_sums those rows and
+    # then one per mixing (subset, C) item
     assert calls == {name: 1 for name in names + ("certified_columns",)}
-    assert rows["mixing_check"] == 3
-    assert rows["variance_check"] == rows["hinge_count"] == rows["degree_sum_check"]
-    assert 3 <= rows["hinge_count"] <= 9
+    assert rows["member_sums"] == rows["variance_check"] + 3
+    assert 3 <= rows["variance_check"] <= 9
 
 
 # every instance exercised by the batteries: 44 (p, dim, a)
@@ -842,20 +844,19 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
         radius.update(p=G.field.p, dim=G.dim, a=G.a)
         return inverse(G, T, hats, sizes)
 
-    def recorder(name, fn):
-        def wrapper(deg, members):
-            values = fn(deg, members)
-            assert len(values) == len(members) == deg.shape[0]
-            for E, value in zip(members, values):
-                seen.append((name, radius["p"], radius["dim"], radius["a"], tuple(E), value))
-            return values
+    def recorder(fn):
+        def wrapper(deg, index):
+            hinges, sums = fn(deg, index)
+            assert len(hinges) == len(sums) == len(index.sizes) == deg.shape[0]
+            members = np.split(index.flat, np.cumsum(index.sizes)[:-1])
+            for E, h, s in zip(members, hinges, sums):
+                for name, value in (("hinges", h), ("degree-sum", s)):
+                    seen.append((name, radius["p"], radius["dim"], radius["a"], tuple(E), value))
+            return hinges, sums
         return wrapper
 
     monkeypatch.setattr(fqlab.euclid, "certified_columns", tracked_inverse)
-    monkeypatch.setattr(cli, "hinge_count", recorder("hinges", cli.hinge_count))
-    monkeypatch.setattr(
-        cli, "degree_sum_check", recorder("degree-sum", cli.degree_sum_check)
-    )
+    monkeypatch.setattr(cli, "member_sums", recorder(cli.member_sums))
     grid = [{"primes": [3, 7], "dims": [2]}, {"primes": [3], "dims": [3]}]
     run_sweep({**SMALL_CONFIG, "grid": grid}, jobs=1)
     assert {(name, p, dim) for name, p, dim, *_ in seen} == {
@@ -867,6 +868,29 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
         E = fqlab.PointSet(ranks, p=p, dim=dim)
         prof = fqlab.degree_profile(fqlab.make_field(p), dim, E)
         assert value == int(prof.hinges[a] if name == "hinges" else prof.pairs[a])
+
+
+def test_sweep_gathers_member_degrees_once_per_stack_and_radius(monkeypatch):
+    # each stack's gather index is made once, and each (stack, radius)
+    # gathers its members' degrees once, for the hinge and degree-sum
+    # counts and for mixing's e of each set with itself
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "member_index", counted("index", cli.member_index))
+    monkeypatch.setattr(
+        fqlab.spectral, "_member_degrees", counted("gather", fqlab.spectral._member_degrees)
+    )
+    monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1)  # one set per stack
+    records, _ = run_sweep(SMALL_CONFIG, jobs=1)
+    assert all(r["holds"] and r["mixing_ok"] and r["eq2_ok"] for r in records)
+    # three distinct sets per p, so three stacks, each read on p - 1 radii
+    assert calls == {"index": 3 + 3, "gather": 3 * (3 - 1) + 3 * (7 - 1)}
 
 
 def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
@@ -1564,12 +1588,20 @@ PARSED = [
 ]
 
 
+def command_route(argv):
+    """argv parsed as main parses a call that names its command first:
+    by that command's parser alone."""
+    return cli._command_parser(argv[0]).parse_args(argv[1:])
+
+
 @pytest.mark.parametrize("argv,want", PARSED, ids=[" ".join(argv) for argv, _ in PARSED])
 def test_parser_namespaces(argv, want):
-    # every subcommand's options, defaults included, one namespace each
+    # every subcommand's options, defaults included, one namespace each,
+    # the same from the full parser and from the command's own
     args = build_parser().parse_args(argv)
     assert args.func is getattr(cli, f"cmd_{argv[0]}")
     assert {k: v for k, v in vars(args).items() if k != "func"} == {"command": argv[0], **want}
+    assert command_route(argv) == args
 
 
 @pytest.mark.parametrize("argv", [
@@ -1580,9 +1612,68 @@ def test_parser_namespaces(argv, want):
     ["sweep", "--default", "--config", "c.json", "--out", "r.jsonl"],
 ])
 def test_parser_refusals(argv, capsys):
+    # the same exit code and message from the full parser and the command's
+    errors = []
+    for parse in (build_parser().parse_args, command_route):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert "error:" in errors[0] and errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_help_is_the_full_parsers(name, capsys):
+    # byte for byte, against the full parser of the same interpreter: the
+    # headings differ between Python versions
+    texts = []
+    for run in (lambda: build_parser().parse_args([name, "--help"]),
+                lambda: main([name, "--help"])):
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr())
+    assert texts[0].out.startswith(f"usage: fqlab {name} [-h]")
+    assert texts[0] == texts[1]
+
+
+def test_unrecognized_arguments_name_the_command(capsys):
+    # the one message the command's own parser words differently: its
+    # usage and prog, where the full parser gave the top-level ones
+    argv = ["fcount", "--q", "7", "--dim", "2", "--gen", "all", "--bogus"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fqlab fcount [-h] --q Q ")
+    assert err.endswith("\nfqlab fcount: error: unrecognized arguments: --bogus\n")
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
-    assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("\nfqlab: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_command_call_builds_one_parser(monkeypatch, capsys):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "all"]) == 0
+    assert main(["sweep", "--default", "--show-config"]) == 0
+    assert made == ["fqlab fcount", "fqlab sweep"]
+    # no command first: the full parser, every command a subparser
+    made.clear()
+    capsys.readouterr()
+    for argv, code in (([], 2), (["-h"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert len(made) == 2 * (1 + len(cli.COMMANDS))
+    assert "{sphere,spectrum,fcount,verify,sweep}" in capsys.readouterr().out
 
 
 # --- a wrong norm-class row ---------------------------------------------------
