@@ -20,11 +20,15 @@ F_p^dim the pairwise profile of the complement, carried over to E by a
 p x p table of sphere intersection counts in integer arithmetic; for
 dense sets between the two (|E|**2 well above p**(dim+1), the paper's
 regime a) the set's certified degree column in every radius' graph.
-All keep per-radius sums only, never |E| * p degrees.
+All keep per-radius sums only, never |E| * p degrees.  The same sums
+give every subset-check count of the set against itself in every
+radius' graph (subset_counts), and check_main_theorem reads the report
+off them, so one profile serves both.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -88,6 +92,41 @@ class DegreeProfile:
     def distance_values(self) -> frozenset[int]:
         """Distances realized by distinct ordered pairs; may contain 0."""
         return frozenset(int(r) for r in np.flatnonzero(self.pairs))
+
+
+def subset_counts(F: PrimeField, dim: int, prof: DegreeProfile) -> dict[str, list[int]]:
+    """The count numerators of the subset checks on a set E checked
+    against itself, read off its profile: per record column ("variance",
+    "mixing", "hinge" and "eq2", the degree sum), one exact int per radius
+    a = 1, ..., p - 1, in that order.
+
+    With m = |E|, n = p**dim, k_a the valency of radius a and D(v) =
+    #{y in E : ||v - y|| = a} for every vertex v of F_p^dim, the hinge
+    count, the sum over E of D**2, is hinges[a], and the degree sum e, the
+    sum over E of D, is pairs[a].  The mixing deviation of (E, E) is |e n
+    - k_a m**2| over n.  The variance numerator over n is n * sum over
+    all v of D(v)**2 - (k_a m)**2, and that sum counts the triples (v, y,
+    z), y and z in E at distance a from v: k_a when y = z, and I[a, t]
+    for y != z at distance t, I = geometry.intersection_table, so it is m
+    k_a + sum over t of I[a, t] pairs[t].  These equal the counts the
+    degree columns give, with no column made.
+    """
+    p, n, m = F.p, F.p**dim, prof.size
+    k = sphere_table(F, dim).sizes
+    pairs = prof.pairs.tolist()
+    table = intersection_table(F, dim)[1:]
+    # sum over t of I[a, t] pairs[t] <= max(I) m**2, pairs summing to m(m - 1)
+    if int(table.max(initial=0)) * m * m < 2**63:
+        shared = (table @ prof.pairs).tolist()
+    else:
+        shared = [sum(map(operator.mul, row, pairs)) for row in table.tolist()]
+    radii = range(1, p)
+    return {
+        "variance": [n * (m * k[a] + s) - (k[a] * m) ** 2 for a, s in zip(radii, shared)],
+        "mixing": [abs(pairs[a] * n - k[a] * m * m) for a in radii],
+        "hinge": prof.hinges[1:].tolist(),
+        "eq2": pairs[1:],
+    }
 
 
 def _complement_fits(p: int, dim: int, c: int) -> bool:
@@ -315,10 +354,9 @@ def lower_bound_f(profile: DegreeProfile, q: int) -> Fraction:
     return Fraction(N * N, (q - 1) * m)
 
 
-def upper_bound_f(
-    E: PointSet, spectra: Mapping[int, SpectralSummary]
-) -> tuple[float, float]:
-    """Spectral ceilings on f(E): (per-radius exact, uniform asymptotic form).
+def upper_bound_f(m: int, spectra: Mapping[int, SpectralSummary]) -> tuple[float, float]:
+    """Spectral ceilings on f(E) for a set of m points: (per-radius exact,
+    uniform asymptotic form).
 
     The first sums the hinge bound over radii with each radius' exact
     valency and exact second eigenvalue, each distinct term computed once.
@@ -337,7 +375,6 @@ def upper_bound_f(
     for s in spectra.values():
         if s.p != p or s.dim != dim:
             raise MissingSpectrum("supplied spectra mix fields or dimensions")
-    m = len(E)
     if m == 0:
         return 0.0, 0.0
     qd = p**dim
@@ -396,20 +433,15 @@ class BoundReport:
 
 
 def check_main_theorem(
-    F: PrimeField,
-    dim: int,
-    E: PointSet,
-    spectra: Mapping[int, SpectralSummary],
-    force: bool = False,
+    F: PrimeField, dim: int, prof: DegreeProfile, spectra: Mapping[int, SpectralSummary]
 ) -> BoundReport:
-    """Assemble the full report for one point set.
+    """Assemble the full report for one point set from its degree profile.
 
     The verdicts are hard inequalities; the regime label and the two
     dimensionless ratios are reported, not asserted, since the asymptotic
     statement fixes no constants.  delta_implied = N**2/(|E| f) lower
     bounds the number of realized nonzero distances (0 when f = 0).
     """
-    prof = degree_profile(F, dim, E, force=force)
     m = prof.size
     f = prof.f_value()
     N = prof.nonzero_pair_count()
@@ -418,7 +450,7 @@ def check_main_theorem(
     if m == 0:
         upper_exact, upper_asym = 0.0, 0.0
     else:
-        upper_exact, upper_asym = upper_bound_f(E, spectra)
+        upper_exact, upper_asym = upper_bound_f(m, spectra)
     delta_implied = Fraction(N * N, m * f) if f else Fraction(0)
     regime = "a" if m >= size_threshold(F.p, dim) else "b"
     return BoundReport(

@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -32,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, bounds, euclid
-from .bounds import check_main_theorem
+from .bounds import check_main_theorem, degree_profile, subset_counts
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import (
     SpectralSummary,
@@ -150,28 +151,47 @@ def _format_value(v, null: str, quote) -> str:
     raise TypeError(f"unsupported record value {v!r}")
 
 
+def _formatters(null: str, quote) -> tuple[dict, object]:
+    """(by_type, other): by_type maps each record value type to the
+    function that formats a value of exactly that type as
+    _format_value(value, null, quote) does, and other formats a value of
+    any other type (a subclass, a numpy scalar) by that isinstance chain."""
+    by_type = {
+        type(None): lambda v: null,
+        bool: lambda v: "true" if v else "false",
+        int: int.__repr__,
+        float: format_real,
+        Fraction: lambda v: quote(f"{v.numerator}/{v.denominator}"),
+        str: quote,
+    }
+    return by_type, lambda v: _format_value(v, null, quote)
+
+
 def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
     """Serialize records with a fixed field order.
 
-    jsonl writes one flat object per line; csv writes a header row (even
-    for an empty record list) followed by one row per record.
+    jsonl writes one flat object per line, strings quoted as json.dumps
+    quotes them; csv writes a header row (even for an empty record list)
+    followed by one row per record.
     """
     if fmt == "jsonl":
+        by_type, other = _formatters("null", json.encoder.encode_basestring_ascii)
+        text = by_type.get
         keys = [f"{json.dumps(k)}:" for k in fields]
         lines = []
         for rec in records:
-            body = ",".join(
-                key + _format_value(rec.get(k), "null", json.dumps)
-                for key, k in zip(keys, fields)
-            )
-            lines.append("{" + body + "}")
-        return "".join(line + "\n" for line in lines)
+            values = [rec.get(k) for k in fields]
+            body = ",".join([key + text(type(v), other)(v) for key, v in zip(keys, values)])
+            lines.append("{" + body + "}\n")
+        return "".join(lines)
     if fmt == "csv":
+        by_type, other = _formatters("", str)
+        text = by_type.get
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
         for rec in records:
-            writer.writerow([_format_value(rec.get(k), "", str) for k in fields])
+            writer.writerow([text(type(v), other)(v) for v in [rec.get(k) for k in fields]])
         return buf.getvalue()
     raise BadSpec(f"unknown output format {fmt!r}")
 
@@ -275,6 +295,20 @@ COLUMN_BOUNDS = {
 }
 
 
+def _bound(memo, column, n, k, lam, sizes):
+    """(rhs, limit): column's bound at (n, k, lam, set sizes) and the
+    largest count numerator it admits, bound_limit(rhs, lhs_den), lhs_den
+    being n for the variance and mixing deviations and 1 for the hinge and
+    degree-sum counts.  A bound depends on nothing else, and the dilation
+    x -> t x maps G_p(a) onto G_p(t**2 a), so radii, sets and stacks
+    share it: each is made once per memo."""
+    key = column, n, k, lam, sizes
+    if key not in memo:
+        rhs = COLUMN_BOUNDS[column](n, k, lam, *sizes)
+        memo[key] = rhs, bound_limit(rhs, n if column in ("variance", "mixing") else 1)
+    return memo[key]
+
+
 def _graph_rows(F, dim, spectra, radii, members, items, force):
     """Yield one block of verdicts per (stack, radius a, lambda, column):
     (a, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges).
@@ -290,28 +324,26 @@ def _graph_rows(F, dim, spectra, radii, members, items, force):
     column order of COLUMN_BOUNDS, so an item's verdicts come lambda
     first, then column.
 
-    This is the one subset pass behind verify, sweep and fcount.  The item
-    checks the set whose sorted vertex array is members[row]; mixing pairs
-    it with C, a sorted vertex array, or with itself when C is None.  Each
-    stack of one euclid.degree_columns pass indexes its segments once: its
-    sets, then the C of each mixing item that has one, each with the row
-    it reads.  Each (stack, radius) makes the variance once per set and
-    gathers every segment's degrees once, for the hinge and degree-sum
-    counts of its sets and the e of every mixing item, whose deviation
-    numerator is |e n - k|B| |C||, k|B| being B's row total; it drops its
-    columns before its first block.  A bound depends on nothing but
-    (column, n, k, lambda, set sizes), and the dilation x -> t x maps
-    G_p(a) onto G_p(t**2 a), so radii share them: one memo keyed by those
-    values keeps each bound rhs with its integer limit, bound_limit(rhs,
-    lhs_den), made once across stacks and radii, and a count holds when
-    it is at most the limit.
+    This is verify's subset pass, which pairs a drawn B with a drawn C;
+    sweep and fcount judge each set against itself from its degree
+    profile (_graph_oks).  The item checks the set whose sorted vertex
+    array is members[row]; mixing pairs it with C, a sorted vertex array.
+    Each stack of one euclid.degree_columns pass indexes its segments
+    once: its sets, then the C of each mixing item, each with the row it
+    reads.
+    Each (stack, radius) makes the variance once per set and gathers every
+    segment's degrees once, for the hinge and degree-sum counts of its
+    sets and the e of every mixing item, whose deviation numerator is |e n
+    - k|B| |C||, k|B| being B's row total; it drops its columns before its
+    first block.  Each bound comes from one _bound memo across stacks and
+    radii, and a count holds when it is at most the bound's limit.
     """
     memo, last = {}, None
     for start, G, deg in degree_columns(F, dim, members, radii, force):
         if start != last:  # a new stack: its sets and the items that check them
             last, stack = start, members[start:start + len(deg)]
             # per column, (item id, the segment whose count it reads, set
-            # sizes): a stack row's, or for a mixing item with a C its own
+            # sizes): a stack row's, or for a mixing item its C's
             layout = {column: [] for column in COLUMN_BOUNDS}
             segments = [(B, row) for row, B in enumerate(stack)]
             for i, (check, row, C) in enumerate(items):
@@ -320,10 +352,8 @@ def _graph_rows(F, dim, spectra, radii, members, items, force):
                     continue
                 read, sizes = row, (stack[row].size,)
                 if check == "mixing":
-                    if C is not None:
-                        read = len(segments)
-                        segments.append((C, row))
-                    sizes += (segments[read][0].size,)
+                    read, sizes = len(segments), sizes + (C.size,)
+                    segments.append((C, row))
                 for column in CHECK_COLUMNS[check]:
                     layout[column].append((i, read, sizes))
             layout = {column: tuple(zip(*got)) for column, got in layout.items() if got}
@@ -341,43 +371,43 @@ def _graph_rows(F, dim, spectra, radii, members, items, force):
         for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
             for column, (ids, reads, sizes) in layout.items():
                 lhs_den = n if column in ("variance", "mixing") else 1
-                known = memo.setdefault((column, n, k, lam), {})
-                rhs, limits = [], []
-                for size in sizes:
-                    if size not in known:
-                        value = COLUMN_BOUNDS[column](n, k, lam, *size)
-                        known[size] = value, bound_limit(value, lhs_den)
-                    value, limit = known[size]
-                    rhs.append(value)
-                    limits.append(limit)
+                rhs, limits = zip(*(_bound(memo, column, n, k, lam, size) for size in sizes))
                 lhs_num = [counts[column][r] for r in reads]
                 holds = [c <= limit for c, limit in zip(lhs_num, limits)]
-                yield (G.a, column, lam_kind, ids, lhs_num, lhs_den, rhs, holds,
+                yield (G.a, column, lam_kind, ids, lhs_num, lhs_den, list(rhs), holds,
                        [edges[r] for r in reads] if column == "mixing" else None)
 
 
-def _graph_oks(F, dim, spectra, sets, checks, force) -> list[dict]:
+def _graph_oks(F, dim, spectra, profiles, checks, force) -> list[dict]:
     """The {column}_ok record flags of the graph checks among checks, one
-    dict per rank array in sets, from one _graph_rows pass over every
-    radius, then one _spectrum_rows pass: each set is sorted once (only
-    when a subset check needs it), and its subset columns start True; a
-    block whose holds are not all true clears the column of each set it
-    fails, and the blocks that hold are not walked.  The spectrum verdicts
-    of all radii judge every set.  With no set, no pass is made."""
-    subset = [c for c in checks if c in SUBSET_CHECKS]
-    members = [vertex_array(F.p**dim, ranks) for ranks in sets] if subset else []
-    items = [(c, row, None) for row in range(len(members)) for c in subset]
-    flags = [f"{column}_ok" for check in subset for column in CHECK_COLUMNS[check]]
-    oks = [dict.fromkeys(flags, True) for _ in sets]
-    radii = range(1, F.p)
-    for _, column, _, ids, _, _, _, holds, _ in _graph_rows(
-        F, dim, spectra, radii, members, items, force
-    ):
-        if not all(holds):
-            for i, ok in zip(ids, holds):
-                if not ok:
-                    oks[items[i][1]][f"{column}_ok"] = False
-    if "spectrum" in checks and sets:
+    dict per set, each set given by its degree profile (read only when a
+    subset check is asked for), then one _spectrum_rows pass.
+
+    A set is checked against itself, so its counts in every radius come
+    from bounds.subset_counts, with no degree column made.  A column holds
+    when, in every radius, its count is at most the limit of its bound
+    under both the exact second eigenvalue and the ceiling; those limits
+    depend on the column and the set sizes alone, so sets of one size
+    share each radius' limits, and each bound comes from one _bound memo.
+    The spectrum verdicts of all radii judge every set.  With no set, no
+    pass is made."""
+    columns = [column for check in checks for column in CHECK_COLUMNS.get(check, ())]
+    n, radii = F.p**dim, range(1, F.p)
+    memo, limits, oks = {}, {}, []
+    for prof in profiles:
+        counts = subset_counts(F, dim, prof) if columns else {}
+        got = {}
+        for column in columns:
+            sizes = (prof.size,) * (2 if column == "mixing" else 1)
+            if (column, sizes) not in limits:
+                limits[column, sizes] = [
+                    min(_bound(memo, column, n, s.valency, lam, sizes)[1]
+                        for lam in (s.second_eigenvalue, s.ramanujan_bound))
+                    for s in (spectra[a] for a in radii)
+                ]
+            got[f"{column}_ok"] = all(map(operator.le, counts[column], limits[column, sizes]))
+        oks.append(got)
+    if "spectrum" in checks and profiles:
         ok = all(holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii, force))
         for got in oks:
             got["spectrum_ok"] = ok
@@ -529,7 +559,8 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     for trial, E in enumerate(sets):
         key = E.ranks.tobytes()
         if key not in reports:
-            reports[key] = check_main_theorem(F, dim, E, spectra, force=args.force)
+            prof = degree_profile(F, dim, E, force=args.force)
+            reports[key] = check_main_theorem(F, dim, prof, spectra)
         report = reports[key]
         for check in wanted:
             lhs, rhs, holds, detail = _theorem_row(check, report)
@@ -617,8 +648,9 @@ def cmd_fcount(args) -> int:
     if set(checks) - {"main", "remark"}:  # graph checks span F_p^dim
         guard_spectrum(F.p, dim, args.force)
     spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
-    report = check_main_theorem(F, dim, E, spectra, force=args.force)
-    (oks,) = _graph_oks(F, dim, spectra, [E.ranks], checks, args.force)
+    prof = degree_profile(F, dim, E, force=args.force)
+    report = check_main_theorem(F, dim, prof, spectra)
+    (oks,) = _graph_oks(F, dim, spectra, [prof], checks, args.force)
     holds = all(oks.values()) and all(
         _theorem_row(c, report)[2] for c in checks if c in ("main", "remark")
     )
@@ -774,16 +806,25 @@ def _outcome(fn, *args, **kwargs):
         return exc
 
 
-def _run_sweep_group(task) -> list[dict]:
-    """Every cell of one (p, dim): each cell's point set and report first
-    (a generator that ignores the seed is generated once, and sets with the
-    same ranks in the same order share one report and one set of subset
-    verdicts), then the spectrum verdict and the subset checks, the records
-    last.
+def _profile_report(F, dim, E, spectra, theorem, force):
+    """(profile, report) of one point set: its degree profile, and when
+    theorem is true its check_main_theorem report, else None."""
+    prof = degree_profile(F, dim, E, force=force)
+    return prof, check_main_theorem(F, dim, prof, spectra) if theorem else None
 
-    Sets are keyed by the bytes of their rank arrays.  The distinct sets go
-    through one _graph_oks pass, since every radius reads every set; a
-    (p, dim) with no set makes no sphere transform.
+
+def _run_sweep_group(task) -> list[dict]:
+    """Every cell of one (p, dim): each cell's point set, profile and
+    report first (a generator that ignores the seed is generated once,
+    and sets with the same ranks in the same order share one profile,
+    one report and one set of graph verdicts), then the spectrum verdict
+    and the subset checks, the records last.
+
+    Every check but the spectrum reads each set's degree profile, so
+    unless the spectrum is the only check, a one-atom generator past the
+    profile guardrail is refused before any draw.  Sets are keyed by the
+    bytes of their rank arrays, and the distinct profiles go through one
+    _graph_oks pass; a (p, dim) with no set makes no sphere transform.
     """
     p, dim, gens, seeds, checks, digest, force = task
     with warnings.catch_warnings():
@@ -791,10 +832,11 @@ def _run_sweep_group(task) -> list[dict]:
         F = make_field(p)
     spectra = euclid.spectra(F, dim, range(1, p), force)
     theorem_checks = [c for c in ("main", "remark") if c in checks]
-    records, cells, reports, sets = [], [], {}, {}
+    profiled = set(checks) != {"spectrum"}
+    records, cells, sets = [], [], {}
     for gen in gens:
         spec, made, refused = parse_generator(gen), None, None
-        if theorem_checks and len(spec.atoms) == 1:
+        if profiled and len(spec.atoms) == 1:
             # One atom makes exactly size_floor points, so a set past the
             # profile guardrail is refused, with its size, before any draw;
             # a size_floor error is the generator's own, left to it.
@@ -815,21 +857,24 @@ def _run_sweep_group(task) -> list[dict]:
                 continue
             if made is None or spec.uses_seed:
                 made = _outcome(generate_point_set, F, dim, spec, seed=cseed, force=force)
-            error = made
+            got = made
             if not isinstance(made, FqlabError):
                 key = made.ranks.tobytes()
                 rec["set_size"] = len(made)
-                if theorem_checks and key not in reports:
-                    reports[key] = _outcome(check_main_theorem, F, dim, made, spectra, force=force)
-                error = reports.get(key)
-            if isinstance(error, FqlabError):
-                rec.update(status="error", error=str(error), holds=False)
+                if key not in sets:
+                    sets[key] = _outcome(
+                        _profile_report, F, dim, made, spectra, theorem_checks, force
+                    ) if profiled else (None, None)
+                got = sets[key]
+            if isinstance(got, FqlabError):
+                rec.update(status="error", error=str(got), holds=False)
             else:
                 cells.append((rec, key))
-                sets.setdefault(key, made.ranks)
-    oks = dict(zip(sets, _graph_oks(F, dim, spectra, list(sets.values()), checks, force)))
+    sets = {key: got for key, got in sets.items() if not isinstance(got, FqlabError)}
+    profiles = [prof for prof, _ in sets.values()]
+    oks = dict(zip(sets, _graph_oks(F, dim, spectra, profiles, checks, force)))
     for rec, key in cells:
-        report, verdicts = reports.get(key), list(oks[key].values())
+        report, verdicts = sets[key][1], list(oks[key].values())
         if report is not None:
             rec.update(_report_fields(report))
             verdicts += [_theorem_row(c, report)[2] for c in theorem_checks]

@@ -33,10 +33,13 @@ of B and of the sphere over Z_p^dim.  degree_columns is the one route to
 a degree column: it transforms each stack of sets once (set_transforms),
 and per radius gathers the sphere's transform (class_transform) and
 makes every column of the stack with one inverse FFT (certified_columns),
-in O(S n log n) time and O(S n) memory for S sets.  The subset checks take
-it with their stacks of sets, bounds.degree_profile with the point set as
-a one-row stack.  Every column is certified exact, so a wrong table row
-whose counts leave the integers is refused, not counted.
+in O(S n log n) time and O(S n) memory for S sets.  verify's subset
+checks take it with their stacks of sets, and bounds.degree_profile's
+convolution route with the point set as a one-row stack; the subset
+checks of sweep and fcount, which judge a set against itself, read their
+counts off its profile instead (bounds.subset_counts).  Every column is
+certified exact, so a wrong table row whose counts leave the integers is
+refused, not counted.
 """
 
 from __future__ import annotations

@@ -621,7 +621,6 @@ def graph_rows_per_verdict(F, dim, spectra, radii, members, items, force):
                 continue
             b = stack[row].size
             if check == "mixing":
-                C = stack[row] if C is None else C
                 [(_, deviation)] = mixing_check(deg[[row]], [C])
                 sides = [("mixing", deviation, n, (b, C.size))]
             elif check == "variance":

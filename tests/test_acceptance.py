@@ -204,7 +204,9 @@ def test_c6_f_sandwich_on_sweep(capsys, default_sweep_records, f3):
         )
     ]
     spectra = {a: spectrum(euclid_graph(f3, 2, a)) for a in (1, 2)}
-    full = check_main_theorem(f3, 2, generate_point_set(f3, 2, "all"), spectra)
+    full = check_main_theorem(
+        f3, 2, degree_profile(f3, 2, generate_point_set(f3, 2, "all")), spectra
+    )
     anchor_ok = (
         full.f_value == 288
         and full.lower_bound == Fraction(288)
@@ -226,7 +228,7 @@ def test_c7_distance_count_floor(capsys, default_sweep_records, f3):
     ]
     spectra = {a: spectrum(euclid_graph(f3, 2, a)) for a in (1, 2)}
     three = load_point_set("0,0\n0,1\n1,0\n", f3, label="anchor")
-    rep = check_main_theorem(f3, 2, three, spectra)
+    rep = check_main_theorem(f3, 2, degree_profile(f3, 2, three), spectra)
     anchor_ok = rep.delta_implied == Fraction(3, 2) and rep.distance_count == 2
     ok = not bad and anchor_ok
     report(capsys, 7, ok,

@@ -656,15 +656,14 @@ def test_lower_bound_uses_nonzero_pairs(f7):
 
 def test_upper_bounds_full_space(f3, spectra3):
     E = generate_point_set(f3, 2, "all")
-    exact, asym = upper_bound_f(E, spectra3)
+    exact, asym = upper_bound_f(len(E), spectra3)
     assert exact == pytest.approx(648.0, abs=1e-9)  # 2 * 9 * (4 + 2)**2
     assert asym == pytest.approx(2 * 9 * (4 + 2 * 3**0.5) ** 2, abs=1e-9)
     assert 288 <= exact <= asym
 
 
 def test_upper_bounds_empty(f3, spectra3):
-    E = PointSet([], p=3, dim=2, origin_label="empty")
-    assert upper_bound_f(E, spectra3) == (0.0, 0.0)
+    assert upper_bound_f(0, spectra3) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("p,dim,terms", [(7, 2, 1), (11, 2, 1), (7, 3, 2), (3, 4, 1), (3, 5, 2)])
@@ -675,7 +674,7 @@ def test_upper_bound_computes_each_term_once(monkeypatch, p, dim, terms):
     spectra = euclid.spectra(F, dim, range(1, p))
     calls, hinge = [], bounds.hinge_bound
     monkeypatch.setattr(bounds, "hinge_bound", lambda *args: calls.append(args) or hinge(*args))
-    upper_bound_f(generate_point_set(F, dim, "random:1t", seed=1), spectra)
+    upper_bound_f(len(generate_point_set(F, dim, "random:1t", seed=1)), spectra)
     assert len(calls) == len(set(calls)) == terms
 
 
@@ -691,13 +690,13 @@ def test_upper_bound_equals_the_per_radius_sum(p, dim, gen):
     for a in range(1, p):
         s = spectra[a]
         exact += bounds.hinge_bound(p**dim, s.valency, s.second_eigenvalue, len(E))
-    assert upper_bound_f(E, spectra)[0] == exact
+    assert upper_bound_f(len(E), spectra)[0] == exact
 
 
 def test_upper_bound_missing_radius(f3, spectra3, three):
     partial = {1: spectra3[1]}
     with pytest.raises(MissingSpectrum):
-        upper_bound_f(three, partial)
+        upper_bound_f(len(three), partial)
 
 
 # --- full report -----------------------------------------------------------------
@@ -705,7 +704,7 @@ def test_upper_bound_missing_radius(f3, spectra3, three):
 
 def test_report_full_space(f3, spectra3):
     E = generate_point_set(f3, 2, "all")
-    rep = check_main_theorem(f3, 2, E, spectra3)
+    rep = check_main_theorem(f3, 2, degree_profile(f3, 2, E), spectra3)
     assert rep.f_value == 288
     assert rep.lower_bound == 288
     assert rep.upper_exact == pytest.approx(648.0, abs=1e-9)
@@ -715,7 +714,7 @@ def test_report_full_space(f3, spectra3):
 
 
 def test_report_three_points(f3, spectra3, three):
-    rep = check_main_theorem(f3, 2, three, spectra3)
+    rep = check_main_theorem(f3, 2, degree_profile(f3, 2, three), spectra3)
     assert rep.delta_implied == Fraction(3, 2)  # 36 / (3 * 8)
     assert rep.distance_count == 2
     assert rep.regime == "b"
@@ -724,7 +723,7 @@ def test_report_three_points(f3, spectra3, three):
 
 def test_report_singleton_vacuous(f3, spectra3):
     E = load_point_set("2,0\n", f3)
-    rep = check_main_theorem(f3, 2, E, spectra3)
+    rep = check_main_theorem(f3, 2, degree_profile(f3, 2, E), spectra3)
     assert rep.f_value == 0
     assert rep.lower_bound == 0
     assert rep.delta_implied == 0
@@ -736,8 +735,8 @@ def test_report_regime_tie_is_a(f3, spectra3):
     # non-integer size for p=3; check the comparison direction instead
     small = generate_point_set(f3, 2, "random:5", seed=1)  # 5 < 5.196
     big = generate_point_set(f3, 2, "random:6", seed=1)  # 6 > 5.196
-    assert check_main_theorem(f3, 2, small, spectra3).regime == "b"
-    assert check_main_theorem(f3, 2, big, spectra3).regime == "a"
+    assert check_main_theorem(f3, 2, degree_profile(f3, 2, small), spectra3).regime == "b"
+    assert check_main_theorem(f3, 2, degree_profile(f3, 2, big), spectra3).regime == "a"
 
 
 @settings(max_examples=30, deadline=None)
@@ -746,7 +745,7 @@ def test_report_holds_on_random_sets(seed, size):
     F = make_field(7)
     spectra = spectra_for(F, 2)
     E = generate_point_set(F, 2, f"random:{size}", seed=seed)
-    rep = check_main_theorem(F, 2, E, spectra)
+    rep = check_main_theorem(F, 2, degree_profile(F, 2, E), spectra)
     assert rep.lower_ok and rep.upper_ok and rep.asym_ok and rep.delta_ok
     assert rep.lower_bound <= rep.f_value <= rep.upper_exact + 1e-9
     assert rep.upper_exact <= rep.upper_asymptotic + 1e-9
@@ -759,7 +758,7 @@ def test_report_holds_dim3_with_null_pairs(f7):
     rng = random.Random(0)
     for size in (2, 10, 40, 120):
         E = generate_point_set(f7, 3, f"random:{size}", seed=rng.randint(0, 99))
-        rep = check_main_theorem(f7, 3, E, spectra)
+        rep = check_main_theorem(f7, 3, degree_profile(f7, 3, E), spectra)
         assert rep.holds, (size, rep)
 
 
@@ -767,6 +766,6 @@ def test_full_space_f_formula(f7):
     # f = q^dim * sum of squared valencies, for the whole space
     spectra = spectra_for(f7, 2)
     E = generate_point_set(f7, 2, "all")
-    rep = check_main_theorem(f7, 2, E, spectra)
+    rep = check_main_theorem(f7, 2, degree_profile(f7, 2, E), spectra)
     assert rep.f_value == 49 * 6 * 8 * 8
     assert rep.lower_bound == rep.f_value  # Cauchy-Schwarz tight, no null pairs

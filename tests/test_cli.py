@@ -499,14 +499,15 @@ def test_graph_blocks_equal_the_per_verdict_route():
             members, items, _ = cli._subset_draws(p, dim, a, checks, 3, 5)
             assert_blocks_equal_the_per_verdict_route(F, dim, spectra, [a], members, items)
             sets += [m for m in members if not any(np.array_equal(m, s) for s in sets)]
-        items = [(c, row, None) for row in range(len(sets)) for c in checks]
+        items = [(c, row, sets[row] if c == "mixing" else None)
+                 for row in range(len(sets)) for c in checks]
         assert_blocks_equal_the_per_verdict_route(F, dim, spectra, range(1, p), sets, items)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_graph_blocks_equal_the_per_verdict_route_on_random_items(data):
-    # any sets, items in any order with mixing C sets or none, any radii,
+    # any sets, items in any order with any mixing C sets, any radii,
     # and stacks of one to three sets, so the memo crosses stacks
     p, dim = data.draw(st.sampled_from([(3, 2), (7, 2), (11, 2), (3, 3), (7, 3)]))
     n = p**dim
@@ -516,7 +517,7 @@ def test_graph_blocks_equal_the_per_verdict_route_on_random_items(data):
     item = st.tuples(
         st.sampled_from(["variance", "mixing", "hinge"]),
         st.integers(0, len(members) - 1),
-        st.none() | subset.map(lambda C: cli.vertex_array(n, C)),
+        subset.map(lambda C: cli.vertex_array(n, C)),
     ).map(lambda it: (it[0], it[1], it[2] if it[0] == "mixing" else None))
     items = data.draw(st.lists(item, min_size=1, max_size=8))
     radii = data.draw(st.lists(st.integers(1, p - 1), min_size=1, unique=True))
@@ -524,6 +525,114 @@ def test_graph_blocks_equal_the_per_verdict_route_on_random_items(data):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fqlab.euclid, "STACK_ELEMENTS", n * data.draw(st.integers(1, 3)))
         assert_blocks_equal_the_per_verdict_route(F, dim, spectra, radii, members, items)
+
+
+def graph_row_counts(F, dim, spectra, members):
+    """{(row, column, a): count numerator} of cli._graph_rows for every
+    set members[row] checked against itself in every radius a: its
+    variance, mixing and hinge items with no C, under the exact lambda."""
+    items = [(c, row, B if c == "mixing" else None)
+             for row, B in enumerate(members) for c in ("variance", "mixing", "hinge")]
+    got = {}
+    for a, column, lam_kind, ids, counts, *_ in cli._graph_rows(
+        F, dim, spectra, range(1, F.p), members, items, False
+    ):
+        if lam_kind == "exact":
+            for i, count in zip(ids, counts):
+                got[items[i][1], column, a] = count
+    return got
+
+
+def assert_profile_counts_equal_the_columns(F, dim, sets):
+    """bounds.subset_counts of each rank set's profile equals the counts
+    that its degree columns give in every radius, column for column."""
+    n = F.p**dim
+    members = [cli.vertex_array(n, ranks) for ranks in sets]
+    want = graph_row_counts(F, dim, fqlab.spectra(F, dim, range(1, F.p)), members)
+    for row, ranks in enumerate(members):
+        prof = fqlab.degree_profile(F, dim, fqlab.PointSet(ranks, p=F.p, dim=dim))
+        got = fqlab.bounds.subset_counts(F, dim, prof)
+        assert list(got) == ["variance", "mixing", "hinge", "eq2"]
+        for column, values in got.items():
+            assert all(type(v) is int for v in values)
+            assert values == [want[row, column, a] for a in range(1, F.p)], (row, ranks.size, column)
+
+
+def field_allowing_1mod4(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fqlab.make_field(p)
+
+
+# the 44-instance grid's (p, dim), then p = 1 mod 4 and dims 4 and 5
+PROFILE_GRID = sorted({(p, dim) for p, dim, _ in GRID}) + [
+    (5, 2), (13, 2), (5, 3), (3, 4), (5, 4), (3, 5),
+]
+
+
+@pytest.mark.parametrize("p,dim", PROFILE_GRID)
+def test_profile_counts_equal_the_degree_columns(p, dim):
+    # empty, singleton and full-space sets, random sets from sparse to one
+    # point short of F_p^dim (pairwise and complement profiles), the unit
+    # sphere, and verify's draws on every radius
+    F = field_allowing_1mod4(p)
+    n = p**dim
+    rng = np.random.default_rng(p * 10 + dim)
+    sets = [np.zeros(0, dtype=np.int64), np.array([0]), np.array([n - 1]), np.arange(n)]
+    sets += [rng.choice(n, size, replace=False) for size in (2, n // 5, n // 2, n - 1)]
+    sets.append(fqlab.generate_point_set(F, dim, "sphere:1").ranks)
+    for a in range(1, p):
+        members, _, _ = cli._subset_draws(p, dim, a, ("variance", "hinge"), 3, 5)
+        sets += members
+    assert_profile_counts_equal_the_columns(F, dim, sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_profile_counts_equal_the_degree_columns_on_random_sets(data):
+    # any sets or their complements, each profile by the route the cost
+    # model picks, or convolved when the convolution is made free
+    p, dim = data.draw(st.sampled_from(PROFILE_GRID))
+    n = p**dim
+    F = field_allowing_1mod4(p)
+    subset = st.lists(st.integers(0, n - 1), max_size=min(n, 60), unique=True)
+    sets = []
+    for ranks, dense in data.draw(st.lists(st.tuples(subset, st.booleans()), min_size=1, max_size=4)):
+        ranks = np.array(ranks, dtype=np.int64)
+        sets.append(np.setdiff1d(np.arange(n), ranks) if dense else ranks)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fqlab.bounds, "PROFILE_FFT_RATIO", data.draw(st.sampled_from([0, 20])))
+        assert_profile_counts_equal_the_columns(F, dim, sets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
+    # under bounds scaled down so that some verdicts fail, each set's
+    # flags from its profile equal those of its blocks of _graph_rows:
+    # a column holds when every radius' count holds under both lambdas
+    p, dim = data.draw(st.sampled_from([(3, 2), (7, 2), (11, 2), (3, 3), (7, 3)]))
+    n = p**dim
+    F = fqlab.make_field(p)
+    spectra = fqlab.spectra(F, dim, range(1, p))
+    subset = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+    members = [cli.vertex_array(n, B) for B in data.draw(st.lists(subset, min_size=1, max_size=4))]
+    scale = data.draw(st.sampled_from([0, 0.3, 0.6, 0.9, 1]))
+    checks = ("variance", "mixing", "hinge")
+    items = [(c, row, B if c == "mixing" else None)
+             for row, B in enumerate(members) for c in checks]
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("variance_bound", "mixing_bound", "hinge_bound", "degree_sum_bound"):
+            m.setattr(cli, name, lambda *args, fn=getattr(cli, name): fn(*args) * scale)
+        want = [dict.fromkeys(["variance_ok", "mixing_ok", "hinge_ok", "eq2_ok"], True)
+                for _ in members]
+        for _, column, _, ids, _, _, _, holds, _ in cli._graph_rows(
+            F, dim, spectra, range(1, p), members, items, False
+        ):
+            for i, ok in zip(ids, holds):
+                want[items[i][1]][f"{column}_ok"] &= ok
+        profiles = [fqlab.degree_profile(F, dim, fqlab.PointSet(B, p=p, dim=dim)) for B in members]
+        assert cli._graph_oks(F, dim, spectra, profiles, checks, False) == want
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
@@ -742,9 +851,9 @@ def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
 
 
 def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
-    transforms, stacks, inverses, alive, peak = Counter(), Counter(), Counter(), [], []
-    transform, stacked = cli.sphere_transform, fqlab.euclid.set_transforms
-    inverse, gathers, gather = fqlab.euclid.certified_columns, Counter(), fqlab.euclid.class_transform
+    transforms, alive, peak, made = Counter(), [], [], Counter()
+    transform, gather = cli.sphere_transform, fqlab.euclid.class_transform
+    gathers = Counter()
 
     def tracked(G, **kwargs):
         T = transform(G, **kwargs)
@@ -753,127 +862,121 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         peak.append(sum(ref() is not None for ref in alive))
         return T
 
-    def counted_stack(p, dim, members):
-        stacks[p, dim, len(members)] += 1
-        return stacked(p, dim, members)
-
-    def counted_inverse(G, T, hats, sizes):
-        inverses[G.field.p, G.dim, len(sizes)] += 1
-        return inverse(G, T, hats, sizes)
-
     def counted_gather(p, dim, values, trivial):
         gathers[caller(), p, dim] += 1
         return gather(p, dim, values, trivial)
 
-    reported = []
-    report = cli.check_main_theorem
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: made.update([name]) or fn(*a, **k))
 
-    def counted(F, dim, E, spectra, force=False):
-        reported.append((F.p, dim, E.points))
-        return report(F, dim, E, spectra, force=force)
+    profiled, reported = [], []
+    profile, report = cli.degree_profile, cli.check_main_theorem
+
+    def counted_profile(F, dim, E, force=False):
+        profiled.append((F.p, dim, E.ranks.tobytes()))
+        return profile(F, dim, E, force=force)
+
+    def counted_report(F, dim, prof, spectra):
+        reported.append(prof)
+        return report(F, dim, prof, spectra)
 
     monkeypatch.setattr(cli, "sphere_transform", tracked)
-    monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
-    monkeypatch.setattr(fqlab.euclid, "certified_columns", counted_inverse)
     monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
-    monkeypatch.setattr(cli, "check_main_theorem", counted)
+    for name in ("set_transforms", "certified_columns"):
+        counted(fqlab.euclid, name)
+    monkeypatch.setattr(cli, "degree_profile", counted_profile)
+    monkeypatch.setattr(cli, "check_main_theorem", counted_report)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
     assert transforms == {(3, 2): 2, (7, 2): 6}  # p - 1 transforms per (p, dim)
     assert max(peak) == 1
-    # the three distinct sets of a (p, dim) form one stack, transformed
-    # once; one gathered transform and one inverse transform per radius
-    # serve all four counts, and each recheck gathers the table's values
-    # once to compare
-    assert stacks == {(3, 2, 3): 1, (7, 2, 3): 1}
-    assert gathers == {
-        ("degree_columns", 3, 2): 2, ("degree_columns", 7, 2): 6,
-        ("recheck_spectrum", 3, 2): 2, ("recheck_spectrum", 7, 2): 6,
-    }
-    assert inverses == {(3, 2, 3): 2, (7, 2, 3): 6}
-    # per p: "all" once for both seeds, and two distinct random sets
-    assert len(reported) == len(set(reported)) == 6
-    # stacks of one set: one gathered transform per (stack, radius), and
-    # still one sphere transform per radius, for the spectrum recheck,
-    # one alive at a time
-    for seen in (transforms, stacks, inverses, gathers, alive, peak):
-        seen.clear()
-    monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1)
-    assert run_sweep(SMALL_CONFIG, jobs=1)[0] == records
-    assert transforms == {(3, 2): 2, (7, 2): 6}
-    assert max(peak) == 1
-    assert stacks == {(3, 2, 1): 3, (7, 2, 1): 3}
-    assert gathers == {
-        ("degree_columns", 3, 2): 3 * 2, ("degree_columns", 7, 2): 3 * 6,
-        ("recheck_spectrum", 3, 2): 2, ("recheck_spectrum", 7, 2): 6,
-    }
-    assert inverses == {(3, 2, 1): 3 * 2, (7, 2, 1): 3 * 6}
+    # the subset checks read each set's profile: no set transform, no
+    # degree column; only the spectrum recheck gathers the table's values
+    assert made == {}
+    assert gathers == {("recheck_spectrum", 3, 2): 2, ("recheck_spectrum", 7, 2): 6}
+    # per p: "all" once for both seeds, and two distinct random sets, each
+    # profiled once and its report made from that profile
+    assert len(profiled) == len(set(profiled)) == 6
+    assert len(reported) == len({id(prof) for prof in reported}) == 6
 
 
-def test_sweep_sorts_and_transforms_each_set_once_per_group(monkeypatch):
-    # each distinct set is sorted once per (p, dim), and the set transform
-    # and all four counts of every radius read that one sorted vertex array
-    calls, rows = Counter(), []
-    stacked, sort = fqlab.euclid.set_transforms, cli.vertex_array
+@pytest.mark.parametrize("ratio", [0, fqlab.bounds.PROFILE_FFT_RATIO])
+def test_sweep_profiles_each_set_once_per_group(monkeypatch, ratio):
+    # each distinct set of a (p, dim) is profiled once, and its subset
+    # counts are read off that profile once, with no vertex array sorted;
+    # a set transform or a degree column is made only by a profile that
+    # convolves (all of them at a ratio of 0): one one-row stack per set,
+    # one column per radius
+    calls, made = Counter(), Counter()
 
-    def counted_sorted(n, values):
-        calls["sorted"] += 1
-        return sort(n, values)
+    def counted(module, name):
+        fn = getattr(module, name)
 
-    def counted_stack(p, dim, members):
-        calls["set_transforms"] += 1
-        rows.extend(tuple(m.tolist()) for m in members)
-        return stacked(p, dim, members)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            made[name, caller()] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "vertex_array", counted_sorted)
-    monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("vertex_array", "degree_profile", "subset_counts"):
+        counted(cli, name)
+    for name in ("set_transforms", "certified_columns"):
+        counted(fqlab.euclid, name)
+    counted(fqlab.bounds, "_convolved_profile")
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_FFT_RATIO", ratio)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
-    # three distinct sets per p, one stack per p
-    assert calls == {"sorted": 3 + 3, "set_transforms": 2}
-    assert len(rows) == len(set(rows)) == 6
+    # three distinct sets per p
+    convolved = 6 if ratio == 0 else 0
+    assert calls == {
+        "degree_profile": 6, "subset_counts": 6, **({
+            "_convolved_profile": convolved, "set_transforms": convolved,
+            "certified_columns": 3 * (3 - 1) + 3 * (7 - 1),
+        } if convolved else {}),
+    }
+    assert all(made[name, "degree_columns"] == calls[name]
+               for name in ("set_transforms", "certified_columns"))
 
 
 def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
     # with B = E the hinge and degree-sum counts of radius a are the set's
-    # degree profile's hinges[a] and pairs[a]
-    radius, seen = {}, []
-    inverse = fqlab.euclid.certified_columns
+    # degree profile's hinges[a] and pairs[a], and all four counts are
+    # those of the set's degree columns
+    seen = []
+    counts = cli.subset_counts
 
-    def tracked_inverse(G, T, hats, sizes):
-        radius.update(p=G.field.p, dim=G.dim, a=G.a)
-        return inverse(G, T, hats, sizes)
+    def recorded(F, dim, prof):
+        got = counts(F, dim, prof)
+        seen.append((F, dim, prof, got))
+        return got
 
-    def recorder(fn):
-        def wrapper(deg, index):
-            hinges, sums = fn(deg, index)
-            assert len(hinges) == len(sums) == len(index.sizes) == deg.shape[0]
-            members = np.split(index.flat, np.cumsum(index.sizes)[:-1])
-            for E, h, s in zip(members, hinges, sums):
-                for name, value in (("hinges", h), ("degree-sum", s)):
-                    seen.append((name, radius["p"], radius["dim"], radius["a"], tuple(E), value))
-            return hinges, sums
-        return wrapper
+    monkeypatch.setattr(cli, "subset_counts", recorded)
+    made = []  # (profile, its point set)
+    profile = cli.degree_profile
 
-    monkeypatch.setattr(fqlab.euclid, "certified_columns", tracked_inverse)
-    monkeypatch.setattr(cli, "member_sums", recorder(cli.member_sums))
+    def profiled(F, dim, E, force=False):
+        made.append((profile(F, dim, E, force=force), E))
+        return made[-1][0]
+
+    monkeypatch.setattr(cli, "degree_profile", profiled)
     grid = [{"primes": [3, 7], "dims": [2]}, {"primes": [3], "dims": [3]}]
     run_sweep({**SMALL_CONFIG, "grid": grid}, jobs=1)
-    assert {(name, p, dim) for name, p, dim, *_ in seen} == {
-        (name, p, dim)
-        for name in ("hinges", "degree-sum")
-        for p, dim in ((3, 2), (7, 2), (3, 3))
-    }
-    for name, p, dim, a, ranks, value in seen:
-        E = fqlab.PointSet(ranks, p=p, dim=dim)
-        prof = fqlab.degree_profile(fqlab.make_field(p), dim, E)
-        assert value == int(prof.hinges[a] if name == "hinges" else prof.pairs[a])
+    assert {(F.p, dim) for F, dim, *_ in seen} == {(3, 2), (7, 2), (3, 3)}
+    for F, dim, prof, got in seen:
+        assert got["hinge"] == prof.hinges[1:].tolist()
+        assert got["eq2"] == prof.pairs[1:].tolist()
+        (E,) = [E for made_prof, E in made if made_prof is prof]
+        members = [cli.vertex_array(F.p**dim, E.ranks)]
+        want = graph_row_counts(F, dim, fqlab.spectra(F, dim, range(1, F.p)), members)
+        for column, values in got.items():
+            assert values == [want[0, column, a] for a in range(1, F.p)]
 
 
-def test_sweep_gathers_member_degrees_once_per_stack_and_radius(monkeypatch):
-    # each stack's gather index is made once, and each (stack, radius)
-    # gathers its members' degrees once, for the hinge and degree-sum
-    # counts and for mixing's e of each set with itself
+def test_sweep_and_fcount_gather_no_member_degrees(monkeypatch):
+    # their subset checks judge each set against itself from its degree
+    # profile, so neither makes a gather index or gathers a member's degree
     calls = Counter()
 
     def counted(name, fn):
@@ -886,11 +989,11 @@ def test_sweep_gathers_member_degrees_once_per_stack_and_radius(monkeypatch):
     monkeypatch.setattr(
         fqlab.spectral, "_member_degrees", counted("gather", fqlab.spectral._member_degrees)
     )
-    monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1)  # one set per stack
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] and r["mixing_ok"] and r["eq2_ok"] for r in records)
-    # three distinct sets per p, so three stacks, each read on p - 1 radii
-    assert calls == {"index": 3 + 3, "gather": 3 * (3 - 1) + 3 * (7 - 1)}
+    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:1t",
+                 "--checks", ",".join(CHECK_NAMES)]) == 0
+    assert calls == {}
 
 
 def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
@@ -920,14 +1023,15 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
 
 
 def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch, tmp_path):
-    # spectrum, verify and sweep reach the set transforms, the gathered
-    # transforms and the degree columns only through one _graph_rows pass
-    # (its degree_columns), and the sphere transforms and the gathers they
-    # are compared with only through one _spectrum_rows pass (its
-    # recheck_spectrum): stubbed out, none is made; unstubbed, the subset
-    # pass runs once per verify radius and once per sweep (p, dim), the
-    # spectrum pass once per spectrum command, once per verify radius and
-    # once per sweep (p, dim)
+    # spectrum, verify, sweep and fcount reach the set transforms, the
+    # gathered transforms and the degree columns only through verify's
+    # _graph_rows pass (its degree_columns), and the sphere transforms and
+    # the gathers they are compared with only through one _spectrum_rows
+    # pass (its recheck_spectrum): stubbed out, none is made; unstubbed,
+    # the subset pass runs once per verify radius and never for sweep or
+    # fcount, which read their subset counts off each set's profile, and
+    # the spectrum pass once per spectrum command, once per verify radius,
+    # once per sweep (p, dim) and once per fcount
     calls, passes, rechecks = Counter(), [], []
 
     def counted(module, name):
@@ -960,6 +1064,7 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
         ["spectrum", "--q", "7", "--dim", "2", "--out", str(out)],
         ["verify", "--q", "7", "--dim", "2", "--trials", "2", "--checks", graph],
         ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"],
+        ["fcount", "--q", "7", "--dim", "2", "--gen", "random:1t", "--checks", graph],
     )
     radii = tuple(range(1, 7))
     monkeypatch.setattr(cli, "_graph_rows", lambda *args: iter(()))
@@ -973,19 +1078,20 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
     monkeypatch.setattr(cli, "_spectrum_rows", traced_spectrum)
     for argv in commands:
         assert main(argv) == 0
-    assert passes == [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
+    assert passes == [(7, 2, (a,)) for a in radii]
     assert rechecks == (
         [(7, 2, radii)] + [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
+        + [(7, 2, radii)]
     )
     # one sphere transform per radius and command, with the gather it is
-    # compared with; one stack per verify radius and per sweep (p, dim),
-    # one gather and one inverse per (stack, radius)
+    # compared with; one stack per verify radius, one gather and one
+    # inverse per (stack, radius)
     assert calls == {
-        ("sphere_transform", "_spectrum_rows"): 6 + 6 + 2 + 6,
-        ("class_transform", "recheck_spectrum"): 6 + 6 + 2 + 6,
-        ("class_transform", "degree_columns"): 6 + 2 + 6,
-        ("set_transforms", "degree_columns"): 6 + 2,
-        ("certified_columns", "degree_columns"): 6 + 2 + 6,
+        ("sphere_transform", "_spectrum_rows"): 6 + 6 + 2 + 6 + 6,
+        ("class_transform", "recheck_spectrum"): 6 + 6 + 2 + 6 + 6,
+        ("class_transform", "degree_columns"): 6,
+        ("set_transforms", "degree_columns"): 6,
+        ("certified_columns", "degree_columns"): 6,
     }
 
 
@@ -994,7 +1100,8 @@ def test_sweep_computes_each_bound_once_per_size(monkeypatch):
     # random sets of one p share a size, and in F_p^2, p = 3 mod 4, every
     # radius has one valency and one second eigenvalue, so each bound and
     # its integer limit are computed once per (p, lambda, size), not once
-    # per radius, set or verdict
+    # per radius, set or verdict; each distinct set's counts are read off
+    # its profile once
     calls = Counter()
 
     def counted(name, fn):
@@ -1004,30 +1111,18 @@ def test_sweep_computes_each_bound_once_per_size(monkeypatch):
         return wrapper
 
     names = ("variance_bound", "mixing_bound", "hinge_bound", "degree_sum_bound")
-    for name in names + ("bound_limit",):
+    for name in names + ("bound_limit", "subset_counts"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
-    graph_rows = cli._graph_rows
-
-    def counted_rows(*args):
-        for block in graph_rows(*args):
-            calls["blocks"] += 1
-            calls["verdicts"] += len(block[3])
-            yield block
-
-    monkeypatch.setattr(cli, "_graph_rows", counted_rows)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
     sizes = {(r["p"], r["set_size"]) for r in records}
     assert len(sizes) == 4  # per p: F_p^2 and one size for both random sets
-    radii = sum(p - 1 for p in (3, 7))
     assert calls == {
         # two sizes per p, each under two lambdas
         **{name: 2 * 2 * 2 for name in names},
         "bound_limit": 2 * 2 * 2 * len(names),
-        # one stack per p: per radius, one block per lambda and column
-        "blocks": radii * 2 * 4,
-        # three sets per p, four verdicts per set under each lambda
-        "verdicts": radii * 3 * 2 * 4,
+        # three distinct sets per p
+        "subset_counts": 3 * 2,
     }
 
 
@@ -1112,7 +1207,8 @@ SWEEP_ALLCHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_all
 def test_stack_boundaries_keep_the_records(monkeypatch, tmp_path, held):
     # STACK_ELEMENTS = 2 * 361 stacks two sets of the largest graphs
     # (F_19^2 and F_7^3), whose stacks are counted; 1 stacks one set of any
-    # graph
+    # graph.  Only verify stacks sets; the sweep, which reads its subset
+    # counts off each set's profile, keeps its records whatever the budget
     config = json.loads(SWEEP_ALLCHECKS.read_text())
     verify = ["verify", "--q", "7", "--dim", "3", "--trials", "3"]
     baseline = emit(run_sweep(config, jobs=1)[0], "jsonl", SWEEP_FIELDS)
@@ -1311,6 +1407,33 @@ def test_sweep_refuses_the_profile_before_drawing_the_set(monkeypatch):
          "pass --force to override", False)
         for gen, size in [("box:3", 3**14)] * 2 + [("random:1t", 2178890)] * 2
     ]
+
+
+def test_subset_only_sweep_refuses_the_profile_before_drawing_the_set(monkeypatch, tmp_path, capsys):
+    # a subset check reads the set's profile, so with a guardrail of 100
+    # pairs the 19 random points of F_7^2 are refused from the atom's size
+    # before any draw, with the guard's own text; the 5-point cells run,
+    # and under --force every cell runs
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", 100)
+    draws = []
+    draw = cli.generate_point_set
+    monkeypatch.setattr(cli, "generate_point_set", lambda *a, **k: draws.append(a) or draw(*a, **k))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
+    cfg.write_text(json.dumps({"grid": [{"primes": [7], "dims": [2]}],
+                               "generators": ["random:1t", "random:5"], "seeds": [1, 2],
+                               "checks": ["hinge"]}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    with pytest.raises(fqlab.TooLarge) as refusal:
+        fqlab.bounds.guard_profile(19, 7, 2)
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["generator"], r["status"], r["set_size"], r["error"]) for r in records] == [
+        ("random:1t", "error", 19, str(refusal.value))] * 2 + [("random:5", "ok", 5, "")] * 2
+    assert len(draws) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert all(r["status"] == "ok" and r["hinge_ok"] and r["eq2_ok"] for r in records)
+    assert len(draws) == 2 + 4
 
 
 @pytest.mark.parametrize("gen", ["all", "random:1t", "box:1t", "sphere:1", "line:0,0;1,2",

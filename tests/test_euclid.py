@@ -734,7 +734,8 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     rng = random.Random(2)
     sizes = (1, 10, 100, 282, 1000, 5000, 20000, 40000, G.n - 1, G.n)
     members = [vertex_array(G.n, rng.sample(range(G.n), size)) for size in sizes]
-    items = [(c, row, None) for row in range(10) for c in ("variance", "mixing", "hinge")]
+    items = [(c, row, B if c == "mixing" else None)
+             for row, B in enumerate(members) for c in ("variance", "mixing", "hinge")]
     stacked = []
 
     def counted(p, dim, stack):
