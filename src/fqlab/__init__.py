@@ -34,8 +34,8 @@ from .euclid import (
     euclid_graph,
     ramanujan_bound,
     recheck_spectrum,
+    recheck_table,
     spectra,
-    sphere_transform,
 )
 from .field import PrimeField, is_prime, make_field
 from .geometry import (
@@ -52,11 +52,8 @@ from .geometry import (
 )
 from .spectral import (
     degree_sum_bound,
-    degree_sum_check,
     hinge_bound,
-    hinge_count,
     mixing_bound,
-    mixing_check,
     variance_bound,
     variance_check,
     within_bound,
@@ -73,12 +70,11 @@ __all__ = [
     "parse_generator", "parse_point_text",
     "size_threshold", "sphere_points", "sphere_size", "sphere_table",
     # spectral
-    "degree_sum_bound", "degree_sum_check", "hinge_bound", "hinge_count",
-    "mixing_bound", "mixing_check", "variance_bound", "variance_check",
-    "within_bound",
+    "degree_sum_bound", "hinge_bound", "mixing_bound", "variance_bound",
+    "variance_check", "within_bound",
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "degree_columns", "euclid_graph",
-    "ramanujan_bound", "recheck_spectrum", "spectra", "sphere_transform",
+    "ramanujan_bound", "recheck_spectrum", "recheck_table", "spectra",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
     "lower_bound_f", "upper_bound_f",

@@ -35,14 +35,7 @@ from pathlib import Path
 from . import __version__, bounds, euclid
 from .bounds import check_main_theorem, degree_profile, subset_counts
 from .errors import BadSpec, FqlabError, VerificationFailed
-from .euclid import (
-    SpectralSummary,
-    degree_columns,
-    euclid_graph,
-    guard_spectrum,
-    recheck_spectrum,
-    sphere_transform,
-)
+from .euclid import SpectralSummary, degree_columns, recheck_spectrum, recheck_table
 from .field import PrimeField, make_field
 from .geometry import (
     PointSet,
@@ -266,18 +259,19 @@ def _status(ok: bool) -> str:
 # checks, each written once and shared by verify, sweep, spectrum and fcount
 
 
-def _spectrum_rows(F, dim, spectra, radii, force):
+def _spectrum_rows(F, dim, spectra, radii):
     """Yield (a, holds, detail) for each radius a: the ceiling test on its
-    spectrum plus the independent recheck of its norm-class row against
-    the radius' sphere transform, one FFT over F_p^dim, freed before the
-    next radius' is made.  This is the only pass that takes one."""
+    spectrum plus the recheck of its norm-class row, all read off one
+    recheck_table, made before the first radius.  This is the only pass
+    that makes one."""
+    worst, at = recheck_table(F, dim)
     for a in radii:
-        G, s = euclid_graph(F, dim, a), spectra[a]
+        s = spectra[a]
         ok = within_bound(s.second_eigenvalue, s.ramanujan_bound)
         detail = f"trace=({s.trace_sum_residual:.3g},{s.trace_square_residual:.3g})"
         try:
-            worst = recheck_spectrum(G, s, sphere_transform(G, force=force))
-            detail += f";eigvec={worst:.3g}"
+            worst_a = recheck_spectrum(s, worst, at)
+            detail += f";eigvec={worst_a:.3g}"
         except VerificationFailed as exc:
             ok = False
             detail += f";{exc}"
@@ -378,7 +372,7 @@ def _graph_rows(F, dim, spectra, radii, members, items, force):
                        [edges[r] for r in reads] if column == "mixing" else None)
 
 
-def _graph_oks(F, dim, spectra, profiles, checks, force) -> list[dict]:
+def _graph_oks(F, dim, spectra, profiles, checks) -> list[dict]:
     """The {column}_ok record flags of the graph checks among checks, one
     dict per set, each set given by its degree profile (read only when a
     subset check is asked for), then one _spectrum_rows pass.
@@ -387,12 +381,16 @@ def _graph_oks(F, dim, spectra, profiles, checks, force) -> list[dict]:
     from bounds.subset_counts, with no degree column made.  A column holds
     when, in every radius, its count is at most the limit of its bound
     under both the exact second eigenvalue and the ceiling; those limits
-    depend on the column and the set sizes alone, so sets of one size
-    share each radius' limits, and each bound comes from one _bound memo.
-    The spectrum verdicts of all radii judge every set.  With no set, no
-    pass is made."""
+    depend on the column, the set sizes and the radius' (valency, exact
+    lambda, ceiling) alone, so sets of one size share each radius' limits,
+    radii of one such triple share them too (dilations map the radii of a
+    square class onto one another), and each bound comes from one _bound
+    memo.  The spectrum verdicts of all radii judge every set.  With no
+    set, no pass is made."""
     columns = [column for check in checks for column in CHECK_COLUMNS.get(check, ())]
     n, radii = F.p**dim, range(1, F.p)
+    graphs = [(s.valency, s.second_eigenvalue, s.ramanujan_bound)
+              for s in map(spectra.get, radii)] if columns else []
     memo, limits, oks = {}, {}, []
     for prof in profiles:
         counts = subset_counts(F, dim, prof) if columns else {}
@@ -400,15 +398,13 @@ def _graph_oks(F, dim, spectra, profiles, checks, force) -> list[dict]:
         for column in columns:
             sizes = (prof.size,) * (2 if column == "mixing" else 1)
             if (column, sizes) not in limits:
-                limits[column, sizes] = [
-                    min(_bound(memo, column, n, s.valency, lam, sizes)[1]
-                        for lam in (s.second_eigenvalue, s.ramanujan_bound))
-                    for s in (spectra[a] for a in radii)
-                ]
+                limit = {g: min(_bound(memo, column, n, g[0], lam, sizes)[1] for lam in g[1:])
+                         for g in set(graphs)}
+                limits[column, sizes] = [limit[g] for g in graphs]
             got[f"{column}_ok"] = all(map(operator.le, counts[column], limits[column, sizes]))
         oks.append(got)
     if "spectrum" in checks and profiles:
-        ok = all(holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii, force))
+        ok = all(holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii))
         for got in oks:
             got["spectrum_ok"] = ok
     return oks
@@ -483,25 +479,14 @@ def _subset_draws(p, dim, a, checks, trials, seed):
 
 
 def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
-    """Every graph-local check on radius a, appended to the (records,
-    summary lines) pair out[check].
+    """Every subset check on radius a, appended to the (records, summary
+    lines) pair out[check].
 
     The distinct sets B of _subset_draws go through one _graph_rows pass
-    of their own, since no other radius reads them; the spectrum check is
-    one _spectrum_rows pass over the radius.
+    of their own, since no other radius reads them.
     """
     p = F.p
     members, items, trials = _subset_draws(p, dim, a, checks, args.trials, args.seed)
-    if "spectrum" in checks:
-        [(_, ok, detail)] = _spectrum_rows(F, dim, spectra, [a], args.force)
-        lam, bound = spectra[a].second_eigenvalue, spectra[a].ramanujan_bound
-        out["spectrum"][0].append(_verify_record(
-            "spectrum", p, dim, args.seed, lam, bound, ok, detail, a=a,
-        ))
-        out["spectrum"][1].append(
-            f"spectrum  p={p} dim={dim} a={a}: "
-            f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
-        )
     rows = [[] for _ in items]
     for _, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges in _graph_rows(
         F, dim, spectra, [a], members, items, args.force
@@ -542,16 +527,17 @@ def _point_set_draws(p, dim, cap, trials, seed):
 def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     """main and remark on one list of point sets, one report per distinct set.
 
-    The sets are F_p^dim itself and a ladder of random subsets (a size-n
-    rung is F_p^dim again).  Unless forced, sizes stay at most
-    isqrt(PROFILE_MAX_PAIRS), where even the pairwise profile fits its
-    guardrail, and the full space is included only within that cap.
+    The sets are F_p^dim itself, when the profile and enumeration
+    guardrails admit it, and a ladder of random subsets (a size-n rung is
+    F_p^dim again).  Unless forced, rung sizes stay at most
+    isqrt(PROFILE_MAX_PAIRS), where even the pairwise profile fits.
     """
     p, n = F.p, F.p**dim
     cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
-    sets = []
-    if n <= cap:
-        sets.append(generate_point_set(F, dim, "all", seed=0, force=args.force))
+    full = _outcome(bounds.guard_profile, n, p, dim, args.force) or _outcome(
+        generate_point_set, F, dim, "all", seed=0, force=args.force
+    )
+    sets = [full] if isinstance(full, PointSet) else []
     for ranks in _point_set_draws(p, dim, cap, args.trials, args.seed):
         sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}"))
     wanted = [c for c in ("main", "remark") if c in checks]
@@ -598,7 +584,7 @@ def cmd_spectrum(args) -> int:
     radii = range(1, F.p) if args.a is None else [args.a]
     spectra = euclid.spectra(F, args.dim, radii, args.force)
     records, all_ok = [], True
-    for a, bound_ok, detail in _spectrum_rows(F, args.dim, spectra, radii, args.force):
+    for a, bound_ok, detail in _spectrum_rows(F, args.dim, spectra, radii):
         s = spectra[a]
         if not bound_ok:
             print(f"a={a}: check failed: {detail}")
@@ -645,12 +631,10 @@ def cmd_fcount(args) -> int:
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
     bounds.guard_profile(len(E), F.p, dim, args.force)  # before any spectrum
-    if set(checks) - {"main", "remark"}:  # graph checks span F_p^dim
-        guard_spectrum(F.p, dim, args.force)
     spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
     prof = degree_profile(F, dim, E, force=args.force)
     report = check_main_theorem(F, dim, prof, spectra)
-    (oks,) = _graph_oks(F, dim, spectra, [prof], checks, args.force)
+    (oks,) = _graph_oks(F, dim, spectra, [prof], checks)
     holds = all(oks.values()) and all(
         _theorem_row(c, report)[2] for c in checks if c in ("main", "remark")
     )
@@ -708,6 +692,16 @@ def cmd_verify(args) -> int:
     # Records and summary lines are buffered per check, so the output keeps
     # check-major order while the work runs one radius at a time.
     out = {check: ([], []) for check in checks}
+    if "spectrum" in checks:  # one _spectrum_rows pass over every radius
+        for a, ok, detail in _spectrum_rows(F, dim, spectra, a_values):
+            lam, bound = spectra[a].second_eigenvalue, spectra[a].ramanujan_bound
+            out["spectrum"][0].append(_verify_record(
+                "spectrum", F.p, dim, args.seed, lam, bound, ok, detail, a=a,
+            ))
+            out["spectrum"][1].append(
+                f"spectrum  p={F.p} dim={dim} a={a}: "
+                f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
+            )
     for a in a_values:
         _verify_radius(F, dim, a, spectra, checks, args, out)
     if need_all:
@@ -824,7 +818,7 @@ def _run_sweep_group(task) -> list[dict]:
     unless the spectrum is the only check, a one-atom generator past the
     profile guardrail is refused before any draw.  Sets are keyed by the
     bytes of their rank arrays, and the distinct profiles go through one
-    _graph_oks pass; a (p, dim) with no set makes no sphere transform.
+    _graph_oks pass; a (p, dim) with no set makes no spectrum recheck.
     """
     p, dim, gens, seeds, checks, digest, force = task
     with warnings.catch_warnings():
@@ -872,7 +866,7 @@ def _run_sweep_group(task) -> list[dict]:
                 cells.append((rec, key))
     sets = {key: got for key, got in sets.items() if not isinstance(got, FqlabError)}
     profiles = [prof for prof, _ in sets.values()]
-    oks = dict(zip(sets, _graph_oks(F, dim, spectra, profiles, checks, force)))
+    oks = dict(zip(sets, _graph_oks(F, dim, spectra, profiles, checks)))
     for rec, key in cells:
         report, verdicts = sets[key][1], list(oks[key].values())
         if report is not None:
@@ -895,9 +889,6 @@ def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[di
             for dim in block["dims"]:
                 if (p, dim) not in pairs:
                     pairs.append((p, dim))
-    if set(config["checks"]) - {"main", "remark"}:  # graph checks span F_p^dim
-        for p, dim in pairs:
-            guard_spectrum(p, dim, force)
     tasks = [
         (
             p, dim,

@@ -19,13 +19,11 @@ even dim, one matrix of quadratic characters times one vector of
 cosines, in O(p**2) work whatever dim is (never a dense eigensolver or
 an FFT, and no point of F_p^dim is visited).
 
-The sphere indicator's Fourier transform over Z_p^dim takes the value
-lam_m at m, so it has two routes.  class_transform gathers it from one
-radius' row of the table, indexed by the norm of each frequency;
-sphere_transform takes it as one FFT over all p**dim points, with neither
-the orthogonal symmetry nor the character sums.  recheck_spectrum compares
-the two at every frequency, and checks the trace identities, so the table
-never goes unchecked; that recheck is sphere_transform's only use.
+recheck_table recomputes the whole table from exact counts of points by
+(norm, dot product with one frequency), with no character sum, quadric
+count, FFT or p**dim array, and recheck_spectrum judges one radius' row
+by it and by the trace identities.  class_transform gathers the sphere's
+Fourier transform over Z_p^dim from one radius' row, by frequency norm.
 
 Subset counts need no neighbor table either: the number of neighbors a
 vertex v has inside a set B is the cyclic convolution of the indicators
@@ -54,8 +52,8 @@ from .errors import BadSpec, TooLarge, VerificationFailed
 from .field import PrimeField
 from .geometry import _quadric_counts, _space_size, sphere_size, sphere_table
 
-# Work over all of F_p^dim (sphere and set transforms, degree columns) is
-# refused above this many vertices, and the p x p norm-class table above
+# Work over all of F_p^dim (set transforms and degree columns) is refused
+# above this many vertices, and the p x p norm-class table above
 # this many entries (8 MB of float), unless forced.
 SPECTRUM_MAX = 10**6
 GROUP_TOL = 1e-6  # eigenvalues closer than this share a multiplicity class
@@ -94,7 +92,7 @@ def euclid_graph(F: PrimeField, dim: int, a: int) -> EuclidGraphSpec:
 
 def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
     """Refuse work over all p**dim > SPECTRUM_MAX vertices of F_p^dim
-    unless forced; every such route calls this one check."""
+    unless forced; degree_columns, the one such route, calls it."""
     if p**dim > SPECTRUM_MAX and not force:
         raise TooLarge(
             f"p**dim = {p}**{dim} = {p ** dim} exceeds the spectrum guardrail "
@@ -313,75 +311,126 @@ def _norm_grid(p: int, dim: int) -> np.ndarray:
     return grid
 
 
-def sphere_transform(G: EuclidGraphSpec, force: bool = False) -> np.ndarray:
-    """rfftn of the radius-a sphere indicator over Z_p^dim.
-
-    The indicator is norms == a over all p**dim points, laid out in rank
-    order as a (p,) * dim array.  T[m] = sum over s with ||s|| = a of
-    exp(-2*pi*i*(m.s)/p), which is lam_m, for the half of the frequencies
-    whose last axis index is at most p // 2 (the rest are their negatives,
-    with the same norm and value).  No sphere is enumerated and no
-    eigenvalue is read, which keeps the spectrum recheck independent of
-    the table it judges.
-    """
-    guard_spectrum(G.field.p, G.dim, force)
-    return np.fft.rfftn(_norm_grid(G.field.p, G.dim) == G.a)
-
-
 def class_transform(p: int, dim: int, values, trivial: float) -> np.ndarray:
-    """A sphere transform read off norm-class values: the array in
-    sphere_transform's layout holding values[||m||] at every frequency
-    m != 0 and trivial at m = 0.
+    """A sphere transform read off norm-class values: the rfftn layout
+    over Z_p^dim (the (p,) * dim rank-order array, last axis cut to p // 2
+    + 1) holding values[||m||] at every frequency m != 0 and trivial at
+    m = 0.
 
     With values row a of the norm-class table and trivial the valency it
-    is sphere_transform of G_p(a), gathered from the table in place of an
-    FFT over all p**dim points.
+    is the rfftn of the radius-a sphere's indicator, gathered from the
+    table in place of an FFT over all p**dim points.
     """
     T = np.asarray(values)[_norm_grid(p, dim)[..., : p // 2 + 1]]
     T[(0,) * dim] = trivial  # m = 0 is a class of its own
     return T
 
 
-def recheck_spectrum(G: EuclidGraphSpec, s: SpectralSummary, T: np.ndarray) -> float:
-    """Recheck the spectrum summary s of G; returns the worst eigenvector
-    residual.
+def _form_counts(F: PrimeField, scales) -> np.ndarray:
+    """#{x in F_p^len(scales) : sum over i of scales[i] x_i**2 = u} for
+    every u, as int64: the cyclic convolution of the vectors #{x : c x**2 =
+    u} = square_counts[u / c], one per scale c, exact; no entry passes
+    p**len(scales)."""
+    p = F.p
+    squares = np.array(F.square_counts, dtype=np.int64)
+    out = np.zeros(p, dtype=np.int64)
+    out[0] = 1
+    for c in scales:
+        full = np.convolve(out, squares[np.arange(p) * pow(c, -1, p) % p])
+        out = full[:p]
+        out[:-1] += full[p:]
+    return out
+
+
+def _dot_counts(F: PrimeField, dim: int):
+    """Yield (c, H) for one frequency m of each kind of populated norm class:
+    c = ||m|| and H[a, j] = #{s : ||s|| = a, m.s = j}, j = 0, ..., (p - 1) //
+    2 (-j counts the same), exact int64 counts, at most p**(dim-1).
+
+    For m = e_1 (c = 1) and m = (1, b, 0, ...), c = 1 + b**2 a non-square,
+    s = (j/c) m + y, y on the orthogonal basis (-b, 1, 0, ...) (norm c),
+    e_3, ...: H[a, j] = M[a - j**2/c], M the norm counts of c x_2**2 +
+    x_3**2 + ... + x_dim**2.  An isotropic m, (x, y, 1, 0, ...) with x**2 +
+    y**2 = -1 or, in dim 2 with p = 1 (mod 4), (i, 1) with i**2 = -1, has
+    the isotropic partner m' = e_3 - m/2 (or (-i, 1)/2), m.m' = 1; s = u m +
+    j m' + w with w on (-y, x, 0, ...) (norm -1), e_4, ... (nothing in dim
+    2) has ||s|| = 2 u j + ||w||, so H[a, j] = p**(dim-2) for j != 0 and
+    H[a, 0] = p #{w : ||w|| = a}."""
+    p = F.p
+    u, j = np.arange(p)[:, None], np.arange((p + 1) // 2)
+    squares = F.square_counts
+    nonsquare = next(c for c in range(2, p) if not squares[c] and squares[c - 1])
+    for c in (1, nonsquare):
+        yield c, _form_counts(F, [c] + [1] * (dim - 2))[(u - j * j * pow(c, -1, p)) % p]
+    if dim >= 3 or F.minus_one_is_square:
+        H = np.full((p, j.size), p ** (dim - 2), dtype=np.int64)
+        H[:, 0] = p * (_form_counts(F, [p - 1] + [1] * (dim - 3)) if dim >= 3 else u[:, 0] == 0)
+        yield 0, H
+
+
+def _recomputed_table(F: PrimeField, dim: int) -> np.ndarray:
+    """The p x p norm-class table of (F, dim) from _dot_counts, 0 on a class
+    with no nonzero frequency.  Dilating m by t != 0 gives lam(a, t**2
+    ||m||) = sum over j of H[a, j] cos(2*pi*t*j/p) for every radius a, so
+    one product of H with the cosines of t = 1, ..., (p - 1) // 2 fills
+    ||m||'s square class.  It rounds by about (p + 1) u k_a (Higham), H's
+    row summing to the sphere size k_a; np.einsum's own loop makes it, with
+    no BLAS work buffer."""
+    p = F.p
+    j = np.arange((p + 1) // 2)
+    waves = np.cos(2.0 * math.pi / p * np.multiply.outer(j, j[1:]))
+    waves[1:] *= 2.0  # j and -j
+    out = np.zeros((p, p))
+    for c, H in _dot_counts(F, dim):
+        t = j[1:] if c else j[1:2]
+        out[:, t * t * c % p] = np.einsum("aj,jt->at", H.astype(np.float64), waves[:, t - 1])
+    return out
+
+
+def recheck_table(F: PrimeField, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(worst, at): for every radius a, row 0 too, the largest |recomputed
+    - table value| over row a of the norm-class table of (F, dim) and its
+    class.  O(p**2) memory and O(p**3) work whatever dim is."""
+    resid = _recomputed_table(F, dim)
+    resid -= _norm_class_table(F, dim)
+    np.abs(resid, out=resid)
+    at = resid.argmax(axis=1)
+    return resid[np.arange(F.p), at], at
+
+
+def recheck_spectrum(s: SpectralSummary, worst: np.ndarray, at: np.ndarray) -> float:
+    """Recheck the summary s of radius a against recheck_table's (worst,
+    at) of its (p, dim); returns worst[a].
 
     The eigenvalue sum must vanish (no loops) and the square sum must be
     n * valency (each vertex closes valency 2-walks), both to TRACE_REL_TOL
-    relative to n * valency; s carries both residuals.  Then the value s
-    gives for ||m||, gathered by class_transform, is compared with T[m],
-    T = sphere_transform(G), at every frequency m: |T[m] - lam| is the
-    max-norm residual of A chi_m - lam chi_m for the character chi_m, so a
-    wrong norm-class table cannot pass.  The
-    worst residual must stay under EIGVEC_TOL times the valency.  Raises
-    VerificationFailed on any breach, BadSpec if s belongs to another graph.
+    relative to n * valency.  worst[a] must stay within EIGVEC_TOL times the
+    valency and worst[0] within EIGVEC_TOL times the radius-0 sphere's size:
+    |lam - table value| is the max-norm residual of A chi_m - lam chi_m for
+    each character chi_m of its class.  A breach raises VerificationFailed
+    naming the radius and the norm class.
     """
-    if (s.p, s.dim, s.a) != (G.field.p, G.dim, G.a):
-        raise BadSpec(f"summary of (p, dim, a) = {(s.p, s.dim, s.a)} is for another graph")
-    n, k, p = G.n, G.valency, G.field.p
+    n, k = s.n, s.valency
     trace_tol = TRACE_REL_TOL * n * k
     r1, r2 = s.trace_sum_residual, s.trace_square_residual
     if r1 > trace_tol or r2 > trace_tol:
         raise VerificationFailed(
             f"trace residuals ({r1}, {r2}) exceed tolerance {trace_tol}"
         )
-    resid = np.abs(T - class_transform(p, G.dim, s.norm_values, s.trivial_eigenvalue))
-    worst = float(resid.max())
-    eig_tol = EIGVEC_TOL * k
-    if worst > eig_tol:
-        # axis j of the rank-order layout holds coordinate dim - 1 - j
-        at = np.unravel_index(resid.argmax(), resid.shape)
-        m = tuple(int(c) for c in reversed(at))
-        raise VerificationFailed(
-            f"eigenvector residual {worst} at m = {m} exceeds {eig_tol}"
-        )
-    return worst
+    for a, size in ((s.a, k), (0, int(s.class_sizes[0]) + 1)):
+        tol = EIGVEC_TOL * size
+        if not worst[a] <= tol:  # nan too
+            raise VerificationFailed(
+                f"eigenvector residual {float(worst[a])} at radius {a}, "
+                f"norm class {int(at[a])} exceeds {tol}"
+            )
+    return float(worst[s.a])
 
 
 def set_transforms(p: int, dim: int, members) -> np.ndarray:
     """rfftn over the last dim axes of the (len(members), p, ..., p) stack
     whose row i is the indicator of the distinct ranks members[i]; each row
-    is in the layout of sphere_transform."""
+    is in the layout of class_transform."""
     rows = np.repeat(np.arange(len(members)), [len(m) for m in members])
     ind = np.zeros((len(members), p**dim))
     ind[rows, np.concatenate(members)] = 1.0

@@ -3,19 +3,17 @@
 Every count reduces a stack of degree columns: for vertex sets B_0, ...,
 B_{S-1} of a k-regular graph on n vertices, deg[i, v] = |N(v) inside B_i|
 for every vertex v, an (S, n) int64 array whose row i sums to k|B_i|.  The
-counts (variance_check, mixing_check, hinge_count, degree_sum_check) see
-only that stack and each row's sorted member array, and return one result
-per row: hinge and degree-sum counts gather every row's members at once
-and sum each row's run with np.add.reduceat (member_sums makes both from
-one gather, at a member_index built once per stack), the variance is a
-pair of row sums.  They thus serve the distance graphs, whose columns
-euclid builds by convolution, as well as any other regular graph whose
-columns the tests build from a neighbor table.  Each bound is computed
-from (n, k, lambda, set sizes), where lambda is any upper bound on the
-nontrivial eigenvalue magnitudes, sharp or not; one count can thus be
-judged under several lambdas, and sets of one size share every bound.  Every count is an
-integer numerator over a known denominator: hinge and degree-sum counts
-over 1, the variance and mixing deviations over n.  The lambda-bearing
+counts see only that stack and sorted member arrays, so they serve any
+regular graph, and return one result per row: member_sums gathers every
+segment's degrees at once, at a member_index built once per stack, and
+sums each segment's run with np.add.reduceat into its hinge count and
+its degree sum (e(B_i, C), and so the mixing count); variance_check is a
+pair of row sums.  Each bound is computed from (n, k, lambda, set sizes),
+where lambda is any upper bound on the nontrivial eigenvalue magnitudes,
+sharp or not; one count can thus be judged under several lambdas, and
+sets of one size share every bound.  Every count is an integer numerator
+over a known denominator: hinge and degree-sum counts over 1, the
+variance and mixing deviations over n.  The lambda-bearing
 bounds may live in floating point; hinge_bound and degree_sum_bound are
 assembled from lambda's integer ratio, exactly, in Python ints.
 bound_threshold turns a bound plus the absolute tolerance BOUND_TOL into
@@ -138,17 +136,6 @@ def _row_sums(values: np.ndarray, sizes: np.ndarray) -> list[int]:
     return np.where(sizes > 0, sums, 0).tolist()
 
 
-def hinge_count(deg: np.ndarray, members) -> list[int]:
-    """Ordered hinges (u, v, w) in E_i**3 with uv and vw edges, u == w
-    counting, for every row i.
-
-    deg[i] is the degree column of E_i and members[i] its distinct
-    vertices as a sorted array (vertex_array's form); the count is the sum
-    over v in E_i of deg[i, v] squared.
-    """
-    return member_sums(deg, member_index(deg.shape[1], members))[0]
-
-
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
     """m * (k*m/n + lam)**2, exact in the float lam, rounded once.
 
@@ -160,19 +147,6 @@ def hinge_bound(n: int, k: int, lam: float, m: int) -> float:
     N, D = float(lam).as_integer_ratio()
     root = k * m * D + N * n
     return m * root * root / (n * D) ** 2
-
-
-def degree_sum_check(deg: np.ndarray, members) -> list[int]:
-    """The sum over v in members[i] of deg[i, v], for every row i.
-
-    With deg[i] the degree column of B_i and members[i] a sorted vertex
-    array this is e(B_i, members[i]), the ordered adjacent pairs from B_i
-    into the set; with members[i] = B_i = E it is e(E, E), whose bound is
-    the mixing inequality on the pair (E, E), the intermediate step the
-    hinge bound squares.
-    """
-    index = member_index(deg.shape[1], members)
-    return _row_sums(_member_degrees(deg, index), index.sizes)
 
 
 def member_sums(deg: np.ndarray, index: MemberIndex) -> tuple[list[int], list[int]]:
@@ -204,18 +178,6 @@ def variance_check(deg: np.ndarray) -> list[int]:
 def variance_bound(n: int, lam: float, b: int) -> float:
     """(lam**2 / n) * b * (n - b)."""
     return lam * lam * b * (n - b) / n
-
-
-def mixing_check(deg: np.ndarray, C) -> list[tuple[int, int]]:
-    """(e_i, |e_i * n - t_i|C_i||) for every row i, the second the
-    numerator over n of the deviation |e_i - k|B_i||C_i|/n|; deg[i] is
-    the degree column of B_i, t_i = k|B_i| its row sum, and C[i] the
-    sorted vertex array of C_i.  e_i, the number of ordered adjacent pairs
-    (u in B_i, v in C_i), is the degree sum of row i over C_i."""
-    e = degree_sum_check(deg, C)
-    n = deg.shape[1]
-    totals = deg.sum(axis=1).tolist()
-    return [(ei, abs(ei * n - t * len(c))) for ei, t, c in zip(e, totals, C)]
 
 
 def mixing_bound(lam: float, b: int, c: int) -> float:

@@ -4,28 +4,33 @@ Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres and over every point per norm class, sphere
 intersections point by point, neighbor tables, and dense matrix powers.
-Nothing but the per-verdict subset pass calls the package's counting
-kernels, so an agreement is evidence, not tautology; the other calls into
-the package are spectrum, the one-radius reading of the package's spectra
-that the tests use, parse_generator, which hands the generator oracle its
-atoms, and derive_seed and _spanning_sizes, which fix verify's streams
-and ladders.
+Only the per-verdict subset pass and the counts that the package has no
+use for (hinge_count, degree_sum_check and mixing_check, over its
+member_sums) call the package's counting kernels, so an agreement is
+evidence, not tautology; the other calls into the package are spectrum,
+the one-radius reading of the package's spectra that the tests use,
+class_transform, whose gather the per-frequency recheck judges,
+parse_generator, which hands the generator oracle its atoms, and
+derive_seed and _spanning_sizes, which fix verify's streams and ladders.
 The routes the package replaced are kept here as their oracles: the
 Fraction routes of the subset bounds, counts and verdict (now integer
 numerators and thresholds), the convolution of the sphere sizes (now a
 closed form), the generators' tuple-per-point route (now rank arrays),
 the int64 arithmetic of the pairwise profile (now chunks of small
 integers reduced by floor division), the Gauss-sum fft2 of the
-norm-class table (now Salie and Kloosterman closed forms), verify's
-draw loops (which now skip the draws that cannot depend on the seed) and
-the subset pass's per-verdict judging (now blocks of counts against
-integer limits shared across radii), which reads the package's degree
-columns, counts and bounds and so checks the judging alone.
+norm-class table (now Salie and Kloosterman closed forms), the spectrum
+recheck by one FFT of each radius' sphere over F_p^dim (now one recheck
+of the whole table from (norm, dot) counts), verify's draw loops (which
+now skip the draws that cannot depend on the seed) and the subset
+pass's per-verdict judging (now blocks of counts against integer limits
+shared across radii), which reads the package's degree columns, counts
+and bounds and so checks the judging alone.
 The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank
 and point-text helpers the tests need, and the package does not, live
 here too.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -34,17 +39,23 @@ from itertools import product
 
 import numpy as np
 
-from fqlab import BadSpec, DimensionMismatch, VertexOutOfRange, parse_generator, spectra
+from fqlab import (
+    BadSpec,
+    DimensionMismatch,
+    VerificationFailed,
+    VertexOutOfRange,
+    parse_generator,
+    spectra,
+)
 from fqlab.cli import _spanning_sizes, derive_seed
-from fqlab.euclid import degree_columns
+from fqlab.euclid import EIGVEC_TOL, TRACE_REL_TOL, class_transform, degree_columns
 from fqlab.spectral import (
     bound_threshold,
     degree_sum_bound,
-    degree_sum_check,
     hinge_bound,
-    hinge_count,
+    member_index,
+    member_sums,
     mixing_bound,
-    mixing_check,
     variance_bound,
     variance_check,
 )
@@ -464,6 +475,65 @@ def norm_class_table_closed_form(
     return values
 
 
+def dot_counts_brute(p: int, dim: int, m) -> np.ndarray:
+    """H[a, j] = #{s : ||s|| = a, m.s = j} for the frequency m, a, j in
+    0..p-1, by pairing m with all p**dim points."""
+    X = points_by_rank(p, dim)
+    return np.bincount(
+        (X * X).sum(axis=1) % p * p + X @ np.array(m) % p, minlength=p * p
+    ).reshape(p, p)
+
+
+def sphere_transform(G) -> np.ndarray:
+    """rfftn of the radius-a sphere indicator over Z_p^dim, as the package
+    took it before its whole-table recheck.
+
+    The indicator is norms == a over all p**dim points, laid out in rank
+    order as a (p,) * dim array.  T[m] = sum over s with ||s|| = a of
+    exp(-2*pi*i*(m.s)/p), which is lam_m, for the half of the frequencies
+    whose last axis index is at most p // 2 (the rest are their negatives,
+    with the same norm and value): class_transform's layout.  No sphere is
+    enumerated and no eigenvalue is read.
+    """
+    p = G.field.p
+    squares = np.arange(p) ** 2 % p
+    norms = functools.reduce(np.add.outer, [squares] * G.dim) % p
+    return np.fft.rfftn(norms == G.a)
+
+
+def recheck_transform(G, s, T) -> float:
+    """The per-frequency recheck of the spectrum summary s of G that the
+    package made before its whole-table recheck; returns the worst
+    eigenvector residual.
+
+    The trace residuals s carries must stay within TRACE_REL_TOL * n *
+    valency.  Then the value s gives for ||m||, gathered by
+    class_transform, is compared with T[m], T = sphere_transform(G), at
+    every frequency m: |T[m] - lam| is the max-norm residual of A chi_m -
+    lam chi_m, which must stay under EIGVEC_TOL times the valency.  So
+    beside the table's values it sees that lam is constant on every norm
+    class (Witt) and class_transform's layout.  Raises VerificationFailed
+    on a breach, naming the frequency, and BadSpec if s belongs to another
+    graph.
+    """
+    if (s.p, s.dim, s.a) != (G.field.p, G.dim, G.a):
+        raise BadSpec(f"summary of (p, dim, a) = {(s.p, s.dim, s.a)} is for another graph")
+    n, k, p = G.n, G.valency, G.field.p
+    trace_tol = TRACE_REL_TOL * n * k
+    r1, r2 = s.trace_sum_residual, s.trace_square_residual
+    if r1 > trace_tol or r2 > trace_tol:
+        raise VerificationFailed(f"trace residuals ({r1}, {r2}) exceed tolerance {trace_tol}")
+    resid = np.abs(T - class_transform(p, G.dim, s.norm_values, s.trivial_eigenvalue))
+    worst = float(resid.max())
+    eig_tol = EIGVEC_TOL * k
+    if worst > eig_tol:
+        # axis j of the rank-order layout holds coordinate dim - 1 - j
+        at = np.unravel_index(resid.argmax(), resid.shape)
+        m = tuple(int(c) for c in reversed(at))
+        raise VerificationFailed(f"eigenvector residual {worst} at m = {m} exceeds {eig_tol}")
+    return worst
+
+
 def spectrum(G):
     """The spectrum summary of the one distance graph G."""
     return spectra(G.field, G.dim, [G.a])[G.a]
@@ -569,6 +639,33 @@ def within_bound_fraction(lhs, rhs) -> bool:
     if isinstance(rhs, Fraction):
         return bool(lhs <= rhs + Fraction(BOUND_TOL))
     return bool(lhs <= rhs + BOUND_TOL)
+
+
+def hinge_count(deg: np.ndarray, members) -> list[int]:
+    """Ordered hinges (u, v, w) in E_i**3 with uv and vw edges, u == w
+    counting, for every row i: the sum over v in members[i] of deg[i, v]
+    squared, deg[i] the degree column of E_i and members[i] its sorted
+    vertex array."""
+    return member_sums(deg, member_index(deg.shape[1], members))[0]
+
+
+def degree_sum_check(deg: np.ndarray, members) -> list[int]:
+    """The sum over v in members[i] of deg[i, v], for every row i: with
+    deg[i] the degree column of B_i this is e(B_i, members[i]), and with
+    members[i] = B_i = E it is e(E, E), the mixing step the hinge bound
+    squares."""
+    return member_sums(deg, member_index(deg.shape[1], members))[1]
+
+
+def mixing_check(deg: np.ndarray, C) -> list[tuple[int, int]]:
+    """(e_i, |e_i * n - t_i|C_i||) for every row i, the second the
+    numerator over n of the deviation |e_i - k|B_i||C_i|/n|; deg[i] is
+    the degree column of B_i, t_i = k|B_i| its row sum, and C[i] the
+    sorted vertex array of C_i."""
+    e = degree_sum_check(deg, C)
+    n = deg.shape[1]
+    totals = deg.sum(axis=1).tolist()
+    return [(ei, abs(ei * n - t * len(c))) for ei, t, c in zip(e, totals, C)]
 
 
 def variance_fraction(deg: np.ndarray) -> list[Fraction]:

@@ -8,8 +8,8 @@ from fqlab.spectral import vertex_array
 
 def columns(G, T, sets):
     """(deg, members): the certified (len(sets), n) degree-column stack of
-    the vertex sets against T = sphere_transform(G), and each set's sorted
-    vertex array."""
+    the vertex sets against T, a sphere transform of G in class_transform's
+    layout, and each set's sorted vertex array."""
     members = [vertex_array(G.n, B) for B in sets]
     hats = set_transforms(G.field.p, G.dim, members)
     return certified_columns(G, T, hats, [m.size for m in members]), members

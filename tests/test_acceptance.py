@@ -14,23 +14,26 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import rank_point, spectrum
+from oracles import (
+    degree_sum_check,
+    hinge_count,
+    mixing_check,
+    rank_point,
+    spectrum,
+    sphere_transform,
+)
 from fqlab import (
     check_main_theorem,
     degree_profile,
     degree_sum_bound,
-    degree_sum_check,
     euclid_graph,
     generate_point_set,
     hinge_bound,
-    hinge_count,
     load_point_set,
     make_field,
     mixing_bound,
-    mixing_check,
     ramanujan_bound,
     sphere_table,
-    sphere_transform,
     variance_bound,
     variance_check,
 )

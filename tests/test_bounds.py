@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import spectrum
+from oracles import hinge_count, spectrum, sphere_transform
 from fqlab import (
     BadSpec,
     DimensionMismatch,
@@ -20,12 +20,10 @@ from fqlab import (
     degree_profile,
     euclid_graph,
     generate_point_set,
-    hinge_count,
     load_point_set,
     lower_bound_f,
     make_field,
     sphere_table,
-    sphere_transform,
     upper_bound_f,
 )
 from fqlab import bounds, euclid, geometry

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -137,7 +138,7 @@ def test_spectrum_command(capsys, tmp_path):
 
 
 def test_spectrum_verification_failure_exits_1(monkeypatch):
-    def boom(G, s, T):
+    def boom(s, worst, at):
         raise VerificationFailed("synthetic")
 
     monkeypatch.setattr(cli, "recheck_spectrum", boom)
@@ -160,11 +161,11 @@ def test_spectrum_computes_each_eigenvalue_array_once(monkeypatch):
 
 @pytest.mark.parametrize("p,dim", [(11, 2), (7, 3), (5, 4), (7, 2)])
 def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p, dim):
-    # the spectrum command rechecks every radius against its own sphere
-    # transform, still without enumerating a sphere
-    builds, enumerated, transforms = Counter(), Counter(), Counter()
+    # the spectrum command rechecks every radius from one recheck of the
+    # whole table, still without enumerating a sphere
+    builds, enumerated, rechecks = Counter(), Counter(), Counter()
     build = fqlab.euclid._norm_class_table.__wrapped__
-    transform = cli.sphere_transform
+    recheck = cli.recheck_table
 
     def counted_build(F, dim):
         builds[F.p, dim] += 1
@@ -174,29 +175,29 @@ def test_all_radii_build_one_class_table_and_enumerate_no_sphere(monkeypatch, p,
         enumerated[a] += 1
         return []
 
-    def counted_transform(G, **kwargs):
-        transforms[G.a] += 1
-        return transform(G, **kwargs)
+    def counted_recheck(F, dim):
+        rechecks[F.p, dim] += 1
+        return recheck(F, dim)
 
     monkeypatch.setattr(
         fqlab.euclid, "_norm_class_table", functools.lru_cache(maxsize=16)(counted_build)
     )
     monkeypatch.setattr(fqlab.geometry, "sphere_points", counted_sphere)
     monkeypatch.setattr(cli, "sphere_points", counted_sphere)
-    monkeypatch.setattr(cli, "sphere_transform", counted_transform)
+    monkeypatch.setattr(cli, "recheck_table", counted_recheck)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F = fqlab.make_field(p)
     spectra = fqlab.euclid.spectra(F, dim, range(1, p), force=False)
     assert sorted(spectra) == list(range(1, p))
     assert builds == Counter({(p, dim): 1})
-    assert not enumerated and not transforms
+    assert not enumerated and not rechecks
     argv = ["spectrum", "--q", str(p), "--dim", str(dim), "--allow-1mod4"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(argv) == 0
     assert builds == Counter({(p, dim): 1})
-    assert transforms == Counter(range(1, p))  # one per radius
+    assert rechecks == Counter({(p, dim): 1})  # one for all radii
     assert not enumerated
 
 
@@ -303,8 +304,13 @@ def test_verify_replay_carries_flags(monkeypatch, capsys):
     assert main(shlex.split(replay[0].removeprefix("replay: fqlab "))) == 1
 
 
-def test_verify_guardrail_exits_2():
-    assert main(["verify", "--q", "103", "--dim", "3", "--checks", "spectrum"]) == 2
+def test_verify_guardrail_exits_2(capsys):
+    # the spectrum check reads the 103 x 103 table alone; a subset check
+    # makes degree columns over all 1,092,727 vertices of F_103^3
+    assert main(["verify", "--q", "103", "--dim", "3", "--a", "1", "--checks", "spectrum"]) == 0
+    assert main(["verify", "--q", "103", "--dim", "3", "--a", "1", "--trials", "2",
+                 "--checks", "spectrum,hinge"]) == 2
+    assert "exceeds the spectrum guardrail" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
@@ -326,16 +332,28 @@ def test_spaces_past_int64_ranks_are_refused_before_the_table(monkeypatch, capsy
 
 
 def test_verify_point_sets_stay_within_profile_guardrail(monkeypatch, tmp_path):
-    # |E|**2 <= 10**4 leaves out F_11^3 itself (1331 points); main and
-    # remark run on random subsets of at most 100 points instead
-    monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", 10**4)
+    # under a guardrail of 10**4 pairs the random rungs keep |E|**2 <=
+    # 10**4, at most 100 points, and F_11^3 itself (1331 points) is judged
+    # too: its complement is empty, so its profile costs p**2 = 121 pairs;
+    # under 100 pairs it is left out
     out_file = tmp_path / "v.jsonl"
-    code = main(["verify", "--q", "11", "--dim", "3", "--checks", "main,remark",
-                 "--trials", "3", "--out", str(out_file)])
-    assert code == 0
-    recs = [json.loads(l) for l in out_file.read_text().splitlines()]
-    assert len(recs) == 6
-    assert all(r["set_size"] <= 100 for r in recs)
+    argv = ["verify", "--q", "11", "--dim", "3", "--checks", "main,remark",
+            "--trials", "3", "--out", str(out_file)]
+    for limit, sizes in ((10**4, [1331, 1, 10, 100]), (100, [1, 3, 10])):
+        monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", limit)
+        assert main(argv) == 0
+        recs = [json.loads(l) for l in out_file.read_text().splitlines()]
+        assert [r["set_size"] for r in recs] == sizes * 2
+        assert [r["trial"] for r in recs] == list(range(len(sizes))) * 2
+
+
+def test_verify_judges_the_full_space_past_ten_thousand_points(capsys):
+    # all of F_211^2 (44,521 points) takes the complement route at 44,521
+    # pair-equivalents, so verify's ladder judges it beside its random
+    # rungs of at most 10**4 points
+    assert main(["verify", "--q", "211", "--dim", "2", "--checks", "main",
+                 "--trials", "2"]) == 0
+    assert "main      p=211 dim=2: 3 point sets  ok\n" in capsys.readouterr().out
 
 
 def test_verify_builds_each_view_and_report_once(monkeypatch):
@@ -360,13 +378,13 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
         read.append((len(members), {row for _, row, _ in items}, len(items)))
         yield from rows(F, dim, spectra, radii, members, items, force)
 
-    counted(cli, "sphere_transform")
+    counted(cli, "recheck_table")
     counted(fqlab.euclid, "certified_columns")
     counted(cli, "check_main_theorem")
     monkeypatch.setattr(fqlab.euclid, "set_transforms", tracked)
     monkeypatch.setattr(cli, "_graph_rows", reading)
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
-    assert calls["sphere_transform"] == 2  # one per radius, for the spectrum recheck alone
+    assert calls["recheck_table"] == 1  # one for both radii, for the spectrum check alone
     # one stack per radius: each distinct subset is transformed once, and one
     # inverse transform makes the columns of all 3 checks x 2 trials
     assert calls["certified_columns"] == 2 and len(stacked) == 2
@@ -381,38 +399,33 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 
 def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
     made = []
-    transform = cli.sphere_transform
-
-    def counted(G, **kwargs):
-        made.append(G.a)
-        return transform(G, **kwargs)
-
-    monkeypatch.setattr(cli, "sphere_transform", counted)
+    monkeypatch.setattr(cli, "recheck_table", lambda *args: made.append(args))
+    monkeypatch.setattr(fqlab.euclid, "class_transform", lambda *args: made.append(args))
     assert main(["verify", "--q", "7", "--dim", "2", "--checks", "main,remark",
                  "--trials", "2"]) == 0
     assert made == []
 
 
-def test_verify_makes_one_transform_per_radius_across_stacks(monkeypatch):
-    # stacks of one set: the spectrum pass makes one sphere transform per
-    # radius, however many stacks the subset pass gathers transforms for
+def test_verify_rechecks_the_table_once_across_stacks(monkeypatch):
+    # stacks of one set: the spectrum pass rechecks the whole table once,
+    # for every radius, however many stacks the subset pass makes
     made, stacked = Counter(), []
-    transform, stack = cli.sphere_transform, fqlab.euclid.set_transforms
+    recheck, stack = cli.recheck_table, fqlab.euclid.set_transforms
 
-    def counted(G, **kwargs):
-        made[G.a] += 1
-        return transform(G, **kwargs)
+    def counted(F, dim):
+        made[F.p, dim] += 1
+        return recheck(F, dim)
 
     def counted_stack(p, dim, members):
         stacked.append(len(members))
         return stack(p, dim, members)
 
-    monkeypatch.setattr(cli, "sphere_transform", counted)
+    monkeypatch.setattr(cli, "recheck_table", counted)
     monkeypatch.setattr(fqlab.euclid, "set_transforms", counted_stack)
     monkeypatch.setattr(fqlab.euclid, "STACK_ELEMENTS", 1)
     assert main(["verify", "--q", "7", "--dim", "2", "--checks", "spectrum,variance,hinge",
                  "--trials", "3"]) == 0
-    assert made == Counter(range(1, 7))
+    assert made == {(7, 2): 1}
     assert set(stacked) == {1} and len(stacked) >= 3 * 6
 
 
@@ -632,7 +645,7 @@ def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
             for i, ok in zip(ids, holds):
                 want[items[i][1]][f"{column}_ok"] &= ok
         profiles = [fqlab.degree_profile(F, dim, fqlab.PointSet(B, p=p, dim=dim)) for B in members]
-        assert cli._graph_oks(F, dim, spectra, profiles, checks, False) == want
+        assert cli._graph_oks(F, dim, spectra, profiles, checks) == want
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
@@ -683,30 +696,47 @@ def test_verify_takes_size_n_sets_without_drawing(monkeypatch):
     assert drawn[True] == 0
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    (["--q", "59", "--dim", "2", "--gen", "all"], False),
-    (["--q", "83", "--dim", "2", "--gen", "random:1t"], False),
-    (["--q", "7", "--dim", "2", "--gen", "all", "--checks", "main,spectrum"], True),
-])
-def test_fcount_default_checks_never_load_numpy_fft(argv, loaded):
-    # with its default checks (main, remark) fcount builds its spectra from
-    # the closed-form table and profiles these sets from the complement and
-    # pairwise, so numpy.fft is never imported; the spectrum recheck, which
-    # takes an FFT over F_p^dim, shows the probe can see the import
+def _loads_numpy_fft(argv) -> bool:
+    """Whether main(argv), in a fresh interpreter, exits 0 having imported
+    numpy.fft."""
     src = str(Path(fqlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys\n"
         "from fqlab.cli import main\n"
-        f"assert main({['fcount', *argv]!r}) == 0\n"
+        f"assert main({list(argv)!r}) == 0\n"
         "print('numpy.fft' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loaded)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--q", "59", "--dim", "2", "--gen", "all"], False),
+    (["--q", "83", "--dim", "2", "--gen", "random:1t"], False),
+    (["--q", "11", "--dim", "3", "--gen", "random:665"], True),
+    (["--q", "7", "--dim", "2", "--gen", "all", "--checks", "main,spectrum,hinge"], False),
+])
+def test_fcount_default_checks_never_load_numpy_fft(argv, loaded):
+    # with its default checks (main, remark) fcount builds its spectra from
+    # the closed-form table and profiles these sets from the complement and
+    # pairwise, so numpy.fft is never imported, nor by the spectrum recheck
+    # or the subset counts; half of F_11^3 takes the convolution route,
+    # which shows the probe can see the import
+    assert _loads_numpy_fft(["fcount", *argv]) is loaded
+
+
+def test_sweep_and_spectrum_never_load_numpy_fft(tmp_path):
+    # the benchmark's all-checks sweep and the spectrum of every radius of
+    # F_83^3 recheck their tables from (norm, dot) counts
+    out = tmp_path / "r.jsonl"
+    assert not _loads_numpy_fft(["sweep", "--config", str(SWEEP_ALLCHECKS), "--out", str(out)])
+    assert len(out.read_text().splitlines()) == 180
+    assert not _loads_numpy_fft(["spectrum", "--q", "83", "--dim", "3"])
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -851,16 +881,16 @@ def test_sweep_replay_carries_flags(monkeypatch, tmp_path, capsys):
 
 
 def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
-    transforms, alive, peak, made = Counter(), [], [], Counter()
-    transform, gather = cli.sphere_transform, fqlab.euclid.class_transform
+    rechecks, alive, peak, made = Counter(), [], [], Counter()
+    recompute, gather = fqlab.euclid._recomputed_table, fqlab.euclid.class_transform
     gathers = Counter()
 
-    def tracked(G, **kwargs):
-        T = transform(G, **kwargs)
-        transforms[G.field.p, G.dim] += 1
-        alive.append(weakref.ref(T))
+    def tracked(F, dim):
+        table = recompute(F, dim)
+        rechecks[F.p, dim] += 1
+        alive.append(weakref.ref(table))
         peak.append(sum(ref() is not None for ref in alive))
-        return T
+        return table
 
     def counted_gather(p, dim, values, trivial):
         gathers[caller(), p, dim] += 1
@@ -881,7 +911,7 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         reported.append(prof)
         return report(F, dim, prof, spectra)
 
-    monkeypatch.setattr(cli, "sphere_transform", tracked)
+    monkeypatch.setattr(fqlab.euclid, "_recomputed_table", tracked)
     monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
     for name in ("set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
@@ -889,12 +919,12 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     monkeypatch.setattr(cli, "check_main_theorem", counted_report)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
-    assert transforms == {(3, 2): 2, (7, 2): 6}  # p - 1 transforms per (p, dim)
+    assert rechecks == {(3, 2): 1, (7, 2): 1}  # one recomputed table per (p, dim)
     assert max(peak) == 1
-    # the subset checks read each set's profile: no set transform, no
-    # degree column; only the spectrum recheck gathers the table's values
+    # the subset checks read each set's profile and the recheck its
+    # (norm, dot) counts: no set transform, no degree column, no gather
     assert made == {}
-    assert gathers == {("recheck_spectrum", 3, 2): 2, ("recheck_spectrum", 7, 2): 6}
+    assert gathers == {}
     # per p: "all" once for both seeds, and two distinct random sets, each
     # profiled once and its report made from that profile
     assert len(profiled) == len(set(profiled)) == 6
@@ -997,24 +1027,24 @@ def test_sweep_and_fcount_gather_no_member_degrees(monkeypatch):
 
 
 def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
-    # no subset check asked for: the spectrum recheck still takes one
-    # sphere transform per radius; no set generated: no record reads the
-    # recheck, so no transform is made; no stack is made either way
+    # no subset check asked for: the spectrum check still rechecks the
+    # whole table once per (p, dim); no set generated: no record reads the
+    # recheck, so none is made; no stack is made either way
     made, stacked = Counter(), []
-    transform = cli.sphere_transform
+    recheck = cli.recheck_table
 
-    def counted(G, **kwargs):
-        made[G.field.p] += 1
-        return transform(G, **kwargs)
+    def counted(F, dim):
+        made[F.p] += 1
+        return recheck(F, dim)
 
-    monkeypatch.setattr(cli, "sphere_transform", counted)
+    monkeypatch.setattr(cli, "recheck_table", counted)
     monkeypatch.setattr(fqlab.euclid, "set_transforms", lambda *args: stacked.append(args))
     for checks, gen in ((["spectrum"], "all"), (["spectrum", "hinge"], "random:100")):
         made.clear()
         config = {**SMALL_CONFIG, "generators": [gen], "checks": checks}
         records, _ = run_sweep(config, jobs=1)
         if gen == "all":
-            assert made == {3: 2, 7: 6}
+            assert made == {3: 1, 7: 1}
             assert all(r["spectrum_ok"] and r["holds"] for r in records)
         else:
             assert made == {}
@@ -1025,13 +1055,12 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
 def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch, tmp_path):
     # spectrum, verify, sweep and fcount reach the set transforms, the
     # gathered transforms and the degree columns only through verify's
-    # _graph_rows pass (its degree_columns), and the sphere transforms and
-    # the gathers they are compared with only through one _spectrum_rows
-    # pass (its recheck_spectrum): stubbed out, none is made; unstubbed,
-    # the subset pass runs once per verify radius and never for sweep or
-    # fcount, which read their subset counts off each set's profile, and
-    # the spectrum pass once per spectrum command, once per verify radius,
-    # once per sweep (p, dim) and once per fcount
+    # _graph_rows pass (its degree_columns), and the table recheck only
+    # through one _spectrum_rows pass: stubbed out, none is made;
+    # unstubbed, the subset pass runs once per verify radius and never for
+    # sweep or fcount, which read their subset counts off each set's
+    # profile, and the spectrum pass once per spectrum command, verify,
+    # sweep (p, dim) and fcount
     calls, passes, rechecks = Counter(), [], []
 
     def counted(module, name):
@@ -1043,7 +1072,7 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "sphere_transform")
+    counted(cli, "recheck_table")
     for name in ("class_transform", "set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
     graph_rows, spectrum_rows = cli._graph_rows, cli._spectrum_rows
@@ -1052,9 +1081,9 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
         passes.append((F.p, dim, tuple(radii)))
         yield from graph_rows(F, dim, spectra, radii, *rest)
 
-    def traced_spectrum(F, dim, spectra, radii, force):
+    def traced_spectrum(F, dim, spectra, radii):
         rechecks.append((F.p, dim, tuple(radii)))
-        yield from spectrum_rows(F, dim, spectra, radii, force)
+        yield from spectrum_rows(F, dim, spectra, radii)
 
     out = tmp_path / "r.jsonl"
     cfg = tmp_path / "cfg.json"
@@ -1068,7 +1097,7 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
     )
     radii = tuple(range(1, 7))
     monkeypatch.setattr(cli, "_graph_rows", lambda *args: iter(()))
-    monkeypatch.setattr(cli, "_spectrum_rows", lambda F, dim, spectra, radii, force: (
+    monkeypatch.setattr(cli, "_spectrum_rows", lambda F, dim, spectra, radii: (
         (a, True, "") for a in radii
     ))
     for argv in commands:
@@ -1080,15 +1109,12 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
         assert main(argv) == 0
     assert passes == [(7, 2, (a,)) for a in radii]
     assert rechecks == (
-        [(7, 2, radii)] + [(7, 2, (a,)) for a in radii] + [(3, 2, (1, 2)), (7, 2, radii)]
-        + [(7, 2, radii)]
+        [(7, 2, radii)] + [(7, 2, radii)] + [(3, 2, (1, 2)), (7, 2, radii)] + [(7, 2, radii)]
     )
-    # one sphere transform per radius and command, with the gather it is
-    # compared with; one stack per verify radius, one gather and one
-    # inverse per (stack, radius)
+    # one table recheck per spectrum pass, and no gather for it; one stack
+    # per verify radius, one gather and one inverse per (stack, radius)
     assert calls == {
-        ("sphere_transform", "_spectrum_rows"): 6 + 6 + 2 + 6 + 6,
-        ("class_transform", "recheck_spectrum"): 6 + 6 + 2 + 6 + 6,
+        ("recheck_table", "_spectrum_rows"): 1 + 1 + 2 + 1,
         ("class_transform", "degree_columns"): 6,
         ("set_transforms", "degree_columns"): 6,
         ("certified_columns", "degree_columns"): 6,
@@ -1229,27 +1255,25 @@ def test_stack_boundaries_keep_the_records(monkeypatch, tmp_path, held):
     assert max(stack_sizes) == held and stack_sizes[held] > 1
 
 
-def counted_sphere_transforms(monkeypatch):
-    """Count every sphere transform made from now on, per (p, dim), under
-    every name the package binds sphere_transform to."""
+def counted_ffts(monkeypatch):
+    """Count every call of a numpy.fft transform from now on, by name; the
+    package reaches them all as attributes of np.fft."""
     made = Counter()
-    transform = fqlab.euclid.sphere_transform
-
-    def counted(G, **kwargs):
-        made[G.field.p, G.dim] += 1
-        return transform(G, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fqlab" and getattr(module, "sphere_transform", None) is transform:
-            monkeypatch.setattr(module, "sphere_transform", counted)
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, fn=fn, name=name, **kwargs: (
+            made.update([name]) or fn(*args, **kwargs)
+        ))
     return made
 
 
 def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
-    # half of F_11^3 convolves: each radius' transform is gathered from the
-    # norm-class table, and no FFT of a sphere is taken; all of F_23^2
-    # takes the complement route, with neither
-    made, gathered = counted_sphere_transforms(monkeypatch), Counter()
+    # half of F_11^3 convolves: the set is transformed once, each radius'
+    # sphere transform is gathered from the norm-class table, and each
+    # column is one inverse, so no FFT of a sphere is taken; all of F_23^2
+    # takes the complement route, with no FFT at all
+    made, gathered = counted_ffts(monkeypatch), Counter()
     gather = fqlab.euclid.class_transform
 
     def counted_gather(p, dim, values, trivial):
@@ -1258,22 +1282,24 @@ def test_dense_fcount_makes_no_sphere_transform(monkeypatch, capsys):
 
     monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
     assert main(["fcount", "--q", "11", "--dim", "3", "--gen", "random:665"]) == 0
-    assert made == {} and gathered == {(11, 3): 10}
+    assert made == {"rfftn": 1, "irfftn": 10} and gathered == {(11, 3): 10}
     assert main(["fcount", "--q", "23", "--dim", "2", "--gen", "all"]) == 0
     assert f"f={529 * 22 * 24 * 24} " in capsys.readouterr().out
-    assert made == {} and gathered == {(11, 3): 10}
+    assert made == {"rfftn": 1, "irfftn": 10} and gathered == {(11, 3): 10}
 
 
-def test_sweep_makes_one_sphere_transform_per_radius(monkeypatch):
-    # the dense sets' profiles and the subset counts gather their
-    # transforms from the table, so the spectrum recheck's p - 1 are the
-    # only ones: 44 on this config
-    made = counted_sphere_transforms(monkeypatch)
+def test_sweep_and_spectrum_make_no_fft(monkeypatch, capsys):
+    # the all-checks sweep reads its subset counts off each set's profile
+    # and rechecks every radius of each (p, dim) from the (norm, dot)
+    # counts, and the spectrum command does the same past the vertex
+    # guardrail: no FFT is taken and no sphere transform gathered
+    made, gathered = counted_ffts(monkeypatch), []
+    monkeypatch.setattr(fqlab.euclid, "class_transform", lambda *args: gathered.append(args))
     records, _ = run_sweep(json.loads(SWEEP_ALLCHECKS.read_text()), jobs=1)
-    assert all(r["holds"] for r in records)
-    assert made == {(p, dim): p - 1 for p, dim in
-                    [(3, 2), (7, 2), (11, 2), (19, 2), (3, 3), (7, 3)]}
-    assert sum(made.values()) == 44
+    assert len(records) == 180 and all(r["holds"] and r["spectrum_ok"] for r in records)
+    assert main(["spectrum", "--q", "103", "--dim", "3"]) == 0
+    assert capsys.readouterr().out.count("  ok\n") == 102
+    assert made == {} and gathered == []
 
 
 def test_only_spectrum_groups_eigenvalues_into_classes(monkeypatch, tmp_path):
@@ -1477,22 +1503,26 @@ def test_fcount_refuses_a_huge_table_without_o_p_work(monkeypatch, capsys):
 
 def test_fcount_sparse_set_past_the_vertex_guardrail(monkeypatch, capsys):
     # F_103^3 has 1,092,727 vertices, over SPECTRUM_MAX, but its spectra
-    # come from a 103 x 103 table and the 60-point profile is pairwise
+    # and their recheck come from 103 x 103 tables and the 60-point
+    # profile is pairwise; the subset checks read their counts off that
+    # profile, so every check runs, and none makes a degree column
     assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60", "--seed", "1"]) == 0
     assert "verdict: ok" in capsys.readouterr().out
-    assert main(["spectrum", "--q", "103", "--dim", "3", "--a", "1"]) == 2
-    # a graph check on the set spans F_103^3, so it is refused before the
-    # spectra and the profile are made
-    monkeypatch.setattr(cli.euclid, "spectra", None)
-    assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60",
-                 "--checks", "main,hinge"]) == 2
-    assert "exceeds the spectrum guardrail" in capsys.readouterr().err
+    assert main(["spectrum", "--q", "103", "--dim", "3", "--a", "1"]) == 0
+    assert "  ok\n" in capsys.readouterr().out
+    for module in (cli, fqlab.bounds):
+        monkeypatch.setattr(module, "degree_columns", None)
+    assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:60", "--seed", "1",
+                 "--checks", ",".join(CHECK_NAMES)]) == 0
+    assert ("graph checks: spectrum_ok=ok variance_ok=ok mixing_ok=ok hinge_ok=ok eq2_ok=ok\n"
+            in capsys.readouterr().out)
 
 
 def test_sweep_past_the_vertex_guardrail_without_graph_checks(tmp_path, capsys):
     # main and remark never work over all of F_103^3, so the sweep runs and
-    # each cell's f is the one fcount prints for its cell seed; a graph
-    # check brings the spectrum guardrail back
+    # each cell's f is the one fcount prints for its cell seed; nor do the
+    # graph checks, which read each set's profile and the p x p tables, so
+    # they hold on the same cells
     config = {"grid": [{"primes": [103], "dims": [3]}], "generators": ["random:50"],
               "seeds": [1, 2], "checks": ["main", "remark"]}
     cfg, out = tmp_path / "cfg.json", tmp_path / "r.jsonl"
@@ -1505,12 +1535,12 @@ def test_sweep_past_the_vertex_guardrail_without_graph_checks(tmp_path, capsys):
         assert main(["fcount", "--q", "103", "--dim", "3", "--gen", "random:50",
                      "--seed", str(rec["cell_seed"])]) == 0
         assert f"f={rec['f_value']} " in capsys.readouterr().out
-    cfg.write_text(json.dumps({**config, "checks": ["main", "remark", "hinge"]}))
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: p**dim = 103**3 = 1092727 exceeds the spectrum guardrail 1000000; "
-        "pass --force to override\n"
-    )
+    cfg.write_text(json.dumps({**config, "checks": list(CHECK_NAMES)}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    checked = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rec["set_size"] for rec in checked] == [50, 50]
+    assert all(rec["holds"] and rec["spectrum_ok"] and rec["hinge_ok"] for rec in checked)
 
 
 def test_closed_stdout_exits_quietly():
@@ -1808,8 +1838,8 @@ def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypa
     # radius 1's row with classes 1 and 2 swapped: the subset counts and a
     # dense set's profile gather their transform from that row, so their
     # degree columns leave the integers and the certificate refuses them
-    # (exit 2); the recheck against the sphere's own FFT fails the
-    # spectrum verdict (exit 1)
+    # (exit 2); the recheck of the table from its (norm, dot) counts fails
+    # the spectrum verdict (exit 1)
     build = fqlab.euclid._norm_class_table.__wrapped__
 
     def swapped(F, dim):
@@ -1829,5 +1859,6 @@ def test_swapped_norm_classes_refuse_subset_counts_and_fail_the_recheck(monkeypa
     assert main(["fcount", *space, "--gen", "random:3t"]) == 2
     assert "fails its certificate" in capsys.readouterr().err
     assert main(["spectrum", *space, "--a", "1"]) == 1
-    assert "a=1: check failed:" in capsys.readouterr().out
+    assert re.search(r"a=1: check failed: .*at radius 1, norm class [12] exceeds",
+                     capsys.readouterr().out)
     assert main(["verify", *space, "--a", "2", *subset]) == 0  # radius 2's row is intact

@@ -12,22 +12,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import point_rank, rank_point, spectrum
+from oracles import (
+    degree_sum_check,
+    hinge_count,
+    mixing_check,
+    point_rank,
+    rank_point,
+    recheck_transform,
+    spectrum,
+    sphere_transform,
+)
 from fqlab import (
     BadSpec,
     TooLarge,
     VerificationFailed,
     VertexOutOfRange,
-    degree_sum_check,
+    degree_columns,
     euclid_graph,
-    hinge_count,
     make_field,
-    mixing_check,
     ramanujan_bound,
     recheck_spectrum,
+    recheck_table,
     sphere_size,
     sphere_table,
-    sphere_transform,
     variance_check,
 )
 from fqlab import cli
@@ -154,7 +161,7 @@ def test_eigenvalues_match_oracle_random_spaces(space, a_seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         G = graph(p, dim, a)
-    recheck_spectrum(G, _match_oracle(G), sphere_transform(G))
+    recheck_transform(G, _match_oracle(G), sphere_transform(G))
 
 
 def test_spectrum_g31(f3):
@@ -225,8 +232,8 @@ def test_degree_rows_all_equal_valency(f7):
 
 def test_verify_spectrum_residuals(f3, f7):
     G3, G7 = euclid_graph(f3, 2, 1), euclid_graph(f7, 2, 1)
-    assert recheck_spectrum(G3, spectrum(G3), sphere_transform(G3)) <= 1e-8 * 4
-    assert recheck_spectrum(G7, spectrum(G7), sphere_transform(G7)) <= 1e-8 * 8
+    assert recheck_transform(G3, spectrum(G3), sphere_transform(G3)) <= 1e-8 * 4
+    assert recheck_transform(G7, spectrum(G7), sphere_transform(G7)) <= 1e-8 * 8
 
 
 def _residual_at(G, s, T, r):
@@ -249,7 +256,7 @@ def test_recheck_matches_neighbor_sum_oracle(p, dim, a):
     # values are all shifted
     G = graph(p, dim, a)
     s, T = spectrum(G), sphere_transform(G)
-    assert recheck_spectrum(G, s, T) <= 1e-8 * G.valency
+    assert recheck_transform(G, s, T) <= 1e-8 * G.valency
     ranks = sorted(random.Random(p * 100 + a).sample(range(G.n), 8))
     shifted = dataclasses.replace(
         s, norm_values=tuple(v + 0.01 * (c + 1) for c, v in enumerate(s.norm_values))
@@ -259,7 +266,7 @@ def test_recheck_matches_neighbor_sum_oracle(p, dim, a):
             brute = oracles.eigvec_residual_brute(G, summary, [r])
             assert _residual_at(G, summary, T, r) == pytest.approx(brute, abs=1e-12)
     with pytest.raises(VerificationFailed, match="eigenvector residual"):
-        recheck_spectrum(G, shifted, T)
+        recheck_transform(G, shifted, T)
 
 
 def test_verify_spectrum_trace_values(f3, f7):
@@ -285,7 +292,7 @@ def test_verify_spectrum_detects_corruption(f3, monkeypatch):
 
     _corrupt_class_table(monkeypatch, f3, 2, shift)
     with pytest.raises(VerificationFailed):
-        recheck_spectrum(G, spectrum(G), sphere_transform(G))
+        recheck_transform(G, spectrum(G), sphere_transform(G))
 
 
 def test_verify_spectrum_detects_swapped_classes(f7, monkeypatch):
@@ -308,7 +315,7 @@ def test_verify_spectrum_detects_swapped_classes(f7, monkeypatch):
     assert bad.trace_sum_residual == pytest.approx(good.trace_sum_residual, abs=1e-9)
     assert bad.trace_square_residual == pytest.approx(good.trace_square_residual, abs=1e-9)
     with pytest.raises(VerificationFailed, match="eigenvector residual") as info:
-        recheck_spectrum(G, bad, sphere_transform(G))
+        recheck_transform(G, bad, sphere_transform(G))
     m = re.search(r"at m = \((\d+), (\d+)\)", str(info.value)).groups()
     assert sum(int(c) ** 2 for c in m) % 7 in (c1, c2)
 
@@ -316,7 +323,7 @@ def test_verify_spectrum_detects_swapped_classes(f7, monkeypatch):
 def test_verify_spectrum_rejects_foreign_summary(f7):
     G = euclid_graph(f7, 2, 1)
     with pytest.raises(BadSpec):
-        recheck_spectrum(G, spectrum(euclid_graph(f7, 2, 3)), sphere_transform(G))
+        recheck_transform(G, spectrum(euclid_graph(f7, 2, 3)), sphere_transform(G))
 
 
 def test_spectrum_guardrail():
@@ -367,6 +374,8 @@ def _match_table_oracle(p, dim):
     assert np.abs(values - ref).max() <= 1e-9
     assert np.abs(values - fft2).max() <= 1e-9
     assert np.abs(values - oracles.norm_class_table_closed_form(p, dim)).max() <= 1e-9
+    if dim >= 2:
+        assert np.abs(euclid_mod._recomputed_table(_field(p), dim) - ref).max() <= 1e-9
     assert (values[:, ~held] == 0).all()
     assert ref_imag.max() <= 1e-9 and fft2_imag.max() <= 1e-9
 
@@ -417,6 +426,11 @@ def test_class_table_matches_fft2_oracle_at_larger_p(p, dim):
     assert fft2_imag.max() <= 1e-12 * scale * p
     if dim >= 2:
         assert (values[:, 0] == np.rint(values[:, 0])).all()
+        # the recomputed table's rounding is relative to each row's sphere
+        # size, which its (norm, dot) counts sum to
+        sizes = np.array(sphere_table(_field(p), dim).sizes, dtype=np.float64)
+        recomputed = euclid_mod._recomputed_table(_field(p), dim)
+        assert (np.abs(recomputed - fft2) <= 1e-12 * (sizes[:, None] + scale * p)).all()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -443,7 +457,9 @@ def test_class_table_peak_memory(dim):
 def test_closed_form_defects_are_caught(monkeypatch, p, dim, defect):
     # one defect planted in the closed form: eta negated, cos(4 pi b/p) in
     # place of cos(2 pi b/p), or the isotropic column off by p.  Every
-    # radius' recheck against its sphere transform refuses the table.
+    # radius' recheck refuses the table: the whole-table recheck from the
+    # (norm, dot) counts, and the per-frequency one against its sphere
+    # transform.
     import fqlab.bounds as bounds
     import fqlab.euclid as euclid_mod
     from fqlab import degree_profile, generate_point_set
@@ -457,10 +473,14 @@ def test_closed_form_defects_are_caught(monkeypatch, p, dim, defect):
     E = generate_point_set(F, dim, "random:1t", seed=1)
     good = degree_profile(F, dim, E)
     monkeypatch.setattr(euclid_mod, "_norm_class_table", lambda F, dim: bad)
+    worst, at = recheck_table(F, dim)
     for a in range(1, p):
         G = euclid_graph(F, dim, a)
         with pytest.raises(VerificationFailed):
-            recheck_spectrum(G, spectrum(G), sphere_transform(G))
+            recheck_spectrum(spectrum(G), worst, at)
+        assert worst[a] > EIGVEC_TOL * G.valency
+        with pytest.raises(VerificationFailed):
+            recheck_transform(G, spectrum(G), sphere_transform(G))
     if defect != "frequency":
         # a convolved profile gathers its transforms from the table, and
         # its degree columns leave the integers
@@ -477,6 +497,192 @@ def test_closed_form_defects_are_caught(monkeypatch, p, dim, defect):
     assert (bad_profile.hinges[1:] == good.hinges[moved]).all()
     assert (bad_profile.pairs[1:] == good.pairs[moved]).all()
     assert (bad_profile.hinges != good.hinges).any()
+
+
+# --- the whole-table recheck from (norm, dot) counts ---------------------------
+
+
+def _representative(p, dim, c):
+    """The frequency vector behind _dot_counts' table of norm c, by its
+    coordinates: e_1 for c = 1, (1, b, 0, ...) with 1 + b**2 = c for a
+    non-square c, and (x, y, 1, 0, ...) with x**2 + y**2 = -1, or (i, 1)
+    with i**2 = -1 in dim 2, for c = 0."""
+    if c == 1:
+        return (1,) + (0,) * (dim - 1)
+    if c:
+        b = next(b for b in range(p) if (1 + b * b - c) % p == 0)
+        return (1, b) + (0,) * (dim - 2)
+    if dim == 2:
+        return (next(i for i in range(p) if (i * i + 1) % p == 0), 1)
+    x, y = next((x, y) for x in range(p) for y in range(p) if (x * x + y * y + 1) % p == 0)
+    return (x, y, 1) + (0,) * (dim - 3)
+
+
+# p**dim <= 3 * 10**4: the brute counts pair every point with m
+DOT_SPACES = [
+    (p, dim) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29) for dim in range(2, 8)
+    if p**dim <= 3 * 10**4
+]
+
+
+@pytest.mark.parametrize("p,dim", DOT_SPACES)
+def test_dot_counts_match_brute_force(p, dim):
+    # each (norm, dot) count table equals the count over all of F_p^dim
+    # for its frequency, which has the norm it is filed under; the square
+    # class, the non-square class and, where one exists, the isotropic
+    # class each get one
+    import fqlab.euclid as euclid_mod
+
+    F = _field(p)
+    tables = list(euclid_mod._dot_counts(F, dim))
+    squares = {x * x % p for x in range(1, p)}
+    kinds = [0 if c == 0 else c in squares for c, _ in tables]
+    assert kinds == [True, False] + ([0] if dim >= 3 or p % 4 == 1 else [])
+    for c, H in tables:
+        m = _representative(p, dim, c)
+        assert oracles.norm_brute(p, m) == c
+        brute = oracles.dot_counts_brute(p, dim, m)
+        assert H.dtype == np.int64 and H.shape == (p, (p + 1) // 2)
+        np.testing.assert_array_equal(H, brute[:, : (p + 1) // 2])
+        np.testing.assert_array_equal(brute[:, 1:], brute[:, :0:-1])  # j and -j
+        assert (H.sum(axis=1) * 2 - H[:, 0] == sphere_table(F, dim).sizes).all()
+
+
+@pytest.mark.parametrize("p,dim,a", INSTANCES)
+def test_recomputed_row_matches_sphere_transform(p, dim, a):
+    # the recomputed row of every radius against the FFT of its sphere at
+    # every frequency, where lam is one value per norm class (Witt)
+    import fqlab.euclid as euclid_mod
+
+    G = graph(p, dim, a)
+    row = euclid_mod._recomputed_table(G.field, dim)[a]
+    s = dataclasses.replace(spectrum(G), norm_values=row)
+    assert recheck_transform(G, s, sphere_transform(G)) <= 1e-12 * G.valency
+    worst, at = recheck_table(G.field, dim)
+    assert recheck_spectrum(spectrum(G), worst, at) <= 1e-12 * G.valency
+
+
+# p = 1 (mod 4) from dim 2, dims 2 to 5, p**dim <= 3 * 10**4 for the FFT
+KERNEL_SPACES = [(p, dim) for p, dim in DOT_SPACES if dim <= 5]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(KERNEL_SPACES), st.integers(1, 10**6))
+@example((5, 2), 1)
+@example((13, 2), 5)
+@example((13, 3), 7)
+@example((5, 4), 2)
+@example((5, 5), 3)
+@example((17, 2), 16)
+def test_recomputed_row_matches_sphere_transform_random_spaces(space, a_seed):
+    import fqlab.euclid as euclid_mod
+
+    p, dim = space
+    F = _field(p)
+    a = 1 + a_seed % (p - 1)
+    G = euclid_graph(F, dim, a)
+    recomputed = euclid_mod._recomputed_table(F, dim)
+    s = dataclasses.replace(spectrum(G), norm_values=recomputed[a])
+    assert recheck_transform(G, s, sphere_transform(G)) <= 1e-12 * G.valency
+    worst, _ = recheck_table(F, dim)
+    assert (worst <= 1e-12 * np.array(sphere_table(F, dim).sizes)).all()
+
+
+def _patched_table(monkeypatch, F, dim, edit):
+    """Serve the norm-class table of (F, dim) with edit applied to a copy."""
+    import fqlab.euclid as euclid_mod
+
+    values = euclid_mod._norm_class_table(F, dim).copy()
+    edit(values)
+    values.setflags(write=False)
+    monkeypatch.setattr(euclid_mod, "_norm_class_table", lambda F, dim: values)
+
+
+@pytest.mark.parametrize("p,dim,a,c", [
+    (7, 2, 3, 5), (13, 2, 1, 0), (7, 3, 2, 0), (5, 4, 4, 3), (11, 2, 0, 4), (13, 3, 0, 0),
+])
+def test_table_recheck_refuses_one_entry_off(monkeypatch, p, dim, a, c):
+    # one entry of row a off by 10 tolerances: its recheck names the radius
+    # and the class; row 0, which no graph reads, fails every radius; an
+    # entry off by a tenth of a tolerance passes
+    F = _field(p)
+    k = sphere_table(F, dim).sizes
+    for scale, refused in ((10, True), (0.1, False)):
+        with monkeypatch.context() as m:
+            def shift(values):
+                values[a, c] += scale * EIGVEC_TOL * k[a]
+
+            _patched_table(m, F, dim, shift)
+            worst, at = recheck_table(F, dim)
+            assert worst[a] == pytest.approx(scale * EIGVEC_TOL * k[a], rel=1e-3)
+            assert at[a] == c
+            for r in range(1, p):
+                s = spectrum(euclid_graph(F, dim, r))
+                if refused and a in (r, 0):
+                    with pytest.raises(VerificationFailed,
+                                       match=f"at radius {a}, norm class {c} exceeds"):
+                        recheck_spectrum(s, worst, at)
+                else:
+                    assert recheck_spectrum(s, worst, at) <= EIGVEC_TOL * k[r]
+
+
+def test_table_recheck_refuses_a_nan_entry(monkeypatch):
+    # a residual that is not a number fails its radius, as a large one does
+    F = make_field(7)
+
+    def spoil(values):
+        values[3, 5] = float("nan")
+
+    _patched_table(monkeypatch, F, 2, spoil)
+    worst, at = recheck_table(F, 2)
+    with pytest.raises(VerificationFailed, match="at radius 3, norm class 5 exceeds"):
+        recheck_spectrum(oracles.spectrum(euclid_graph(F, 2, 3)), worst, at)
+    assert recheck_spectrum(oracles.spectrum(euclid_graph(F, 2, 2)), worst, at) <= 1e-12 * 8
+
+
+@pytest.mark.parametrize("p,dim", [(7, 2), (11, 2), (19, 2), (7, 3), (13, 3), (5, 4)])
+def test_table_recheck_refuses_swapped_classes(monkeypatch, p, dim):
+    # two classes of one size trade values in row 1: both trace sums stay
+    # as they were, and only the recheck can tell; it names one of them,
+    # and row 2 still passes
+    F = _field(p)
+    sizes = sphere_table(F, dim).sizes
+    good = spectrum(euclid_graph(F, dim, 1))
+    c1, c2 = next(
+        (c1, c2) for c1 in range(1, p) for c2 in range(c1 + 1, p)
+        if sizes[c1] == sizes[c2] and abs(good.norm_values[c1] - good.norm_values[c2]) > 1.0
+    )
+
+    def swap(values):
+        values[1, [c1, c2]] = values[1, [c2, c1]]
+
+    _patched_table(monkeypatch, F, dim, swap)
+    bad = spectrum(euclid_graph(F, dim, 1))
+    assert bad.trace_sum_residual == pytest.approx(good.trace_sum_residual, abs=1e-6)
+    assert bad.trace_square_residual == pytest.approx(good.trace_square_residual, abs=1e-6)
+    worst, at = recheck_table(F, dim)
+    with pytest.raises(VerificationFailed, match="at radius 1, norm class") as info:
+        recheck_spectrum(bad, worst, at)
+    assert int(re.search(r"norm class (\d+)", str(info.value)).group(1)) in (c1, c2)
+    assert recheck_spectrum(spectrum(euclid_graph(F, dim, 2)), worst, at) <= 1e-12 * sizes[2]
+
+
+def test_table_recheck_peak_memory():
+    # F_991^3, p**dim = 9.7 * 10**8: the recheck holds three p x p floats at
+    # most beside the table, no p**dim array, and every radius passes
+    import fqlab.euclid as euclid_mod
+
+    F = make_field(991)
+    euclid_mod._norm_class_table(F, 3)  # the table is not the recheck's
+    tracemalloc.start()
+    try:
+        worst, at = recheck_table(F, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst.shape == at.shape == (991,)
+    assert (worst <= 1e-12 * np.array(sphere_table(F, 3).sizes)).all()
+    assert peak < 3.5 * 8 * 991**2
 
 
 # --- the sphere transform gathered from the table -----------------------------
@@ -695,10 +901,13 @@ def test_stacked_certificate_names_the_failing_row(f7, scale):
         certified_columns(G, T, hats, sizes)
 
 
-def test_sphere_transform_guardrail():
-    G = euclid_graph(make_field(103), 3, 1)
-    with pytest.raises(TooLarge, match="pass --force to override"):
-        sphere_transform(G)
+def test_degree_columns_guardrail():
+    # degree columns span F_p^dim: F_103^3 is refused before its first
+    # stack is transformed, and no members make no work
+    F = make_field(103)
+    with pytest.raises(TooLarge, match="exceeds the spectrum guardrail 1000000"):
+        next(degree_columns(F, 3, [np.arange(5)], [1]))
+    assert list(degree_columns(F, 3, [], [1])) == []
 
 
 def test_subset_counts_peak_memory():

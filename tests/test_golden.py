@@ -27,7 +27,7 @@ RECORD_DIGESTS = [
     (["sweep", "--default", "--jobs", "1", "--format", "csv"],
      "f0c4ca9a02bf56413ef52ce0b7efd5b6243aea380a83125566080172a341ef7f"),
     (VERIFY_ARGV,
-     "cec5210b76f1f114fbf93098a3fd0daa4a36a55a62ffee5682a39656cc24def6"),
+     "da6654641dbae69c09110b300b21e8b4b07201f925feaf0d6ae02324519c1e19"),
     (["spectrum", "--q", "7", "--dim", "2"],
      "12ee16aecdbc0b69c11d008bd8d55042de2f28d89126ee0999b5c5ce5ebb57a5"),
     (["fcount", "--q", "7", "--dim", "3", "--gen", "random:1t", "--seed", "2"],

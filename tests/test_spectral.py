@@ -12,20 +12,25 @@ from fqlab import (
     BadSpec,
     VertexOutOfRange,
     degree_sum_bound,
-    degree_sum_check,
     euclid_graph,
     hinge_bound,
-    hinge_count,
     make_field,
     mixing_bound,
-    mixing_check,
-    sphere_transform,
     variance_bound,
     variance_check,
     within_bound,
 )
 from fqlab.spectral import BOUND_TOL, bound_limit, bound_threshold, vertex_array
-from oracles import point_rank, rank_point, spectrum, view_column
+from oracles import (
+    degree_sum_check,
+    hinge_count,
+    mixing_check,
+    point_rank,
+    rank_point,
+    spectrum,
+    sphere_transform,
+    view_column,
+)
 from stacks import columns, one
 
 
