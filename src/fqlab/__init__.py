@@ -55,7 +55,6 @@ from .spectral import (
     hinge_bound,
     mixing_bound,
     variance_bound,
-    variance_check,
     within_bound,
 )
 
@@ -71,7 +70,7 @@ __all__ = [
     "size_threshold", "sphere_points", "sphere_size", "sphere_table",
     # spectral
     "degree_sum_bound", "hinge_bound", "mixing_bound", "variance_bound",
-    "variance_check", "within_bound",
+    "within_bound",
     # euclid
     "EuclidGraphSpec", "SpectralSummary", "degree_columns", "euclid_graph",
     "ramanujan_bound", "recheck_spectrum", "recheck_table", "spectra",

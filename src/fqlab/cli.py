@@ -49,11 +49,8 @@ from .spectral import (
     bound_limit,
     degree_sum_bound,
     hinge_bound,
-    member_index,
-    member_sums,
     mixing_bound,
     variance_bound,
-    variance_check,
     vertex_array,
     within_bound,
 )
@@ -127,28 +124,12 @@ def format_real(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _format_value(v, null: str, quote) -> str:
-    """One record value as text; quote wraps rationals and strings."""
-    if v is None:
-        return null
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_real(v)
-    if isinstance(v, Fraction):
-        return quote(f"{v.numerator}/{v.denominator}")
-    if isinstance(v, str):
-        return quote(v)
-    raise TypeError(f"unsupported record value {v!r}")
-
-
 def _formatters(null: str, quote) -> tuple[dict, object]:
     """(by_type, other): by_type maps each record value type to the
-    function that formats a value of exactly that type as
-    _format_value(value, null, quote) does, and other formats a value of
-    any other type (a subclass, a numpy scalar) by that isinstance chain."""
+    function that formats a value of exactly that type, quote wrapping
+    rationals and strings, and other formats a value of any other type by
+    the first type in its method resolution order that by_type names (a
+    numpy float64 is a float), raising TypeError when there is none."""
     by_type = {
         type(None): lambda v: null,
         bool: lambda v: "true" if v else "false",
@@ -157,7 +138,14 @@ def _formatters(null: str, quote) -> tuple[dict, object]:
         Fraction: lambda v: quote(f"{v.numerator}/{v.denominator}"),
         str: quote,
     }
-    return by_type, lambda v: _format_value(v, null, quote)
+
+    def other(v):
+        for t in type(v).__mro__:
+            if t in by_type:
+                return by_type[t](v)
+        raise TypeError(f"unsupported record value {v!r}")
+
+    return by_type, other
 
 
 def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
@@ -279,8 +267,9 @@ def _spectrum_rows(F, dim, spectra, radii):
 
 
 # Each column's bound as a function of (n, k, lambda, set sizes), in the
-# order _graph_rows yields the columns; each calls its bound through this
-# module's name, so that a test can stub it.
+# order each item's verdicts come (a hinge item judges hinge, then eq2);
+# each calls its bound through this module's name, so that a test can
+# stub it.
 COLUMN_BOUNDS = {
     "variance": lambda n, k, lam, b: variance_bound(n, lam, b),
     "mixing": lambda n, k, lam, b, c: mixing_bound(lam, b, c),
@@ -303,73 +292,56 @@ def _bound(memo, column, n, k, lam, sizes):
     return memo[key]
 
 
-def _graph_rows(F, dim, spectra, radii, members, items, force):
-    """Yield one block of verdicts per (stack, radius a, lambda, column):
-    (a, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges).
+def _item_counts(check, d, B, C, n, k):
+    """[(column, count numerator, its denominator, set sizes, e)] of one
+    subset item of check, read off d, the degree column of its set B (a
+    sorted vertex array) in a k-regular graph on n vertices; C is the
+    sorted vertex array that mixing pairs with B.
 
-    ids are the indices into items of the block's (check, row, C) items,
-    and counts[j], rhs[j] and holds[j] are item ids[j]'s count numerator
-    over lhs_den (1 for hinge and degree-sum counts, n for the variance
-    and mixing deviations), its bound, and whether count / lhs_den <= rhs
-    + BOUND_TOL.  In the mixing column edges[j] is the item's e, the
-    adjacent pairs from B into C; elsewhere edges is None.  Each radius is
-    judged under the exact second eigenvalue of spectra[a] (lam_kind
-    "exact"), then under its ceiling ("ceiling"), and under each in the
-    column order of COLUMN_BOUNDS, so an item's verdicts come lambda
-    first, then column.
+    d sums to t = k|B|.  The variance numerator over n is n (d.d) - t**2;
+    the mixing deviation over n is |e n - t|C||, e the sum of d over C,
+    the adjacent pairs from B into C, which only mixing carries; the
+    hinge count is the sum over B of d squared and the degree sum that of
+    d, both over 1."""
+    t = k * B.size
+    if check == "variance":
+        return [("variance", n * int(d @ d) - t * t, n, (B.size,), None)]
+    if check == "mixing":
+        e = int(d[C].sum())
+        return [("mixing", abs(e * n - t * C.size), n, (B.size, C.size), e)]
+    inside = d[B]
+    return [("hinge", int(inside @ inside), 1, (B.size,), None),
+            ("eq2", int(inside.sum()), 1, (B.size,), None)]
 
-    This is verify's subset pass, which pairs a drawn B with a drawn C;
-    sweep and fcount judge each set against itself from its degree
-    profile (_graph_oks).  The item checks the set whose sorted vertex
-    array is members[row]; mixing pairs it with C, a sorted vertex array.
-    Each stack of one euclid.degree_columns pass indexes its segments
-    once: its sets, then the C of each mixing item, each with the row it
-    reads.
-    Each (stack, radius) makes the variance once per set and gathers every
-    segment's degrees once, for the hinge and degree-sum counts of its
-    sets and the e of every mixing item, whose deviation numerator is |e n
-    - k|B| |C||, k|B| being B's row total; it drops its columns before its
-    first block.  Each bound comes from one _bound memo across stacks and
-    radii, and a count holds when it is at most the bound's limit.
+
+def _subset_verdicts(F, dim, spectra, a, members, items, force):
+    """Yield (i, column, lam_kind, lhs, rhs, holds, e) for each verdict of
+    verify's subset pass on radius a, item by item, in the order verify
+    records them.
+
+    items[i] is (check, row, C): check judges the set whose sorted vertex
+    array is members[row], paired for mixing with C, a sorted vertex array.
+    Each stack of one euclid.degree_columns pass gives every item in it
+    its _item_counts, off its set's row, and is dropped before the next
+    stack is made.  Each item is then judged under the exact second
+    eigenvalue of spectra[a] (lam_kind "exact") and then its ceiling
+    ("ceiling"), its columns in the order of COLUMN_BOUNDS: lhs is the
+    count, its numerator over its denominator, rhs the bound, and holds
+    whether the numerator is at most the bound's limit, all bounds from
+    one _bound memo; e is a mixing item's adjacent pairs, None elsewhere.
     """
-    memo, last = {}, None
-    for start, G, deg in degree_columns(F, dim, members, radii, force):
-        if start != last:  # a new stack: its sets and the items that check them
-            last, stack = start, members[start:start + len(deg)]
-            # per column, (item id, the segment whose count it reads, set
-            # sizes): a stack row's, or for a mixing item its C's
-            layout = {column: [] for column in COLUMN_BOUNDS}
-            segments = [(B, row) for row, B in enumerate(stack)]
-            for i, (check, row, C) in enumerate(items):
-                row -= start
-                if not 0 <= row < len(stack):
-                    continue
-                read, sizes = row, (stack[row].size,)
-                if check == "mixing":
-                    read, sizes = len(segments), sizes + (C.size,)
-                    segments.append((C, row))
-                for column in CHECK_COLUMNS[check]:
-                    layout[column].append((i, read, sizes))
-            layout = {column: tuple(zip(*got)) for column, got in layout.items() if got}
-            index = member_index(deg.shape[1], *zip(*segments))
-        n, k, s = G.n, G.valency, spectra[G.a]
-        counts, edges = {}, None
-        if "variance" in layout:
-            counts["variance"] = variance_check(deg)
-        if "hinge" in layout or "mixing" in layout:
-            counts["hinge"], edges = member_sums(deg, index)
-            counts["eq2"] = edges
-            counts["mixing"] = [abs(e * n - k * stack[row].size * C.size)
-                                for e, (C, row) in zip(edges, segments)]
+    s, counts = spectra[a], [None] * len(items)
+    for start, G, deg in degree_columns(F, dim, members, [a], force):
+        for i, (check, row, C) in enumerate(items):
+            if start <= row < start + len(deg):
+                counts[i] = _item_counts(check, deg[row - start], members[row], C, G.n, G.valency)
         del deg
+    memo = {}
+    for i, got in enumerate(counts):
         for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
-            for column, (ids, reads, sizes) in layout.items():
-                lhs_den = n if column in ("variance", "mixing") else 1
-                rhs, limits = zip(*(_bound(memo, column, n, k, lam, size) for size in sizes))
-                lhs_num = [counts[column][r] for r in reads]
-                holds = [c <= limit for c, limit in zip(lhs_num, limits)]
-                yield (G.a, column, lam_kind, ids, lhs_num, lhs_den, list(rhs), holds,
-                       [edges[r] for r in reads] if column == "mixing" else None)
+            for column, num, den, sizes, e in got:
+                rhs, limit = _bound(memo, column, s.n, s.valency, lam, sizes)
+                yield i, column, lam_kind, num / den, rhs, num <= limit, e
 
 
 def _graph_oks(F, dim, spectra, profiles, checks) -> list[dict]:
@@ -482,29 +454,23 @@ def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
     """Every subset check on radius a, appended to the (records, summary
     lines) pair out[check].
 
-    The distinct sets B of _subset_draws go through one _graph_rows pass
-    of their own, since no other radius reads them.
+    The distinct sets B of _subset_draws go through one _subset_verdicts
+    pass of their own, since no other radius reads them.
     """
     p = F.p
     members, items, trials = _subset_draws(p, dim, a, checks, args.trials, args.seed)
-    rows = [[] for _ in items]
-    for _, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges in _graph_rows(
-        F, dim, spectra, [a], members, items, args.force
-    ):
-        for j, i in enumerate(ids):
-            e = None if edges is None else edges[j]
-            rows[i].append((column, lam_kind, counts[j] / lhs_den, rhs[j], holds[j], e))
     oks = {check: True for check, _, _ in items}
-    for (check, row, C), trial, results in zip(items, trials, rows):
+    for i, column, lam_kind, lhs, rhs, holds, e in _subset_verdicts(
+        F, dim, spectra, a, members, items, args.force
+    ):
+        check, row, C = items[i]
         b = members[row].size
-        for column, lam_kind, lhs, rhs, holds, e in results:
-            oks[check] &= holds
-            detail = VERIFY_DETAILS[column].format(b=b, e=e)
-            out[check][0].append(_verify_record(
-                check, p, dim, args.seed, lhs, rhs, holds, detail,
-                a=a, lam_kind=lam_kind, trial=trial, set_size=b,
-                c_size=None if C is None else C.size,
-            ))
+        oks[check] &= holds
+        out[check][0].append(_verify_record(
+            check, p, dim, args.seed, lhs, rhs, holds, VERIFY_DETAILS[column].format(b=b, e=e),
+            a=a, lam_kind=lam_kind, trial=trials[i], set_size=b,
+            c_size=None if C is None else C.size,
+        ))
     for check, ok in oks.items():
         out[check][1].append(
             f"{check:<8}  p={p} dim={dim} a={a}: {args.trials} subsets, "
@@ -689,6 +655,8 @@ def cmd_verify(args) -> int:
     need_all = {"main", "remark"} & set(checks)
     radii = range(1, F.p) if need_all else a_values
     spectra = euclid.spectra(F, dim, radii, args.force)
+    if SUBSET_CHECKS.intersection(checks):  # refused before any subset is drawn
+        euclid.guard_spectrum(F.p, dim, args.force)
     # Records and summary lines are buffered per check, so the output keeps
     # check-major order while the work runs one radius at a time.
     out = {check: ([], []) for check in checks}

@@ -32,8 +32,9 @@ a degree column: it transforms each stack of sets once (set_transforms),
 and per radius gathers the sphere's transform (class_transform) and
 makes every column of the stack with one inverse FFT (certified_columns),
 in O(S n log n) time and O(S n) memory for S sets.  verify's subset
-checks take it with their stacks of sets, and bounds.degree_profile's
-convolution route with the point set as a one-row stack; the subset
+pass takes it one radius at a time and reads each item's counts off its
+set's row, and bounds.degree_profile's convolution route takes it with
+the point set as a one-row stack; the subset
 checks of sweep and fcount, which judge a set against itself, read their
 counts off its profile instead (bounds.subset_counts).  Every column is
 certified exact, so a wrong table row whose counts leave the integers is
@@ -92,7 +93,8 @@ def euclid_graph(F: PrimeField, dim: int, a: int) -> EuclidGraphSpec:
 
 def guard_spectrum(p: int, dim: int, force: bool = False) -> None:
     """Refuse work over all p**dim > SPECTRUM_MAX vertices of F_p^dim
-    unless forced; degree_columns, the one such route, calls it."""
+    unless forced; degree_columns, the one such route, calls it, and
+    verify calls it before it draws a subset for that route."""
     if p**dim > SPECTRUM_MAX and not force:
         raise TooLarge(
             f"p**dim = {p}**{dim} = {p ** dim} exceeds the spectrum guardrail "

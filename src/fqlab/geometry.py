@@ -435,8 +435,9 @@ def generate_point_set(
     total = _space_size(F.p, dim)
     rng = random.Random(seed)
     parts = [_atom_ranks(F, dim, total, atom, rng, force) for atom in gs.atoms]
-    ranks = np.concatenate(parts)
-    if len(parts) > 1:
+    ranks = parts[0]
+    if len(parts) > 1:  # a union; one atom's ranks reach PointSet uncopied
+        ranks = np.concatenate(parts)
         ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
     return PointSet(ranks, p=F.p, dim=dim, origin_label=gs.text)
 

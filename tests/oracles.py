@@ -4,10 +4,11 @@ Everything here recomputes quantities from first principles: exhaustive
 enumeration over F_p^dim, literal loops over point triples, character
 sums over whole spheres and over every point per norm class, sphere
 intersections point by point, neighbor tables, and dense matrix powers.
-Only the per-verdict subset pass and the counts that the package has no
-use for (hinge_count, degree_sum_check and mixing_check, over its
-member_sums) call the package's counting kernels, so an agreement is
-evidence, not tautology; the other calls into the package are spectrum,
+Only the per-verdict subset pass calls the package's degree columns and
+bounds, so an agreement is evidence, not tautology; the counts it reads
+off those columns (variance_check, hinge_count, degree_sum_check and
+mixing_check) are plain loops and sums here, one row at a time.  The
+other calls into the package are spectrum,
 the one-radius reading of the package's spectra that the tests use,
 class_transform, whose gather the per-frequency recheck judges,
 parse_generator, which hands the generator oracle its atoms, and
@@ -22,9 +23,8 @@ norm-class table (now Salie and Kloosterman closed forms), the spectrum
 recheck by one FFT of each radius' sphere over F_p^dim (now one recheck
 of the whole table from (norm, dot) counts), verify's draw loops (which
 now skip the draws that cannot depend on the seed) and the subset
-pass's per-verdict judging (now blocks of counts against integer limits
-shared across radii), which reads the package's degree columns, counts
-and bounds and so checks the judging alone.
+pass's per-verdict judging (now counts against integer limits from one
+memo), which reads the package's degree columns and bounds.
 The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank
 and point-text helpers the tests need, and the package does not, live
 here too.
@@ -53,11 +53,8 @@ from fqlab.spectral import (
     bound_threshold,
     degree_sum_bound,
     hinge_bound,
-    member_index,
-    member_sums,
     mixing_bound,
     variance_bound,
-    variance_check,
 )
 
 # Symmetry validation is skipped above this many table entries.
@@ -641,12 +638,36 @@ def within_bound_fraction(lhs, rhs) -> bool:
     return bool(lhs <= rhs + BOUND_TOL)
 
 
+def variance_check(deg: np.ndarray) -> list[int]:
+    """The exact neighbor-count variance over all vertices, for every row
+    i, as its numerator over n: the sum over v of (deg[i, v] -
+    k|B_i|/n)**2 is (n * sum deg[i]**2 - t_i**2) / n, deg[i] the degree
+    column of B_i and t_i = k|B_i| the row sum."""
+    n = deg.shape[1]
+    out = []
+    for row in deg.tolist():
+        t = sum(row)
+        out.append(n * sum(d * d for d in row) - t * t)
+    return out
+
+
+def _member_rows(deg: np.ndarray, members):
+    """(row, the members of that row's set) for every row of deg, as
+    lists of ints; raises VertexOutOfRange when a member leaves [0, n)."""
+    n = deg.shape[1]
+    for row, m in zip(deg.tolist(), members):
+        m = [int(v) for v in m]
+        if any(not 0 <= v < n for v in m):
+            raise VertexOutOfRange(f"vertex set leaves [0, {n})")
+        yield row, m
+
+
 def hinge_count(deg: np.ndarray, members) -> list[int]:
     """Ordered hinges (u, v, w) in E_i**3 with uv and vw edges, u == w
     counting, for every row i: the sum over v in members[i] of deg[i, v]
     squared, deg[i] the degree column of E_i and members[i] its sorted
     vertex array."""
-    return member_sums(deg, member_index(deg.shape[1], members))[0]
+    return [sum(row[v] ** 2 for v in m) for row, m in _member_rows(deg, members)]
 
 
 def degree_sum_check(deg: np.ndarray, members) -> list[int]:
@@ -654,7 +675,7 @@ def degree_sum_check(deg: np.ndarray, members) -> list[int]:
     deg[i] the degree column of B_i this is e(B_i, members[i]), and with
     members[i] = B_i = E it is e(E, E), the mixing step the hinge bound
     squares."""
-    return member_sums(deg, member_index(deg.shape[1], members))[1]
+    return [sum(row[v] for v in m) for row, m in _member_rows(deg, members)]
 
 
 def mixing_check(deg: np.ndarray, C) -> list[tuple[int, int]]:
@@ -695,13 +716,12 @@ def mixing_fraction(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
 
 def graph_rows_per_verdict(F, dim, spectra, radii, members, items, force):
     """Yield (a, i, column, lam_kind, lhs, rhs, holds) for the i-th (check,
-    row, C) item of cli._graph_rows on each radius a, one verdict at a
-    time, as that pass did before it judged blocks: per (stack, radius) of
-    the package's degree_columns, the package's counts, and per item each
-    bound computed anew under the exact second eigenvalue and the ceiling,
-    judged by cross-multiplying its count with bound_threshold.  Only the
-    judging is under test; the counts, bounds and columns are the
-    package's own."""
+    row, C) item of verify's subset pass (cli._subset_verdicts) on each
+    radius a, one verdict at a time: per (stack, radius) of the package's
+    degree_columns, the counts of this module, row by row, and per item
+    each bound computed anew under the exact second eigenvalue and the
+    ceiling, judged by cross-multiplying its count with bound_threshold.
+    The columns and bounds are the package's own."""
     bounds = {
         "variance": lambda n, k, lam, b: variance_bound(n, lam, b),
         "mixing": lambda n, k, lam, b, c: mixing_bound(lam, b, c),

@@ -21,6 +21,7 @@ from oracles import (
     rank_point,
     spectrum,
     sphere_transform,
+    variance_check,
 )
 from fqlab import (
     check_main_theorem,
@@ -35,7 +36,6 @@ from fqlab import (
     ramanujan_bound,
     sphere_table,
     variance_bound,
-    variance_check,
 )
 from fqlab.cli import DEFAULT_SWEEP_CONFIG, main, run_sweep
 from fqlab.spectral import vertex_array

@@ -99,6 +99,20 @@ def test_emit_rejects_unsupported_values(fmt):
         emit([{"a": (1, 2)}], fmt, ("a",))
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_emit_formats_subclasses_by_their_base_type(fmt):
+    # a numpy float64 is a float and a str subclass a str, found by their
+    # method resolution order; a numpy int64 derives from no record type
+    class Label(str):
+        pass
+
+    fields = ("x", "s")
+    want = emit([{"x": 0.1 + 0.2, "s": "e=3"}], fmt, fields)
+    assert emit([{"x": np.float64(0.1 + 0.2), "s": Label("e=3")}], fmt, fields) == want
+    with pytest.raises(TypeError):
+        emit([{"x": np.int64(3)}], fmt, ("x",))
+
+
 def test_derive_seed_stable():
     assert derive_seed("x", 3, 2) == derive_seed("x", 3, 2)
     assert derive_seed("x", 3, 2) != derive_seed("x", 2, 3)
@@ -313,6 +327,25 @@ def test_verify_guardrail_exits_2(capsys):
     assert "exceeds the spectrum guardrail" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["variance", "mixing", "hinge"])
+def test_verify_refuses_subset_checks_before_drawing(monkeypatch, capsys, check):
+    # F_103^3 has 1,092,727 vertices: a subset check is refused before
+    # its first set is drawn; under a guardrail of 100 vertices F_7^3 is
+    # refused the same way, and --force draws and judges it as before
+    drawn = []
+    sample = random.Random.sample
+    monkeypatch.setattr(random.Random, "sample",
+                        lambda self, *args: drawn.append(args) or sample(self, *args))
+    assert main(["verify", "--q", "103", "--dim", "3", "--a", "1", "--checks", check]) == 2
+    assert "exceeds the spectrum guardrail" in capsys.readouterr().err
+    argv = ["verify", "--q", "7", "--dim", "3", "--a", "1", "--checks", check, "--trials", "2"]
+    monkeypatch.setattr(fqlab.euclid, "SPECTRUM_MAX", 100)
+    assert main(argv) == 2
+    assert "exceeds the spectrum guardrail 100;" in capsys.readouterr().err
+    assert drawn == []
+    assert main(argv + ["--force"]) == 0 and drawn
+
+
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
 @pytest.mark.parametrize("command,dim", [
     ("spectrum", 1300), ("spectrum", 700), ("verify", 1300), ("verify", 700),
@@ -368,21 +401,21 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    transforms, rows = fqlab.euclid.set_transforms, cli._graph_rows
+    transforms, verdicts = fqlab.euclid.set_transforms, cli._subset_verdicts
 
     def tracked(p, dim, members):
         stacked.append([tuple(m.tolist()) for m in members])
         return transforms(p, dim, members)
 
-    def reading(F, dim, spectra, radii, members, items, force):
+    def reading(F, dim, spectra, a, members, items, force):
         read.append((len(members), {row for _, row, _ in items}, len(items)))
-        yield from rows(F, dim, spectra, radii, members, items, force)
+        yield from verdicts(F, dim, spectra, a, members, items, force)
 
     counted(cli, "recheck_table")
     counted(fqlab.euclid, "certified_columns")
     counted(cli, "check_main_theorem")
     monkeypatch.setattr(fqlab.euclid, "set_transforms", tracked)
-    monkeypatch.setattr(cli, "_graph_rows", reading)
+    monkeypatch.setattr(cli, "_subset_verdicts", reading)
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
     assert calls["recheck_table"] == 1  # one for both radii, for the spectrum check alone
     # one stack per radius: each distinct subset is transformed once, and one
@@ -430,35 +463,26 @@ def test_verify_rechecks_the_table_once_across_stacks(monkeypatch):
 
 
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
-    calls, rows = Counter(), Counter()
+    calls = Counter()
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            result = fn(*args, **kwargs)
-            if isinstance(result, (list, tuple)):
-                # member_sums: (hinge counts, degree sums), one each per segment
-                rows[name] += len(result[0] if isinstance(result, tuple) else result)
-            return result
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    names = ("variance_check", "member_sums")
-    for name in names:
-        counted(cli, name)
+    counted(cli, "_item_counts")
     counted(fqlab.euclid, "certified_columns")
     argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
-    # one stack of the distinct subsets, one call of each count on it,
-    # judged under the exact and ceiling lambda; the variance has one row
-    # per distinct subset, the one gather of member_sums those rows and
-    # then one per mixing (subset, C) item
-    assert calls == {name: 1 for name in names + ("certified_columns",)}
-    assert rows["member_sums"] == rows["variance_check"] + 3
-    assert 3 <= rows["variance_check"] <= 9
+    # one stack of the distinct subsets, and each of the 3 checks x 3
+    # trials read off it once, then judged under the exact and ceiling
+    # lambda
+    assert calls == {"certified_columns": 1, "_item_counts": 9}
 
 
 # every instance exercised by the batteries: 44 (p, dim, a)
@@ -479,30 +503,35 @@ def verdicts_by_item(rows):
     return by_item
 
 
-def block_verdicts(blocks):
-    """The blocks of cli._graph_rows flattened to one row per verdict, each
-    block's shape checked on the way."""
-    for a, column, lam_kind, ids, counts, lhs_den, rhs, holds, edges in blocks:
-        assert len(ids) == len(counts) == len(rhs) == len(holds) > 0
-        assert (edges is None) is (column != "mixing")
-        assert all(type(c) is int for c in counts) and lhs_den >= 1
-        for i, count, bound, ok in zip(ids, counts, rhs, holds):
-            yield a, i, column, lam_kind, count / lhs_den, bound, ok
+def pass_verdicts(F, dim, spectra, radii, members, items):
+    """The verdicts of cli._subset_verdicts on each radius in turn, as rows
+    of (a, i, column, lam_kind, lhs, rhs, holds), each pass's shape
+    checked on the way: its items in order, e given for mixing alone."""
+    for a in radii:
+        seen = []
+        for i, column, lam_kind, lhs, rhs, holds, e in cli._subset_verdicts(
+            F, dim, spectra, a, members, items, False
+        ):
+            assert (type(e) is int) is (column == "mixing") and type(holds) is bool
+            seen.append(i)
+            yield a, i, column, lam_kind, lhs, rhs, holds
+        assert seen == sorted(seen)
 
 
-def assert_blocks_equal_the_per_verdict_route(F, dim, spectra, radii, members, items):
-    args = (F, dim, spectra, radii, members, items, False)
-    got = verdicts_by_item(block_verdicts(cli._graph_rows(*args)))
-    want = verdicts_by_item(oracles.graph_rows_per_verdict(*args))
+def assert_pass_equals_the_per_verdict_route(F, dim, spectra, radii, members, items):
+    got = verdicts_by_item(pass_verdicts(F, dim, spectra, radii, members, items))
+    want = verdicts_by_item(
+        oracles.graph_rows_per_verdict(F, dim, spectra, radii, members, items, False)
+    )
     assert got == want
     assert sorted(got) == list(range(len(items)))  # every item judged
 
 
-def test_graph_blocks_equal_the_per_verdict_route():
+def test_subset_verdicts_equal_the_per_verdict_route():
     # every verdict (radius, item, column, lambda kind, lhs, rhs, holds),
     # and each item's verdicts in the order verify records them: verify's
-    # draws on each of the 44 instances, one radius a pass, and the
-    # sweep's shape, every distinct draw judged on every radius in one pass
+    # draws on each of the 44 instances, one radius a pass, and every
+    # distinct draw of an instance's space judged on every radius
     checks = ("variance", "mixing", "hinge")
     for p, dim in sorted({(p, dim) for p, dim, _ in GRID}):
         F = fqlab.make_field(p)
@@ -510,16 +539,16 @@ def test_graph_blocks_equal_the_per_verdict_route():
         sets = []
         for a in range(1, p):
             members, items, _ = cli._subset_draws(p, dim, a, checks, 3, 5)
-            assert_blocks_equal_the_per_verdict_route(F, dim, spectra, [a], members, items)
+            assert_pass_equals_the_per_verdict_route(F, dim, spectra, [a], members, items)
             sets += [m for m in members if not any(np.array_equal(m, s) for s in sets)]
         items = [(c, row, sets[row] if c == "mixing" else None)
                  for row in range(len(sets)) for c in checks]
-        assert_blocks_equal_the_per_verdict_route(F, dim, spectra, range(1, p), sets, items)
+        assert_pass_equals_the_per_verdict_route(F, dim, spectra, range(1, p), sets, items)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_graph_blocks_equal_the_per_verdict_route_on_random_items(data):
+def test_subset_verdicts_equal_the_per_verdict_route_on_random_items(data):
     # any sets, items in any order with any mixing C sets, any radii,
     # and stacks of one to three sets, so the memo crosses stacks
     p, dim = data.draw(st.sampled_from([(3, 2), (7, 2), (11, 2), (3, 3), (7, 3)]))
@@ -537,22 +566,26 @@ def test_graph_blocks_equal_the_per_verdict_route_on_random_items(data):
     spectra = fqlab.spectra(F, dim, range(1, p))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fqlab.euclid, "STACK_ELEMENTS", n * data.draw(st.integers(1, 3)))
-        assert_blocks_equal_the_per_verdict_route(F, dim, spectra, radii, members, items)
+        assert_pass_equals_the_per_verdict_route(F, dim, spectra, radii, members, items)
 
 
-def graph_row_counts(F, dim, spectra, members):
-    """{(row, column, a): count numerator} of cli._graph_rows for every
-    set members[row] checked against itself in every radius a: its
-    variance, mixing and hinge items with no C, under the exact lambda."""
-    items = [(c, row, B if c == "mixing" else None)
-             for row, B in enumerate(members) for c in ("variance", "mixing", "hinge")]
+def graph_row_counts(F, dim, members):
+    """{(row, column, a): count numerator} of every set members[row]
+    checked against itself in every radius a: its variance, mixing,
+    hinge and eq2 counts, read by the oracles off the package's degree
+    columns."""
     got = {}
-    for a, column, lam_kind, ids, counts, *_ in cli._graph_rows(
-        F, dim, spectra, range(1, F.p), members, items, False
-    ):
-        if lam_kind == "exact":
-            for i, count in zip(ids, counts):
-                got[items[i][1], column, a] = count
+    for start, G, deg in fqlab.degree_columns(F, dim, members, range(1, F.p)):
+        stack = members[start:start + len(deg)]
+        counts = {
+            "variance": oracles.variance_check(deg),
+            "mixing": [deviation for _, deviation in oracles.mixing_check(deg, stack)],
+            "hinge": oracles.hinge_count(deg, stack),
+            "eq2": oracles.degree_sum_check(deg, stack),
+        }
+        for column, values in counts.items():
+            for row, count in enumerate(values, start):
+                got[row, column, G.a] = count
     return got
 
 
@@ -561,7 +594,7 @@ def assert_profile_counts_equal_the_columns(F, dim, sets):
     that its degree columns give in every radius, column for column."""
     n = F.p**dim
     members = [cli.vertex_array(n, ranks) for ranks in sets]
-    want = graph_row_counts(F, dim, fqlab.spectra(F, dim, range(1, F.p)), members)
+    want = graph_row_counts(F, dim, members)
     for row, ranks in enumerate(members):
         prof = fqlab.degree_profile(F, dim, fqlab.PointSet(ranks, p=F.p, dim=dim))
         got = fqlab.bounds.subset_counts(F, dim, prof)
@@ -622,8 +655,9 @@ def test_profile_counts_equal_the_degree_columns_on_random_sets(data):
 @given(st.data())
 def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
     # under bounds scaled down so that some verdicts fail, each set's
-    # flags from its profile equal those of its blocks of _graph_rows:
-    # a column holds when every radius' count holds under both lambdas
+    # flags from its profile equal those of its verdicts in verify's
+    # subset pass: a column holds when every radius' count holds under
+    # both lambdas
     p, dim = data.draw(st.sampled_from([(3, 2), (7, 2), (11, 2), (3, 3), (7, 3)]))
     n = p**dim
     F = fqlab.make_field(p)
@@ -639,10 +673,10 @@ def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
             m.setattr(cli, name, lambda *args, fn=getattr(cli, name): fn(*args) * scale)
         want = [dict.fromkeys(["variance_ok", "mixing_ok", "hinge_ok", "eq2_ok"], True)
                 for _ in members]
-        for _, column, _, ids, _, _, _, holds, _ in cli._graph_rows(
-            F, dim, spectra, range(1, p), members, items, False
-        ):
-            for i, ok in zip(ids, holds):
+        for a in range(1, p):
+            for i, column, _, _, _, ok, _ in cli._subset_verdicts(
+                F, dim, spectra, a, members, items, False
+            ):
                 want[items[i][1]][f"{column}_ok"] &= ok
         profiles = [fqlab.degree_profile(F, dim, fqlab.PointSet(B, p=p, dim=dim)) for B in members]
         assert cli._graph_oks(F, dim, spectra, profiles, checks) == want
@@ -999,31 +1033,9 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
         assert got["eq2"] == prof.pairs[1:].tolist()
         (E,) = [E for made_prof, E in made if made_prof is prof]
         members = [cli.vertex_array(F.p**dim, E.ranks)]
-        want = graph_row_counts(F, dim, fqlab.spectra(F, dim, range(1, F.p)), members)
+        want = graph_row_counts(F, dim, members)
         for column, values in got.items():
             assert values == [want[0, column, a] for a in range(1, F.p)]
-
-
-def test_sweep_and_fcount_gather_no_member_degrees(monkeypatch):
-    # their subset checks judge each set against itself from its degree
-    # profile, so neither makes a gather index or gathers a member's degree
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(cli, "member_index", counted("index", cli.member_index))
-    monkeypatch.setattr(
-        fqlab.spectral, "_member_degrees", counted("gather", fqlab.spectral._member_degrees)
-    )
-    records, _ = run_sweep(SMALL_CONFIG, jobs=1)
-    assert all(r["holds"] and r["mixing_ok"] and r["eq2_ok"] for r in records)
-    assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "random:1t",
-                 "--checks", ",".join(CHECK_NAMES)]) == 0
-    assert calls == {}
 
 
 def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
@@ -1055,7 +1067,7 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
 def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch, tmp_path):
     # spectrum, verify, sweep and fcount reach the set transforms, the
     # gathered transforms and the degree columns only through verify's
-    # _graph_rows pass (its degree_columns), and the table recheck only
+    # _subset_verdicts pass (its degree_columns), and the table recheck only
     # through one _spectrum_rows pass: stubbed out, none is made;
     # unstubbed, the subset pass runs once per verify radius and never for
     # sweep or fcount, which read their subset counts off each set's
@@ -1075,11 +1087,11 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
     counted(cli, "recheck_table")
     for name in ("class_transform", "set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
-    graph_rows, spectrum_rows = cli._graph_rows, cli._spectrum_rows
+    subset_verdicts, spectrum_rows = cli._subset_verdicts, cli._spectrum_rows
 
-    def traced(F, dim, spectra, radii, *rest):
-        passes.append((F.p, dim, tuple(radii)))
-        yield from graph_rows(F, dim, spectra, radii, *rest)
+    def traced(F, dim, spectra, a, *rest):
+        passes.append((F.p, dim, a))
+        yield from subset_verdicts(F, dim, spectra, a, *rest)
 
     def traced_spectrum(F, dim, spectra, radii):
         rechecks.append((F.p, dim, tuple(radii)))
@@ -1096,18 +1108,18 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
         ["fcount", "--q", "7", "--dim", "2", "--gen", "random:1t", "--checks", graph],
     )
     radii = tuple(range(1, 7))
-    monkeypatch.setattr(cli, "_graph_rows", lambda *args: iter(()))
+    monkeypatch.setattr(cli, "_subset_verdicts", lambda *args: iter(()))
     monkeypatch.setattr(cli, "_spectrum_rows", lambda F, dim, spectra, radii: (
         (a, True, "") for a in radii
     ))
     for argv in commands:
         assert main(argv) == 0
     assert calls == {}
-    monkeypatch.setattr(cli, "_graph_rows", traced)
+    monkeypatch.setattr(cli, "_subset_verdicts", traced)
     monkeypatch.setattr(cli, "_spectrum_rows", traced_spectrum)
     for argv in commands:
         assert main(argv) == 0
-    assert passes == [(7, 2, (a,)) for a in radii]
+    assert passes == [(7, 2, a) for a in radii]
     assert rechecks == (
         [(7, 2, radii)] + [(7, 2, radii)] + [(3, 2, (1, 2)), (7, 2, radii)] + [(7, 2, radii)]
     )

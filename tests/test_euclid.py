@@ -21,6 +21,7 @@ from oracles import (
     recheck_transform,
     spectrum,
     sphere_transform,
+    variance_check,
 )
 from fqlab import (
     BadSpec,
@@ -35,7 +36,6 @@ from fqlab import (
     recheck_table,
     sphere_size,
     sphere_table,
-    variance_check,
 )
 from fqlab import cli
 from fqlab.euclid import (
@@ -932,9 +932,9 @@ def test_subset_counts_peak_memory():
 
 
 def test_stacked_subset_counts_peak_memory(monkeypatch):
-    # ten sets of one radius of F_43^3 through the commands' graph-check
-    # pass, at most max(1, STACK_ELEMENTS // n) = 3 sets of 79,507 vertices
-    # per stack
+    # ten sets of one radius of F_43^3 through verify's subset pass, at
+    # most max(1, STACK_ELEMENTS // n) = 3 sets of 79,507 vertices per
+    # stack, each stack dropped before the next is made
     import fqlab.euclid as euclid_mod
 
     F = make_field(43)
@@ -954,8 +954,8 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     monkeypatch.setattr(euclid_mod, "set_transforms", counted)
     tracemalloc.start()
     try:
-        blocks = cli._graph_rows(F, 3, spectra, [1], members, items, False)
-        held = [ok for *_, holds, _ in blocks for ok in holds]
+        verdicts = cli._subset_verdicts(F, 3, spectra, 1, members, items, False)
+        held = [holds for *_, holds, _ in verdicts]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

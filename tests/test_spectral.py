@@ -17,7 +17,6 @@ from fqlab import (
     make_field,
     mixing_bound,
     variance_bound,
-    variance_check,
     within_bound,
 )
 from fqlab.spectral import BOUND_TOL, bound_limit, bound_threshold, vertex_array
@@ -29,6 +28,7 @@ from oracles import (
     rank_point,
     spectrum,
     sphere_transform,
+    variance_check,
     view_column,
 )
 from stacks import columns, one
