@@ -427,10 +427,6 @@ class BoundReport:
     def distance_count(self) -> int:
         return len(self.distance_set)
 
-    @property
-    def holds(self) -> bool:
-        return self.lower_ok and self.upper_ok and self.asym_ok and self.delta_ok
-
 
 def check_main_theorem(
     F: PrimeField, dim: int, prof: DegreeProfile, spectra: Mapping[int, SpectralSummary]

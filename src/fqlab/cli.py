@@ -32,6 +32,8 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, bounds, euclid
 from .bounds import check_main_theorem, degree_profile, subset_counts
 from .errors import BadSpec, FqlabError, VerificationFailed
@@ -51,7 +53,6 @@ from .spectral import (
     hinge_bound,
     mixing_bound,
     variance_bound,
-    vertex_array,
     within_bound,
 )
 
@@ -198,6 +199,11 @@ def derive_seed(*parts) -> int:
     """A 64-bit seed from a hash of the joined parts; stable across runs."""
     key = "|".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+
+
+def _set_key(ranks) -> bytes:
+    """A set's key: the SHA-256 digest of its rank buffer, 32 bytes."""
+    return hashlib.sha256(ranks).digest()
 
 
 def config_digest(config: dict) -> str:
@@ -421,9 +427,9 @@ def _verify_record(check, p, dim, seed, lhs, rhs, holds, detail, **fields) -> di
 
 def _subset_draws(p, dim, a, checks, trials, seed):
     """(members, items, trial numbers) of the subset checks among checks
-    on radius a: members holds each distinct set B once, as a sorted
+    on radius a: members holds each distinct set B once, as a sorted int64
     vertex array, and items[i] is (check, row of its B in members, C), C
-    a sorted vertex array for mixing and None otherwise.
+    a sorted int64 vertex array for mixing and None otherwise.
 
     Each check draws its (B, C) pairs from its own seeded stream, B then C
     per trial, sizes on the _spanning_sizes ladder.  Those never decrease,
@@ -438,14 +444,14 @@ def _subset_draws(p, dim, a, checks, trials, seed):
         rng = random.Random(derive_seed(seed, check, p, dim, a))
         for trial, size in enumerate(_spanning_sizes(n, trials)):
             if size == n and check != "mixing":
-                B = vertex_array(n, range(n))
+                B = np.arange(n, dtype=np.int64)
             else:
-                B = vertex_array(n, rng.sample(range(n), size))
+                B = np.sort(np.array(rng.sample(range(n), size), dtype=np.int64))
             C = rng.sample(range(n), rng.randint(1, n)) if check == "mixing" else None
-            row = index.setdefault(B.tobytes(), len(members))
+            row = index.setdefault(_set_key(B), len(members))
             if row == len(members):
                 members.append(B)
-            items.append((check, row, None if C is None else vertex_array(n, C)))
+            items.append((check, row, None if C is None else np.sort(np.array(C, dtype=np.int64))))
             trial_numbers.append(trial)
     return members, items, trial_numbers
 
@@ -487,7 +493,7 @@ def _point_set_draws(p, dim, cap, trials, seed):
     n = p**dim
     rng = random.Random(derive_seed(seed, "main", p, dim))
     for size in _spanning_sizes(cap, trials):
-        yield range(n) if size == n else sorted(rng.sample(range(n), size))
+        yield np.arange(n, dtype=np.int64) if size == n else sorted(rng.sample(range(n), size))
 
 
 def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
@@ -509,7 +515,7 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     wanted = [c for c in ("main", "remark") if c in checks]
     reports = {}
     for trial, E in enumerate(sets):
-        key = E.ranks.tobytes()
+        key = _set_key(E.ranks)
         if key not in reports:
             prof = degree_profile(F, dim, E, force=args.force)
             reports[key] = check_main_theorem(F, dim, prof, spectra)
@@ -784,8 +790,8 @@ def _run_sweep_group(task) -> list[dict]:
 
     Every check but the spectrum reads each set's degree profile, so
     unless the spectrum is the only check, a one-atom generator past the
-    profile guardrail is refused before any draw.  Sets are keyed by the
-    bytes of their rank arrays, and the distinct profiles go through one
+    profile guardrail is refused before any draw.  Sets are keyed by
+    _set_key of their rank arrays, and the distinct profiles go through one
     _graph_oks pass; a (p, dim) with no set makes no spectrum recheck.
     """
     p, dim, gens, seeds, checks, digest, force = task
@@ -821,7 +827,7 @@ def _run_sweep_group(task) -> list[dict]:
                 made = _outcome(generate_point_set, F, dim, spec, seed=cseed, force=force)
             got = made
             if not isinstance(made, FqlabError):
-                key = made.ranks.tobytes()
+                key = _set_key(made.ranks)
                 rec["set_size"] = len(made)
                 if key not in sets:
                     sets[key] = _outcome(

@@ -214,7 +214,8 @@ def sphere_points(F: PrimeField, dim: int, a: int, force: bool = False) -> list[
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """A duplicate-free ordered set of points of F_p^dim, held as their
-    ranks: a read-only int64 array, copied from the ranks given."""
+    ranks: a read-only int64 array, the one given when it is read-only and
+    owns its memory, else a copy of the ranks given."""
 
     ranks: np.ndarray
     p: int
@@ -226,18 +227,20 @@ class PointSet:
         ranks = np.asarray(self.ranks, dtype=np.int64)
         if ranks.ndim != 1:
             raise DimensionMismatch(f"ranks must be a flat array, got shape {ranks.shape}")
-        # One sort and a neighbor compare, as in spectral.vertex_array; the
-        # sorted copy is freed before the kept copy is made.
-        ordered = np.sort(ranks)
+        # Increasing ranks need one neighbor compare; any others one sort,
+        # whose copy is freed before a copy is kept.
+        ordered = ranks if np.all(ranks[1:] > ranks[:-1]) else np.sort(ranks)
         if ordered.size and (ordered[0] < 0 or ordered[-1] >= n):
             raise BadSpec(f"point rank outside [0, {n}) of F_{self.p}^{self.dim}")
-        twins = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if twins.size:
-            twin = ranks_to_coords(self.p, self.dim, ordered[twins[:1]])[0]
-            raise BadSpec(f"duplicate point {tuple(twin.tolist())}")
-        del ordered
-        ranks = ranks.copy()
-        ranks.flags.writeable = False
+        if ordered is not ranks:
+            twins = np.flatnonzero(ordered[1:] == ordered[:-1])
+            if twins.size:
+                twin = ranks_to_coords(self.p, self.dim, ordered[twins[:1]])[0]
+                raise BadSpec(f"duplicate point {tuple(twin.tolist())}")
+            del ordered
+        if ranks.flags.writeable or not ranks.flags.owndata:
+            ranks = ranks.copy()
+            ranks.flags.writeable = False
         object.__setattr__(self, "ranks", ranks)
 
     def __len__(self) -> int:
@@ -439,6 +442,7 @@ def generate_point_set(
     if len(parts) > 1:  # a union; one atom's ranks reach PointSet uncopied
         ranks = np.concatenate(parts)
         ranks = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
+    ranks.flags.writeable = False  # fresh, so PointSet keeps it
     return PointSet(ranks, p=F.p, dim=dim, origin_label=gs.text)
 
 

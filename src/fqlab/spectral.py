@@ -17,19 +17,14 @@ Python ints.  bound_threshold turns a bound plus the absolute tolerance
 BOUND_TOL into an exact integer ratio num/den, and bound_limit turns
 that, once per bound and count denominator, into the largest count
 numerator the bound admits, so a verdict is one comparison of Python
-ints, lhs_num <= limit; within_bound makes it for one (lhs, rhs) pair.
-vertex_array gives a vertex set the sorted form every count reads.
+ints, lhs_num <= limit; within_bound makes the same comparison for one
+(lhs, rhs) pair.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
-
-from .errors import VertexOutOfRange
 
 BOUND_TOL = 1e-9
 BOUND_TOL_EXACT = Fraction(BOUND_TOL)  # the same tolerance, for exact bounds
@@ -70,33 +65,12 @@ def bound_limit(rhs, lhs_den: int):
 
 
 def within_bound(lhs, rhs) -> bool:
-    """lhs <= rhs + BOUND_TOL, exactly: the numerator of lhs (an int,
-    Fraction or float) against bound_limit of rhs over its denominator,
-    the comparison every verdict makes.  A non-finite float lhs is
-    compared as a float."""
-    if isinstance(lhs, float) and not math.isfinite(lhs):
-        return bool(lhs <= rhs + (BOUND_TOL_EXACT if isinstance(rhs, Fraction) else BOUND_TOL))
-    if isinstance(lhs, float):
-        lhs_num, lhs_den = lhs.as_integer_ratio()
-    else:
-        lhs_num, lhs_den = int(lhs.numerator), int(lhs.denominator)
-    return lhs_num <= bound_limit(rhs, lhs_den)
-
-
-def vertex_array(n: int, S: Iterable[int]) -> np.ndarray:
-    """The distinct vertices of S as a sorted int64 array, the form every
-    count reads; raises VertexOutOfRange when one leaves [0, n)."""
-    # One sort and a neighbor mask; np.unique hashes integers since numpy
-    # 2.3, which is several times slower at these sizes.
-    arr = S if isinstance(S, np.ndarray) else np.fromiter(S, dtype=np.int64)
-    arr = np.sort(arr.astype(np.int64, copy=False))
-    distinct = np.empty(arr.size, dtype=bool)
-    distinct[:1] = True
-    np.not_equal(arr[1:], arr[:-1], out=distinct[1:])
-    arr = arr[distinct]
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise VertexOutOfRange(f"vertex set leaves [0, {n})")
-    return arr
+    """lhs <= rhs + BOUND_TOL, exactly: the tolerance is added exactly to a
+    Fraction bound and in floating point to any other, and CPython compares
+    int, float and Fraction by exact value.  Every caller in this package
+    passes a Python int, float or Fraction."""
+    tol = BOUND_TOL_EXACT if isinstance(rhs, Fraction) else BOUND_TOL
+    return bool(lhs <= rhs + tol)
 
 
 def hinge_bound(n: int, k: int, lam: float, m: int) -> float:

@@ -22,7 +22,9 @@ integers reduced by floor division), the Gauss-sum fft2 of the
 norm-class table (now Salie and Kloosterman closed forms), the spectrum
 recheck by one FFT of each radius' sphere over F_p^dim (now one recheck
 of the whole table from (norm, dot) counts), verify's draw loops (which
-now skip the draws that cannot depend on the seed) and the subset
+now skip the draws that cannot depend on the seed), vertex_array, the
+sorted, deduplicated and range-checked form that verify's draws took
+(now each draw sorted as an int64 rank array) and the subset
 pass's per-verdict judging (now counts against integer limits from one
 memo), which reads the package's degree columns and bounds.
 The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank
@@ -59,6 +61,20 @@ from fqlab.spectral import (
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
+
+
+def vertex_array(n: int, S) -> np.ndarray:
+    """The distinct vertices of S as a sorted int64 array; raises
+    VertexOutOfRange when one leaves [0, n)."""
+    arr = S if isinstance(S, np.ndarray) else np.fromiter(S, dtype=np.int64)
+    arr = np.sort(arr.astype(np.int64, copy=False))
+    distinct = np.empty(arr.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=distinct[1:])
+    arr = arr[distinct]
+    if arr.size and (arr[0] < 0 or arr[-1] >= n):
+        raise VertexOutOfRange(f"vertex set leaves [0, {n})")
+    return arr
 
 
 def norm_brute(p: int, x) -> int:

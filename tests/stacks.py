@@ -3,7 +3,7 @@ or a few: columns builds a certified stack, one runs a count on the
 one-row stack of a single column."""
 
 from fqlab.euclid import certified_columns, set_transforms
-from fqlab.spectral import vertex_array
+from oracles import vertex_array
 
 
 def columns(G, T, sets):

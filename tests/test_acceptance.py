@@ -22,6 +22,7 @@ from oracles import (
     spectrum,
     sphere_transform,
     variance_check,
+    vertex_array,
 )
 from fqlab import (
     check_main_theorem,
@@ -38,7 +39,6 @@ from fqlab import (
     variance_bound,
 )
 from fqlab.cli import DEFAULT_SWEEP_CONFIG, main, run_sweep
-from fqlab.spectral import vertex_array
 from stacks import columns
 
 TOL_BOUND = 1e-9

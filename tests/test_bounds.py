@@ -708,7 +708,7 @@ def test_report_full_space(f3, spectra3):
     assert rep.upper_exact == pytest.approx(648.0, abs=1e-9)
     assert rep.regime == "a"  # 9 above 3**1.5
     assert rep.ratio_cubic == pytest.approx(288 * 3 / 729)
-    assert rep.holds
+    assert rep.lower_ok and rep.upper_ok and rep.asym_ok and rep.delta_ok
 
 
 def test_report_three_points(f3, spectra3, three):
@@ -716,7 +716,7 @@ def test_report_three_points(f3, spectra3, three):
     assert rep.delta_implied == Fraction(3, 2)  # 36 / (3 * 8)
     assert rep.distance_count == 2
     assert rep.regime == "b"
-    assert rep.holds
+    assert rep.lower_ok and rep.upper_ok and rep.asym_ok and rep.delta_ok
 
 
 def test_report_singleton_vacuous(f3, spectra3):
@@ -725,7 +725,7 @@ def test_report_singleton_vacuous(f3, spectra3):
     assert rep.f_value == 0
     assert rep.lower_bound == 0
     assert rep.delta_implied == 0
-    assert rep.holds
+    assert rep.lower_ok and rep.upper_ok and rep.asym_ok and rep.delta_ok
 
 
 def test_report_regime_tie_is_a(f3, spectra3):
@@ -757,7 +757,7 @@ def test_report_holds_dim3_with_null_pairs(f7):
     for size in (2, 10, 40, 120):
         E = generate_point_set(f7, 3, f"random:{size}", seed=rng.randint(0, 99))
         rep = check_main_theorem(f7, 3, degree_profile(f7, 3, E), spectra)
-        assert rep.holds, (size, rep)
+        assert rep.lower_ok and rep.upper_ok and rep.asym_ok and rep.delta_ok, (size, rep)
 
 
 def test_full_space_f_formula(f7):

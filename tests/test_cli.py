@@ -555,11 +555,12 @@ def test_subset_verdicts_equal_the_per_verdict_route_on_random_items(data):
     n = p**dim
     F = fqlab.make_field(p)
     subset = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
-    members = [cli.vertex_array(n, B) for B in data.draw(st.lists(subset, min_size=1, max_size=5))]
+    sets = data.draw(st.lists(subset, min_size=1, max_size=5))
+    members = [oracles.vertex_array(n, B) for B in sets]
     item = st.tuples(
         st.sampled_from(["variance", "mixing", "hinge"]),
         st.integers(0, len(members) - 1),
-        subset.map(lambda C: cli.vertex_array(n, C)),
+        subset.map(lambda C: oracles.vertex_array(n, C)),
     ).map(lambda it: (it[0], it[1], it[2] if it[0] == "mixing" else None))
     items = data.draw(st.lists(item, min_size=1, max_size=8))
     radii = data.draw(st.lists(st.integers(1, p - 1), min_size=1, unique=True))
@@ -593,7 +594,7 @@ def assert_profile_counts_equal_the_columns(F, dim, sets):
     """bounds.subset_counts of each rank set's profile equals the counts
     that its degree columns give in every radius, column for column."""
     n = F.p**dim
-    members = [cli.vertex_array(n, ranks) for ranks in sets]
+    members = [oracles.vertex_array(n, ranks) for ranks in sets]
     want = graph_row_counts(F, dim, members)
     for row, ranks in enumerate(members):
         prof = fqlab.degree_profile(F, dim, fqlab.PointSet(ranks, p=F.p, dim=dim))
@@ -663,7 +664,8 @@ def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
     F = fqlab.make_field(p)
     spectra = fqlab.spectra(F, dim, range(1, p))
     subset = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
-    members = [cli.vertex_array(n, B) for B in data.draw(st.lists(subset, min_size=1, max_size=4))]
+    sets = data.draw(st.lists(subset, min_size=1, max_size=4))
+    members = [oracles.vertex_array(n, B) for B in sets]
     scale = data.draw(st.sampled_from([0, 0.3, 0.6, 0.9, 1]))
     checks = ("variance", "mixing", "hinge")
     items = [(c, row, B if c == "mixing" else None)
@@ -697,6 +699,25 @@ def test_verify_subset_draws_equal_the_drawing_loop(trials):
         assert [m.tolist() for m in members] == want_members
         assert [(c, row, None if C is None else C.tolist()) for c, row, C in items] == want_items
         assert numbers == want_numbers
+
+
+@pytest.mark.parametrize("trials", [1, 3, 60])
+def test_verify_subset_draws_equal_the_vertex_array_route(trials):
+    # each set drawn, sorted as an int64 rank array, is the vertex array
+    # of the loop's draw, dtype included, and the member rows agree
+    checks = ("variance", "mixing", "hinge")
+    for p, dim, a in GRID:
+        n = p**dim
+        members, items, _ = cli._subset_draws(p, dim, a, checks, trials, 5)
+        want_members, want_items, _ = oracles.subset_draws_replay(p, dim, a, checks, trials, 5)
+        want_members = [oracles.vertex_array(n, B) for B in want_members]
+        assert len(members) == len(want_members) and len(items) == len(want_items)
+        for got, want in zip(members, want_members):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        for (check, row, C), (want_check, want_row, want_C) in zip(items, want_items):
+            assert (check, row, C is None) == (want_check, want_row, want_C is None)
+            if C is not None:
+                assert C.dtype == np.int64 and np.array_equal(C, oracles.vertex_array(n, want_C))
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
@@ -968,10 +989,9 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
 @pytest.mark.parametrize("ratio", [0, fqlab.bounds.PROFILE_FFT_RATIO])
 def test_sweep_profiles_each_set_once_per_group(monkeypatch, ratio):
     # each distinct set of a (p, dim) is profiled once, and its subset
-    # counts are read off that profile once, with no vertex array sorted;
-    # a set transform or a degree column is made only by a profile that
-    # convolves (all of them at a ratio of 0): one one-row stack per set,
-    # one column per radius
+    # counts are read off that profile once; a set transform or a degree
+    # column is made only by a profile that convolves (all of them at a
+    # ratio of 0): one one-row stack per set, one column per radius
     calls, made = Counter(), Counter()
 
     def counted(module, name):
@@ -984,7 +1004,7 @@ def test_sweep_profiles_each_set_once_per_group(monkeypatch, ratio):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("vertex_array", "degree_profile", "subset_counts"):
+    for name in ("degree_profile", "subset_counts"):
         counted(cli, name)
     for name in ("set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
@@ -1032,7 +1052,7 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
         assert got["hinge"] == prof.hinges[1:].tolist()
         assert got["eq2"] == prof.pairs[1:].tolist()
         (E,) = [E for made_prof, E in made if made_prof is prof]
-        members = [cli.vertex_array(F.p**dim, E.ranks)]
+        members = [oracles.vertex_array(F.p**dim, E.ranks)]
         want = graph_row_counts(F, dim, members)
         for column, values in got.items():
             assert values == [want[0, column, a] for a in range(1, F.p)]

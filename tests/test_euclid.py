@@ -22,6 +22,7 @@ from oracles import (
     spectrum,
     sphere_transform,
     variance_check,
+    vertex_array,
 )
 from fqlab import (
     BadSpec,
@@ -45,7 +46,6 @@ from fqlab.euclid import (
     class_transform,
     set_transforms,
 )
-from fqlab.spectral import vertex_array
 from stacks import columns
 
 # every instance exercised by the batteries: 44 graphs

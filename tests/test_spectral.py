@@ -19,7 +19,7 @@ from fqlab import (
     variance_bound,
     within_bound,
 )
-from fqlab.spectral import BOUND_TOL, bound_limit, bound_threshold, vertex_array
+from fqlab.spectral import BOUND_TOL, bound_limit, bound_threshold
 from oracles import (
     degree_sum_check,
     hinge_count,
@@ -29,6 +29,7 @@ from oracles import (
     spectrum,
     sphere_transform,
     variance_check,
+    vertex_array,
     view_column,
 )
 from stacks import columns, one
