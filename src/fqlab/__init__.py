@@ -12,6 +12,7 @@ from .bounds import (
     DegreeProfile,
     check_main_theorem,
     degree_profile,
+    degree_profiles,
     lower_bound_f,
     upper_bound_f,
 )
@@ -25,7 +26,6 @@ from .errors import (
     NotPrime,
     TooLarge,
     VerificationFailed,
-    VertexOutOfRange,
 )
 from .euclid import (
     EuclidGraphSpec,
@@ -76,9 +76,8 @@ __all__ = [
     "ramanujan_bound", "recheck_spectrum", "recheck_table", "spectra",
     # bounds
     "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
-    "lower_bound_f", "upper_bound_f",
+    "degree_profiles", "lower_bound_f", "upper_bound_f",
     # errors
     "FqlabError", "NotPrime", "EvenModulus", "DimensionMismatch", "TooLarge",
-    "InfeasibleSize", "BadSpec", "VerificationFailed",
-    "VertexOutOfRange", "MissingSpectrum",
+    "InfeasibleSize", "BadSpec", "VerificationFailed", "MissingSpectrum",
 ]

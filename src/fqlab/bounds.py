@@ -14,16 +14,19 @@ and assembles a report that classifies the set-size regime and carries
 one verdict per inequality.
 
 The profile has three exact routes, picked by a fixed cost model: for
-sparse sets all |E|**2 distances, a chunk of rows at a time in buffers
-of small integers made once per profile; for sets that nearly fill
-F_p^dim the pairwise profile of the complement, carried over to E by a
-p x p table of sphere intersection counts in integer arithmetic; for
-dense sets between the two (|E|**2 well above p**(dim+1), the paper's
-regime a) the set's certified degree column in every radius' graph.
-All keep per-radius sums only, never |E| * p degrees.  The same sums
-give every subset-check count of the set against itself in every
-radius' graph (subset_counts), and check_main_theorem reads the report
-off them, so one profile serves both.
+sparse sets all |E|**2 distances, a chunk at a time in buffers of small
+integers made once per pass; for sets that nearly fill F_p^dim the
+pairwise profile of the complement, carried over to E by a p x p table
+of sphere intersection counts in integer arithmetic; for dense sets
+between the two (|E|**2 well above p**(dim+1), the paper's regime a) the
+set's certified degree column in every radius' graph.  degree_profiles
+takes many sets of one F_p^dim at once, and its pairwise passes stack
+the small sets, and small complements, of one size, so a sweep's seeds
+of one generator share one pass.  All keep per-radius sums only, never
+|E| * p degrees.  The same sums give every subset-check count of the set
+against itself in every radius' graph (subset_counts), and
+check_main_theorem reads the report off them, so one profile serves
+both.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch, MissingSpectrum, TooLarge
+from .errors import BadSpec, DimensionMismatch, FqlabError, MissingSpectrum, TooLarge
 from .euclid import SPECTRUM_MAX, SpectralSummary, degree_columns, ramanujan_bound
 from .field import PrimeField
 from .geometry import PointSet, intersection_table, size_threshold, sphere_table
@@ -57,8 +60,9 @@ PROFILE_MAX_PAIRS = 10**8
 PROFILE_FFT_RATIO = 20
 # Pairs per chunk of the pairwise profile, its working set: two buffers of
 # entries (int16 or int32 at sizes inside the guardrails) and one int64 bin
-# index, 12 or 16 bytes a pair, so 0.75 or 1 MiB, made once per profile;
-# each chunk's bin counts take at most 16 bytes a pair more.
+# index, 12 or 16 bytes a pair, so 0.75 or 1 MiB, made once per pass;
+# each chunk's bin counts take at most 16 bytes a pair more.  Sets of m
+# points with m**2 <= PAIR_CHUNK share a pass, whole sets to a chunk.
 # A fresh process faults each page of them in once: the first profile of
 # the fcount-sparse set (756 points of F_83^2) took 200 page faults
 # (2-vCPU VM, numpy 2.4), against 1,590 with 2**18 pairs and p x |E|
@@ -163,136 +167,227 @@ def profile_route(m: int, p: int, dim: int, force: bool = False) -> tuple[str, i
     return route, costs[route]
 
 
+def _refusal(route: str, cost: int, dim: int, force: bool) -> TooLarge | None:
+    """The TooLarge error of a profile whose route costs cost pair-
+    equivalents, past PROFILE_MAX_PAIRS and not forced, else None."""
+    if cost <= PROFILE_MAX_PAIRS or force:
+        return None
+    what = {
+        "pairwise": "|E|**2",
+        "complement": "|C|**2 + p**2 for the complement C of E",
+        "convolved": f"{PROFILE_FFT_RATIO} p**{dim + 1} for the convolution",
+    }[route]
+    return TooLarge(
+        f"{what} = {cost} exceeds the profile guardrail "
+        f"{PROFILE_MAX_PAIRS}; pass --force to override"
+    )
+
+
 def guard_profile(m: int, p: int, dim: int, force: bool = False) -> None:
     """Refuse the profile of an m-point set of F_p^dim when the cost of
     the route profile_route picks exceeds PROFILE_MAX_PAIRS, unless
-    forced; degree_profile calls it, and fcount calls it before building
-    any spectrum."""
-    route, cost = profile_route(m, p, dim, force)
-    if cost > PROFILE_MAX_PAIRS and not force:
-        what = {
-            "pairwise": "|E|**2",
-            "complement": "|C|**2 + p**2 for the complement C of E",
-            "convolved": f"{PROFILE_FFT_RATIO} p**{dim + 1} for the convolution",
-        }[route]
-        raise TooLarge(
-            f"{what} = {cost} exceeds the profile guardrail "
-            f"{PROFILE_MAX_PAIRS}; pass --force to override"
-        )
+    forced; fcount calls it before building any spectrum, and sweep
+    before drawing a one-atom generator's sets."""
+    refusal = _refusal(*profile_route(m, p, dim, force), dim, force)
+    if refusal is not None:
+        raise refusal
 
 
 def degree_profile(
     F: PrimeField, dim: int, E: PointSet, force: bool = False
 ) -> DegreeProfile:
-    """Sum deg(x, r)**2 and deg(x, r) over x in E for every r, by one of
-    three exact routes, each adding into the sums as it goes.
+    """The degree profile of one point set: degree_profiles of [E], its
+    error raised."""
+    (prof,) = degree_profiles(F, dim, [E], force)
+    if isinstance(prof, FqlabError):
+        raise prof
+    return prof
 
-    The pairwise route evaluates all |E|**2 distances in chunks.  The
-    complement route takes the pairwise profile of C = F_p^dim minus E
-    and carries it over to E in integer arithmetic (_complement_profile).
-    The convolution route reads radius r != 0 off the degree column of E
-    in the radius-r distance graph, deg(., r) = 1_E * 1_{S_r} over
-    Z_p^dim, gathered at E; euclid.degree_columns makes it, with E as a
-    one-row stack, and raises VerificationFailed rather than return a
-    column that fails its certificate, so a wrong table cannot give a
-    wrong profile.  deg(x, 0) is |E| - 1 minus the rest.
-    profile_route picks the cheapest route, and guard_profile refuses it
-    past PROFILE_MAX_PAIRS unless forced; all give the same vectors.  A
-    set of another field is refused always.
+
+def degree_profiles(
+    F: PrimeField, dim: int, sets: Sequence[PointSet], force: bool = False
+) -> list[DegreeProfile | FqlabError]:
+    """Sum deg(x, r)**2 and deg(x, r) over x in E for every r, for each
+    set E of sets, by one of three exact routes; one entry per set, in
+    order: its DegreeProfile, or in its place the error its profile
+    raised (TooLarge past the guardrail).
+
+    profile_route picks each set's route once, the cheapest; past
+    PROFILE_MAX_PAIRS the set is refused unless forced.  All routes give
+    the same vectors.  The pairwise route evaluates all |E|**2 distances
+    (_pairwise_profile).  The complement route takes the pairwise profile
+    of C = F_p^dim minus E and carries it over to E in integer arithmetic
+    (_complement_profile).  The convolution route reads radius r != 0 off
+    the degree column of E in the radius-r distance graph, deg(., r) =
+    1_E * 1_{S_r} over Z_p^dim, gathered at E; euclid.degree_columns
+    makes it, with E as a one-row stack, and raises VerificationFailed
+    rather than return a column that fails its certificate, so a wrong
+    table cannot give a wrong profile.  deg(x, 0) is |E| - 1 minus the
+    rest.
+
+    The sets the pairwise route takes, and the complements the complement
+    route takes, of one size m with m**2 <= PAIR_CHUNK go through
+    _pairwise_profile as one (S, m) stack of ranks, so equal-size sets
+    share one pass; a larger set goes alone, as a one-row view of its
+    ranks.  The complement route carries its sets over after the passes.
+    A set of another field or dimension is refused always.
     """
-    if E.dim != dim:
-        raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
     p = F.p
-    if E.p != p:
-        raise BadSpec(f"point set lies in F_{E.p}^{dim}, not F_{p}^{dim}")
-    m = len(E)
-    guard_profile(m, p, dim, force)
-    route, _ = profile_route(m, p, dim, force)
-    sums = np.zeros((2, p), dtype=np.int64)  # rows: hinges, pairs
-    if route == "complement":
-        _complement_profile(F, dim, E.ranks, sums)
-    elif route == "convolved":
-        _convolved_profile(F, dim, E.ranks, sums, force)
-    elif m:
-        _pairwise_profile(p, dim, E.ranks, sums)
-    return DegreeProfile(size=m, hinges=sums[0], pairs=sums[1])
+    for E in sets:
+        if E.dim != dim:
+            raise DimensionMismatch(f"point set has dimension {E.dim}, expected {dim}")
+        if E.p != p:
+            raise BadSpec(f"point set lies in F_{E.p}^{dim}, not F_{p}^{dim}")
+    # per set: its (hinges, pairs) rows, or the error in their place
+    out: list = [None] * len(sets)
+    # the sets, or complements, of each pass: one pass per size m with
+    # m**2 <= PAIR_CHUNK, and one for each larger set alone
+    passes: dict[int, list[tuple[int, np.ndarray]]] = {}
+    carried = []  # the sets on the complement route
+    for i, E in enumerate(sets):
+        route, cost = profile_route(len(E), p, dim, force)
+        out[i] = _refusal(route, cost, dim, force)
+        if out[i] is not None:
+            continue
+        if route == "convolved":
+            try:
+                out[i] = np.zeros((2, p), dtype=np.int64)
+                _convolved_profile(F, dim, E.ranks, out[i], force)
+            except FqlabError as exc:
+                out[i] = exc
+            continue
+        if route == "complement":
+            carried.append(i)
+        pairs = E.ranks if route == "pairwise" else _complement(p, dim, E.ranks)
+        m = pairs.size
+        passes.setdefault(m if m * m <= PAIR_CHUNK else -1 - i, []).append((i, pairs))
+    # each pass's sets take consecutive rows of one array
+    stacked = np.zeros((sum(map(len, passes.values())), 2, p), dtype=np.int64)
+    top = 0
+    for group in passes.values():
+        rows = stacked[top : top + len(group)]
+        top += len(group)
+        if group[0][1].size:
+            stack = np.stack([ranks for _, ranks in group]) if len(group) > 1 else group[0][1][None]
+            _pairwise_profile(p, dim, stack, rows)
+        for (i, _), row in zip(group, rows):
+            out[i] = row
+    del passes
+    for i in carried:
+        try:
+            _complement_profile(F, dim, sets[i].ranks, out[i])
+        except FqlabError as exc:
+            out[i] = exc
+    return [
+        got if isinstance(got, FqlabError)
+        else DegreeProfile(size=len(E), hinges=got[0], pairs=got[1])
+        for E, got in zip(sets, out)
+    ]
 
 
-def _pairwise_profile(p: int, dim: int, ranks: np.ndarray, sums: np.ndarray) -> None:
-    """Fill the (hinges, pairs) rows of sums from the |E| x |E| distance
-    block, a chunk of rows at a time, in buffers made once per profile and
-    sized by PAIR_CHUNK; nothing held grows with p |E|.
+def _pairwise_profile(p: int, dim: int, stack: np.ndarray, sums: np.ndarray) -> None:
+    """Add to sums[s] the (hinges, pairs) sums of the m x m distance block
+    of set s, for each row s of the (S, m) rank stack, m >= 1; sums is a
+    C-contiguous (S, 2, p) int64 array.  The blocks go a chunk of at most
+    PAIR_CHUNK pairs at a time, in buffers made once per call: whole sets
+    when m**2 <= PAIR_CHUNK, else rows of the one set, so nothing held
+    grows with p m or with S m**2.
 
     ||x - y|| = sum over j of (x_j - y_j)**2 mod p.  An entry is the sum
     of dim squares, in the narrowest of int16, int32 and int64 that holds
-    dim (p - 1)**2 (and, when p <= 2|E|, the chunk's bin indices), reduced
+    dim (p - 1)**2 (and, when p <= 2m, the chunk's bin indices), reduced
     mod p as v - (v // p) p: numpy divides by one scalar without a divide
     instruction per entry, and its `%` measured about 8 times slower.
-    When p <= 2|E| each row is counted into p bins.  Otherwise each row is
+    When p <= 2m each row is counted into p bins.  Otherwise each row is
     sorted and only the distances that occur are counted, from its runs of
     equal entries, so no work or memory grows with p.
     """
-    m = ranks.size
-    rows = min(m, max(1, PAIR_CHUNK // m))
-    # p bins cost O(p) a row and sorting O(|E| log |E|): bins measured 1.3
-    # to 1.5 times faster at p = 2|E| and 1.0 to 1.1 at 4|E|, sorting 1.1
-    # to 1.4 times faster at 8|E| (|E| = 60..2000, dim 2)
+    S, m = stack.shape
+    if m * m <= PAIR_CHUNK:
+        per, rows = min(S, PAIR_CHUNK // (m * m)), m  # whole sets a chunk
+    else:
+        per, rows = 1, max(1, PAIR_CHUNK // m)
+    height = per * rows  # rows of each chunk buffer
+    # p bins cost O(p) a row and sorting O(m log m): bins measured 1.3 to
+    # 1.5 times faster at p = 2m and 1.0 to 1.1 at 4m, sorting 1.1 to 1.4
+    # times faster at 8m (m = 60..2000, dim 2)
     by_bins = p <= 2 * m
     # entries are sums of dim squares and, in the bins route, bin indices
-    # below rows * p
-    top = max(dim * (p - 1) ** 2, rows * p if by_bins else 0)
+    # below height * p
+    top = max(dim * (p - 1) ** 2, height * p if by_bins else 0)
     small = np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
-    # One array per coordinate of the ranks; a distance does not depend on
-    # their order.
-    coords = [c.astype(small) for c in np.unravel_index(ranks, (p,) * dim)]
-    block, term = np.empty((2, rows, m), dtype=small)
+    # One (S, m) array per coordinate of the ranks; a distance does not
+    # depend on their order.
+    coords = [c.astype(small) for c in np.unravel_index(stack, (p,) * dim)]
+    block, term = np.empty((2, height, m), dtype=small)
     if by_bins:
-        index = np.empty((rows, m), dtype=np.int64)
-        offsets = np.arange(0, rows * p, p, dtype=small)[:, None]
+        index = np.empty((height, m), dtype=np.int64)
+        offsets = np.arange(0, height * p, p, dtype=small)[:, None]
     else:
-        run_starts = np.empty((rows, m), dtype=bool)
-    for start in range(0, m, rows):
-        stop = min(m, start + rows)
-        # the chunk's own rows of each buffer; a short last chunk reads no
-        # row left from the one before
-        n = stop - start
-        b, t = block[:n], term[:n]
-        np.subtract(coords[0][start:stop, None], coords[0], out=b)
-        np.multiply(b, b, out=b)
-        for c in coords[1:]:
-            np.subtract(c[start:stop, None], c, out=t)
-            np.multiply(t, t, out=t)
-            np.add(b, t, out=b)
-        np.floor_divide(b, p, out=t)
-        np.multiply(t, p, out=t)
-        np.subtract(b, t, out=b)
-        if by_bins:
-            np.add(b, offsets[:n], out=b)
-            ix = index[:n]
-            ix[...] = b  # bincount reads intp; this cast fills the one buffer
-            deg = np.bincount(ix.ravel(), minlength=n * p).reshape(n, p)
-            sums += np.einsum("ij,ij->j", deg, deg), deg.sum(axis=0)
-        else:
-            b.sort(axis=1)  # a run of r in row x is deg(x, r) long
-            edge = run_starts[:n]
-            edge[:, 0] = True
-            np.not_equal(b[:, 1:], b[:, :-1], out=edge[:, 1:])
-            first = np.flatnonzero(edge)
-            r = b.ravel()[first]
-            deg = np.diff(first, append=n * m)
-            np.add.at(sums[1], r, deg)
-            np.multiply(deg, deg, out=deg)
-            np.add.at(sums[0], r, deg)
+        run_starts = np.empty((height, m), dtype=bool)
+    for first in range(0, S, per):
+        last = min(S, first + per)
+        s = sums[first:last]
+        flat = s.reshape(-1)  # a view: sums is C-contiguous
+        for start in range(0, m, rows):
+            stop = min(m, start + rows)
+            # the chunk's own rows of each buffer; a short last chunk reads
+            # no row left from the one before
+            shape = (last - first, stop - start, m)
+            n = shape[0] * shape[1]
+            b, t = block[:n].reshape(shape), term[:n].reshape(shape)
+            np.subtract(coords[0][first:last, start:stop, None],
+                        coords[0][first:last, None], out=b)
+            np.multiply(b, b, out=b)
+            for c in coords[1:]:
+                np.subtract(c[first:last, start:stop, None], c[first:last, None], out=t)
+                np.multiply(t, t, out=t)
+                np.add(b, t, out=b)
+            np.floor_divide(b, p, out=t)
+            np.multiply(t, p, out=t)
+            np.subtract(b, t, out=b)
+            b = block[:n]
+            if by_bins:
+                np.add(b, offsets[:n], out=b)
+                ix = index[:n]
+                ix[...] = b  # bincount reads intp; this cast fills the one buffer
+                deg = np.bincount(ix.ravel(), minlength=n * p).reshape(*shape[:2], p)
+                s[:, 0] += np.einsum("sij,sij->sj", deg, deg)
+                s[:, 1] += deg.sum(axis=1)
+            else:
+                b.sort(axis=1)  # a run of r in row x is deg(x, r) long
+                edge = run_starts[:n]
+                edge[:, 0] = True
+                np.not_equal(b[:, 1:], b[:, :-1], out=edge[:, 1:])
+                runs = np.flatnonzero(edge)
+                # flat index of (set, hinges row, distance) in s; numpy's
+                # add.at takes one flat index about 4 times faster than a
+                # (set, distance) pair
+                at = b.ravel()[runs]
+                if shape[0] > 1:
+                    at = at + runs // (shape[1] * m) * (2 * p)
+                deg = np.diff(runs, append=n * m)
+                np.add.at(flat, at + p, deg)
+                np.multiply(deg, deg, out=deg)
+                np.add.at(flat, at, deg)
     # Each row counted its own point at distance 0: (d - 1)**2 = d**2 - 2d + 1.
-    sums[0, 0] += m - 2 * sums[1, 0]
-    sums[1, 0] -= m
+    sums[:, 0, 0] += m - 2 * sums[:, 1, 0]
+    sums[:, 1, 0] -= m
+
+
+def _complement(p: int, dim: int, ranks: np.ndarray) -> np.ndarray:
+    """The increasing ranks of F_p^dim outside ranks."""
+    outside = np.ones(p**dim, dtype=bool)
+    outside[ranks] = False
+    return np.flatnonzero(outside)
 
 
 def _complement_profile(
     F: PrimeField, dim: int, ranks: np.ndarray, sums: np.ndarray
 ) -> None:
-    """Fill the (hinges, pairs) rows of sums from the pairwise profile of
-    the complement C of E in F_p^dim, in O(|C|**2 + p**2) work.
+    """Turn the (hinges, pairs) rows of sums, which hold the pairwise
+    profile of the complement C of E in F_p^dim, into E's, in O(p**2)
+    work; E is given by its ranks.
 
     Every point has K_r other points at distance r in F_p^dim: k_r = |S_r|
     for r != 0 and k_0 - 1.  A point x of E has K_r minus its neighbors
@@ -309,14 +404,8 @@ def _complement_profile(
     profile_route takes this route only where _complement_fits bounds
     every int64 sum below 2**63.
     """
-    p = F.p
-    outside = np.ones(p**dim, dtype=bool)
-    outside[ranks] = False
-    complement = np.flatnonzero(outside)
-    del outside
-    m, c = ranks.size, complement.size
-    if c:
-        _pairwise_profile(p, dim, complement, sums)
+    m = ranks.size
+    c = F.p**dim - m
     hinges_c, pairs_c = sums.copy()
     K = np.array(sphere_table(F, dim).sizes, dtype=np.int64)
     K[0] -= 1

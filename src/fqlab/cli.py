@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, euclid
-from .bounds import check_main_theorem, degree_profile, subset_counts
+from .bounds import check_main_theorem, degree_profile, degree_profiles, subset_counts
 from .errors import BadSpec, FqlabError, VerificationFailed
 from .euclid import SpectralSummary, degree_columns, recheck_spectrum, recheck_table
 from .field import PrimeField, make_field
@@ -488,21 +488,22 @@ def _point_set_draws(p, dim, cap, trials, seed):
     """The sorted ranks of each rung of verify's point-set ladder, sizes
     _spanning_sizes(cap, trials), drawn from one seeded stream.  A rung of
     size n = p**dim is all of F_p^dim whatever the stream's state, and is
-    taken without a draw: the sizes never decrease, so no later draw reads
-    the state it would leave."""
+    range(n), taken without a draw or an array: the sizes never decrease,
+    so no later draw reads the state it would leave."""
     n = p**dim
     rng = random.Random(derive_seed(seed, "main", p, dim))
     for size in _spanning_sizes(cap, trials):
-        yield np.arange(n, dtype=np.int64) if size == n else sorted(rng.sample(range(n), size))
+        yield range(n) if size == n else sorted(rng.sample(range(n), size))
 
 
 def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     """main and remark on one list of point sets, one report per distinct set.
 
     The sets are F_p^dim itself, when the profile and enumeration
-    guardrails admit it, and a ladder of random subsets (a size-n rung is
-    F_p^dim again).  Unless forced, rung sizes stay at most
-    isqrt(PROFILE_MAX_PAIRS), where even the pairwise profile fits.
+    guardrails admit it, and a ladder of random subsets; a size-n rung is
+    that same set of F_p^dim again, held once.  Unless forced, rung sizes
+    stay at most isqrt(PROFILE_MAX_PAIRS), where even the pairwise profile
+    fits.
     """
     p, n = F.p, F.p**dim
     cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
@@ -511,7 +512,10 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     )
     sets = [full] if isinstance(full, PointSet) else []
     for ranks in _point_set_draws(p, dim, cap, args.trials, args.seed):
-        sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}"))
+        if len(ranks) == n and isinstance(full, PointSet):
+            sets.append(full)
+        else:
+            sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}"))
     wanted = [c for c in ("main", "remark") if c in checks]
     reports = {}
     for trial, E in enumerate(sets):
@@ -774,24 +778,19 @@ def _outcome(fn, *args, **kwargs):
         return exc
 
 
-def _profile_report(F, dim, E, spectra, theorem, force):
-    """(profile, report) of one point set: its degree profile, and when
-    theorem is true its check_main_theorem report, else None."""
-    prof = degree_profile(F, dim, E, force=force)
-    return prof, check_main_theorem(F, dim, prof, spectra) if theorem else None
-
-
 def _run_sweep_group(task) -> list[dict]:
-    """Every cell of one (p, dim): each cell's point set, profile and
-    report first (a generator that ignores the seed is generated once,
-    and sets with the same ranks in the same order share one profile,
-    one report and one set of graph verdicts), then the spectrum verdict
-    and the subset checks, the records last.
+    """Every cell of one (p, dim): each cell's point set first (a
+    generator that ignores the seed is generated once), then the profiles
+    of the distinct sets, in one bounds.degree_profiles call, and their
+    reports, then the spectrum verdict and the subset checks, the records
+    last.  Sets with the same ranks in the same order share one profile,
+    one report and one set of graph verdicts.
 
     Every check but the spectrum reads each set's degree profile, so
     unless the spectrum is the only check, a one-atom generator past the
-    profile guardrail is refused before any draw.  Sets are keyed by
-    _set_key of their rank arrays, and the distinct profiles go through one
+    profile guardrail is refused before any draw, and any other set past
+    it gets its error in its own cells.  Sets are keyed by _set_key of
+    their rank arrays, and the distinct profiles go through one
     _graph_oks pass; a (p, dim) with no set makes no spectrum recheck.
     """
     p, dim, gens, seeds, checks, digest, force = task
@@ -825,24 +824,25 @@ def _run_sweep_group(task) -> list[dict]:
                 continue
             if made is None or spec.uses_seed:
                 made = _outcome(generate_point_set, F, dim, spec, seed=cseed, force=force)
-            got = made
-            if not isinstance(made, FqlabError):
-                key = _set_key(made.ranks)
-                rec["set_size"] = len(made)
-                if key not in sets:
-                    sets[key] = _outcome(
-                        _profile_report, F, dim, made, spectra, theorem_checks, force
-                    ) if profiled else (None, None)
-                got = sets[key]
-            if isinstance(got, FqlabError):
-                rec.update(status="error", error=str(got), holds=False)
-            else:
-                cells.append((rec, key))
-    sets = {key: got for key, got in sets.items() if not isinstance(got, FqlabError)}
-    profiles = [prof for prof, _ in sets.values()]
-    oks = dict(zip(sets, _graph_oks(F, dim, spectra, profiles, checks)))
+            if isinstance(made, FqlabError):
+                rec.update(status="error", error=str(made), holds=False)
+                continue
+            key = _set_key(made.ranks)
+            rec["set_size"] = len(made)
+            sets.setdefault(key, made)
+            cells.append((rec, key))
+    profiles = dict(zip(sets, degree_profiles(F, dim, list(sets.values()), force)
+                        if profiled else [None] * len(sets)))
+    reports = {
+        key: check_main_theorem(F, dim, prof, spectra) if theorem_checks else None
+        for key, prof in profiles.items() if not isinstance(prof, FqlabError)
+    }
+    oks = dict(zip(reports, _graph_oks(F, dim, spectra, [profiles[key] for key in reports], checks)))
     for rec, key in cells:
-        report, verdicts = sets[key][1], list(oks[key].values())
+        if key not in reports:
+            rec.update(status="error", error=str(profiles[key]), holds=False)
+            continue
+        report, verdicts = reports[key], list(oks[key].values())
         if report is not None:
             rec.update(_report_fields(report))
             verdicts += [_theorem_row(c, report)[2] for c in theorem_checks]

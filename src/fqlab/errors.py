@@ -33,9 +33,5 @@ class VerificationFailed(FqlabError):
     """An independent recheck of a computed quantity did not agree."""
 
 
-class VertexOutOfRange(FqlabError):
-    """A vertex index falls outside [0, n) for the graph at hand."""
-
-
 class MissingSpectrum(FqlabError):
     """A bound needed the spectrum of some radius that was not supplied."""

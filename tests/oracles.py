@@ -44,8 +44,8 @@ import numpy as np
 from fqlab import (
     BadSpec,
     DimensionMismatch,
+    FqlabError,
     VerificationFailed,
-    VertexOutOfRange,
     parse_generator,
     spectra,
 )
@@ -61,6 +61,10 @@ from fqlab.spectral import (
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000
+
+
+class VertexOutOfRange(FqlabError):
+    """A vertex index falls outside [0, n) for the graph at hand."""
 
 
 def vertex_array(n: int, S) -> np.ndarray:

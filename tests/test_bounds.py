@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,11 @@ import oracles
 from oracles import hinge_count, spectrum, sphere_transform
 from fqlab import (
     BadSpec,
+    DegreeProfile,
     DimensionMismatch,
     MissingSpectrum,
     PointSet,
+    TooLarge,
     VerificationFailed,
     check_main_theorem,
     degree_profile,
@@ -27,6 +30,7 @@ from fqlab import (
     upper_bound_f,
 )
 from fqlab import bounds, euclid, geometry
+from fqlab.bounds import degree_profiles
 from stacks import columns
 
 THREE_TEXT = "0,0\n0,1\n1,0\n"
@@ -168,23 +172,14 @@ def assert_pairwise_matches_oracles(prof, E):
 
 
 def routes_taken(monkeypatch):
-    """The route of every later degree_profile call, in order; the
-    pairwise profile that the complement route takes of the complement is
-    part of its call, not a route of its own."""
-    taken, running = [], []
+    """The route functions every later degree_profile call runs, in
+    order; the complement route's pass over a nonempty complement is a
+    pairwise pass, run before the complement route carries it over."""
+    taken = []
     for route in ROUTES:
         fn = getattr(bounds, f"_{route}_profile")
-
-        def recorder(*args, fn=fn, route=route):
-            if not running:
-                taken.append(route)
-            running.append(route)
-            try:
-                return fn(*args)
-            finally:
-                running.pop()
-
-        monkeypatch.setattr(bounds, f"_{route}_profile", recorder)
+        monkeypatch.setattr(bounds, f"_{route}_profile",
+                            lambda *args, fn=fn, route=route: taken.append(route) or fn(*args))
     return taken
 
 
@@ -518,6 +513,175 @@ def test_pairwise_profile_working_set_follows_pair_chunk(monkeypatch):
     assert peak < 2**18
 
 
+# --- stacked profiles: many sets of one (p, dim) in one call -------------------
+
+
+def assert_stacked_profiles_agree(F, dim, sets, stacked):
+    """stacked, the degree_profiles entries of sets, are entry by entry
+    the profile each set gets alone and the int64 arithmetic route's
+    sums."""
+    assert len(stacked) == len(sets)
+    for E, got in zip(sets, stacked):
+        (alone,) = degree_profiles(F, dim, [E])
+        if isinstance(alone, Exception):
+            assert type(got) is type(alone) and str(got) == str(alone)
+            continue
+        assert got.size == len(E)
+        assert got.hinges.dtype == got.pairs.dtype == np.int64
+        assert sums_of(got) == sums_of(alone)
+        assert sums_of(got) == tuple(oracles.pairwise_profile_arith(E.p, dim, E.ranks).tolist())
+
+
+def stacked_passes(monkeypatch, F, dim, sets):
+    """(degree_profiles of sets, the (S, m) shape of each pairwise pass it
+    made), checked against each set alone."""
+    shapes, kernel = [], bounds._pairwise_profile
+    with monkeypatch.context() as mp:
+        mp.setattr(bounds, "_pairwise_profile",
+                   lambda p, dim, stack, sums: shapes.append(stack.shape)
+                   or kernel(p, dim, stack, sums))
+        stacked = degree_profiles(F, dim, sets)
+    assert_stacked_profiles_agree(F, dim, sets, stacked)
+    return stacked, shapes
+
+
+@pytest.mark.parametrize("p,dim", GRID)
+def test_stacked_profiles_agree_on_grid(monkeypatch, p, dim):
+    # every default generator over three seeds, with the empty set and a
+    # singleton: each random generator's seeds give sets of one size, which
+    # share one pass, and "all" takes the complement route with no pass
+    F = make_field(p)
+    gens = ["all", "sphere:1", "box:1t", "random:0.5t", "random:1t", "random:2t"]
+    sets = [generate_point_set(F, dim, gen, seed=seed) for gen in gens for seed in (1, 2, 3)]
+    sets += [PointSet([], p=p, dim=dim), PointSet([p**dim - 1], p=p, dim=dim)]
+    _, shapes = stacked_passes(monkeypatch, F, dim, sets)
+    # one pass per size of the sets, or complements, that go pairwise, all
+    # of them at most 256 = isqrt(PAIR_CHUNK) points, whatever their number
+    jobs = Counter()
+    for E in sets:
+        route, _ = bounds.profile_route(len(E), p, dim)
+        jobs[{"pairwise": len(E), "complement": p**dim - len(E)}.get(route, 0)] += 1
+    del jobs[0]
+    assert max(jobs) <= 256
+    assert sorted(shapes) == sorted((count, m) for m, count in jobs.items())
+    assert len(shapes) < sum(jobs.values())
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (11, 15), (103, 10), (1031, 40)])
+def test_stacked_profiles_of_equal_size(monkeypatch, p, m):
+    # five sets of m points in one (5, m) pass: p <= 2m counts rows into
+    # bins, p > 2m (103 and 1031) sorts them
+    F = field(p)
+    sets = [generate_point_set(F, 2, f"random:{m}", seed=seed) for seed in range(5)]
+    _, shapes = stacked_passes(monkeypatch, F, 2, sets)
+    assert shapes[0] == (5, m)
+
+
+def test_stacked_profiles_share_a_pass_with_equal_complements(monkeypatch):
+    # three sets of all of F_7^2 but 3 points take the complement route,
+    # and their complements of 3 points share one pass with a 3-point set
+    # on the pairwise route; a set of another size gets a pass of its own
+    F = field(7)
+    near_all = [np.setdiff1d(np.arange(49), [i, i + 9, i + 20]) for i in (0, 5, 11)]
+    sets = [PointSet(ranks, p=7, dim=2) for ranks in near_all]
+    sets.insert(1, PointSet([3, 17, 40], p=7, dim=2))
+    sets.append(PointSet([2, 30], p=7, dim=2))
+    assert [bounds.profile_route(len(E), 7, 2)[0] for E in sets] == (
+        ["complement", "pairwise", "complement", "complement", "pairwise"])
+    _, shapes = stacked_passes(monkeypatch, F, 2, sets)
+    assert shapes[:2] == [(4, 3), (1, 2)]
+
+
+@pytest.mark.parametrize("pair_chunk", [1, 20, 2 * 64 + 1, 5 * 64])
+@pytest.mark.parametrize("p", [7, 101])
+def test_stacked_profiles_split_across_chunks(monkeypatch, pair_chunk, p):
+    # five sets of 8 points: 64 pairs a set, so a chunk of 2 * 64 + 1 pairs
+    # holds two sets and the last chunk one, and a chunk under 64 pairs
+    # holds rows of one set; bins at p = 7 and sorted rows at p = 101
+    monkeypatch.setattr(bounds, "PAIR_CHUNK", pair_chunk)
+    F = field(p)
+    sets = [generate_point_set(F, 2, "random:8", seed=seed) for seed in range(5)]
+    _, shapes = stacked_passes(monkeypatch, F, 2, sets)
+    assert shapes[0] == ((5, 8) if pair_chunk >= 64 else (1, 8))
+
+
+def test_stacked_profiles_working_set_follows_pair_chunk():
+    # 200 sets of 100 points of F_101^2 in one stack of 2 * 10**6 pairs:
+    # each chunk holds the 6 whole sets that fit in PAIR_CHUNK = 2**16
+    # pairs, and the call peaked at 2.5 MiB, where one chunk of the whole
+    # stack holds 24 MiB of buffers
+    F = field(101)
+    sets = [generate_point_set(F, 2, "random:100", seed=seed) for seed in range(200)]
+    assert len({len(E) for E in sets}) == 1
+    tracemalloc.start()
+    try:
+        got = degree_profiles(F, 2, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(int(prof.pairs.sum()) == 100 * 99 for prof in got)
+    assert sums_of(got[-1]) == tuple(oracles.pairwise_profile_arith(101, 2, sets[-1].ranks).tolist())
+    assert peak < 4 * 2**20
+
+
+def test_stacked_profiles_keep_each_error_in_its_place(monkeypatch):
+    # under a guardrail of 200 pair-equivalents, the union of two draws of
+    # 10 points of F_7^2, 17 points at seed 1, is refused (|E|**2, |C|**2 +
+    # p**2 and 20 p**3 all past it), as it is alone, and the sets of 5 and
+    # 11 points and all of F_7^2 around it are profiled
+    monkeypatch.setattr(bounds, "PROFILE_MAX_PAIRS", 200)
+    F = field(7)
+    sets = [generate_point_set(F, 2, gen, seed=1)
+            for gen in ("random:5", "random:10+random:10", "random:5+line:0,0;1,0", "all")]
+    assert [len(E) for E in sets] == [5, 17, 11, 49]
+    got, _ = stacked_passes(monkeypatch, F, 2, sets)
+    assert [type(prof) for prof in got] == [DegreeProfile, TooLarge, DegreeProfile, DegreeProfile]
+    with pytest.raises(TooLarge) as refusal:
+        bounds.guard_profile(len(sets[1]), 7, 2)
+    assert str(got[1]) == str(refusal.value)
+    with pytest.raises(TooLarge):
+        degree_profile(F, 2, sets[1])
+    assert sums_of(degree_profiles(F, 2, sets, force=True)[1]) == tuple(
+        oracles.pairwise_profile_arith(7, 2, sets[1].ranks).tolist())
+
+
+def test_stacked_profiles_of_no_set(f3):
+    assert degree_profiles(f3, 2, []) == []
+    with pytest.raises(DimensionMismatch):
+        degree_profiles(f3, 3, [generate_point_set(f3, 3, "all"), generate_point_set(f3, 2, "all")])
+
+
+@st.composite
+def stacked_cases(draw):
+    """(p, dim, rank lists, pair_chunk or None): up to eight sets of F_p^dim,
+    p in 3..31 and dim 2..3, of sizes drawn from three, so some share a
+    size, empty sets and, below 1000 points, sets near all of F_p^dim
+    among them."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 31]))
+    dim = draw(st.integers(2, 3))
+    n = p**dim
+    sizes = draw(st.lists(st.integers(0, min(n, 60)), min_size=1, max_size=3))
+    sizes += [n - size for size in sizes if 60 < n - size < 1000 and draw(st.booleans())]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sets = [sorted(rng.sample(range(n), draw(st.sampled_from(sizes))))
+            for _ in range(draw(st.integers(1, 8)))]
+    pair_chunk = draw(st.none() | st.integers(1, 4 * 60 * 60))
+    return p, dim, sets, pair_chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_cases())
+@example((3, 2, [[], [0], [4], [0, 1, 2], list(range(9))], None))
+@example((31, 2, [list(range(0, 120, 4)), list(range(1, 121, 4)), list(range(20))], 1000))
+def test_stacked_profiles_agree_random(case):
+    p, dim, sets, pair_chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        if pair_chunk is not None:
+            mp.setattr(bounds, "PAIR_CHUNK", pair_chunk)
+        F, sets = field(p), [PointSet(r, p=p, dim=dim) for r in sets]
+        assert_stacked_profiles_agree(F, dim, sets, degree_profiles(F, dim, sets))
+
+
 # --- sphere intersection table ---------------------------------------------
 
 
@@ -583,7 +747,7 @@ def test_corrupted_intersection_table_fails_the_complement_profile(monkeypatch):
     taken = routes_taken(monkeypatch)
     with pytest.raises(VerificationFailed, match="F_23\\^2 fails its double count"):
         degree_profile(F, 2, E)
-    assert taken == ["complement"]
+    assert taken == ["pairwise", "complement"]
 
 
 # --- f and distance set --------------------------------------------------------

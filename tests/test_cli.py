@@ -430,6 +430,20 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
     assert calls["check_main_theorem"] == 2
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_verify_holds_a_size_n_rung_as_the_full_set(monkeypatch, capsys, force):
+    # the ladder of F_3^2 reaches all 9 points on its last rung, which is
+    # F_3^2 itself, one rank array, not a second copy of the space
+    keyed = []
+    key = cli._set_key
+    monkeypatch.setattr(cli, "_set_key", lambda ranks: keyed.append(ranks) or key(ranks))
+    argv = ["verify", "--q", "3", "--dim", "2", "--checks", "main,remark", "--trials", "3"]
+    assert main(argv + ["--force"] * force) == 0
+    assert "main      p=3 dim=2: 4 point sets  ok\n" in capsys.readouterr().out
+    assert [ranks.size for ranks in keyed] == [9, 1, 3, 9]
+    assert keyed[-1] is keyed[0] and not keyed[0].flags.writeable
+
+
 def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
     made = []
     monkeypatch.setattr(cli, "recheck_table", lambda *args: made.append(args))
@@ -955,12 +969,13 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **k: made.update([name]) or fn(*a, **k))
 
-    profiled, reported = [], []
-    profile, report = cli.degree_profile, cli.check_main_theorem
+    profiled, batches, reported = [], [], []
+    profiles, report = cli.degree_profiles, cli.check_main_theorem
 
-    def counted_profile(F, dim, E, force=False):
-        profiled.append((F.p, dim, E.ranks.tobytes()))
-        return profile(F, dim, E, force=force)
+    def counted_profiles(F, dim, sets, force=False):
+        batches.append((F.p, dim))
+        profiled.extend((F.p, dim, E.ranks.tobytes()) for E in sets)
+        return profiles(F, dim, sets, force=force)
 
     def counted_report(F, dim, prof, spectra):
         reported.append(prof)
@@ -970,7 +985,7 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     monkeypatch.setattr(fqlab.euclid, "class_transform", counted_gather)
     for name in ("set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
-    monkeypatch.setattr(cli, "degree_profile", counted_profile)
+    monkeypatch.setattr(cli, "degree_profiles", counted_profiles)
     monkeypatch.setattr(cli, "check_main_theorem", counted_report)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert len(records) == 8 and all(r["holds"] for r in records)
@@ -981,18 +996,42 @@ def test_sweep_one_table_alive_and_one_report_per_set(monkeypatch):
     assert made == {}
     assert gathers == {}
     # per p: "all" once for both seeds, and two distinct random sets, each
-    # profiled once and its report made from that profile
+    # profiled once, in one batch per p, and its report made from that profile
+    assert batches == [(3, 2), (7, 2)]
     assert len(profiled) == len(set(profiled)) == 6
     assert len(reported) == len({id(prof) for prof in reported}) == 6
 
 
+def test_sweep_keeps_a_union_refusal_in_its_own_cells(monkeypatch):
+    # a union is priced by its drawn size, in the group's one
+    # degree_profiles call: under a guardrail of 200 pair-equivalents each
+    # union of two draws of 10 points of F_7^2 (more than 14 points) is
+    # refused in its own cells, and the sets profiled beside it hold
+    monkeypatch.setattr(fqlab.bounds, "PROFILE_MAX_PAIRS", 200)
+    config = {"grid": [{"primes": [7], "dims": [2]}],
+              "generators": ["random:5", "random:10+random:10", "all"], "seeds": [1, 2, 3],
+              "checks": ["main", "remark", "hinge"]}
+    records, _ = run_sweep(config, jobs=1)
+    assert len(records) == 9
+    for r in records:
+        if "+" in r["generator"]:
+            with pytest.raises(fqlab.TooLarge) as refusal:
+                fqlab.bounds.guard_profile(r["set_size"], 7, 2)
+            assert (r["status"], r["error"], r["holds"]) == ("error", str(refusal.value), False)
+            assert r["f_value"] is None and r["hinge_ok"] is None
+        else:
+            assert (r["status"], r["error"], r["holds"]) == ("ok", "", True)
+
+
 @pytest.mark.parametrize("ratio", [0, fqlab.bounds.PROFILE_FFT_RATIO])
 def test_sweep_profiles_each_set_once_per_group(monkeypatch, ratio):
-    # each distinct set of a (p, dim) is profiled once, and its subset
-    # counts are read off that profile once; a set transform or a degree
-    # column is made only by a profile that convolves (all of them at a
-    # ratio of 0): one one-row stack per set, one column per radius
-    calls, made = Counter(), Counter()
+    # the distinct sets of a (p, dim) are profiled in one degree_profiles
+    # call, and each set's subset counts are read off its profile once; the
+    # two random sets of a p, of one size, share one pairwise pass, and all
+    # of F_p^2 needs none; a set transform or a degree column is made only
+    # by a profile that convolves (all of them at a ratio of 0): one
+    # one-row stack per set, one column per radius
+    calls, made, stacks = Counter(), Counter(), []
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -1004,22 +1043,27 @@ def test_sweep_profiles_each_set_once_per_group(monkeypatch, ratio):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("degree_profile", "subset_counts"):
+    for name in ("degree_profiles", "subset_counts"):
         counted(cli, name)
     for name in ("set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
     counted(fqlab.bounds, "_convolved_profile")
+    kernel = fqlab.bounds._pairwise_profile
+    monkeypatch.setattr(fqlab.bounds, "_pairwise_profile",
+                        lambda p, dim, stack, sums: stacks.append((p, stack.shape))
+                        or kernel(p, dim, stack, sums))
     monkeypatch.setattr(fqlab.bounds, "PROFILE_FFT_RATIO", ratio)
     records, _ = run_sweep(SMALL_CONFIG, jobs=1)
     assert all(r["holds"] for r in records)
     # three distinct sets per p
     convolved = 6 if ratio == 0 else 0
     assert calls == {
-        "degree_profile": 6, "subset_counts": 6, **({
+        "degree_profiles": 2, "subset_counts": 6, **({
             "_convolved_profile": convolved, "set_transforms": convolved,
             "certified_columns": 3 * (3 - 1) + 3 * (7 - 1),
         } if convolved else {}),
     }
+    assert stacks == ([] if convolved else [(3, (2, 5)), (7, (2, 19))])
     assert all(made[name, "degree_columns"] == calls[name]
                for name in ("set_transforms", "certified_columns"))
 
@@ -1038,13 +1082,14 @@ def test_sweep_hinge_and_degree_sum_counts_read_the_degree_profile(monkeypatch):
 
     monkeypatch.setattr(cli, "subset_counts", recorded)
     made = []  # (profile, its point set)
-    profile = cli.degree_profile
+    profiles = cli.degree_profiles
 
-    def profiled(F, dim, E, force=False):
-        made.append((profile(F, dim, E, force=force), E))
-        return made[-1][0]
+    def profiled(F, dim, sets, force=False):
+        got = profiles(F, dim, sets, force=force)
+        made.extend(zip(got, sets))
+        return got
 
-    monkeypatch.setattr(cli, "degree_profile", profiled)
+    monkeypatch.setattr(cli, "degree_profiles", profiled)
     grid = [{"primes": [3, 7], "dims": [2]}, {"primes": [3], "dims": [3]}]
     run_sweep({**SMALL_CONFIG, "grid": grid}, jobs=1)
     assert {(F.p, dim) for F, dim, *_ in seen} == {(3, 2), (7, 2), (3, 3)}

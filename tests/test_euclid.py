@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    VertexOutOfRange,
     degree_sum_check,
     hinge_count,
     mixing_check,
@@ -28,7 +29,6 @@ from fqlab import (
     BadSpec,
     TooLarge,
     VerificationFailed,
-    VertexOutOfRange,
     degree_columns,
     euclid_graph,
     make_field,

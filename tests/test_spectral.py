@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from fqlab import (
     BadSpec,
-    VertexOutOfRange,
     degree_sum_bound,
     euclid_graph,
     hinge_bound,
@@ -21,6 +20,7 @@ from fqlab import (
 )
 from fqlab.spectral import BOUND_TOL, bound_limit, bound_threshold
 from oracles import (
+    VertexOutOfRange,
     degree_sum_check,
     hinge_count,
     mixing_check,
