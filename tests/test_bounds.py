@@ -344,6 +344,9 @@ def test_pairwise_profile_chunks_random(case):
     (59, 2, "all", "complement"),  # the fcount-dense set: |C|**2 + p**2 = p**2
     (11, 3, "all", "complement"),
     (11, 3, "random:665", "convolved"),  # |E|**2 and |C|**2 both past 20 p**4
+    # |E|**2 = 1.6e9 and |C|**2 = 1.6e11 are past the guardrail, the
+    # convolution's 20 p**4 = 6.8e7 is not, so it convolves unforced
+    (43, 3, "random:40000", "convolved"),
 ])
 def test_profile_route_choice(monkeypatch, p, dim, gen, route):
     F = make_field(p)

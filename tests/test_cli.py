@@ -433,15 +433,43 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 @pytest.mark.parametrize("force", [False, True])
 def test_verify_holds_a_size_n_rung_as_the_full_set(monkeypatch, capsys, force):
     # the ladder of F_3^2 reaches all 9 points on its last rung, which is
-    # F_3^2 itself, one rank array, not a second copy of the space
-    keyed = []
-    key = cli._set_key
+    # F_3^2 itself, one rank array, not a second copy of the space, and
+    # keyed by the digest F_3^2 already has, not hashed again
+    keyed, held = [], []
+    key, post = cli._set_key, fqlab.geometry.PointSet.__post_init__
     monkeypatch.setattr(cli, "_set_key", lambda ranks: keyed.append(ranks) or key(ranks))
+    monkeypatch.setattr(fqlab.geometry.PointSet, "__post_init__",
+                        lambda E: post(E) or held.append(E.ranks))
     argv = ["verify", "--q", "3", "--dim", "2", "--checks", "main,remark", "--trials", "3"]
     assert main(argv + ["--force"] * force) == 0
     assert "main      p=3 dim=2: 4 point sets  ok\n" in capsys.readouterr().out
-    assert [ranks.size for ranks in keyed] == [9, 1, 3, 9]
-    assert keyed[-1] is keyed[0] and not keyed[0].flags.writeable
+    assert [ranks.size for ranks in keyed] == [9, 1, 3]
+    assert [ranks.size for ranks in held] == [9, 1, 3]
+    assert held[0] is keyed[0] and not keyed[0].flags.writeable
+
+
+def test_verify_refuses_records_past_the_guardrail(monkeypatch, capsys, tmp_path):
+    # the guardrail counts verify's records from its arguments: per radius
+    # one spectrum verdict and, per trial, two verdicts of each subset
+    # column (hinge has two columns); main and remark per point set, here
+    # the three rungs and F_7^2.  A run of exactly VERIFY_MAX_RECORDS
+    # records runs, and one past it is refused before any work
+    out = tmp_path / "v.jsonl"
+    argv = ["verify", "--q", "7", "--dim", "2", "--trials", "3", "--out", str(out)]
+    assert main(argv) == 0
+    count = len(out.read_text().splitlines())
+    assert count == 6 + 6 * 3 * 2 * (1 + 1 + 2) + 2 * 4
+    monkeypatch.setattr(cli, "VERIFY_MAX_RECORDS", count)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "VERIFY_MAX_RECORDS", count - 1)
+    assert main(argv + ["--force"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fqlab.euclid, "spectra", lambda *args: pytest.fail("work before refusal"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {count} verify records exceed the record guardrail {count - 1}; "
+        "pass --force to override\n"
+    )
 
 
 def test_verify_without_graph_checks_makes_no_transform(monkeypatch):
