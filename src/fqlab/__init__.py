@@ -11,7 +11,6 @@ from .bounds import (
     BoundReport,
     DegreeProfile,
     check_main_theorem,
-    degree_profile,
     degree_profiles,
     lower_bound_f,
     upper_bound_f,
@@ -75,8 +74,8 @@ __all__ = [
     "EuclidGraphSpec", "SpectralSummary", "degree_columns", "euclid_graph",
     "ramanujan_bound", "recheck_spectrum", "recheck_table", "spectra",
     # bounds
-    "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profile",
-    "degree_profiles", "lower_bound_f", "upper_bound_f",
+    "BoundReport", "DegreeProfile", "check_main_theorem", "degree_profiles",
+    "lower_bound_f", "upper_bound_f",
     # errors
     "FqlabError", "NotPrime", "EvenModulus", "DimensionMismatch", "TooLarge",
     "InfeasibleSize", "BadSpec", "VerificationFailed", "MissingSpectrum",

@@ -19,10 +19,12 @@ integers made once per pass; for sets that nearly fill F_p^dim the
 pairwise profile of the complement, carried over to E by a p x p table
 of sphere intersection counts in integer arithmetic; for dense sets
 between the two (|E|**2 well above p**(dim+1), the paper's regime a) the
-set's certified degree column in every radius' graph.  degree_profiles
-takes many sets of one F_p^dim at once, and its pairwise passes stack
-the small sets, and small complements, of one size, so a sweep's seeds
-of one generator share one pass.  All keep per-radius sums only, never
+set's certified degree column in every radius' graph.  degree_profiles,
+the one entry to them, takes many sets of one F_p^dim at once, and its
+pairwise passes stack the small sets, and small complements, of one
+size, so a sweep's seeds of one generator share one pass; fcount,
+sweep and verify's point-set ladder each profile their distinct sets of
+one F_p^dim in one call.  All keep per-radius sums only, never
 |E| * p degrees.  The same sums give every subset-check count of the set
 against itself in every radius' graph (subset_counts), and
 check_main_theorem reads the report off them, so one profile serves
@@ -186,22 +188,11 @@ def _refusal(route: str, cost: int, dim: int, force: bool) -> TooLarge | None:
 def guard_profile(m: int, p: int, dim: int, force: bool = False) -> None:
     """Refuse the profile of an m-point set of F_p^dim when the cost of
     the route profile_route picks exceeds PROFILE_MAX_PAIRS, unless
-    forced; fcount calls it before building any spectrum, and sweep
-    before drawing a one-atom generator's sets."""
+    forced; fcount calls it before building any spectrum, and fcount,
+    sweep and verify before drawing a one-atom generator's sets."""
     refusal = _refusal(*profile_route(m, p, dim, force), dim, force)
     if refusal is not None:
         raise refusal
-
-
-def degree_profile(
-    F: PrimeField, dim: int, E: PointSet, force: bool = False
-) -> DegreeProfile:
-    """The degree profile of one point set: degree_profiles of [E], its
-    error raised."""
-    (prof,) = degree_profiles(F, dim, [E], force)
-    if isinstance(prof, FqlabError):
-        raise prof
-    return prof
 
 
 def degree_profiles(

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, euclid
-from .bounds import check_main_theorem, degree_profile, degree_profiles, subset_counts
+from .bounds import check_main_theorem, degree_profiles, subset_counts
 from .errors import BadSpec, FqlabError, TooLarge, VerificationFailed
 from .euclid import SpectralSummary, degree_columns, recheck_spectrum, recheck_table
 from .field import PrimeField, make_field
@@ -233,15 +233,20 @@ def _field_for_cli(q: int, allow_1mod4: bool) -> PrimeField:
     return F
 
 
-def _parse_checks(text: str) -> tuple[str, ...]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+def _canonical_checks(names) -> tuple[str, ...]:
+    """names in CHECK_NAMES order, duplicates dropped; BadSpec names any
+    that is not a check."""
     bad = [n for n in names if n not in CHECK_NAMES]
     if bad:
         raise BadSpec(f"unknown checks {bad}; valid: {', '.join(CHECK_NAMES)}")
-    if not names:
-        raise BadSpec("no checks requested")
-    # Canonical order, duplicates dropped.
     return tuple(n for n in CHECK_NAMES if n in names)
+
+
+def _parse_checks(text: str) -> tuple[str, ...]:
+    checks = _canonical_checks([tok.strip() for tok in text.split(",") if tok.strip()])
+    if not checks:
+        raise BadSpec("no checks requested")
+    return checks
 
 
 def _spanning_sizes(n: int, trials: int) -> list[int]:
@@ -356,42 +361,57 @@ def _subset_verdicts(F, dim, spectra, a, members, items, force):
                 yield i, column, lam_kind, num / den, rhs, num <= limit, e
 
 
-def _graph_oks(F, dim, spectra, profiles, checks) -> list[dict]:
-    """The {column}_ok record flags of the graph checks among checks, one
-    dict per set, each set given by its degree profile (read only when a
-    subset check is asked for), then one _spectrum_rows pass.
+def _judge_sets(F, dim, spectra, sets, checks, force, profiled=True) -> list:
+    """(report, flags, holds) of each point set of F_p^dim under checks,
+    in order, or in its place the FqlabError its profile raised: the one
+    route from a set to its verdicts, for fcount, sweep and verify.
 
-    A set is checked against itself, so its counts in every radius come
-    from bounds.subset_counts, with no degree column made.  A column holds
-    when, in every radius, its count is at most the limit of its bound
-    under both the exact second eigenvalue and the ceiling; those limits
-    depend on the column, the set sizes and the radius' (valency, exact
-    lambda, ceiling) alone, so sets of one size share each radius' limits,
-    radii of one such triple share them too (dilations map the radii of a
-    square class onto one another), and each bound comes from one _bound
-    memo.  The spectrum verdicts of all radii judge every set.  With no
-    set, no pass is made."""
+    The profiles come from one bounds.degree_profiles call, each giving
+    its set's report; unprofiled, as a spectrum-only sweep asks, no
+    profile is made and report is None.  flags are the {column}_ok record
+    flags of the graph checks among checks.  A set is checked against
+    itself, so its counts in every radius come from bounds.subset_counts,
+    with no degree column made.  A column holds when, in every radius,
+    its count is at most the limit of its bound under both the exact
+    second eigenvalue and the ceiling; those limits depend on the column,
+    the set sizes and the radius' (valency, exact lambda, ceiling) alone,
+    so sets of one size share each radius' limits, radii of one such
+    triple share them too (dilations map the radii of a square class onto
+    one another), and each bound comes from one _bound memo.  One
+    _spectrum_rows pass, made only when some set is judged, gives every
+    set its spectrum_ok.  holds is every flag and the main and remark
+    verdicts among checks."""
     columns = [column for check in checks for column in CHECK_COLUMNS.get(check, ())]
+    theorem_checks = [c for c in ("main", "remark") if c in checks]
+    profiles = degree_profiles(F, dim, sets, force) if profiled else [None] * len(sets)
+    made = [prof for prof in profiles if not isinstance(prof, FqlabError)]
+    # All the reports, then all the counts: made set by set in turn, they
+    # took about 6% more CPU in the benchmark's all-checks sweep groups.
+    reports = [check_main_theorem(F, dim, prof, spectra) if profiled else None for prof in made]
     n, radii = F.p**dim, range(1, F.p)
+    spectrum_ok = {}
+    if "spectrum" in checks and made:
+        spectrum_ok["spectrum_ok"] = all(
+            holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii)
+        )
     graphs = [(s.valency, s.second_eigenvalue, s.ramanujan_bound)
               for s in map(spectra.get, radii)] if columns else []
-    memo, limits, oks = {}, {}, []
-    for prof in profiles:
+    memo, limits, judged = {}, {}, []
+    for prof, report in zip(made, reports):
         counts = subset_counts(F, dim, prof) if columns else {}
-        got = {}
+        flags = {}
         for column in columns:
             sizes = (prof.size,) * (2 if column == "mixing" else 1)
             if (column, sizes) not in limits:
                 limit = {g: min(_bound(memo, column, n, g[0], lam, sizes)[1] for lam in g[1:])
                          for g in set(graphs)}
                 limits[column, sizes] = [limit[g] for g in graphs]
-            got[f"{column}_ok"] = all(map(operator.le, counts[column], limits[column, sizes]))
-        oks.append(got)
-    if "spectrum" in checks and profiles:
-        ok = all(holds for _, holds, _ in _spectrum_rows(F, dim, spectra, radii))
-        for got in oks:
-            got["spectrum_ok"] = ok
-    return oks
+            flags[f"{column}_ok"] = all(map(operator.le, counts[column], limits[column, sizes]))
+        flags.update(spectrum_ok)
+        holds = all(flags.values()) and all(_theorem_row(c, report)[2] for c in theorem_checks)
+        judged.append((report, flags, holds))
+    verdicts = iter(judged)
+    return [prof if isinstance(prof, FqlabError) else next(verdicts) for prof in profiles]
 
 
 def _theorem_row(check, report) -> tuple[float, float, bool, str]:
@@ -522,7 +542,8 @@ def _point_set_draws(p, dim, cap, trials, seed):
 
 
 def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
-    """main and remark on one list of point sets, one report per distinct set.
+    """main and remark on one list of point sets, the distinct sets judged
+    by one _judge_sets call, each set's first error raised.
 
     The sets are F_p^dim itself, when the profile and enumeration
     guardrails admit it, and a ladder of random subsets; a size-n rung is
@@ -532,8 +553,9 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     """
     p, n = F.p, F.p**dim
     cap = n if args.force else min(n, math.isqrt(bounds.PROFILE_MAX_PAIRS))
-    full = _outcome(bounds.guard_profile, n, p, dim, args.force) or _outcome(
-        generate_point_set, F, dim, "all", seed=0, force=args.force
+    spec = parse_generator("all")
+    full = _pre_draw_refusal(spec, F, dim, args.force)[1] or _outcome(
+        generate_point_set, F, dim, spec, seed=0, force=args.force
     )
     held = isinstance(full, PointSet)
     sets = [(full, _set_key(full.ranks))] if held else []  # (set, key), each hashed once
@@ -544,12 +566,13 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
             E = PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}")
             sets.append((E, _set_key(E.ranks)))
     wanted = [c for c in ("main", "remark") if c in checks]
-    reports = {}
+    distinct = {key: E for E, key in sets}  # sets of one key have the same ranks
+    judged = dict(zip(distinct, _judge_sets(F, dim, spectra, list(distinct.values()),
+                                            wanted, args.force)))
     for trial, (E, key) in enumerate(sets):
-        if key not in reports:
-            prof = degree_profile(F, dim, E, force=args.force)
-            reports[key] = check_main_theorem(F, dim, prof, spectra)
-        report = reports[key]
+        if isinstance(judged[key], FqlabError):
+            raise judged[key]
+        report = judged[key][0]
         for check in wanted:
             lhs, rhs, holds, detail = _theorem_row(check, report)
             out[check][0].append(_verify_record(
@@ -569,6 +592,18 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
 
 def cmd_sphere(args) -> int:
     F = _field_for_cli(args.q, args.allow_1mod4)
+    # Python prints no int of more than `limit` decimal digits (0 is no
+    # limit).  p**dim has more exactly when p**dim >= 10**limit, and surely
+    # does past limit log2(10) + 1 bits, so no larger power is made.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit > 0 and args.dim > 0 and (
+        args.dim * math.log2(F.p) > limit * math.log2(10) + 1 or F.p**args.dim >= 10**limit
+    ):
+        raise BadSpec(
+            f"{F.p}**{args.dim} has more than {limit} decimal digits, Python's limit "
+            "for printing an integer (sys.set_int_max_str_digits), so its sphere "
+            "sizes cannot be printed"
+        )
     table = sphere_table(F, args.dim)
     radii = range(F.p) if args.a is None else [args.a % F.p]
     for a in radii:
@@ -622,24 +657,19 @@ def cmd_fcount(args) -> int:
         if args.dim is None:
             raise BadSpec("--gen requires --dim")
         spec = parse_generator(args.gen)
-        if len(spec.atoms) == 1:
-            # One atom makes exactly size_floor points, so a set past the
-            # profile guardrail is refused before any draw.  A union's
-            # floor bounds no route's cost: the complement's falls as the
-            # set grows.
-            bounds.guard_profile(spec.size_floor(F, args.dim), F.p, args.dim, args.force)
+        _, refused = _pre_draw_refusal(spec, F, args.dim, args.force)
+        if refused is not None:
+            raise refused
         E = generate_point_set(F, args.dim, spec, seed=args.seed, force=args.force)
     dim, generator = E.dim, E.origin_label
     if dim < 2:
         raise BadSpec(f"dimension must be >= 2, got {dim}")
     bounds.guard_profile(len(E), F.p, dim, args.force)  # before any spectrum
     spectra = euclid.spectra(F, dim, range(1, F.p), args.force)
-    prof = degree_profile(F, dim, E, force=args.force)
-    report = check_main_theorem(F, dim, prof, spectra)
-    (oks,) = _graph_oks(F, dim, spectra, [prof], checks)
-    holds = all(oks.values()) and all(
-        _theorem_row(c, report)[2] for c in checks if c in ("main", "remark")
-    )
+    (judged,) = _judge_sets(F, dim, spectra, [E], checks, args.force)
+    if isinstance(judged, FqlabError):
+        raise judged
+    report, oks, holds = judged
     print(f"p={F.p} dim={dim} |E|={report.set_size} generator={generator}")
     print(f"f={report.f_value} null_pairs={report.null_pair_count}")
     print(
@@ -774,9 +804,7 @@ def normalize_config(config: dict) -> dict:
     checks = config.get("checks", ["main", "remark"])
     if not isinstance(checks, list) or not checks:
         raise BadSpec("config needs a non-empty 'checks' list")
-    bad = [c for c in checks if c not in CHECK_NAMES]
-    if bad:
-        raise BadSpec(f"unknown checks {bad}")
+    checks = list(_canonical_checks(checks))
     allow = bool(config.get("allow_1mod4", False))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -791,7 +819,7 @@ def normalize_config(config: dict) -> dict:
         "grid": norm_grid,
         "generators": [str(g) for g in generators],
         "seeds": list(seeds),
-        "checks": [c for c in CHECK_NAMES if c in checks],
+        "checks": checks,
         "allow_1mod4": allow,
     }
 
@@ -805,20 +833,32 @@ def _outcome(fn, *args, **kwargs):
         return exc
 
 
+def _pre_draw_refusal(spec, F, dim, force) -> tuple[int | None, FqlabError | None]:
+    """(size, refusal) of the set that generator spec would draw in
+    F_p^dim, before any draw: a one-atom generator makes exactly
+    size_floor points, so a set past the profile guardrail is refused from
+    that size; a union's floor bounds no route's cost (the complement's
+    falls as the set grows), and a size_floor error is the generator's
+    own, left to it, so both give (None, None)."""
+    size = _outcome(spec.size_floor, F, dim) if len(spec.atoms) == 1 else None
+    if not isinstance(size, int):
+        return None, None
+    return size, _outcome(bounds.guard_profile, size, F.p, dim, force)
+
+
 def _run_sweep_group(task) -> list[dict]:
     """Every cell of one (p, dim): each cell's point set first (a
-    generator that ignores the seed is generated once), then the profiles
-    of the distinct sets, in one bounds.degree_profiles call, and their
-    reports, then the spectrum verdict and the subset checks, the records
-    last.  Sets with the same ranks in the same order share one profile,
-    one report and one set of graph verdicts.
+    generator that ignores the seed is generated once), then the distinct
+    sets judged by one _judge_sets call, the records last.  Sets with the
+    same ranks in the same order, keyed by _set_key of their rank arrays,
+    share one profile, one report and one set of verdicts.
 
     Every check but the spectrum reads each set's degree profile, so
     unless the spectrum is the only check, a one-atom generator past the
-    profile guardrail is refused before any draw, and any other set past
-    it gets its error in its own cells.  Sets are keyed by _set_key of
-    their rank arrays, and the distinct profiles go through one
-    _graph_oks pass; a (p, dim) with no set makes no spectrum recheck.
+    profile guardrail is refused before any draw (_pre_draw_refusal), its
+    cells recording the size, and any other set past it gets its error in
+    its own cells; a spectrum-only sweep makes no profile.  A (p, dim)
+    with no set makes no spectrum recheck.
     """
     p, dim, gens, seeds, checks, digest, force = task
     with warnings.catch_warnings():
@@ -829,14 +869,8 @@ def _run_sweep_group(task) -> list[dict]:
     profiled = set(checks) != {"spectrum"}
     records, cells, sets = [], [], {}
     for gen in gens:
-        spec, made, refused = parse_generator(gen), None, None
-        if profiled and len(spec.atoms) == 1:
-            # One atom makes exactly size_floor points, so a set past the
-            # profile guardrail is refused, with its size, before any draw;
-            # a size_floor error is the generator's own, left to it.
-            size = _outcome(spec.size_floor, F, dim)
-            if isinstance(size, int):
-                refused = _outcome(bounds.guard_profile, size, p, dim, force)
+        spec, made = parse_generator(gen), None
+        size, refused = _pre_draw_refusal(spec, F, dim, force) if profiled else (None, None)
         for seed in seeds:
             cseed = derive_seed(digest, p, dim, gen, seed)
             rec = _record(
@@ -858,25 +892,16 @@ def _run_sweep_group(task) -> list[dict]:
             rec["set_size"] = len(made)
             sets.setdefault(key, made)
             cells.append((rec, key))
-    profiles = dict(zip(sets, degree_profiles(F, dim, list(sets.values()), force)
-                        if profiled else [None] * len(sets)))
-    reports = {
-        key: check_main_theorem(F, dim, prof, spectra) if theorem_checks else None
-        for key, prof in profiles.items() if not isinstance(prof, FqlabError)
-    }
-    oks = dict(zip(reports, _graph_oks(F, dim, spectra, [profiles[key] for key in reports], checks)))
+    judged = dict(zip(sets, _judge_sets(F, dim, spectra, list(sets.values()), checks, force,
+                                        profiled)))
     for rec, key in cells:
-        if key not in reports:
-            rec.update(status="error", error=str(profiles[key]), holds=False)
+        if isinstance(judged[key], FqlabError):
+            rec.update(status="error", error=str(judged[key]), holds=False)
             continue
-        report, verdicts = reports[key], list(oks[key].values())
-        if report is not None:
+        report, oks, holds = judged[key]
+        if theorem_checks:
             rec.update(_report_fields(report))
-            verdicts += [_theorem_row(c, report)[2] for c in theorem_checks]
-        rec.update(oks[key])
-        rec["holds"] = all(verdicts)
-        if not rec["holds"]:
-            rec["status"] = "fail"
+        rec.update(oks, holds=holds, status="ok" if holds else "fail")
     return records
 
 
@@ -899,7 +924,10 @@ def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[di
         for p, dim in pairs
     ]
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A pool forks all its workers at the first submit, so it gets no
+        # more than there are groups.
+        workers = min(jobs, len(tasks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_sweep_group, tasks))
     else:
         chunks = [_run_sweep_group(t) for t in tasks]

@@ -33,12 +33,12 @@ and per radius gathers the sphere's transform (class_transform) and
 makes every column of the stack with one inverse FFT (certified_columns),
 in O(S n log n) time and O(S n) memory for S sets.  verify's subset
 pass takes it one radius at a time and reads each item's counts off its
-set's row, and bounds.degree_profile's convolution route takes it with
-the point set as a one-row stack; the subset
-checks of sweep and fcount, which judge a set against itself, read their
-counts off its profile instead (bounds.subset_counts).  Every column is
-certified exact, so a wrong table row whose counts leave the integers is
-refused, not counted.
+set's row, and the convolution route of bounds.degree_profiles takes it
+with the point set as a one-row stack; the subset checks of sweep and
+fcount, which judge a set against itself, read their counts off its
+profile instead (bounds.subset_counts).  Every column is certified
+exact, so a wrong table row whose counts leave the integers is refused,
+not counted.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ A point is named by its rank sum(x_i * p**i), least significant
 coordinate first.  A PointSet is one read-only int64 rank array with p,
 dim and a label; generators build the array directly, callers derive
 coordinates (ranks // p**i % p) only where they need them, and tuples of
-ints appear only at the edges: point text, sphere enumeration, and a
-set's derived points.  Sphere sizes, and the sizes of the intersections
-of a sphere with its translates, come in closed form from the quadratic
-character, so counting never enumerates the space; enumeration is a
-separate, guardrailed operation.
+ints appear only at the edges: point text and sphere enumeration.
+Sphere sizes, and the sizes of the intersections of a sphere with its
+translates, come in closed form from the quadratic character, so
+counting never enumerates the space; enumeration is a separate,
+guardrailed operation.
 """
 
 from __future__ import annotations
@@ -96,7 +96,11 @@ def _quadric_counts(F: PrimeField, n: int, delta: int) -> tuple[int, ...]:
     eta = [c - 1 for c in F.square_counts]  # x*x = t has 1 + eta(t) roots
     if n % 2:
         sign, half = (-1) ** ((n - 1) // 2) * delta, p ** ((n - 1) // 2)
-        counts = tuple(p ** (n - 1) + half * eta[sign * b % p] for b in range(p))
+        # the three counts, made once and indexed by eta + 1, so p entries
+        # share three ints whatever their size
+        base = p ** (n - 1)
+        values = (base - half, base, base + half)
+        counts = tuple(values[eta[sign * b % p] + 1] for b in range(p))
     else:
         step = p ** (n // 2 - 1) * eta[(-1) ** (n // 2) * delta % p]
         counts = (p ** (n - 1) + (p - 1) * step,) + (p ** (n - 1) - step,) * (p - 1)
@@ -245,11 +249,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.ranks.size
-
-    @functools.cached_property
-    def points(self) -> tuple[Point, ...]:
-        """The points as coordinate tuples, in rank-array order."""
-        return tuple(map(tuple, ranks_to_coords(self.p, self.dim, self.ranks).tolist()))
 
 
 def size_threshold(p: int, dim: int) -> float:

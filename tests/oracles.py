@@ -10,6 +10,7 @@ off those columns (variance_check, hinge_count, degree_sum_check and
 mixing_check) are plain loops and sums here, one row at a time.  The
 other calls into the package are spectrum,
 the one-radius reading of the package's spectra that the tests use,
+degree_profile, the one-set reading of the package's degree_profiles,
 class_transform, whose gather the per-frequency recheck judges,
 parse_generator, which hands the generator oracle its atoms, and
 derive_seed and _spanning_sizes, which fix verify's streams and ladders.
@@ -27,9 +28,9 @@ sorted, deduplicated and range-checked form that verify's draws took
 (now each draw sorted as an int64 rank array) and the subset
 pass's per-verdict judging (now counts against integer limits from one
 memo), which reads the package's degree columns and bounds.
-The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank
-and point-text helpers the tests need, and the package does not, live
-here too.
+The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank,
+point-tuple and point-text helpers the tests need, and the package does
+not, live here too.
 """
 
 import functools
@@ -46,11 +47,13 @@ from fqlab import (
     DimensionMismatch,
     FqlabError,
     VerificationFailed,
+    degree_profiles,
     parse_generator,
     spectra,
 )
 from fqlab.cli import _spanning_sizes, derive_seed
 from fqlab.euclid import EIGVEC_TOL, TRACE_REL_TOL, class_transform, degree_columns
+from fqlab.geometry import ranks_to_coords
 from fqlab.spectral import (
     bound_threshold,
     degree_sum_bound,
@@ -105,9 +108,23 @@ def adjacent(G, x, y) -> bool:
     return x != y and distance(G.field, x, y) == G.a
 
 
+def points(E) -> tuple[tuple[int, ...], ...]:
+    """The points of a PointSet as coordinate tuples, in rank-array order."""
+    return tuple(map(tuple, ranks_to_coords(E.p, E.dim, E.ranks).tolist()))
+
+
 def format_point_text(ps) -> str:
     """A point set in the point-file format: one comma-separated point per line."""
-    return "".join(",".join(str(c) for c in pt) + "\n" for pt in ps.points)
+    return "".join(",".join(str(c) for c in pt) + "\n" for pt in points(ps))
+
+
+def degree_profile(F, dim: int, E, force: bool = False):
+    """The degree profile of one point set: the package's degree_profiles
+    of [E], its error raised."""
+    (prof,) = degree_profiles(F, dim, [E], force)
+    if isinstance(prof, FqlabError):
+        raise prof
+    return prof
 
 
 @dataclass(frozen=True, eq=False)

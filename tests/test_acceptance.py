@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from oracles import (
+    degree_profile,
     degree_sum_check,
     hinge_count,
     mixing_check,
@@ -26,7 +27,6 @@ from oracles import (
 )
 from fqlab import (
     check_main_theorem,
-    degree_profile,
     degree_sum_bound,
     euclid_graph,
     generate_point_set,
@@ -184,7 +184,7 @@ def test_c5_oracle_equivalence(capsys):
         for a in range(1, p):
             G = euclid_graph(F, dim, a)
             via_hinges += hinge_count(*columns(G, sphere_transform(G), [ranks]))[0]
-        via_triples = oracles.f_brute(p, E.points)
+        via_triples = oracles.f_brute(p, oracles.points(E))
         f_sets += 1
         if not (via_profile == via_hinges == via_triples):
             f_bad += 1

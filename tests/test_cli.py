@@ -139,6 +139,37 @@ def test_sphere_list_points(capsys):
     assert "0,1" in out and "2,0" in out
 
 
+def test_sphere_prints_up_to_the_int_digit_limit(capsys):
+    # 3**9000 has 4,295 decimal digits, inside Python's default limit of
+    # 4,300 for printing an int
+    assert main(["sphere", "--q", "3", "--dim", "9000"]) == 0
+    assert f"(p**dim = {3**9000})" in capsys.readouterr().out
+
+
+def test_sphere_refuses_sizes_past_the_int_digit_limit(monkeypatch, capsys):
+    # 7**30 has 26 decimal digits: refused under a limit of 25, before any
+    # sphere table, and printed under 26, under 0 (unlimited) and where
+    # the interpreter has no limit
+    digits = len(str(7**30))
+    for limit, code in [(digits - 1, 2), (digits, 0), (0, 0), (None, 0)]:
+        with monkeypatch.context() as m:
+            if limit is None:
+                m.delattr(sys, "get_int_max_str_digits")
+            else:
+                m.setattr(sys, "get_int_max_str_digits", lambda limit=limit: limit)
+            if code:
+                m.setattr(cli, "sphere_table", lambda *a: pytest.fail("sphere table built"))
+            assert main(["sphere", "--q", "7", "--dim", "30"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and err == (
+                f"error: 7**30 has more than {digits - 1} decimal digits, Python's limit "
+                "for printing an integer (sys.set_int_max_str_digits), so its sphere "
+                "sizes cannot be printed\n")
+        else:
+            assert f"(p**dim = {7**30})" in out
+
+
 def test_spectrum_command(capsys, tmp_path):
     out_file = tmp_path / "spec.jsonl"
     code = main(["spectrum", "--q", "3", "--dim", "2", "--out", str(out_file)])
@@ -639,7 +670,7 @@ def assert_profile_counts_equal_the_columns(F, dim, sets):
     members = [oracles.vertex_array(n, ranks) for ranks in sets]
     want = graph_row_counts(F, dim, members)
     for row, ranks in enumerate(members):
-        prof = fqlab.degree_profile(F, dim, fqlab.PointSet(ranks, p=F.p, dim=dim))
+        prof = oracles.degree_profile(F, dim, fqlab.PointSet(ranks, p=F.p, dim=dim))
         got = fqlab.bounds.subset_counts(F, dim, prof)
         assert list(got) == ["variance", "mixing", "hinge", "eq2"]
         for column, values in got.items():
@@ -698,9 +729,9 @@ def test_profile_counts_equal_the_degree_columns_on_random_sets(data):
 @given(st.data())
 def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
     # under bounds scaled down so that some verdicts fail, each set's
-    # flags from its profile equal those of its verdicts in verify's
-    # subset pass: a column holds when every radius' count holds under
-    # both lambdas
+    # flags from _judge_sets, read off its profile, equal those of its
+    # verdicts in verify's subset pass: a column holds when every radius'
+    # count holds under both lambdas, and the set when every column does
     p, dim = data.draw(st.sampled_from([(3, 2), (7, 2), (11, 2), (3, 3), (7, 3)]))
     n = p**dim
     F = fqlab.make_field(p)
@@ -722,8 +753,10 @@ def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
                 F, dim, spectra, a, members, items, False
             ):
                 want[items[i][1]][f"{column}_ok"] &= ok
-        profiles = [fqlab.degree_profile(F, dim, fqlab.PointSet(B, p=p, dim=dim)) for B in members]
-        assert cli._graph_oks(F, dim, spectra, profiles, checks) == want
+        sets = [fqlab.PointSet(B, p=p, dim=dim) for B in members]
+        judged = cli._judge_sets(F, dim, spectra, sets, checks, False)
+        assert [flags for _, flags, _ in judged] == want
+        assert [holds for _, _, holds in judged] == [all(flags.values()) for flags in want]
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
@@ -1331,6 +1364,37 @@ def test_fcount_graph_checks_fill_the_sweep_cell_record(tmp_path, capsys):
     assert main(["fcount", "--q", "7", "--dim", "2", "--gen", "all", "--checks", "orbit"]) == 2
 
 
+@pytest.mark.parametrize("p,dim", [(7, 2), (3, 3)])
+def test_verify_fcount_and_sweep_judge_the_full_space_alike(tmp_path, p, dim):
+    # verify's point-set ladder, fcount --gen all and a sweep's all cell
+    # judge all of F_p^dim alike: verify's main record holds f against
+    # upper_exact, its remark record delta_implied against the distance
+    # count, each with the verdicts of the other two's records
+    space = ["--q", str(p), "--dim", str(dim)]
+    vout, fout = tmp_path / "v.jsonl", tmp_path / "f.jsonl"
+    assert main(["verify", *space, "--checks", "main,remark", "--out", str(vout)]) == 0
+    assert main(["fcount", *space, "--gen", "all", "--out", str(fout)]) == 0
+    cell, _ = run_sweep({"grid": [{"primes": [p], "dims": [dim]}], "generators": ["all"],
+                         "seeds": [1], "checks": ["main", "remark"]})
+    full = [json.loads(line) for line in vout.read_text().splitlines()]
+    full = [r for r in full if r["set_size"] == p**dim]
+    assert {r["check"] for r in full} == {"main", "remark"}
+
+    def as_record(x):  # a real as a record holds it
+        return json.loads(format_real(float(x)))
+
+    for rec in (json.loads(fout.read_text()), json.loads(emit(cell, "jsonl", SWEEP_FIELDS))):
+        want = {
+            "main": (as_record(rec["f_value"]), rec["upper_exact"],
+                     rec["lower_ok"] and rec["upper_ok"] and rec["asym_ok"]),
+            "remark": (as_record(Fraction(rec["delta_implied"])), rec["distance_count"],
+                       rec["delta_ok"]),
+        }
+        assert rec["holds"] is (want["main"][2] and want["remark"][2])
+        for r in full:
+            assert (r["lhs"], r["rhs"], r["holds"]) == want[r["check"]], (r["check"], r["trial"])
+
+
 SWEEP_ALLCHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_allchecks.json"
 
 
@@ -1584,7 +1648,7 @@ def test_sweep_profile_refusal_records_the_drawn_sets_size(monkeypatch, gen):
     F = fqlab.make_field(7)
     E = draw(F, 2, gen, seed=rec["cell_seed"])
     with pytest.raises(fqlab.TooLarge) as refusal:
-        fqlab.degree_profile(F, 2, E)
+        oracles.degree_profile(F, 2, E)
     assert (rec["status"], rec["set_size"], rec["error"]) == ("error", len(E), str(refusal.value))
 
 
@@ -1661,6 +1725,36 @@ def test_closed_stdout_exits_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+def test_sweep_asks_for_no_more_workers_than_groups(monkeypatch, tmp_path):
+    # a process pool forks every worker it is given at its first submit,
+    # so jobs past the default grid's six (p, dim) groups ask for six; the
+    # stub pool records what it is asked for and maps in this process
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    want, _ = run_sweep(cli.DEFAULT_SWEEP_CONFIG, jobs=1)
+    assert asked == []
+    for jobs, workers in [(100000, 6), (6, 6), (2, 2)]:
+        got, _ = run_sweep(cli.DEFAULT_SWEEP_CONFIG, jobs=jobs)
+        assert asked.pop() == workers and got == want
+    out = tmp_path / "r.jsonl"
+    assert main(["sweep", "--default", "--jobs", "100000", "--out", str(out)]) == 0
+    assert asked == [6]
 
 
 def test_sweep_runs_serially_by_default():

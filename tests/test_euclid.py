@@ -462,7 +462,8 @@ def test_closed_form_defects_are_caught(monkeypatch, p, dim, defect):
     # transform.
     import fqlab.bounds as bounds
     import fqlab.euclid as euclid_mod
-    from fqlab import degree_profile, generate_point_set
+    from fqlab import generate_point_set
+    from oracles import degree_profile
 
     F = _field(p)
     planted = {"eta_sign": -1, "frequency": 2, "isotropic_shift": p}[defect]

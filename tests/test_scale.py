@@ -148,6 +148,10 @@ ROWS = [
     # F_3^1300 and F_3^700, past int64 ranks, refused forced or not before
     # the norm-class table, whose scale and class sizes would overflow
     refusal("spectrum", "--q", "3", "--dim", "1300", "--a", "1"),
+    # 3**10000 has 4,772 decimal digits, past Python's default limit of
+    # 4,300 for printing an int: refused before the sphere table, where it
+    # raised ValueError at the first size printed
+    refusal("sphere", "--q", "3", "--dim", "10000"),
     refusal("spectrum", "--q", "3", "--dim", "700", "--a", "1", "--force"),
     refusal("verify", "--q", "3", "--dim", "1300", "--a", "1", "--checks", "spectrum"),
     refusal("verify", "--q", "3", "--dim", "700", "--a", "1", "--checks", "spectrum", "--force"),
