@@ -193,8 +193,24 @@ def _record(fields: tuple[str, ...], **values) -> dict:
     return rec
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at path; BadSpec names a path that cannot
+    be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadSpec(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _write_output(path: str, payload: str) -> None:
-    Path(path).write_bytes(payload.encode("utf-8"))
+    """Write payload to path as UTF-8; BadSpec names a path that cannot be
+    written, but a closed pipe stays a BrokenPipeError."""
+    try:
+        Path(path).write_bytes(payload.encode("utf-8"))
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise BadSpec(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,36 +347,6 @@ def _item_counts(check, d, B, C, n, k):
             ("eq2", int(inside.sum()), 1, (B.size,), None)]
 
 
-def _subset_verdicts(F, dim, spectra, a, members, items, force):
-    """Yield (i, column, lam_kind, lhs, rhs, holds, e) for each verdict of
-    verify's subset pass on radius a, item by item, in the order verify
-    records them.
-
-    items[i] is (check, row, C): check judges the set whose sorted vertex
-    array is members[row], paired for mixing with C, a sorted vertex array.
-    Each stack of one euclid.degree_columns pass gives every item in it
-    its _item_counts, off its set's row, and is dropped before the next
-    stack is made.  Each item is then judged under the exact second
-    eigenvalue of spectra[a] (lam_kind "exact") and then its ceiling
-    ("ceiling"), its columns in the order of COLUMN_BOUNDS: lhs is the
-    count, its numerator over its denominator, rhs the bound, and holds
-    whether the numerator is at most the bound's limit, all bounds from
-    one _bound memo; e is a mixing item's adjacent pairs, None elsewhere.
-    """
-    s, counts = spectra[a], [None] * len(items)
-    for start, G, deg in degree_columns(F, dim, members, [a], force):
-        for i, (check, row, C) in enumerate(items):
-            if start <= row < start + len(deg):
-                counts[i] = _item_counts(check, deg[row - start], members[row], C, G.n, G.valency)
-        del deg
-    memo = {}
-    for i, got in enumerate(counts):
-        for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
-            for column, num, den, sizes, e in got:
-                rhs, limit = _bound(memo, column, s.n, s.valency, lam, sizes)
-                yield i, column, lam_kind, num / den, rhs, num <= limit, e
-
-
 def _judge_sets(F, dim, spectra, sets, checks, force, profiled=True) -> list:
     """(report, flags, holds) of each point set of F_p^dim under checks,
     in order, or in its place the FqlabError its profile raised: the one
@@ -451,63 +437,60 @@ def _verify_record(check, p, dim, seed, lhs, rhs, holds, detail, **fields) -> di
     )
 
 
-def _subset_draws(p, dim, a, checks, trials, seed):
-    """(members, items, trial numbers) of the subset checks among checks
-    on radius a: members holds each distinct set B once, as a sorted int64
-    vertex array, and items[i] is (check, row of its B in members, C), C
-    a sorted int64 vertex array for mixing and None otherwise.
+def _subset_draws(n, check, trials, rng):
+    """Yield (B, C) for each trial of check, B then C drawn from rng, sizes
+    on the _spanning_sizes ladder: B a sorted int64 vertex array of
+    F_p^dim, n = p**dim, and C one too for mixing, None otherwise.
 
-    Each check draws its (B, C) pairs from its own seeded stream, B then C
-    per trial, sizes on the _spanning_sizes ladder.  Those never decrease,
-    so once a variance or hinge stream reaches size n, every later B is
-    all of F_p^dim whatever the stream's state, and is taken without a
-    draw.  Mixing still draws its size-n sets: its next C reads the state
-    that draw leaves.
+    The sizes never decrease, so once a variance or hinge stream reaches
+    size n, every later B is all of F_p^dim whatever the stream's state,
+    and is taken without a draw.  Mixing still draws its size-n sets: its
+    next C reads the state that draw leaves.
     """
-    n = p**dim
-    items, trial_numbers, members, index = [], [], [], {}
-    for check in (c for c in checks if c in SUBSET_CHECKS):
-        rng = random.Random(derive_seed(seed, check, p, dim, a))
-        for trial, size in enumerate(_spanning_sizes(n, trials)):
-            if size == n and check != "mixing":
-                B = np.arange(n, dtype=np.int64)
-            else:
-                B = np.sort(np.array(rng.sample(range(n), size), dtype=np.int64))
-            C = rng.sample(range(n), rng.randint(1, n)) if check == "mixing" else None
-            row = index.setdefault(_set_key(B), len(members))
-            if row == len(members):
-                members.append(B)
-            items.append((check, row, None if C is None else np.sort(np.array(C, dtype=np.int64))))
-            trial_numbers.append(trial)
-    return members, items, trial_numbers
+    def draw(size):
+        ranks = np.array(rng.sample(range(n), size), dtype=np.int64)
+        ranks.sort()  # in place: a sorted copy raised F_83^3's peak RSS by 16 MiB
+        return ranks
+
+    for size in _spanning_sizes(n, trials):
+        B = np.arange(n, dtype=np.int64) if size == n and check != "mixing" else draw(size)
+        yield B, draw(rng.randint(1, n)) if check == "mixing" else None
 
 
-def _verify_radius(F, dim, a, spectra, checks, args, out) -> None:
-    """Every subset check on radius a, appended to the (records, summary
-    lines) pair out[check].
+def _subset_records(F, dim, spectra, check, a, args) -> tuple[list[dict], str]:
+    """(records, summary line) of subset check on radius a, trial by trial.
 
-    The distinct sets B of _subset_draws go through one _subset_verdicts
-    pass of their own, since no other radius reads them.
+    The trials' (B, C) come from check's own seeded stream (_subset_draws).
+    One euclid.degree_columns pass makes the columns of every B, stacked,
+    and each trial reads its counts off its B's row (_item_counts), each
+    stack dropped before the next is made.  Each trial is then judged under
+    the exact second eigenvalue of spectra[a] (lam_kind "exact") and then
+    its ceiling ("ceiling"), its columns in the order of COLUMN_BOUNDS: lhs
+    is the count, its numerator over its denominator, rhs the bound, and
+    holds whether the numerator is at most the bound's limit, all bounds
+    from one _bound memo.
     """
-    p = F.p
-    members, items, trials = _subset_draws(p, dim, a, checks, args.trials, args.seed)
-    oks = {check: True for check, _, _ in items}
-    for i, column, lam_kind, lhs, rhs, holds, e in _subset_verdicts(
-        F, dim, spectra, a, members, items, args.force
-    ):
-        check, row, C = items[i]
-        b = members[row].size
-        oks[check] &= holds
-        out[check][0].append(_verify_record(
-            check, p, dim, args.seed, lhs, rhs, holds, VERIFY_DETAILS[column].format(b=b, e=e),
-            a=a, lam_kind=lam_kind, trial=trials[i], set_size=b,
-            c_size=None if C is None else C.size,
-        ))
-    for check, ok in oks.items():
-        out[check][1].append(
-            f"{check:<8}  p={p} dim={dim} a={a}: {args.trials} subsets, "
-            f"exact and ceiling  {_status(ok)}"
-        )
+    p, s = F.p, spectra[a]
+    rng = random.Random(derive_seed(args.seed, check, p, dim, a))
+    draws = list(_subset_draws(p**dim, check, args.trials, rng))
+    counts = []
+    for start, G, deg in degree_columns(F, dim, [B for B, _ in draws], [a], args.force):
+        counts += [_item_counts(check, d, B, C, G.n, G.valency)
+                   for d, (B, C) in zip(deg, draws[start:start + len(deg)])]
+        del deg
+    records, memo = [], {}
+    for trial, ((B, C), got) in enumerate(zip(draws, counts)):
+        for lam_kind, lam in (("exact", s.second_eigenvalue), ("ceiling", s.ramanujan_bound)):
+            for column, num, den, sizes, e in got:
+                rhs, limit = _bound(memo, column, s.n, s.valency, lam, sizes)
+                records.append(_verify_record(
+                    check, p, dim, args.seed, num / den, rhs, num <= limit,
+                    VERIFY_DETAILS[column].format(b=B.size, e=e), a=a, lam_kind=lam_kind,
+                    trial=trial, set_size=B.size, c_size=None if C is None else C.size,
+                ))
+    ok = all(r["holds"] for r in records)
+    return records, (f"{check:<8}  p={p} dim={dim} a={a}: {args.trials} subsets, "
+                     f"exact and ceiling  {_status(ok)}")
 
 
 def _guard_records(radii, checks, trials, force) -> None:
@@ -541,9 +524,10 @@ def _point_set_draws(p, dim, cap, trials, seed):
         yield range(n) if size == n else sorted(rng.sample(range(n), size))
 
 
-def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
-    """main and remark on one list of point sets, the distinct sets judged
-    by one _judge_sets call, each set's first error raised.
+def _verify_point_sets(F, dim, spectra, checks, args) -> tuple[list[dict], list[str]]:
+    """(records, summary lines) of main and then remark on one list of
+    point sets, the distinct sets judged by one _judge_sets call, each
+    set's first error raised.
 
     The sets are F_p^dim itself, when the profile and enumeration
     guardrails admit it, and a ladder of random subsets; a size-n rung is
@@ -569,21 +553,20 @@ def _verify_point_sets(F, dim, spectra, checks, args, out) -> None:
     distinct = {key: E for E, key in sets}  # sets of one key have the same ranks
     judged = dict(zip(distinct, _judge_sets(F, dim, spectra, list(distinct.values()),
                                             wanted, args.force)))
-    for trial, (E, key) in enumerate(sets):
+    reports = []
+    for E, key in sets:
         if isinstance(judged[key], FqlabError):
             raise judged[key]
-        report = judged[key][0]
-        for check in wanted:
-            lhs, rhs, holds, detail = _theorem_row(check, report)
-            out[check][0].append(_verify_record(
-                check, p, dim, args.seed, lhs, rhs, holds, detail,
-                trial=trial, set_size=report.set_size,
-            ))
+        reports.append(judged[key][0])
+    records, lines = [], []
     for check in wanted:
-        ok = all(r["holds"] for r in out[check][0])
-        out[check][1].append(
-            f"{check:<8}  p={p} dim={dim}: {len(sets)} point sets  {_status(ok)}"
-        )
+        rows = [_verify_record(check, p, dim, args.seed, *_theorem_row(check, report),
+                               trial=trial, set_size=report.set_size)
+                for trial, report in enumerate(reports)]
+        records += rows
+        ok = all(r["holds"] for r in rows)
+        lines.append(f"{check:<8}  p={p} dim={dim}: {len(sets)} point sets  {_status(ok)}")
+    return records, lines
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +632,7 @@ def cmd_fcount(args) -> int:
     if args.points and args.gen:
         raise BadSpec("--points and --gen are mutually exclusive; pick one input source")
     if args.points:
-        text = Path(args.points).read_text(encoding="utf-8")
+        text = _read_text(args.points)
         E = load_point_set(text, F, dim=args.dim, label=f"points:{Path(args.points).name}")
     else:
         if args.gen is None:
@@ -724,26 +707,28 @@ def cmd_verify(args) -> int:
     spectra = euclid.spectra(F, dim, radii, args.force)
     if SUBSET_CHECKS.intersection(checks):  # refused before any subset is drawn
         euclid.guard_spectrum(F.p, dim, args.force)
-    # Records and summary lines are buffered per check, so the output keeps
-    # check-major order while the work runs one radius at a time.
-    out = {check: ([], []) for check in checks}
-    if "spectrum" in checks:  # one _spectrum_rows pass over every radius
-        for a, ok, detail in _spectrum_rows(F, dim, spectra, a_values):
-            lam, bound = spectra[a].second_eigenvalue, spectra[a].ramanujan_bound
-            out["spectrum"][0].append(_verify_record(
-                "spectrum", F.p, dim, args.seed, lam, bound, ok, detail, a=a,
-            ))
-            out["spectrum"][1].append(
-                f"spectrum  p={F.p} dim={dim} a={a}: "
-                f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
-            )
-    for a in a_values:
-        _verify_radius(F, dim, a, spectra, checks, args, out)
+    records, lines = [], []
+    for check in checks:  # records and summary lines in check-major order
+        if check == "spectrum":  # one _spectrum_rows pass over every radius
+            for a, ok, detail in _spectrum_rows(F, dim, spectra, a_values):
+                lam, bound = spectra[a].second_eigenvalue, spectra[a].ramanujan_bound
+                records.append(_verify_record(
+                    "spectrum", F.p, dim, args.seed, lam, bound, ok, detail, a=a,
+                ))
+                lines.append(
+                    f"spectrum  p={F.p} dim={dim} a={a}: "
+                    f"lambda={lam:.10g} <= {bound:.6g}  {_status(ok)}"
+                )
+        elif check in SUBSET_CHECKS:
+            for a in a_values:
+                got, line = _subset_records(F, dim, spectra, check, a, args)
+                records += got
+                lines.append(line)
     if need_all:
-        _verify_point_sets(F, dim, spectra, checks, args, out)
-    records = [rec for check in checks for rec in out[check][0]]
-    for check in checks:
-        print(*out[check][1], sep="\n")
+        got, more = _verify_point_sets(F, dim, spectra, checks, args)
+        records += got
+        lines += more
+    print(*lines, sep="\n")
     passed = sum(1 for r in records if r["holds"])
     all_ok = passed == len(records)
     print(f"verify: {passed}/{len(records)} checks passed  {_status(all_ok)}")
@@ -786,9 +771,9 @@ def normalize_config(config: dict) -> dict:
         dims = block.get("dims")
         if not primes or not dims:
             raise BadSpec("grid blocks need non-empty primes and dims")
-        if any(not isinstance(p, int) for p in primes):
+        if any(type(p) is not int for p in primes):
             raise BadSpec("primes must be integers")
-        if any(not isinstance(d, int) or d < 2 for d in dims):
+        if any(type(d) is not int or d < 2 for d in dims):
             raise BadSpec("dims must be integers >= 2")
         norm_grid.append({"primes": list(primes), "dims": list(dims)})
     generators = config.get("generators")
@@ -799,13 +784,15 @@ def normalize_config(config: dict) -> dict:
     seeds = config.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise BadSpec("config needs a non-empty 'seeds' list")
-    if any(not isinstance(s, int) for s in seeds):
+    if any(type(s) is not int for s in seeds):
         raise BadSpec("seeds must be integers")
     checks = config.get("checks", ["main", "remark"])
     if not isinstance(checks, list) or not checks:
         raise BadSpec("config needs a non-empty 'checks' list")
     checks = list(_canonical_checks(checks))
-    allow = bool(config.get("allow_1mod4", False))
+    allow = config.get("allow_1mod4", False)
+    if type(allow) is not bool:
+        raise BadSpec("allow_1mod4 must be true or false")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for block in norm_grid:
@@ -962,9 +949,11 @@ def _print_sweep_summary(records: list[dict], elapsed: float) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise BadSpec("--jobs must be at least 1")
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = json.loads(_read_text(args.config))
         except json.JSONDecodeError as exc:
             raise BadSpec(f"cannot parse config: {exc}") from None
     else:

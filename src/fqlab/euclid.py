@@ -32,13 +32,13 @@ a degree column: it transforms each stack of sets once (set_transforms),
 and per radius gathers the sphere's transform (class_transform) and
 makes every column of the stack with one inverse FFT (certified_columns),
 in O(S n log n) time and O(S n) memory for S sets.  verify's subset
-pass takes it one radius at a time and reads each item's counts off its
-set's row, and the convolution route of bounds.degree_profiles takes it
-with the point set as a one-row stack; the subset checks of sweep and
-fcount, which judge a set against itself, read their counts off its
-profile instead (bounds.subset_counts).  Every column is certified
-exact, so a wrong table row whose counts leave the integers is refused,
-not counted.
+pass takes it once per (check, radius), with that check's drawn sets,
+and reads each trial's counts off its set's row; the convolution route
+of bounds.degree_profiles takes it with the point set as a one-row
+stack.  The subset checks of sweep and fcount, which judge a set against
+itself, read their counts off its profile instead
+(bounds.subset_counts).  Every column is certified exact, so a wrong
+table row whose counts leave the integers is refused, not counted.
 """
 
 from __future__ import annotations
@@ -256,9 +256,11 @@ def spectra(
     The table is the closed form of _norm_class_table (Salie sums for odd
     dim, Kloosterman sums for even dim), real by construction, built once
     per (p, dim) in O(p**2) with no FFT.  The second eigenvalue (max |lam_m|
-    over nonzero m) and both trace residuals of every radius are array
-    operations over the (radii x populated classes) block; the grouping
-    into multiplicity classes waits until a summary's classes are read.
+    over nonzero m) and both trace residuals are array operations over the
+    (every radius 1..p-1 x populated classes) block, whichever radii are
+    asked for: float sums depend on the block's shape, so a radius' summary
+    does not depend on the other radii asked for.  The grouping into
+    multiplicity classes waits until a summary's classes are read.
     The table is refused above p**2 = SPECTRUM_MAX entries unless forced,
     and a space past int64 ranks (geometry._space_size) always; nothing
     here grows with p**dim.  radii is a range or a list.
@@ -274,17 +276,14 @@ def spectra(
     counts = _class_sizes(F, dim)
     counts.setflags(write=False)
     held = counts > 0
-    block = values[[G.a for G in graphs]]
-    lam, mult = block[:, held], counts[held]
-    k = np.array([G.valency for G in graphs], dtype=np.float64)
-    second = np.abs(lam).max(axis=1)
-    trace_sum = np.abs(k + lam @ mult)
-    trace_square = np.abs(k * k + (lam * lam) @ mult - n * k)
+    lam, mult = values[1:, held], counts[held]
+    k = np.array(sphere_table(F, dim).sizes[1:], dtype=np.float64)
+    second = np.abs(lam).max(axis=1).tolist()
+    trace_sum = np.abs(k + lam @ mult).tolist()
+    trace_square = np.abs(k * k + (lam * lam) @ mult - n * k).tolist()
     ceiling = ramanujan_bound(F.p, dim)
     out = {}
-    for G, second_a, sum_a, square_a in zip(
-        graphs, second.tolist(), trace_sum.tolist(), trace_square.tolist()
-    ):
+    for G in graphs:
         out[G.a] = SpectralSummary(
             p=F.p,
             dim=dim,
@@ -292,10 +291,10 @@ def spectra(
             n=n,
             valency=G.valency,
             trivial_eigenvalue=float(G.valency),
-            second_eigenvalue=second_a,
+            second_eigenvalue=second[G.a - 1],
             ramanujan_bound=ceiling,
-            trace_sum_residual=sum_a,
-            trace_square_residual=square_a,
+            trace_sum_residual=trace_sum[G.a - 1],
+            trace_square_residual=trace_square[G.a - 1],
             norm_values=values[G.a],
             class_sizes=counts,
         )

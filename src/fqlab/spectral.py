@@ -3,22 +3,22 @@
 The checks count inside degree columns: for a vertex set B of a
 k-regular graph on n vertices, d[v] = |N(v) inside B| for every vertex
 v, a column that sums to k|B|.  Its variance, mixing, hinge and
-degree-sum counts are read off that column alone (verify's subset pass
-in cli), or off a set's degree profile when the set is checked against
-itself (bounds.subset_counts).  Each bound is computed from (n, k,
-lambda, set sizes), where lambda is any upper bound on the nontrivial
-eigenvalue magnitudes, sharp or not; one count can thus be judged under
-several lambdas, and sets of one size share every bound.  Every count is
-an integer numerator over a known denominator: hinge and degree-sum
-counts over 1, the variance and mixing deviations over n.  The
-lambda-bearing bounds may live in floating point; hinge_bound and
-degree_sum_bound are assembled from lambda's integer ratio, exactly, in
-Python ints.  bound_threshold turns a bound plus the absolute tolerance
-BOUND_TOL into an exact integer ratio num/den, and bound_limit turns
-that, once per bound and count denominator, into the largest count
-numerator the bound admits, so a verdict is one comparison of Python
-ints, lhs_num <= limit; within_bound makes the same comparison for one
-(lhs, rhs) pair.
+degree-sum counts are read off that column alone (cli._subset_records,
+verify's pass for one check and radius), or off a set's degree profile
+when the set is checked against itself (bounds.subset_counts).  Each
+bound is computed from (n, k, lambda, set sizes), where lambda is any
+upper bound on the nontrivial eigenvalue magnitudes, sharp or not; one
+count can thus be judged under several lambdas, and sets of one size
+share every bound.  Every count is an integer numerator over a known
+denominator: hinge and degree-sum counts over 1, the variance and mixing
+deviations over n.  The lambda-bearing bounds may live in floating
+point; hinge_bound and degree_sum_bound are assembled from lambda's
+integer ratio, exactly, in Python ints.  bound_threshold turns a bound
+plus the absolute tolerance BOUND_TOL into an exact integer ratio
+num/den, and bound_limit turns that, once per bound and count
+denominator, into the largest count numerator the bound admits, so a
+verdict is one comparison of Python ints, lhs_num <= limit;
+within_bound makes the same comparison for one (lhs, rhs) pair.
 """
 
 from __future__ import annotations

@@ -753,8 +753,9 @@ def mixing_fraction(deg: np.ndarray, C) -> list[tuple[int, Fraction]]:
 
 def graph_rows_per_verdict(F, dim, spectra, radii, members, items, force):
     """Yield (a, i, column, lam_kind, lhs, rhs, holds) for the i-th (check,
-    row, C) item of verify's subset pass (cli._subset_verdicts) on each
-    radius a, one verdict at a time: per (stack, radius) of the package's
+    row, C) item, set members[row] judged by check as in a trial of
+    verify's subset pass (cli._subset_records), paired with C for mixing,
+    on each radius a, one verdict at a time: per (stack, radius) of the package's
     degree_columns, the counts of this module, row by row, and per item
     each bound computed anew under the exact second eigenvalue and the
     ceiling, judged by cross-multiplying its count with bound_threshold.
@@ -792,25 +793,19 @@ def graph_rows_per_verdict(F, dim, spectra, radii, members, items, force):
 # --- verify's draws, as the command made them before it skipped any -------
 
 
-def subset_draws_replay(p, dim, a, checks, trials, seed):
-    """(members, items, trial numbers) of verify's subset checks on radius
-    a, every set drawn: per check one random.Random(derive_seed(seed,
-    check, p, dim, a)) draws B, then C for mixing, per size of
-    _spanning_sizes(n, trials), and members keeps each distinct sorted B
-    once, in order of first draw."""
+def subset_draws_replay(p, dim, a, check, trials, seed):
+    """The (B, C) of each trial of verify's subset check on radius a, as
+    sorted rank lists, every set drawn: one random.Random(derive_seed(seed,
+    check, p, dim, a)) draws B, then C for mixing (None otherwise), per size
+    of _spanning_sizes(p**dim, trials)."""
     n = p**dim
-    members, items, trial_numbers, rows = [], [], [], {}
-    for check in [c for c in ("variance", "mixing", "hinge") if c in checks]:
-        rng = random.Random(derive_seed(seed, check, p, dim, a))
-        for trial, size in enumerate(_spanning_sizes(n, trials)):
-            B = sorted(rng.sample(range(n), size))
-            C = sorted(rng.sample(range(n), rng.randint(1, n))) if check == "mixing" else None
-            row = rows.setdefault(tuple(B), len(members))
-            if row == len(members):
-                members.append(B)
-            items.append((check, row, C))
-            trial_numbers.append(trial)
-    return members, items, trial_numbers
+    rng = random.Random(derive_seed(seed, check, p, dim, a))
+    draws = []
+    for size in _spanning_sizes(n, trials):
+        B = sorted(rng.sample(range(n), size))
+        C = sorted(rng.sample(range(n), rng.randint(1, n))) if check == "mixing" else None
+        draws.append((B, C))
+    return draws
 
 
 def point_set_draws_replay(p, dim, cap, trials, seed):

@@ -326,6 +326,49 @@ def test_verify_restrict_radius(tmp_path):
     assert all(r["holds"] for r in recs)
 
 
+def _records(tmp_path, argv) -> list[str]:
+    """The jsonl record lines of main(argv + --out), which must exit 0."""
+    out = tmp_path / "r.jsonl"
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
+def test_one_radius_spectrum_records_equal_the_full_run(tmp_path, capsys):
+    # the spectrum and verify records of one radius, asked for alone with
+    # --a, are those of the run over every radius, float residuals included
+    for p, dim in sorted({(p, dim) for p, dim, _ in GRID}):
+        space = ["--q", str(p), "--dim", str(dim)]
+        spectrum = _records(tmp_path, ["spectrum", *space])
+        verify = _records(tmp_path, ["verify", *space, "--checks", "spectrum"])
+        for a in range(1, p):
+            assert _records(tmp_path, ["spectrum", *space, "--a", str(a)]) == [spectrum[a - 1]]
+            assert _records(tmp_path, ["verify", *space, "--checks", "spectrum",
+                                       "--a", str(a)]) == [verify[a - 1]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "3", "--dim", "2", "--trials", "4"],
+    ["--q", "7", "--dim", "2", "--trials", "3", "--seed", "2"],
+    ["--q", "7", "--dim", "3", "--trials", "2", "--a", "3"],
+    ["--q", "11", "--dim", "2", "--trials", "5", "--a", "2", "--format", "csv"],
+])
+def test_verify_records_of_a_check_do_not_depend_on_the_others(tmp_path, capsys, argv):
+    # each check draws from its own stream and is judged on its own, so
+    # its records are the same asked for alone or with every other check
+    every = _records(tmp_path, ["verify", *argv])
+    header = every[:1] if "csv" in argv else []
+    column = 1 if "csv" in argv else None
+    for check in CHECK_NAMES:
+        alone = _records(tmp_path, ["verify", *argv, "--checks", check])
+        if column is None:
+            mine = [line for line in every if json.loads(line)["check"] == check]
+        else:
+            mine = header + [line for line in every[1:] if line.split(",")[column] == check]
+        assert alone == mine and len(alone) > len(header), check
+    capsys.readouterr()
+
+
 def test_verify_failure_exits_1_with_replay(monkeypatch, capsys):
     # a negative bound is unsatisfiable, forcing every hinge verdict false
     monkeypatch.setattr(cli, "hinge_bound", lambda n, k, lam, m: -1.0)
@@ -421,7 +464,7 @@ def test_verify_judges_the_full_space_past_ten_thousand_points(capsys):
 
 
 def test_verify_builds_each_view_and_report_once(monkeypatch):
-    calls, stacked, read = Counter(), [], []
+    calls, stacked, passes = Counter(), [], []
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -432,31 +475,28 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    transforms, verdicts = fqlab.euclid.set_transforms, cli._subset_verdicts
+    transforms, records = fqlab.euclid.set_transforms, cli._subset_records
 
     def tracked(p, dim, members):
-        stacked.append([tuple(m.tolist()) for m in members])
+        stacked.append([m.size for m in members])
         return transforms(p, dim, members)
 
-    def reading(F, dim, spectra, a, members, items, force):
-        read.append((len(members), {row for _, row, _ in items}, len(items)))
-        yield from verdicts(F, dim, spectra, a, members, items, force)
+    def traced(F, dim, spectra, check, a, args):
+        passes.append((check, a))
+        return records(F, dim, spectra, check, a, args)
 
     counted(cli, "recheck_table")
     counted(fqlab.euclid, "certified_columns")
     counted(cli, "check_main_theorem")
     monkeypatch.setattr(fqlab.euclid, "set_transforms", tracked)
-    monkeypatch.setattr(cli, "_subset_verdicts", reading)
+    monkeypatch.setattr(cli, "_subset_records", traced)
     assert main(["verify", "--q", "3", "--dim", "2", "--trials", "2"]) == 0
     assert calls["recheck_table"] == 1  # one for both radii, for the spectrum check alone
-    # one stack per radius: each distinct subset is transformed once, and one
-    # inverse transform makes the columns of all 3 checks x 2 trials
-    assert calls["certified_columns"] == 2 and len(stacked) == 2
-    for sets in stacked:
-        assert len(set(sets)) == len(sets) and tuple(range(9)) in sets  # size-9 rung shared
-    assert [(size, rows_read, items) for size, rows_read, items in read] == [
-        (len(sets), set(range(len(sets))), 6) for sets in stacked
-    ]
+    # one pass per (check, radius), in record order, each one stack of its
+    # check's two trials, sizes 1 and 9, whose columns one inverse
+    # transform makes
+    assert passes == [(check, a) for check in ("variance", "mixing", "hinge") for a in (1, 2)]
+    assert calls["certified_columns"] == 6 and stacked == [[1, 9]] * 6
     # F_3^2 and the size-1 subset, main and remark; the size-9 rung is F_3^2
     assert calls["check_main_theorem"] == 2
 
@@ -532,7 +572,8 @@ def test_verify_rechecks_the_table_once_across_stacks(monkeypatch):
     assert main(["verify", "--q", "7", "--dim", "2", "--checks", "spectrum,variance,hinge",
                  "--trials", "3"]) == 0
     assert made == {(7, 2): 1}
-    assert set(stacked) == {1} and len(stacked) >= 3 * 6
+    # one stack per set: 2 checks x 6 radii x 3 trials
+    assert stacked == [1] * 2 * 6 * 3
 
 
 def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
@@ -552,10 +593,9 @@ def test_verify_counts_each_subset_once_for_both_lambdas(monkeypatch):
     argv = ["verify", "--q", "7", "--dim", "2", "--a", "1",
             "--checks", "variance,mixing,hinge", "--trials", "3"]
     assert main(argv) == 0
-    # one stack of the distinct subsets, and each of the 3 checks x 3
-    # trials read off it once, then judged under the exact and ceiling
-    # lambda
-    assert calls == {"certified_columns": 1, "_item_counts": 9}
+    # one stack per check, and each of its 3 trials read off it once, then
+    # judged under the exact and ceiling lambda
+    assert calls == {"certified_columns": 3, "_item_counts": 9}
 
 
 # every instance exercised by the batteries: 44 (p, dim, a)
@@ -565,34 +605,57 @@ GRID = [(p, 2, a) for p in (3, 7, 11, 19) for a in range(1, p)] + [
 
 
 def verdicts_by_item(rows):
-    """Each item's (a, column, lam_kind, lhs, rhs type, rhs, holds) rows in
-    the order they come, from rows of (a, i, column, lam_kind, lhs, rhs,
-    holds)."""
+    """Each item's (a, column, lam_kind, lhs, rhs, holds) rows in the order
+    they come, rhs as a record holds it, from rows of (a, i, column,
+    lam_kind, lhs, rhs, holds)."""
     by_item = {}
     for a, i, column, lam_kind, lhs, rhs, holds in rows:
-        by_item.setdefault(i, []).append(
-            (a, column, lam_kind, lhs, type(rhs).__name__, rhs, holds)
-        )
+        by_item.setdefault(i, []).append((a, column, lam_kind, lhs, float(rhs), holds))
     return by_item
 
 
-def pass_verdicts(F, dim, spectra, radii, members, items):
-    """The verdicts of cli._subset_verdicts on each radius in turn, as rows
-    of (a, i, column, lam_kind, lhs, rhs, holds), each pass's shape
-    checked on the way: its items in order, e given for mixing alone."""
-    for a in radii:
-        seen = []
-        for i, column, lam_kind, lhs, rhs, holds, e in cli._subset_verdicts(
-            F, dim, spectra, a, members, items, False
-        ):
-            assert (type(e) is int) is (column == "mixing") and type(holds) is bool
-            seen.append(i)
-            yield a, i, column, lam_kind, lhs, rhs, holds
-        assert seen == sorted(seen)
+def verify_draws(p, dim, a, check, trials, seed=5):
+    """The (B, C) of each trial of verify's check on radius a, from the
+    check's seeded stream, as cli._subset_records draws them."""
+    rng = random.Random(cli.derive_seed(seed, check, p, dim, a))
+    return list(cli._subset_draws(p**dim, check, trials, rng))
+
+
+# each verify record's column, by the label its detail starts with
+DETAIL_COLUMNS = {"|B|": "variance", "e": "mixing", "hinges": "hinge", "degree-sum": "eq2"}
+
+
+def record_row(r, i):
+    """(a, i, column, lam_kind, lhs, rhs, holds) of the verify record r of
+    item i."""
+    column = DETAIL_COLUMNS[r["detail"].split("=")[0]]
+    return r["a"], i, column, r["lam_kind"], r["lhs"], r["rhs"], r["holds"]
+
+
+def record_verdicts(F, dim, spectra, radii, members, items):
+    """The records of cli._subset_records on each radius in turn, check by
+    check, the items of a check its trials: (members[row], C) of each of its
+    items, in order, are the check's draws.  Rows of (a, i, column,
+    lam_kind, lhs, rhs, holds), each record's shape checked on the way."""
+    for check in ("variance", "mixing", "hinge"):
+        mine = [i for i, item in enumerate(items) if item[0] == check]
+        draws = [(members[items[i][1]], items[i][2]) for i in mine]
+        args = argparse.Namespace(seed=5, trials=len(draws), force=False)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, "_subset_draws", lambda n, c, trials, rng: iter(draws))
+            for a in radii if mine else ():
+                records, line = cli._subset_records(F, dim, spectra, check, a, args)
+                assert line.startswith(f"{check:<8}  p={F.p} dim={dim} a={a}: {len(mine)} subsets")
+                for r in records:
+                    B, C = draws[r["trial"]]
+                    assert (r["check"], r["a"], r["set_size"]) == (check, a, B.size)
+                    assert r["c_size"] == (None if C is None else C.size)
+                    assert type(r["holds"]) is bool and r["status"] == ("ok" if r["holds"] else "fail")
+                    yield record_row(r, mine[r["trial"]])
 
 
 def assert_pass_equals_the_per_verdict_route(F, dim, spectra, radii, members, items):
-    got = verdicts_by_item(pass_verdicts(F, dim, spectra, radii, members, items))
+    got = verdicts_by_item(record_verdicts(F, dim, spectra, radii, members, items))
     want = verdicts_by_item(
         oracles.graph_rows_per_verdict(F, dim, spectra, radii, members, items, False)
     )
@@ -603,17 +666,26 @@ def assert_pass_equals_the_per_verdict_route(F, dim, spectra, radii, members, it
 def test_subset_verdicts_equal_the_per_verdict_route():
     # every verdict (radius, item, column, lambda kind, lhs, rhs, holds),
     # and each item's verdicts in the order verify records them: verify's
-    # draws on each of the 44 instances, one radius a pass, and every
-    # distinct draw of an instance's space judged on every radius
+    # records of each check on each of the 44 instances, against the
+    # oracle on the replayed draws, then every distinct draw of an
+    # instance's space judged on every radius
     checks = ("variance", "mixing", "hinge")
     for p, dim in sorted({(p, dim) for p, dim, _ in GRID}):
         F = fqlab.make_field(p)
         spectra = fqlab.spectra(F, dim, range(1, p))
+        args = argparse.Namespace(seed=5, trials=3, force=False)
         sets = []
         for a in range(1, p):
-            members, items, _ = cli._subset_draws(p, dim, a, checks, 3, 5)
-            assert_pass_equals_the_per_verdict_route(F, dim, spectra, [a], members, items)
-            sets += [m for m in members if not any(np.array_equal(m, s) for s in sets)]
+            for check in checks:
+                draws = oracles.subset_draws_replay(p, dim, a, check, 3, 5)
+                members = [oracles.vertex_array(p**dim, B) for B, _ in draws]
+                items = [(check, row, None if C is None else oracles.vertex_array(p**dim, C))
+                         for row, (_, C) in enumerate(draws)]
+                records, _ = cli._subset_records(F, dim, spectra, check, a, args)
+                got = verdicts_by_item(record_row(r, r["trial"]) for r in records)
+                want = oracles.graph_rows_per_verdict(F, dim, spectra, [a], members, items, False)
+                assert got == verdicts_by_item(want)
+                sets += [m for m in members if not any(np.array_equal(m, s) for s in sets)]
         items = [(c, row, sets[row] if c == "mixing" else None)
                  for row in range(len(sets)) for c in checks]
         assert_pass_equals_the_per_verdict_route(F, dim, spectra, range(1, p), sets, items)
@@ -702,8 +774,8 @@ def test_profile_counts_equal_the_degree_columns(p, dim):
     sets += [rng.choice(n, size, replace=False) for size in (2, n // 5, n // 2, n - 1)]
     sets.append(fqlab.generate_point_set(F, dim, "sphere:1").ranks)
     for a in range(1, p):
-        members, _, _ = cli._subset_draws(p, dim, a, ("variance", "hinge"), 3, 5)
-        sets += members
+        sets += [B for check in ("variance", "hinge") for B, _ in verify_draws(p, dim, a, check, 3)
+                 if B.size < n]  # all of F_p^dim is in sets already
     assert_profile_counts_equal_the_columns(F, dim, sets)
 
 
@@ -748,11 +820,10 @@ def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
             m.setattr(cli, name, lambda *args, fn=getattr(cli, name): fn(*args) * scale)
         want = [dict.fromkeys(["variance_ok", "mixing_ok", "hinge_ok", "eq2_ok"], True)
                 for _ in members]
-        for a in range(1, p):
-            for i, column, _, _, _, ok, _ in cli._subset_verdicts(
-                F, dim, spectra, a, members, items, False
-            ):
-                want[items[i][1]][f"{column}_ok"] &= ok
+        for _, i, column, _, _, _, ok in record_verdicts(
+            F, dim, spectra, range(1, p), members, items
+        ):
+            want[items[i][1]][f"{column}_ok"] &= ok
         sets = [fqlab.PointSet(B, p=p, dim=dim) for B in members]
         judged = cli._judge_sets(F, dim, spectra, sets, checks, False)
         assert [flags for _, flags, _ in judged] == want
@@ -761,38 +832,32 @@ def test_graph_oks_equal_the_verdicts_of_the_degree_columns(data):
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
 def test_verify_subset_draws_equal_the_drawing_loop(trials):
-    # a variance or hinge set of all n ranks is taken without a draw; the
-    # members and items equal those of the loop that drew every set, and
-    # 60 trials in F_3^2 put several rungs at n = 9
+    # a variance or hinge set of all n ranks is taken without a draw; each
+    # check's draws equal those of the loop that drew every set, and 60
+    # trials in F_3^2 put several rungs at n = 9
     assert cli._spanning_sizes(9, 60).count(9) >= 2
-    checks = ("variance", "mixing", "hinge")
     for p, dim, a in GRID:
-        members, items, numbers = cli._subset_draws(p, dim, a, checks, trials, 5)
-        want_members, want_items, want_numbers = oracles.subset_draws_replay(
-            p, dim, a, checks, trials, 5
-        )
-        assert [m.tolist() for m in members] == want_members
-        assert [(c, row, None if C is None else C.tolist()) for c, row, C in items] == want_items
-        assert numbers == want_numbers
+        for check in ("variance", "mixing", "hinge"):
+            got = [(B.tolist(), None if C is None else C.tolist())
+                   for B, C in verify_draws(p, dim, a, check, trials)]
+            assert got == oracles.subset_draws_replay(p, dim, a, check, trials, 5)
 
 
 @pytest.mark.parametrize("trials", [1, 3, 60])
 def test_verify_subset_draws_equal_the_vertex_array_route(trials):
     # each set drawn, sorted as an int64 rank array, is the vertex array
-    # of the loop's draw, dtype included, and the member rows agree
-    checks = ("variance", "mixing", "hinge")
+    # of the loop's draw, dtype included
     for p, dim, a in GRID:
         n = p**dim
-        members, items, _ = cli._subset_draws(p, dim, a, checks, trials, 5)
-        want_members, want_items, _ = oracles.subset_draws_replay(p, dim, a, checks, trials, 5)
-        want_members = [oracles.vertex_array(n, B) for B in want_members]
-        assert len(members) == len(want_members) and len(items) == len(want_items)
-        for got, want in zip(members, want_members):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-        for (check, row, C), (want_check, want_row, want_C) in zip(items, want_items):
-            assert (check, row, C is None) == (want_check, want_row, want_C is None)
-            if C is not None:
-                assert C.dtype == np.int64 and np.array_equal(C, oracles.vertex_array(n, want_C))
+        for check in ("variance", "mixing", "hinge"):
+            got = verify_draws(p, dim, a, check, trials)
+            want = oracles.subset_draws_replay(p, dim, a, check, trials, 5)
+            assert len(got) == len(want)
+            for (B, C), (want_B, want_C) in zip(got, want):
+                assert B.dtype == np.int64 and np.array_equal(B, oracles.vertex_array(n, want_B))
+                assert (C is None) == (want_C is None) == (check != "mixing")
+                if C is not None:
+                    assert C.dtype == np.int64 and np.array_equal(C, oracles.vertex_array(n, want_C))
 
 
 @pytest.mark.parametrize("trials", [1, 3, 5, 60])
@@ -816,10 +881,11 @@ def test_verify_takes_size_n_sets_without_drawing(monkeypatch):
         return sample(self, population, k)
 
     monkeypatch.setattr(random.Random, "sample", counted)
-    cli._subset_draws(3, 2, 1, ("variance", "hinge"), 60, 5)
+    for check in ("variance", "hinge"):
+        verify_draws(3, 2, 1, check, 60)
     assert drawn[True] == 0 and drawn[False] == 2 * (60 - cli._spanning_sizes(9, 60).count(9))
     drawn.clear()
-    cli._subset_draws(3, 2, 1, ("mixing",), 60, 5)
+    verify_draws(3, 2, 1, "mixing", 60)
     assert drawn[True] >= cli._spanning_sizes(9, 60).count(9)
     drawn.clear()
     list(cli._point_set_draws(3, 2, 9, 60, 5))
@@ -1193,9 +1259,9 @@ def test_sweep_rechecks_spectra_when_no_set_is_stacked(monkeypatch):
 def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch, tmp_path):
     # spectrum, verify, sweep and fcount reach the set transforms, the
     # gathered transforms and the degree columns only through verify's
-    # _subset_verdicts pass (its degree_columns), and the table recheck only
+    # _subset_records pass (its degree_columns), and the table recheck only
     # through one _spectrum_rows pass: stubbed out, none is made;
-    # unstubbed, the subset pass runs once per verify radius and never for
+    # unstubbed, the subset pass runs once per verify (check, radius) and never for
     # sweep or fcount, which read their subset counts off each set's
     # profile, and the spectrum pass once per spectrum command, verify,
     # sweep (p, dim) and fcount
@@ -1213,11 +1279,11 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
     counted(cli, "recheck_table")
     for name in ("class_transform", "set_transforms", "certified_columns"):
         counted(fqlab.euclid, name)
-    subset_verdicts, spectrum_rows = cli._subset_verdicts, cli._spectrum_rows
+    subset_records, spectrum_rows = cli._subset_records, cli._spectrum_rows
 
-    def traced(F, dim, spectra, a, *rest):
-        passes.append((F.p, dim, a))
-        yield from subset_verdicts(F, dim, spectra, a, *rest)
+    def traced(F, dim, spectra, check, a, args):
+        passes.append((F.p, dim, check, a))
+        return subset_records(F, dim, spectra, check, a, args)
 
     def traced_spectrum(F, dim, spectra, radii):
         rechecks.append((F.p, dim, tuple(radii)))
@@ -1234,28 +1300,28 @@ def test_graph_checks_make_transforms_only_through_their_two_passes(monkeypatch,
         ["fcount", "--q", "7", "--dim", "2", "--gen", "random:1t", "--checks", graph],
     )
     radii = tuple(range(1, 7))
-    monkeypatch.setattr(cli, "_subset_verdicts", lambda *args: iter(()))
+    monkeypatch.setattr(cli, "_subset_records", lambda *args: ([], "stub"))
     monkeypatch.setattr(cli, "_spectrum_rows", lambda F, dim, spectra, radii: (
         (a, True, "") for a in radii
     ))
     for argv in commands:
         assert main(argv) == 0
     assert calls == {}
-    monkeypatch.setattr(cli, "_subset_verdicts", traced)
+    monkeypatch.setattr(cli, "_subset_records", traced)
     monkeypatch.setattr(cli, "_spectrum_rows", traced_spectrum)
     for argv in commands:
         assert main(argv) == 0
-    assert passes == [(7, 2, a) for a in radii]
+    assert passes == [(7, 2, check, a) for check in ("variance", "mixing", "hinge") for a in radii]
     assert rechecks == (
         [(7, 2, radii)] + [(7, 2, radii)] + [(3, 2, (1, 2)), (7, 2, radii)] + [(7, 2, radii)]
     )
     # one table recheck per spectrum pass, and no gather for it; one stack
-    # per verify radius, one gather and one inverse per (stack, radius)
+    # per verify (check, radius), one gather and one inverse per stack
     assert calls == {
         ("recheck_table", "_spectrum_rows"): 1 + 1 + 2 + 1,
-        ("class_transform", "degree_columns"): 6,
-        ("set_transforms", "degree_columns"): 6,
-        ("certified_columns", "degree_columns"): 6,
+        ("class_transform", "degree_columns"): 3 * 6,
+        ("set_transforms", "degree_columns"): 3 * 6,
+        ("certified_columns", "degree_columns"): 3 * 6,
     }
 
 
@@ -1810,6 +1876,18 @@ def test_broken_pipe_exits_1_in_process(monkeypatch, tmp_path):
     assert target.read_bytes() == b""
 
 
+def test_broken_pipe_on_out_exits_1(monkeypatch, tmp_path):
+    # --out naming a pipe whose reader left, such as /dev/stdout: exit 1 as
+    # for stdout itself, not the exit 2 of a path that cannot be written
+    def closed(path, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(Path, "write_bytes", closed)
+    with open(tmp_path / "stdout", "w") as handle:
+        monkeypatch.setattr(sys, "stdout", handle)
+        assert main(["spectrum", "--q", "3", "--dim", "2", "--out", "/dev/stdout"]) == 1
+
+
 # --- input rejections ---------------------------------------------------------
 
 _CONFIG = {"grid": [{"primes": [3], "dims": [2]}], "generators": ["all"], "seeds": [1]}
@@ -1871,17 +1949,41 @@ REJECTIONS = {
                                      fragment="points have dimension 3, expected 2"),
     "points unparsable": _fcount_case("--points", "{tmp}/p.txt", files={"p.txt": "1,x\n"},
                                       fragment="line 1: cannot parse '1,x'"),
+    "points missing": _fcount_case("--dim", "2", "--points", "{tmp}/none.txt",
+                                   fragment="cannot read {tmp}/none.txt: No such file"),
+    "points directory": _fcount_case("--dim", "2", "--points", "{tmp}",
+                                     fragment="cannot read {tmp}: Is a directory"),
+    "points not utf-8": _fcount_case("--dim", "2", "--points", "{tmp}/p.txt",
+                                     files={"p.txt": b"0,\xff\n"},
+                                     fragment="cannot read {tmp}/p.txt: 'utf-8' codec"),
+    "config missing": (["sweep", "--config", "{tmp}/none.json", "--out", "{tmp}/r.jsonl"], {},
+                       "cannot read {tmp}/none.json: No such file"),
+    "config directory": (["sweep", "--config", "{tmp}", "--out", "{tmp}/r.jsonl"], {},
+                         "cannot read {tmp}: Is a directory"),
+    "config not utf-8": (["sweep", "--config", "{tmp}/c.json", "--out", "{tmp}/r.jsonl"],
+                         {"c.json": b"\xff{}"}, "cannot read {tmp}/c.json: 'utf-8' codec"),
+    "out directory missing": _fcount_case("--dim", "2", "--gen", "all",
+                                          "--out", "{tmp}/none/r.jsonl",
+                                          fragment="cannot write {tmp}/none/r.jsonl: No such file"),
+    "config allow_1mod4 string": _config_case(
+        {**_CONFIG, "grid": [{"primes": [5], "dims": [2]}], "allow_1mod4": "false"},
+        "allow_1mod4 must be true or false"),
+    "config primes bool": _config_case(
+        {**_CONFIG, "grid": [{"primes": [True], "dims": [2]}]}, "primes must be integers"),
+    "config seeds bool": _config_case({**_CONFIG, "seeds": [True]}, "seeds must be integers"),
+    "sweep no jobs": (["sweep", "--default", "--out", "{tmp}/r.jsonl", "--jobs", "0"], {},
+                      "--jobs must be at least 1"),
 }
 
 
 @pytest.mark.parametrize("argv,files,fragment", REJECTIONS.values(), ids=REJECTIONS)
 def test_input_rejections_exit_2_with_one_error_line(tmp_path, capsys, argv, files, fragment):
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert fragment in err and "Traceback" not in err
+    assert fragment.format(tmp=tmp_path) in err and "Traceback" not in err
 
 
 def test_random_atom_past_the_enumeration_guardrail_draws_nothing(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 import random
@@ -944,8 +945,6 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
     rng = random.Random(2)
     sizes = (1, 10, 100, 282, 1000, 5000, 20000, 40000, G.n - 1, G.n)
     members = [vertex_array(G.n, rng.sample(range(G.n), size)) for size in sizes]
-    items = [(c, row, B if c == "mixing" else None)
-             for row, B in enumerate(members) for c in ("variance", "mixing", "hinge")]
     stacked = []
 
     def counted(p, dim, stack):
@@ -953,13 +952,17 @@ def test_stacked_subset_counts_peak_memory(monkeypatch):
         return set_transforms(p, dim, stack)
 
     monkeypatch.setattr(euclid_mod, "set_transforms", counted)
+    monkeypatch.setattr(cli, "_subset_draws", lambda n, check, trials, rng: (
+        (B, B if check == "mixing" else None) for B in members
+    ))
+    args = argparse.Namespace(seed=0, trials=len(members), force=False)
     tracemalloc.start()
     try:
-        verdicts = cli._subset_verdicts(F, 3, spectra, 1, members, items, False)
-        held = [holds for *_, holds, _ in verdicts]
+        held = [r["holds"] for check in ("variance", "mixing", "hinge")
+                for r in cli._subset_records(F, 3, spectra, check, 1, args)[0]]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stacked == [3, 3, 3, 1]
+    assert stacked == [3, 3, 3, 1] * 3  # one pass per check
     assert len(held) == 10 * 8 and all(held)  # (2 + 2 + 4) verdicts per set
     assert peak < 64 * 2**20
