@@ -16,10 +16,7 @@ reruns and replays never depend on scheduling.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -55,6 +52,15 @@ from .spectral import (
     variance_bound,
     within_bound,
 )
+
+# The interpreter's own SHA-256, as random.py takes its SHA-512: hashlib loads OpenSSL.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 TOOL_VERSION = __version__
 
@@ -173,6 +179,7 @@ def emit(records: list[dict], fmt: str, fields: tuple[str, ...]) -> str:
             lines.append("{" + body + "}\n")
         return "".join(lines)
     if fmt == "csv":
+        import csv
         by_type, other = _formatters("", str)
         text = by_type.get
         buf = io.StringIO()
@@ -220,18 +227,31 @@ def _write_output(path: str, payload: str) -> None:
 def derive_seed(*parts) -> int:
     """A 64-bit seed from a hash of the joined parts; stable across runs."""
     key = "|".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-
-
-def _set_key(ranks) -> bytes:
-    """A set's key: the SHA-256 digest of its rank buffer, 32 bytes."""
-    return hashlib.sha256(ranks).digest()
+    return int.from_bytes(sha256(key).digest()[:8], "big")
 
 
 def config_digest(config: dict) -> str:
-    return hashlib.sha256(
+    return sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
+
+
+def _distinct_sets(sets) -> tuple[list, list[int]]:
+    """(distinct, index): each rank array of sets once, as its first set,
+    and each set's position in distinct.  Two sets are one when their ranks
+    are the same in the same order: sets of one size and rank sum are the
+    candidates, and the same object or np.array_equal decides, so no two
+    unequal sets can share a place."""
+    distinct, index, candidates = [], [], {}
+    for E in sets:
+        same = candidates.setdefault((E.ranks.size, int(E.ranks.sum())), [])
+        at = next((i for i in same if distinct[i] is E
+                   or np.array_equal(distinct[i].ranks, E.ranks)), len(distinct))
+        if at == len(distinct):
+            same.append(at)
+            distinct.append(E)
+        index.append(at)
+    return distinct, index
 
 
 def _field_for_cli(q: int, allow_1mod4: bool) -> PrimeField:
@@ -531,7 +551,7 @@ def _verify_point_sets(F, dim, spectra, checks, args) -> tuple[list[dict], list[
 
     The sets are F_p^dim itself, when the profile and enumeration
     guardrails admit it, and a ladder of random subsets; a size-n rung is
-    that same set of F_p^dim again, held once.  Unless forced, rung sizes
+    that same PointSet object again.  Unless forced, rung sizes
     stay at most isqrt(PROFILE_MAX_PAIRS), where even the pairwise profile
     fits.
     """
@@ -542,22 +562,20 @@ def _verify_point_sets(F, dim, spectra, checks, args) -> tuple[list[dict], list[
         generate_point_set, F, dim, spec, seed=0, force=args.force
     )
     held = isinstance(full, PointSet)
-    sets = [(full, _set_key(full.ranks))] if held else []  # (set, key), each hashed once
+    sets = [full] if held else []
     for ranks in _point_set_draws(p, dim, cap, args.trials, args.seed):
         if len(ranks) == n and held:
-            sets.append(sets[0])
+            sets.append(full)
         else:
-            E = PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}")
-            sets.append((E, _set_key(E.ranks)))
+            sets.append(PointSet(ranks, p=p, dim=dim, origin_label=f"random-subset:{len(ranks)}"))
     wanted = [c for c in ("main", "remark") if c in checks]
-    distinct = {key: E for E, key in sets}  # sets of one key have the same ranks
-    judged = dict(zip(distinct, _judge_sets(F, dim, spectra, list(distinct.values()),
-                                            wanted, args.force)))
+    distinct, index = _distinct_sets(sets)
+    judged = _judge_sets(F, dim, spectra, distinct, wanted, args.force)
     reports = []
-    for E, key in sets:
-        if isinstance(judged[key], FqlabError):
-            raise judged[key]
-        reports.append(judged[key][0])
+    for i in index:
+        if isinstance(judged[i], FqlabError):
+            raise judged[i]
+        reports.append(judged[i][0])
     records, lines = [], []
     for check in wanted:
         rows = [_verify_record(check, p, dim, args.seed, *_theorem_row(check, report),
@@ -837,8 +855,8 @@ def _run_sweep_group(task) -> list[dict]:
     """Every cell of one (p, dim): each cell's point set first (a
     generator that ignores the seed is generated once), then the distinct
     sets judged by one _judge_sets call, the records last.  Sets with the
-    same ranks in the same order, keyed by _set_key of their rank arrays,
-    share one profile, one report and one set of verdicts.
+    same ranks in the same order (_distinct_sets) share one profile, one
+    report and one set of verdicts.
 
     Every check but the spectrum reads each set's degree profile, so
     unless the spectrum is the only check, a one-atom generator past the
@@ -854,7 +872,7 @@ def _run_sweep_group(task) -> list[dict]:
     spectra = euclid.spectra(F, dim, range(1, p), force)
     theorem_checks = [c for c in ("main", "remark") if c in checks]
     profiled = set(checks) != {"spectrum"}
-    records, cells, sets = [], [], {}
+    records, cells = [], []
     for gen in gens:
         spec, made = parse_generator(gen), None
         size, refused = _pre_draw_refusal(spec, F, dim, force) if profiled else (None, None)
@@ -875,17 +893,15 @@ def _run_sweep_group(task) -> list[dict]:
             if isinstance(made, FqlabError):
                 rec.update(status="error", error=str(made), holds=False)
                 continue
-            key = _set_key(made.ranks)
             rec["set_size"] = len(made)
-            sets.setdefault(key, made)
-            cells.append((rec, key))
-    judged = dict(zip(sets, _judge_sets(F, dim, spectra, list(sets.values()), checks, force,
-                                        profiled)))
-    for rec, key in cells:
-        if isinstance(judged[key], FqlabError):
-            rec.update(status="error", error=str(judged[key]), holds=False)
+            cells.append((rec, made))
+    distinct, index = _distinct_sets([E for _, E in cells])
+    judged = _judge_sets(F, dim, spectra, distinct, checks, force, profiled)
+    for (rec, _), i in zip(cells, index):
+        if isinstance(judged[i], FqlabError):
+            rec.update(status="error", error=str(judged[i]), holds=False)
             continue
-        report, oks, holds = judged[key]
+        report, oks, holds = judged[i]
         if theorem_checks:
             rec.update(_report_fields(report))
         rec.update(oks, holds=holds, status="ok" if holds else "fail")
@@ -913,6 +929,7 @@ def run_sweep(config: dict, jobs: int = 1, force: bool = False) -> tuple[list[di
     if jobs > 1 and len(tasks) > 1:
         # A pool forks all its workers at the first submit, so it gets no
         # more than there are groups.
+        import concurrent.futures
         workers = min(jobs, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_sweep_group, tasks))
@@ -1093,6 +1110,8 @@ def main(argv=None) -> int:
     else:  # no arguments, help, an unknown command or an option first
         args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) and not Path(args.out).parent.exists():  # before any work
+            raise BadSpec(f"cannot write {args.out}: No such file or directory")
         code = args.func(args)
         sys.stdout.flush()
         return code

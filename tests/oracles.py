@@ -25,15 +25,18 @@ recheck by one FFT of each radius' sphere over F_p^dim (now one recheck
 of the whole table from (norm, dot) counts), verify's draw loops (which
 now skip the draws that cannot depend on the seed), vertex_array, the
 sorted, deduplicated and range-checked form that verify's draws took
-(now each draw sorted as an int64 rank array) and the subset
+(now each draw sorted as an int64 rank array), the subset
 pass's per-verdict judging (now counts against integer limits from one
-memo), which reads the package's degree columns and bounds.
+memo), which reads the package's degree columns and bounds, and the
+SHA-256 keys by which sweep and verify deduped their point sets (now an
+exact compare of the sets of one size and rank sum).
 The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank,
 point-tuple and point-text helpers the tests need, and the package does
 not, live here too.
 """
 
 import functools
+import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -813,3 +816,16 @@ def point_set_draws_replay(p, dim, cap, trials, seed):
     rung drawn from one random.Random(derive_seed(seed, "main", p, dim))."""
     rng = random.Random(derive_seed(seed, "main", p, dim))
     return [sorted(rng.sample(range(p**dim), size)) for size in _spanning_sizes(cap, trials)]
+
+
+# --- the set dedupe, as sweep and verify keyed their sets by a digest -----
+
+
+def distinct_sets_sha256(sets) -> tuple[list, list[int]]:
+    """(distinct, index) of a list of point sets as cli._distinct_sets
+    gives them, by the route it replaced: each set keyed by the SHA-256
+    digest of its rank buffer, the first set of each key kept."""
+    keys = [hashlib.sha256(E.ranks).digest() for E in sets]
+    firsts = list(dict.fromkeys(keys))
+    distinct = [sets[keys.index(key)] for key in firsts]
+    return distinct, [firsts.index(key) for key in keys]

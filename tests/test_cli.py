@@ -1,5 +1,7 @@
 import argparse
+import concurrent.futures
 import functools
+import hashlib
 import io
 import json
 import os
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -122,6 +124,49 @@ def test_config_digest_key_order_invariant():
     a = config_digest({"x": 1, "y": [2]})
     b = config_digest({"y": [2], "x": 1})
     assert a == b
+
+
+# The parts of a seed: ints past 64 bits and negative ones, and non-ASCII
+# strings, whose joined text is hashed as UTF-8.
+SEED_PARTS = [
+    (0,), (1, "main", 7, 2, 3), ("x", 3, 2), (2**70, -5, "random:0.5t"),
+    ("über", "π→∞", 11), ("\U0001d53d", ""),
+]
+
+
+def _hashlib_values(config) -> tuple[list[int], str]:
+    """derive_seed of each of SEED_PARTS and config_digest of config,
+    computed with hashlib.sha256 as the two are defined."""
+    seeds = [int.from_bytes(hashlib.sha256("|".join(map(str, parts)).encode()).digest()[:8],
+                            "big") for parts in SEED_PARTS]
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return seeds, hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_seeds_and_digests_equal_hashlib_sha256():
+    # without hashlib's OpenSSL the digests are the same SHA-256: here the
+    # interpreter's own module, and in a child interpreter that has neither
+    # _sha2 nor _sha256, hashlib as the last fallback
+    config = normalize_config(cli.DEFAULT_SWEEP_CONFIG)
+    want = _hashlib_values(config)
+    assert ([derive_seed(*parts) for parts in SEED_PARTS], config_digest(config)) == want
+    src = str(Path(fqlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "import fqlab.cli as cli\n"
+        "assert cli.sha256 is hashlib.sha256\n"
+        f"seeds = [cli.derive_seed(*parts) for parts in {SEED_PARTS!r}]\n"
+        f"print(json.dumps([seeds, cli.config_digest({config!r})]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(json.loads(proc.stdout)) == want
 
 
 # --- single-instance commands -------------------------------------------------
@@ -504,19 +549,22 @@ def test_verify_builds_each_view_and_report_once(monkeypatch):
 @pytest.mark.parametrize("force", [False, True])
 def test_verify_holds_a_size_n_rung_as_the_full_set(monkeypatch, capsys, force):
     # the ladder of F_3^2 reaches all 9 points on its last rung, which is
-    # F_3^2 itself, one rank array, not a second copy of the space, and
-    # keyed by the digest F_3^2 already has, not hashed again
-    keyed, held = [], []
-    key, post = cli._set_key, fqlab.geometry.PointSet.__post_init__
-    monkeypatch.setattr(cli, "_set_key", lambda ranks: keyed.append(ranks) or key(ranks))
+    # F_3^2 itself: the same PointSet object, not a second copy of the
+    # space, so the dedupe never compares the two element by element
+    deduped, held, compared = [], [], []
+    distinct, equal = cli._distinct_sets, np.array_equal
+    post = fqlab.geometry.PointSet.__post_init__
+    monkeypatch.setattr(cli, "_distinct_sets", lambda sets: deduped.extend(sets) or distinct(sets))
     monkeypatch.setattr(fqlab.geometry.PointSet, "__post_init__",
                         lambda E: post(E) or held.append(E.ranks))
+    monkeypatch.setattr(np, "array_equal", lambda x, y: compared.append((x, y)) or equal(x, y))
     argv = ["verify", "--q", "3", "--dim", "2", "--checks", "main,remark", "--trials", "3"]
     assert main(argv + ["--force"] * force) == 0
     assert "main      p=3 dim=2: 4 point sets  ok\n" in capsys.readouterr().out
-    assert [ranks.size for ranks in keyed] == [9, 1, 3]
+    assert [E.ranks.size for E in deduped] == [9, 1, 3, 9] and deduped[3] is deduped[0]
     assert [ranks.size for ranks in held] == [9, 1, 3]
-    assert held[0] is keyed[0] and not keyed[0].flags.writeable
+    assert held[0] is deduped[0].ranks and not held[0].flags.writeable
+    assert compared == []
 
 
 def test_verify_refuses_records_past_the_guardrail(monkeypatch, capsys, tmp_path):
@@ -892,9 +940,9 @@ def test_verify_takes_size_n_sets_without_drawing(monkeypatch):
     assert drawn[True] == 0
 
 
-def _loads_numpy_fft(argv) -> bool:
-    """Whether main(argv), in a fresh interpreter, exits 0 having imported
-    numpy.fft."""
+def _loaded_modules(argv) -> set[str]:
+    """The names of the modules loaded once main(argv), in a fresh
+    interpreter, has exited 0."""
     src = str(Path(fqlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -902,13 +950,32 @@ def _loads_numpy_fft(argv) -> bool:
         "import sys\n"
         "from fqlab.cli import main\n"
         f"assert main({list(argv)!r}) == 0\n"
-        "print('numpy.fft' in sys.modules)\n"
+        "print(*sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# Modules that no ordinary call runs: OpenSSL through hashlib, the process
+# pool (which imports logging) and the csv writer.
+UNUSED_MODULES = {"_hashlib", "hashlib", "concurrent.futures", "logging", "csv"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["fcount", "--q", "7", "--dim", "2", "--gen", "random:1t", "--out", "{tmp}/f.jsonl"], set()),
+    (["verify", "--q", "7", "--dim", "2", "--trials", "3", "--out", "{tmp}/v.jsonl"], set()),
+    (["sweep", "--default", "--jobs", "1", "--out", "{tmp}/r.jsonl"], set()),
+    (["fcount", "--q", "3", "--dim", "2", "--gen", "all", "--format", "csv",
+      "--out", "{tmp}/f.csv"], {"csv"}),
+])
+def test_a_cli_call_loads_no_openssl_pool_or_csv_writer(tmp_path, argv, loaded):
+    # seeds and config digests take the interpreter's own SHA-256, sets are
+    # deduped without a hash, and the pool and the csv writer are imported
+    # only where they run; --format csv shows the probe sees the import
+    assert UNUSED_MODULES & _loaded_modules([arg.format(tmp=tmp_path) for arg in argv]) == loaded
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -923,16 +990,17 @@ def test_fcount_default_checks_never_load_numpy_fft(argv, loaded):
     # pairwise, so numpy.fft is never imported, nor by the spectrum recheck
     # or the subset counts; half of F_11^3 takes the convolution route,
     # which shows the probe can see the import
-    assert _loads_numpy_fft(["fcount", *argv]) is loaded
+    assert ("numpy.fft" in _loaded_modules(["fcount", *argv])) is loaded
 
 
 def test_sweep_and_spectrum_never_load_numpy_fft(tmp_path):
     # the benchmark's all-checks sweep and the spectrum of every radius of
     # F_83^3 recheck their tables from (norm, dot) counts
     out = tmp_path / "r.jsonl"
-    assert not _loads_numpy_fft(["sweep", "--config", str(SWEEP_ALLCHECKS), "--out", str(out)])
+    assert "numpy.fft" not in _loaded_modules(
+        ["sweep", "--config", str(SWEEP_ALLCHECKS), "--out", str(out)])
     assert len(out.read_text().splitlines()) == 180
-    assert not _loads_numpy_fft(["spectrum", "--q", "83", "--dim", "3"])
+    assert "numpy.fft" not in _loaded_modules(["spectrum", "--q", "83", "--dim", "3"])
 
 
 # --- sweep ------------------------------------------------------------------------
@@ -1812,7 +1880,7 @@ def test_sweep_asks_for_no_more_workers_than_groups(monkeypatch, tmp_path):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     want, _ = run_sweep(cli.DEFAULT_SWEEP_CONFIG, jobs=1)
     assert asked == []
     for jobs, workers in [(100000, 6), (6, 6), (2, 2)]:
@@ -1854,6 +1922,29 @@ def test_sweep_generates_each_seed_free_set_once(monkeypatch):
     assert len({r["error"] for r in errors}) == 1
 
 
+_RANKS_OF_F3 = st.lists(st.integers(0, 8), unique=True, max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_RANKS_OF_F3, min_size=1, max_size=5),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=12))
+@example(pool=[[0, 3], [1, 2], [3, 0]],
+         picks=[(0, False), (1, False), (2, False), (0, True), (0, False), (1, True)])
+def test_distinct_sets_match_the_sha256_grouping(pool, picks):
+    # sets of F_3^2 drawn from a pool, each pick the pool's object itself or
+    # a new set of the same ranks: exact repeats, the same object repeated,
+    # and unequal sets of one size and rank sum, such as [0, 3], [1, 2] and
+    # [3, 0], group as their digests do, each group kept as its first set
+    PointSet = functools.partial(fqlab.geometry.PointSet, p=3, dim=2)
+    made = [PointSet(ranks) for ranks in pool]
+    sets = [made[i % len(pool)] if same else PointSet(pool[i % len(pool)]) for i, same in picks]
+    distinct, index = cli._distinct_sets(sets)
+    want_distinct, want_index = oracles.distinct_sets_sha256(sets)
+    assert index == want_index
+    assert len(distinct) == len(want_distinct)
+    assert all(E is F for E, F in zip(distinct, want_distinct))
+
+
 def test_broken_pipe_exits_1_in_process(monkeypatch, tmp_path):
     # stdout fails on write as a pipe whose reader left does: main exits 1
     # and points stdout's descriptor at devnull, so the final flush at exit
@@ -1886,6 +1977,17 @@ def test_broken_pipe_on_out_exits_1(monkeypatch, tmp_path):
     with open(tmp_path / "stdout", "w") as handle:
         monkeypatch.setattr(sys, "stdout", handle)
         assert main(["spectrum", "--q", "3", "--dim", "2", "--out", "/dev/stdout"]) == 1
+
+
+def test_out_into_a_missing_directory_is_refused_before_any_work(monkeypatch, tmp_path, capsys):
+    # the write would fail only after a sweep had run every group, or after
+    # fcount had printed its whole report: the directory is checked first
+    monkeypatch.setattr(cli, "_run_sweep_group", lambda task: pytest.fail("work before refusal"))
+    out = tmp_path / "nodir" / "r.jsonl"
+    for argv in (["sweep", "--default"], ["fcount", "--q", "3", "--dim", "2", "--gen", "all"]):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = f"error: cannot write {out}: No such file or directory\n"
+        assert capsys.readouterr() == ("", err)
 
 
 # --- input rejections ---------------------------------------------------------
