@@ -34,7 +34,6 @@ both.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -44,6 +43,7 @@ from .errors import BadSpec, DimensionMismatch, FqlabError, MissingSpectrum, Too
 from .euclid import SPECTRUM_MAX, SpectralSummary, degree_columns, ramanujan_bound
 from .field import PrimeField
 from .geometry import PointSet, intersection_table, size_threshold, sphere_table
+from .record import Record
 from .spectral import hinge_bound, within_bound
 
 # Profiles are refused above this cost, in pair-equivalents, of the
@@ -73,8 +73,7 @@ PROFILE_FFT_RATIO = 20
 PAIR_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeProfile:
+class DegreeProfile(Record, eq=False):
     """Distance multiplicities of one point set, summed per radius.
 
     With deg(x, r) the number of other points of E at distance r from x,
@@ -474,8 +473,7 @@ def upper_bound_f(m: int, spectra: Mapping[int, SpectralSummary]) -> tuple[float
     return exact, float(asym)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Every statistic and verdict for one point set.
 
     regime is "a" when |E| >= q**((dim+1)/2) (ties inclusive) and "b"

@@ -16,7 +16,6 @@ reruns and replays never depend on scheduling.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -121,7 +120,7 @@ SPECTRUM_FIELDS = (
 )
 # The spectrum-record fields that a SpectralSummary holds under the same name.
 SUMMARY_FIELDS = tuple(
-    f.name for f in dataclasses.fields(SpectralSummary) if f.name in SPECTRUM_FIELDS
+    name for name in SpectralSummary._fields if name in SPECTRUM_FIELDS
 )
 
 

@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadSpec, TooLarge, VerificationFailed
 from .field import PrimeField
 from .geometry import _quadric_counts, _space_size, sphere_size, sphere_table
+from .record import Record
 
 # Work over all of F_p^dim (set transforms and degree columns) is refused
 # above this many vertices, and the p x p norm-class table above
@@ -69,8 +69,7 @@ DEGREE_RESIDUAL_TOL = 0.25
 STACK_ELEMENTS = 2**18
 
 
-@dataclass(frozen=True)
-class EuclidGraphSpec:
+class EuclidGraphSpec(Record):
     """Descriptor of one distance graph; construction fixes its constants."""
 
     field: PrimeField
@@ -207,8 +206,7 @@ def _group_classes(
     return tuple(zip(means.tolist(), sizes.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSummary:
+class SpectralSummary(Record, eq=False):
     """The spectrum of one graph plus its summary statistics.
 
     norm_values[c] is the eigenvalue on every nonzero frequency m with

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import EvenModulus, NotPrime
+from .record import Record
 
 
 def is_prime(n: int) -> bool:
@@ -31,8 +31,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """An odd prime modulus p together with its square-count table.
 
     square_counts[t] is the number of x in F_p with x*x == t.  The table

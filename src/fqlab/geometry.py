@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .errors import (
     VerificationFailed,
 )
 from .field import PrimeField
+from .record import Record
 
 Point = tuple[int, ...]
 
@@ -67,8 +67,7 @@ def ranks_to_coords(p: int, dim: int, ranks: np.ndarray) -> np.ndarray:
     return ranks[:, None] // p ** np.arange(dim, dtype=np.int64) % p
 
 
-@dataclass(frozen=True)
-class SphereTable:
+class SphereTable(Record):
     """Exact sphere sizes: sizes[a] = #{x in F_p^dim : ||x|| = a}."""
 
     p: int
@@ -215,8 +214,7 @@ def sphere_points(F: PrimeField, dim: int, a: int, force: bool = False) -> list[
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
+class PointSet(Record, eq=False):
     """A duplicate-free ordered set of points of F_p^dim, held as their
     ranks: a read-only int64 array, the one given when it is read-only and
     owns its memory, else a copy of the ranks given."""
@@ -256,8 +254,7 @@ def size_threshold(p: int, dim: int) -> float:
     return float(p) ** ((dim + 1) / 2)
 
 
-@dataclass(frozen=True)
-class _Atom:
+class _Atom(Record):
     kind: str
     count: int | None = None
     rel: float | None = None
@@ -267,8 +264,7 @@ class _Atom:
     direction: Point | None = None
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """A parsed point-set generator expression; text keeps the original."""
 
     text: str

@@ -29,12 +29,16 @@ sorted, deduplicated and range-checked form that verify's draws took
 pass's per-verdict judging (now counts against integer limits from one
 memo), which reads the package's degree columns and bounds, and the
 SHA-256 keys by which sweep and verify deduped their point sets (now an
-exact compare of the sets of one size and rank sum).
+exact compare of the sets of one size and rank sum).  The package's
+records are judged against dataclass twins (dataclass_twin), the
+@dataclass decorations they replaced, and replace copies a record as
+dataclasses.replace copied those.
 The distance, adjacency, neighbor-table, eigenvalue-gather, point-rank,
 point-tuple and point-text helpers the tests need, and the package does
 not, live here too.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -54,9 +58,18 @@ from fqlab import (
     parse_generator,
     spectra,
 )
+from fqlab.bounds import BoundReport, DegreeProfile
 from fqlab.cli import _spanning_sizes, derive_seed
-from fqlab.euclid import EIGVEC_TOL, TRACE_REL_TOL, class_transform, degree_columns
-from fqlab.geometry import ranks_to_coords
+from fqlab.euclid import (
+    EIGVEC_TOL,
+    TRACE_REL_TOL,
+    EuclidGraphSpec,
+    SpectralSummary,
+    class_transform,
+    degree_columns,
+)
+from fqlab.field import PrimeField
+from fqlab.geometry import GeneratorSpec, PointSet, SphereTable, _Atom, ranks_to_coords
 from fqlab.spectral import (
     bound_threshold,
     degree_sum_bound,
@@ -64,6 +77,34 @@ from fqlab.spectral import (
     mixing_bound,
     variance_bound,
 )
+
+# The package's record classes, every subclass of fqlab.record.Record.
+RECORD_CLASSES = (
+    DegreeProfile, BoundReport, EuclidGraphSpec, SpectralSummary, PrimeField,
+    SphereTable, PointSet, _Atom, GeneratorSpec,
+)
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass with the fields, defaults, eq flag and
+    __post_init__ of the record class cls, by make_dataclass: what each
+    record did when it was a @dataclass."""
+    fields = [
+        (name, object, dataclasses.field(default=cls._defaults[name])) if name in cls._defaults
+        else (name, object)
+        for name in cls._fields
+    ]
+    namespace = {"__post_init__": cls.__post_init__} if "__post_init__" in vars(cls) else {}
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, namespace=namespace, frozen=True, eq=cls.__eq__ is not object.__eq__
+    )
+
+
+def replace(obj, **changes):
+    """A record like obj with the given fields changed, built by its class
+    from every field, as dataclasses.replace builds a dataclass."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
 
 # Symmetry validation is skipped above this many table entries.
 VALIDATE_MAX_ENTRIES = 2_000_000

@@ -940,28 +940,60 @@ def test_verify_takes_size_n_sets_without_drawing(monkeypatch):
     assert drawn[True] == 0
 
 
-def _loaded_modules(argv) -> set[str]:
-    """The names of the modules loaded once main(argv), in a fresh
-    interpreter, has exited 0."""
+def _child_output(code: str) -> str:
+    """The last line that code prints in a fresh interpreter, with this
+    fqlab on its path, once it has exited 0."""
     src = str(Path(fqlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys\n"
-        "from fqlab.cli import main\n"
-        f"assert main({list(argv)!r}) == 0\n"
-        "print(*sys.modules)\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()[-1]
+
+
+def _loaded_modules(argv) -> set[str]:
+    """The names of the modules loaded once main(argv), in a fresh
+    interpreter, has exited 0."""
+    return set(_child_output(
+        "import sys\n"
+        "from fqlab.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "print(*sys.modules)\n"
+    ).split())
+
+
+def test_importing_the_cli_generates_no_code():
+    # with numpy and the stdlib modules fqlab uses loaded first, importing
+    # fqlab.cli passes no source text to exec, eval or compile (imports
+    # compile bytes): the records' methods come precompiled with
+    # fqlab.record, where each @dataclass generated its own; one
+    # make_dataclass after it shows the probe sees generated code
+    counts = _child_output(
+        "import argparse, builtins, fractions, json, pathlib, random\n"
+        "import numpy\n"
+        "calls = []\n"
+        "def counting(run):\n"
+        "    def counted(source, *args, **kwargs):\n"
+        "        calls.append(isinstance(source, str))\n"
+        "        return run(source, *args, **kwargs)\n"
+        "    return counted\n"
+        "for name in ('exec', 'eval', 'compile'):\n"
+        "    setattr(builtins, name, counting(getattr(builtins, name)))\n"
+        "import fqlab.cli\n"
+        "on_import = sum(calls)\n"
+        "import dataclasses\n"
+        "dataclasses.make_dataclass('Twin', ['x'], frozen=True)\n"
+        "print(on_import, sum(calls) - on_import)\n"
+    ).split()
+    assert int(counts[0]) == 0 and int(counts[1]) > 0
 
 
 # Modules that no ordinary call runs: OpenSSL through hashlib, the process
-# pool (which imports logging) and the csv writer.
-UNUSED_MODULES = {"_hashlib", "hashlib", "concurrent.futures", "logging", "csv"}
+# pool (which imports logging), the csv writer and dataclasses, whose
+# decorator generates each class's methods at import.
+UNUSED_MODULES = {"_hashlib", "hashlib", "concurrent.futures", "logging", "csv", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -973,8 +1005,9 @@ UNUSED_MODULES = {"_hashlib", "hashlib", "concurrent.futures", "logging", "csv"}
 ])
 def test_a_cli_call_loads_no_openssl_pool_or_csv_writer(tmp_path, argv, loaded):
     # seeds and config digests take the interpreter's own SHA-256, sets are
-    # deduped without a hash, and the pool and the csv writer are imported
-    # only where they run; --format csv shows the probe sees the import
+    # deduped without a hash, records are fqlab.record subclasses, and the
+    # pool and the csv writer are imported only where they run; --format
+    # csv shows the probe sees the import
     assert UNUSED_MODULES & _loaded_modules([arg.format(tmp=tmp_path) for arg in argv]) == loaded
 
 

@@ -259,7 +259,7 @@ def test_recheck_matches_neighbor_sum_oracle(p, dim, a):
     s, T = spectrum(G), sphere_transform(G)
     assert recheck_transform(G, s, T) <= 1e-8 * G.valency
     ranks = sorted(random.Random(p * 100 + a).sample(range(G.n), 8))
-    shifted = dataclasses.replace(
+    shifted = oracles.replace(
         s, norm_values=tuple(v + 0.01 * (c + 1) for c, v in enumerate(s.norm_values))
     )
     for summary in (s, shifted):
@@ -558,7 +558,7 @@ def test_recomputed_row_matches_sphere_transform(p, dim, a):
 
     G = graph(p, dim, a)
     row = euclid_mod._recomputed_table(G.field, dim)[a]
-    s = dataclasses.replace(spectrum(G), norm_values=row)
+    s = oracles.replace(spectrum(G), norm_values=row)
     assert recheck_transform(G, s, sphere_transform(G)) <= 1e-12 * G.valency
     worst, at = recheck_table(G.field, dim)
     assert recheck_spectrum(spectrum(G), worst, at) <= 1e-12 * G.valency
@@ -584,7 +584,7 @@ def test_recomputed_row_matches_sphere_transform_random_spaces(space, a_seed):
     a = 1 + a_seed % (p - 1)
     G = euclid_graph(F, dim, a)
     recomputed = euclid_mod._recomputed_table(F, dim)
-    s = dataclasses.replace(spectrum(G), norm_values=recomputed[a])
+    s = oracles.replace(spectrum(G), norm_values=recomputed[a])
     assert recheck_transform(G, s, sphere_transform(G)) <= 1e-12 * G.valency
     worst, _ = recheck_table(F, dim)
     assert (worst <= 1e-12 * np.array(sphere_table(F, dim).sizes)).all()

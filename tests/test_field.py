@@ -1,10 +1,9 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fqlab import EvenModulus, NotPrime, is_prime, make_field
+from oracles import replace
 
 SMALL_PRIMES = [3, 7, 11, 19, 23, 31]
 
@@ -81,7 +80,7 @@ def test_field_equality_and_hash_skip_the_square_table():
     # its p entries: a field that has built it equals one that has not
     F = make_field(7)
     assert F.square_counts[2] == 2
-    G = dataclasses.replace(F)
+    G = replace(F)
     assert "square_counts" in vars(F) and "square_counts" not in vars(G)
     assert F == G and hash(F) == hash(G)
     assert F != make_field(11)
